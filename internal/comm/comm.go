@@ -9,9 +9,10 @@
 //
 // Collective calls must be made by every node in the same order (the MPI
 // rule); each call is sequence-stamped, and a mismatched message is
-// reported as corruption rather than mis-delivered. Every node drains its
-// inbox through a pump goroutine into an unbounded tag-matched mailbox, so
-// a slow participant can never deadlock a fast neighbor.
+// reported as corruption rather than mis-delivered. Every communicator
+// attaches an unbounded tag-matched mailbox to its node's inbox — the
+// delivering goroutine files each message straight into it — so a slow
+// participant can never deadlock a fast neighbor.
 //
 // On machines with injected faults (RunFaulty), the fault-tolerant
 // collectives in ft.go add detection and recovery: per-receive timeouts
@@ -47,11 +48,6 @@ type Comm struct {
 	// space — while job-attached communicators carry their job's slice.
 	base int
 	key  int
-
-	// source yields this communicator's envelope stream for the pump;
-	// ok == false ends it. Standalone communicators read the node inbox
-	// directly; job communicators read a per-job svc mailbox.
-	source func() (mpx.Envelope, bool)
 
 	// deadline, when nonzero, bounds every blocking receive inside the
 	// plain collectives (see SetDeadline).
@@ -95,14 +91,15 @@ type Comm struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	mailbox   map[int][]mpx.Envelope // tag -> queued envelopes
+	free      [][]mpx.Envelope       // drained queues, recycled by deliver
 	abandoned map[int]bool           // tags given up on by FT collectives
 	stopped   bool
 
 	// ready is a FIFO of mailbox tags with queued envelopes belonging to
 	// the CURRENT collective sequence, one entry per envelope, in arrival
 	// order. recvTagAnyRoot pops from its head — O(1) per wakeup instead
-	// of rescanning the whole mailbox map in nondeterministic order. The
-	// pump appends matching arrivals; next() reseeds it from the mailbox
+	// of rescanning the whole mailbox map in nondeterministic order.
+	// deliver appends matching arrivals; next() reseeds it from the mailbox
 	// for envelopes that arrived early (a neighbor running ahead).
 	// Entries can go stale when another receive path drains the same tag;
 	// the pop validates against the mailbox before trusting one.
@@ -116,20 +113,17 @@ type Comm struct {
 }
 
 // newComm builds a communicator over nd whose tags live in the
-// (tenant, job) slice encoded by base, fed by source (nil means read
-// the node inbox directly), and starts its pump.
-func newComm(nd *mpx.Node, n, base int, source func() (mpx.Envelope, bool)) *Comm {
+// (tenant, job) slice encoded by base and attaches its mailbox to the
+// envelope stream: attach is the node's inbox (nd.Attach) for a
+// standalone communicator, the job's dispatcher hook for a job's.
+func newComm(nd *mpx.Node, n, base int, attach func(sink func(mpx.Envelope), closed func())) *Comm {
 	c := &Comm{
 		nd: nd, n: n, base: base, key: svc.JobKeyOf(base),
 		mailbox:   map[int][]mpx.Envelope{},
 		abandoned: map[int]bool{},
 	}
 	c.cond = sync.NewCond(&c.mu)
-	if source == nil {
-		source = func() (mpx.Envelope, bool) { return nd.Recv(), true }
-	}
-	c.source = source
-	go c.pump()
+	attach(c.deliver, c.stop)
 	return c
 }
 
@@ -168,8 +162,7 @@ func (c *Comm) Dim() int { return c.n }
 func (c *Comm) Size() int { return 1 << uint(c.n) }
 
 // Run executes program on every node of an n-cube and waits for all
-// programs to finish, returning the first error. Inbox pump goroutines
-// are released when the machine shuts down.
+// programs to finish, returning the first error.
 func Run(n int, program func(c *Comm) error) error {
 	return RunFaulty(n, nil, program)
 }
@@ -182,8 +175,8 @@ func Run(n int, program func(c *Comm) error) error {
 func RunFaulty(n int, inj fault.Injector, program func(c *Comm) error) error {
 	// Comm's collectives bundle a whole subtree (up to N/2 destinations)
 	// into each message, so DepthForScatter with that bundling bounds the
-	// in-flight count; the per-node pump drains inboxes continuously, so
-	// depth is throughput headroom, not a deadlock concern.
+	// in-flight count; an attached mailbox takes deliveries without bound,
+	// so depth only matters to raw channel consumers.
 	return RunOn(mpx.NewWithInjector(n, CollectiveDepth(n), inj), program)
 }
 
@@ -202,9 +195,9 @@ func CollectiveDepth(n int) int {
 // machine built on a connected TCP transport (internal/transport).
 func RunOn(m *mpx.Machine, program func(c *Comm) error) error {
 	n := m.Cube().Dim()
-	defer m.Shutdown() // release pumps still blocked in Recv
+	defer m.Shutdown()
 	return m.Run(func(nd *mpx.Node) error {
-		c := newComm(nd, n, 0, nil)
+		c := newComm(nd, n, 0, nd.Attach)
 		defer c.stop()
 		err := program(c)
 		if err != nil {
@@ -283,43 +276,11 @@ func RunUDSWith(n int, opt TCPRunOptions, program func(c *Comm) error) error {
 // robustness tests drive.
 func RunTCPWith(n int, opt TCPRunOptions, program func(c *Comm) error) error {
 	size := 1 << uint(n)
-	depth := CollectiveDepth(n)
-	trs := make([]*transport.TCP, size)
-	peers := make([]string, size)
-	defer func() {
-		for _, tr := range trs {
-			if tr != nil {
-				tr.Close()
-			}
-		}
-	}()
-	for i := range trs {
-		tr, err := transport.NewTCP(transport.TCPOptions{
-			Dim: n, Locals: []cube.NodeID{cube.NodeID(i)}, Depth: depth,
-			Resilience: opt.Resilience, WireVersion: opt.WireVersion,
-			Network: opt.Network, Stripes: opt.Stripes, BatchHold: opt.BatchHold,
-		})
-		if err != nil {
-			return err
-		}
-		trs[i] = tr
-		peers[i] = tr.Addr()
+	trs, err := loopbackMesh(n, opt, nil)
+	if err != nil {
+		return err
 	}
-	var wg sync.WaitGroup
-	connErrs := make([]error, size)
-	for i, tr := range trs {
-		wg.Add(1)
-		go func(i int, tr *transport.TCP) {
-			defer wg.Done()
-			connErrs[i] = tr.Connect(peers)
-		}(i, tr)
-	}
-	wg.Wait()
-	for _, err := range connErrs {
-		if err != nil {
-			return err
-		}
-	}
+	defer closeAll(trs)
 	var agents []*transport.Chaos
 	if opt.Chaos != nil {
 		for i, tr := range trs {
@@ -369,46 +330,99 @@ func RunTCPWith(n int, opt TCPRunOptions, program func(c *Comm) error) error {
 	return first
 }
 
-// pump moves inbox messages into the tag-matched mailbox until stopped.
-func (c *Comm) pump() (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			// The machine shut down (a peer finished or panicked) while
-			// we were blocked in Recv; that is a normal exit for the pump.
-			err = nil
+// loopbackMesh binds one endpoint per rank of an n-cube on loopback
+// sockets, configured from opt (cls, when non-nil, meters payload per
+// job), and connects the mesh; on error nothing is left open.
+func loopbackMesh(n int, opt TCPRunOptions, cls mpx.JobClassifier) ([]*transport.TCP, error) {
+	size := 1 << uint(n)
+	trs := make([]*transport.TCP, 0, size)
+	peers := make([]string, size)
+	fail := func(err error) ([]*transport.TCP, error) {
+		closeAll(trs)
+		return nil, err
+	}
+	for i := range peers {
+		tr, err := transport.NewTCP(transport.TCPOptions{
+			Dim: n, Locals: []cube.NodeID{cube.NodeID(i)}, Depth: CollectiveDepth(n),
+			Resilience: opt.Resilience, WireVersion: opt.WireVersion,
+			Network: opt.Network, Stripes: opt.Stripes,
+			BatchHold: opt.BatchHold, Classifier: cls,
+		})
+		if err != nil {
+			return fail(err)
 		}
-		c.mu.Lock()
-		c.stopped = true
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	}()
-	for {
-		env, ok := c.source()
-		if !ok {
-			return nil
+		trs = append(trs, tr)
+		peers[i] = tr.Addr()
+	}
+	var wg sync.WaitGroup
+	connErrs := make([]error, size)
+	for i, tr := range trs {
+		wg.Add(1)
+		go func(i int, tr *transport.TCP) {
+			defer wg.Done()
+			connErrs[i] = tr.Connect(peers)
+		}(i, tr)
+	}
+	wg.Wait()
+	for _, err := range connErrs {
+		if err != nil {
+			return fail(err)
 		}
-		c.mu.Lock()
-		if c.stopped {
-			c.mu.Unlock()
-			return nil
-		}
-		if c.abandoned[env.Tag] {
-			// A fault-tolerant collective gave up on this tag (severed
-			// tree, timed-out heartbeat): the straggler is dropped here so
-			// it can never be mistaken for corruption of a later
-			// collective.
-			c.mu.Unlock()
-			continue
-		}
-		c.mailbox[env.Tag] = append(c.mailbox[env.Tag], env)
-		if svc.JobKeyOf(env.Tag) == c.key && svc.StreamSeq(env.Tag) == c.seq {
-			c.ready = append(c.ready, env.Tag)
-		}
-		c.cond.Broadcast()
-		c.mu.Unlock()
+	}
+	return trs, nil
+}
+
+func closeAll(trs []*transport.TCP) {
+	for _, tr := range trs {
+		tr.Close()
 	}
 }
 
+// deliver files one envelope into the tag-matched mailbox and wakes the
+// rank. It is the attached sink, run by the delivering goroutine (the
+// sending rank in process, a link's read pump on sockets) under the
+// inbox lock: it only takes mu and never blocks or sends. It drops what
+// reaches a stopped communicator, and any tag a fault-tolerant
+// collective gave up on (severed tree, timed-out heartbeat), so that a
+// straggler can never pass for corruption of a later collective.
+func (c *Comm) deliver(env mpx.Envelope) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stopped || c.abandoned[env.Tag] {
+		return
+	}
+	q, ok := c.mailbox[env.Tag]
+	if n := len(c.free); !ok && n > 0 {
+		q, c.free = c.free[n-1], c.free[:n-1]
+	}
+	c.mailbox[env.Tag] = append(q, env)
+	if svc.JobKeyOf(env.Tag) == c.key && svc.StreamSeq(env.Tag) == c.seq {
+		c.ready = append(c.ready, env.Tag)
+	}
+	c.cond.Broadcast()
+}
+
+// popLocked takes the oldest envelope queued under tag (mu held). A
+// drained queue's slice joins the free list, so the usual one message
+// per tag allocates nothing once warm.
+func (c *Comm) popLocked(tag int) (mpx.Envelope, bool) {
+	q := c.mailbox[tag]
+	if len(q) == 0 {
+		return mpx.Envelope{}, false
+	}
+	env := q[0]
+	q[0] = mpx.Envelope{} // do not pin the payload
+	if len(q) > 1 {
+		c.mailbox[tag] = q[1:]
+	} else {
+		delete(c.mailbox, tag)
+		c.free = append(c.free, q[:0])
+	}
+	return env, true
+}
+
+// stop fails blocked receives with stoppedErr and drops later
+// deliveries; it is also the attach hook's closed callback.
 func (c *Comm) stop() {
 	c.mu.Lock()
 	c.stopped = true
@@ -422,7 +436,7 @@ func (c *Comm) stop() {
 // of order) and fails hard with full provenance: sender rank, raw tag,
 // and expected vs. actual sequence. Future-sequence messages are normal —
 // a neighbor may legitimately run ahead — and stragglers from abandoned
-// fault-tolerant collectives never reach the mailbox (see pump).
+// fault-tolerant collectives never reach the mailbox (see deliver).
 func (c *Comm) recvTag(tag int) (mpx.Envelope, error) {
 	if d := c.deadline; d > 0 {
 		env, ok, err := c.recvTagWait(tag, d)
@@ -437,13 +451,7 @@ func (c *Comm) recvTag(tag int) (mpx.Envelope, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if q := c.mailbox[tag]; len(q) > 0 {
-			env := q[0]
-			if len(q) == 1 {
-				delete(c.mailbox, tag)
-			} else {
-				c.mailbox[tag] = q[1:]
-			}
+		if env, ok := c.popLocked(tag); ok {
 			return env, nil
 		}
 		if err := c.staleLocked(tag); err != nil {
@@ -515,7 +523,7 @@ func (c *Comm) staleLocked(tag int) error {
 func (c *Comm) tagFor(sub int) int { return c.base | svc.StreamTag(c.seq, sub) }
 
 // next advances the collective sequence (call exactly once per collective,
-// on every node). The bump happens under the mailbox lock — the pump
+// on every node). The bump happens under the mailbox lock — deliver
 // compares arrival tags against seq — and reseeds the ready queue with
 // envelopes of the new sequence that arrived early.
 func (c *Comm) next() {
@@ -529,7 +537,7 @@ func (c *Comm) next() {
 // the mailbox: one scan per collective, so the per-wakeup receive path
 // stays O(1). Early arrivals lose their exact arrival order here (the
 // map does not remember it); everything arriving after this point is
-// appended by the pump in true order.
+// appended by deliver in true order.
 func (c *Comm) reseedLocked() {
 	c.ready = c.ready[:0]
 	for tag, q := range c.mailbox {
@@ -988,17 +996,12 @@ func (c *Comm) recvTagAnyRoot() (mpx.Envelope, error) {
 			c.ready = c.ready[1:]
 			// Validate: another receive path (an FT collective's scan, a
 			// recvTag on the same tag) may have drained this entry already.
-			q := c.mailbox[tag]
-			if len(q) == 0 || svc.StreamSeq(tag) != c.seq {
+			if svc.StreamSeq(tag) != c.seq {
 				continue
 			}
-			env := q[0]
-			if len(q) == 1 {
-				delete(c.mailbox, tag)
-			} else {
-				c.mailbox[tag] = q[1:]
+			if env, ok := c.popLocked(tag); ok {
+				return env, nil
 			}
-			return env, nil
 		}
 		if err := c.interrupt; err != nil {
 			return mpx.Envelope{}, err

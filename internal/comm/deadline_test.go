@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/mpx"
+	"repro/internal/testleak"
 )
 
 // TestSetDeadlineTurnsHangIntoError blocks a rank on a peer that is
@@ -99,6 +100,9 @@ func TestDeadlineNamesPeerAfterConnectionLoss(t *testing.T) {
 // that errors.As unwraps to the *mpx.PeerError, not a bare "machine
 // stopped" that callers can only string-match.
 func TestStoppedErrWrapsPeerErrorForCollateralRanks(t *testing.T) {
+	// Blocked receivers are released by the inbox's closed callback, not
+	// by a pump goroutine unwinding: nothing may outlive the run.
+	testleak.Check(t)
 	tr := mpx.NewChanTransport(2, CollectiveDepth(2), nil)
 	var mu sync.Mutex
 	rankErrs := make([]error, 4)

@@ -254,12 +254,12 @@ func (e *Elastic) Close() error { return e.tr.Close() }
 
 // Run executes program against a Session for the hosted rank. It
 // returns when the program does; the transport stays open (so a
-// finished program can be followed by Drain or Close — which also
-// releases the communicator's pump goroutine).
+// finished program can be followed by Drain or Close, or by another Run,
+// whose communicator takes the inbox over).
 func (e *Elastic) Run(program func(s *Session) error) error {
 	m := mpx.NewWithTransport(e.tr, nil)
 	return m.Run(func(nd *mpx.Node) error {
-		c := newComm(nd, e.dimNow(), elasticBase(e.mgr.Epoch()), nil)
+		c := newComm(nd, e.dimNow(), elasticBase(e.mgr.Epoch()), nd.Attach)
 		defer c.stop()
 		e.mu.Lock()
 		e.cur = c

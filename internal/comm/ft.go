@@ -56,7 +56,7 @@ func (o FTOptions) withDefaults() FTOptions {
 func checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // abandon marks tags as given up: queued messages are purged and late
-// arrivals are dropped by the pump instead of lingering to be mistaken
+// arrivals are dropped by deliver instead of lingering to be mistaken
 // for stream corruption.
 func (c *Comm) abandon(tags ...int) {
 	c.mu.Lock()
@@ -80,13 +80,7 @@ func (c *Comm) recvTagWait(tag int, d time.Duration) (mpx.Envelope, bool, error)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if q := c.mailbox[tag]; len(q) > 0 {
-			env := q[0]
-			if len(q) == 1 {
-				delete(c.mailbox, tag)
-			} else {
-				c.mailbox[tag] = q[1:]
-			}
+		if env, ok := c.popLocked(tag); ok {
 			return env, true, nil
 		}
 		if err := c.staleLocked(tag); err != nil {
@@ -115,15 +109,11 @@ func (c *Comm) recvSeqAnyWait(d time.Duration) (mpx.Envelope, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		for tag, q := range c.mailbox {
-			if svc.JobKeyOf(tag) == c.key && svc.StreamSeq(tag) == c.seq && len(q) > 0 {
-				env := q[0]
-				if len(q) == 1 {
-					delete(c.mailbox, tag)
-				} else {
-					c.mailbox[tag] = q[1:]
+		for tag := range c.mailbox {
+			if svc.JobKeyOf(tag) == c.key && svc.StreamSeq(tag) == c.seq {
+				if env, ok := c.popLocked(tag); ok {
+					return env, true, nil
 				}
-				return env, true, nil
 			}
 		}
 		if c.stopped {

@@ -21,14 +21,14 @@ import (
 
 // Job adapts a collective program into an svc.Program: each node's
 // share gets a fresh communicator whose tags live in the job's slice of
-// the tag space (tenant/job base bits) and whose pump reads the job's
-// dispatcher mailbox instead of the node inbox. Unlike RunOn, an
+// the tag space (tenant/job base bits) and whose mailbox the node's
+// dispatcher feeds with exactly the job's traffic. Unlike RunOn, an
 // erroring job does NOT shut the machine down — isolation is the
 // runtime's concern (it aborts the job's local mailboxes), so sibling
 // jobs keep running.
 func Job(program func(c *Comm) error) svc.Program {
 	return func(jc *svc.JobContext) error {
-		c := newComm(jc.Node, jc.Dim, jc.Base, jc.Source)
+		c := newComm(jc.Node, jc.Dim, jc.Base, jc.Attach)
 		defer c.stop()
 		return program(c)
 	}
@@ -212,44 +212,11 @@ func StartLocalCluster(n int, opt svc.Options) *Cluster {
 // to every endpoint; Deadline and StatsSink are ignored here (use
 // Stats).
 func StartCluster(n int, opt svc.Options, topt TCPRunOptions) (*Cluster, error) {
-	size := 1 << uint(n)
-	depth := CollectiveDepth(n)
-	cl := &Cluster{}
-	ok := false
-	defer func() {
-		if !ok {
-			cl.closeTransports()
-		}
-	}()
-	peers := make([]string, size)
-	for i := 0; i < size; i++ {
-		tr, err := transport.NewTCP(transport.TCPOptions{
-			Dim: n, Locals: []cube.NodeID{cube.NodeID(i)}, Depth: depth,
-			Resilience: topt.Resilience, WireVersion: topt.WireVersion,
-			Network: topt.Network, Stripes: topt.Stripes,
-			BatchHold: topt.BatchHold, Classifier: svc.StatsClassifier,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cl.trs = append(cl.trs, tr)
-		peers[i] = tr.Addr()
+	trs, err := loopbackMesh(n, topt, svc.StatsClassifier)
+	if err != nil {
+		return nil, err
 	}
-	var wg sync.WaitGroup
-	connErrs := make([]error, size)
-	for i, tr := range cl.trs {
-		wg.Add(1)
-		go func(i int, tr *transport.TCP) {
-			defer wg.Done()
-			connErrs[i] = tr.Connect(peers)
-		}(i, tr)
-	}
-	wg.Wait()
-	for _, err := range connErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	cl := &Cluster{trs: trs}
 	if topt.Chaos != nil {
 		for i, tr := range cl.trs {
 			co := *topt.Chaos
@@ -262,16 +229,7 @@ func StartCluster(n int, opt svc.Options, topt TCPRunOptions) (*Cluster, error) 
 		rt.Start()
 		cl.rts = append(cl.rts, rt)
 	}
-	ok = true
 	return cl, nil
-}
-
-func (cl *Cluster) closeTransports() {
-	for _, tr := range cl.trs {
-		if tr != nil {
-			tr.Close()
-		}
-	}
 }
 
 // Submit enqueues prog for tenant on every runtime, preserving one
@@ -308,7 +266,7 @@ func (cl *Cluster) Drain() error {
 			first = err
 		}
 	}
-	cl.closeTransports()
+	closeAll(cl.trs)
 	return first
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/mpx"
+	"repro/internal/testleak"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -20,6 +21,9 @@ import (
 // peer — not with the "corrupt collective stream" sequence-mismatch
 // error, and not by hanging.
 func TestFaultyPeerCrashDistinguishedFromSequenceMismatch(t *testing.T) {
+	// The read pump that sees the crash closes the transport, whose inbox
+	// tells the blocked communicator: no goroutine may outlive that.
+	testleak.Check(t)
 	tr, err := transport.NewTCP(transport.TCPOptions{
 		Dim: 1, Locals: []cube.NodeID{0}, HandshakeTimeout: 5 * time.Second,
 	})

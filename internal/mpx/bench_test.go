@@ -148,6 +148,21 @@ func TestSendRecvZeroAllocsSteadyState(t *testing.T) {
 	if perPair != 0 {
 		t.Errorf("warm Send/Recv pair allocates %.1f, want 0", perPair)
 	}
+
+	// The attached path: Send runs the consumer's sink itself.
+	tr := NewChanTransport(1, 1, nil)
+	defer tr.Close()
+	delivered := 0
+	tr.Attach(1, func(Envelope) { delivered++ }, func() {})
+	msg := Message{Parts: []Part{{Dest: 1, Data: []byte("x")}}}
+	perSend := testing.AllocsPerRun(runs, func() {
+		if err := tr.Send(0, 0, msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perSend != 0 || delivered != runs+1 {
+		t.Errorf("Send into an attached sink allocates %.1f (want 0) and delivered %d of %d", perSend, delivered, runs+1)
+	}
 }
 
 // TestPartsPoolRoundTripNoAllocs checks that a warmed GetParts/PutParts

@@ -12,14 +12,14 @@ import (
 )
 
 // ChanTransport is the in-process Transport: it hosts every node of the
-// cube in one OS process and delivers envelopes over buffered channels.
-// The fault-free send path performs a single channel operation and zero
+// cube in one OS process and delivers envelopes into per-node Inboxes.
+// The fault-free send path performs one inbox delivery and zero
 // allocations (guarded by bench_test.go); an optional fault.Injector
 // applies message rules at this boundary, exactly where the TCP
 // transport applies them to encoded frames.
 type ChanTransport struct {
 	c      *cube.Cube
-	inbox  []chan Envelope
+	inbox  []*Inbox
 	locals []cube.NodeID
 
 	// inj, when non-nil, is consulted on every send; nil means a
@@ -34,11 +34,12 @@ type ChanTransport struct {
 	byJob map[int]int64
 
 	// est fits the link cost model from sampled sends: every
-	// chanProfileSample-th clean send is timed end-to-end (including any
-	// inbox-full blocking — honest occupancy). Sampling keeps the
-	// zero-allocation fast path free of clock reads on 63 of 64 sends.
+	// chanProfileSample-th clean send of a node is timed end-to-end
+	// (including any inbox-full blocking — honest occupancy). Sampling
+	// keeps clock reads off 63 of 64 sends; the counters are per sending
+	// node, so a send writes no transport-wide word.
 	est       LinkEstimator
-	sendCount atomic.Int64
+	sendCount []sendCounter
 
 	// down is closed by Close, unblocking every Send/Recv.
 	down     chan struct{}
@@ -55,6 +56,12 @@ type ChanTransport struct {
 	nSevered atomic.Int64
 }
 
+// sendCounter is one node's send-sampling counter on its own cache line.
+type sendCounter struct {
+	n atomic.Int64
+	_ [56]byte
+}
+
 // severState is the immutable published form of the severed-link table.
 type severState struct {
 	errs []error
@@ -69,14 +76,15 @@ func NewChanTransport(n, depth int, inj fault.Injector) *ChanTransport {
 	}
 	c := cube.New(n)
 	t := &ChanTransport{
-		c:      c,
-		inbox:  make([]chan Envelope, c.Nodes()),
-		locals: make([]cube.NodeID, c.Nodes()),
-		inj:    inj,
-		down:   make(chan struct{}),
+		c:         c,
+		inbox:     make([]*Inbox, c.Nodes()),
+		locals:    make([]cube.NodeID, c.Nodes()),
+		inj:       inj,
+		sendCount: make([]sendCounter, c.Nodes()),
+		down:      make(chan struct{}),
 	}
 	for i := range t.inbox {
-		t.inbox[i] = make(chan Envelope, depth)
+		t.inbox[i] = NewInbox(depth, t.down)
 		t.locals[i] = cube.NodeID(i)
 	}
 	return t
@@ -90,15 +98,25 @@ func (t *ChanTransport) Cube() *cube.Cube { return t.c }
 func (t *ChanTransport) Locals() []cube.NodeID { return t.locals }
 
 // Inbox returns the receive channel of node id.
-func (t *ChanTransport) Inbox(id cube.NodeID) <-chan Envelope { return t.inbox[id] }
+func (t *ChanTransport) Inbox(id cube.NodeID) <-chan Envelope { return t.inbox[id].Chan() }
+
+// Attach routes node id's deliveries to sink (see Inbox.Attach).
+func (t *ChanTransport) Attach(id cube.NodeID, sink func(Envelope), closed func()) {
+	t.inbox[id].Attach(sink, closed)
+}
 
 // Done is closed when the transport shuts down.
 func (t *ChanTransport) Done() <-chan struct{} { return t.down }
 
 // Close shuts the transport down, permanently unblocking every sender
-// and receiver. Idempotent.
+// and receiver and notifying every attached consumer. Idempotent.
 func (t *ChanTransport) Close() error {
-	t.downOnce.Do(func() { close(t.down) })
+	t.downOnce.Do(func() {
+		close(t.down)
+		for _, in := range t.inbox {
+			in.Close()
+		}
+	})
 	return nil
 }
 
@@ -215,14 +233,14 @@ func (t *ChanTransport) Stats() TransportStats {
 	return st
 }
 
-// countJob attributes msg's payload bytes to its job key (cls != nil).
-func (t *ChanTransport) countJob(msg Message) {
-	if key, ok := t.cls(msg.Tag); ok {
+// countJob attributes size payload bytes to tag's job key (cls != nil).
+func (t *ChanTransport) countJob(tag, size int) {
+	if key, ok := t.cls(tag); ok {
 		t.jobMu.Lock()
 		if t.byJob == nil {
 			t.byJob = map[int]int64{}
 		}
-		t.byJob[key] += int64(msg.Size())
+		t.byJob[key] += int64(size)
 		t.jobMu.Unlock()
 	}
 }
@@ -242,22 +260,24 @@ func (t *ChanTransport) Profile() LinkProfile { return t.est.Profile() }
 // machine and by faulty sends whose Outcome.IsZero().
 func (t *ChanTransport) sendClean(from, to cube.NodeID, port int, msg Message) error {
 	var start time.Time
-	sample := t.sendCount.Add(1)&(chanProfileSample-1) == 0
+	size := 0
+	sample := t.sendCount[from].n.Add(1)&(chanProfileSample-1) == 0
+	if sample || t.cls != nil {
+		size = msg.Size() // before delivery: the receiver may recycle Parts
+	}
 	if sample {
 		start = time.Now()
 	}
-	select {
-	case t.inbox[to] <- Envelope{Message: msg, Port: port, From: from}:
-		if sample {
-			t.est.Observe(1, msg.Size(), time.Since(start))
-		}
-		if t.cls != nil {
-			t.countJob(msg)
-		}
-		return nil
-	case <-t.down:
+	if !t.inbox[to].Deliver(Envelope{Message: msg, Port: port, From: from}) {
 		return ErrDown
 	}
+	if sample {
+		t.est.Observe(1, size, time.Since(start))
+	}
+	if t.cls != nil {
+		t.countJob(msg.Tag, size)
+	}
+	return nil
 }
 
 // sendFaulty is the injector-mediated send path: dead endpoints and dead
@@ -278,29 +298,13 @@ func (t *ChanTransport) sendFaulty(from, to cube.NodeID, port int, msg Message) 
 	if out.Delay > 0 {
 		time.Sleep(out.Delay)
 	}
-	if out.Corrupt {
-		msg = CorruptCopy(msg)
+	size := msg.Size()
+	n, ok := t.inbox[to].DeliverFaulty(Envelope{Message: msg, Port: port, From: from}, out)
+	if t.cls != nil {
+		t.countJob(msg.Tag, n*size)
 	}
-	copies := 1
-	if out.Duplicate {
-		copies = 2
-	}
-	for i := 0; i < copies; i++ {
-		send := msg
-		if i > 0 {
-			// The duplicate gets its own Parts slice: the original's may be
-			// a pooled buffer the first receiver recycles (payload bytes
-			// are never recycled, so sharing Data is safe).
-			send.Parts = append([]Part(nil), msg.Parts...)
-		}
-		select {
-		case t.inbox[to] <- Envelope{Message: send, Port: port, From: from}:
-			if t.cls != nil {
-				t.countJob(send)
-			}
-		case <-t.down:
-			return ErrDown
-		}
+	if !ok {
+		return ErrDown
 	}
 	return nil
 }

@@ -15,9 +15,11 @@
 // runs programs only on the nodes that transport hosts, so a multi-
 // process cube is simply one Machine per process.
 //
-// Each node owns a single buffered inbox (like the iPSC's receive queue);
+// Each node owns a single buffered Inbox (like the iPSC's receive queue);
 // Send(port, msg) enqueues into the neighbor's inbox and Recv dequeues in
 // arrival order. Messages from one sender are received in the order sent.
+// A consumer that matches tags itself (internal/comm, internal/svc)
+// attaches a sink, and deliverers file envelopes straight into it.
 //
 // The runtime carries real payload bytes, making it the end-to-end
 // correctness substrate for the collective operations in internal/core
@@ -87,27 +89,32 @@ type Envelope struct {
 var ErrDown = errors.New("mpx: machine shut down")
 
 // Transport moves envelopes between cube nodes. The runtime ships two
-// implementations: ChanTransport (in-process buffered channels, the
-// default) and the TCP transport in internal/transport (real sockets,
-// one or more hosted nodes per OS process). Implementations must be safe
-// for concurrent use by every hosted node.
+// implementations, each keeping one Inbox per hosted node: ChanTransport
+// (in-process, the default) and the TCP transport in internal/transport
+// (real sockets, one or more hosted nodes per OS process).
+// Implementations must be safe for concurrent use by every hosted node.
 type Transport interface {
 	// Send delivers msg from node `from` (which must be hosted by this
 	// transport) through the given port, blocking while the receiver
 	// lacks buffer space. It returns ErrDown after Close, or a transport
 	// failure (e.g. a *PeerError for a severed TCP link).
 	Send(from cube.NodeID, port int, msg Message) error
-	// Inbox returns the receive channel of a hosted node.
+	// Inbox returns the receive channel of a hosted node, which carries
+	// what arrives while no sink is attached.
 	Inbox(id cube.NodeID) <-chan Envelope
+	// Attach routes a hosted node's deliveries, queued ones first, to
+	// sink — run by the delivering goroutine, so it must not block or
+	// send — and runs closed when the transport closes (Inbox.Attach).
+	Attach(id cube.NodeID, sink func(Envelope), closed func())
 	// Done is closed when the transport shuts down, unblocking receivers.
 	Done() <-chan struct{}
 	// Locals lists the nodes hosted by this transport, ascending.
 	Locals() []cube.NodeID
 	// Cube returns the topology.
 	Cube() *cube.Cube
-	// Close shuts the transport down: senders and receivers unblock, and
-	// network-backed implementations flush and close their links
-	// gracefully. Close is idempotent.
+	// Close shuts the transport down: senders, receivers and attached
+	// consumers unblock, and network-backed implementations flush and
+	// close their links gracefully. Close is idempotent.
 	Close() error
 }
 
@@ -324,8 +331,8 @@ type transportAbort struct{ err error }
 // Shutdown permanently unblocks every goroutine waiting in Send or Recv on
 // this machine (they panic with an internal abort value) and closes the
 // underlying transport. Call it after Run returns when auxiliary
-// goroutines (e.g. inbox pumps) may still be blocked; the machine must
-// not be used afterwards.
+// goroutines may still be blocked; the machine must not be used
+// afterwards.
 func (m *Machine) Shutdown() { m.tr.Close() }
 
 // Cube returns the machine's topology.
@@ -448,11 +455,24 @@ func (nd *Node) SendTo(to cube.NodeID, msg Message) {
 	nd.Send(port, msg)
 }
 
+// Attach hands this node's receive stream to sink (Transport.Attach);
+// Recv must not be used on an attached node.
+func (nd *Node) Attach(sink func(Envelope), closed func()) {
+	nd.m.tr.Attach(nd.ID, sink, closed)
+}
+
 // Recv blocks until the next message arrives and returns it with its
-// arrival port and sender.
+// arrival port and sender. Only an empty inbox pays for the select on
+// the shared done channel.
 func (nd *Node) Recv() Envelope {
+	inbox := nd.m.inbox[nd.ID]
 	select {
-	case env := <-nd.m.inbox[nd.ID]:
+	case env := <-inbox:
+		return env
+	default:
+	}
+	select {
+	case env := <-inbox:
 		return env
 	case <-nd.m.done:
 		nd.abortDown()

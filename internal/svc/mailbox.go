@@ -6,11 +6,11 @@ import (
 	"repro/internal/mpx"
 )
 
-// Mailbox is the unbounded envelope queue connecting a node's
-// dispatcher to one job's receive loop. The dispatcher Puts as fast as
-// the inbox drains — never blocking on a slow job, which is what keeps
-// one stalled job from head-of-line-blocking every other job sharing
-// the node's single inbox — and the job's communicator pump Recvs.
+// Mailbox is an unbounded envelope queue turning a job's attached
+// stream into a blocking receive, for job programs that read raw
+// envelopes: jc.Attach(mb.Put, mb.Close), then mb.Recv. Put never
+// blocks, so a slow job cannot hold up the delivering goroutine or the
+// other jobs sharing the node's inbox.
 type Mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

@@ -51,8 +51,8 @@ func (o Options) withDefaults() Options {
 type Program func(jc *JobContext) error
 
 // JobContext is what a job program gets on each node: the node handle,
-// the job's identity and tag base, and the receive source carrying
-// exactly this job's envelopes (fed by the node's dispatcher).
+// the job's identity and tag base, and the hook that attaches a consumer
+// for exactly this job's envelopes (fed by the node's dispatcher).
 type JobContext struct {
 	Node   *mpx.Node
 	Dim    int
@@ -63,9 +63,12 @@ type JobContext struct {
 	// StreamTag on every send (comm's job communicators do).
 	Base int
 
-	// Source yields the job's envelope stream on this node; ok == false
-	// means the stream ended (job closed or aborted).
-	Source func() (mpx.Envelope, bool)
+	// Attach opens the job's envelope stream on this node: early arrivals
+	// are flushed into sink, later ones filed into it by the delivering
+	// goroutine (sink must not block or send); closed — possibly more
+	// than once — reports the stream ending early (job aborted, machine
+	// down). A Mailbox's Put and Close make it a blocking Recv.
+	Attach func(sink func(mpx.Envelope), closed func())
 }
 
 // Handle tracks one submitted job. Wait blocks until the job finished
@@ -247,11 +250,15 @@ func (rt *Runtime) Submit(tenant int, prog Program) (*Handle, error) {
 	return j.h, nil
 }
 
-// nodeMain is the per-node scheduler: it starts the node's dispatcher,
-// then starts every admissible job in its own goroutine until drained.
+// nodeMain is the per-node scheduler: it attaches the node's dispatcher
+// to the inbox, then starts every admissible job in its own goroutine
+// until drained.
 func (rt *Runtime) nodeMain(nd *mpx.Node) error {
-	d := NewDispatcher(nd)
-	go d.Run(rt.noteDown)
+	d := NewDispatcher()
+	nd.Attach(d.Deliver, func() {
+		d.Down()
+		rt.noteDown()
+	})
 	ns := &nodeState{cursor: map[int]int{}, inflight: map[int]int{}}
 	rt.mu.Lock()
 	rt.disps[nd.ID] = d
@@ -261,11 +268,10 @@ func (rt *Runtime) nodeMain(nd *mpx.Node) error {
 		if j == nil {
 			break
 		}
-		mb := d.Open(j.key)
 		ns.wg.Add(1)
 		go func(j *job) {
 			defer ns.wg.Done()
-			err := runJob(j, nd, rt.n, mb)
+			err := runJob(j, nd, rt.n, d)
 			d.CloseJob(j.key)
 			rt.jobDone(ns, j, err)
 		}(j)
@@ -277,7 +283,7 @@ func (rt *Runtime) nodeMain(nd *mpx.Node) error {
 // runJob executes one node's share of a job, converting panics —
 // including the machine-shutdown abort that unwinds a blocked Send —
 // into job errors so one bad job cannot take the scheduler down.
-func runJob(j *job, nd *mpx.Node, n int, mb *Mailbox) (err error) {
+func runJob(j *job, nd *mpx.Node, n int, d *Dispatcher) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("svc: job (tenant %d, job %d) aborted on node %d: %v", j.tenant, j.id, nd.ID, r)
@@ -287,7 +293,7 @@ func runJob(j *job, nd *mpx.Node, n int, mb *Mailbox) (err error) {
 		Node: nd, Dim: n,
 		Tenant: j.tenant, Job: j.id,
 		Base:   j.base,
-		Source: mb.Recv,
+		Attach: func(sink func(mpx.Envelope), closed func()) { d.Open(j.key, sink, closed) },
 	})
 }
 
@@ -413,7 +419,7 @@ func (rt *Runtime) NoteViewChange(epoch uint64) int {
 	return aborted
 }
 
-// noteDown is called by a dispatcher when the machine shut down. An
+// noteDown runs when the machine shut down under a node's inbox. An
 // expected shutdown (Drain) is ignored; an unexpected one fails every
 // incomplete job with the transport's diagnosis.
 func (rt *Runtime) noteDown() {

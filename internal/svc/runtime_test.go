@@ -17,6 +17,14 @@ func newTestRuntime(t *testing.T, n int, opt Options) *Runtime {
 	return rt
 }
 
+// recvOne attaches a Mailbox to the job's stream and blocks for its
+// first envelope: the raw-program idiom (jc.Attach(mb.Put, mb.Close)).
+func recvOne(jc *JobContext) (mpx.Envelope, bool) {
+	mb := NewMailbox()
+	jc.Attach(mb.Put, mb.Close)
+	return mb.Recv()
+}
+
 func TestMailbox(t *testing.T) {
 	mb := NewMailbox()
 	mb.Put(mpx.Envelope{Message: mpx.Message{Tag: 1}})
@@ -174,7 +182,7 @@ func TestDispatcherDemux(t *testing.T) {
 		h, err := rt.Submit(tenant, func(jc *JobContext) error {
 			tag := jc.Base | StreamTag(0, 0)
 			jc.Node.Send(0, mpx.Message{Tag: tag, Parts: []mpx.Part{{Dest: jc.Node.ID ^ 1, Data: []byte{byte(jc.Tenant), byte(jc.Job)}}}})
-			env, ok := jc.Source()
+			env, ok := recvOne(jc)
 			if !ok {
 				return errors.New("source closed early")
 			}
@@ -212,7 +220,7 @@ func TestJobErrorIsolated(t *testing.T) {
 		}
 		// Node 1 waits for traffic that will never come; the abort
 		// must close its source instead of hanging the drain.
-		if _, ok := jc.Source(); ok {
+		if _, ok := recvOne(jc); ok {
 			return errors.New("unexpected delivery")
 		}
 		return errors.New("aborted")

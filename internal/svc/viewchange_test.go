@@ -22,7 +22,7 @@ func TestNoteViewChangeAbortsInFlightKeepsServing(t *testing.T) {
 	blocked, err := rt.Submit(1, func(jc *JobContext) error {
 		started <- struct{}{}
 		// Park on traffic nobody sends; only an abort releases us.
-		if _, ok := jc.Source(); ok {
+		if _, ok := recvOne(jc); ok {
 			return fmt.Errorf("unexpected message")
 		}
 		return fmt.Errorf("stream ended") // must lose to the typed error

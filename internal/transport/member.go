@@ -332,7 +332,7 @@ func (t *TCP) GrowTo(newDim int) bool {
 	}
 	local := make([]bool, c.Nodes())
 	copy(local, t.local)
-	inbox := make([]chan mpx.Envelope, c.Nodes())
+	inbox := make([]*mpx.Inbox, c.Nodes())
 	copy(inbox, t.inbox)
 	t.c, t.links, t.local, t.inbox = c, links, local, inbox
 	t.opt.Dim = newDim

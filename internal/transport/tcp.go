@@ -219,7 +219,7 @@ type TCP struct {
 
 	local  []bool
 	locals []cube.NodeID
-	inbox  []chan mpx.Envelope
+	inbox  []*mpx.Inbox
 
 	// links is indexed by int(local)*dim+port; nil when the neighbor is
 	// hosted locally (direct inbox delivery) or the node is not local.
@@ -488,7 +488,7 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 		c:      c,
 		opt:    opts,
 		local:  make([]bool, c.Nodes()),
-		inbox:  make([]chan mpx.Envelope, c.Nodes()),
+		inbox:  make([]*mpx.Inbox, c.Nodes()),
 		links:  make([]*link, c.Nodes()*opts.Dim),
 		down:   make(chan struct{}),
 		locals: append([]cube.NodeID(nil), opts.Locals...),
@@ -502,7 +502,7 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 			return nil, fmt.Errorf("transport: local node %d listed twice", id)
 		}
 		t.local[id] = true
-		t.inbox[id] = make(chan mpx.Envelope, opts.Depth)
+		t.inbox[id] = mpx.NewInbox(opts.Depth, t.down)
 	}
 	t.udsDir = udsDir
 	ln, err := net.Listen(opts.Network, opts.Listen)
@@ -569,11 +569,20 @@ func (t *TCP) Cube() *cube.Cube {
 func (t *TCP) Locals() []cube.NodeID { return t.locals }
 
 // Inbox returns the receive channel of a hosted node.
-func (t *TCP) Inbox(id cube.NodeID) <-chan mpx.Envelope {
+func (t *TCP) Inbox(id cube.NodeID) <-chan mpx.Envelope { return t.inboxOf(id).Chan() }
+
+// Attach routes a hosted node's deliveries to sink (mpx.Inbox.Attach):
+// local senders and the links' read pumps then run it themselves.
+func (t *TCP) Attach(id cube.NodeID, sink func(mpx.Envelope), closed func()) {
+	t.inboxOf(id).Attach(sink, closed)
+}
+
+// inboxOf snapshots node id's inbox (GrowTo swaps the table).
+func (t *TCP) inboxOf(id cube.NodeID) *mpx.Inbox {
 	t.linkMu.RLock()
-	ch := t.inbox[id]
+	in := t.inbox[id]
 	t.linkMu.RUnlock()
-	return ch
+	return in
 }
 
 // Done is closed when the transport shuts down.
@@ -632,15 +641,20 @@ func (t *TCP) Profile() mpx.LinkProfile {
 	return agg.Profile()
 }
 
-// countJob attributes msg's payload bytes to its job key (Classifier
-// installed).
-func (t *TCP) countJob(msg mpx.Message) {
-	if key, ok := t.opt.Classifier(msg.Tag); ok {
+// credit counts one delivered message's n payload bytes, per job key
+// when a Classifier is installed. Callers take n before delivery: the
+// receiver may recycle the message's Parts.
+func (t *TCP) credit(tag int, n int64) {
+	t.payloadDelivered.Add(n)
+	if t.opt.Classifier == nil {
+		return
+	}
+	if key, ok := t.opt.Classifier(tag); ok {
 		t.jobMu.Lock()
 		if t.byJob == nil {
 			t.byJob = map[int]int64{}
 		}
-		t.byJob[key] += int64(payloadLen(msg))
+		t.byJob[key] += n
 		t.jobMu.Unlock()
 	}
 }
@@ -1497,41 +1511,15 @@ func (t *TCP) Send(from cube.NodeID, port int, msg mpx.Message) error {
 // deliverLocal is the in-process path for a link whose both endpoints
 // are hosted here — semantically identical to ChanTransport.
 func (t *TCP) deliverLocal(from, to cube.NodeID, port int, msg mpx.Message, out fault.Outcome) error {
-	if out.Corrupt {
-		msg = mpx.CorruptCopy(msg)
+	size := msg.Size()
+	n, ok := t.inboxOf(to).DeliverFaulty(mpx.Envelope{Message: msg, Port: port, From: from}, out)
+	if n > 0 {
+		t.credit(msg.Tag, int64(n*size))
 	}
-	copies := 1
-	if out.Duplicate {
-		copies = 2
-	}
-	t.linkMu.RLock()
-	inbox := t.inbox[to]
-	t.linkMu.RUnlock()
-	for i := 0; i < copies; i++ {
-		send := msg
-		if i > 0 {
-			send.Parts = append([]mpx.Part(nil), msg.Parts...)
-		}
-		select {
-		case inbox <- mpx.Envelope{Message: send, Port: port, From: from}:
-			t.payloadDelivered.Add(int64(payloadLen(send)))
-			if t.opt.Classifier != nil {
-				t.countJob(send)
-			}
-		case <-t.down:
-			return mpx.ErrDown
-		}
+	if !ok {
+		return mpx.ErrDown
 	}
 	return nil
-}
-
-// payloadLen sums msg's part payload bytes.
-func payloadLen(msg mpx.Message) int {
-	n := 0
-	for _, p := range msg.Parts {
-		n += len(p.Data)
-	}
-	return n
 }
 
 // maxPartLen is the largest single part payload: the vectored-write
@@ -1628,7 +1616,7 @@ func (l *link) send(msg mpx.Message, out fault.Outcome) error {
 		l.closeSpanLocked()
 		*l.cur, l.outSegs = wire.AppendFrameVec(*l.cur, l.outSegs, l.ver, msg)
 		l.spanFrom = len(*l.cur)
-		l.queued += over + payloadLen(msg)
+		l.queued += over + msg.Size()
 		l.qframes++
 		l.t.framesSent.Add(1)
 	case wire.BatchMsgSize(msg)+wire.BatchOverhead+6 > blockSize:
@@ -1823,7 +1811,7 @@ func (l *link) queueSeq(seq uint64, msg mpx.Message, out fault.Outcome, bulk boo
 		l.closeSpanLocked()
 		*l.cur, l.outSegs = wire.AppendSeqFrameVec(*l.cur, l.outSegs, l.ver, seq, msg)
 		l.spanFrom = len(*l.cur)
-		l.queued += over + payloadLen(msg)
+		l.queued += over + msg.Size()
 		l.qframes++
 		l.t.framesSent.Add(1)
 	default:
@@ -2529,19 +2517,12 @@ func (l *link) readPump(conn net.Conn, gen int) {
 // crediting its payload to the goodput counter. Returns false when the
 // transport shut down instead.
 func (l *link) deliver(msg mpx.Message) bool {
-	l.t.linkMu.RLock()
-	inbox := l.t.inbox[l.self]
-	l.t.linkMu.RUnlock()
-	select {
-	case inbox <- mpx.Envelope{Message: msg, Port: l.port, From: l.peer}:
-		l.t.payloadDelivered.Add(int64(payloadLen(msg)))
-		if l.t.opt.Classifier != nil {
-			l.t.countJob(msg)
-		}
-		return true
-	case <-l.t.down:
+	n := int64(msg.Size())
+	if !l.t.inboxOf(l.self).Deliver(mpx.Envelope{Message: msg, Port: l.port, From: l.peer}) {
 		return false
 	}
+	l.t.credit(msg.Tag, n)
+	return true
 }
 
 // admitSeq decides whether a sequenced frame is the next in-order
@@ -2673,8 +2654,9 @@ func (t *TCP) FirstPeerError() error {
 	return nil
 }
 
-// Close shuts the transport down: every link gets a bounded final flush
-// of pending frames plus a BYE announcement, then its connection is
+// Close shuts the transport down: every hosted inbox closes, telling
+// its attached consumer; every link gets a bounded final flush of
+// pending frames plus a BYE announcement, then its connection is
 // closed; the listener stops; pumps, flushers and supervisors drain
 // out. Idempotent, safe to call from pump goroutines.
 //
@@ -2686,6 +2668,9 @@ func (t *TCP) FirstPeerError() error {
 func (t *TCP) Close() error {
 	t.downOnce.Do(func() {
 		close(t.down)
+		for _, id := range t.locals {
+			t.inboxOf(id).Close()
+		}
 		t.ln.Close()
 		dirty := t.dirty.Load()
 		if !dirty && !t.memberMode() {
