@@ -138,7 +138,7 @@ func TestAutotuneCountsCollectives(t *testing.T) {
 }
 
 // TestChunkBoundsAdaptiveSplit is the packetization property test: for
-// arbitrary (payload, trees, packet size), splitting each chunkBounds
+// arbitrary (payload, trees, packet size), splitting each chunkBound
 // segment into ≤B packets covers [0, l) exactly once — offsets
 // contiguous, no overlap, zero-length tails only where the segment
 // itself is empty.
@@ -146,10 +146,9 @@ func TestChunkBoundsAdaptiveSplit(t *testing.T) {
 	for l := 0; l <= 64; l++ {
 		for n := 1; n <= 6; n++ {
 			for _, B := range []int{1, 2, 3, 5, 8, 64} {
-				bounds := chunkBounds(l, n)
 				covered := 0
 				for j := 0; j < n; j++ {
-					segLen := bounds[j+1] - bounds[j]
+					segLen := chunkBound(l, n, j+1) - chunkBound(l, n, j)
 					if segLen <= B {
 						covered += segLen
 						continue

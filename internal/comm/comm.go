@@ -110,20 +110,25 @@ type Comm struct {
 	// the membership view advances under an epoch-pinned collective.
 	// Guarded by mu.
 	interrupt error
+
+	// zone is BcastMSBT's posted receive (landing.go), made by the first
+	// call off the root. The pointer and what it points to are guarded by
+	// mu.
+	zone *zone
 }
 
 // newComm builds a communicator over nd whose tags live in the
 // (tenant, job) slice encoded by base and attaches its mailbox to the
 // envelope stream: attach is the node's inbox (nd.Attach) for a
 // standalone communicator, the job's dispatcher hook for a job's.
-func newComm(nd *mpx.Node, n, base int, attach func(sink func(mpx.Envelope), closed func())) *Comm {
+func newComm(nd *mpx.Node, n, base int, attach func(mpx.Consumer)) *Comm {
 	c := &Comm{
 		nd: nd, n: n, base: base, key: svc.JobKeyOf(base),
 		mailbox:   map[int][]mpx.Envelope{},
 		abandoned: map[int]bool{},
 	}
 	c.cond = sync.NewCond(&c.mu)
-	attach(c.deliver, c.stop)
+	attach(mpx.Consumer{Sink: c.deliver, Closed: c.stop, Land: c.land})
 	return c
 }
 
@@ -391,6 +396,11 @@ func (c *Comm) deliver(env mpx.Envelope) {
 	if c.stopped || c.abandoned[env.Tag] {
 		return
 	}
+	if z := c.zone; z != nil && z.posted {
+		if j := env.Tag - z.tag0; j >= 0 && j < len(z.at) {
+			z.at[j].shut = true
+		}
+	}
 	q, ok := c.mailbox[env.Tag]
 	if n := len(c.free); !ok && n > 0 {
 		q, c.free = c.free[n-1], c.free[:n-1]
@@ -557,6 +567,14 @@ func (c *Comm) send(to cube.NodeID, sub int, parts []mpx.Part) {
 // Bcast distributes data from root to every node along the spanning
 // binomial tree; every rank returns the payload (the root passes its own
 // data, other ranks pass nil).
+//
+// The result is read-only. Off the root it is the received message's
+// own buffer, and on every rank the forwards down the tree carry the
+// same bytes by reference: they may still be queued on a link's flusher,
+// or unread in an in-process child's mailbox, when the call returns. A
+// caller that wants to modify the payload copies it first; the root must
+// likewise leave data alone until the collective has completed
+// everywhere.
 func (c *Comm) Bcast(root cube.NodeID, data []byte) ([]byte, error) {
 	defer c.next()
 	if c.Rank() != root {
@@ -587,16 +605,25 @@ func (c *Comm) Bcast(root cube.NodeID, data []byte) ([]byte, error) {
 // multi-packet MSBT analysis models. Receivers handle both framings
 // regardless of their own autotune setting; a legacy single-message
 // tree and an adaptive one differ only in what the root chose to send.
+//
+// Off the root the call posts a receive (landing.go, DESIGN.md §18): on
+// a socket transport a whole-segment chunk is read from the socket
+// straight into its place in the buffer this call returns, and is
+// forwarded down its tree from there.
+//
+// The result is read-only, exactly as Bcast's is: the forwards alias
+// it and may still be queued when the call returns, and the root's
+// data is sent by reference.
 func (c *Comm) BcastMSBT(root cube.NodeID, data []byte) ([]byte, error) {
 	defer c.next()
 	if c.Rank() == root {
-		bounds := chunkBounds(len(data), c.n)
 		B := c.chooseB(len(data))
 		for j := 0; j < c.n; j++ {
-			seg := data[bounds[j]:bounds[j+1]]
+			lo := chunkBound(len(data), c.n, j)
+			seg := data[lo:chunkBound(len(data), c.n, j+1)]
 			tr := msbt.RootOf(j, root)
 			if B <= 0 || len(seg) <= B {
-				c.send(tr, j+1, []mpx.Part{{Dest: root, Offset: bounds[j], Data: seg}})
+				c.send(tr, j+1, []mpx.Part{{Dest: root, Offset: lo, Data: seg}})
 				continue
 			}
 			q := (len(seg) + B - 1) / B
@@ -604,86 +631,87 @@ func (c *Comm) BcastMSBT(root cube.NodeID, data []byte) ([]byte, error) {
 			// adaptive framing costs q messages per tree, not q+1.
 			c.send(tr, j+1, []mpx.Part{
 				{Dest: root, Offset: -q},
-				{Dest: root, Offset: bounds[j], Data: seg[:B]},
+				{Dest: root, Offset: lo, Data: seg[:B]},
 			})
 			for k := 1; k < q; k++ {
-				lo := k * B
-				hi := lo + B
-				if hi > len(seg) {
-					hi = len(seg)
-				}
-				c.send(tr, j+1, []mpx.Part{{Dest: root, Offset: bounds[j] + lo, Data: seg[lo:hi]}})
+				at := k * B
+				c.send(tr, j+1, []mpx.Part{{Dest: root, Offset: lo + at, Data: seg[at:min(at+B, len(seg))]}})
 			}
 		}
 		return data, nil
 	}
-	// Length is unknown off-root; collect every tree's packets first.
-	type chunk struct {
-		off  int
-		data []byte
+	// Length is unknown off-root: collect every tree's packets, landed
+	// in place where the link could be told in time, then finish with
+	// whatever is not.
+	z := c.post(root)
+	err := c.collectMSBT(root, z)
+	out := c.unpost()
+	chunks := z.chunks
+	defer clear(chunks) // do not pin the payloads
+	if err != nil {
+		return nil, err
 	}
-	var chunks []chunk
 	total := 0
-	for j := 0; j < c.n; j++ {
-		recvChunk := func() (mpx.Envelope, error) {
-			env, err := c.recvTag(c.tagFor(j + 1))
-			if err != nil {
-				return env, err
-			}
-			if p, ok := msbt.Parent(c.n, j, c.Rank(), root); !ok || env.From != p {
-				return env, fmt.Errorf("comm: bcastmsbt chunk %d from %d, want tree parent", j, env.From)
-			}
-			for _, ch := range msbt.Children(c.n, j, c.Rank(), root) {
-				c.send(ch, j+1, env.Parts)
-			}
-			return env, nil
-		}
-		env, err := recvChunk()
-		if err != nil {
-			return nil, err
-		}
-		pt := env.Parts[0]
-		if len(pt.Data) == 0 && pt.Offset < 0 {
-			// Adaptive framing: the manifest names the packet count, and
-			// any parts after it (the first packet rides with the
-			// manifest) already count toward it.
-			got := 0
-			for _, p := range env.Parts[1:] {
-				chunks = append(chunks, chunk{p.Offset, p.Data})
-				total += len(p.Data)
-				got++
-			}
-			for got < -pt.Offset {
-				penv, err := recvChunk()
-				if err != nil {
-					return nil, err
-				}
-				for _, p := range penv.Parts {
-					chunks = append(chunks, chunk{p.Offset, p.Data})
-					total += len(p.Data)
-					got++
-				}
-			}
-			continue
-		}
-		chunks = append(chunks, chunk{pt.Offset, pt.Data})
-		total += len(pt.Data)
-	}
-	out := make([]byte, total)
 	for _, ck := range chunks {
-		copy(out[ck.off:], ck.data)
+		total += len(ck.data)
+	}
+	if cap(out) < total {
+		out = make([]byte, total)
+	}
+	out = out[:total]
+	for _, ck := range chunks {
+		if ck.off < 0 || ck.off+len(ck.data) > total {
+			return nil, fmt.Errorf("comm: bcastmsbt chunk [%d,%d) outside the %d-byte payload", ck.off, ck.off+len(ck.data), total)
+		}
+		if len(ck.data) > 0 && &out[ck.off] != &ck.data[0] {
+			copy(out[ck.off:], ck.data)
+		}
 	}
 	return out, nil
 }
 
-// chunkBounds splits length l into n nearly equal contiguous chunks.
-func chunkBounds(l, n int) []int {
-	out := make([]int, n+1)
-	for j := 0; j <= n; j++ {
-		out[j] = j * l / n
-	}
-	return out
+// msbtChunk is one received piece of a BcastMSBT payload.
+type msbtChunk struct {
+	off  int
+	data []byte
 }
+
+// collectMSBT receives every tree's packets into z.chunks, forwarding
+// each message down its tree as it arrives.
+func (c *Comm) collectMSBT(root cube.NodeID, z *zone) error {
+	z.chunks = z.chunks[:0]
+	for j := 0; j < c.n; j++ {
+		// A manifest names the tree's packet count; a tree without one is
+		// a single whole-segment packet.
+		for want, got, first := 1, 0, true; got < want; first = false {
+			env, err := c.recvTag(c.tagFor(j + 1))
+			if err != nil {
+				return err
+			}
+			if p, ok := msbt.Parent(c.n, j, c.Rank(), root); !ok || env.From != p {
+				return fmt.Errorf("comm: bcastmsbt chunk %d from %d, want tree parent", j, env.From)
+			}
+			for _, ch := range msbt.Children(c.n, j, c.Rank(), root) {
+				c.send(ch, j+1, env.Parts)
+			}
+			parts := env.Parts
+			if pt := parts[0]; first && len(pt.Data) == 0 && pt.Offset < 0 {
+				// Adaptive framing: any parts after the manifest (the first
+				// packet rides with it) already count toward it.
+				want, parts = -pt.Offset, parts[1:]
+			}
+			for _, p := range parts {
+				z.chunks = append(z.chunks, msbtChunk{p.Offset, p.Data})
+				got++
+			}
+		}
+	}
+	return nil
+}
+
+// chunkBound is where chunk j of n nearly equal contiguous chunks of a
+// length-l payload starts (chunk j ends where chunk j+1 starts).
+func chunkBound(l, n, j int) int { return j * l / n }
 
 // Scatter delivers data[i] from root to rank i along the balanced
 // spanning tree (the paper's personalized communication). Only the root's

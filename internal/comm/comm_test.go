@@ -332,6 +332,13 @@ func TestRankSizeDim(t *testing.T) {
 // TestChunkBounds pins the splitter's edge cases: fewer bytes than
 // chunks, an empty payload, and the degenerate single-chunk split.
 func TestChunkBounds(t *testing.T) {
+	chunkBounds := func(l, n int) []int {
+		out := make([]int, n+1)
+		for j := range out {
+			out[j] = chunkBound(l, n, j)
+		}
+		return out
+	}
 	cases := []struct {
 		l, n int
 		want []int

@@ -28,7 +28,9 @@ import (
 // jobs keep running.
 func Job(program func(c *Comm) error) svc.Program {
 	return func(jc *svc.JobContext) error {
-		c := newComm(jc.Node, jc.Dim, jc.Base, jc.Attach)
+		// The dispatcher takes no posted receives: job payloads are small
+		// (DESIGN.md §18), so a job's BcastMSBT always finishes by copying.
+		c := newComm(jc.Node, jc.Dim, jc.Base, func(k mpx.Consumer) { jc.Attach(k.Sink, k.Closed) })
 		defer c.stop()
 		return program(c)
 	}

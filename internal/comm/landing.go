@@ -1,0 +1,124 @@
+package comm
+
+import (
+	"repro/internal/cube"
+	"repro/internal/msbt"
+)
+
+// zone is BcastMSBT's posted receive off the root (DESIGN.md §18),
+// guarded by Comm.mu. While it is posted, the socket link about to read
+// tree j's whole-segment chunk is told to read it into buf[off:off+n],
+// the chunk's place in the result; the envelope it then delivers
+// carries that slice, and the finishing loop finds it in place.
+//
+// Answers are given before the frame's checksum is known, so the zone
+// trusts a header no further than it can check it. A tree's region goes
+// only to the link from the tree's parent — one read pump, so one
+// writer — and is the same region again for that link's retransmit;
+// regions never overlap; and once a tree's message has been delivered
+// nothing more lands for it. A damaged header can therefore at worst
+// claim a region of its own tree's that the real chunk will not use:
+// that chunk then arrives in a buffer of its own and is copied like an
+// early arrival.
+type zone struct {
+	posted bool
+	tag0   int    // tree 0's tag; tree j's is tag0+j
+	buf    []byte // allocated at the first landing, sized by lengthBound
+	at     []span // per tree
+
+	// chunks is the collective's reusable list of received pieces. Only
+	// the rank's own goroutine touches it, without mu.
+	chunks []msbtChunk
+}
+
+// span is tree j's region of zone.buf.
+type span struct {
+	parent cube.NodeID // whose link may land the tree's chunk
+	off, n int         // the region, once out
+	out    bool        // handed to the link
+	shut   bool        // the tree's message was delivered: nothing more lands
+}
+
+// post opens the zone for the current collective's n tree tags. A tree
+// whose message is already queued (its sender ran ahead) is shut from
+// the start.
+func (c *Comm) post(root cube.NodeID) *zone {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.zone == nil {
+		c.zone = new(zone)
+	}
+	z := c.zone
+	z.posted, z.tag0, z.buf = true, c.tagFor(1), nil
+	z.at = z.at[:0]
+	for j := 0; j < c.n; j++ {
+		p, _ := msbt.Parent(c.n, j, c.Rank(), root)
+		z.at = append(z.at, span{parent: p, shut: len(c.mailbox[z.tag0+j]) > 0})
+	}
+	return z
+}
+
+// unpost closes the zone — on every exit path of the collective, before
+// the sequence advances — and hands over the landing buffer (nil when
+// nothing landed). The buffer is never recycled: after an error exit a
+// link may still be reading into it.
+func (c *Comm) unpost() []byte {
+	c.mu.Lock()
+	buf := c.zone.buf
+	c.zone.posted, c.zone.buf = false, nil
+	c.mu.Unlock()
+	return buf
+}
+
+// land is the communicator's mpx.Consumer.Land: where do the n bytes at
+// offset off of the nparts-part message tag, arriving from from, belong?
+// It runs on the link's read pump under the inbox lock, takes only mu,
+// and never blocks.
+func (c *Comm) land(from cube.NodeID, tag, nparts, off, n int) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	z := c.zone
+	if z == nil || !z.posted {
+		return nil
+	}
+	j := tag - z.tag0
+	// Only a whole-segment chunk lands. It travels alone in its message
+	// (a manifest tree's first packet has company), and segments differ
+	// by at most a byte, so the j before this one end by j*(n+1).
+	if nparts != 1 || j < 0 || j >= len(z.at) || off < 0 || off > j*(n+1) {
+		return nil
+	}
+	sp := &z.at[j]
+	switch {
+	case sp.shut || sp.parent != from:
+		return nil
+	case sp.out:
+		if sp.off != off || sp.n != n {
+			return nil
+		}
+		return z.buf[off : off+n]
+	}
+	if z.buf == nil {
+		z.buf = make([]byte, lengthBound(off, n, j, len(z.at)))
+	}
+	if off+n > len(z.buf) {
+		return nil
+	}
+	for k := range z.at {
+		if o := &z.at[k]; o.out && off < o.off+o.n && o.off < off+n {
+			return nil
+		}
+	}
+	sp.off, sp.n, sp.out = off, n, true
+	return z.buf[off : off+n]
+}
+
+// lengthBound bounds the payload length L of an n-tree MSBT broadcast
+// from one whole segment: tree j's chunk, l bytes at off. The segment
+// ends at off+l = floor((j+1)*L/n), so (j+1)*L/n < off+l+1 and
+// L <= ceil((off+l+1)*n/(j+1)) - 1, which overshoots L by at most n.
+// The sender's exact L is the sum of the chunks; nothing on the wire
+// says it sooner.
+func lengthBound(off, l, j, n int) int {
+	return ((off+l+1)*n+j)/(j+1) - 1
+}

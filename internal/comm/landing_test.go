@@ -1,0 +1,399 @@
+package comm
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/cube"
+	"repro/internal/fault"
+	"repro/internal/mpx"
+	"repro/internal/msbt"
+	"repro/internal/testleak"
+	"repro/internal/transport"
+)
+
+// TestLengthBound is the property the landing buffer's size rests on:
+// for every payload length, tree count and tree, the bound computed from
+// that tree's whole segment is at least L and overshoots by at most n —
+// and the segment passes land's own plausibility test.
+func TestLengthBound(t *testing.T) {
+	for n := 1; n <= 10; n++ {
+		for L := 0; L <= 1<<20; L++ {
+			for j := 0; j < n; j++ {
+				off := chunkBound(L, n, j)
+				l := chunkBound(L, n, j+1) - off
+				if b := lengthBound(off, l, j, n); b < L || b > L+n {
+					t.Fatalf("L=%d n=%d j=%d: bound %d outside [L, L+n]", L, n, j, b)
+				}
+				if off > j*(l+1) {
+					t.Fatalf("L=%d n=%d j=%d: honest offset %d fails land's check off <= j*(l+1) = %d", L, n, j, off, j*(l+1))
+				}
+			}
+		}
+	}
+}
+
+// landingPayload is a recognizable payload of n bytes.
+func landingPayload(n, salt int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*13 + i>>11 + salt)
+	}
+	return b
+}
+
+// socketMesh runs program on every rank of an n-cube of one-rank socket
+// endpoints built from opt(rank), and returns the summed transport
+// counters. Unlike RunTCPWith it takes per-endpoint options, so tests
+// can inject faults.
+func socketMesh(t *testing.T, n int, opt func(rank int) transport.TCPOptions, program func(c *Comm) error) mpx.TransportStats {
+	t.Helper()
+	size := 1 << uint(n)
+	trs := make([]*transport.TCP, size)
+	peers := make([]string, size)
+	for i := range trs {
+		o := opt(i)
+		o.Dim, o.Locals, o.Depth = n, []cube.NodeID{cube.NodeID(i)}, CollectiveDepth(n)
+		tr, err := transport.NewTCP(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		trs[i], peers[i] = tr, tr.Addr()
+	}
+	errs := make(chan error, size)
+	for _, tr := range trs {
+		go func(tr *transport.TCP) { errs <- tr.Connect(peers) }(tr)
+	}
+	for range trs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tr := range trs {
+		go func(tr *transport.TCP) { errs <- RunOn(mpx.NewWithTransport(tr, nil), program) }(tr)
+	}
+	var first error
+	for range trs {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+			closeAll(trs)
+		}
+	}
+	if first != nil {
+		t.Fatal(first)
+	}
+	var sum mpx.TransportStats
+	for _, tr := range trs {
+		sum.Add(tr.Stats())
+	}
+	return sum
+}
+
+// allPosted parks the caller until every communicator but its own has a
+// landing zone posted. The tests below hold the root back with it so
+// that no chunk races its receiver into the collective.
+func allPosted(comms []*Comm, self cube.NodeID) {
+	for r, c := range comms {
+		for cube.NodeID(r) != self {
+			c.mu.Lock()
+			posted := c.zone != nil && c.zone.posted
+			c.mu.Unlock()
+			if posted {
+				break
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+}
+
+// TestBcastMSBTLandingAllocBudget: once warm, a 1 MiB MSBT broadcast at
+// d=3 allocates at most 1.1 MiB per off-root rank — the returned buffer
+// and small change — on TCP and on Unix sockets. Without posted receives
+// every byte was allocated twice (frame bodies, then the result): about
+// 2.1 MiB.
+func TestBcastMSBTLandingAllocBudget(t *testing.T) {
+	const (
+		n, size    = 3, 1 << 20
+		warm, runs = 3, 8
+	)
+	for _, network := range []string{"tcp", "unix"} {
+		t.Run(network, func(t *testing.T) {
+			payload := landingPayload(size, 1)
+			comms := make([]*Comm, 1<<n)
+			var registered sync.WaitGroup
+			registered.Add(len(comms))
+			var before, after runtime.MemStats
+			socketMesh(t, n, func(int) transport.TCPOptions { return transport.TCPOptions{Network: network} }, func(c *Comm) error {
+				comms[c.Rank()] = c
+				registered.Done()
+				for i := 0; i < warm+runs; i++ {
+					var in []byte
+					if c.Rank() == 0 {
+						in = payload
+						registered.Wait()
+						allPosted(comms, 0)
+						if i == warm {
+							runtime.ReadMemStats(&before)
+						}
+					}
+					got, err := c.BcastMSBT(0, in)
+					if err != nil {
+						return err
+					}
+					if !bytes.Equal(got, payload) {
+						return fmt.Errorf("rank %d round %d: payload differs at byte %d", c.Rank(), i, firstDiff(got, payload))
+					}
+					// The barrier keeps round i+1's allPosted from seeing round
+					// i's zones.
+					if err := c.Barrier(); err != nil {
+						return err
+					}
+				}
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&after)
+				}
+				return nil
+			})
+			perRank := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*(1<<n-1))
+			t.Logf("%s: %.0f KiB allocated per off-root rank per broadcast", network, perRank/1024)
+			if perRank > 1.1*size {
+				t.Fatalf("%.0f KiB allocated per off-root rank per 1 MiB broadcast, budget %.0f KiB", perRank/1024, 1.1*size/1024)
+			}
+		})
+	}
+}
+
+// TestBcastMSBTEarlyArrival holds one rank out of the collective until
+// tree 0's chunk is queued in its mailbox (the later trees' chunks reach
+// it only through ranks that wait for its own forwards first). That
+// chunk was read before anyone could say where it belongs, so the
+// finishing loop copies it next to the chunks that landed, and the
+// result is byte-exact.
+func TestBcastMSBTEarlyArrival(t *testing.T) {
+	const n, late, size = 3, cube.NodeID(5), 3<<18 + 1
+	payload := landingPayload(size, 2)
+	err := RunTCP(n, func(c *Comm) error {
+		var in []byte
+		switch c.Rank() {
+		case 0:
+			in = payload
+		case late:
+			for queued := 0; queued == 0; time.Sleep(100 * time.Microsecond) {
+				c.mu.Lock()
+				queued = len(c.mailbox[c.tagFor(1)])
+				c.mu.Unlock()
+			}
+		}
+		got, err := c.BcastMSBT(0, in)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, payload) {
+			return fmt.Errorf("rank %d: payload differs at byte %d", c.Rank(), firstDiff(got, payload))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBcastMSBTLandsUnderCorruptAndDuplicate runs large broadcasts over
+// resilient links, one of which damages a chunk's first transmission
+// while the others send every frame twice. The retransmit re-lands, the duplicates are
+// discarded without touching anyone's memory — each rank scribbles over
+// its first result and finds the scribble intact after a second
+// broadcast has pushed every duplicate through — and every result is
+// byte-exact.
+func TestBcastMSBTLandsUnderCorruptAndDuplicate(t *testing.T) {
+	testleak.Check(t)
+	const n, size = 2, 1 << 19
+	plan := fault.NewPlan(n).AddRule(fault.Rule{Link: cube.Edge{From: 0, To: 1}, Kind: fault.Corrupt, Nth: 1})
+	for from := cube.NodeID(0); from < 1<<n; from++ {
+		for d := 0; d < n; d++ {
+			// (Not on the damaging link: there the intact second copy would
+			// stand in for the retransmit.)
+			if e := (cube.Edge{From: from, To: from ^ 1<<uint(d)}); e != (cube.Edge{From: 0, To: 1}) {
+				plan.AddRule(fault.Rule{Link: e, Kind: fault.Duplicate, Nth: fault.EveryMessage})
+			}
+		}
+	}
+	first, second := landingPayload(size, 3), landingPayload(size, 4)
+	stats := socketMesh(t, n, func(int) transport.TCPOptions {
+		return transport.TCPOptions{
+			Injector: plan.Injector(),
+			Resilience: transport.ResilienceOptions{
+				Enabled: true, Budget: 5 * time.Second, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
+			},
+		}
+	}, func(c *Comm) error {
+		if err := c.Barrier(); err != nil { // link 0->1's crossing 0
+			return err
+		}
+		var in1, in2 []byte
+		if c.Rank() == 0 {
+			in1, in2 = first, second
+		}
+		got1, err := c.BcastMSBT(0, in1)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got1, first) {
+			return fmt.Errorf("rank %d: first payload differs at byte %d", c.Rank(), firstDiff(got1, first))
+		}
+		if c.Rank() != 0 {
+			// Resilient links copy a forward into their replay ring when it
+			// is sent, so nothing still reads this buffer.
+			for i := range got1 {
+				got1[i] = 0xEE
+			}
+		}
+		got2, err := c.BcastMSBT(0, in2)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got2, second) {
+			return fmt.Errorf("rank %d: second payload differs at byte %d", c.Rank(), firstDiff(got2, second))
+		}
+		if c.Rank() != 0 {
+			for i, b := range got1 {
+				if b != 0xEE {
+					return fmt.Errorf("rank %d: byte %d of the first result was written after the call returned", c.Rank(), i)
+				}
+			}
+		}
+		return c.Barrier()
+	})
+	if stats.CRCDropped < 1 || stats.Retransmits < 1 {
+		t.Errorf("CRCDropped %d, Retransmits %d: the damaged chunk was never dropped and resent", stats.CRCDropped, stats.Retransmits)
+	}
+	if stats.DupsDropped < 1 {
+		t.Errorf("DupsDropped %d: no duplicate frame reached a receiver", stats.DupsDropped)
+	}
+}
+
+// TestZoneRules pins what a landing zone hands out: a tree's region
+// only to the link from its parent, the same region again for the same
+// question, never an overlapping or implausible one, nothing once the
+// tree's message is delivered, and nothing once unposted.
+func TestZoneRules(t *testing.T) {
+	const n, size = 3, 3 << 16
+	err := Run(n, func(c *Comm) error {
+		if c.Rank() != 6 {
+			return nil
+		}
+		const root = cube.NodeID(0)
+		parent := func(j int) cube.NodeID { // the neighbor tree j's chunk comes from
+			p, _ := msbt.Parent(n, j, c.Rank(), root)
+			return p
+		}
+		seg := func(j int) (off, l int) {
+			off = chunkBound(size, n, j)
+			return off, chunkBound(size, n, j+1) - off
+		}
+		tag := func(j int) int { return c.tagFor(j + 1) }
+		c.post(root)
+		off1, l1 := seg(1)
+		if got := c.land(parent(1)^7, tag(1), 1, off1, l1); got != nil {
+			return errors.New("a link that is not the tree's parent was given a region")
+		}
+		if got := c.land(parent(1), tag(1), 2, off1, l1); got != nil {
+			return errors.New("a part with company was given a region")
+		}
+		if got := c.land(parent(1), tag(1), 1, off1+2*(l1+1), l1); got != nil {
+			return errors.New("an offset no segment layout allows was given a region")
+		}
+		a := c.land(parent(1), tag(1), 1, off1, l1)
+		if len(a) != l1 {
+			return fmt.Errorf("tree 1 got %d bytes, want %d", len(a), l1)
+		}
+		if b := c.land(parent(1), tag(1), 1, off1, l1); len(b) != l1 || &b[0] != &a[0] {
+			return errors.New("the same question (a retransmit) got a different answer")
+		}
+		if got := c.land(parent(1), tag(1), 1, off1, l1-1); got != nil {
+			return errors.New("tree 1 was given a second, different region")
+		}
+		off2, l2 := seg(2)
+		if got := c.land(parent(2), tag(2), 1, off2-1, l2); got != nil {
+			return errors.New("a region overlapping tree 1's was handed out")
+		}
+		if got := c.land(parent(2), tag(2), 1, off2, l2); len(got) != l2 || &got[0] != &a[:l1+1][l1] {
+			return errors.New("tree 2's region is not right behind tree 1's in the same buffer")
+		}
+		c.deliver(mpx.Envelope{Message: mpx.Message{Tag: tag(1), Parts: []mpx.Part{{Offset: off1, Data: a}}}, From: parent(1)})
+		if got := c.land(parent(1), tag(1), 1, off1, l1); got != nil {
+			return errors.New("a delivered tree was given its region again (a duplicate would overwrite it)")
+		}
+		buf := c.unpost()
+		if len(buf) < size || len(buf) > size+n {
+			return fmt.Errorf("landing buffer holds %d bytes for a %d-byte payload", len(buf), size)
+		}
+		off0, l0 := seg(0)
+		if got := c.land(parent(0), tag(0), 1, off0, l0); got != nil {
+			return errors.New("an unposted zone handed out a region")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBcastMSBTErrorExitUnposts: a deadline that expires mid-broadcast —
+// one tree's chunk landed, the others never come — leaves no landing
+// zone behind. The buffer is abandoned, and the next broadcast on the
+// same communicators allocates its own and is byte-exact.
+func TestBcastMSBTErrorExitUnposts(t *testing.T) {
+	testleak.Check(t)
+	const n, size = 2, 1 << 18
+	const root = cube.NodeID(0)
+	payload := landingPayload(size, 5)
+	var failed sync.WaitGroup
+	failed.Add(1<<n - 1)
+	err := RunTCP(n, func(c *Comm) error {
+		if c.Rank() == root {
+			// Half a broadcast: tree 0's chunk only, then silence until
+			// every other rank has given up.
+			lo, hi := chunkBound(size, n, 0), chunkBound(size, n, 1)
+			c.send(msbt.RootOf(0, root), 1, []mpx.Part{{Dest: root, Offset: lo, Data: payload[lo:hi]}})
+			c.next()
+			failed.Wait()
+		} else {
+			c.SetDeadline(150 * time.Millisecond)
+			_, err := c.BcastMSBT(root, nil)
+			c.mu.Lock()
+			posted, buf := c.zone.posted, c.zone.buf
+			c.mu.Unlock()
+			failed.Done()
+			var de *DeadlineError
+			if !errors.As(err, &de) {
+				return fmt.Errorf("rank %d: half a broadcast returned %v, want a *DeadlineError", c.Rank(), err)
+			}
+			if posted || buf != nil {
+				return fmt.Errorf("rank %d: the failed broadcast left its landing zone behind (posted=%v, %d bytes)", c.Rank(), posted, len(buf))
+			}
+			c.SetDeadline(10 * time.Second)
+		}
+		var in []byte
+		if c.Rank() == root {
+			in = payload
+		}
+		got, err := c.BcastMSBT(root, in)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, payload) {
+			return fmt.Errorf("rank %d: broadcast after the failed one differs at byte %d", c.Rank(), firstDiff(got, payload))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

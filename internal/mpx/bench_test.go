@@ -153,7 +153,7 @@ func TestSendRecvZeroAllocsSteadyState(t *testing.T) {
 	tr := NewChanTransport(1, 1, nil)
 	defer tr.Close()
 	delivered := 0
-	tr.Attach(1, func(Envelope) { delivered++ }, func() {})
+	tr.Attach(1, Consumer{Sink: func(Envelope) { delivered++ }, Closed: func() {}})
 	msg := Message{Parts: []Part{{Dest: 1, Data: []byte("x")}}}
 	perSend := testing.AllocsPerRun(runs, func() {
 		if err := tr.Send(0, 0, msg); err != nil {

@@ -100,9 +100,10 @@ func (t *ChanTransport) Locals() []cube.NodeID { return t.locals }
 // Inbox returns the receive channel of node id.
 func (t *ChanTransport) Inbox(id cube.NodeID) <-chan Envelope { return t.inbox[id].Chan() }
 
-// Attach routes node id's deliveries to sink (see Inbox.Attach).
-func (t *ChanTransport) Attach(id cube.NodeID, sink func(Envelope), closed func()) {
-	t.inbox[id].Attach(sink, closed)
+// Attach routes node id's deliveries to c.Sink (see Inbox.Attach).
+// c.Land is never asked: envelopes travel by reference in process.
+func (t *ChanTransport) Attach(id cube.NodeID, c Consumer) {
+	t.inbox[id].Attach(c)
 }
 
 // Done is closed when the transport shuts down.

@@ -3,24 +3,46 @@ package mpx
 import (
 	"sync"
 
+	"repro/internal/cube"
 	"repro/internal/fault"
 )
 
 // Inbox is one hosted node's receive queue on either transport: the
 // bounded channel raw consumers read (Node.Recv, Transport.Inbox) plus
-// an attachable sink. Once a consumer attaches, the goroutine delivering
+// an attachable Consumer. Once one attaches, the goroutine delivering
 // an envelope — the sending rank in process, the link's read pump on
 // sockets — files it into the sink itself: one hand-off per message, no
-// pump goroutine. A sink runs under the inbox lock, so it must never
-// block and never send (DESIGN.md §17).
+// pump goroutine. The consumer's functions run under the inbox lock, so
+// they must never block and never send (DESIGN.md §17, §18).
 type Inbox struct {
 	ch   chan Envelope
 	done <-chan struct{} // the transport's down channel
 
-	mu     sync.Mutex
-	sink   func(Envelope)
-	closed func()
-	down   bool
+	mu   sync.Mutex
+	c    Consumer // zero while nothing is attached
+	down bool
+}
+
+// Consumer is what attaches to an Inbox: one value, so that the three
+// functions always belong to the same consumer.
+type Consumer struct {
+	// Sink takes every delivery, queued ones first. Required.
+	Sink func(Envelope)
+	// Closed runs once, outside the inbox lock, when the transport
+	// closes (at once if it already has). Required.
+	Closed func()
+	// Land, when non-nil, is the consumer's posted receive (DESIGN.md
+	// §18): the socket link from neighbor from asks it, before reading
+	// the n payload bytes of one part of a large message (tag, nparts
+	// parts, this one at offset), where those bytes belong. A slice of length n
+	// takes them in place and comes back as the part's Data in the
+	// delivered envelope; nil declines. The bytes are written before the
+	// frame's checksum is known and a retransmitted frame asks again, so
+	// the answer for one (from, tag, offset, n) must stay the same until
+	// that message is delivered, and must go to no other link and to
+	// nobody afterwards. The in-process transport never asks: its
+	// envelopes travel by reference.
+	Land func(from cube.NodeID, tag, nparts, offset, n int) []byte
 }
 
 // NewInbox returns an inbox buffering depth envelopes for raw consumers;
@@ -41,8 +63,8 @@ func (in *Inbox) Deliver(env Envelope) bool {
 	switch {
 	case in.down:
 		return false
-	case in.sink != nil:
-		in.sink(env)
+	case in.c.Sink != nil:
+		in.c.Sink(env)
 		return true
 	}
 	select {
@@ -91,35 +113,47 @@ func (in *Inbox) DeliverFaulty(env Envelope, out fault.Outcome) (int, bool) {
 
 // flushLocked moves everything queued on the channel into the sink.
 func (in *Inbox) flushLocked() {
-	for in.sink != nil {
+	for in.c.Sink != nil {
 		select {
 		case env := <-in.ch:
-			in.sink(env)
+			in.c.Sink(env)
 		default:
 			return
 		}
 	}
 }
 
-// Attach routes every later delivery to sink, first flushing what is
-// already queued. Per-sender FIFO holds across the switch: a delivery
-// chooses sink or channel under mu, and one that had to wait for room
-// outside it flushes the channel again before it returns, so no sender
-// ever has an envelope on the channel when it delivers its next, and
-// none stays behind. closed runs once, outside the lock, when the
-// transport closes (at once if it already has). Attaching again
-// replaces the consumer.
-func (in *Inbox) Attach(sink func(Envelope), closed func()) {
+// Attach routes every later delivery to c.Sink, first flushing what is
+// already queued, and every later Land to c.Land. Per-sender FIFO holds
+// across the switch: a delivery chooses sink or channel under mu, and
+// one that had to wait for room outside it flushes the channel again
+// before it returns, so no sender ever has an envelope on the channel
+// when it delivers its next, and none stays behind. c.Closed runs once,
+// outside the lock, when the transport closes (at once if it already
+// has). Attaching again replaces the consumer.
+func (in *Inbox) Attach(c Consumer) {
 	in.mu.Lock()
 	down := in.down
 	if !down {
-		in.sink, in.closed = sink, closed
+		in.c = c
 		in.flushLocked()
 	}
 	in.mu.Unlock()
 	if down {
-		closed()
+		c.Closed()
 	}
+}
+
+// Land asks the attached consumer where one part of a message arriving
+// from neighbor from belongs (Consumer.Land); nil when nobody is
+// attached or it declines.
+func (in *Inbox) Land(from cube.NodeID, tag, nparts, offset, n int) []byte {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.c.Land == nil {
+		return nil
+	}
+	return in.c.Land(from, tag, nparts, offset, n)
 }
 
 // Close marks the inbox down and tells the attached consumer; the
@@ -127,8 +161,8 @@ func (in *Inbox) Attach(sink func(Envelope), closed func()) {
 // Idempotent.
 func (in *Inbox) Close() {
 	in.mu.Lock()
-	closed := in.closed
-	in.down, in.sink, in.closed = true, nil, nil
+	closed := in.c.Closed
+	in.down, in.c = true, Consumer{}
 	in.mu.Unlock()
 	if closed != nil {
 		closed()

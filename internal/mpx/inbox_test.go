@@ -48,7 +48,7 @@ func attachMidStream(t *testing.T) {
 	next := map[cube.NodeID]int{}
 	got := 0
 	all := make(chan struct{})
-	tr.Attach(0, func(env Envelope) {
+	tr.Attach(0, Consumer{Sink: func(env Envelope) {
 		if env.Tag != next[env.From] && !t.Failed() {
 			t.Errorf("from %d: got tag %d, want %d", env.From, env.Tag, next[env.From])
 		}
@@ -56,7 +56,7 @@ func attachMidStream(t *testing.T) {
 		if got++; got == perSender*len(senders) {
 			close(all)
 		}
-	}, func() {})
+	}, Closed: func() {}})
 	select {
 	case <-all:
 	case <-time.After(10 * time.Second):
@@ -74,13 +74,13 @@ func attachMidStream(t *testing.T) {
 func TestAttachAfterCloseReportsClosed(t *testing.T) {
 	tr := NewChanTransport(1, 1, nil)
 	closed := 0
-	tr.Attach(0, func(Envelope) {}, func() { closed++ })
+	tr.Attach(0, Consumer{Sink: func(Envelope) {}, Closed: func() { closed++ }})
 	tr.Close()
 	tr.Close()
 	if closed != 1 {
 		t.Fatalf("closed ran %d times across two Closes, want 1", closed)
 	}
-	tr.Attach(0, func(Envelope) {}, func() { closed++ })
+	tr.Attach(0, Consumer{Sink: func(Envelope) {}, Closed: func() { closed++ }})
 	if closed != 2 {
 		t.Fatal("Attach on a closed transport did not report closed")
 	}

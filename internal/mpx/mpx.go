@@ -103,9 +103,9 @@ type Transport interface {
 	// what arrives while no sink is attached.
 	Inbox(id cube.NodeID) <-chan Envelope
 	// Attach routes a hosted node's deliveries, queued ones first, to
-	// sink — run by the delivering goroutine, so it must not block or
-	// send — and runs closed when the transport closes (Inbox.Attach).
-	Attach(id cube.NodeID, sink func(Envelope), closed func())
+	// c.Sink — run by the delivering goroutine, so it must not block or
+	// send — and runs c.Closed when the transport closes (Inbox.Attach).
+	Attach(id cube.NodeID, c Consumer)
 	// Done is closed when the transport shuts down, unblocking receivers.
 	Done() <-chan struct{}
 	// Locals lists the nodes hosted by this transport, ascending.
@@ -455,10 +455,10 @@ func (nd *Node) SendTo(to cube.NodeID, msg Message) {
 	nd.Send(port, msg)
 }
 
-// Attach hands this node's receive stream to sink (Transport.Attach);
+// Attach hands this node's receive stream to c (Transport.Attach);
 // Recv must not be used on an attached node.
-func (nd *Node) Attach(sink func(Envelope), closed func()) {
-	nd.m.tr.Attach(nd.ID, sink, closed)
+func (nd *Node) Attach(c Consumer) {
+	nd.m.tr.Attach(nd.ID, c)
 }
 
 // Recv blocks until the next message arrives and returns it with its

@@ -255,13 +255,23 @@ func (rt *Runtime) Submit(tenant int, prog Program) (*Handle, error) {
 // until drained.
 func (rt *Runtime) nodeMain(nd *mpx.Node) error {
 	d := NewDispatcher()
-	nd.Attach(d.Deliver, func() {
+	// No Land: jobs here carry at most a few hundred bytes per part, far
+	// below what a link asks about (DESIGN.md §18).
+	nd.Attach(mpx.Consumer{Sink: d.Deliver, Closed: func() {
 		d.Down()
 		rt.noteDown()
-	})
+	}})
 	ns := &nodeState{cursor: map[int]int{}, inflight: map[int]int{}}
 	rt.mu.Lock()
 	rt.disps[nd.ID] = d
+	// jobDone aborts a failed job on the dispatchers registered at that
+	// moment; a node that registers later catches up here, or its share
+	// of the job would wait for traffic that never comes.
+	for _, j := range rt.order {
+		if j.err != nil && j.remaining > 0 {
+			d.Abort(j.key)
+		}
+	}
 	rt.mu.Unlock()
 	for {
 		j := rt.nextJob(ns)

@@ -50,7 +50,7 @@ func TestAttachOrderingTCP(t *testing.T) {
 	next := map[cube.NodeID]int{}
 	got := 0
 	all := make(chan struct{})
-	trs[0].Attach(0, func(env mpx.Envelope) {
+	trs[0].Attach(0, mpx.Consumer{Sink: func(env mpx.Envelope) {
 		if env.Tag != next[env.From] && !t.Failed() {
 			t.Errorf("from %d: got tag %d, want %d", env.From, env.Tag, next[env.From])
 		}
@@ -58,7 +58,7 @@ func TestAttachOrderingTCP(t *testing.T) {
 		if got++; got == perSender*len(senders) {
 			close(all)
 		}
-	}, func() {})
+	}, Closed: func() {}})
 	select {
 	case <-all:
 	case <-time.After(10 * time.Second):

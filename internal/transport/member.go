@@ -75,11 +75,15 @@ func (t *TCP) memberDown(l *link, err error) {
 	}
 }
 
-// retire marks the link of a gracefully departed peer: sends drop
-// silently from now on, and blocked senders wake up.
-func (l *link) retire() {
+// peerBye records the peer's orderly goodbye: nothing this link still
+// holds for replay will be acknowledged, so an orderly Close does not
+// wait for it. In member mode the goodbye is a drain and retires the
+// link: sends drop silently from now on. Blocked senders and a
+// lingering Close wake up.
+func (l *link) peerBye() {
 	l.mu.Lock()
-	l.retired = true
+	l.bye = true
+	l.retired = l.t.memberMode()
 	if l.r != nil {
 		l.r.space.Broadcast()
 	}

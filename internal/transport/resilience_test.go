@@ -403,3 +403,91 @@ func TestSupervisorAbandonedMidBackoffNoLeak(t *testing.T) {
 	time.Sleep(60 * time.Millisecond) // let the supervisor enter a backoff sleep
 	tr.Close()                        // abandon it mid-backoff; testleak asserts full drain
 }
+
+// TestOrderlyCloseLingersUntilAcked: the last frame of a program was
+// written to a connection that died before the peer read it, and the
+// owner closes at once. An orderly Close keeps the link's supervisor
+// and flusher alive until the replay ring is acknowledged, so the
+// redial replays the frame and the peer gets it, then BYE. A dirty
+// close (Abort) still leaves at once with the ring full.
+func TestOrderlyCloseLingersUntilAcked(t *testing.T) {
+	testleak.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// accept plays node 1's side of one (re)connection's handshake.
+	accept := func() net.Conn {
+		t.Helper()
+		ln.(*net.TCPListener).SetDeadline(time.Now().Add(10 * time.Second))
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatalf("nobody dialed: %v", err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := wire.ReadHello(conn); err != nil {
+			t.Fatal(err)
+		}
+		conn.Write(wire.AppendHello(nil, wire.Hello{Handshake: wire.Handshake{Dim: 1, From: 1, To: 0}, Resilient: true}))
+		return conn
+	}
+	connect := func() *TCP {
+		t.Helper()
+		tr, err := NewTCP(TCPOptions{Dim: 1, Locals: []cube.NodeID{0}, HandshakeTimeout: 5 * time.Second, Resilience: fastResilience()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		connected := make(chan error, 1)
+		go func() { connected <- tr.Connect([]string{tr.Addr(), ln.Addr().String()}) }()
+		accept().Close() // the connection dies with whatever is written to it
+		if err := <-connected; err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	last := mpx.Message{Tag: 42, Parts: []mpx.Part{{Dest: 1, Data: []byte("the final continue-flag")}}}
+
+	tr := connect()
+	if err := tr.Send(0, 0, last); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		tr.Close()
+		close(closed)
+	}()
+	conn := accept() // the supervisor's redial
+	defer conn.Close()
+	from := wire.NewReader(conn)
+	fr, err := from.ReadAny()
+	for err == nil && fr.Kind != wire.KindSeqData {
+		fr, err = from.ReadAny()
+	}
+	if err != nil || fr.Seq != 1 || fr.Msg.Tag != last.Tag {
+		t.Fatalf("after the redial: frame %+v, err %v; want the last frame replayed as sequence 1", fr, err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned before its last frame was acknowledged")
+	default:
+	}
+	conn.Write(wire.AppendAck(nil, 1))
+	for err == nil {
+		_, err = from.ReadAny()
+	}
+	if !errors.Is(err, wire.ErrBye) {
+		t.Fatalf("after the acknowledgement: %v, want BYE", err)
+	}
+	<-closed
+
+	tr = connect()
+	if err := tr.Send(0, 0, last); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	tr.Abort()
+	if d := time.Since(start); d > closeFlushTimeout/2 {
+		t.Fatalf("a dirty close took %v with an unacknowledged frame", d)
+	}
+}

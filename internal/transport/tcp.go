@@ -347,8 +347,16 @@ type link struct {
 
 	// retired marks a link whose peer announced BYE in member mode (a
 	// graceful drain): sends drop silently, the supervisor stays quiet,
-	// and — unlike a sticky err — our own Close stays clean.
-	retired bool
+	// and — unlike a sticky err — our own Close stays clean. bye marks
+	// the announcement itself, in either mode (see peerBye).
+	retired, bye bool
+
+	// pumped is closed when the read pump of the current connection
+	// generation exits (guarded by mu). install waits on it: a pump may
+	// be reading a part into a landing slice (DESIGN.md §18), and the
+	// next generation's pump may be handed the same slice for the
+	// retransmit — one writer at a time.
+	pumped chan struct{}
 
 	// downFired dedupes the member-mode OnPeerDown report across the
 	// supervisor escalation and a racing join replacement.
@@ -571,10 +579,11 @@ func (t *TCP) Locals() []cube.NodeID { return t.locals }
 // Inbox returns the receive channel of a hosted node.
 func (t *TCP) Inbox(id cube.NodeID) <-chan mpx.Envelope { return t.inboxOf(id).Chan() }
 
-// Attach routes a hosted node's deliveries to sink (mpx.Inbox.Attach):
-// local senders and the links' read pumps then run it themselves.
-func (t *TCP) Attach(id cube.NodeID, sink func(mpx.Envelope), closed func()) {
-	t.inboxOf(id).Attach(sink, closed)
+// Attach routes a hosted node's deliveries to c.Sink (mpx.Inbox.Attach):
+// local senders and the links' read pumps then run it themselves, and
+// the pumps ask c.Land where a large part belongs before reading it.
+func (t *TCP) Attach(id cube.NodeID, c mpx.Consumer) {
+	t.inboxOf(id).Attach(c)
 }
 
 // inboxOf snapshots node id's inbox (GrowTo swaps the table).
@@ -983,11 +992,11 @@ drain:
 // supervisor that heals connection losses.
 func (t *TCP) startLink(l *link) {
 	l.mu.Lock()
-	conn, gen := l.conn, l.gen
+	conn, gen, pumped := l.conn, l.gen, l.pumped
 	l.mu.Unlock()
 	t.wg.Add(2)
 	go l.flusher()
-	go l.readPump(conn, gen)
+	go l.readPump(conn, gen, pumped)
 	if l.r != nil {
 		t.wg.Add(1)
 		go l.supervise()
@@ -995,7 +1004,7 @@ func (t *TCP) startLink(l *link) {
 	for _, s := range l.stripes {
 		t.wg.Add(2)
 		go s.flusher()
-		go s.readPump(s.conn, s.gen)
+		go s.readPump(s.conn, s.gen, s.pumped)
 	}
 }
 
@@ -1203,6 +1212,7 @@ func (t *TCP) newLink(self, peer cube.NodeID, port int, conn net.Conn, dialer bo
 		t: t, self: self, peer: peer, port: port,
 		conn: conn, gen: 1, dialer: dialer, addr: addr, ver: ver,
 		kick:    make(chan struct{}, 1),
+		pumped:  make(chan struct{}),
 		batchAt: -1,
 	}
 	if t.resilient() {
@@ -1234,6 +1244,7 @@ func (t *TCP) newStripeLink(owner *link, conn net.Conn) *link {
 		t: t, self: owner.self, peer: owner.peer, port: owner.port,
 		conn: conn, gen: 1, ver: owner.ver,
 		kick:    make(chan struct{}, 1),
+		pumped:  make(chan struct{}),
 		batchAt: -1,
 		cur:     getBlock(),
 		owner:   owner,
@@ -1371,23 +1382,26 @@ func (t *TCP) handleResume(conn net.Conn) error {
 
 // install replaces the link's connection after a resume handshake that
 // told us the peer received everything up to peerRecv. The old
-// connection (if any) is closed first so in-flight writes abort; then,
-// under both locks, the generation advances, the replay cursor rewinds
-// to peerRecv+1 and a fresh read pump starts.
+// connection (if any) is closed first so in-flight writes abort and its
+// read pump exits; then, under both locks, the generation advances, the
+// replay cursor rewinds to peerRecv+1 and a fresh read pump starts.
 func (l *link) install(conn net.Conn, peerRecv uint64) {
 	tuneConn(conn)
 	l.mu.Lock()
-	old := l.conn
+	old, oldPump := l.conn, l.pumped
 	l.mu.Unlock()
 	if old != nil {
 		old.Close()
 	}
+	<-oldPump
+	pumped := make(chan struct{})
 	l.wmu.Lock()
 	l.mu.Lock()
 	r := l.r
 	l.conn = conn
 	l.gen++
 	gen := l.gen
+	l.pumped = pumped
 	if peerRecv > r.acked {
 		l.trimRingLocked(peerRecv)
 	}
@@ -1407,7 +1421,7 @@ func (l *link) install(conn net.Conn, peerRecv uint64) {
 	l.wmu.Unlock()
 	l.t.reconnects.Add(1)
 	l.t.wg.Add(1)
-	go l.readPump(conn, gen)
+	go l.readPump(conn, gen, pumped)
 	select {
 	case l.replaced <- struct{}{}:
 	default:
@@ -2368,9 +2382,11 @@ func (c countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (l *link) readPump(conn net.Conn, gen int) {
+func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 	defer l.t.wg.Done()
+	defer close(pumped)
 	r := wire.NewReader(bufio.NewReaderSize(countReader{conn, &l.t.bytesRecv}, 16<<10))
+	r.Land(l.land)
 	for {
 		fr, err := r.ReadAny()
 		switch {
@@ -2392,12 +2408,7 @@ func (l *link) readPump(conn net.Conn, gen int) {
 			}
 			continue
 		case errors.Is(err, wire.ErrBye):
-			if l.t.memberMode() {
-				// A member's orderly goodbye (drain): retire the link so
-				// future sends drop silently instead of parking frames in a
-				// replay ring no one will ever ACK.
-				l.retire()
-			}
+			l.peerBye()
 			return
 		default:
 			select {
@@ -2511,6 +2522,26 @@ func (l *link) readPump(conn net.Conn, gen int) {
 			return
 		}
 	}
+}
+
+// land is the read pump's posted-receive hook (wire.Landing): it asks
+// the hosted node's consumer where a part about to be read belongs, and
+// only for a frame the pump will deliver. On a resilient link that is
+// the next in-order sequence number and nothing else — a duplicate or a
+// frame behind a gap is read into scratch and discarded as before — so
+// that a landing slice is written by the one delivery it was handed out
+// for, and by that frame's retransmit after a checksum drop. Plain and
+// striped links deliver every frame they accept.
+func (l *link) land(seq uint64, tag, nparts, offset, n int) []byte {
+	if l.r != nil {
+		l.mu.Lock()
+		next := l.r.recvSeq + 1
+		l.mu.Unlock()
+		if seq != next {
+			return nil
+		}
+	}
+	return l.t.inboxOf(l.self).Land(l.peer, tag, nparts, offset, n)
 }
 
 // deliver hands one decoded message to the hosted node's inbox,
@@ -2660,25 +2691,34 @@ func (t *TCP) FirstPeerError() error {
 // closed; the listener stops; pumps, flushers and supervisors drain
 // out. Idempotent, safe to call from pump goroutines.
 //
-// A dirty close — any link already failed — skips the BYE on every
-// link: peers must observe a connection LOSS, not an orderly goodbye,
-// so the failure cascades (their supervisors redial the closed
-// listener, exhaust the budget and escalate naming this endpoint)
-// instead of stranding them blocked on traffic that will never come.
+// An orderly close of resilient links first lingers, for at most
+// closeFlushTimeout, until every peer has acknowledged what it was
+// sent. The final flush alone reaches only a connected link, and only
+// with frames never written before: the last frames of a program,
+// written to a connection that died before the peer read them, would
+// otherwise leave with their owner. During the linger the supervisors
+// and flushers still run, so such a link heals and replays.
+//
+// A dirty close — any link already failed — skips the linger and the
+// BYE on every link: peers must observe a connection LOSS, not an
+// orderly goodbye, so the failure cascades (their supervisors redial
+// the closed listener, exhaust the budget and escalate naming this
+// endpoint) instead of stranding them blocked on traffic that will
+// never come.
 func (t *TCP) Close() error {
 	t.downOnce.Do(func() {
+		if t.resilient() && !t.closingDirty() {
+			deadline := time.Now().Add(closeFlushTimeout)
+			for _, l := range t.allLinks() {
+				l.awaitAcked(deadline)
+			}
+		}
 		close(t.down)
 		for _, id := range t.locals {
 			t.inboxOf(id).Close()
 		}
 		t.ln.Close()
-		dirty := t.dirty.Load()
-		if !dirty && !t.memberMode() {
-			// In member mode a failed link means a PEER died, not us: our
-			// own close is still orderly, and surviving neighbors must see
-			// the BYE so they retire the link instead of escalating.
-			dirty = t.FirstPeerError() != nil
-		}
+		dirty := t.closingDirty()
 		for _, l := range t.allLinks() {
 			for _, s := range l.stripes {
 				s.shutdown(dirty)
@@ -2692,6 +2732,32 @@ func (t *TCP) Close() error {
 		}
 	})
 	return nil
+}
+
+// closingDirty reports whether a Close now must look like a crash to
+// the peers: Abort asked for that, or a link has failed. In member mode
+// a failed link means a PEER died, not us: our own close is still
+// orderly, and surviving neighbors must see the BYE so they retire the
+// link instead of escalating.
+func (t *TCP) closingDirty() bool {
+	return t.dirty.Load() || (!t.memberMode() && t.FirstPeerError() != nil)
+}
+
+// awaitAcked waits until the peer has acknowledged every frame in the
+// replay ring, or there is no point: the link failed, the peer said
+// BYE, or deadline passed.
+func (l *link) awaitAcked(deadline time.Time) {
+	wake := time.AfterFunc(time.Until(deadline), func() {
+		l.mu.Lock()
+		l.r.space.Broadcast()
+		l.mu.Unlock()
+	})
+	defer wake.Stop()
+	l.mu.Lock()
+	for len(l.r.ring) > 0 && l.err == nil && !l.bye && time.Now().Before(deadline) {
+		l.r.space.Wait()
+	}
+	l.mu.Unlock()
 }
 
 // shutdown flushes what it can, announces BYE (unless the transport is

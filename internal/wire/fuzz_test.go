@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
 
 	"repro/internal/cube"
@@ -361,6 +363,109 @@ func FuzzRoundTrip(f *testing.F) {
 			if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrTruncated) {
 				t.Fatalf("body flip: err=%v, want checksum failure", err)
 			}
+		}
+	})
+}
+
+// FuzzStreamDecodeMatchesDecodeAny is the differential check of the
+// streamed decode path against the slice decoder, which verifies the
+// checksum before it parses anything: for any byte string, read as a
+// sequence of frames, the two agree frame by frame on the decoded frame
+// or on the class of error (checksum failure, malformed, version,
+// goodbye, or stream ends early) and on how many bytes they consumed.
+// The reader streams every data frame it can (the threshold is lowered
+// to one byte per part) and its Landing function answers in place, with
+// the wrong length, or not at all, by turns. Run with `go test -fuzz
+// FuzzStreamDecodeMatchesDecodeAny ./internal/wire`.
+func FuzzStreamDecodeMatchesDecodeAny(f *testing.F) {
+	large := mpx.Message{Tag: 1<<16 | 3, Parts: []mpx.Part{{Dest: 2, Offset: 349525, Data: bytes.Repeat([]byte{0xA5, 1, 2}, 6000), Sum: 77}}}
+	manifest := mpx.Message{Tag: 1<<16 | 2, Parts: []mpx.Part{
+		{Dest: 0, Offset: -3},
+		{Dest: 0, Offset: 1 << 18, Data: bytes.Repeat([]byte{9}, 40<<10)},
+	}}
+	for _, msg := range append(sampleMessages(), large, manifest) {
+		for _, frame := range [][]byte{
+			AppendFrameV(nil, Version1, msg),
+			AppendFrameV(nil, Version2, msg),
+			AppendSeqFrameV(nil, Version2, 41, msg),
+		} {
+			f.Add(frame)
+			f.Add(frame[:len(frame)*2/3]) // truncated
+			if b := BodyStart(frame); b >= 0 {
+				for _, at := range []int{b, b + 1, (b + len(frame)) / 2, len(frame) - 5, len(frame) - 1} {
+					mut := append([]byte(nil), frame...)
+					mut[at] ^= 0x81
+					f.Add(mut)
+				}
+			}
+		}
+	}
+	f.Add(append(AppendFrameV(nil, Version2, large), AppendSeqFrameV(nil, Version2, 42, manifest)...))
+	f.Add(append(AppendAck(nil, 9), AppendBye(nil)...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytes.NewReader(data)
+		r := NewReader(src)
+		asked := 0
+		scratch := make([]byte, len(data))
+		r.Land(func(_ uint64, _, _, _, n int) []byte {
+			asked++
+			switch {
+			case n > len(scratch) || asked%3 == 2:
+				return nil
+			case asked%3 == 1:
+				return scratch[:n/2]
+			}
+			return scratch[:n]
+		})
+		for at := 0; at < len(data); {
+			rest := data[at:]
+			// Stream whatever has parts at all, unless the frame claims more
+			// body than there is input: such a claim is how a hostile length
+			// looks, and the part count it could justify is not worth testing
+			// an allocation of.
+			r.streamMin = streamPartMin
+			if len(rest) > 2 {
+				if claim, k := binary.Uvarint(rest[2:]); k > 0 && claim <= uint64(len(rest)) {
+					r.streamMin = 1
+				}
+			}
+			want, n, werr := DecodeAny(rest)
+			got, gerr := r.ReadAny()
+			consumed := len(rest) - src.Len()
+			switch {
+			case werr == nil:
+				if gerr != nil {
+					t.Fatalf("at %d: reader fails with %v on a frame DecodeAny accepts", at, gerr)
+				}
+				if got.Ver != want.Ver || got.Kind != want.Kind || got.Seq != want.Seq ||
+					!msgEqual(got.Msg, want.Msg) || !msgsEqual(got.Msgs, want.Msgs) || !bytes.Equal(got.Body, want.Body) {
+					t.Fatalf("at %d: frames differ:\nreader    %+v\nDecodeAny %+v", at, got, want)
+				}
+			case errors.Is(werr, ErrTruncated):
+				if gerr != io.EOF && gerr != io.ErrUnexpectedEOF && !errors.Is(gerr, ErrCorrupt) {
+					// (A header varint cut short by the end of input reads as a
+					// bad length to the reader.)
+					t.Fatalf("at %d: DecodeAny says truncated, reader says %v", at, gerr)
+				}
+				return
+			default:
+				for _, class := range []error{ErrChecksum, ErrCorrupt, ErrVersion, ErrBye} {
+					if errors.Is(werr, class) != errors.Is(gerr, class) {
+						t.Fatalf("at %d: DecodeAny says %v, reader says %v", at, werr, gerr)
+					}
+				}
+			}
+			if n == 0 {
+				return // terminal for the stream: nothing was framed
+			}
+			if consumed != n {
+				t.Fatalf("at %d: reader consumed %d bytes, DecodeAny %d (%v / %v)", at, consumed, n, gerr, werr)
+			}
+			if errors.Is(werr, ErrBye) {
+				return
+			}
+			at += n
 		}
 	})
 }

@@ -1,0 +1,225 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"testing"
+
+	"repro/internal/mpx"
+)
+
+// bigPart returns n bytes of a recognizable pattern.
+func bigPart(n, salt int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*7 + salt)
+	}
+	return b
+}
+
+// landCall is one recorded Landing question.
+type landCall struct {
+	seq                    uint64
+	tag, nparts, offset, n int
+}
+
+// TestStreamedFrameLandsInPlace: a data frame with large parts asks the
+// Landing function about each part before reading it, reads the payload
+// into the answer, and returns that very slice as the part's Data.
+func TestStreamedFrameLandsInPlace(t *testing.T) {
+	msg := mpx.Message{Tag: 77, Parts: []mpx.Part{
+		{Dest: 3, Offset: 4096, Data: bigPart(40<<10, 1), Sum: 9},
+		{Dest: 5, Offset: 1 << 20, Data: bigPart(33<<10, 2)},
+	}}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		kind  byte
+		seq   uint64
+	}{
+		{"plain-v1", AppendFrameV(nil, Version1, msg), KindData, 0},
+		{"plain-v2", AppendFrameV(nil, Version2, msg), KindData, 0},
+		{"seq-v2", AppendSeqFrameV(nil, Version2, 1<<33, msg), KindSeqData, 1 << 33},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst := make([]byte, 2<<20)
+			var calls []landCall
+			r := NewReader(bytes.NewReader(tc.frame))
+			r.Land(func(seq uint64, tag, nparts, offset, n int) []byte {
+				calls = append(calls, landCall{seq, tag, nparts, offset, n})
+				return dst[offset : offset+n]
+			})
+			fr, err := r.ReadAny()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fr.Kind != tc.kind || fr.Seq != tc.seq || !msgEqual(fr.Msg, msg) {
+				t.Fatalf("decoded kind %d seq %d, message equal %v", fr.Kind, fr.Seq, msgEqual(fr.Msg, msg))
+			}
+			want := []landCall{
+				{tc.seq, 77, 2, 4096, 40 << 10},
+				{tc.seq, 77, 2, 1 << 20, 33 << 10},
+			}
+			if len(calls) != 2 || calls[0] != want[0] || calls[1] != want[1] {
+				t.Fatalf("landing asked %+v, want %+v", calls, want)
+			}
+			for i, p := range fr.Msg.Parts {
+				if &p.Data[0] != &dst[p.Offset] {
+					t.Errorf("part %d was not read into the landing slice", i)
+				}
+				if cap(p.Data) != len(p.Data) {
+					t.Errorf("part %d: cap %d beyond len %d reaches into the neighbour's bytes", i, cap(p.Data), len(p.Data))
+				}
+			}
+		})
+	}
+}
+
+// TestStreamedFrameDeclined: a nil answer, a wrong-length answer and a
+// reader without a Landing function all give the part a buffer of its
+// own, and nothing is written into a wrong-length answer.
+func TestStreamedFrameDeclined(t *testing.T) {
+	msg := mpx.Message{Tag: -4, Parts: []mpx.Part{{Dest: 1, Offset: 0, Data: bigPart(20<<10, 3)}}}
+	frame := AppendFrameV(nil, Version2, msg)
+	short := make([]byte, 100)
+	for name, land := range map[string]Landing{
+		"none":  nil,
+		"nil":   func(uint64, int, int, int, int) []byte { return nil },
+		"short": func(uint64, int, int, int, int) []byte { return short },
+	} {
+		r := NewReader(bytes.NewReader(frame))
+		if land != nil {
+			r.Land(land)
+		}
+		fr, err := r.ReadAny()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !msgEqual(fr.Msg, msg) {
+			t.Fatalf("%s: decoded message differs", name)
+		}
+	}
+	if !bytes.Equal(short, make([]byte, 100)) {
+		t.Fatal("a wrong-length answer was written into")
+	}
+}
+
+// TestSmallPartsStayWholeBody: a large frame of small parts (a 32 x 1 KiB
+// scatter bundle) keeps the whole-body path: nobody is asked, and the
+// parts share one body buffer instead of getting one each.
+func TestSmallPartsStayWholeBody(t *testing.T) {
+	var msg mpx.Message
+	for d := 0; d < 32; d++ {
+		msg.Parts = append(msg.Parts, mpx.Part{Dest: 0, Offset: d, Data: bigPart(1<<10, d)})
+	}
+	for _, frame := range [][]byte{AppendFrameV(nil, Version2, msg), AppendSeqFrameV(nil, Version2, 5, msg)} {
+		src := bytes.NewReader(frame)
+		r := NewReader(src)
+		r.Land(func(uint64, int, int, int, int) []byte {
+			t.Error("landing asked about a frame of small parts")
+			return nil
+		})
+		fr, err := r.ReadAny()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !msgEqual(fr.Msg, msg) {
+			t.Fatal("decoded message differs")
+		}
+		// Warm reader: the body and the part slice, nothing per part.
+		allocs := testing.AllocsPerRun(20, func() {
+			src.Reset(frame)
+			if _, err := r.ReadAny(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Fatalf("%v allocations for a 32-part frame, want the body and the part slice", allocs)
+		}
+	}
+}
+
+// TestStreamedErrorOrder pins what a streamed frame reports, which must
+// be what the whole-body path reports for the same bytes: damage is a
+// checksum failure (and the stream stays aligned) even when the parser
+// meets it in a header first; a frame is malformed only when its
+// checksum is clean; a stream that ends inside the frame is terminal.
+func TestStreamedErrorOrder(t *testing.T) {
+	msg := mpx.Message{Tag: 9, Parts: []mpx.Part{{Dest: 2, Offset: 64, Data: bigPart(24<<10, 4), Sum: 1}}}
+	good := AppendFrameV(nil, Version2, msg)
+	next := AppendFrameV(nil, Version2, mpx.Message{Tag: 10, Parts: []mpx.Part{{Dest: 2, Data: []byte("next")}}})
+	b := BodyStart(good)
+
+	readBoth := func(stream []byte) (error, error) {
+		r := NewReader(bytes.NewReader(stream))
+		_, err1 := r.ReadAny()
+		fr, err2 := r.ReadAny()
+		if err2 == nil && fr.Msg.Tag != 10 {
+			t.Fatalf("second frame decoded as tag %d: the stream lost alignment", fr.Msg.Tag)
+		}
+		return err1, err2
+	}
+	agree := func(name string, frame []byte, want error) {
+		t.Helper()
+		_, _, derr := DecodeAny(frame)
+		err1, err2 := readBoth(append(append([]byte(nil), frame...), next...))
+		if !errors.Is(err1, want) || !errors.Is(derr, want) {
+			t.Fatalf("%s: reader %v, DecodeAny %v, want %v", name, err1, derr, want)
+		}
+		if err2 != nil {
+			t.Fatalf("%s: frame after it: %v", name, err2)
+		}
+	}
+
+	for name, at := range map[string]int{
+		"tag":          b,             // the first header byte
+		"count varint": b + 1,         // another part count: maybe another decode path
+		"dest varint":  b + 2,         // continuation bit: the header swallows payload
+		"part length":  b + 4,         // the part overruns the body
+		"payload":      b + 1000,      // parses cleanly
+		"part sum":     len(good) - 5, // the last header byte, after the payload was read
+		"crc trailer":  len(good) - 1,
+	} {
+		bad := append([]byte(nil), good...)
+		bad[at] ^= 0xFF
+		agree("flipped "+name, bad, ErrChecksum)
+	}
+
+	// Checksum-clean but malformed: one byte too many after the last part.
+	body := append(append([]byte(nil), good[b:len(good)-4]...), 0)
+	junk := []byte{Version2, KindData}
+	junk = binary.AppendUvarint(junk, uint64(len(body)))
+	junk = append(junk, body...)
+	junk = binary.LittleEndian.AppendUint32(junk, checksum(Version2, body))
+	agree("trailing byte", junk, ErrCorrupt)
+
+	// Cut inside the payload.
+	if err1, _ := readBoth(good[:b+5000]); err1 != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated frame: %v, want io.ErrUnexpectedEOF", err1)
+	}
+}
+
+// TestReaderWithoutByteReader: a source that is only an io.Reader still
+// decodes every frame class (the single-byte reads fall back to Read).
+func TestReaderWithoutByteReader(t *testing.T) {
+	big := mpx.Message{Tag: 3, Parts: []mpx.Part{{Dest: 1, Offset: 8, Data: bigPart(17<<10, 5)}}}
+	small := mpx.Message{Tag: 4, Parts: []mpx.Part{{Dest: 1, Data: []byte("small")}}}
+	stream := AppendAck(nil, 300)
+	stream = AppendFrameV(stream, Version2, big)
+	stream = AppendSeqFrameV(stream, Version1, 129, small)
+	r := NewReader(struct{ io.Reader }{bytes.NewReader(stream)})
+	if fr, err := r.ReadAny(); err != nil || fr.Kind != KindAck || fr.Seq != 300 {
+		t.Fatalf("ack: %+v, %v", fr, err)
+	}
+	if fr, err := r.ReadAny(); err != nil || !msgEqual(fr.Msg, big) {
+		t.Fatalf("streamed frame: %v", err)
+	}
+	if fr, err := r.ReadAny(); err != nil || fr.Seq != 129 || !msgEqual(fr.Msg, small) {
+		t.Fatalf("small frame: %v", err)
+	}
+	if _, err := r.ReadAny(); err != io.EOF {
+		t.Fatalf("end of stream: %v, want io.EOF", err)
+	}
+}

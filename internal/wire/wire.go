@@ -907,18 +907,59 @@ func readUvarint(b []byte) (uint64, int, bool) {
 
 // Reader decodes frames from a byte stream, reusing one internal buffer
 // across frames. ReadAny/ReadFrame hand ownership of decoded payloads
-// to the caller (fresh copies); ReadAnyInto additionally reuses the
-// decode structures, so a warm pump loop allocates nothing.
+// to the caller; ReadAnyInto additionally reuses the decode structures,
+// so a warm pump loop allocates nothing.
+//
+// A frame takes one of two decode paths, chosen from its own header. A
+// single-message data frame whose parts are large on average (ReadAny
+// only) is streamed: its part headers are parsed off the stream and
+// each payload is read from the source straight into its final place —
+// the slice the Landing function names, or a buffer of the part's own —
+// with the CRC folded over the bytes as they pass. Every other frame is
+// read whole into one body buffer, verified, then parsed.
 type Reader struct {
 	r     io.Reader
+	br    io.ByteReader // r, when it reads single bytes itself
 	hdr   [6]byte
 	buf   []byte
 	arena []byte // payload arena for ReadAnyInto
+
+	land Landing
+	// streamMin is the average part size from which a data frame is
+	// streamed (streamPartMin; the differential fuzz lowers it).
+	streamMin int
+	head      []byte // header bytes of a streamed body awaiting the CRC fold
 }
+
+// Landing is a posted receive. Before the reader takes one part's n
+// payload bytes of a streamed data frame off the source it asks where
+// they belong: seq is the frame's sequence number (0 on a plain data
+// frame), tag its message tag, nparts its part count and offset the
+// part's Offset. An answer of length n receives the bytes in place; any
+// other answer (nil: "nowhere in particular") gets the part a fresh
+// buffer. The bytes are written BEFORE the frame's checksum is known: a
+// frame that then fails it is reported as ErrChecksum and never
+// decoded, so an answer must be safe to overwrite until the message it
+// belongs to has actually been delivered.
+type Landing func(seq uint64, tag, nparts, offset, n int) []byte
+
+// streamPartMin is the average part size (body length over part count)
+// from which a data frame is streamed rather than read whole. Below it
+// a per-part read and a per-part buffer cost more than the one body
+// buffer whose parts alias it in place: a 32 x 1 KiB scatter bundle
+// stays one allocation and one read.
+const streamPartMin = 16 << 10
 
 // NewReader returns a frame reader over r. Wrap r in a bufio.Reader if
 // it issues unbuffered syscalls.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+func NewReader(r io.Reader) *Reader {
+	br, _ := r.(io.ByteReader)
+	return &Reader{r: r, br: br, streamMin: streamPartMin}
+}
+
+// Land installs the posted-receive hook ReadAny consults for streamed
+// frames. Call it before the first read.
+func (r *Reader) Land(land Landing) { r.land = land }
 
 // ReadAny reads the next frame of any kind. It returns ErrBye on an
 // orderly shutdown frame and ErrChecksum for a damaged-but-framed body
@@ -1019,19 +1060,33 @@ func (r *Reader) readAnyInto(fr *Frame, arena []byte) error {
 	}
 	need := int(blen) + 4
 	var raw []byte
+	lead := 0 // body bytes already consumed into r.head
 	if reuse {
 		if cap(r.buf) < need {
 			r.buf = make([]byte, need)
 		}
 		raw = r.buf[:need]
 	} else {
+		if (kind == KindData || kind == KindSeqData) && int(blen) >= r.streamMin {
+			// Large enough to have large parts: the part count, a few bytes
+			// in, decides. What that look consumed is the body's prefix.
+			seq, tag, nparts, ok, err := r.readLead(kind, int(blen))
+			if err != nil {
+				return err
+			}
+			if ok && nparts > 0 && blen/nparts >= uint64(r.streamMin) {
+				fr.Seq = seq
+				return r.readStreamed(fr, tag, int(nparts), int(blen)-len(r.head))
+			}
+			lead = len(r.head)
+		}
 		// Fresh mode hands ownership out with the frame, so the body is
 		// read into a buffer of its own and the decoded parts alias it in
-		// place — the payload bytes are moved exactly once (socket to
-		// buffer), never copied again.
+		// place: the frame body is moved exactly once (socket to buffer).
 		raw = make([]byte, need)
+		copy(raw, r.head[:lead])
 	}
-	if _, err := io.ReadFull(r.r, raw); err != nil {
+	if _, err := io.ReadFull(r.r, raw[lead:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -1089,23 +1144,180 @@ func (r *Reader) ReadFrame() (mpx.Message, error) {
 	return fr.Msg, nil
 }
 
-// readUvarint reads a varint byte by byte (frames are length-framed, so
-// over-reads past the varint would steal body bytes). The scratch byte
-// lives in r.hdr: a stack buffer would escape through the io.Reader
-// interface and cost the pump one allocation per frame.
-func (r *Reader) readUvarint() (uint64, error) {
-	var v uint64
-	for shift := uint(0); shift < 64; shift += 7 {
-		if _, err := io.ReadFull(r.r, r.hdr[2:3]); err != nil {
-			return 0, err
-		}
-		b := r.hdr[2]
-		v |= uint64(b&0x7F) << shift
-		if b < 0x80 {
-			return v, nil
+// readLead consumes the leading fields of a data frame's body — the
+// sequence number of a KindSeqData frame, the tag and the part count —
+// into r.head. ok is false when one of them is malformed or the body
+// (blen bytes) ends first; what was consumed is in r.head either way,
+// and the whole-body path reports such a frame exactly as it always
+// has.
+func (r *Reader) readLead(kind byte, blen int) (seq, tag, nparts uint64, ok bool, err error) {
+	r.head = r.head[:0]
+	left := blen
+	if kind == KindSeqData {
+		if seq, ok, err = r.streamUvarint(&left); !ok {
+			return
 		}
 	}
-	return 0, ErrCorrupt
+	if tag, ok, err = r.streamUvarint(&left); !ok {
+		return
+	}
+	nparts, ok, err = r.streamUvarint(&left)
+	return
+}
+
+// readStreamed decodes the rest of a data frame whose lead (in r.head)
+// announced nparts parts of tag, with left body bytes to go: part
+// headers come off the stream, each payload is read into the place the
+// Landing function names, and the CRC is folded over all of it in wire
+// order.
+//
+// The whole-body path verifies the CRC before it parses, so a damaged
+// header is a checksum failure there. Here the parser meets the damage
+// first; to report the same thing it folds the rest of the body without
+// parsing it, stays aligned on the trailer, and calls the frame
+// malformed only when the trailer agrees with the bytes that arrived.
+func (r *Reader) readStreamed(fr *Frame, tag uint64, nparts, left int) error {
+	ver := fr.Ver
+	fr.Msg.Tag = unzigzag(tag)
+	crc := uint32(0)
+	malformed, err := r.streamParts(fr, nparts, &left, &crc)
+	if err != nil {
+		return err
+	}
+	crc = checksumUpdate(ver, crc, r.head)
+	// Fold what the parser left of the body (nothing, in a well-formed
+	// frame) through the whole-body scratch.
+	if left > 0 && cap(r.buf) < 4<<10 {
+		r.buf = make([]byte, 4<<10)
+	}
+	for left > 0 {
+		scratch := r.buf[:min(left, cap(r.buf))]
+		if _, err := io.ReadFull(r.r, scratch); err != nil {
+			return unexpectedEOF(err)
+		}
+		crc = checksumUpdate(ver, crc, scratch)
+		left -= len(scratch)
+	}
+	if _, err := io.ReadFull(r.r, r.hdr[:4]); err != nil {
+		return unexpectedEOF(err)
+	}
+	if crc != binary.LittleEndian.Uint32(r.hdr[:4]) {
+		return ErrChecksum
+	}
+	if malformed != "" {
+		return fmt.Errorf("%w: %s", ErrCorrupt, malformed)
+	}
+	return nil
+}
+
+// streamParts parses nparts parts off the stream into fr.Msg.Parts,
+// keeping *left (body bytes to go) and *crc (everything folded so far
+// except r.head) current. It stops at the first thing the whole-body
+// parser would call malformed and names it; err is a stream error.
+func (r *Reader) streamParts(fr *Frame, nparts int, left *int, crc *uint32) (malformed string, err error) {
+	// nparts <= body/streamMin here, far inside the whole-body path's
+	// "four bytes per part" cap: the count cannot drive the allocation.
+	fr.Msg.Parts = make([]mpx.Part, 0, nparts)
+	for i := 0; i < nparts; i++ {
+		var hdr [3]uint64 // dest, offset, data length
+		ok := true
+		for k := 0; k < len(hdr) && ok; k++ {
+			if hdr[k], ok, err = r.streamUvarint(left); err != nil {
+				return "", err
+			}
+		}
+		if !ok || hdr[2] > uint64(*left) {
+			return fmt.Sprintf("part %d header", i), nil
+		}
+		p := mpx.Part{Dest: cube.NodeID(hdr[0]), Offset: unzigzag(hdr[1])}
+		if n := int(hdr[2]); n > 0 {
+			var dst []byte
+			if r.land != nil {
+				dst = r.land(fr.Seq, fr.Msg.Tag, nparts, p.Offset, n)
+			}
+			if len(dst) != n {
+				dst = make([]byte, n)
+			}
+			*crc = checksumUpdate(fr.Ver, *crc, r.head)
+			r.head = r.head[:0]
+			if _, err := io.ReadFull(r.r, dst); err != nil {
+				return "", unexpectedEOF(err)
+			}
+			*crc = checksumUpdate(fr.Ver, *crc, dst)
+			*left -= n
+			p.Data = dst[:n:n]
+		}
+		sum, ok, err := r.streamUvarint(left)
+		if err != nil {
+			return "", err
+		}
+		if !ok || sum > 0xFFFFFFFF {
+			return fmt.Sprintf("part %d checksum", i), nil
+		}
+		p.Sum = uint32(sum)
+		fr.Msg.Parts = append(fr.Msg.Parts, p)
+	}
+	if *left != 0 {
+		return fmt.Sprintf("%d trailing body bytes", *left), nil
+	}
+	return "", nil
+}
+
+// unexpectedEOF turns the clean EOF of a stream that ends inside a
+// frame into io.ErrUnexpectedEOF.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// readByte reads one byte, through io.ByteReader when the source offers
+// it (bufio.Reader and bytes.Reader do). The fallback's scratch byte
+// lives in r.hdr: a stack buffer would escape through the io.Reader
+// interface and cost the pump one allocation per frame.
+func (r *Reader) readByte() (byte, error) {
+	if r.br != nil {
+		return r.br.ReadByte()
+	}
+	_, err := io.ReadFull(r.r, r.hdr[2:3])
+	return r.hdr[2], err
+}
+
+// readUvarint reads one header varint byte by byte (frames are
+// length-framed, so over-reads past the varint would steal body bytes).
+func (r *Reader) readUvarint() (uint64, error) {
+	r.head = r.head[:0]
+	left := binary.MaxVarintLen64
+	v, ok, err := r.streamUvarint(&left)
+	if err == nil && !ok {
+		err = ErrCorrupt
+	}
+	return v, err
+}
+
+// streamUvarint reads one varint out of the *left bytes that may hold
+// it (the rest of a streamed body), appending its bytes to r.head for
+// the CRC fold. It accepts exactly what binary.Uvarint accepts; ok is
+// false for an overlong varint or one that does not end within *left. A
+// stream error is terminal and returned as err.
+func (r *Reader) streamUvarint(left *int) (v uint64, ok bool, err error) {
+	for i := 0; i < binary.MaxVarintLen64 && *left > 0; i++ {
+		b, err := r.readByte()
+		if err != nil {
+			return 0, false, unexpectedEOF(err)
+		}
+		*left--
+		r.head = append(r.head, b)
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, false, nil
+			}
+			return v | uint64(b)<<(7*uint(i)), true, nil
+		}
+		v |= uint64(b&0x7F) << (7 * uint(i))
+	}
+	return 0, false, nil
 }
 
 // Handshake opens every neighbor link: the dialing side announces who it
