@@ -201,17 +201,27 @@ func CollectiveDepth(n int) int {
 func RunOn(m *mpx.Machine, program func(c *Comm) error) error {
 	n := m.Cube().Dim()
 	defer m.Shutdown()
-	return m.Run(func(nd *mpx.Node) error {
+	// The error that starts the abort is recorded before the shutdown it
+	// causes, so a collateral rank's "machine stopped" — which can reach
+	// Machine.Run's channel first — never stands in for it.
+	var once sync.Once
+	var first error
+	err := m.Run(func(nd *mpx.Node) error {
 		c := newComm(nd, n, 0, nd.Attach)
 		defer c.stop()
 		err := program(c)
 		if err != nil {
+			once.Do(func() { first = fmt.Errorf("node %d: %w", nd.ID, err) })
 			// MPI semantics: an erroring rank aborts the job, releasing
 			// ranks blocked in collectives instead of deadlocking them.
 			m.Shutdown()
 		}
 		return err
 	})
+	if first != nil {
+		return first
+	}
+	return err
 }
 
 // TCPRunOptions tunes RunTCPWith beyond the plain RunTCP defaults.
@@ -723,12 +733,9 @@ func (c *Comm) Scatter(root cube.NodeID, data [][]byte) ([]byte, error) {
 		if len(data) != c.Size() {
 			return nil, fmt.Errorf("comm: scatter needs %d payloads, got %d", c.Size(), len(data))
 		}
-		for _, ch := range bst.Children(c.n, me, root) {
-			var parts []mpx.Part
-			for _, d := range subtreeBST(c.n, ch, root) {
-				parts = append(parts, mpx.Part{Dest: d, Data: data[d]})
-			}
-			c.send(ch, 0, parts)
+		tr := bst.Cached(c.n, root)
+		for _, ch := range tr.Children(root) {
+			c.send(ch, 0, bundle(tr.SubtreeNodes(ch), data))
 		}
 		return data[me], nil
 	}
@@ -746,14 +753,14 @@ func (c *Comm) Scatter(root cube.NodeID, data [][]byte) ([]byte, error) {
 	return mine, nil
 }
 
-// subtreeBST enumerates the BST subtree below node v (inclusive) in
-// depth-first order, computed locally.
-func subtreeBST(n int, v, root cube.NodeID) []cube.NodeID {
-	out := []cube.NodeID{v}
-	for _, ch := range bst.Children(n, v, root) {
-		out = append(out, subtreeBST(n, ch, root)...)
+// bundle cuts the message a tree's root sends one child: a part for every
+// node of that child's subtree, out of the root's per-rank payloads.
+func bundle(subtree []cube.NodeID, data [][]byte) []mpx.Part {
+	parts := make([]mpx.Part, len(subtree))
+	for i, d := range subtree {
+		parts[i] = mpx.Part{Dest: d, Data: data[d]}
 	}
-	return out
+	return parts
 }
 
 // rootRoute is this rank's routing state in the BST rooted at one rank:
@@ -1057,12 +1064,9 @@ func (c *Comm) AllToAll(mine [][]byte) ([][]byte, error) {
 	}
 	out := make([][]byte, c.Size())
 	out[me] = mine[me]
-	for _, ch := range bst.Children(c.n, me, me) {
-		var parts []mpx.Part
-		for _, d := range subtreeBST(c.n, ch, me) {
-			parts = append(parts, mpx.Part{Dest: d, Data: mine[d]})
-		}
-		c.send(ch, int(me)+1, parts)
+	tr := bst.Cached(c.n, me)
+	for _, ch := range tr.Children(me) {
+		c.send(ch, int(me)+1, bundle(tr.SubtreeNodes(ch), mine))
 	}
 	for seen := 0; seen < c.Size()-1; seen++ {
 		env, err := c.recvTagAnyRoot()

@@ -7,10 +7,8 @@
 package comm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/cube"
@@ -89,12 +87,54 @@ func MixedJobSpec(n int, nTenants int, seed int64, i int) JobSpec {
 	}
 }
 
-// randBytes is the deterministic payload generator job verification is
-// built on.
-func randBytes(seed int64, n int) []byte {
-	out := make([]byte, n)
-	rand.New(rand.NewSource(seed)).Read(out)
-	return out
+// word is 8 bytes of the payload stream a seed names: splitmix64 in
+// counter mode, so the stream is a pure function of (seed, offset) that
+// any rank evaluates at any window with no state to seed or carry.
+func word(seed int64, i int) uint64 {
+	z := uint64(seed) + (uint64(i)+1)*0x9E3779B97F4A7C15
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+// fill writes bytes off..off+len(dst) of seed's stream (words laid out
+// little-endian) into dst. Only a root calls it, for bytes it must send.
+func fill(dst []byte, seed int64, off int) {
+	for len(dst) > 0 {
+		w, sh := word(seed, off>>3), off&7
+		if sh == 0 && len(dst) >= 8 {
+			binary.LittleEndian.PutUint64(dst, w)
+			dst, off = dst[8:], off+8
+			continue
+		}
+		for ; sh < 8 && len(dst) > 0; sh++ {
+			dst[0] = byte(w >> (8 * uint(sh)))
+			dst, off = dst[1:], off+1
+		}
+	}
+}
+
+// payloadEqual reports whether got is bytes off..off+len(got) of seed's
+// stream: the self-check every rank runs over every byte it received,
+// against bytes derived independently of the sender and never stored.
+func payloadEqual(got []byte, seed int64, off int) bool {
+	for len(got) > 0 {
+		w, sh := word(seed, off>>3), off&7
+		if sh == 0 && len(got) >= 8 {
+			if binary.LittleEndian.Uint64(got) != w {
+				return false
+			}
+			got, off = got[8:], off+8
+			continue
+		}
+		for ; sh < 8 && len(got) > 0; sh++ {
+			if got[0] != byte(w>>(8*uint(sh))) {
+				return false
+			}
+			got, off = got[1:], off+1
+		}
+	}
+	return true
 }
 
 // contribution is rank r's allreduce input under seed.
@@ -112,22 +152,24 @@ func (s JobSpec) run(c *Comm) error {
 	size := c.Size()
 	switch s.Kind {
 	case JobBcast:
-		want := randBytes(s.Seed, s.Bytes)
 		var in []byte
 		if c.Rank() == s.Root {
-			in = want
+			in = make([]byte, s.Bytes)
+			fill(in, s.Seed, 0)
 		}
 		got, err := c.Bcast(s.Root, in)
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(got, want) {
+		if len(got) != s.Bytes || !payloadEqual(got, s.Seed, 0) {
 			return fmt.Errorf("comm: job %v: rank %d: bcast payload mismatch (%d bytes)", s, c.Rank(), len(got))
 		}
 	case JobScatter:
-		all := randBytes(s.Seed, s.Bytes*size)
+		// Rank r's slice is window [r*Bytes, (r+1)*Bytes) of the stream.
 		var data [][]byte
 		if c.Rank() == s.Root {
+			all := make([]byte, s.Bytes*size)
+			fill(all, s.Seed, 0)
 			data = make([][]byte, size)
 			for i := range data {
 				data[i] = all[i*s.Bytes : (i+1)*s.Bytes]
@@ -137,9 +179,8 @@ func (s JobSpec) run(c *Comm) error {
 		if err != nil {
 			return err
 		}
-		me := int(c.Rank())
-		if !bytes.Equal(got, all[me*s.Bytes:(me+1)*s.Bytes]) {
-			return fmt.Errorf("comm: job %v: rank %d: scatter payload mismatch", s, c.Rank())
+		if len(got) != s.Bytes || !payloadEqual(got, s.Seed, int(c.Rank())*s.Bytes) {
+			return fmt.Errorf("comm: job %v: rank %d: scatter payload mismatch (%d bytes)", s, c.Rank(), len(got))
 		}
 	case JobAllReduce:
 		mine := make([]byte, 8)
@@ -156,7 +197,7 @@ func (s JobSpec) run(c *Comm) error {
 			want += contribution(s.Seed, r)
 		}
 		if binary.LittleEndian.Uint64(got) != want {
-			return fmt.Errorf("comm: job %v: rank %d: allreduce sum %#x, want %#x", s, c.Rank(), binary.LittleEndian.Uint64(got), want)
+			return fmt.Errorf("comm: job %v: rank %d: allreduce payload mismatch (sum %#x, want %#x)", s, c.Rank(), binary.LittleEndian.Uint64(got), want)
 		}
 	default:
 		return fmt.Errorf("comm: unknown job kind %v", s.Kind)

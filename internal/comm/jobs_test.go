@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -147,4 +148,47 @@ func TestServiceTCPResilientAndBatched(t *testing.T) {
 		t.Parallel()
 		run(t, TCPRunOptions{BatchHold: 2 * time.Millisecond})
 	})
+}
+
+// TestJobAllocBudget pins what a job costs in memory when the transport
+// adds nothing: a mixed bcast/scatter/allreduce job of 64–646 B on 16
+// in-process ranks allocates its messages, mailboxes and root payload
+// (24.6 KiB measured, 25.1 under -race) — not a 4.9 KiB generator state
+// per rank and N·Bytes of expected bytes per scatter rank, which made it
+// 114.4 KiB before the payload stream became seekable.
+func TestJobAllocBudget(t *testing.T) {
+	const (
+		n, tenants = 4, 4
+		warm, jobs = 96, 960
+		budgetKiB  = 27
+	)
+	cl := StartLocalCluster(n, svc.Options{})
+	run := func(from, to int) {
+		handles := make([]*ClusterHandle, 0, to-from)
+		for i := from; i < to; i++ {
+			h, err := cl.SubmitSpec(MixedJobSpec(n, tenants, 5, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles = append(handles, h)
+		}
+		for _, h := range handles {
+			if err := h.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(0, warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(warm, warm+jobs)
+	runtime.ReadMemStats(&after)
+	if err := cl.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs / 1024
+	t.Logf("%.1f KiB allocated per 16-rank in-process mixed job", perJob)
+	if perJob > budgetKiB {
+		t.Fatalf("%.1f KiB allocated per job, budget %d KiB", perJob, budgetKiB)
+	}
 }

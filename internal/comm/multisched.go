@@ -131,12 +131,7 @@ func (c *Comm) allToAllScheduled(mine [][]byte) ([][]byte, error) {
 		if s == me {
 			// Root injection: this edge leaves my own tree's root, so the
 			// bundle is cut from my payloads, one part per subtree node.
-			nodes := tr.SubtreeNodes(to)
-			parts := make([]mpx.Part, 0, len(nodes))
-			for _, d := range nodes {
-				parts = append(parts, mpx.Part{Dest: d, Data: mine[d]})
-			}
-			c.send(to, int(me)+1, parts)
+			c.send(to, int(me)+1, bundle(tr.SubtreeNodes(to), mine))
 			continue
 		}
 		for !got[s] {

@@ -87,7 +87,7 @@ func TestScenarioBuildersAreDeterministic(t *testing.T) {
 		}
 	}
 
-	if p := DeadSourceNeighbor(4, 5, 2); !p.NodeDead(5^4) {
+	if p := DeadSourceNeighbor(4, 5, 2); !p.NodeDead(5 ^ 4) {
 		t.Error("DeadSourceNeighbor killed the wrong node")
 	}
 

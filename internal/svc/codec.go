@@ -5,18 +5,18 @@
 // The foundation is a structured 60-bit tag space. Every message tag on
 // the machine decomposes as (tenant, job, seq, sub):
 //
-//	bit 59 ........ 52 51 ........ 40 39 ............. 16 15 ............. 0
-//	[    tenant: 8   ][    job: 12   ][      seq: 24     ][     sub: 16     ]
+//		bit 59 ........ 52 51 ........ 40 39 ............. 16 15 ............. 0
+//		[    tenant: 8   ][    job: 12   ][      seq: 24     ][     sub: 16     ]
 //
-//   - sub is the intra-collective stream: tree index, exchange dimension,
-//     or root rank+1 for the all-node collectives.
-//   - seq is the collective sequence number a communicator stamps on each
-//     call (the MPI lockstep counter).
-//   - job distinguishes concurrent jobs of one tenant; job 0 is reserved
-//     for standalone (non-runtime) communicators.
-//   - tenant distinguishes tenants; tenant 0, job 0 is the legacy tag
-//     space used by comm.Run et al., which keeps old and new traffic
-//     bit-compatible on the wire.
+//	  - sub is the intra-collective stream: tree index, exchange dimension,
+//	    or root rank+1 for the all-node collectives.
+//	  - seq is the collective sequence number a communicator stamps on each
+//	    call (the MPI lockstep counter).
+//	  - job distinguishes concurrent jobs of one tenant; job 0 is reserved
+//	    for standalone (non-runtime) communicators.
+//	  - tenant distinguishes tenants; tenant 0, job 0 is the legacy tag
+//	    space used by comm.Run et al., which keeps old and new traffic
+//	    bit-compatible on the wire.
 //
 // 60 bits require a 64-bit int; the wire layer varint-encodes tags, so
 // high bits cost bytes only when used. The dispatcher routes on the top

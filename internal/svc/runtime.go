@@ -131,12 +131,11 @@ type tenantState struct {
 // are guarded by the runtime's single mutex — admission is a
 // coordination problem, not a throughput problem (jobs are).
 type nodeState struct {
-	cursor         map[int]int // tenant -> next queue index to start
-	inflight       map[int]int // tenant -> started-not-finished here
-	rrPos          int         // round-robin position in rt.rr
-	nextGlobal     int         // next rt.order index (Global > 0 mode)
-	globalInflight int
-	wg             sync.WaitGroup
+	cursor     map[int]int // tenant -> next queue index to start
+	inflight   map[int]int // tenant -> started-not-finished here
+	running    int         // sum of inflight: jobs this node is executing
+	rrPos      int         // round-robin position in rt.rr
+	nextGlobal int         // next rt.order index (Global > 0 mode)
 }
 
 // Runtime is the multi-tenant collective job service over one shared
@@ -251,8 +250,8 @@ func (rt *Runtime) Submit(tenant int, prog Program) (*Handle, error) {
 }
 
 // nodeMain is the per-node scheduler: it attaches the node's dispatcher
-// to the inbox, then starts every admissible job in its own goroutine
-// until drained.
+// to the inbox, then hands every admissible job to one of the node's
+// workers until drained.
 func (rt *Runtime) nodeMain(nd *mpx.Node) error {
 	d := NewDispatcher()
 	// No Land: jobs here carry at most a few hundred bytes per part, far
@@ -273,20 +272,38 @@ func (rt *Runtime) nodeMain(nd *mpx.Node) error {
 		}
 	}
 	rt.mu.Unlock()
+	// Jobs run on workers that park between jobs instead of on a fresh
+	// goroutine each: a worker keeps the stack its first job grew down the
+	// send path. A worker is added only while every existing one is busy,
+	// so there are never more than the admission windows allow in flight
+	// (tenants × TenantInFlight, or Global); all exit here, at Drain.
+	work := make(chan *job)
+	var workers sync.WaitGroup
+	nworkers := 0
 	for {
-		j := rt.nextJob(ns)
+		j, running := rt.nextJob(ns)
 		if j == nil {
 			break
 		}
-		ns.wg.Add(1)
+		if nworkers >= running {
+			// Fewer jobs than workers: one is parked, or about to be — it
+			// retired its job before nextJob counted this one.
+			work <- j
+			continue
+		}
+		nworkers++
+		workers.Add(1)
 		go func(j *job) {
-			defer ns.wg.Done()
-			err := runJob(j, nd, rt.n, d)
-			d.CloseJob(j.key)
-			rt.jobDone(ns, j, err)
+			defer workers.Done()
+			for ; j != nil; j = <-work {
+				err := runJob(j, nd, rt.n, d)
+				d.CloseJob(j.key)
+				rt.jobDone(ns, j, err)
+			}
 		}(j)
 	}
-	ns.wg.Wait()
+	close(work)
+	workers.Wait()
 	return nil
 }
 
@@ -307,41 +324,47 @@ func runJob(j *job, nd *mpx.Node, n int, d *Dispatcher) (err error) {
 	})
 }
 
-// nextJob blocks until this node may start another job, returning nil
-// when the runtime drained or died. Admission: FIFO within each tenant
-// under its in-flight window; round-robin across tenants so no tenant
-// with budget is starved; with a Global cap, strict submission order.
-func (rt *Runtime) nextJob(ns *nodeState) *job {
+// nextJob blocks until this node may start another job and claims it,
+// also returning how many jobs the node is then executing, the claimed
+// one included; nil when the runtime drained or died. Admission: FIFO
+// within each tenant under its in-flight window; round-robin across
+// tenants so no tenant with budget is starved; with a Global cap, strict
+// submission order.
+func (rt *Runtime) nextJob(ns *nodeState) (j *job, running int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for {
 		if rt.fatalErr != nil {
-			return nil
+			return nil, 0
 		}
 		if rt.opt.Global > 0 {
-			if ns.nextGlobal < len(rt.order) && ns.globalInflight < rt.opt.Global {
-				j := rt.order[ns.nextGlobal]
-				if ns.inflight[j.tenant] < rt.opt.TenantInFlight {
+			if ns.nextGlobal < len(rt.order) && ns.running < rt.opt.Global {
+				if j := rt.order[ns.nextGlobal]; ns.inflight[j.tenant] < rt.opt.TenantInFlight {
 					ns.nextGlobal++
-					ns.inflight[j.tenant]++
-					ns.globalInflight++
-					j.started++
-					return j
+					return ns.claim(j), ns.running
 				}
 			}
 			if rt.draining && ns.nextGlobal == len(rt.order) {
-				return nil
+				return nil, 0
 			}
 		} else {
 			if j := rt.pickRR(ns); j != nil {
-				return j
+				return j, ns.running
 			}
 			if rt.draining && rt.allStarted(ns) {
-				return nil
+				return nil, 0
 			}
 		}
 		rt.cond.Wait()
 	}
+}
+
+// claim records that this node starts j (rt.mu held).
+func (ns *nodeState) claim(j *job) *job {
+	ns.inflight[j.tenant]++
+	ns.running++
+	j.started++
+	return j
 }
 
 // pickRR scans tenants round-robin from the node's cursor and claims
@@ -354,10 +377,8 @@ func (rt *Runtime) pickRR(ns *nodeState) *job {
 		cur := ns.cursor[t]
 		if cur < len(ts.queue) && ns.inflight[t] < rt.opt.TenantInFlight {
 			ns.cursor[t] = cur + 1
-			ns.inflight[t]++
 			ns.rrPos = (ns.rrPos + i + 1) % nt
-			ts.queue[cur].started++
-			return ts.queue[cur]
+			return ns.claim(ts.queue[cur])
 		}
 	}
 	return nil
@@ -380,9 +401,7 @@ func (rt *Runtime) allStarted(ns *nodeState) bool {
 func (rt *Runtime) jobDone(ns *nodeState, j *job, err error) {
 	rt.mu.Lock()
 	ns.inflight[j.tenant]--
-	if rt.opt.Global > 0 {
-		ns.globalInflight--
-	}
+	ns.running--
 	if err != nil && j.err == nil {
 		j.err = err
 		for _, d := range rt.disps {

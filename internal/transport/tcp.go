@@ -248,15 +248,15 @@ type TCP struct {
 	resumeOnce sync.Once
 
 	// Health counters (see mpx.TransportStats).
-	crcDropped  atomic.Int64
-	retransmits atomic.Int64
-	reconnects  atomic.Int64
-	acksSent    atomic.Int64
-	nacksSent   atomic.Int64
-	dupsDropped atomic.Int64
-	severed     atomic.Int64
-	replayHW    atomic.Int64
-	memberDrops atomic.Int64 // member mode: sends dropped for absent/failed/retired links
+	crcDropped   atomic.Int64
+	retransmits  atomic.Int64
+	reconnects   atomic.Int64
+	acksSent     atomic.Int64
+	nacksSent    atomic.Int64
+	dupsDropped  atomic.Int64
+	severed      atomic.Int64
+	replayHW     atomic.Int64
+	memberDrops  atomic.Int64 // member mode: sends dropped for absent/failed/retired links
 	growEvents   atomic.Int64 // member mode: dimension widenings applied by GrowTo
 	growAccepts  atomic.Int64 // member mode: grow-attach handshakes accepted from larger-cube joiners
 	attachesRecv atomic.Int64 // member mode: KindAttach announcements received from joiners
