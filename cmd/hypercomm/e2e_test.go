@@ -23,8 +23,8 @@ func buildHypercomm(t *testing.T) string {
 // `launch -n 3`: eight real OS processes, one cube node each, every
 // link a socket. Every rank must verify the MSBT broadcast and the BST
 // scatter payloads and report OK. The variants pin both socket
-// families plus the self-tuning data plane (autotuned packet sizing
-// and striped links) end to end across process boundaries.
+// families plus autotuned packet sizing end to end across process
+// boundaries.
 func TestLaunchEightProcessCube(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns 9 processes")
@@ -36,7 +36,7 @@ func TestLaunchEightProcessCube(t *testing.T) {
 	}{
 		{"tcp", []string{"-transport", "tcp"}},
 		{"uds", []string{"-transport", "uds"}},
-		{"uds-tuned-striped", []string{"-transport", "uds", "-autotune", "-stripes", "3", "-m", "65536"}},
+		{"uds-tuned", []string{"-transport", "uds", "-autotune", "-m", "65536"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

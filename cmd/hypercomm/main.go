@@ -12,22 +12,25 @@
 //	ablate    -n DIM
 //	route     -n DIM -perm {bitrev|transpose|random}
 //	serve     -n DIM -id NODE [-listen ADDR] [-peers A0,A1,...] [-m BYTES]
-//	          [-transport {tcp|uds|auto}] [-autotune] [-stripes K]
+//	          [-transport {tcp|uds|auto}] [-autotune] [-naive-allnode]
 //	          [-resilient -attempts K -budget DUR] [-rounds R | -for DUR]
+//	          [-jobs K -tenants T -jobs-seed S]
 //	          [-deadline DUR] [-chaos -chaos-seed S -chaos-hold DUR] [-v]
-//	launch    -n DIM [-m BYTES] [-transport {tcp|uds|auto}] [-autotune] [-stripes K]
+//	launch    -n DIM [-m BYTES] [-transport {tcp|uds|auto}] [-autotune] [-naive-allnode]
 //	chaos     -n DIM [-m BYTES] [-for DUR] [-seed S] [-hold DUR]
 //	          [-attempts K -budget DUR -deadline DUR] [-min-events E]
 //	          [-kill-node NODE -kill-after DUR] [-transport {tcp|uds|auto}]
 //	jobs      -n DIM [-jobs K -tenants T -seed S] [-resilient]
-//	          [-batch-hold DUR] [-chaos -chaos-seed S -hold DUR -min-events E]
+//	          [-chaos -chaos-seed S -hold DUR -min-events E]
 //	          [-transport {tcp|uds|auto}]
 //	member    -n DIM -id NODE [-peers A0,A1,...] [-join] [-drain-after DUR]
 //	          [-for DUR] [-attempts K -budget DUR] [-transport {tcp|uds|auto}]
 //	join      (member -join) attach a late joiner through a dead rank's hole
 //	drain     (member -drain-after 2s) a member that leaves gracefully
 //	churn     -n DIM [-seed S] [-attempts K -budget DUR]
-//	          [-transport {tcp|uds|auto}]
+//	          [-transport {tcp|uds|auto}] [-v]
+//	grow      -n DIM [-seed S] [-churn] [-attempts K -budget DUR]
+//	          [-transport {tcp|uds|auto}] [-v]
 //
 // serve runs ONE node of the cube in this OS process, carrying every
 // cube link over a socket (checksummed frames, see internal/wire);
@@ -39,8 +42,8 @@
 // TCP/IP stack buys nothing) and TCP with an explicit -peers list that
 // may span hosts. -autotune turns on model-driven packet sizing: the
 // transport fits the link constants (tau, t_c) online and collectives
-// split payloads at the paper's B_opt. -stripes opens K parallel
-// connections per link and stripes bulk sends across them. With
+// split payloads at the paper's B_opt; -naive-allnode runs the all-node
+// collectives without the multi-source schedule (the A/B baseline). With
 // -resilient the links self-heal: a lost connection is redialed with
 // jittered exponential backoff and the sequenced frames the peer
 // missed are retransmitted from a replay ring, so collectives survive
@@ -74,7 +77,10 @@
 // leaver. churn is the storm drill: a seeded crash + hole-join + drain
 // sequence against a live cube of member processes, self-verdicting on
 // byte-exact round delivery, typed view-change retries, and final-view
-// agreement across the survivors.
+// agreement across the survivors. grow is the online-growth drill: a
+// rank beyond the founding 2^n attaches mid-traffic and every survivor
+// must cut over to the (n+1)-cube with no process restarted (-churn
+// adds a crash and a link flap inside the cutover window).
 //
 // broadcast, scatter and verify accept fault-injection flags: -faults
 // COUNT, -fault-kind {links|nodes|neighbor|drop|corrupt|duplicate|none}

@@ -44,7 +44,6 @@ func cmdServe(args []string) error {
 	transportS := fs.String("transport", "auto", "socket family for the cube links: tcp, uds, or auto (uds when peers arrive over the stdio handshake — a same-host deployment — tcp with an explicit -peers list)")
 	autotune := fs.Bool("autotune", false, "model-driven packet sizing: collectives split payloads at the online B_opt from the link-cost fit")
 	naiveAllNode := fs.Bool("naive-allnode", false, "run the all-node collectives with the naive forward-on-arrival launch instead of the contention-aware multi-source schedule (A/B baseline)")
-	stripes := fs.Int("stripes", 0, "parallel connections per link for striped bulk sends (0/1 = single connection; incompatible with -resilient)")
 	m := fs.Int("m", 4096, "broadcast payload size in bytes")
 	rounds := fs.Int("rounds", 1, "workload repetitions (each: msbt broadcast + bst scatter/gather + barrier)")
 	runFor := fs.Duration("for", 0, "run workload rounds in lockstep until this much wall-clock time elapses at the root (overrides -rounds)")
@@ -58,7 +57,6 @@ func cmdServe(args []string) error {
 	jobs := fs.Int("jobs", 0, "run this many concurrent collective jobs under the svc runtime instead of the lockstep workload (every process must pass the same -jobs/-tenants/-jobs-seed)")
 	tenants := fs.Int("tenants", 4, "number of tenants the job mix rotates over (jobs mode)")
 	jobsSeed := fs.Int64("jobs-seed", 1, "base seed for the deterministic job mix (jobs mode)")
-	batchHold := fs.Duration("batch-hold", 0, "cross-job aggregation window on plain wire-v2 links (jobs mode; ignored with -resilient)")
 	verbose := fs.Bool("v", false, "print a STATS line with the link-health counters after the run")
 	fs.Parse(args)
 
@@ -95,14 +93,12 @@ func cmdServe(args []string) error {
 		Locals:  []cube.NodeID{cube.NodeID(*id)},
 		Listen:  *listen,
 		Network: network,
-		Stripes: *stripes,
 		Depth:   comm.CollectiveDepth(*n),
 		Resilience: transport.ResilienceOptions{
 			Enabled:     *resilient,
 			MaxAttempts: *attempts,
 			Budget:      *budget,
 		},
-		BatchHold:  *batchHold,
 		Classifier: cls,
 	})
 	if err != nil {
@@ -423,7 +419,6 @@ func cmdLaunch(args []string) error {
 	transportS := fs.String("transport", "auto", "socket family the children link over: tcp, uds, or auto (same-host launch = uds)")
 	autotune := fs.Bool("autotune", false, "enable model-driven packet sizing inside the children")
 	naiveAllNode := fs.Bool("naive-allnode", false, "run the children's all-node collectives with the naive launch instead of the multi-source schedule")
-	stripes := fs.Int("stripes", 0, "parallel connections per link inside the children (0/1 = single connection)")
 	fs.Parse(args)
 
 	N := 1 << uint(*n)
@@ -435,9 +430,6 @@ func cmdLaunch(args []string) error {
 		}
 		if *naiveAllNode {
 			a = append(a, "-naive-allnode")
-		}
-		if *stripes > 1 {
-			a = append(a, "-stripes", fmt.Sprint(*stripes))
 		}
 		return a
 	}, false)
@@ -681,7 +673,6 @@ func cmdJobs(args []string) error {
 	tenants := fs.Int("tenants", 4, "tenants the mix rotates over")
 	seed := fs.Int64("seed", 1, "base seed for the deterministic job mix")
 	resilient := fs.Bool("resilient", false, "run the children with self-healing links")
-	batchHold := fs.Duration("batch-hold", 0, "cross-job aggregation window inside the children (plain links only)")
 	chaos := fs.Bool("chaos", false, "run chaos agents inside the children while the jobs flow (implies -resilient)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "base chaos seed; child i's agent runs schedule chaos-seed+i")
 	hold := fs.Duration("hold", 60*time.Millisecond, "how long chaos flap/delay faults persist inside the children")
@@ -699,9 +690,6 @@ func cmdJobs(args []string) error {
 			"-jobs-seed", fmt.Sprint(*seed), "-v", "-transport", *transportS}
 		if *resilient || *chaos {
 			a = append(a, "-resilient")
-		}
-		if *batchHold > 0 {
-			a = append(a, "-batch-hold", batchHold.String())
 		}
 		if *chaos {
 			a = append(a, "-chaos", "-chaos-seed", fmt.Sprint(*chaosSeed+int64(i)), "-chaos-hold", hold.String())

@@ -7,6 +7,6 @@
 // message-passing runtime for end-to-end validation.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-vs-measured record. The benchmark harness
-// in bench_test.go regenerates every table and figure of the paper.
+// EXPERIMENTS.md for the paper-vs-measured record, which cmd/experiments
+// regenerates. Performance is measured by the module in bench/.
 package repro

@@ -235,14 +235,6 @@ type TCPRunOptions struct {
 	// Deadline, when nonzero, is set on every rank's communicator
 	// (Comm.SetDeadline) before the program runs.
 	Deadline time.Duration
-	// WireVersion caps the wire protocol version on every endpoint
-	// (0 means the newest the transport speaks); see
-	// transport.TCPOptions.WireVersion.
-	WireVersion int
-	// BatchHold, when positive, lets each endpoint hold small frames
-	// briefly so concurrent jobs' parts share wire-v2 batch frames; see
-	// transport.TCPOptions.BatchHold.
-	BatchHold time.Duration
 	// StatsSink, when non-nil, receives the transport counters summed
 	// across all endpoints after the run finishes — the delivered-payload
 	// numbers benchmarks derive goodput from.
@@ -251,9 +243,6 @@ type TCPRunOptions struct {
 	// (default, loopback) or "unix" (Unix-domain sockets; see
 	// transport.NewUDS).
 	Network string
-	// Stripes, when > 1, opens that many parallel connections per link
-	// and stripes bulk sends across them; see transport.TCPOptions.Stripes.
-	Stripes int
 	// Autotune enables model-driven packet sizing on every rank's
 	// communicator (Comm.SetAutotune) before the program runs.
 	Autotune bool
@@ -359,9 +348,7 @@ func loopbackMesh(n int, opt TCPRunOptions, cls mpx.JobClassifier) ([]*transport
 	for i := range peers {
 		tr, err := transport.NewTCP(transport.TCPOptions{
 			Dim: n, Locals: []cube.NodeID{cube.NodeID(i)}, Depth: CollectiveDepth(n),
-			Resilience: opt.Resilience, WireVersion: opt.WireVersion,
-			Network: opt.Network, Stripes: opt.Stripes,
-			BatchHold: opt.BatchHold, Classifier: cls,
+			Resilience: opt.Resilience, Network: opt.Network, Classifier: cls,
 		})
 		if err != nil {
 			return fail(err)

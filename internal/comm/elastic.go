@@ -79,9 +79,6 @@ type ElasticOptions struct {
 	// DefaultElasticResilience. The budget doubles as the crash
 	// detection latency: a peer is declared dead when it exhausts this.
 	Resilience transport.ResilienceOptions
-	// WireVersion caps the wire protocol (0 = newest; member mode needs
-	// at least wire v3 and NewElastic enforces it).
-	WireVersion int
 	// HandshakeTimeout bounds Connect/Join dials (0 = transport default).
 	HandshakeTimeout time.Duration
 	// Logf, when non-nil, receives membership diagnostics.
@@ -121,7 +118,6 @@ func NewElastic(opt ElasticOptions) (*Elastic, error) {
 		HandshakeTimeout: opt.HandshakeTimeout,
 		Resilience:       res,
 		Network:          opt.Network,
-		WireVersion:      opt.WireVersion,
 		Member:           hooks,
 	})
 	if err != nil {

@@ -251,9 +251,8 @@ func StartLocalCluster(n int, opt svc.Options) *Cluster {
 
 // StartCluster starts the service over loopback sockets: 2^n endpoints
 // connected into a cube mesh, one machine + runtime per endpoint.
-// topt's Resilience/Chaos/WireVersion/BatchHold/Network/Stripes apply
-// to every endpoint; Deadline and StatsSink are ignored here (use
-// Stats).
+// topt's Resilience/Chaos/Network apply to every endpoint; Deadline
+// and StatsSink are ignored here (use Stats).
 func StartCluster(n int, opt svc.Options, topt TCPRunOptions) (*Cluster, error) {
 	trs, err := loopbackMesh(n, topt, svc.StatsClassifier)
 	if err != nil {

@@ -42,11 +42,11 @@ func TestFaultyPeerCrashDistinguishedFromSequenceMismatch(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if _, err := wire.ReadHandshake(conn); err != nil {
+		if _, err := wire.ReadHello(conn); err != nil {
 			conn.Close()
 			return
 		}
-		conn.Write(wire.AppendHandshake(nil, wire.Handshake{Dim: 1, From: 1, To: 0}))
+		conn.Write(wire.AppendHello(nil, wire.Hello{Dim: 1, From: 1, To: 0}))
 		time.Sleep(50 * time.Millisecond)
 		conn.Close() // crash: no BYE announcement
 	}()

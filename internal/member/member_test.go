@@ -354,7 +354,7 @@ func TestManagerControlFrameCodec(t *testing.T) {
 	peer := New(Config{Self: 1, Dim: 2})
 	peer.OnPeerDown(1, 3, nil)
 
-	frame := wire.AppendMemberFrame(nil, wire.Version3, wire.KindView, peer.View().Encode())
+	frame := wire.AppendMemberFrame(nil, wire.KindView, peer.View().Encode())
 	fr, _, err := wire.DecodeAny(frame)
 	if err != nil {
 		t.Fatal(err)

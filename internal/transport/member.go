@@ -146,18 +146,7 @@ func (t *TCP) SendControl(from, to cube.NodeID, kind byte, body []byte) error {
 // current connection, dropping it when the link is failed, retired or
 // between connections.
 func (l *link) writeControl(kind byte, body []byte) error {
-	if l.ver < wire.Version3 {
-		return fmt.Errorf("transport: link %d<->%d negotiated wire version %d, membership frames need %d",
-			l.self, l.peer, l.ver, wire.Version3)
-	}
-	if (kind == wire.KindGrow || kind == wire.KindAttach) && l.ver < wire.Version4 {
-		// Growth frames are a v4 extension; a v3 peer would reject the
-		// whole stream as corrupt. Drop instead — the peer keeps working
-		// on the dimension its links were built at.
-		l.t.memberDrops.Add(1)
-		return nil
-	}
-	frame := wire.AppendMemberFrame(nil, l.ver, kind, body)
+	frame := wire.AppendMemberFrame(nil, kind, body)
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.mu.Lock()
@@ -189,24 +178,16 @@ func (l *link) writeControl(kind byte, body []byte) error {
 // process with empty state, so splicing it onto the old relState would
 // replay frames it never saw the predecessors of.
 func (t *TCP) acceptMemberJoin(conn net.Conn, hs wire.Hello, port int) error {
-	ver := wire.NegotiateVersion(byte(t.opt.WireVersion), hs.Version)
-	if ver < wire.Version3 {
-		return fmt.Errorf("transport: joiner %d negotiated wire version %d, member mesh needs %d", hs.From, ver, wire.Version3)
-	}
 	// Echo the dimension the joiner spoke: after a grow-attach our own
 	// dimension already matches it, and the link itself is
 	// dimension-agnostic (its port is the index of the bit the endpoints
 	// differ in, which growth never changes).
-	echo := wire.Hello{
-		Handshake: wire.Handshake{Dim: hs.Dim, From: hs.To, To: hs.From},
-		Resilient: true,
-		Version:   ver,
-	}
+	echo := wire.Hello{Dim: hs.Dim, From: hs.To, To: hs.From, Resilient: true}
 	if _, err := conn.Write(wire.AppendHello(nil, echo)); err != nil {
 		return fmt.Errorf("transport: join echo to node %d: %w", hs.From, err)
 	}
 	conn.SetDeadline(time.Time{})
-	l := t.newLink(hs.To, hs.From, port, conn, false, "", ver)
+	l := t.newLink(hs.To, hs.From, port, conn, false, "")
 	if old := t.setLinkAt(hs.To, port, l); old != nil {
 		// Silence the old incarnation: no OnPeerDown (the rank is alive
 		// again — deduping here keeps a slow supervisor's eventual
@@ -296,16 +277,22 @@ func (t *TCP) JoinMesh(peers []string) error {
 	// rank attached and where it listens. Idempotent with the KindJoin
 	// announce the membership layer sends next — this one additionally
 	// covers joiners beyond the founding cube, whose accepting survivors
-	// just widened their mesh for us. v3 links never carry it (nor could
-	// a v3 survivor have accepted a grow-attach).
+	// just widened their mesh for us.
 	attach := wire.EncodeAttach(self, t.self)
 	for _, l := range links {
-		if l.ver >= wire.Version4 {
-			l.writeControl(wire.KindAttach, attach)
-		}
+		l.writeControl(wire.KindAttach, attach)
 	}
 	return nil
 }
+
+// growSlotBudget bounds the tables GrowTo allocates — 2^dim·dim link
+// slots plus 2^dim inboxes and local flags, before any peer of the new
+// cube has proved it exists. The dimension reaches GrowTo from the wire
+// (an unauthenticated resume hello, its echo, a KindGrow frame, a
+// flooded view), where cube.MaxDim alone would let 22 bytes ask for
+// gigabytes. 2^16 slots admit a 12-cube (4096 ranks, about half a
+// megabyte of tables), far past any mesh this transport has carried.
+const growSlotBudget = 1 << 16
 
 // GrowTo widens the mesh to newDim online. The cube, the links table
 // (whose stride is the dimension), the local mask and the inbox table
@@ -317,10 +304,10 @@ func (t *TCP) JoinMesh(peers []string) error {
 // slots start empty and fill as joiners grow-attach (and the holes
 // drop sends silently, like any absent member). Returns whether the
 // mesh actually widened: growth to the current or a smaller dimension
-// is an idempotent no-op, and dimensions beyond cube.MaxDim are
-// refused. Member mode only.
+// is an idempotent no-op, and a dimension whose link table would exceed
+// growSlotBudget is refused. Member mode only.
 func (t *TCP) GrowTo(newDim int) bool {
-	if !t.memberMode() || newDim > cube.MaxDim {
+	if !t.memberMode() || newDim > cube.MaxDim || newDim<<uint(newDim) > growSlotBudget {
 		return false
 	}
 	t.linkMu.Lock()
@@ -344,18 +331,31 @@ func (t *TCP) GrowTo(newDim int) bool {
 	return true
 }
 
-// floodGrow announces a widening to every connected v4 neighbor link,
-// so the event reaches survivors the joiner did not dial. Receivers
-// re-flood only when the frame actually widened them (readPump), which
-// terminates the flood. v3 links are skipped: those peers cannot decode
-// growth frames and keep operating on the old dimension.
+// floodGrow announces a widening to every connected neighbor link, so
+// the event reaches survivors the joiner did not dial. Receivers
+// re-flood only when the frame actually widened them (growFromWire),
+// which terminates the flood.
 func (t *TCP) floodGrow(newDim int) {
 	body := wire.EncodeGrow(newDim)
 	for _, l := range t.allLinks() {
-		if l.ver >= wire.Version4 {
-			l.writeControl(wire.KindGrow, body)
-		}
+		l.writeControl(wire.KindGrow, body)
 	}
+}
+
+// growFromWire widens the mesh because a peer's bytes — a resume hello,
+// its echo, or a KindGrow frame — named a larger dimension, and floods
+// an actual widening on. It reports whether the endpoint is at dim (or
+// beyond) afterwards; a dimension GrowTo refuses is counted in
+// memberDrops and the endpoint keeps serving at the dimension it has.
+func (t *TCP) growFromWire(dim int) bool {
+	if t.GrowTo(dim) {
+		t.floodGrow(dim)
+	}
+	if t.dim() >= dim {
+		return true
+	}
+	t.memberDrops.Add(1)
+	return false
 }
 
 // Abort closes the transport WITHOUT the BYE announcement: peers see an

@@ -95,15 +95,10 @@ func expectPing(t *testing.T, r *memberRank, tag int) {
 	}
 }
 
-// TestMemberModeValidation: member mode needs resilient links and a
-// membership-capable wire version.
+// TestMemberModeValidation: member mode needs resilient links.
 func TestMemberModeValidation(t *testing.T) {
 	if _, err := NewTCP(TCPOptions{Dim: 1, Locals: []cube.NodeID{0}, Member: &MemberHooks{}}); err == nil {
 		t.Fatal("member mode without resilience accepted")
-	}
-	if _, err := NewTCP(TCPOptions{Dim: 1, Locals: []cube.NodeID{0}, Member: &MemberHooks{},
-		Resilience: memberRes(), WireVersion: wire.Version2}); err == nil {
-		t.Fatal("member mode on wire v2 accepted")
 	}
 }
 
@@ -375,4 +370,57 @@ func TestMemberGrowAttach(t *testing.T) {
 	if joiner.tr.MemberDrops() != before+1 {
 		t.Fatal("drop toward unattached rank not counted")
 	}
+}
+
+// TestMemberHostileGrowIsBounded: a dimension that arrives off the wire
+// is not trusted with the endpoint's memory. One unauthenticated resume
+// hello naming a 30-cube (which would ask for ~250 GiB of link slots)
+// or a 20-cube, and a KindGrow(30) frame on an established link, are
+// each refused and counted in member_drops; nothing is flooded on, and
+// the 2-rank mesh keeps serving at the dimension it has.
+func TestMemberHostileGrowIsBounded(t *testing.T) {
+	testleak.Check(t)
+	ranks, _ := memberMesh(t, 1)
+	victim := ranks[0].tr
+
+	for _, dim := range []int{30, 20} {
+		before := victim.MemberDrops()
+		conn, err := dialAddr(victim.Addr(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Write(wire.AppendHello(nil, wire.Hello{Dim: dim, From: 1, To: 0, Resilient: true}))
+		if err := refused(conn); err != nil {
+			t.Fatalf("hello from a %d-cube: %v", dim, err)
+		}
+		if got := victim.MemberDrops(); got != before+1 {
+			t.Fatalf("hello from a %d-cube: member_drops %d -> %d, want one counted refusal", dim, before, got)
+		}
+	}
+
+	// The same dimension in a growth frame, on the link from rank 1.
+	before := victim.MemberDrops()
+	if err := ranks[1].tr.linkAt(1, 0).writeControl(wire.KindGrow, wire.EncodeGrow(30)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); victim.MemberDrops() == before; {
+		if !time.Now().Before(deadline) {
+			t.Fatal("KindGrow(30) was never counted as dropped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	for i, r := range ranks {
+		if d := r.tr.Cube().Dim(); d != 1 || r.tr.GrowEvents() != 0 {
+			t.Fatalf("rank %d: dimension %d after %d grow events, want the founding 1-cube untouched", i, d, r.tr.GrowEvents())
+		}
+	}
+	if err := ping(ranks[0], 1, 41); err != nil {
+		t.Fatal(err)
+	}
+	expectPing(t, ranks[1], 41)
+	if err := ping(ranks[1], 0, 42); err != nil {
+		t.Fatal(err)
+	}
+	expectPing(t, ranks[0], 42)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -248,10 +249,7 @@ func fakeResilientPeer(t *testing.T, dim int, from, to cube.NodeID, hold time.Du
 			conn.Close()
 			return
 		}
-		conn.Write(wire.AppendHello(nil, wire.Hello{
-			Handshake: wire.Handshake{Dim: dim, From: from, To: to},
-			Resilient: true,
-		}))
+		conn.Write(wire.AppendHello(nil, wire.Hello{Dim: dim, From: from, To: to, Resilient: true}))
 		time.Sleep(hold)
 		conn.Close() // crash: no BYE
 	}()
@@ -328,7 +326,7 @@ func TestResilientAcceptorEscalatesWhenPeerStaysAway(t *testing.T) {
 			done <- err
 			return
 		}
-		hello := wire.Hello{Handshake: wire.Handshake{Dim: 1, From: 0, To: 1}, Resilient: true}
+		hello := wire.Hello{Dim: 1, From: 0, To: 1, Resilient: true}
 		if _, err := conn.Write(wire.AppendHello(nil, hello)); err != nil {
 			done <- err
 			return
@@ -429,7 +427,7 @@ func TestOrderlyCloseLingersUntilAcked(t *testing.T) {
 		if _, err := wire.ReadHello(conn); err != nil {
 			t.Fatal(err)
 		}
-		conn.Write(wire.AppendHello(nil, wire.Hello{Handshake: wire.Handshake{Dim: 1, From: 1, To: 0}, Resilient: true}))
+		conn.Write(wire.AppendHello(nil, wire.Hello{Dim: 1, From: 1, To: 0, Resilient: true}))
 		return conn
 	}
 	connect := func() *TCP {
@@ -489,5 +487,46 @@ func TestOrderlyCloseLingersUntilAcked(t *testing.T) {
 	tr.Abort()
 	if d := time.Since(start); d > closeFlushTimeout/2 {
 		t.Fatalf("a dirty close took %v with an unacknowledged frame", d)
+	}
+}
+
+// refused reports (as nil) that the peer closed conn without answering a
+// byte — an orderly close or, when it left some of ours unread, a reset.
+func refused(conn net.Conn) error {
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 64))
+	if n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		return fmt.Errorf("read %d bytes, err %v; want the connection closed without an echo", n, err)
+	}
+	return nil
+}
+
+// TestOtherVersionHelloRefused: the listener of a serving mesh refuses a
+// hello of either form stamped with any version byte but the one in use
+// — the retired 1, 2, 3 and a future 5 — by closing that connection
+// without an echo, and goes on serving its links.
+func TestOtherVersionHelloRefused(t *testing.T) {
+	testleak.Check(t)
+	trs := meshResilient(t, 2, hostsOnePerNode(2), nil, fastResilience())
+	for _, resilient := range []bool{false, true} {
+		for _, ver := range []byte{1, 2, 3, wire.MaxVersion + 1} {
+			conn, err := dialAddr(trs[0].Addr(), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hello := wire.AppendHello(nil, wire.Hello{Dim: 2, From: 1, To: 0, Resilient: resilient, RecvSeq: 7})
+			hello[4] = ver
+			conn.Write(hello)
+			if err := refused(conn); err != nil {
+				t.Fatalf("hello stamped %d (resilient=%v): %v", ver, resilient, err)
+			}
+		}
+	}
+	if n := trs[0].Stats().Reconnects; n != 0 {
+		t.Fatalf("%d connections installed from refused hellos", n)
+	}
+	if err := runAll(trs, neighborExchange); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -40,7 +40,7 @@ const blockSize = 32 << 10
 // zcThreshold is the payload size at and above which a plain-link send
 // skips the copy into the encode block and queues the payload by
 // reference for a vectored write (writev). Below it, coalescing into
-// the block (and, on v2 links, batching under one CRC) wins: the copy
+// the block (and batching under one CRC) wins: the copy
 // is cheaper than growing the iovec list and small payloads ride along
 // with their headers in one segment.
 const zcThreshold = 4 << 10
@@ -146,38 +146,14 @@ type TCPOptions struct {
 	HandshakeTimeout time.Duration
 	// Resilience configures self-healing links; zero value disables them.
 	Resilience ResilienceOptions
-	// WireVersion caps the wire protocol version this endpoint speaks
-	// (0 means wire.MaxVersion). Each link runs at the minimum of both
-	// endpoints' caps, negotiated in the Hello handshake, so a
-	// version-1-only peer interoperates with a version-2 endpoint.
-	WireVersion int
-	// BatchHold, when positive, delays the flush of small messages on
-	// plain wire-v2 links by up to this duration so that parts from
-	// concurrent jobs pile into one KindBatch frame (TRAM-style
-	// cross-job aggregation) instead of each paying its own write.
-	// Latency-bound single streams should leave it zero (flush-on-idle);
-	// multi-job service meshes trade that latency for fewer, fuller
-	// frames. Resilient links ignore it: they sequence individual
-	// frames, and batch frames are a protocol violation there.
-	BatchHold time.Duration
 	// Classifier, when non-nil, attributes every delivered payload to a
 	// job key for the per-job stats map (see mpx.JobClassifier).
 	Classifier mpx.JobClassifier
 	// Network selects the socket family: "tcp" (the default) or "unix"
 	// for Unix-domain sockets between co-located endpoints (NewUDS).
 	// Everything above the dial — wire codec, resilience supervisors,
-	// BatchHold, striping, per-job metering — is family-agnostic.
+	// per-job metering — is family-agnostic.
 	Network string
-	// Stripes, when > 1, opens that many parallel connections per
-	// neighbor link. Bulk sends (a part >= zcThreshold) round-robin
-	// across all stripes; small sends stay on stripe 0 for latency.
-	// Every frame on a striped link carries a link-level sequence
-	// number the receiver reassembles in order, so the mpx per-sender
-	// ordering contract holds across connections. Striping is a plain-
-	// link feature (it shares the sequencing machinery's wire kind but
-	// not its replay protocol) and is rejected alongside Resilience;
-	// both endpoints of a mesh must configure the same count.
-	Stripes int
 	// Member, when non-nil, puts the transport in member mode: the mesh
 	// is elastic. Link supervisors that exhaust their reconnect budget
 	// report the peer dead through OnPeerDown instead of shutting the
@@ -185,15 +161,9 @@ type TCPOptions struct {
 	// dispatched to OnControl; sends to dead, drained or never-joined
 	// neighbors drop silently; and joiners are accepted at runtime,
 	// replacing a dead incarnation's link. Requires Resilience.Enabled
-	// (the supervisors are the crash detectors) and wire version >= 3
-	// (membership frames).
+	// (the supervisors are the crash detectors).
 	Member *MemberHooks
 }
-
-// MaxStripes bounds TCPOptions.Stripes (the attach handshake carries
-// the index in one byte, and more parallel sockets per link than this
-// has no plausible win).
-const MaxStripes = 16
 
 // TCP is a socket-backed mpx.Transport: every cube link whose endpoints
 // live in different processes is one TCP connection carrying
@@ -335,10 +305,6 @@ type link struct {
 	dialer bool
 	addr   string
 
-	// ver is the negotiated wire protocol version for this link (set
-	// during the handshake, before any frame flows).
-	ver byte
-
 	mu   sync.Mutex // guards conn, gen, the outq, err, r, retired
 	conn net.Conn
 	gen  int       // bumped on every (re)install; stale pumps detect replacement
@@ -367,7 +333,7 @@ type link struct {
 	// the filled encode blocks backing earlier segments (recycled to
 	// blockPool once their flush completes). cur is the open block —
 	// cur[spanFrom:] is its not-yet-queued tail, closed into outSegs at
-	// flush or roll time. batchAt is the offset of an open v2 batch frame
+	// flush or roll time. batchAt is the offset of an open batch frame
 	// in cur (-1 when none), batchLen its message count, and queued the
 	// byte total across the queue (backpressure). Large payloads are
 	// queued by reference — zero copy — between header spans that alias
@@ -388,23 +354,6 @@ type link struct {
 	// est fits this link's τ/t_c cost model from timed flushes.
 	est mpx.LinkEstimator
 
-	// Striping. On a striped link's OWNER: stripes holds the extra
-	// connections as sub-links (each with its own queue, flusher and
-	// socket), striped is true, sseq assigns the link-level sequence
-	// every frame carries (guarded by mu), and nextDeliver/pending are
-	// the receive-side reorder state — smu serializes delivery drains
-	// across the per-connection read pumps so in-order frames reach the
-	// inbox in sequence. On a sub-link: owner points back (sub-links
-	// never appear in t.links and their failures escalate on the owner).
-	striped     bool
-	stripes     []*link
-	stripeRR    atomic.Uint32
-	sseq        uint64
-	nextDeliver uint64
-	pending     map[uint64]mpx.Message
-	smu         sync.Mutex
-	owner       *link
-
 	// lost and replaced (cap 1) connect the pumps to the supervisor:
 	// disconnect signals lost, install signals replaced.
 	lost, replaced chan struct{}
@@ -413,14 +362,6 @@ type link struct {
 
 	// ackTimer fires the delayed-ACK window on a resilient link.
 	ackTimer *time.Timer
-
-	// holdTimer implements TCPOptions.BatchHold on plain v2 links:
-	// while holdArmed (guarded by mu), small sends skip the
-	// flush-on-idle path and wait for the timer to kick the flusher, so
-	// concurrent jobs' parts aggregate into the open batch frame. The
-	// window is anchored at the first held send.
-	holdTimer *time.Timer
-	holdArmed bool
 
 	// chaosDelay, when set (nanoseconds), stalls every flush — the chaos
 	// harness's slow-link fault.
@@ -459,15 +400,6 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 	default:
 		return nil, fmt.Errorf("transport: unsupported network %q (want tcp or unix)", opts.Network)
 	}
-	if opts.Stripes < 0 || opts.Stripes > MaxStripes {
-		return nil, fmt.Errorf("transport: Stripes %d outside 0..%d", opts.Stripes, MaxStripes)
-	}
-	if opts.Stripes <= 1 {
-		opts.Stripes = 1
-	}
-	if opts.Stripes > 1 && opts.Resilience.Enabled {
-		return nil, errors.New("transport: striping and resilience are mutually exclusive (striped links sequence frames without a replay protocol)")
-	}
 	if opts.Depth <= 0 {
 		opts.Depth = mpx.DepthForScatter(opts.Dim, 1)
 	}
@@ -477,19 +409,8 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 	if opts.Resilience.Enabled {
 		opts.Resilience.normalize()
 	}
-	if opts.WireVersion == 0 {
-		opts.WireVersion = wire.MaxVersion
-	}
-	if opts.WireVersion < wire.Version1 || opts.WireVersion > wire.MaxVersion {
-		return nil, fmt.Errorf("transport: WireVersion %d outside 1..%d", opts.WireVersion, wire.MaxVersion)
-	}
-	if opts.Member != nil {
-		if !opts.Resilience.Enabled {
-			return nil, errors.New("transport: member mode requires Resilience.Enabled (the link supervisors are the crash detectors)")
-		}
-		if opts.WireVersion < wire.Version3 {
-			return nil, fmt.Errorf("transport: member mode requires wire version >= %d for membership frames, got %d", wire.Version3, opts.WireVersion)
-		}
+	if opts.Member != nil && !opts.Resilience.Enabled {
+		return nil, errors.New("transport: member mode requires Resilience.Enabled (the link supervisors are the crash detectors)")
 	}
 	c := cube.New(opts.Dim)
 	t := &TCP{
@@ -528,7 +449,7 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 // NewUDS is NewTCP over Unix-domain sockets: co-located endpoints skip
 // the TCP/IP stack (no checksum offload games, no Nagle, cheaper
 // per-byte copies through the kernel) while the wire codec, resilience
-// supervisors, BatchHold, striping and per-job metering run unchanged.
+// supervisors and per-job metering run unchanged.
 // An empty Listen picks a fresh socket path under the temp root; Addr
 // returns it "unix:"-prefixed so it can be mixed into the same peers
 // slice as TCP addresses.
@@ -636,16 +557,13 @@ func (t *TCP) Stats() mpx.TransportStats {
 
 // Profile reports the endpoint's live link cost model (implements
 // mpx.Profiler): the per-link τ/t_c estimators — fed one observation
-// per timed flush — pooled across every socket link and stripe.
+// per timed flush — pooled across every socket link.
 // Endpoints whose links are all in-process report an unsettled profile
 // (zero samples), which callers treat as "keep the defaults".
 func (t *TCP) Profile() mpx.LinkProfile {
 	var agg mpx.LinkEstimator
 	for _, l := range t.allLinks() {
 		l.est.AddTo(&agg)
-		for _, s := range l.stripes {
-			s.est.AddTo(&agg)
-		}
 	}
 	return agg.Profile()
 }
@@ -809,22 +727,11 @@ func (t *TCP) Connect(peers []string) error {
 	}
 	results := make(chan result, len(dials)+expectAccepts+1)
 
-	// Striping phase 2 sizing: each accepted primary link brings
-	// Stripes-1 extra connections, dialed by the same peer that dialed
-	// the primary. Their attach hellos can arrive interleaved with other
-	// peers' primary hellos, so the accept loop routes both kinds.
-	expectStripes := 0
-	if t.opt.Stripes > 1 {
-		expectStripes = expectAccepts * (t.opt.Stripes - 1)
-	}
-	stripeCh := make(chan stripeConn, expectStripes)
-
-	// Accept side: the peer's handshake tells us which link (or which
-	// link's stripe) it is.
+	// Accept side: the peer's handshake tells us which link it is.
 	acceptDone := make(chan struct{})
 	go func() {
 		defer close(acceptDone)
-		for prim, strip := 0, 0; prim < expectAccepts || strip < expectStripes; {
+		for i := 0; i < expectAccepts; i++ {
 			conn, err := t.ln.Accept()
 			if err != nil {
 				select {
@@ -841,17 +748,6 @@ func (t *TCP) Connect(peers []string) error {
 				results <- result{err: fmt.Errorf("transport: reading handshake: %w", err)}
 				return
 			}
-			if hs.Stripe > 0 {
-				sc, err := t.acceptStripe(conn, hs)
-				if err != nil {
-					conn.Close()
-					results <- result{err: err}
-					return
-				}
-				stripeCh <- sc
-				strip++
-				continue
-			}
 			l, err := t.acceptHandshake(conn, hs)
 			if err != nil {
 				conn.Close()
@@ -859,7 +755,6 @@ func (t *TCP) Connect(peers []string) error {
 				return
 			}
 			results <- result{l: l}
-			prim++
 		}
 	}()
 
@@ -888,90 +783,23 @@ collect:
 			break collect
 		}
 	}
-	// Phase 2 (striping only): dial the extra connections for every link
-	// we dialed, then wait for the peers' attach hellos on ours. Both
-	// sides dial after their primary collect succeeded, so neither waits
-	// on a peer that has not started dialing yet.
-	if firstErr == nil && t.opt.Stripes > 1 {
-		for _, l := range links {
-			if !l.dialer {
-				continue
-			}
-			for i := 1; i < t.opt.Stripes && firstErr == nil; i++ {
-				var s *link
-				if s, firstErr = t.dialStripe(l, i, deadline); firstErr == nil {
-					l.stripes = append(l.stripes, s)
-				}
-			}
-			if firstErr != nil {
-				break
-			}
-		}
-		if firstErr == nil {
-			wait := time.NewTimer(time.Until(deadline) + time.Second)
-			select {
-			case <-acceptDone:
-			case <-wait.C:
-				firstErr = fmt.Errorf("transport: node(s) %v: stripe attach timed out after %v (mismatched Stripes config?)", t.locals, t.opt.HandshakeTimeout)
-			}
-			wait.Stop()
-		}
-		if firstErr == nil {
-			// An error the accept loop hit after the primary collect ended.
-			select {
-			case r := <-results:
-				firstErr = r.err
-			default:
-			}
-		}
-	}
-
 	if firstErr != nil {
 		t.Close()
 		for _, l := range links {
 			l.conn.Close()
-			for _, s := range l.stripes {
-				s.conn.Close()
-			}
 		}
-		for {
-			select {
-			case sc := <-stripeCh:
-				sc.conn.Close()
-			default:
-				return firstErr
-			}
-		}
+		return firstErr
 	}
 
-	if !t.resilient() && expectStripes == 0 {
+	if !t.resilient() {
 		// Every expected connection is up: the listener's job is done
 		// (there is no reconnection protocol), so the accept loop can end.
 		t.ln.Close()
 	}
 	<-acceptDone
-	if !t.resilient() && expectStripes > 0 {
-		t.ln.Close()
-	}
 
 	for _, l := range links {
 		t.setLink(t.linkIndex(l.self, l.port), l)
-	}
-	// Attach the accepted stripe connections now that t.links resolves
-	// their owner links.
-drain:
-	for {
-		select {
-		case sc := <-stripeCh:
-			owner := t.getLink(t.linkIndex(sc.to, t.c.Port(sc.to, sc.from)))
-			if owner == nil {
-				sc.conn.Close()
-				continue
-			}
-			owner.stripes = append(owner.stripes, t.newStripeLink(owner, sc.conn))
-		default:
-			break drain
-		}
 	}
 	for _, l := range links {
 		t.startLink(l)
@@ -1000,11 +828,6 @@ func (t *TCP) startLink(l *link) {
 	if l.r != nil {
 		t.wg.Add(1)
 		go l.supervise()
-	}
-	for _, s := range l.stripes {
-		t.wg.Add(2)
-		go s.flusher()
-		go s.readPump(s.conn, s.gen, s.pumped)
 	}
 }
 
@@ -1038,11 +861,7 @@ func (t *TCP) dialHandshake(self, peer cube.NodeID, port int, addr string, deadl
 
 func (t *TCP) finishDial(conn net.Conn, self, peer cube.NodeID, port int, addr string, deadline time.Time) (*link, error) {
 	conn.SetDeadline(deadline)
-	hello := wire.Hello{
-		Handshake: wire.Handshake{Dim: t.opt.Dim, From: self, To: peer},
-		Resilient: t.resilient(),
-		Version:   byte(t.opt.WireVersion),
-	}
+	hello := wire.Hello{Dim: t.opt.Dim, From: self, To: peer, Resilient: t.resilient()}
 	if _, err := conn.Write(wire.AppendHello(nil, hello)); err != nil {
 		return nil, fmt.Errorf("transport: node %d: handshake write to peer %d: %w", self, peer, err)
 	}
@@ -1058,73 +877,8 @@ func (t *TCP) finishDial(conn net.Conn, self, peer cube.NodeID, port int, addr s
 		return nil, fmt.Errorf("transport: node %d: peer %d answered as node %d of a %d-cube (want node %d of a %d-cube)",
 			self, peer, echo.From, echo.Dim, peer, t.opt.Dim)
 	}
-	// The echo carries the acceptor's pick: min(both caps). An echo above
-	// our own cap means the peer ignored the negotiation.
-	if int(echo.Version) > t.opt.WireVersion {
-		return nil, fmt.Errorf("transport: node %d: peer %d chose wire version %d above our cap %d",
-			self, peer, echo.Version, t.opt.WireVersion)
-	}
 	conn.SetDeadline(time.Time{})
-	return t.newLink(self, peer, port, conn, true, addr, echo.Version), nil
-}
-
-// stripeConn is an accepted stripe-attach connection parked until its
-// owner link is installed in t.links.
-type stripeConn struct {
-	conn     net.Conn
-	from, to cube.NodeID
-	idx      int
-}
-
-// acceptStripe validates an inbound stripe-attach hello (already read
-// by the accept loop) and echoes it. The connection is parked; it joins
-// its owner link once the primary links are installed.
-func (t *TCP) acceptStripe(conn net.Conn, hs wire.Hello) (stripeConn, error) {
-	if hs.Dim != t.opt.Dim {
-		return stripeConn{}, fmt.Errorf("transport: stripe attach from node %d speaks a %d-cube, this is a %d-cube", hs.From, hs.Dim, t.opt.Dim)
-	}
-	if t.opt.Stripes <= 1 || hs.Stripe >= t.opt.Stripes {
-		return stripeConn{}, fmt.Errorf("transport: node %d attached stripe %d but this endpoint is configured for %d stripes", hs.From, hs.Stripe, t.opt.Stripes)
-	}
-	if int(hs.To) >= t.c.Nodes() || !t.local[hs.To] {
-		return stripeConn{}, fmt.Errorf("transport: stripe attach for node %d, which is not hosted here", hs.To)
-	}
-	if t.c.Port(hs.To, hs.From) < 0 {
-		return stripeConn{}, fmt.Errorf("transport: stripe attach from node %d, not a neighbor of %d", hs.From, hs.To)
-	}
-	echo := wire.Handshake{Dim: t.opt.Dim, From: hs.To, To: hs.From}
-	if _, err := conn.Write(wire.AppendStripeHello(nil, echo, hs.Stripe)); err != nil {
-		return stripeConn{}, fmt.Errorf("transport: stripe attach echo to node %d: %w", hs.From, err)
-	}
-	conn.SetDeadline(time.Time{})
-	return stripeConn{conn: conn, from: hs.From, to: hs.To, idx: hs.Stripe}, nil
-}
-
-// dialStripe opens stripe connection idx of the striped link l (the
-// primary-link dialer dials the stripes too) and completes the
-// HSTA attach handshake.
-func (t *TCP) dialStripe(l *link, idx int, deadline time.Time) (*link, error) {
-	conn, err := dialAddr(l.addr, time.Until(deadline))
-	if err != nil {
-		return nil, fmt.Errorf("transport: node %d: dialing stripe %d to peer %d: %w", l.self, idx, l.peer, err)
-	}
-	conn.SetDeadline(deadline)
-	hello := wire.Handshake{Dim: t.opt.Dim, From: l.self, To: l.peer}
-	if _, err := conn.Write(wire.AppendStripeHello(nil, hello, idx)); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("transport: node %d: stripe %d attach to peer %d: %w", l.self, idx, l.peer, err)
-	}
-	echo, err := wire.ReadHello(conn)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("transport: node %d: stripe %d attach reply from peer %d: %w", l.self, idx, l.peer, err)
-	}
-	if echo.Stripe != idx || echo.From != l.peer || echo.To != l.self {
-		conn.Close()
-		return nil, fmt.Errorf("transport: node %d: stripe %d attach to peer %d answered as node %d stripe %d", l.self, idx, l.peer, echo.From, echo.Stripe)
-	}
-	conn.SetDeadline(time.Time{})
-	return t.newStripeLink(l, conn), nil
+	return t.newLink(self, peer, port, conn, true, addr), nil
 }
 
 // acceptHandshake validates an inbound handshake (already read by the
@@ -1147,17 +901,12 @@ func (t *TCP) acceptHandshake(conn net.Conn, hs wire.Hello) (*link, error) {
 	if t.getLink(t.linkIndex(hs.To, port)) != nil {
 		return nil, fmt.Errorf("transport: duplicate connection for link %d<->%d", hs.To, hs.From)
 	}
-	ver := wire.NegotiateVersion(byte(t.opt.WireVersion), hs.Version)
-	echo := wire.Hello{
-		Handshake: wire.Handshake{Dim: t.opt.Dim, From: hs.To, To: hs.From},
-		Resilient: t.resilient(),
-		Version:   ver,
-	}
+	echo := wire.Hello{Dim: t.opt.Dim, From: hs.To, To: hs.From, Resilient: t.resilient()}
 	if _, err := conn.Write(wire.AppendHello(nil, echo)); err != nil {
 		return nil, fmt.Errorf("transport: handshake echo to node %d: %w", hs.From, err)
 	}
 	conn.SetDeadline(time.Time{})
-	return t.newLink(hs.To, hs.From, port, conn, false, "", ver), nil
+	return t.newLink(hs.To, hs.From, port, conn, false, ""), nil
 }
 
 // udsBufBytes is the socket buffer size requested for Unix-domain
@@ -1206,11 +955,11 @@ func forceUnixBuf(c *net.UnixConn, n int) bool {
 	return ok
 }
 
-func (t *TCP) newLink(self, peer cube.NodeID, port int, conn net.Conn, dialer bool, addr string, ver byte) *link {
+func (t *TCP) newLink(self, peer cube.NodeID, port int, conn net.Conn, dialer bool, addr string) *link {
 	tuneConn(conn)
 	l := &link{
 		t: t, self: self, peer: peer, port: port,
-		conn: conn, gen: 1, dialer: dialer, addr: addr, ver: ver,
+		conn: conn, gen: 1, dialer: dialer, addr: addr,
 		kick:    make(chan struct{}, 1),
 		pumped:  make(chan struct{}),
 		batchAt: -1,
@@ -1225,30 +974,8 @@ func (t *TCP) newLink(self, peer cube.NodeID, port int, conn net.Conn, dialer bo
 		l.ackTimer.Stop()
 	} else {
 		l.cur = getBlock()
-		if t.opt.Stripes > 1 {
-			l.striped = true
-			l.nextDeliver = 1
-			l.pending = make(map[uint64]mpx.Message)
-		}
 	}
 	return l
-}
-
-// newStripeLink wraps one extra connection of a striped link as a
-// sub-link: it has its own write queue, flusher and read pump, but no
-// identity of its own — it never appears in t.links, and its failures
-// escalate on the owner.
-func (t *TCP) newStripeLink(owner *link, conn net.Conn) *link {
-	tuneConn(conn)
-	return &link{
-		t: t, self: owner.self, peer: owner.peer, port: owner.port,
-		conn: conn, gen: 1, ver: owner.ver,
-		kick:    make(chan struct{}, 1),
-		pumped:  make(chan struct{}),
-		batchAt: -1,
-		cur:     getBlock(),
-		owner:   owner,
-	}
 }
 
 // ackTimerFire closes the delayed-ACK window: whatever is unacked now
@@ -1297,18 +1024,14 @@ func (t *TCP) handleResume(conn net.Conn) error {
 	if !hs.Resilient {
 		return fmt.Errorf("transport: bad resume handshake from peer %d", hs.From)
 	}
-	ver := wire.NegotiateVersion(byte(t.opt.WireVersion), hs.Version)
 	if hs.Dim > t.dim() {
 		// Grow-attach: the peer speaks a larger cube — a joiner beyond
 		// our founding 2^d, or a survivor that widened before us. Only
-		// member meshes re-dimension, and only at wire v4.
-		if !t.memberMode() || ver < wire.Version4 {
+		// member meshes re-dimension.
+		if !t.memberMode() {
 			return fmt.Errorf("transport: bad resume handshake from peer %d", hs.From)
 		}
-		if t.GrowTo(hs.Dim) {
-			t.floodGrow(hs.Dim)
-		}
-		if t.dim() < hs.Dim {
+		if !t.growFromWire(hs.Dim) {
 			return fmt.Errorf("transport: cannot grow to a %d-cube for peer %d", hs.Dim, hs.From)
 		}
 		t.growAccepts.Add(1)
@@ -1317,10 +1040,9 @@ func (t *TCP) handleResume(conn net.Conn) error {
 	}
 	// A member-mode peer below our dimension lags a growth event (its
 	// link was down when the KindGrow flood went out). Proceed anyway:
-	// existing links keep their port geometry at any dimension. A v4
+	// existing links keep their port geometry at any dimension, and the
 	// peer learns the grown dimension from the echo and widens on its
-	// side; a v3 peer keeps interoperating at the dimension it was
-	// built at and simply never sees the new ports.
+	// side.
 	c, _ := t.topo()
 	if int(hs.To) >= c.Nodes() || !t.hosted(hs.To) {
 		return fmt.Errorf("transport: resume for node %d, which is not hosted here", hs.To)
@@ -1357,21 +1079,9 @@ func (t *TCP) handleResume(conn net.Conn) error {
 	if failed {
 		return fmt.Errorf("transport: resume for escalated link %d<->%d", hs.To, hs.From)
 	}
-	// v4 peers are told the current dimension (a lagging dialer grows on
-	// seeing a larger echo); v3 peers get their own dimension back and
-	// keep working on the old cube.
-	echoDim := t.dim()
-	if ver < wire.Version4 {
-		echoDim = hs.Dim
-	}
-	echo := wire.Hello{
-		Handshake: wire.Handshake{Dim: echoDim, From: hs.To, To: hs.From},
-		Resilient: true,
-		RecvSeq:   recv,
-		// Same caps on both sides as the original handshake, so the resume
-		// renegotiates to the same version the link already runs at.
-		Version: ver,
-	}
+	// The echo carries the current dimension: a lagging dialer grows on
+	// seeing a larger one.
+	echo := wire.Hello{Dim: t.dim(), From: hs.To, To: hs.From, Resilient: true, RecvSeq: recv}
 	if _, err := conn.Write(wire.AppendHello(nil, echo)); err != nil {
 		return err
 	}
@@ -1592,22 +1302,20 @@ func (l *link) ensureLocked(n int) {
 // flusher; an oversized queue flushes synchronously for backpressure.
 //
 // Three encode paths, picked per message:
-//   - payloads >= zcThreshold: vectored — headers into the block,
-//     payload bytes queued by reference (no copy; the payload must stay
+//   - a part >= zcThreshold: vectored — headers into the block, payload
+//     bytes queued by reference (no copy; the payload must stay
 //     unmodified until flushed, which the collectives guarantee: they
 //     never mutate a buffer they handed to Send);
-//   - small messages on a v2 link: appended to an open batch frame in
-//     the block (one header + one CRC per batch);
-//   - small messages on a v1 link: one classic contiguous frame each.
+//   - small parts only, but more of them than a block holds: one
+//     contiguous frame in a segment of its own;
+//   - everything else: appended to an open batch frame in the block (one
+//     header + one CRC per batch).
 //
 // Fault outcomes that damage the wire image (corrupt, duplicate) always
 // use the contiguous path so the corruption flips a real encoded byte.
 func (l *link) send(msg mpx.Message, out fault.Outcome) error {
 	if l.r != nil {
 		return l.sendResilient(msg, out)
-	}
-	if l.striped {
-		return l.sendStriped(msg, out)
 	}
 	l.mu.Lock()
 	if l.err != nil {
@@ -1625,10 +1333,10 @@ func (l *link) send(msg mpx.Message, out fault.Outcome) error {
 		l.queueFaultyLocked(msg, out)
 	case bulk:
 		l.sealBatchLocked()
-		over := wire.VecOverhead(l.ver, msg)
+		over := wire.VecOverhead(wire.MaxVersion, msg)
 		l.ensureLocked(over)
 		l.closeSpanLocked()
-		*l.cur, l.outSegs = wire.AppendFrameVec(*l.cur, l.outSegs, l.ver, msg)
+		*l.cur, l.outSegs = wire.AppendFrameVec(*l.cur, l.outSegs, wire.MaxVersion, msg)
 		l.spanFrom = len(*l.cur)
 		l.queued += over + msg.Size()
 		l.qframes++
@@ -1639,12 +1347,12 @@ func (l *link) send(msg mpx.Message, out fault.Outcome) error {
 		// iovec entry instead of hundreds).
 		l.sealBatchLocked()
 		l.closeSpanLocked()
-		buf := wire.AppendFrameV(make([]byte, 0, wire.BatchMsgSize(msg)+6), l.ver, msg)
+		buf := wire.AppendFrameV(make([]byte, 0, wire.BatchMsgSize(msg)+6), wire.MaxVersion, msg)
 		l.outSegs = append(l.outSegs, buf)
 		l.queued += len(buf)
 		l.qframes++
 		l.t.framesSent.Add(1)
-	case l.ver >= wire.Version2:
+	default:
 		need := wire.BatchMsgSize(msg)
 		l.ensureLocked(need + wire.BatchOverhead)
 		if l.batchAt < 0 {
@@ -1655,37 +1363,11 @@ func (l *link) send(msg mpx.Message, out fault.Outcome) error {
 		}
 		*l.cur = wire.AppendBatchMsg(*l.cur, msg)
 		l.queued += need
-	default:
-		need := wire.BatchMsgSize(msg) + 6 // version+kind+CRC around the uvarint-framed body
-		l.ensureLocked(need)
-		*l.cur = wire.AppendFrameV(*l.cur, l.ver, msg)
-		l.queued += need
-		l.qframes++
-		l.t.framesSent.Add(1)
 	}
 	big := l.queued >= coalesceLimit
-	// With BatchHold configured, small v2 sends arm a hold window
-	// instead of flushing on idle: messages from every job sharing the
-	// link pile into the open batch frame until the timer kicks the
-	// flusher (or the queue grows big enough to flush for backpressure).
-	hold := false
-	if d := l.t.opt.BatchHold; d > 0 && !bulk && !big && l.ver >= wire.Version2 && !(out.Corrupt || out.Duplicate) {
-		hold = true
-		if !l.holdArmed {
-			l.holdArmed = true
-			if l.holdTimer == nil {
-				l.holdTimer = time.AfterFunc(d, l.holdExpire)
-			} else {
-				l.holdTimer.Reset(d)
-			}
-		}
-	}
 	l.mu.Unlock()
 	if big {
 		return l.flush()
-	}
-	if hold {
-		return nil
 	}
 	// Non-bulk messages flush inline when the writer is idle: the
 	// TryLock succeeds exactly when no flush is in progress, so a lone
@@ -1699,15 +1381,6 @@ func (l *link) send(msg mpx.Message, out fault.Outcome) error {
 	}
 	l.kickFlusher()
 	return nil
-}
-
-// holdExpire ends a BatchHold window: the queued batch goes to the
-// flusher.
-func (l *link) holdExpire() {
-	l.mu.Lock()
-	l.holdArmed = false
-	l.mu.Unlock()
-	l.kickFlusher()
 }
 
 // queueFaultyLocked encodes a contiguous frame for a corrupt and/or
@@ -1724,13 +1397,13 @@ func (l *link) queueFaultyLocked(msg mpx.Message, out fault.Outcome) {
 		if need+4 > blockSize {
 			l.sealBatchLocked()
 			l.closeSpanLocked()
-			frame = wire.AppendFrameV(make([]byte, 0, need), l.ver, msg)
+			frame = wire.AppendFrameV(make([]byte, 0, need), wire.MaxVersion, msg)
 			l.outSegs = append(l.outSegs, frame)
 		} else {
 			l.ensureLocked(need)
 			l.sealBatchLocked()
 			start := len(*l.cur)
-			*l.cur = wire.AppendFrameV(*l.cur, l.ver, msg)
+			*l.cur = wire.AppendFrameV(*l.cur, wire.MaxVersion, msg)
 			frame = (*l.cur)[start:]
 		}
 		if i == 0 && out.Corrupt {
@@ -1744,131 +1417,6 @@ func (l *link) queueFaultyLocked(msg mpx.Message, out fault.Outcome) {
 		l.queued += len(frame)
 		l.qframes++
 		l.t.framesSent.Add(1)
-	}
-}
-
-// sendStriped is the owner-side send path of a striped link. Every
-// message gets a link-level sequence number (assigned under the owner's
-// mu, so the sender-visible order IS the sequence order) and rides one
-// of the parallel connections: bulk messages round-robin across all of
-// them — that is the striping — while small messages stay on the
-// primary, whose inline flush keeps the latency chains short. The
-// receive side reassembles by sequence, so which connection a frame
-// lands on (and any cross-connection reordering) is invisible above
-// the transport.
-func (l *link) sendStriped(msg mpx.Message, out fault.Outcome) error {
-	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	l.sseq++
-	seq := l.sseq
-	l.mu.Unlock()
-
-	bulk := maxPartLen(msg) >= zcThreshold
-	target := l
-	if bulk {
-		if i := int(l.stripeRR.Add(1)) % (1 + len(l.stripes)); i > 0 {
-			target = l.stripes[i-1]
-		}
-	}
-	big, err := target.queueSeq(seq, msg, out, bulk)
-	if err != nil {
-		return err
-	}
-	if big {
-		target.wmu.Lock()
-		return target.flushWLocked()
-	}
-	if !bulk && target.wmu.TryLock() {
-		return target.flushWLocked()
-	}
-	target.kickFlusher()
-	return nil
-}
-
-// queueSeq queues one sequenced frame on this (owner or stripe sub-)
-// link's plain write queue. Returns whether the queue grew big enough
-// to warrant a synchronous backpressure flush. Batching never applies:
-// every message on a striped link is its own KindSeqData frame, because
-// the receive side reorders by per-frame sequence.
-func (l *link) queueSeq(seq uint64, msg mpx.Message, out fault.Outcome, bulk bool) (bool, error) {
-	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return false, err
-	}
-	switch {
-	case out.Corrupt || out.Duplicate:
-		copies := 1
-		if out.Duplicate {
-			copies = 2
-		}
-		for i := 0; i < copies; i++ {
-			frame := wire.AppendSeqFrameV(nil, l.ver, seq, msg)
-			if i == 0 && out.Corrupt {
-				if b := wire.BodyStart(frame); b >= 0 && b < len(frame)-4 {
-					frame[b] ^= 0xFF
-				}
-			}
-			l.outSegs = append(l.outSegs, frame)
-			l.queued += len(frame)
-			l.qframes++
-			l.t.framesSent.Add(1)
-		}
-	case bulk:
-		over := wire.SeqVecOverhead(l.ver, seq, msg)
-		l.ensureLocked(over)
-		l.closeSpanLocked()
-		*l.cur, l.outSegs = wire.AppendSeqFrameVec(*l.cur, l.outSegs, l.ver, seq, msg)
-		l.spanFrom = len(*l.cur)
-		l.queued += over + msg.Size()
-		l.qframes++
-		l.t.framesSent.Add(1)
-	default:
-		frame := wire.AppendSeqFrameV(nil, l.ver, seq, msg)
-		l.outSegs = append(l.outSegs, frame)
-		l.queued += len(frame)
-		l.qframes++
-		l.t.framesSent.Add(1)
-	}
-	big := l.queued >= coalesceLimit
-	l.mu.Unlock()
-	return big, nil
-}
-
-// deliverStriped reassembles the striped link's sequence stream: frames
-// arriving on any of the parallel connections park in pending until
-// their turn, then drain to the inbox in order. smu serializes the
-// drains across the per-connection read pumps; holding it while the
-// inbox is full is deliberate backpressure (Close unblocks deliver).
-// Returns false when the transport shut down.
-func (l *link) deliverStriped(seq uint64, msg mpx.Message) bool {
-	l.smu.Lock()
-	defer l.smu.Unlock()
-	if seq < l.nextDeliver {
-		// A duplicate (fault injection): already delivered, drop.
-		l.t.dupsDropped.Add(1)
-		return true
-	}
-	if seq != l.nextDeliver {
-		l.pending[seq] = msg
-		return true
-	}
-	for {
-		if !l.deliver(msg) {
-			return false
-		}
-		l.nextDeliver++
-		next, ok := l.pending[l.nextDeliver]
-		if !ok {
-			return true
-		}
-		delete(l.pending, l.nextDeliver)
-		msg = next
 	}
 }
 
@@ -1900,7 +1448,7 @@ func (l *link) sendResilient(msg mpx.Message, out fault.Outcome) error {
 	r.sendSeq++
 	sf := seqFrame{
 		seq:     r.sendSeq,
-		frame:   wire.AppendSeqFrameV(nil, l.ver, r.sendSeq, msg),
+		frame:   wire.AppendSeqFrame(nil, r.sendSeq, msg),
 		corrupt: out.Corrupt,
 		dup:     out.Duplicate,
 	}
@@ -2124,13 +1672,8 @@ func (l *link) flushResilientWLocked() {
 }
 
 // fail records the first escalated failure on this link (sticky) as a
-// PeerError and wakes any sender blocked on the replay window. A stripe
-// sub-link's failure escalates on its owner: one dead stripe is a dead
-// link.
+// PeerError and wakes any sender blocked on the replay window.
 func (l *link) fail(err error) error {
-	if l.owner != nil {
-		return l.owner.fail(err)
-	}
 	l.mu.Lock()
 	if l.err == nil {
 		l.err = &mpx.PeerError{Self: l.self, Peer: l.peer, Err: err}
@@ -2327,12 +1870,7 @@ func (l *link) resumeHandshake(conn net.Conn, deadline time.Time) (uint64, error
 	l.mu.Lock()
 	recv := l.r.recvSeq
 	l.mu.Unlock()
-	hello := wire.Hello{
-		Handshake: wire.Handshake{Dim: l.t.dim(), From: l.self, To: l.peer},
-		Resilient: true,
-		RecvSeq:   recv,
-		Version:   byte(l.t.opt.WireVersion),
-	}
+	hello := wire.Hello{Dim: l.t.dim(), From: l.self, To: l.peer, Resilient: true, RecvSeq: recv}
 	if _, err := conn.Write(wire.AppendHello(nil, hello)); err != nil {
 		return 0, fmt.Errorf("resume handshake write: %w", err)
 	}
@@ -2341,20 +1879,15 @@ func (l *link) resumeHandshake(conn net.Conn, deadline time.Time) (uint64, error
 		return 0, fmt.Errorf("resume handshake reply: %w", err)
 	}
 	if echo.Resilient && echo.From == l.peer && echo.To == l.self &&
-		echo.Dim > l.t.dim() && l.t.memberMode() && l.ver >= wire.Version4 {
+		echo.Dim > l.t.dim() && l.t.memberMode() {
 		// The peer grew while this link was down: its echo carries the
 		// mesh's new dimension. Widen before resuming — the link itself
 		// is dimension-agnostic (its port never changes).
-		if l.t.GrowTo(echo.Dim) {
-			l.t.floodGrow(echo.Dim)
-		}
+		l.t.growFromWire(echo.Dim)
 	}
 	if !echo.Resilient || echo.Dim != l.t.dim() || echo.From != l.peer || echo.To != l.self {
 		return 0, fmt.Errorf("resume handshake: peer answered as node %d of a %d-cube (resilient=%v)",
 			echo.From, echo.Dim, echo.Resilient)
-	}
-	if echo.Version != l.ver {
-		return 0, fmt.Errorf("resume handshake: peer renegotiated wire version %d, link runs at %d", echo.Version, l.ver)
 	}
 	conn.SetDeadline(time.Time{})
 	return echo.RecvSeq, nil
@@ -2398,14 +1931,6 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 				l.noteGap()
 				continue
 			}
-			if l.striped || l.owner != nil {
-				// A striped link has no replay protocol: a dropped frame
-				// would stall the reorder stream forever, so corruption is
-				// fatal, exactly like a lost connection on a plain link.
-				l.fail(errors.New("corrupt frame on a striped link"))
-				l.t.Close()
-				return
-			}
 			continue
 		case errors.Is(err, wire.ErrBye):
 			l.peerBye()
@@ -2437,13 +1962,6 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 				l.t.Close()
 				return
 			}
-			if l.striped || l.owner != nil {
-				// Every frame on a striped link carries a sequence; an
-				// unsequenced frame means the peer did not enable striping.
-				l.fail(errors.New("unsequenced frame on a striped link (stripe config mismatch?)"))
-				l.t.Close()
-				return
-			}
 			msg = fr.Msg
 		case wire.KindBatch:
 			if l.r != nil {
@@ -2451,11 +1969,6 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 				// batch cannot carry a sequence number, so its presence is
 				// the same unhealable violation as a plain data frame.
 				l.fail(errors.New("batch frame on a resilient link"))
-				l.t.Close()
-				return
-			}
-			if l.striped || l.owner != nil {
-				l.fail(errors.New("batch frame on a striped link (stripe config mismatch?)"))
 				l.t.Close()
 				return
 			}
@@ -2467,19 +1980,9 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 			continue
 		case wire.KindSeqData:
 			if l.r == nil {
-				owner := l.owner
-				if owner == nil {
-					owner = l
-				}
-				if !owner.striped {
-					l.fail(errors.New("sequenced frame on a plain link"))
-					l.t.Close()
-					return
-				}
-				if !owner.deliverStriped(fr.Seq, fr.Msg) {
-					return
-				}
-				continue
+				l.fail(errors.New("sequenced frame on a plain link"))
+				l.t.Close()
+				return
 			}
 			if !l.admitSeq(fr.Seq) {
 				continue
@@ -2503,9 +2006,7 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 			// because GrowTo is idempotent — only an actual widening
 			// propagates). Ignored outside member mode.
 			if dim, err := wire.DecodeGrow(fr.Body); err == nil && l.t.memberMode() {
-				if l.t.GrowTo(dim) {
-					l.t.floodGrow(dim)
-				}
+				l.t.growFromWire(dim)
 			}
 			continue
 		case wire.KindAttach:
@@ -2530,8 +2031,8 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 // the next in-order sequence number and nothing else — a duplicate or a
 // frame behind a gap is read into scratch and discarded as before — so
 // that a landing slice is written by the one delivery it was handed out
-// for, and by that frame's retransmit after a checksum drop. Plain and
-// striped links deliver every frame they accept.
+// for, and by that frame's retransmit after a checksum drop. Plain
+// links deliver every frame they accept.
 func (l *link) land(seq uint64, tag, nparts, offset, n int) []byte {
 	if l.r != nil {
 		l.mu.Lock()
@@ -2720,9 +2221,6 @@ func (t *TCP) Close() error {
 		t.ln.Close()
 		dirty := t.closingDirty()
 		for _, l := range t.allLinks() {
-			for _, s := range l.stripes {
-				s.shutdown(dirty)
-			}
 			l.shutdown(dirty)
 		}
 		if t.udsDir != "" {

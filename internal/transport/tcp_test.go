@@ -156,7 +156,7 @@ func TestTCPHandshakeRejectsDimMismatch(t *testing.T) {
 	}
 	defer conn.Close()
 	// Claim to be node 0 of a 4-cube.
-	if _, err := conn.Write(wire.AppendHandshake(nil, wire.Handshake{Dim: 4, From: 0, To: 1})); err != nil {
+	if _, err := conn.Write(wire.AppendHello(nil, wire.Hello{Dim: 4, From: 0, To: 1})); err != nil {
 		t.Fatal(err)
 	}
 	err = <-connectErr
@@ -260,11 +260,11 @@ func TestTCPFaultPeerCrashSurfacesPeerError(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if _, err := wire.ReadHandshake(conn); err != nil {
+		if _, err := wire.ReadHello(conn); err != nil {
 			conn.Close()
 			return
 		}
-		conn.Write(wire.AppendHandshake(nil, wire.Handshake{Dim: 1, From: 1, To: 0}))
+		conn.Write(wire.AppendHello(nil, wire.Hello{Dim: 1, From: 1, To: 0}))
 		time.Sleep(50 * time.Millisecond) // let Connect finish
 		conn.Close()                      // crash: no BYE
 	}()
@@ -350,103 +350,5 @@ func TestTCPNoGoroutineLeak(t *testing.T) {
 	}
 	for _, tr := range trs {
 		tr.Close()
-	}
-}
-
-// meshVers is mesh with a per-endpoint wire-version cap and optional
-// resilience, for mixed-version interop tests.
-func meshVers(t *testing.T, dim int, hosts [][]cube.NodeID, vers []int, res ResilienceOptions) []*TCP {
-	t.Helper()
-	trs := make([]*TCP, len(hosts))
-	peers := make([]string, 1<<uint(dim))
-	for i, locals := range hosts {
-		tr, err := NewTCP(TCPOptions{
-			Dim: dim, Locals: locals, HandshakeTimeout: 10 * time.Second,
-			WireVersion: vers[i], Resilience: res,
-		})
-		if err != nil {
-			t.Fatalf("NewTCP(%v, v%d): %v", locals, vers[i], err)
-		}
-		trs[i] = tr
-		t.Cleanup(func() { tr.Close() })
-		for _, id := range locals {
-			peers[id] = tr.Addr()
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(trs))
-	for i, tr := range trs {
-		wg.Add(1)
-		go func(i int, tr *TCP) {
-			defer wg.Done()
-			errs[i] = tr.Connect(peers)
-		}(i, tr)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("Connect endpoint %d: %v", i, err)
-		}
-	}
-	return trs
-}
-
-// TestTCPMixedWireVersions runs a 2-cube where half the endpoints cap
-// the wire at v1 and half speak v2: every link must negotiate
-// min(caps), traffic must flow on all of them, and the v2-only batch
-// frame must never reach a v1 peer. Covers plain and resilient modes.
-func TestTCPMixedWireVersions(t *testing.T) {
-	if wire.MaxVersion < wire.Version2 {
-		t.Skip("no v2 to mix")
-	}
-	dim := 2
-	hosts := make([][]cube.NodeID, 1<<uint(dim))
-	for i := range hosts {
-		hosts[i] = []cube.NodeID{cube.NodeID(i)}
-	}
-	vers := []int{1, 2, 1, 2} // edges 0-1, 0-2, 2-3 negotiate v1; 1-3 runs v2
-	for _, mode := range []string{"plain", "resilient"} {
-		t.Run(mode, func(t *testing.T) {
-			testleak.Check(t)
-			var res ResilienceOptions
-			if mode == "resilient" {
-				res = fastResilience()
-			}
-			trs := meshVers(t, dim, hosts, vers, res)
-			if err := runAll(trs, neighborExchange); err != nil {
-				t.Fatal(err)
-			}
-			for i, tr := range trs {
-				for port := 0; port < dim; port++ {
-					l := tr.links[tr.linkIndex(cube.NodeID(i), port)]
-					if l == nil {
-						t.Fatalf("endpoint %d port %d: no link", i, port)
-					}
-					peer := i ^ (1 << uint(port))
-					want := byte(vers[i])
-					if vers[peer] < vers[i] {
-						want = byte(vers[peer])
-					}
-					if l.ver != want {
-						t.Errorf("link %d-%d negotiated v%d, want v%d", i, peer, l.ver, want)
-					}
-				}
-				st := tr.Stats()
-				if st.BytesSent == 0 || st.FramesSent == 0 || st.BytesReceived == 0 || st.FramesReceived == 0 {
-					t.Errorf("endpoint %d: byte/frame counters not advancing: %+v", i, st)
-				}
-				if st.PayloadDelivered == 0 {
-					t.Errorf("endpoint %d: PayloadDelivered = 0 after exchange", i)
-				}
-			}
-			for _, tr := range trs {
-				tr.Close()
-				for _, id := range tr.Locals() {
-					if err := tr.PeerError(id); err != nil {
-						t.Errorf("node %d: peer error after graceful mixed-version run: %v", id, err)
-					}
-				}
-			}
-		})
 	}
 }

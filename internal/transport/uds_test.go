@@ -12,8 +12,8 @@ import (
 )
 
 // meshWith builds a connected full-cube mesh like mesh, but lets the
-// caller shape each endpoint's TCPOptions (network family, striping,
-// resilience) before NewTCP.
+// caller shape each endpoint's TCPOptions (network family, resilience)
+// before NewTCP.
 func meshWith(t *testing.T, dim int, hosts [][]cube.NodeID, shape func(*TCPOptions)) []*TCP {
 	t.Helper()
 	trs := make([]*TCP, len(hosts))
@@ -89,80 +89,6 @@ func TestUDSMixedFamilies(t *testing.T) {
 	})
 	if err := runAll(trs, neighborExchange); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStripedExchange(t *testing.T) {
-	for _, network := range []string{"tcp", "unix"} {
-		t.Run(network, func(t *testing.T) {
-			trs := meshWith(t, 2, hostsOnePerNode(2), func(o *TCPOptions) {
-				o.Network = network
-				o.Stripes = 3
-			})
-			if err := runAll(trs, neighborExchange); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestStripedOrdering interleaves bulk payloads (which round-robin over
-// the parallel connections) with small control messages (which stay on
-// the primary) on one link and checks the receiver observes exactly the
-// send order — the reassembly contract striping must preserve.
-func TestStripedOrdering(t *testing.T) {
-	const msgs = 200
-	trs := meshWith(t, 1, hostsOnePerNode(1), func(o *TCPOptions) { o.Stripes = 4 })
-	if len(trs[0].links[0].stripes) != 3 && len(trs[1].links[0].stripes) != 3 {
-		t.Fatalf("no endpoint attached 3 stripe sub-links")
-	}
-	err := runAll(trs, func(nd *mpx.Node) error {
-		if nd.ID == 0 {
-			for i := 0; i < msgs; i++ {
-				data := []byte{byte(i)}
-				if i%3 == 0 {
-					// Every third message is bulk. Each send gets its own
-					// buffer: payloads are queued by reference and must stay
-					// unmodified until flushed.
-					data = make([]byte, 8<<10)
-					data[0] = byte(i)
-				}
-				nd.Send(0, mpx.Message{Tag: i, Parts: []mpx.Part{{Dest: 1, Data: data}}})
-			}
-			return nil
-		}
-		for i := 0; i < msgs; i++ {
-			env, ok := nd.RecvTimeout(10 * time.Second)
-			if !ok {
-				return fmt.Errorf("timed out waiting for message %d", i)
-			}
-			if env.Tag != i {
-				return fmt.Errorf("message %d arrived with tag %d: striped reordering leaked through", i, env.Tag)
-			}
-			if env.Parts[0].Data[0] != byte(i) {
-				return fmt.Errorf("message %d carries payload byte %d", i, env.Parts[0].Data[0])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStripesRejectResilience(t *testing.T) {
-	_, err := NewTCP(TCPOptions{
-		Dim: 1, Locals: []cube.NodeID{0}, Stripes: 2,
-		Resilience: ResilienceOptions{Enabled: true},
-	})
-	if err == nil {
-		t.Fatal("NewTCP accepted striping combined with resilience")
-	}
-}
-
-func TestStripesRejectOutOfRange(t *testing.T) {
-	if _, err := NewTCP(TCPOptions{Dim: 1, Locals: []cube.NodeID{0}, Stripes: MaxStripes + 1}); err == nil {
-		t.Fatal("NewTCP accepted Stripes above MaxStripes")
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 	"repro/internal/mpx"
 )
 
-// benchMsg is the broadcast-shaped workload: one 64 KiB part, the same
-// payload BENCH_3/BENCH_5 push per MSBT chunk round.
+// benchMsg is the broadcast-shaped workload: one 64 KiB part.
 func benchMsg() mpx.Message {
 	return mpx.Message{Tag: 7, Parts: []mpx.Part{
 		{Dest: 3, Offset: 128, Data: bytes.Repeat([]byte{0xA5}, 64<<10), Sum: 0xFEEDFACE},
@@ -28,38 +27,32 @@ func benchSmallMsgs() []mpx.Message {
 	return msgs
 }
 
-func benchAppendFrame(b *testing.B, ver byte) {
+func BenchmarkAppendFrame(b *testing.B) {
 	b.ReportAllocs()
 	msg := benchMsg()
-	buf := AppendFrameV(nil, ver, msg)
+	buf := appendFrame(nil, msg)
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = AppendFrameV(buf[:0], ver, msg)
+		buf = appendFrame(buf[:0], msg)
 	}
 }
 
-func BenchmarkAppendFrameV1(b *testing.B) { benchAppendFrame(b, Version1) }
-func BenchmarkAppendFrameV2(b *testing.B) { benchAppendFrame(b, Version2) }
-
 // BenchmarkAppendFrameVec measures the vectored encoder: header bytes
 // into a reused block, payload by reference, CRC streamed across both.
-func benchAppendFrameVec(b *testing.B, ver byte) {
+func BenchmarkAppendFrameVec(b *testing.B) {
 	b.ReportAllocs()
 	msg := benchMsg()
-	over := VecOverhead(ver, msg)
+	over := VecOverhead(MaxVersion, msg)
 	blk := make([]byte, 0, over)
 	segs := make([][]byte, 0, 4)
 	b.SetBytes(int64(over + len(msg.Parts[0].Data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blk, segs = AppendFrameVec(blk[:0], segs[:0], ver, msg)
+		blk, segs = AppendFrameVec(blk[:0], segs[:0], MaxVersion, msg)
 	}
 	_ = blk
 }
-
-func BenchmarkAppendFrameVecV1(b *testing.B) { benchAppendFrameVec(b, Version1) }
-func BenchmarkAppendFrameVecV2(b *testing.B) { benchAppendFrameVec(b, Version2) }
 
 // BenchmarkAppendBatch measures sealing 16 scatter-sized messages into
 // one batch frame: one header, one CRC for the lot.
@@ -97,10 +90,7 @@ func benchDecodeAny(b *testing.B, frame []byte) {
 	}
 }
 
-func BenchmarkDecodeFrameV1(b *testing.B) { benchDecodeAny(b, AppendFrame(nil, benchMsg())) }
-func BenchmarkDecodeFrameV2(b *testing.B) {
-	benchDecodeAny(b, AppendFrameV(nil, Version2, benchMsg()))
-}
+func BenchmarkDecodeFrame(b *testing.B) { benchDecodeAny(b, appendFrame(nil, benchMsg())) }
 
 func BenchmarkDecodeBatch(b *testing.B) {
 	buf, st := BeginBatch(nil)
@@ -114,7 +104,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 // Reader with the reusable Frame, as the TCP read pump runs warm.
 func BenchmarkReadAnyInto(b *testing.B) {
 	b.ReportAllocs()
-	frame := AppendSeqFrameV(nil, Version2, 1, benchMsg())
+	frame := AppendSeqFrame(nil, 1, benchMsg())
 	b.SetBytes(int64(len(frame)))
 	rd := bytes.NewReader(frame)
 	r := NewReader(rd)
@@ -131,26 +121,23 @@ func BenchmarkReadAnyInto(b *testing.B) {
 // TestEncodeDecodeZeroAllocsWarm is the wire-layer zero-alloc guard the
 // issue asks for: once buffers exist, encoding (contiguous, vectored
 // and batch) and decoding (DecodeAnyInto, ReadAnyInto) allocate nothing
-// per frame at either version.
+// per frame.
 func TestEncodeDecodeZeroAllocsWarm(t *testing.T) {
 	msg := benchMsg()
 	small := benchSmallMsgs()
 
-	for _, ver := range []byte{Version1, Version2} {
-		buf := AppendFrameV(nil, ver, msg)
-		if n := testing.AllocsPerRun(100, func() {
-			buf = AppendFrameV(buf[:0], ver, msg)
-		}); n != 0 {
-			t.Errorf("AppendFrameV v%d: %.0f allocs/op warm, want 0", ver, n)
-		}
-		over := VecOverhead(ver, msg)
-		blk := make([]byte, 0, over)
-		segs := make([][]byte, 0, 4)
-		if n := testing.AllocsPerRun(100, func() {
-			blk, segs = AppendFrameVec(blk[:0], segs[:0], ver, msg)
-		}); n != 0 {
-			t.Errorf("AppendFrameVec v%d: %.0f allocs/op warm, want 0", ver, n)
-		}
+	buf := appendFrame(nil, msg)
+	if n := testing.AllocsPerRun(100, func() {
+		buf = appendFrame(buf[:0], msg)
+	}); n != 0 {
+		t.Errorf("AppendFrameV: %.0f allocs/op warm, want 0", n)
+	}
+	blk := make([]byte, 0, VecOverhead(MaxVersion, msg))
+	segs := make([][]byte, 0, 4)
+	if n := testing.AllocsPerRun(100, func() {
+		blk, segs = AppendFrameVec(blk[:0], segs[:0], MaxVersion, msg)
+	}); n != 0 {
+		t.Errorf("AppendFrameVec: %.0f allocs/op warm, want 0", n)
 	}
 
 	batch, st := BeginBatch(nil)
@@ -169,9 +156,8 @@ func TestEncodeDecodeZeroAllocsWarm(t *testing.T) {
 	}
 
 	for _, frame := range [][]byte{
-		AppendFrame(nil, msg),
-		AppendFrameV(nil, Version2, msg),
-		AppendSeqFrameV(nil, Version2, 9, msg),
+		appendFrame(nil, msg),
+		AppendSeqFrame(nil, 9, msg),
 		batch,
 	} {
 		var fr Frame
@@ -186,7 +172,7 @@ func TestEncodeDecodeZeroAllocsWarm(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("DecodeAnyInto kind=%d ver=%d: %.0f allocs/op warm, want 0", fr.Kind, fr.Ver, n)
+			t.Errorf("DecodeAnyInto kind=%d: %.0f allocs/op warm, want 0", fr.Kind, n)
 		}
 
 		rd := bytes.NewReader(frame)
@@ -201,7 +187,7 @@ func TestEncodeDecodeZeroAllocsWarm(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("ReadAnyInto kind=%d ver=%d: %.0f allocs/op warm, want 0", rfr.Kind, rfr.Ver, n)
+			t.Errorf("ReadAnyInto kind=%d: %.0f allocs/op warm, want 0", rfr.Kind, n)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"testing"
@@ -10,71 +11,32 @@ import (
 	"repro/internal/mpx"
 )
 
-// TestFrameV2RoundTrip: every sample message round-trips at version 2
-// (plain and sequenced), and the v2 encodings differ from v1 only in
-// the version byte and the CRC trailer.
-func TestFrameV2RoundTrip(t *testing.T) {
-	for i, msg := range sampleMessages() {
-		for _, seq := range []uint64{0, 42} {
-			var frame []byte
-			if seq == 0 {
-				frame = AppendFrameV(nil, Version2, msg)
-			} else {
-				frame = AppendSeqFrameV(nil, Version2, seq, msg)
-			}
-			fr, n, err := DecodeAny(frame)
-			if err != nil {
-				t.Fatalf("msg %d seq %d: %v", i, seq, err)
-			}
-			if n != len(frame) || fr.Ver != Version2 || fr.Seq != seq || !msgEqual(fr.Msg, msg) {
-				t.Fatalf("msg %d seq %d: round trip mismatch (n=%d ver=%d seq=%d)", i, seq, n, fr.Ver, fr.Seq)
-			}
-		}
-		v1 := AppendFrame(nil, msg)
-		v2 := AppendFrameV(nil, Version2, msg)
-		if len(v1) != len(v2) {
-			t.Fatalf("msg %d: v1/v2 length differ: %d vs %d", i, len(v1), len(v2))
-		}
-		if !bytes.Equal(v1[1:len(v1)-4], v2[1:len(v2)-4]) {
-			t.Fatalf("msg %d: v1/v2 differ beyond version byte and CRC", i)
-		}
-		if bytes.Equal(v1[len(v1)-4:], v2[len(v2)-4:]) && len(v1) > 6 {
-			t.Fatalf("msg %d: v1 and v2 CRCs coincide — polynomial not switched?", i)
+// TestChecksumIsCRC32C pins the polynomial: the four trailer bytes of
+// every checksummed frame kind are the little-endian CRC-32C
+// (Castagnoli) of its body, and folding the body in pieces gives the
+// same sum as one pass.
+func TestChecksumIsCRC32C(t *testing.T) {
+	crc32c := crc32.MakeTable(crc32.Castagnoli)
+	msg := sampleMessages()[3]
+	batch, st := BeginBatch(nil)
+	batch = SealBatch(AppendBatchMsg(batch, msg), st)
+	for name, frame := range map[string][]byte{
+		"data":   appendFrame(nil, msg),
+		"seq":    AppendSeqFrame(nil, 42, msg),
+		"member": AppendMemberFrame(nil, KindView, bytes.Repeat([]byte{3}, 40)),
+	} {
+		_, k := binary.Uvarint(frame[2:]) // the body length
+		body := frame[2+k : len(frame)-4]
+		if got, want := binary.LittleEndian.Uint32(frame[len(frame)-4:]), crc32.Checksum(body, crc32c); got != want {
+			t.Fatalf("%s frame: trailer %#x, want CRC-32C %#x", name, got, want)
 		}
 	}
-}
-
-// TestChecksumDispatch pins the polynomial choice: version 1 frames use
-// CRC-32 IEEE, version 2 frames use CRC-32C (Castagnoli).
-func TestChecksumDispatch(t *testing.T) {
-	body := []byte("the quick brown fox")
-	if got, want := checksum(Version1, body), crc32.ChecksumIEEE(body); got != want {
-		t.Fatalf("v1 checksum = %#x, want IEEE %#x", got, want)
+	body := batch[6 : len(batch)-4]
+	if got, want := binary.LittleEndian.Uint32(batch[len(batch)-4:]), crc32.Checksum(body, crc32c); got != want {
+		t.Fatalf("batch frame: trailer %#x, want CRC-32C %#x", got, want)
 	}
-	if got, want := checksum(Version2, body), crc32.Checksum(body, castagnoli); got != want {
-		t.Fatalf("v2 checksum = %#x, want Castagnoli %#x", got, want)
-	}
-	// Incremental must agree with one-shot for both versions.
-	for _, ver := range []byte{Version1, Version2} {
-		crc := checksumUpdate(ver, 0, body[:7])
-		crc = checksumUpdate(ver, crc, body[7:])
-		if crc != checksum(ver, body) {
-			t.Fatalf("v%d incremental checksum disagrees with one-shot", ver)
-		}
-	}
-}
-
-func TestNegotiateVersion(t *testing.T) {
-	cases := []struct{ a, b, want byte }{
-		{Version1, Version1, Version1},
-		{Version1, Version2, Version1},
-		{Version2, Version1, Version1},
-		{Version2, Version2, Version2},
-	}
-	for _, c := range cases {
-		if got := NegotiateVersion(c.a, c.b); got != c.want {
-			t.Fatalf("NegotiateVersion(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
-		}
+	if crc := checksumUpdate(checksumUpdate(0, body[:7]), body[7:]); crc != checksum(body) {
+		t.Fatal("incremental checksum disagrees with one-shot")
 	}
 }
 
@@ -100,8 +62,8 @@ func TestBatchRoundTrip(t *testing.T) {
 	if n != len(frame)-len("prefix") {
 		t.Fatalf("consumed %d of %d", n, len(frame)-len("prefix"))
 	}
-	if fr.Kind != KindBatch || fr.Ver != Version2 || len(fr.Msgs) != len(msgs) {
-		t.Fatalf("kind=%d ver=%d msgs=%d, want batch/v2/%d", fr.Kind, fr.Ver, len(fr.Msgs), len(msgs))
+	if fr.Kind != KindBatch || len(fr.Msgs) != len(msgs) {
+		t.Fatalf("kind=%d msgs=%d, want batch/%d", fr.Kind, len(fr.Msgs), len(msgs))
 	}
 	for i := range msgs {
 		if !msgEqual(fr.Msgs[i], msgs[i]) {
@@ -114,8 +76,8 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchRejects: empty batches decode to zero messages; corrupt,
-// truncated and mislabeled batches are rejected.
+// TestBatchRejects: empty batches decode to zero messages; corrupt and
+// truncated batches are rejected.
 func TestBatchRejects(t *testing.T) {
 	frame, start := BeginBatch(nil)
 	frame = SealBatch(frame, start)
@@ -136,21 +98,16 @@ func TestBatchRejects(t *testing.T) {
 	if _, _, err := DecodeAny(frame[:len(frame)-5]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated batch: err=%v, want ErrTruncated", err)
 	}
-	// A batch labeled version 1 is a protocol violation: v1 never batches.
-	v1 := append([]byte(nil), frame...)
-	v1[0] = Version1
-	if _, _, err := DecodeAny(v1); err == nil {
-		t.Fatal("version-1 batch frame accepted")
-	}
 }
 
 // TestAppendFrameVec: the vectored encoder's segments, concatenated,
-// are byte-identical to the contiguous encoding at both versions, the
-// payload segments alias the parts' own Data slices (no copy), and
+// are byte-identical to the contiguous encoding, the payload segments alias the parts' own Data slices (no copy), and
 // VecOverhead predicts exactly the bytes landing in the block.
 func TestAppendFrameVec(t *testing.T) {
 	for i, msg := range sampleMessages() {
-		for _, ver := range []byte{Version1, Version2} {
+		// The version argument is the byte stamped and nothing else: any
+		// other value gives the same frame from its second byte on.
+		for _, ver := range []byte{MaxVersion, 1} {
 			over := VecOverhead(ver, msg)
 			blk := make([]byte, 0, over+16)
 			blk = append(blk, 0xEE) // pre-existing content must be untouched
@@ -165,6 +122,9 @@ func TestAppendFrameVec(t *testing.T) {
 			}
 			if want := AppendFrameV(nil, ver, msg); !bytes.Equal(cat, want) {
 				t.Fatalf("msg %d v%d: vectored bytes differ from contiguous encoding", i, ver)
+			}
+			if cat[0] != ver || !bytes.Equal(cat[1:], appendFrame(nil, msg)[1:]) {
+				t.Fatalf("msg %d v%d: the version argument changed more than the version byte", i, ver)
 			}
 			// Payload segments must be the original slices, not copies.
 			npay := 0
@@ -199,7 +159,7 @@ func TestDecodeAnyIntoReuse(t *testing.T) {
 	arena := make([]byte, 0, 64)
 	frames := [][]byte{}
 	for _, msg := range sampleMessages() {
-		frames = append(frames, AppendFrameV(nil, Version2, msg))
+		frames = append(frames, appendFrame(nil, msg))
 		frames = append(frames, AppendSeqFrame(nil, 99, msg))
 	}
 	b, st := BeginBatch(nil)
@@ -237,14 +197,14 @@ func TestDecodeAnyIntoReuse(t *testing.T) {
 	}
 }
 
-// TestReadAnyIntoStream: a mixed stream of v1/v2/batch/control frames
-// through one reused Frame.
+// TestReadAnyIntoStream: a mixed stream of data, batch and control
+// frames through one reused Frame.
 func TestReadAnyIntoStream(t *testing.T) {
 	var stream []byte
 	msgs := sampleMessages()
-	stream = AppendFrame(stream, msgs[2])
-	stream = AppendFrameV(stream, Version2, msgs[3])
-	stream = AppendSeqFrameV(stream, Version2, 5, msgs[4])
+	stream = appendFrame(stream, msgs[2])
+	stream = appendFrame(stream, msgs[3])
+	stream = AppendSeqFrame(stream, 5, msgs[4])
 	b, st := BeginBatch(stream)
 	b = AppendBatchMsg(b, msgs[1])
 	b = AppendBatchMsg(b, msgs[2])
@@ -271,52 +231,28 @@ func TestReadAnyIntoStream(t *testing.T) {
 	}
 }
 
-// TestHelloVersionNegotiation walks the handshake dance both transports
-// run: opener advertises its max, acceptor echoes the minimum.
-func TestHelloVersionNegotiation(t *testing.T) {
-	for _, c := range []struct{ dialer, acceptor, want byte }{
-		{Version2, Version2, Version2},
-		{Version1, Version2, Version1},
-		{Version2, Version1, Version1},
-	} {
-		open := Hello{Handshake: Handshake{Dim: 3, From: 1, To: 5}, Version: c.dialer}
-		got, err := ReadHello(bytes.NewReader(AppendHello(nil, open)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		chosen := NegotiateVersion(c.acceptor, got.Version)
-		echo := got
-		echo.Version = chosen
-		back, err := ReadHello(bytes.NewReader(AppendHello(nil, echo)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.Version != c.want {
-			t.Fatalf("dialer=%d acceptor=%d: negotiated %d, want %d", c.dialer, c.acceptor, back.Version, c.want)
-		}
-		if back.Version > c.dialer {
-			t.Fatalf("acceptor echoed %d above dialer's max %d", back.Version, c.dialer)
-		}
-	}
-}
-
-// TestBodyStartBothVersions: corruption injection must find the body in
-// v2 frames too.
-func TestBodyStartBothVersions(t *testing.T) {
+// TestBodyStart: corruption injection must find the body of a plain and
+// of a sequenced data frame, and of nothing else.
+func TestBodyStart(t *testing.T) {
 	msg := mpx.Message{Tag: 9, Parts: []mpx.Part{{Dest: cube.NodeID(3), Data: []byte("payload")}}}
-	for _, ver := range []byte{Version1, Version2} {
-		frame := AppendFrameV(nil, ver, msg)
+	for name, frame := range map[string][]byte{
+		"data": appendFrame(nil, msg),
+		"seq":  AppendSeqFrame(nil, 300, msg),
+	} {
 		at := BodyStart(frame)
 		if at <= 0 || at >= len(frame) {
-			t.Fatalf("v%d: BodyStart = %d (frame %d bytes)", ver, at, len(frame))
+			t.Fatalf("%s: BodyStart = %d (frame %d bytes)", name, at, len(frame))
 		}
 		frame[at] ^= 0x01
 		if _, _, err := DecodeAny(frame); !errors.Is(err, ErrChecksum) {
-			t.Fatalf("v%d: flipped body byte: err=%v, want ErrChecksum", ver, err)
+			t.Fatalf("%s: flipped body byte: err=%v, want ErrChecksum", name, err)
 		}
 	}
 	b, st := BeginBatch(nil)
 	if BodyStart(SealBatch(b, st)) != -1 {
 		t.Fatal("BodyStart accepted a batch frame")
+	}
+	if BodyStart(AppendFrameV(nil, MaxVersion+1, msg)) != -1 {
+		t.Fatal("BodyStart accepted a frame of another version")
 	}
 }

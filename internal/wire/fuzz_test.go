@@ -11,88 +11,60 @@ import (
 	"repro/internal/mpx"
 )
 
-// FuzzDecodeFrame throws arbitrary bytes at the decoder. The invariants:
-// the decoder never panics, never over-consumes, and any frame it
-// accepts re-encodes to a frame that decodes to the same message
-// (round-trip stability). Run with `go test -fuzz FuzzDecodeFrame
-// ./internal/wire` to explore beyond the seed corpus.
+// FuzzDecodeFrame throws arbitrary bytes at the decoder, starting from
+// plain data frames and their mutants; FuzzDecodeAny starts from the
+// sequenced, batch and control kinds. Both check checkDecodeAny. Run
+// with `go test -fuzz FuzzDecodeFrame ./internal/wire` to explore beyond
+// the seed corpus.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed corpus: every sample message's valid encoding, a BYE frame,
 	// and targeted mutants (truncation, flipped body, flipped length,
-	// flipped version, oversized length claim).
+	// another version, oversized length claim).
 	for _, msg := range sampleMessages() {
-		frame := AppendFrame(nil, msg)
+		frame := appendFrame(nil, msg)
 		f.Add(frame)
-		if len(frame) > 3 {
-			f.Add(frame[:len(frame)/2])
-			mut := append([]byte(nil), frame...)
-			mut[len(mut)/2] ^= 0x10
-			f.Add(mut)
-			mut2 := append([]byte(nil), frame...)
-			mut2[2] ^= 0x81
-			f.Add(mut2)
-		}
+		f.Add(frame[:len(frame)/2])
+		mut := append([]byte(nil), frame...)
+		mut[len(mut)/2] ^= 0x10
+		f.Add(mut)
+		mut2 := append([]byte(nil), frame...)
+		mut2[2] ^= 0x81
+		f.Add(mut2)
 	}
 	f.Add(AppendBye(nil))
-	f.Add([]byte{Version + 1, KindData, 3, 1, 2, 3, 0, 0, 0, 0})
-	f.Add([]byte{Version, KindData, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	f.Add([]byte{MaxVersion + 1, KindData, 3, 1, 2, 3, 0, 0, 0, 0})
+	f.Add([]byte{MaxVersion, KindData, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Add([]byte{})
-	// Resilience-protocol frames: the strict decoder must reject them
-	// (wrong kind for a plain link) without panicking or over-consuming.
 	f.Add(AppendSeqFrame(nil, 12345, sampleMessages()[3]))
 	f.Add(AppendAck(nil, 1<<40))
 	f.Add(AppendNack(nil, 7))
-	f.Add(AppendHello(nil, Hello{Handshake: Handshake{Dim: 10, From: 3, To: 515}, Resilient: true, RecvSeq: 99}))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, n, err := DecodeFrame(data)
-		if n < 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-		if err != nil {
-			return
-		}
-		// Accepted frames must round-trip exactly.
-		re := AppendFrame(nil, msg)
-		msg2, _, err := DecodeFrame(re)
-		if err != nil {
-			t.Fatalf("re-encode of accepted frame fails to decode: %v", err)
-		}
-		if !msgEqual(msg, msg2) {
-			t.Fatalf("round-trip instability:\nfirst  %#v\nsecond %#v", msg, msg2)
-		}
-		// The streaming reader must agree with the slice decoder.
-		sm, serr := NewReader(bytes.NewReader(data)).ReadFrame()
-		if serr != nil {
-			t.Fatalf("Reader rejects a frame DecodeFrame accepted: %v", serr)
-		}
-		if !msgEqual(sm, msg) {
-			t.Fatal("Reader and DecodeFrame disagree")
-		}
-	})
+	f.Add(AppendHello(nil, Hello{Dim: 10, From: 3, To: 515, Resilient: true, RecvSeq: 99}))
+	f.Fuzz(checkDecodeAny)
 }
 
-// FuzzDecodeAny is FuzzDecodeFrame for the full resilient frame set:
-// arbitrary bytes must never panic the kind-dispatching decoder, any
-// accepted frame must re-encode/re-decode identically (kind, sequence
-// and message), and the streaming reader must agree with the slice
-// decoder. Run with `go test -fuzz FuzzDecodeAny ./internal/wire`.
+// FuzzDecodeAny is FuzzDecodeFrame for the full frame set. Run with `go
+// test -fuzz FuzzDecodeAny ./internal/wire`.
 func FuzzDecodeAny(f *testing.F) {
+	// restamp returns frame under another version byte: a frame the
+	// decoders must turn away whatever else it holds.
+	restamp := func(frame []byte, ver byte) []byte {
+		out := append([]byte(nil), frame...)
+		out[0] = ver
+		return out
+	}
 	for i, msg := range sampleMessages() {
-		f.Add(AppendFrame(nil, msg))
-		f.Add(AppendFrameV(nil, Version2, msg))
+		f.Add(appendFrame(nil, msg))
+		f.Add(AppendFrameV(nil, 1, msg))
 		seq := AppendSeqFrame(nil, uint64(i)*1000+1, msg)
 		f.Add(seq)
-		f.Add(AppendSeqFrameV(nil, Version2, uint64(i)*999+7, msg))
-		if len(seq) > 3 {
-			f.Add(seq[:len(seq)/2])
-			mut := append([]byte(nil), seq...)
-			mut[len(mut)/2] ^= 0x10
-			f.Add(mut)
-		}
+		f.Add(restamp(AppendSeqFrame(nil, uint64(i)*999+7, msg), 2))
+		f.Add(seq[:len(seq)/2])
+		mut := append([]byte(nil), seq...)
+		mut[len(mut)/2] ^= 0x10
+		f.Add(mut)
 	}
 	// Batch seeds: all the samples in one frame, an empty batch, a
-	// truncated batch and a relabeled one (batch kind at version 1).
+	// truncated batch and one stamped with a retired version.
 	batch, st := BeginBatch(nil)
 	for _, msg := range sampleMessages() {
 		batch = AppendBatchMsg(batch, msg)
@@ -102,93 +74,95 @@ func FuzzDecodeAny(f *testing.F) {
 	f.Add(batch[:len(batch)/2])
 	empty, st2 := BeginBatch(nil)
 	f.Add(SealBatch(empty, st2))
-	relabeled := append([]byte(nil), batch...)
-	relabeled[0] = Version1
-	f.Add(relabeled)
+	f.Add(restamp(batch, 1))
 	f.Add(AppendAck(nil, 0))
 	f.Add(AppendAck(nil, 1<<63))
 	f.Add(AppendNack(nil, 3))
-	f.Add([]byte{Version, KindAck, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{MaxVersion, KindAck, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(AppendBye(nil))
-	// Membership control seeds: each kind, a demoted one (member kind at
-	// version 2) and a truncated view body.
-	f.Add(AppendMemberFrame(nil, Version3, KindJoin, []byte{1, 2}))
-	f.Add(AppendMemberFrame(nil, Version3, KindDrain, nil))
-	view := AppendMemberFrame(nil, Version3, KindView, bytes.Repeat([]byte{3}, 40))
+	// Membership and growth control seeds: each kind, truncated bodies,
+	// and the retired versions that once gated them.
+	f.Add(AppendMemberFrame(nil, KindJoin, []byte{1, 2}))
+	f.Add(AppendMemberFrame(nil, KindDrain, nil))
+	view := AppendMemberFrame(nil, KindView, bytes.Repeat([]byte{3}, 40))
 	f.Add(view)
 	f.Add(view[:len(view)/2])
-	demoted := append([]byte(nil), view...)
-	demoted[0] = Version2
-	f.Add(demoted)
-	// Growth control seeds: a grow, an attach, and a demoted grow (v4
-	// kind at version 3).
-	f.Add(AppendMemberFrame(nil, Version4, KindGrow, EncodeGrow(4)))
-	attach := AppendMemberFrame(nil, Version4, KindAttach, EncodeAttach(9, "127.0.0.1:9999"))
+	f.Add(restamp(view, 2))
+	f.Add(AppendMemberFrame(nil, KindGrow, EncodeGrow(4)))
+	attach := AppendMemberFrame(nil, KindAttach, EncodeAttach(9, "127.0.0.1:9999"))
 	f.Add(attach)
 	f.Add(attach[:len(attach)/2])
-	demotedGrow := AppendMemberFrame(nil, Version4, KindGrow, EncodeGrow(3))
-	demotedGrow[0] = Version3
-	f.Add(demotedGrow)
-	f.Add([]byte{Version, KindSeqData, 2, 0x80})
-	f.Add([]byte{Version2, KindSeqData, 2, 0x80})
+	f.Add(restamp(AppendMemberFrame(nil, KindGrow, EncodeGrow(3)), 3))
+	f.Add([]byte{MaxVersion, KindSeqData, 2, 0x80})
+	f.Add([]byte{MaxVersion + 1, KindSeqData, 2, 0x80})
+	f.Fuzz(checkDecodeAny)
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, err := DecodeAny(data)
-		if n < 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
+// checkDecodeAny holds the decoders' invariants on arbitrary bytes: the
+// kind-dispatching slice decoder never panics and never over-consumes,
+// it accepts no version byte but MaxVersion, any frame it accepts
+// re-encodes and re-decodes identically (kind, sequence, message and
+// body), and the streaming reader and the reusable decoders agree with
+// it.
+func checkDecodeAny(t *testing.T, data []byte) {
+	fr, n, err := DecodeAny(data)
+	if n < 0 || n > len(data) {
+		t.Fatalf("consumed %d of %d bytes", n, len(data))
+	}
+	if len(data) >= 2 && data[0] != MaxVersion && !errors.Is(err, ErrVersion) {
+		t.Fatalf("version byte %d: err=%v, want ErrVersion", data[0], err)
+	}
+	if err != nil {
+		return
+	}
+	var re []byte
+	switch fr.Kind {
+	case KindData:
+		re = appendFrame(nil, fr.Msg)
+	case KindSeqData:
+		re = AppendSeqFrame(nil, fr.Seq, fr.Msg)
+	case KindBatch:
+		var st int
+		re, st = BeginBatch(nil)
+		for _, m := range fr.Msgs {
+			re = AppendBatchMsg(re, m)
 		}
-		if err != nil {
-			return
-		}
-		var re []byte
-		switch fr.Kind {
-		case KindData:
-			re = AppendFrameV(nil, fr.Ver, fr.Msg)
-		case KindSeqData:
-			re = AppendSeqFrameV(nil, fr.Ver, fr.Seq, fr.Msg)
-		case KindBatch:
-			var st int
-			re, st = BeginBatch(nil)
-			for _, m := range fr.Msgs {
-				re = AppendBatchMsg(re, m)
-			}
-			re = SealBatch(re, st)
-		case KindAck:
-			re = AppendAck(nil, fr.Seq)
-		case KindNack:
-			re = AppendNack(nil, fr.Seq)
-		case KindJoin, KindDrain, KindView, KindGrow, KindAttach:
-			re = AppendMemberFrame(nil, fr.Ver, fr.Kind, fr.Body)
-		default:
-			t.Fatalf("decoder accepted unknown kind %d", fr.Kind)
-		}
-		fr2, _, err := DecodeAny(re)
-		if err != nil {
-			t.Fatalf("re-encode of accepted frame fails to decode: %v", err)
-		}
-		if fr2.Kind != fr.Kind || fr2.Seq != fr.Seq || !msgEqual(fr2.Msg, fr.Msg) || !msgsEqual(fr2.Msgs, fr.Msgs) || !bytes.Equal(fr2.Body, fr.Body) {
-			t.Fatalf("round-trip instability:\nfirst  %#v\nsecond %#v", fr, fr2)
-		}
-		sf, serr := NewReader(bytes.NewReader(data)).ReadAny()
-		if serr != nil {
-			t.Fatalf("ReadAny rejects a frame DecodeAny accepted: %v", serr)
-		}
-		if sf.Kind != fr.Kind || sf.Seq != fr.Seq || !msgEqual(sf.Msg, fr.Msg) || !msgsEqual(sf.Msgs, fr.Msgs) || !bytes.Equal(sf.Body, fr.Body) {
-			t.Fatal("ReadAny and DecodeAny disagree")
-		}
-		// The reusable decoders must agree with the fresh ones.
-		var into Frame
-		if _, n2, err := DecodeAnyInto(&into, nil, data); err != nil || n2 != n ||
-			into.Kind != fr.Kind || into.Seq != fr.Seq || !msgEqual(into.Msg, fr.Msg) || !msgsEqual(into.Msgs, fr.Msgs) || !bytes.Equal(into.Body, fr.Body) {
-			t.Fatalf("DecodeAnyInto disagrees with DecodeAny: err=%v", err)
-		}
-		var rinto Frame
-		rr := NewReader(bytes.NewReader(data))
-		if err := rr.ReadAnyInto(&rinto); err != nil ||
-			rinto.Kind != fr.Kind || rinto.Seq != fr.Seq || !msgEqual(rinto.Msg, fr.Msg) || !msgsEqual(rinto.Msgs, fr.Msgs) || !bytes.Equal(rinto.Body, fr.Body) {
-			t.Fatalf("ReadAnyInto disagrees with DecodeAny: err=%v", err)
-		}
-	})
+		re = SealBatch(re, st)
+	case KindAck:
+		re = AppendAck(nil, fr.Seq)
+	case KindNack:
+		re = AppendNack(nil, fr.Seq)
+	case KindJoin, KindDrain, KindView, KindGrow, KindAttach:
+		re = AppendMemberFrame(nil, fr.Kind, fr.Body)
+	default:
+		t.Fatalf("decoder accepted unknown kind %d", fr.Kind)
+	}
+	same := func(o Frame) bool {
+		return o.Kind == fr.Kind && o.Seq == fr.Seq && msgEqual(o.Msg, fr.Msg) && msgsEqual(o.Msgs, fr.Msgs) && bytes.Equal(o.Body, fr.Body)
+	}
+	fr2, _, err := DecodeAny(re)
+	if err != nil {
+		t.Fatalf("re-encode of accepted frame fails to decode: %v", err)
+	}
+	if !same(fr2) {
+		t.Fatalf("round-trip instability:\nfirst  %#v\nsecond %#v", fr, fr2)
+	}
+	sf, serr := NewReader(bytes.NewReader(data)).ReadAny()
+	if serr != nil {
+		t.Fatalf("ReadAny rejects a frame DecodeAny accepted: %v", serr)
+	}
+	if !same(sf) {
+		t.Fatal("ReadAny and DecodeAny disagree")
+	}
+	// The reusable decoders must agree with the fresh ones.
+	var into Frame
+	if _, n2, err := DecodeAnyInto(&into, nil, data); err != nil || n2 != n || !same(into) {
+		t.Fatalf("DecodeAnyInto disagrees with DecodeAny: err=%v", err)
+	}
+	var rinto Frame
+	if err := NewReader(bytes.NewReader(data)).ReadAnyInto(&rinto); err != nil || !same(rinto) {
+		t.Fatalf("ReadAnyInto disagrees with DecodeAny: err=%v", err)
+	}
 }
 
 // msgsEqual compares two batch message lists (nil == empty).
@@ -204,8 +178,7 @@ func msgsEqual(a, b []mpx.Message) bool {
 	return true
 }
 
-// FuzzDecodeBatch is the constructive dual for the version-2 batch
-// frame: build a batch from fuzzed primitives, check encode/decode
+// FuzzDecodeBatch is the constructive dual for the batch frame: build a batch from fuzzed primitives, check encode/decode
 // identity through both the slice and streaming decoders, and check
 // that a flipped body byte never passes the CRC-32C.
 func FuzzDecodeBatch(f *testing.F) {
@@ -253,20 +226,26 @@ func FuzzDecodeBatch(f *testing.F) {
 
 // FuzzReadHello throws arbitrary bytes at the dual-form handshake
 // reader: it must never panic, and anything it accepts must re-encode
-// to bytes it reads back identically — for both the legacy HCUB form
-// and the HCRX resume form carrying the receiver sequence watermark.
+// to bytes it reads back identically — for both the plain HCUB form and
+// the HCRX resume form carrying the receiver sequence watermark.
 func FuzzReadHello(f *testing.F) {
-	f.Add(AppendHello(nil, Hello{Handshake: Handshake{Dim: 3, From: 1, To: 5}}))
-	f.Add(AppendHello(nil, Hello{Handshake: Handshake{Dim: 3, From: 1, To: 5}, Resilient: true, RecvSeq: 0}))
-	f.Add(AppendHello(nil, Hello{Handshake: Handshake{Dim: 10, From: 1023, To: 512}, Resilient: true, RecvSeq: 1<<64 - 1}))
-	bad := AppendHello(nil, Hello{Handshake: Handshake{Dim: 4, From: 2, To: 6}, Resilient: true, RecvSeq: 77})
+	f.Add(AppendHello(nil, Hello{Dim: 3, From: 1, To: 5}))
+	f.Add(AppendHello(nil, Hello{Dim: 3, From: 1, To: 5, Resilient: true, RecvSeq: 0}))
+	f.Add(AppendHello(nil, Hello{Dim: 10, From: 1023, To: 512, Resilient: true, RecvSeq: 1<<64 - 1}))
+	bad := AppendHello(nil, Hello{Dim: 4, From: 2, To: 6, Resilient: true, RecvSeq: 77})
 	bad[0] = 'X'
 	f.Add(bad)
+	old := AppendHello(nil, Hello{Dim: 4, From: 2, To: 6})
+	old[4] = 3 // a retired version
+	f.Add(old)
 	f.Add([]byte("HCRX"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := ReadHello(bytes.NewReader(data))
+		if len(data) >= 5 && data[4] != MaxVersion && err == nil {
+			t.Fatalf("hello with version byte %d accepted", data[4])
+		}
 		if err != nil {
 			return
 		}
@@ -346,8 +325,8 @@ func FuzzRoundTrip(f *testing.F) {
 			{Dest: 1 << 20, Offset: -offset, Sum: sum / 2},
 		}}
 		_ = dest
-		frame := AppendFrame(nil, msg)
-		got, n, err := DecodeFrame(frame)
+		frame := appendFrame(nil, msg)
+		got, n, err := decodeMsg(frame)
 		if err != nil {
 			t.Fatalf("decode of own encoding: %v", err)
 		}
@@ -360,7 +339,7 @@ func FuzzRoundTrip(f *testing.F) {
 		// A flipped body byte must never pass the checksum.
 		if body := BodyStart(frame); body >= 0 && body < len(frame)-4 {
 			frame[body] ^= 0xFF
-			if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrTruncated) {
+			if _, _, err := decodeMsg(frame); !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrTruncated) {
 				t.Fatalf("body flip: err=%v, want checksum failure", err)
 			}
 		}
@@ -385,22 +364,22 @@ func FuzzStreamDecodeMatchesDecodeAny(f *testing.F) {
 	}}
 	for _, msg := range append(sampleMessages(), large, manifest) {
 		for _, frame := range [][]byte{
-			AppendFrameV(nil, Version1, msg),
-			AppendFrameV(nil, Version2, msg),
-			AppendSeqFrameV(nil, Version2, 41, msg),
+			appendFrame(nil, msg),
+			AppendSeqFrame(nil, 41, msg),
+			AppendFrameV(nil, 3, msg), // a retired version: both must refuse it
 		} {
 			f.Add(frame)
 			f.Add(frame[:len(frame)*2/3]) // truncated
-			if b := BodyStart(frame); b >= 0 {
-				for _, at := range []int{b, b + 1, (b + len(frame)) / 2, len(frame) - 5, len(frame) - 1} {
-					mut := append([]byte(nil), frame...)
-					mut[at] ^= 0x81
-					f.Add(mut)
-				}
+			_, k := binary.Uvarint(frame[2:])
+			b := 2 + k // the first body byte
+			for _, at := range []int{b, b + 1, (b + len(frame)) / 2, len(frame) - 5, len(frame) - 1} {
+				mut := append([]byte(nil), frame...)
+				mut[at] ^= 0x81
+				f.Add(mut)
 			}
 		}
 	}
-	f.Add(append(AppendFrameV(nil, Version2, large), AppendSeqFrameV(nil, Version2, 42, manifest)...))
+	f.Add(append(appendFrame(nil, large), AppendSeqFrame(nil, 42, manifest)...))
 	f.Add(append(AppendAck(nil, 9), AppendBye(nil)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -438,7 +417,7 @@ func FuzzStreamDecodeMatchesDecodeAny(f *testing.F) {
 				if gerr != nil {
 					t.Fatalf("at %d: reader fails with %v on a frame DecodeAny accepts", at, gerr)
 				}
-				if got.Ver != want.Ver || got.Kind != want.Kind || got.Seq != want.Seq ||
+				if got.Kind != want.Kind || got.Seq != want.Seq ||
 					!msgEqual(got.Msg, want.Msg) || !msgsEqual(got.Msgs, want.Msgs) || !bytes.Equal(got.Body, want.Body) {
 					t.Fatalf("at %d: frames differ:\nreader    %+v\nDecodeAny %+v", at, got, want)
 				}

@@ -13,7 +13,7 @@ func TestMemberFrameRoundTrip(t *testing.T) {
 	bodies := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xa5}, 300)}
 	for _, kind := range []byte{KindJoin, KindDrain, KindView} {
 		for _, body := range bodies {
-			buf := AppendMemberFrame(nil, Version3, kind, body)
+			buf := AppendMemberFrame(nil, kind, body)
 
 			fr, n, err := DecodeAny(buf)
 			if err != nil {
@@ -22,9 +22,8 @@ func TestMemberFrameRoundTrip(t *testing.T) {
 			if n != len(buf) {
 				t.Fatalf("DecodeAny consumed %d of %d bytes", n, len(buf))
 			}
-			if fr.Ver != Version3 || fr.Kind != kind || !bytes.Equal(fr.Body, body) {
-				t.Fatalf("DecodeAny: got ver=%d kind=%d body=%q, want ver=%d kind=%d body=%q",
-					fr.Ver, fr.Kind, fr.Body, Version3, kind, body)
+			if fr.Kind != kind || !bytes.Equal(fr.Body, body) {
+				t.Fatalf("DecodeAny: got kind=%d body=%q, want kind=%d body=%q", fr.Kind, fr.Body, kind, body)
 			}
 
 			rd := NewReader(bufio.NewReader(bytes.NewReader(buf)))
@@ -44,7 +43,7 @@ func TestMemberFrameRoundTrip(t *testing.T) {
 // so they must not alias the read buffer.
 func TestMemberFrameBodyIsOwned(t *testing.T) {
 	body := []byte("epoch payload")
-	buf := AppendMemberFrame(nil, Version3, KindView, body)
+	buf := AppendMemberFrame(nil, KindView, body)
 	var fr Frame
 	if _, _, err := DecodeAnyInto(&fr, nil, buf); err != nil {
 		t.Fatal(err)
@@ -57,21 +56,7 @@ func TestMemberFrameBodyIsOwned(t *testing.T) {
 	}
 }
 
-// TestMemberFrameRejectedBelowV3 checks the version gate: membership
-// kinds are a Version3 extension, and a v2 frame claiming one is corrupt.
-func TestMemberFrameRejectedBelowV3(t *testing.T) {
-	buf := AppendMemberFrame(nil, Version3, KindJoin, []byte("hi"))
-	buf[0] = Version2
-	if _, _, err := DecodeAny(buf); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("DecodeAny at v2: got %v, want ErrCorrupt", err)
-	}
-	rd := NewReader(bufio.NewReader(bytes.NewReader(buf)))
-	if _, err := rd.ReadAny(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReadAny at v2: got %v, want ErrCorrupt", err)
-	}
-}
-
-// TestGrowFrameRoundTrip drives the version-4 growth kinds through
+// TestGrowFrameRoundTrip drives the growth kinds through
 // both decoders with their real body codecs.
 func TestGrowFrameRoundTrip(t *testing.T) {
 	growBody := EncodeGrow(4)
@@ -80,13 +65,13 @@ func TestGrowFrameRoundTrip(t *testing.T) {
 		kind byte
 		body []byte
 	}{{KindGrow, growBody}, {KindAttach, attachBody}} {
-		buf := AppendMemberFrame(nil, Version4, tc.kind, tc.body)
+		buf := AppendMemberFrame(nil, tc.kind, tc.body)
 		fr, n, err := DecodeAny(buf)
 		if err != nil || n != len(buf) {
 			t.Fatalf("DecodeAny kind %d: n=%d err=%v", tc.kind, n, err)
 		}
-		if fr.Ver != Version4 || fr.Kind != tc.kind || !bytes.Equal(fr.Body, tc.body) {
-			t.Fatalf("DecodeAny: got ver=%d kind=%d body=%q", fr.Ver, fr.Kind, fr.Body)
+		if fr.Kind != tc.kind || !bytes.Equal(fr.Body, tc.body) {
+			t.Fatalf("DecodeAny: got kind=%d body=%q", fr.Kind, fr.Body)
 		}
 		rd := NewReader(bufio.NewReader(bytes.NewReader(buf)))
 		got, err := rd.ReadAny()
@@ -102,24 +87,9 @@ func TestGrowFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGrowFrameRejectedBelowV4: growth kinds are a Version4 extension —
-// a v3 peer must reject them as corrupt, which is why the transport
-// never sends them on links negotiated below v4.
-func TestGrowFrameRejectedBelowV4(t *testing.T) {
-	buf := AppendMemberFrame(nil, Version4, KindGrow, EncodeGrow(3))
-	buf[0] = Version3
-	if _, _, err := DecodeAny(buf); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("DecodeAny at v3: got %v, want ErrCorrupt", err)
-	}
-	rd := NewReader(bufio.NewReader(bytes.NewReader(buf)))
-	if _, err := rd.ReadAny(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReadAny at v3: got %v, want ErrCorrupt", err)
-	}
-}
-
 // TestMemberFrameBitFlipDetected: the CRC covers the membership body.
 func TestMemberFrameBitFlipDetected(t *testing.T) {
-	buf := AppendMemberFrame(nil, Version3, KindDrain, bytes.Repeat([]byte{7}, 64))
+	buf := AppendMemberFrame(nil, KindDrain, bytes.Repeat([]byte{7}, 64))
 	buf[10] ^= 0x40
 	if _, n, err := DecodeAny(buf); !errors.Is(err, ErrChecksum) || n != len(buf) {
 		t.Fatalf("got n=%d err=%v, want whole-frame ErrChecksum", n, err)
@@ -127,15 +97,15 @@ func TestMemberFrameBitFlipDetected(t *testing.T) {
 }
 
 // TestMemberFrameInMixedStream interleaves membership control frames
-// with v3 data frames on one stream, as a member-mode link would see.
+// with data frames on one stream, as a member-mode link would see.
 func TestMemberFrameInMixedStream(t *testing.T) {
 	msg := sampleMessages()[2]
 	var stream []byte
-	stream = AppendMemberFrame(stream, Version3, KindJoin, []byte("j"))
-	stream = AppendFrameV(stream, Version3, msg)
-	stream = AppendMemberFrame(stream, Version3, KindView, []byte("v1"))
-	stream = AppendSeqFrameV(stream, Version3, 9, msg)
-	stream = AppendMemberFrame(stream, Version3, KindDrain, nil)
+	stream = AppendMemberFrame(stream, KindJoin, []byte("j"))
+	stream = appendFrame(stream, msg)
+	stream = AppendMemberFrame(stream, KindView, []byte("v1"))
+	stream = AppendSeqFrame(stream, 9, msg)
+	stream = AppendMemberFrame(stream, KindDrain, nil)
 
 	rd := NewReader(bufio.NewReader(bytes.NewReader(stream)))
 	wantKinds := []byte{KindJoin, KindData, KindView, KindSeqData, KindDrain}

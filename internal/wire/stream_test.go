@@ -39,9 +39,8 @@ func TestStreamedFrameLandsInPlace(t *testing.T) {
 		kind  byte
 		seq   uint64
 	}{
-		{"plain-v1", AppendFrameV(nil, Version1, msg), KindData, 0},
-		{"plain-v2", AppendFrameV(nil, Version2, msg), KindData, 0},
-		{"seq-v2", AppendSeqFrameV(nil, Version2, 1<<33, msg), KindSeqData, 1 << 33},
+		{"plain", appendFrame(nil, msg), KindData, 0},
+		{"seq", AppendSeqFrame(nil, 1<<33, msg), KindSeqData, 1 << 33},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dst := make([]byte, 2<<20)
@@ -82,7 +81,7 @@ func TestStreamedFrameLandsInPlace(t *testing.T) {
 // own, and nothing is written into a wrong-length answer.
 func TestStreamedFrameDeclined(t *testing.T) {
 	msg := mpx.Message{Tag: -4, Parts: []mpx.Part{{Dest: 1, Offset: 0, Data: bigPart(20<<10, 3)}}}
-	frame := AppendFrameV(nil, Version2, msg)
+	frame := appendFrame(nil, msg)
 	short := make([]byte, 100)
 	for name, land := range map[string]Landing{
 		"none":  nil,
@@ -114,7 +113,7 @@ func TestSmallPartsStayWholeBody(t *testing.T) {
 	for d := 0; d < 32; d++ {
 		msg.Parts = append(msg.Parts, mpx.Part{Dest: 0, Offset: d, Data: bigPart(1<<10, d)})
 	}
-	for _, frame := range [][]byte{AppendFrameV(nil, Version2, msg), AppendSeqFrameV(nil, Version2, 5, msg)} {
+	for _, frame := range [][]byte{appendFrame(nil, msg), AppendSeqFrame(nil, 5, msg)} {
 		src := bytes.NewReader(frame)
 		r := NewReader(src)
 		r.Land(func(uint64, int, int, int, int) []byte {
@@ -148,8 +147,8 @@ func TestSmallPartsStayWholeBody(t *testing.T) {
 // checksum is clean; a stream that ends inside the frame is terminal.
 func TestStreamedErrorOrder(t *testing.T) {
 	msg := mpx.Message{Tag: 9, Parts: []mpx.Part{{Dest: 2, Offset: 64, Data: bigPart(24<<10, 4), Sum: 1}}}
-	good := AppendFrameV(nil, Version2, msg)
-	next := AppendFrameV(nil, Version2, mpx.Message{Tag: 10, Parts: []mpx.Part{{Dest: 2, Data: []byte("next")}}})
+	good := appendFrame(nil, msg)
+	next := appendFrame(nil, mpx.Message{Tag: 10, Parts: []mpx.Part{{Dest: 2, Data: []byte("next")}}})
 	b := BodyStart(good)
 
 	readBoth := func(stream []byte) (error, error) {
@@ -189,10 +188,10 @@ func TestStreamedErrorOrder(t *testing.T) {
 
 	// Checksum-clean but malformed: one byte too many after the last part.
 	body := append(append([]byte(nil), good[b:len(good)-4]...), 0)
-	junk := []byte{Version2, KindData}
+	junk := []byte{MaxVersion, KindData}
 	junk = binary.AppendUvarint(junk, uint64(len(body)))
 	junk = append(junk, body...)
-	junk = binary.LittleEndian.AppendUint32(junk, checksum(Version2, body))
+	junk = binary.LittleEndian.AppendUint32(junk, checksum(body))
 	agree("trailing byte", junk, ErrCorrupt)
 
 	// Cut inside the payload.
@@ -207,8 +206,8 @@ func TestReaderWithoutByteReader(t *testing.T) {
 	big := mpx.Message{Tag: 3, Parts: []mpx.Part{{Dest: 1, Offset: 8, Data: bigPart(17<<10, 5)}}}
 	small := mpx.Message{Tag: 4, Parts: []mpx.Part{{Dest: 1, Data: []byte("small")}}}
 	stream := AppendAck(nil, 300)
-	stream = AppendFrameV(stream, Version2, big)
-	stream = AppendSeqFrameV(stream, Version1, 129, small)
+	stream = appendFrame(stream, big)
+	stream = AppendSeqFrame(stream, 129, small)
 	r := NewReader(struct{ io.Reader }{bytes.NewReader(stream)})
 	if fr, err := r.ReadAny(); err != nil || fr.Kind != KindAck || fr.Seq != 300 {
 		t.Fatalf("ack: %+v, %v", fr, err)

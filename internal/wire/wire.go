@@ -3,7 +3,7 @@
 // internal/transport). The paper's runtime exchanges messages only
 // between cube neighbors, so a link never multiplexes traffic for third
 // parties: one frame is one mpx.Message crossing one link — or, in the
-// version-2 batch form, several small messages crossing it together.
+// batch form, several small messages crossing it together.
 //
 // Frame layout (all integers are unsigned varints unless noted):
 //
@@ -15,15 +15,13 @@
 //	body = zigzag(Tag) | nparts | part*
 //	part = Dest | zigzag(Offset) | len(Data) | Data | Sum
 //
-// Two protocol versions are live. Version 1 (the original) trails every
-// data frame with a CRC-32 (IEEE) checksum. Version 2 — negotiated in
-// the Hello handshake, never assumed — switches the trailer to CRC-32C
-// (Castagnoli, hardware-accelerated via SSE4.2/ARMv8 CRC instructions
-// where the stdlib supports it) and adds the KindBatch frame: many
-// small messages under one header, one length and one checksum, so one
-// syscall and one CRC pass cover a burst. Every frame carries its
-// version byte and the decoders dispatch on it per frame, so both
-// generations stay live and a mixed-version cube interoperates.
+// There is one protocol version, MaxVersion. Every frame, control frame
+// and hello carries it in its version byte, and the decoders reject any
+// other byte with ErrVersion: there is nothing to negotiate. The
+// checksum is CRC-32C (Castagnoli, hardware-accelerated via SSE4.2/ARMv8
+// CRC instructions where the stdlib supports it). The KindBatch frame
+// packs many small messages under one header, one length and one
+// checksum, so one syscall and one CRC pass cover a burst.
 //
 // The kind byte separates data frames from the BYE control frame a
 // transport sends before closing a link gracefully, so the peer can
@@ -48,21 +46,9 @@ import (
 	"repro/internal/mpx"
 )
 
-// Wire protocol versions. Version1 is the original IEEE-CRC protocol;
-// Version2 switches the frame checksum to CRC-32C and adds KindBatch;
-// Version3 adds the membership control frames (KindJoin/KindDrain/
-// KindView); Version4 adds the online-growth control frames
-// (KindGrow/KindAttach). The Hello handshake negotiates min(both
-// sides' maximum); Version is the legacy name of Version1, kept for
-// the v1 encoders and tests.
-const (
-	Version1   = 1
-	Version2   = 2
-	Version3   = 3
-	Version4   = 4
-	MaxVersion = Version4
-	Version    = Version1
-)
+// MaxVersion is the wire protocol version: the one byte every encoder
+// stamps and every decoder accepts.
+const MaxVersion = 4
 
 // Frame kinds.
 const (
@@ -85,48 +71,40 @@ const (
 	// sequence > Seq — sent when a CRC-rejected or out-of-order frame
 	// opens a gap in the sequence stream.
 	KindNack = 4
-	// KindBatch (version 2 only) packs several messages under one header
-	// and one CRC-32C trailer. Unlike the varint-framed kinds its body
-	// length is a fixed-width 4-byte little-endian field, so a builder
-	// can seal an open batch by patching the length in place.
+	// KindBatch packs several messages under one header and one CRC-32C
+	// trailer. Unlike the varint-framed kinds its body length is a
+	// fixed-width 4-byte little-endian field, so a builder can seal an
+	// open batch by patching the length in place.
 	KindBatch = 5
-	// KindJoin (version 3) announces a node attaching to a live mesh:
-	// the body is the joiner's membership announcement, opaque to the
-	// codec. Data-frame layout (varint length, CRC trailer).
+	// KindJoin announces a node attaching to a live mesh: the body is the
+	// joiner's membership announcement, opaque to the codec. Data-frame
+	// layout (varint length, CRC trailer).
 	KindJoin = 6
-	// KindDrain (version 3) announces a graceful leave: the sender will
-	// stop participating in collectives and close its links with BYE.
+	// KindDrain announces a graceful leave: the sender will stop
+	// participating in collectives and close its links with BYE.
 	KindDrain = 7
-	// KindView (version 3) carries an encoded membership view for the
-	// epidemic view-agreement flood. Like the other membership kinds the
-	// body is opaque here; internal/member owns the encoding.
+	// KindView carries an encoded membership view for the epidemic
+	// view-agreement flood. Like the other membership kinds the body is
+	// opaque here; internal/member owns the encoding.
 	KindView = 8
-	// KindGrow (version 4) floods a mesh re-dimensioning event: the body
-	// (EncodeGrow) names the new cube dimension every surviving endpoint
-	// must widen its link tables to. Idempotent — a receiver already at
-	// (or past) the dimension drops it.
+	// KindGrow floods a mesh re-dimensioning event: the body (EncodeGrow)
+	// names the new cube dimension every surviving endpoint must widen
+	// its link tables to. Idempotent — a receiver already at (or past)
+	// the dimension drops it.
 	KindGrow = 9
-	// KindAttach (version 4) is a grown joiner's transport-level
-	// announcement on each link it established: the body (EncodeAttach)
-	// carries the joiner's rank and listen address, so survivors can
-	// admit the rank into the membership view and later joiners can find
-	// it. Data-frame layout (varint length, CRC trailer), like the
-	// membership kinds.
+	// KindAttach is a grown joiner's transport-level announcement on each
+	// link it established: the body (EncodeAttach) carries the joiner's
+	// rank and listen address, so survivors can admit the rank into the
+	// membership view and later joiners can find it. Data-frame layout
+	// (varint length, CRC trailer), like the membership kinds.
 	KindAttach = 10
 )
 
-// memberKind reports whether kind is one of the version-3 membership
+// memberKind reports whether kind is one of the membership or growth
 // control kinds, which share the data-frame layout but carry an opaque
 // body surfaced as Frame.Body.
 func memberKind(kind byte) bool {
-	return kind == KindJoin || kind == KindDrain || kind == KindView
-}
-
-// growKind reports whether kind is one of the version-4 growth control
-// kinds. They share the membership kinds' frame layout and Body
-// surfacing but need a v4 link.
-func growKind(kind byte) bool {
-	return kind == KindGrow || kind == KindAttach
+	return kind >= KindJoin && kind <= KindAttach
 }
 
 // MaxBody bounds a frame body, protecting receivers from a corrupted or
@@ -137,9 +115,9 @@ var (
 	// ErrChecksum reports a frame whose body failed CRC verification.
 	// The frame was consumed whole: the stream remains usable.
 	ErrChecksum = errors.New("wire: frame checksum mismatch")
-	// ErrVersion reports a version byte outside [Version1, MaxVersion].
+	// ErrVersion reports a version byte other than MaxVersion.
 	ErrVersion = errors.New("wire: protocol version mismatch")
-	// ErrBye is returned by ReadFrame when the peer announces an orderly
+	// ErrBye is returned by the decoders when the peer announces an orderly
 	// shutdown of the link.
 	ErrBye = errors.New("wire: peer closed the link")
 	// ErrTruncated reports a frame that ends before its declared length.
@@ -153,35 +131,19 @@ var (
 // hardware-accelerated implementation where the CPU has one.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// checksum computes the frame CRC of ver over body: IEEE for version 1,
-// Castagnoli for version 2.
-func checksum(ver byte, body []byte) uint32 {
-	if ver >= Version2 {
-		return crc32.Checksum(body, castagnoli)
-	}
-	return crc32.ChecksumIEEE(body)
-}
+// checksum computes the frame CRC over body.
+func checksum(body []byte) uint32 { return crc32.Checksum(body, castagnoli) }
 
 // checksumUpdate extends an incremental frame CRC — the vectored encode
 // path checksums a body that spans several write segments.
-func checksumUpdate(ver byte, crc uint32, p []byte) uint32 {
-	if ver >= Version2 {
-		return crc32.Update(crc, castagnoli, p)
-	}
-	return crc32.Update(crc, crc32.IEEETable, p)
-}
+func checksumUpdate(crc uint32, p []byte) uint32 { return crc32.Update(crc, castagnoli, p) }
 
-// versionOK reports whether v is a protocol version this codec decodes.
-func versionOK(v byte) bool { return v >= Version1 && v <= MaxVersion }
-
-// NegotiateVersion picks the wire version for a link: the highest
-// version both sides speak. The opener's Hello advertises its maximum,
-// the acceptor echoes the pick.
-func NegotiateVersion(localMax, peerMax byte) byte {
-	if peerMax < localMax {
-		return peerMax
+// checkVersion rejects every version byte but MaxVersion.
+func checkVersion(v byte) error {
+	if v != MaxVersion {
+		return fmt.Errorf("%w: version byte %d, want %d", ErrVersion, v, MaxVersion)
 	}
-	return localMax
+	return nil
 }
 
 // zigzag encodes a signed int so small magnitudes stay small.
@@ -226,67 +188,57 @@ func appendBody(dst []byte, msg mpx.Message) []byte {
 	return dst
 }
 
-// AppendFrameV appends one encoded data frame of the given protocol
-// version carrying msg to dst and returns the extended slice. It
-// allocates only when dst lacks capacity, so a transport can coalesce
-// many frames into one reused buffer.
+// AppendFrameV appends one encoded data frame carrying msg to dst and
+// returns the extended slice. It allocates only when dst lacks
+// capacity, so a transport can coalesce many frames into one reused
+// buffer. ver is the version byte it stamps and nothing else; callers
+// pass MaxVersion. (The parameter stays, here and on the two vectored
+// functions, because bench/ calls these signatures.)
 func AppendFrameV(dst []byte, ver byte, msg mpx.Message) []byte {
 	body := bodyLen(msg)
 	dst = append(dst, ver, KindData)
 	dst = binary.AppendUvarint(dst, uint64(body))
 	start := len(dst)
 	dst = appendBody(dst, msg)
-	return binary.LittleEndian.AppendUint32(dst, checksum(ver, dst[start:]))
+	return binary.LittleEndian.AppendUint32(dst, checksum(dst[start:]))
 }
 
-// AppendFrame is AppendFrameV at version 1 — the form every peer
-// accepts without negotiation.
-func AppendFrame(dst []byte, msg mpx.Message) []byte {
-	return AppendFrameV(dst, Version1, msg)
-}
-
-// AppendSeqFrameV appends one sequenced data frame of the given
-// protocol version: a KindSeqData frame whose body is the sequence
-// number followed by the encoded message, all covered by the CRC
-// trailer. Sequence numbers start at 1 and increase by one per frame on
-// a link; 0 means "nothing sent yet" in handshakes and cumulative acks.
-func AppendSeqFrameV(dst []byte, ver byte, seq uint64, msg mpx.Message) []byte {
+// AppendSeqFrame appends one sequenced data frame: a KindSeqData frame
+// whose body is the sequence number followed by the encoded message,
+// all covered by the CRC trailer. Sequence numbers start at 1 and
+// increase by one per frame on a link; 0 means "nothing sent yet" in
+// handshakes and cumulative acks.
+func AppendSeqFrame(dst []byte, seq uint64, msg mpx.Message) []byte {
 	body := uvarintLen(seq) + bodyLen(msg)
-	dst = append(dst, ver, KindSeqData)
+	dst = append(dst, MaxVersion, KindSeqData)
 	dst = binary.AppendUvarint(dst, uint64(body))
 	start := len(dst)
 	dst = binary.AppendUvarint(dst, seq)
 	dst = appendBody(dst, msg)
-	return binary.LittleEndian.AppendUint32(dst, checksum(ver, dst[start:]))
-}
-
-// AppendSeqFrame is AppendSeqFrameV at version 1.
-func AppendSeqFrame(dst []byte, seq uint64, msg mpx.Message) []byte {
-	return AppendSeqFrameV(dst, Version1, seq, msg)
+	return binary.LittleEndian.AppendUint32(dst, checksum(dst[start:]))
 }
 
 // AppendAck appends a cumulative-acknowledgement control frame: every
 // sequenced frame with sequence <= cum has been received in order.
-// Control frames carry no CRC and are version-1 on the wire (both
-// decoders accept them, so they need no negotiation).
+// Control frames carry no CRC (a damaged ack is at worst a late ack).
 func AppendAck(dst []byte, cum uint64) []byte {
-	dst = append(dst, Version, KindAck)
+	dst = append(dst, MaxVersion, KindAck)
 	return binary.AppendUvarint(dst, cum)
 }
 
 // AppendNack appends a retransmission request: resend every sequenced
 // frame with sequence > from.
 func AppendNack(dst []byte, from uint64) []byte {
-	dst = append(dst, Version, KindNack)
+	dst = append(dst, MaxVersion, KindNack)
 	return binary.AppendUvarint(dst, from)
 }
 
 // AppendBye appends the orderly-shutdown control frame to dst.
-func AppendBye(dst []byte) []byte { return append(dst, Version, KindBye) }
+func AppendBye(dst []byte) []byte { return append(dst, MaxVersion, KindBye) }
 
 // Batch frames: many small messages, one header, one CRC.
 //
-// Layout: version2 | KindBatch | bodyLen (4 B, LE) | body | crc32c(body)
+// Layout: version | KindBatch | bodyLen (4 B, LE) | body | crc32c(body)
 // with body = repeat( msgLen uvarint | message body ). The fixed-width
 // length lets a builder open a batch, append messages as they arrive
 // and seal it by patching the length — no copy, no second pass.
@@ -305,7 +257,7 @@ func BatchMsgSize(msg mpx.Message) int {
 // extended slice plus the frame's start offset, which SealBatch needs.
 func BeginBatch(dst []byte) ([]byte, int) {
 	start := len(dst)
-	dst = append(dst, Version2, KindBatch, 0, 0, 0, 0)
+	dst = append(dst, MaxVersion, KindBatch, 0, 0, 0, 0)
 	return dst, start
 }
 
@@ -322,7 +274,7 @@ func AppendBatchMsg(dst []byte, msg mpx.Message) []byte {
 func SealBatch(dst []byte, start int) []byte {
 	body := dst[start+6:]
 	binary.LittleEndian.PutUint32(dst[start+2:], uint32(len(body)))
-	return binary.LittleEndian.AppendUint32(dst, checksum(Version2, body))
+	return binary.LittleEndian.AppendUint32(dst, checksum(body))
 }
 
 // Vectored frames: headers in a small block, payload by reference.
@@ -335,14 +287,14 @@ func SealBatch(dst []byte, start int) []byte {
 // write. The CRC is computed incrementally across the segments.
 
 // VecOverhead returns the number of non-payload bytes AppendFrameVec
-// appends to blk for a version-ver frame carrying msg.
-func VecOverhead(ver byte, msg mpx.Message) int {
+// appends to blk for a frame carrying msg, whatever its version byte
+// (see AppendFrameV on the parameter).
+func VecOverhead(_ byte, msg mpx.Message) int {
 	body := bodyLen(msg)
 	n := 2 + uvarintLen(uint64(body)) + body + 4
 	for _, p := range msg.Parts {
 		n -= len(p.Data)
 	}
-	_ = ver // both versions share the layout; only the CRC differs
 	return n
 }
 
@@ -368,76 +320,28 @@ func AppendFrameVec(blk []byte, segs [][]byte, ver byte, msg mpx.Message) ([]byt
 		blk = binary.AppendUvarint(blk, uint64(len(p.Data)))
 		if len(p.Data) > 0 {
 			// Close the open blk span, then emit the payload by reference.
-			crc = checksumUpdate(ver, crc, blk[crcFrom:])
+			crc = checksumUpdate(crc, blk[crcFrom:])
 			segs = append(segs, blk[spanFrom:len(blk):len(blk)])
 			spanFrom, crcFrom = len(blk), len(blk)
-			crc = checksumUpdate(ver, crc, p.Data)
+			crc = checksumUpdate(crc, p.Data)
 			segs = append(segs, p.Data)
 		}
 		blk = binary.AppendUvarint(blk, uint64(p.Sum))
 	}
-	crc = checksumUpdate(ver, crc, blk[crcFrom:])
-	blk = binary.LittleEndian.AppendUint32(blk, crc)
-	segs = append(segs, blk[spanFrom:len(blk):len(blk)])
-	return blk, segs
-}
-
-// SeqVecOverhead returns the number of non-payload bytes
-// AppendSeqFrameVec appends to blk for a version-ver sequenced frame
-// carrying seq and msg.
-func SeqVecOverhead(ver byte, seq uint64, msg mpx.Message) int {
-	body := uvarintLen(seq) + bodyLen(msg)
-	n := 2 + uvarintLen(uint64(body)) + body + 4
-	for _, p := range msg.Parts {
-		n -= len(p.Data)
-	}
-	_ = ver
-	return n
-}
-
-// AppendSeqFrameVec is AppendFrameVec for a KindSeqData frame: the
-// sequence number leads the CRC-covered body, the payload stays in the
-// parts' own Data slices. Striped links use it so bulk frames keep the
-// zero-copy vectored path while carrying the link-level sequence their
-// receiver reorders by. The same capacity contract as AppendFrameVec
-// applies: blk MUST have SeqVecOverhead spare capacity.
-func AppendSeqFrameVec(blk []byte, segs [][]byte, ver byte, seq uint64, msg mpx.Message) ([]byte, [][]byte) {
-	body := uvarintLen(seq) + bodyLen(msg)
-	spanFrom := len(blk)
-	blk = append(blk, ver, KindSeqData)
-	blk = binary.AppendUvarint(blk, uint64(body))
-	crcFrom := len(blk)
-	blk = binary.AppendUvarint(blk, seq)
-	blk = binary.AppendUvarint(blk, zigzag(msg.Tag))
-	blk = binary.AppendUvarint(blk, uint64(len(msg.Parts)))
-	crc := uint32(0)
-	for _, p := range msg.Parts {
-		blk = binary.AppendUvarint(blk, uint64(p.Dest))
-		blk = binary.AppendUvarint(blk, zigzag(p.Offset))
-		blk = binary.AppendUvarint(blk, uint64(len(p.Data)))
-		if len(p.Data) > 0 {
-			crc = checksumUpdate(ver, crc, blk[crcFrom:])
-			segs = append(segs, blk[spanFrom:len(blk):len(blk)])
-			spanFrom, crcFrom = len(blk), len(blk)
-			crc = checksumUpdate(ver, crc, p.Data)
-			segs = append(segs, p.Data)
-		}
-		blk = binary.AppendUvarint(blk, uint64(p.Sum))
-	}
-	crc = checksumUpdate(ver, crc, blk[crcFrom:])
+	crc = checksumUpdate(crc, blk[crcFrom:])
 	blk = binary.LittleEndian.AppendUint32(blk, crc)
 	segs = append(segs, blk[spanFrom:len(blk):len(blk)])
 	return blk, segs
 }
 
 // BodyStart returns the offset of the first body byte of the data frame
-// (plain or sequenced, either version) at the start of buf, or -1 if
+// (plain or sequenced) at the start of buf, or -1 if
 // buf does not begin with a well-formed data-frame header. Transports
 // use it to flip body bytes when injecting in-flight corruption: damage
 // past this offset is caught by the CRC without desynchronizing the
 // stream.
 func BodyStart(buf []byte) int {
-	if len(buf) < 2 || !versionOK(buf[0]) || (buf[1] != KindData && buf[1] != KindSeqData) {
+	if len(buf) < 2 || buf[0] != MaxVersion || (buf[1] != KindData && buf[1] != KindSeqData) {
 		return -1
 	}
 	n, k := binary.Uvarint(buf[2:])
@@ -447,13 +351,11 @@ func BodyStart(buf []byte) int {
 	return 2 + k
 }
 
-// Frame is one decoded frame of any kind. Ver is the protocol version
-// byte the frame carried. Seq carries the sequence number of a
-// KindSeqData frame, the cumulative acknowledgement of a KindAck frame,
-// or the replay-from watermark of a KindNack frame; Msg is set for the
-// single-message data kinds, Msgs for KindBatch.
+// Frame is one decoded frame of any kind. Seq carries the sequence
+// number of a KindSeqData frame, the cumulative acknowledgement of a
+// KindAck frame, or the replay-from watermark of a KindNack frame; Msg
+// is set for the single-message data kinds, Msgs for KindBatch.
 type Frame struct {
-	Ver  byte
 	Kind byte
 	Seq  uint64
 	Msg  mpx.Message
@@ -467,21 +369,16 @@ type Frame struct {
 
 // AppendMemberFrame appends a membership or growth control frame
 // (KindJoin, KindDrain, KindView, KindGrow or KindAttach) to dst.
-// Layout matches the varint data kinds: ver | kind | bodyLen (uvarint)
-// | body | crc32(body). Membership frames exist from Version3 on,
-// growth frames from Version4.
-func AppendMemberFrame(dst []byte, ver, kind byte, body []byte) []byte {
-	bad := ver < Version3 || !(memberKind(kind) || growKind(kind))
-	if !bad && growKind(kind) && ver < Version4 {
-		bad = true
+// Layout matches the varint data kinds: version | kind | bodyLen
+// (uvarint) | body | crc32c(body).
+func AppendMemberFrame(dst []byte, kind byte, body []byte) []byte {
+	if !memberKind(kind) {
+		panic(fmt.Sprintf("wire: AppendMemberFrame(kind=%d)", kind))
 	}
-	if bad {
-		panic(fmt.Sprintf("wire: AppendMemberFrame(ver=%d, kind=%d)", ver, kind))
-	}
-	dst = append(dst, ver, kind)
+	dst = append(dst, MaxVersion, kind)
 	dst = binary.AppendUvarint(dst, uint64(len(body)))
 	dst = append(dst, body...)
-	return binary.LittleEndian.AppendUint32(dst, checksum(ver, body))
+	return binary.LittleEndian.AppendUint32(dst, checksum(body))
 }
 
 // MaxAttachAddr bounds the address carried by a KindAttach body — far
@@ -572,11 +469,11 @@ func DecodeAnyInto(fr *Frame, arena []byte, buf []byte) ([]byte, int, error) {
 		fr.Kind = 0
 		return arena, 0, ErrTruncated
 	}
-	if !versionOK(buf[0]) {
-		return arena, 0, fmt.Errorf("%w: frame version %d, want 1..%d", ErrVersion, buf[0], MaxVersion)
+	if err := checkVersion(buf[0]); err != nil {
+		return arena, 0, err
 	}
-	ver, kind := buf[0], buf[1]
-	fr.Ver, fr.Kind = ver, kind
+	kind := buf[1]
+	fr.Kind = kind
 	switch kind {
 	case KindBye:
 		return arena, 2, ErrBye
@@ -587,19 +484,8 @@ func DecodeAnyInto(fr *Frame, arena []byte, buf []byte) ([]byte, int, error) {
 		}
 		fr.Seq = v
 		return arena, 2 + k, nil
-	case KindData, KindSeqData:
-	case KindJoin, KindDrain, KindView:
-		if ver < Version3 {
-			return arena, 0, fmt.Errorf("%w: membership frame at version %d", ErrCorrupt, ver)
-		}
-	case KindGrow, KindAttach:
-		if ver < Version4 {
-			return arena, 0, fmt.Errorf("%w: growth frame at version %d", ErrCorrupt, ver)
-		}
+	case KindData, KindSeqData, KindJoin, KindDrain, KindView, KindGrow, KindAttach:
 	case KindBatch:
-		if ver < Version2 {
-			return arena, 0, fmt.Errorf("%w: batch frame at version %d", ErrCorrupt, ver)
-		}
 		if len(buf) < 6 {
 			return arena, 0, ErrTruncated
 		}
@@ -612,7 +498,7 @@ func DecodeAnyInto(fr *Frame, arena []byte, buf []byte) ([]byte, int, error) {
 			return arena, 0, ErrTruncated
 		}
 		body := buf[6 : 6+blen]
-		if checksum(ver, body) != binary.LittleEndian.Uint32(buf[6+blen:]) {
+		if checksum(body) != binary.LittleEndian.Uint32(buf[6+blen:]) {
 			return arena, total, ErrChecksum
 		}
 		arena, err := decodeBatch(fr, arena, body)
@@ -633,10 +519,10 @@ func DecodeAnyInto(fr *Frame, arena []byte, buf []byte) ([]byte, int, error) {
 		return arena, 0, ErrTruncated
 	}
 	body := buf[hdr : hdr+int(blen)]
-	if checksum(ver, body) != binary.LittleEndian.Uint32(buf[hdr+int(blen):]) {
+	if checksum(body) != binary.LittleEndian.Uint32(buf[hdr+int(blen):]) {
 		return arena, total, ErrChecksum
 	}
-	if memberKind(kind) || growKind(kind) {
+	if memberKind(kind) {
 		fr.Body = append([]byte(nil), body...)
 		return arena, total, nil
 	}
@@ -685,31 +571,6 @@ func decodeBatch(fr *Frame, arena []byte, body []byte) ([]byte, error) {
 		body = body[mlen:]
 	}
 	return arena, nil
-}
-
-// DecodeFrame decodes the plain data frame at the start of buf — the
-// non-sequenced subset of DecodeAny kept for the plain (non-resilient)
-// transport path. ErrBye marks a consumed shutdown frame; control,
-// batch and sequenced kinds are rejected as ErrCorrupt.
-func DecodeFrame(buf []byte) (mpx.Message, int, error) {
-	fr, n, err := DecodeAny(buf)
-	if err != nil {
-		return mpx.Message{}, n, err
-	}
-	if fr.Kind != KindData {
-		return mpx.Message{}, 0, fmt.Errorf("%w: unexpected frame kind %d on a plain link", ErrCorrupt, fr.Kind)
-	}
-	return fr.Msg, n, nil
-}
-
-// decodeBody parses a CRC-verified frame body. The returned message
-// owns freshly copied payload bytes (body may be a reused read buffer).
-func decodeBody(body []byte) (mpx.Message, error) {
-	var msg mpx.Message
-	if _, err := decodeBodyInto(&msg, nil, body); err != nil {
-		return mpx.Message{}, err
-	}
-	return msg, nil
 }
 
 // bodyPayload walks the part headers of a body (after tag and count)
@@ -906,8 +767,8 @@ func readUvarint(b []byte) (uint64, int, bool) {
 }
 
 // Reader decodes frames from a byte stream, reusing one internal buffer
-// across frames. ReadAny/ReadFrame hand ownership of decoded payloads
-// to the caller; ReadAnyInto additionally reuses the decode structures,
+// across frames. ReadAny hands ownership of decoded payloads to the
+// caller; ReadAnyInto additionally reuses the decode structures,
 // so a warm pump loop allocates nothing.
 //
 // A frame takes one of two decode paths, chosen from its own header. A
@@ -1001,11 +862,11 @@ func (r *Reader) readAnyInto(fr *Frame, arena []byte) error {
 	if _, err := io.ReadFull(r.r, r.hdr[:2]); err != nil {
 		return err
 	}
-	if !versionOK(r.hdr[0]) {
-		return fmt.Errorf("%w: frame version %d, want 1..%d", ErrVersion, r.hdr[0], MaxVersion)
+	if err := checkVersion(r.hdr[0]); err != nil {
+		return err
 	}
-	ver, kind := r.hdr[0], r.hdr[1]
-	fr.Ver, fr.Kind = ver, kind
+	kind := r.hdr[1]
+	fr.Kind = kind
 	var blen uint64
 	switch kind {
 	case KindBye:
@@ -1017,34 +878,13 @@ func (r *Reader) readAnyInto(fr *Frame, arena []byte) error {
 		}
 		fr.Seq = v
 		return nil
-	case KindData, KindSeqData:
-		v, err := r.readUvarint()
-		if err != nil {
-			return fmt.Errorf("%w: bad body length", ErrCorrupt)
-		}
-		blen = v
-	case KindJoin, KindDrain, KindView:
-		if ver < Version3 {
-			return fmt.Errorf("%w: membership frame at version %d", ErrCorrupt, ver)
-		}
-		v, err := r.readUvarint()
-		if err != nil {
-			return fmt.Errorf("%w: bad body length", ErrCorrupt)
-		}
-		blen = v
-	case KindGrow, KindAttach:
-		if ver < Version4 {
-			return fmt.Errorf("%w: growth frame at version %d", ErrCorrupt, ver)
-		}
+	case KindData, KindSeqData, KindJoin, KindDrain, KindView, KindGrow, KindAttach:
 		v, err := r.readUvarint()
 		if err != nil {
 			return fmt.Errorf("%w: bad body length", ErrCorrupt)
 		}
 		blen = v
 	case KindBatch:
-		if ver < Version2 {
-			return fmt.Errorf("%w: batch frame at version %d", ErrCorrupt, ver)
-		}
 		if _, err := io.ReadFull(r.r, r.hdr[2:6]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
@@ -1093,7 +933,7 @@ func (r *Reader) readAnyInto(fr *Frame, arena []byte) error {
 		return err
 	}
 	body := raw[:blen]
-	if checksum(ver, body) != binary.LittleEndian.Uint32(raw[blen:]) {
+	if checksum(body) != binary.LittleEndian.Uint32(raw[blen:]) {
 		return ErrChecksum
 	}
 	var err error
@@ -1126,22 +966,6 @@ func (r *Reader) readAnyInto(fr *Frame, arena []byte) error {
 		r.arena = arena
 	}
 	return err
-}
-
-// ReadFrame reads the next plain data frame — the non-sequenced subset
-// of ReadAny kept for the plain (non-resilient) transport path. It
-// returns ErrBye on an orderly shutdown frame and ErrChecksum for a
-// damaged-but-framed body (the stream stays aligned; the caller may
-// keep reading). Any other error is terminal for the stream.
-func (r *Reader) ReadFrame() (mpx.Message, error) {
-	fr, err := r.ReadAny()
-	if err != nil {
-		return mpx.Message{}, err
-	}
-	if fr.Kind != KindData {
-		return mpx.Message{}, fmt.Errorf("%w: unexpected frame kind %d on a plain link", ErrCorrupt, fr.Kind)
-	}
-	return fr.Msg, nil
 }
 
 // readLead consumes the leading fields of a data frame's body — the
@@ -1177,14 +1001,13 @@ func (r *Reader) readLead(kind byte, blen int) (seq, tag, nparts uint64, ok bool
 // parsing it, stays aligned on the trailer, and calls the frame
 // malformed only when the trailer agrees with the bytes that arrived.
 func (r *Reader) readStreamed(fr *Frame, tag uint64, nparts, left int) error {
-	ver := fr.Ver
 	fr.Msg.Tag = unzigzag(tag)
 	crc := uint32(0)
 	malformed, err := r.streamParts(fr, nparts, &left, &crc)
 	if err != nil {
 		return err
 	}
-	crc = checksumUpdate(ver, crc, r.head)
+	crc = checksumUpdate(crc, r.head)
 	// Fold what the parser left of the body (nothing, in a well-formed
 	// frame) through the whole-body scratch.
 	if left > 0 && cap(r.buf) < 4<<10 {
@@ -1195,7 +1018,7 @@ func (r *Reader) readStreamed(fr *Frame, tag uint64, nparts, left int) error {
 		if _, err := io.ReadFull(r.r, scratch); err != nil {
 			return unexpectedEOF(err)
 		}
-		crc = checksumUpdate(ver, crc, scratch)
+		crc = checksumUpdate(crc, scratch)
 		left -= len(scratch)
 	}
 	if _, err := io.ReadFull(r.r, r.hdr[:4]); err != nil {
@@ -1238,12 +1061,12 @@ func (r *Reader) streamParts(fr *Frame, nparts int, left *int, crc *uint32) (mal
 			if len(dst) != n {
 				dst = make([]byte, n)
 			}
-			*crc = checksumUpdate(fr.Ver, *crc, r.head)
+			*crc = checksumUpdate(*crc, r.head)
 			r.head = r.head[:0]
 			if _, err := io.ReadFull(r.r, dst); err != nil {
 				return "", unexpectedEOF(err)
 			}
-			*crc = checksumUpdate(fr.Ver, *crc, dst)
+			*crc = checksumUpdate(*crc, dst)
 			*left -= n
 			p.Data = dst[:n:n]
 		}
@@ -1320,104 +1143,43 @@ func (r *Reader) streamUvarint(left *int) (v uint64, ok bool, err error) {
 	return 0, false, nil
 }
 
-// Handshake opens every neighbor link: the dialing side announces who it
+// Hello opens every neighbor link: the dialing side announces who it
 // is and which node it wants, the accepting side echoes the pair back.
-// Dim mismatches and unsupported versions kill the connection before
-// any frame flows.
-type Handshake struct {
-	Dim      int
-	From, To cube.NodeID
-}
-
-// handshake layout: magic (4) | version (1) | dim (1) | from (4, LE) | to (4, LE).
-const handshakeLen = 14
-
-var handshakeMagic = [4]byte{'H', 'C', 'U', 'B'}
-
-// AppendHandshake appends the encoded handshake to dst at version 1 —
-// the legacy form; version-negotiating transports use AppendHello.
-func AppendHandshake(dst []byte, h Handshake) []byte {
-	dst = append(dst, handshakeMagic[:]...)
-	dst = append(dst, Version, byte(h.Dim))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.From))
-	return binary.LittleEndian.AppendUint32(dst, uint32(h.To))
-}
-
-// ReadHandshake reads and validates one plain handshake from r.
-func ReadHandshake(r io.Reader) (Handshake, error) {
-	h, err := ReadHello(r)
-	if err != nil {
-		return Handshake{}, err
-	}
-	if h.Resilient {
-		return Handshake{}, fmt.Errorf("%w: peer opened with a resilient handshake on a plain link", ErrCorrupt)
-	}
-	return h.Handshake, nil
-}
-
-// Hello is the union of the two link-opening handshakes: the plain HCUB
-// form and the resilient HCRX form, which additionally carries RecvSeq —
-// the highest contiguous sequence number the sender has already received
-// on this link — so a resuming peer knows exactly which unacknowledged
-// frames to replay. A fresh resilient link carries RecvSeq 0.
-//
-// The handshake's version byte doubles as the wire-version negotiation:
-// the opening side advertises the highest version it speaks, the
-// accepting side echoes the version it chose (NegotiateVersion of the
-// two maxima), and both ends then frame at the chosen version. A
-// version-1-only peer simply advertises (and is echoed) 1.
+// Dim mismatches and any version byte but MaxVersion kill the
+// connection before a frame flows. It has two forms, told apart by
+// their magic: the plain HCUB form and the resilient HCRX form, which
+// additionally carries RecvSeq — the highest contiguous sequence number
+// the sender has already received on this link — so a resuming peer
+// knows exactly which unacknowledged frames to replay. A fresh
+// resilient link carries RecvSeq 0.
 type Hello struct {
-	Handshake
+	Dim       int
+	From, To  cube.NodeID
 	Resilient bool
 	RecvSeq   uint64
-	// Version is the handshake's version byte: the advertised maximum on
-	// an opening hello, the chosen version on an echo. Zero encodes as
-	// MaxVersion.
-	Version byte
-	// Stripe is the 1-based stripe index of an HSTA stripe-attach hello
-	// (see AppendStripeHello); 0 on the primary forms. Stripe
-	// connections join an already-established link, so the attach hello
-	// is never resilient and carries no resume watermark.
-	Stripe int
 }
 
-// resume handshake layout: magic (4) | version (1) | dim (1) |
-// from (4, LE) | to (4, LE) | recvSeq (8, LE).
-const helloLen = handshakeLen + 8
+// hello layout: magic (4) | version (1) | dim (1) | from (4, LE) |
+// to (4, LE), and on the resilient form | recvSeq (8, LE).
+const (
+	plainHelloLen  = 14
+	resumeHelloLen = plainHelloLen + 8
+)
 
-var resumeMagic = [4]byte{'H', 'C', 'R', 'X'}
+var (
+	plainMagic  = [4]byte{'H', 'C', 'U', 'B'}
+	resumeMagic = [4]byte{'H', 'C', 'R', 'X'}
+)
 
-// stripe-attach layout: magic (4) | version (1) | dim (1) |
-// from (4, LE) | to (4, LE) | stripe (1).
-const stripeHelloLen = handshakeLen + 1
-
-var stripeMagic = [4]byte{'H', 'S', 'T', 'A'}
-
-// AppendStripeHello appends the handshake an extra striped connection
-// opens with: it names the already-established from->to link it joins
-// and its 1-based stripe index. Both endpoints must be configured with
-// the same stripe count — an unexpecting acceptor rejects the magic.
-func AppendStripeHello(dst []byte, h Handshake, stripe int) []byte {
-	dst = append(dst, stripeMagic[:]...)
-	dst = append(dst, MaxVersion, byte(h.Dim))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.From))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.To))
-	return append(dst, byte(stripe))
-}
-
-// AppendHello appends the encoded handshake in the form selected by
-// h.Resilient, carrying h.Version (MaxVersion when zero).
+// AppendHello appends the encoded hello in the form selected by
+// h.Resilient.
 func AppendHello(dst []byte, h Hello) []byte {
-	v := h.Version
-	if v == 0 {
-		v = MaxVersion
-	}
-	magic := handshakeMagic
+	magic := plainMagic
 	if h.Resilient {
 		magic = resumeMagic
 	}
 	dst = append(dst, magic[:]...)
-	dst = append(dst, v, byte(h.Dim))
+	dst = append(dst, MaxVersion, byte(h.Dim))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.From))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.To))
 	if h.Resilient {
@@ -1426,48 +1188,33 @@ func AppendHello(dst []byte, h Hello) []byte {
 	return dst
 }
 
-// ReadHello reads one handshake of either form from r, dispatching on
-// the magic. Accepting transports use it so a single listener serves
-// both fresh plain connects and resilient connect/resume handshakes.
-// Any version in [1, MaxVersion] is accepted and reported in
-// Hello.Version; negotiation is the transport's job.
+// ReadHello reads one hello of either form from r, dispatching on the
+// magic. Accepting transports use it so a single listener serves both
+// fresh plain connects and resilient connect/resume hellos.
 func ReadHello(r io.Reader) (Hello, error) {
-	var buf [helloLen]byte
-	if _, err := io.ReadFull(r, buf[:handshakeLen]); err != nil {
+	var buf [resumeHelloLen]byte
+	if _, err := io.ReadFull(r, buf[:plainHelloLen]); err != nil {
 		return Hello{}, err
 	}
 	var h Hello
-	stripe := false
 	switch [4]byte(buf[:4]) {
-	case handshakeMagic:
+	case plainMagic:
 	case resumeMagic:
 		h.Resilient = true
-	case stripeMagic:
-		stripe = true
 	default:
-		return Hello{}, fmt.Errorf("%w: bad handshake magic %q", ErrCorrupt, buf[:4])
+		return Hello{}, fmt.Errorf("%w: bad hello magic %q", ErrCorrupt, buf[:4])
 	}
-	if !versionOK(buf[4]) {
-		return Hello{}, fmt.Errorf("%w: peer speaks version %d, want 1..%d", ErrVersion, buf[4], MaxVersion)
+	if err := checkVersion(buf[4]); err != nil {
+		return Hello{}, err
 	}
-	h.Version = buf[4]
 	h.Dim = int(buf[5])
 	h.From = cube.NodeID(binary.LittleEndian.Uint32(buf[6:10]))
 	h.To = cube.NodeID(binary.LittleEndian.Uint32(buf[10:14]))
 	if h.Resilient {
-		if _, err := io.ReadFull(r, buf[handshakeLen:]); err != nil {
+		if _, err := io.ReadFull(r, buf[plainHelloLen:]); err != nil {
 			return Hello{}, err
 		}
-		h.RecvSeq = binary.LittleEndian.Uint64(buf[handshakeLen:])
-	}
-	if stripe {
-		if _, err := io.ReadFull(r, buf[handshakeLen:stripeHelloLen]); err != nil {
-			return Hello{}, err
-		}
-		h.Stripe = int(buf[handshakeLen])
-		if h.Stripe == 0 {
-			return Hello{}, fmt.Errorf("%w: stripe-attach hello with stripe index 0", ErrCorrupt)
-		}
+		h.RecvSeq = binary.LittleEndian.Uint64(buf[plainHelloLen:])
 	}
 	return h, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/cube"
@@ -44,10 +43,22 @@ func msgEqual(a, b mpx.Message) bool {
 	return true
 }
 
+// appendFrame is AppendFrameV with the one version byte the decoders
+// accept.
+func appendFrame(dst []byte, msg mpx.Message) []byte {
+	return AppendFrameV(dst, MaxVersion, msg)
+}
+
+// decodeMsg is DecodeAny for tests that only look at the message.
+func decodeMsg(buf []byte) (mpx.Message, int, error) {
+	fr, n, err := DecodeAny(buf)
+	return fr.Msg, n, err
+}
+
 func TestRoundTrip(t *testing.T) {
 	for i, msg := range sampleMessages() {
-		frame := AppendFrame(nil, msg)
-		got, n, err := DecodeFrame(frame)
+		frame := appendFrame(nil, msg)
+		got, n, err := decodeMsg(frame)
 		if err != nil {
 			t.Fatalf("msg %d: decode: %v", i, err)
 		}
@@ -74,8 +85,8 @@ func TestRoundTripRandom(t *testing.T) {
 				Sum:    rng.Uint32(),
 			})
 		}
-		frame := AppendFrame(nil, msg)
-		got, _, err := DecodeFrame(frame)
+		frame := appendFrame(nil, msg)
+		got, _, err := decodeMsg(frame)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -86,20 +97,20 @@ func TestRoundTripRandom(t *testing.T) {
 }
 
 // TestCoalescedStream decodes many frames appended into one buffer, as
-// the transport's write coalescing produces them, via both DecodeFrame
+// the transport's write coalescing produces them, via both DecodeAny
 // and the streaming Reader.
 func TestCoalescedStream(t *testing.T) {
 	msgs := sampleMessages()
 	var buf []byte
 	for _, m := range msgs {
-		buf = AppendFrame(buf, m)
+		buf = appendFrame(buf, m)
 	}
 	buf = AppendBye(buf)
 
 	// Slice-based decoding.
 	rest := buf
 	for i, want := range msgs {
-		got, n, err := DecodeFrame(rest)
+		got, n, err := decodeMsg(rest)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -108,25 +119,25 @@ func TestCoalescedStream(t *testing.T) {
 		}
 		rest = rest[n:]
 	}
-	if _, n, err := DecodeFrame(rest); !errors.Is(err, ErrBye) || n != 2 {
+	if _, n, err := decodeMsg(rest); !errors.Is(err, ErrBye) || n != 2 {
 		t.Fatalf("tail: got n=%d err=%v, want BYE", n, err)
 	}
 
 	// Streaming decoding.
 	r := NewReader(bytes.NewReader(buf))
 	for i, want := range msgs {
-		got, err := r.ReadFrame()
+		got, err := r.ReadAny()
 		if err != nil {
 			t.Fatalf("stream frame %d: %v", i, err)
 		}
-		if !msgEqual(got, want) {
+		if !msgEqual(got.Msg, want) {
 			t.Fatalf("stream frame %d mismatch", i)
 		}
 	}
-	if _, err := r.ReadFrame(); !errors.Is(err, ErrBye) {
+	if _, err := r.ReadAny(); !errors.Is(err, ErrBye) {
 		t.Fatalf("stream tail: %v, want ErrBye", err)
 	}
-	if _, err := r.ReadFrame(); err != io.EOF {
+	if _, err := r.ReadAny(); err != io.EOF {
 		t.Fatalf("after BYE: %v, want EOF", err)
 	}
 }
@@ -139,7 +150,7 @@ func TestBitFlipDetected(t *testing.T) {
 		{Dest: 3, Offset: 16, Data: []byte("payload-bytes"), Sum: 77},
 		{Dest: 12, Data: []byte("x")},
 	}}
-	frame := AppendFrame(nil, msg)
+	frame := appendFrame(nil, msg)
 	body := BodyStart(frame)
 	if body < 0 {
 		t.Fatal("BodyStart failed on a valid frame")
@@ -147,7 +158,7 @@ func TestBitFlipDetected(t *testing.T) {
 	for i := range frame {
 		mut := append([]byte(nil), frame...)
 		mut[i] ^= 0x40
-		got, n, err := DecodeFrame(mut)
+		got, n, err := decodeMsg(mut)
 		if err == nil && msgEqual(got, msg) && n == len(frame) {
 			// The flip produced the identical message — impossible for a
 			// deterministic codec unless the byte is ignored.
@@ -165,52 +176,72 @@ func TestBitFlipDetected(t *testing.T) {
 }
 
 func TestTruncationDetected(t *testing.T) {
-	frame := AppendFrame(nil, sampleMessages()[3])
+	frame := appendFrame(nil, sampleMessages()[3])
 	for cut := 0; cut < len(frame); cut++ {
-		if _, _, err := DecodeFrame(frame[:cut]); err == nil {
+		if _, _, err := decodeMsg(frame[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded successfully", cut)
 		}
 		r := NewReader(bytes.NewReader(frame[:cut]))
-		if _, err := r.ReadFrame(); err == nil {
+		if _, err := r.ReadAny(); err == nil {
 			t.Fatalf("stream truncation to %d bytes decoded successfully", cut)
 		}
 	}
 }
 
+// TestVersionMismatch: there is one version byte. Every frame kind and
+// both hello forms stamped 1, 2, 3 (the retired versions) or 5 are
+// rejected with ErrVersion by the slice decoder, the stream reader and
+// ReadHello, before anything else about them is looked at.
 func TestVersionMismatch(t *testing.T) {
-	frame := AppendFrame(nil, mpx.Message{Tag: 1})
-	frame[0] = MaxVersion + 1
-	if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrVersion) {
-		t.Fatalf("got %v, want ErrVersion", err)
+	msg := sampleMessages()[3]
+	batch, st := BeginBatch(nil)
+	batch = SealBatch(AppendBatchMsg(batch, msg), st)
+	frames := map[string][]byte{
+		"data":   appendFrame(nil, msg),
+		"seq":    AppendSeqFrame(nil, 7, msg),
+		"batch":  batch,
+		"ack":    AppendAck(nil, 5),
+		"nack":   AppendNack(nil, 2),
+		"bye":    AppendBye(nil),
+		"join":   AppendMemberFrame(nil, KindJoin, []byte("j")),
+		"drain":  AppendMemberFrame(nil, KindDrain, nil),
+		"view":   AppendMemberFrame(nil, KindView, []byte("v")),
+		"grow":   AppendMemberFrame(nil, KindGrow, EncodeGrow(3)),
+		"attach": AppendMemberFrame(nil, KindAttach, EncodeAttach(4, "127.0.0.1:1")),
 	}
-	// Rewriting a v1 frame's version byte to v2 must not pass either:
-	// the two versions use different CRC polynomials, so the trailer no
-	// longer verifies.
-	frame[0] = Version2
-	if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("v1 frame relabeled v2: got %v, want ErrChecksum", err)
+	hellos := map[string][]byte{
+		"HCUB": AppendHello(nil, Hello{Dim: 3, From: 1, To: 5}),
+		"HCRX": AppendHello(nil, Hello{Dim: 3, From: 1, To: 5, Resilient: true, RecvSeq: 9}),
 	}
-}
-
-func TestHandshakeRoundTrip(t *testing.T) {
-	h := Handshake{Dim: 7, From: 5, To: 69}
-	got, err := ReadHandshake(bytes.NewReader(AppendHandshake(nil, h)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, h) {
-		t.Fatalf("got %+v, want %+v", got, h)
-	}
-
-	bad := AppendHandshake(nil, h)
-	bad[4] = MaxVersion + 1
-	if _, err := ReadHandshake(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version flip: %v, want ErrVersion", err)
-	}
-	bad = AppendHandshake(nil, h)
-	bad[0] = 'X'
-	if _, err := ReadHandshake(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bad magic accepted")
+	for _, ver := range []byte{1, 2, 3, MaxVersion + 1} {
+		for name, frame := range frames {
+			if frame[0] != MaxVersion {
+				t.Fatalf("%s frame is stamped %d, want %d", name, frame[0], MaxVersion)
+			}
+			bad := append([]byte(nil), frame...)
+			bad[0] = ver
+			if _, n, err := DecodeAny(bad); !errors.Is(err, ErrVersion) || n != 0 {
+				t.Fatalf("%s frame stamped %d: DecodeAny n=%d err=%v, want ErrVersion", name, ver, n, err)
+			}
+			if _, err := NewReader(bytes.NewReader(bad)).ReadAny(); !errors.Is(err, ErrVersion) {
+				t.Fatalf("%s frame stamped %d: ReadAny err=%v, want ErrVersion", name, ver, err)
+			}
+			var fr Frame
+			if err := NewReader(bytes.NewReader(bad)).ReadAnyInto(&fr); !errors.Is(err, ErrVersion) {
+				t.Fatalf("%s frame stamped %d: ReadAnyInto err=%v, want ErrVersion", name, ver, err)
+			}
+		}
+		for name, hello := range hellos {
+			bad := append([]byte(nil), hello...)
+			bad[4] = ver
+			if _, err := ReadHello(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
+				t.Fatalf("%s hello stamped %d: err=%v, want ErrVersion", name, ver, err)
+			}
+		}
+		// The byte AppendFrameV is handed is the byte it stamps.
+		if _, _, err := DecodeAny(AppendFrameV(nil, ver, msg)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("AppendFrameV(ver=%d): err=%v, want ErrVersion", ver, err)
+		}
 	}
 }
 
@@ -283,7 +314,7 @@ func TestMixedStreamDecodesInOrder(t *testing.T) {
 	buf = AppendNack(buf, 0)
 	buf = AppendSeqFrame(buf, 2, msgs[3])
 	buf = AppendAck(buf, 17)
-	buf = AppendFrame(buf, msgs[1])
+	buf = appendFrame(buf, msgs[1])
 	buf = AppendBye(buf)
 
 	want := []Frame{
@@ -345,88 +376,52 @@ func TestSeqFrameBitFlipDetected(t *testing.T) {
 	}
 }
 
-// TestStrictDecodersRejectResilientKinds pins the mode split: a plain
-// link speaks KindData only, so its strict decoders must refuse the
-// resilience kinds instead of silently passing them through.
-func TestStrictDecodersRejectResilientKinds(t *testing.T) {
-	frames := [][]byte{
-		AppendSeqFrame(nil, 1, sampleMessages()[1]),
-		AppendAck(nil, 5),
-		AppendNack(nil, 2),
-	}
-	for i, frame := range frames {
-		if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("frame %d: DecodeFrame err=%v, want ErrCorrupt", i, err)
-		}
-		if _, err := NewReader(bytes.NewReader(frame)).ReadFrame(); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("frame %d: ReadFrame accepted a resilient kind", i)
-		}
-	}
-}
-
-// TestHelloRoundTrip covers both handshake encodings: the legacy HCUB
-// form a plain endpoint sends and the extended HCRX resume form that
-// carries the receiver's last-seen sequence number. One ReadHello
-// serves both, dispatching on the magic.
+// TestHelloRoundTrip covers both hello encodings: the HCUB form a plain
+// endpoint sends and the HCRX resume form that carries the receiver's
+// last-seen sequence number. One ReadHello serves both, dispatching on
+// the magic.
 func TestHelloRoundTrip(t *testing.T) {
-	plain := Hello{Handshake: Handshake{Dim: 5, From: 3, To: 19}}
-	got, err := ReadHello(bytes.NewReader(AppendHello(nil, plain)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A zero Version encodes as the advertised maximum.
-	want := plain
-	want.Version = MaxVersion
-	if got != want {
-		t.Fatalf("plain hello: got %+v, want %+v", got, want)
-	}
-	// The version-1 plain form is byte-identical to the legacy handshake.
-	v1 := plain
-	v1.Version = Version1
-	if !bytes.Equal(AppendHello(nil, v1), AppendHandshake(nil, plain.Handshake)) {
-		t.Fatal("plain v1 AppendHello diverged from AppendHandshake")
-	}
-
+	hellos := []Hello{{Dim: 5, From: 3, To: 19}}
 	for _, seq := range []uint64{0, 1, 1 << 40, 1<<64 - 1} {
-		for _, ver := range []byte{Version1, Version2} {
-			res := Hello{Handshake: Handshake{Dim: 9, From: 511, To: 256}, Resilient: true, RecvSeq: seq, Version: ver}
-			got, err := ReadHello(bytes.NewReader(AppendHello(nil, res)))
-			if err != nil {
-				t.Fatalf("seq %d v%d: %v", seq, ver, err)
-			}
-			if got != res {
-				t.Fatalf("seq %d v%d: got %+v, want %+v", seq, ver, got, res)
-			}
+		hellos = append(hellos, Hello{Dim: 9, From: 511, To: 256, Resilient: true, RecvSeq: seq})
+	}
+	for _, h := range hellos {
+		enc := AppendHello(nil, h)
+		got, err := ReadHello(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("%+v: %v", h, err)
+		}
+		if got != h {
+			t.Fatalf("got %+v, want %+v", got, h)
+		}
+		bad := append([]byte(nil), enc...)
+		bad[0] = 'Z'
+		if _, err := ReadHello(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%+v: bad magic: %v, want ErrCorrupt", h, err)
+		}
+		// A truncated hello (for the resume form, the plain prefix of one)
+		// must error, not hang or misparse.
+		if _, err := ReadHello(bytes.NewReader(enc[:len(enc)-3])); err == nil {
+			t.Fatalf("%+v: truncated hello accepted", h)
 		}
 	}
-
-	bad := AppendHello(nil, Hello{Handshake: Handshake{Dim: 3, From: 1, To: 5}, Resilient: true, RecvSeq: 9})
-	bad[4] = MaxVersion + 1
-	if _, err := ReadHello(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version flip: %v, want ErrVersion", err)
-	}
-	bad = AppendHello(nil, Hello{Handshake: Handshake{Dim: 3, From: 1, To: 5}, Resilient: true, RecvSeq: 9})
-	bad[0] = 'Z'
-	if _, err := ReadHello(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bad resume magic accepted")
-	}
-	// A truncated resume hello (the legacy prefix of one) must error, not
-	// hang or misparse.
-	full := AppendHello(nil, Hello{Handshake: Handshake{Dim: 3, From: 1, To: 5}, Resilient: true, RecvSeq: 9})
-	if _, err := ReadHello(bytes.NewReader(full[:len(full)-3])); err == nil {
-		t.Fatal("truncated resume hello accepted")
+	// The retired stripe-attach magic is no hello at all.
+	hsta := AppendHello(nil, hellos[0])
+	copy(hsta, "HSTA")
+	if _, err := ReadHello(bytes.NewReader(append(hsta, 1))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("HSTA hello: %v, want ErrCorrupt", err)
 	}
 }
 
 // TestHugeLengthRejected guards the allocation path against a corrupted
 // length prefix demanding gigabytes.
 func TestHugeLengthRejected(t *testing.T) {
-	buf := []byte{Version, KindData, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
-	if _, _, err := DecodeFrame(buf); !errors.Is(err, ErrCorrupt) {
+	buf := []byte{MaxVersion, KindData, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
+	if _, _, err := decodeMsg(buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
 	}
 	r := NewReader(bytes.NewReader(buf))
-	if _, err := r.ReadFrame(); !errors.Is(err, ErrCorrupt) {
+	if _, err := r.ReadAny(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("stream: got %v, want ErrCorrupt", err)
 	}
 }
