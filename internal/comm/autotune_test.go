@@ -98,35 +98,58 @@ func msgIf(c *Comm, root cube.NodeID, msg []byte) []byte {
 // profile settles, then checks the tuner actually engages: the root's
 // counters record a choice within the clamp range.
 func TestAutotuneCountsCollectives(t *testing.T) {
-	const m = 256 << 10
+	const (
+		m = 256 << 10
+		// How soon ProfileMinSamples flushes have been timed depends on
+		// the host's load, so the root watches its profile and tells the
+		// mesh when to stop: a few rounds after it settles, or at the cap.
+		maxRounds = 400
+		tail      = 4
+	)
 	msg := make([]byte, m)
 	for i := range msg {
 		msg[i] = byte(i * 31)
 	}
 	var got AutotuneStats
+	rounds := 0
 	err := RunTCPWith(2, TCPRunOptions{Autotune: true}, func(c *Comm) error {
-		// Warm the estimator: small and bulk rounds mixed, so the two
-		// cost parameters are separable.
-		for i := 0; i < 30; i++ {
+		// Small and bulk rounds mixed, so the two cost parameters are
+		// separable.
+		stop, r := maxRounds, 0
+		for ; r < stop; r++ {
 			if err := c.Barrier(); err != nil {
 				return err
 			}
 			if _, err := c.BcastMSBT(0, msgIf(c, 0, msg)); err != nil {
 				return err
 			}
+			if stop < maxRounds {
+				continue // settled: only the tail is left
+			}
+			settled := []byte{0}
+			if p, ok := c.Profile(); c.Rank() == 0 && ok && p.Valid() {
+				settled[0] = 1
+			}
+			settled, err := c.Bcast(0, settled)
+			if err != nil {
+				return err
+			}
+			if settled[0] == 1 {
+				stop = min(r+1+tail, maxRounds)
+			}
 		}
 		if c.Rank() == 0 {
-			got = c.AutotuneStats()
+			rounds, got = r, c.AutotuneStats()
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first few rounds run legacy while the profile settles
+	// The first rounds run legacy while the profile settles
 	// (ProfileMinSamples timed flushes), then the tuner engages.
-	if got.Collectives == 0 || got.Collectives > 30 {
-		t.Fatalf("root tuned %d collectives, want 1..30", got.Collectives)
+	if got.Collectives == 0 || got.Collectives > rounds {
+		t.Fatalf("root tuned %d collectives, want 1..%d", got.Collectives, rounds)
 	}
 	seg := (m + 1) / 2
 	if got.LastB < minAutoB || got.LastB > seg {

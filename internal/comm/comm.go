@@ -62,10 +62,12 @@ type Comm struct {
 	forceB   int // test hook: pin chooseB's answer
 	at       AutotuneStats
 
-	// routes caches, per tree root, this rank's BST child list and a
-	// flat dest→child-slot table (see route). Touched only from the
-	// rank's own goroutine, like seq.
+	// routes caches, per tree root, this rank's place in that root's BST
+	// (see route). held is AllToAll's per-source table of whole bundles,
+	// made by the first call and all nil between calls. Both are touched
+	// only from the rank's own goroutine, like seq.
 	routes []*rootRoute
+	held   [][]mpx.Part
 
 	// naiveAllNode disables the contention-aware multi-source schedule
 	// for the all-node collectives (see SetAllNodeSchedule); the
@@ -97,13 +99,16 @@ type Comm struct {
 
 	// ready is a FIFO of mailbox tags with queued envelopes belonging to
 	// the CURRENT collective sequence, one entry per envelope, in arrival
-	// order. recvTagAnyRoot pops from its head — O(1) per wakeup instead
-	// of rescanning the whole mailbox map in nondeterministic order.
+	// order. recvTagAnyRoot pops ready[readyHead] — O(1) per wakeup instead
+	// of rescanning the whole mailbox map in nondeterministic order — and
+	// rewinds to the front of the array once the queue drains, so deliver's
+	// append keeps reusing one backing array.
 	// deliver appends matching arrivals; next() reseeds it from the mailbox
 	// for envelopes that arrived early (a neighbor running ahead).
 	// Entries can go stale when another receive path drains the same tag;
 	// the pop validates against the mailbox before trusting one.
-	ready []int
+	ready     []int
+	readyHead int
 
 	// interrupt, when non-nil, fails every blocking receive immediately —
 	// the elastic runtime sets it (with a *member.ViewChangedError) when
@@ -546,7 +551,7 @@ func (c *Comm) next() {
 // map does not remember it); everything arriving after this point is
 // appended by deliver in true order.
 func (c *Comm) reseedLocked() {
-	c.ready = c.ready[:0]
+	c.ready, c.readyHead = c.ready[:0], 0
 	for tag, q := range c.mailbox {
 		if svc.JobKeyOf(tag) == c.key && svc.StreamSeq(tag) == c.seq {
 			for range q {
@@ -713,60 +718,59 @@ func chunkBound(l, n, j int) int { return j * l / n }
 // Scatter delivers data[i] from root to rank i along the balanced
 // spanning tree (the paper's personalized communication). Only the root's
 // data argument is consulted; every rank returns its own payload.
+//
+// Each subtree's data travels as one message, a bundle laid out by the
+// contract on rootRoute; a relay forwards sub-slices of the bundle it
+// received, so the parts a rank sees are read-only views of the root's.
 func (c *Comm) Scatter(root cube.NodeID, data [][]byte) ([]byte, error) {
 	defer c.next()
-	me := c.Rank()
-	if me == root {
+	rt := c.route(root)
+	var parts []mpx.Part
+	if c.Rank() == root {
 		if len(data) != c.Size() {
 			return nil, fmt.Errorf("comm: scatter needs %d payloads, got %d", c.Size(), len(data))
 		}
-		tr := bst.Cached(c.n, root)
-		for _, ch := range tr.Children(root) {
-			c.send(ch, 0, bundle(tr.SubtreeNodes(ch), data))
+		parts = bundle(rt.want, data)
+	} else {
+		env, err := c.recvTag(c.tagFor(0))
+		if err != nil {
+			return nil, err
 		}
-		return data[me], nil
+		if err := c.checkBundle(rt, env.Parts, "scatter"); err != nil {
+			return nil, err
+		}
+		parts = env.Parts
 	}
-	env, err := c.recvTag(c.tagFor(0))
-	if err != nil {
-		return nil, err
-	}
-	mine, found, err := c.routeParts(c.route(root), env.Parts, 0, "scatter")
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return nil, fmt.Errorf("comm: rank %d missing from scatter bundle", me)
-	}
-	return mine, nil
+	c.relay(rt, parts, 0)
+	return parts[0].Data, nil
 }
 
-// bundle cuts the message a tree's root sends one child: a part for every
-// node of that child's subtree, out of the root's per-rank payloads.
-func bundle(subtree []cube.NodeID, data [][]byte) []mpx.Part {
-	parts := make([]mpx.Part, len(subtree))
-	for i, d := range subtree {
+// bundle cuts a tree root's whole bundle — a part for every node, in the
+// tree's preorder — out of the root's per-rank payloads.
+func bundle(preorder []cube.NodeID, data [][]byte) []mpx.Part {
+	parts := make([]mpx.Part, len(preorder))
+	for i, d := range preorder {
 		parts[i] = mpx.Part{Dest: d, Data: data[d]}
 	}
 	return parts
 }
 
-// rootRoute is this rank's routing state in the BST rooted at one rank:
-// the child list and, for every destination, which child subtree it
-// lives under (-1: not routed through this rank). counts is reusable
-// scratch for bucketing one envelope's parts by child.
+// rootRoute is this rank's place in the BST rooted at one rank, and with
+// it the layout of every bundle Scatter and AllToAll send down that tree.
+// The bundle a rank receives holds exactly one part per node of its
+// subtree, in the tree's preorder with children visited in port order:
+// part i is for want[i], so part 0 is the rank's own and child i's whole
+// bundle is the contiguous run [bound[i], bound[i+1]). A tree's root
+// holds the same thing, cut once from its caller's payloads. Relaying is
+// therefore slicing: nothing is counted, bucketed or copied at any hop.
 type rootRoute struct {
-	children []cube.NodeID
-	slot     []int16
-	// starts/ends are per-child bucket bounds, scratch reused across
-	// envelopes (the part buffer itself is not reused — it escapes into
-	// sends that in-process transports hold by reference).
-	starts, ends []int
+	children []cube.NodeID // in port order
+	want     []cube.NodeID // this rank's subtree in preorder (a shared view)
+	bound    []int         // len(children)+1 run bounds; bound[0] == 1
 }
 
-// route returns the (lazily built, per-communicator) routing table for
-// the BST rooted at r, backed by the process-wide canonical tree cache.
-// The all-node collectives consult it once per envelope instead of
-// rebuilding childOf/perChild maps N−1 times per call.
+// route returns the (lazily built, per-communicator) rootRoute for the
+// BST rooted at r, backed by the process-wide canonical tree cache.
 func (c *Comm) route(r cube.NodeID) *rootRoute {
 	if c.routes == nil {
 		c.routes = make([]*rootRoute, c.Size())
@@ -776,73 +780,51 @@ func (c *Comm) route(r cube.NodeID) *rootRoute {
 	}
 	tr := bst.Cached(c.n, r)
 	me := c.Rank()
-	rt := &rootRoute{
-		children: tr.Children(me),
-		slot:     make([]int16, c.Size()),
+	rt := &rootRoute{children: tr.Children(me), want: tr.SubtreeNodes(me)}
+	rt.bound = make([]int, len(rt.children)+1)
+	rt.bound[0] = 1
+	for i, ch := range rt.children {
+		rt.bound[i+1] = rt.bound[i] + tr.SubtreeSize(ch)
 	}
-	for i := range rt.slot {
-		rt.slot[i] = -1
-	}
-	for ci, ch := range rt.children {
-		for _, d := range tr.SubtreeNodes(ch) {
-			rt.slot[d] = int16(ci)
-		}
-	}
-	rt.starts = make([]int, len(rt.children))
-	rt.ends = make([]int, len(rt.children))
 	c.routes[r] = rt
 	return rt
 }
 
-// routeParts buckets one envelope's parts by the child subtree each
-// destination lives under and forwards every non-empty bucket, returning
-// this rank's own payload (nil, false when absent). One backing slice is
-// allocated per envelope — it escapes into the sends, which may hold it
-// by reference on in-process transports — and parts outside the tree
-// report an error via the op name.
-func (c *Comm) routeParts(rt *rootRoute, parts []mpx.Part, sub int, op string) ([]byte, bool, error) {
-	me := c.Rank()
-	var mine []byte
-	found := false
-	// Pass 1: count each child's bucket.
-	for i := range rt.ends {
-		rt.ends[i] = 0
-	}
-	forward := 0
-	for _, pt := range parts {
-		if pt.Dest == me {
-			continue
-		}
-		s := rt.slot[pt.Dest]
-		if s < 0 {
-			return nil, false, fmt.Errorf("comm: %s part for %d outside %d's subtree", op, pt.Dest, me)
-		}
-		rt.ends[s]++
-		forward++
-	}
-	// Prefix-sum into bucket bounds, then pass 2: place parts.
-	buf := make([]mpx.Part, forward)
-	off := 0
-	for i, n := range rt.ends {
-		rt.starts[i] = off
-		off += n
-		rt.ends[i] = rt.starts[i]
-	}
-	for _, pt := range parts {
-		if pt.Dest == me {
-			mine, found = pt.Data, true
-			continue
-		}
-		s := rt.slot[pt.Dest]
-		buf[rt.ends[s]] = pt
-		rt.ends[s]++
-	}
-	for i, ch := range rt.children {
-		if seg := buf[rt.starts[i]:rt.ends[i]]; len(seg) > 0 {
-			c.send(ch, sub, seg)
+// checkBundle holds an arriving bundle to rt's layout, part for part. A
+// part for a node outside this rank's subtree, a missing or repeated
+// part, this rank's own part anywhere but first and children's runs out
+// of port order all fail here, before anything is forwarded; the error
+// names the first offending destination.
+func (c *Comm) checkBundle(rt *rootRoute, parts []mpx.Part, op string) error {
+	n := min(len(parts), len(rt.want))
+	for i, pt := range parts[:n] {
+		if pt.Dest != rt.want[i] {
+			return fmt.Errorf("comm: %s bundle at rank %d: part %d is for %d, want %d (its subtree in preorder)",
+				op, c.Rank(), i, pt.Dest, rt.want[i])
 		}
 	}
-	return mine, found, nil
+	if len(parts) > n {
+		return fmt.Errorf("comm: %s bundle at rank %d: part %d, for %d, is past the %d of its subtree",
+			op, c.Rank(), n, parts[n].Dest, n)
+	}
+	if len(rt.want) > n {
+		return fmt.Errorf("comm: %s bundle at rank %d: ends after %d of %d parts, before the one for %d",
+			op, c.Rank(), n, len(rt.want), rt.want[n])
+	}
+	return nil
+}
+
+// forward sends child i of rt its run of a bundle laid out as rt.want —
+// a sub-slice, which the send may hold by reference.
+func (c *Comm) forward(rt *rootRoute, parts []mpx.Part, i, sub int) {
+	c.send(rt.children[i], sub, parts[rt.bound[i]:rt.bound[i+1]])
+}
+
+// relay forwards every child's run on arrival (Scatter, naive AllToAll).
+func (c *Comm) relay(rt *rootRoute, parts []mpx.Part, sub int) {
+	for i := range rt.children {
+		c.forward(rt, parts, i, sub)
+	}
 }
 
 // Gather collects every rank's payload at root along the balanced
@@ -984,9 +966,12 @@ func (c *Comm) AllGather(mine []byte) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := cube.NodeID(svc.StreamSub(env.Tag) - 1)
+		r, err := c.source(env, "allgather")
+		if err != nil {
+			return nil, err
+		}
 		if out[r] != nil {
-			return nil, fmt.Errorf("comm: duplicate allgather payload from %d", r)
+			return nil, dupErr("allgather", int(r))
 		}
 		out[r] = env.Parts[0].Data
 		for _, ch := range c.route(r).children {
@@ -1013,9 +998,11 @@ func (c *Comm) recvTagAnyRoot() (mpx.Envelope, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		for len(c.ready) > 0 {
-			tag := c.ready[0]
-			c.ready = c.ready[1:]
+		for c.readyHead < len(c.ready) {
+			tag := c.ready[c.readyHead]
+			if c.readyHead++; c.readyHead == len(c.ready) {
+				c.ready, c.readyHead = c.ready[:0], 0
+			}
 			// Validate: another receive path (an FT collective's scan, a
 			// recvTag on the same tag) may have drained this entry already.
 			if svc.StreamSeq(tag) != c.seq {
@@ -1035,42 +1022,85 @@ func (c *Comm) recvTagAnyRoot() (mpx.Envelope, error) {
 	}
 }
 
+// source names the tree an all-node envelope travels: subtag r+1 is the
+// BST rooted at rank r. A subtag naming no other rank — some rank ran a
+// different collective at this sequence number — fails like the second
+// message of one tree, which the callers check for.
+func (c *Comm) source(env mpx.Envelope, op string) (cube.NodeID, error) {
+	r := svc.StreamSub(env.Tag) - 1
+	if r < 0 || r >= c.Size() || cube.NodeID(r) == c.Rank() {
+		return 0, dupErr(op, r)
+	}
+	return cube.NodeID(r), nil
+}
+
+func dupErr(op string, r int) error {
+	return fmt.Errorf("comm: duplicate %s payload from %d", op, r)
+}
+
 // AllToAll delivers mine[d] to rank d for every pair, over N concurrent
 // balanced-tree scatters. Returns got[r] = payload received from rank r.
 // Like AllGather, the default send order is the conflict-free
 // multi-source schedule; SetAllNodeSchedule(false) restores the naive
-// launch below.
+// launch below. Bundles follow Scatter's layout (see rootRoute) in both.
 func (c *Comm) AllToAll(mine [][]byte) ([][]byte, error) {
 	if !c.naiveAllNode {
 		return c.allToAllScheduled(mine)
 	}
 	defer c.next()
+	out, held, err := c.beginAllToAll(mine)
+	if err != nil {
+		return nil, err
+	}
+	defer clear(held)
 	me := c.Rank()
-	if len(mine) != c.Size() {
-		return nil, fmt.Errorf("comm: alltoall needs %d payloads, got %d", c.Size(), len(mine))
-	}
-	out := make([][]byte, c.Size())
-	out[me] = mine[me]
-	tr := bst.Cached(c.n, me)
-	for _, ch := range tr.Children(me) {
-		c.send(ch, int(me)+1, bundle(tr.SubtreeNodes(ch), mine))
-	}
-	for seen := 0; seen < c.Size()-1; seen++ {
-		env, err := c.recvTagAnyRoot()
+	c.relay(c.route(me), held[me], int(me)+1)
+	for n := 1; n < c.Size(); n++ {
+		r, err := c.recvBundle(held, out)
 		if err != nil {
 			return nil, err
 		}
-		r := cube.NodeID(svc.StreamSub(env.Tag) - 1)
-		mine, found, err := c.routeParts(c.route(r), env.Parts, int(r)+1, "alltoall")
-		if err != nil {
-			return nil, err
-		}
-		if found {
-			if out[r] != nil {
-				return nil, fmt.Errorf("comm: duplicate alltoall payload from %d", r)
-			}
-			out[r] = mine
-		}
+		c.relay(c.route(r), held[r], int(r)+1)
 	}
 	return out, nil
+}
+
+// beginAllToAll starts either AllToAll: it returns the result slice and
+// the per-source table of whole bundles (Comm.held, which the caller
+// clears on return) with this rank's own entries filled in — its tree's
+// bundle is cut here, once per call.
+func (c *Comm) beginAllToAll(mine [][]byte) (out [][]byte, held [][]mpx.Part, err error) {
+	if len(mine) != c.Size() {
+		return nil, nil, fmt.Errorf("comm: alltoall needs %d payloads, got %d", c.Size(), len(mine))
+	}
+	if len(c.held) != c.Size() { // first call, or the cube has grown (elastic.go)
+		c.held = make([][]mpx.Part, c.Size())
+	}
+	me := c.Rank()
+	c.held[me] = bundle(c.route(me).want, mine)
+	out = make([][]byte, c.Size())
+	out[me] = mine[me]
+	return out, c.held, nil
+}
+
+// recvBundle receives the next all-to-all bundle from any tree, checks
+// it against that tree's layout and files it: the whole bundle in
+// held[r], to forward runs of, and its first part in out[r].
+func (c *Comm) recvBundle(held [][]mpx.Part, out [][]byte) (cube.NodeID, error) {
+	env, err := c.recvTagAnyRoot()
+	if err != nil {
+		return 0, err
+	}
+	r, err := c.source(env, "alltoall")
+	if err != nil {
+		return 0, err
+	}
+	if held[r] != nil {
+		return 0, dupErr("alltoall", int(r))
+	}
+	if err := c.checkBundle(c.route(r), env.Parts, "alltoall"); err != nil {
+		return 0, err
+	}
+	held[r], out[r] = env.Parts, env.Parts[0].Data
+	return r, nil
 }

@@ -23,15 +23,15 @@ package comm
 // sent. The scheduled and naive modes send the same tree edges with the
 // same tags and payloads, so they are wire-compatible and byte-exact
 // equivalent (asserted by TestAllNodeScheduledNaiveEquivalence).
+//
+// What a slot entry sends is never built here. AllGather forwards the
+// source's one part; AllToAll holds each source's bundle whole as it
+// arrived and sends the entry's child its run of it — a sub-slice, by
+// the layout contract on rootRoute (comm.go).
 
 import (
-	"fmt"
-
-	"repro/internal/bst"
-	"repro/internal/cube"
 	"repro/internal/mpx"
 	"repro/internal/sched"
-	"repro/internal/svc"
 )
 
 // SetAllNodeSchedule toggles the contention-aware multi-source schedule
@@ -58,9 +58,12 @@ func (c *Comm) allGatherScheduled(mine []byte) ([][]byte, error) {
 		if err != nil {
 			return err
 		}
-		r := cube.NodeID(svc.StreamSub(env.Tag) - 1)
-		if int(r) >= c.Size() || got[r] {
-			return fmt.Errorf("comm: duplicate allgather payload from %d", r)
+		r, err := c.source(env, "allgather")
+		if err != nil {
+			return err
+		}
+		if got[r] {
+			return dupErr("allgather", int(r))
 		}
 		out[r] = env.Parts[0].Data
 		got[r] = true
@@ -85,109 +88,33 @@ func (c *Comm) allGatherScheduled(mine []byte) ([][]byte, error) {
 }
 
 // allToAllScheduled runs the N concurrent personalized scatters in slot
-// order. Each arriving bundle is bucketed by child subtree ONCE (same
-// two-pass layout as the naive path's routeParts, but retained instead
-// of forwarded), and each bucket goes out when its canonical edge's
-// slot comes up — e.Child indexes the buckets because ports, and hence
-// port-ordered child lists, are XOR-invariant under translation.
+// order. Each arriving bundle is verified and held whole (recvBundle);
+// when a canonical edge's slot comes up its child's run goes out as a
+// sub-slice of the held bundle — e.Child indexes the runs because ports,
+// and hence port-ordered child lists, are XOR-invariant under
+// translation. This rank's own tree is one more held bundle.
 func (c *Comm) allToAllScheduled(mine [][]byte) ([][]byte, error) {
 	defer c.next()
+	out, held, err := c.beginAllToAll(mine)
+	if err != nil {
+		return nil, err
+	}
+	defer clear(held)
 	me := c.Rank()
-	if len(mine) != c.Size() {
-		return nil, fmt.Errorf("comm: alltoall needs %d payloads, got %d", c.Size(), len(mine))
-	}
-	out := make([][]byte, c.Size())
-	out[me] = mine[me]
-	bufs := make([][]mpx.Part, c.Size()) // per-source bucketed forwards
-	offs := make([][]int32, c.Size())    // per-source child bucket bounds
-	got := make([]bool, c.Size())
-	got[me] = true
-	seen := 0
-	recvOne := func() error {
-		env, err := c.recvTagAnyRoot()
-		if err != nil {
-			return err
-		}
-		r := cube.NodeID(svc.StreamSub(env.Tag) - 1)
-		if int(r) >= c.Size() || got[r] {
-			return fmt.Errorf("comm: duplicate alltoall payload from %d", r)
-		}
-		myPart, found, buf, off, err := c.bucketParts(c.route(r), env.Parts, "alltoall")
-		if err != nil {
-			return err
-		}
-		if found {
-			out[r] = myPart
-		}
-		bufs[r], offs[r] = buf, off
-		got[r] = true
-		seen++
-		return nil
-	}
-	tr := bst.Cached(c.n, me)
+	seen := 1
 	for _, e := range sched.MultiSourcePlan(c.n).Edges {
 		s := e.From ^ me
-		to := me ^ e.From ^ e.To
-		if s == me {
-			// Root injection: this edge leaves my own tree's root, so the
-			// bundle is cut from my payloads, one part per subtree node.
-			c.send(to, int(me)+1, bundle(tr.SubtreeNodes(to), mine))
-			continue
-		}
-		for !got[s] {
-			if err := recvOne(); err != nil {
+		for ; held[s] == nil; seen++ {
+			if _, err := c.recvBundle(held, out); err != nil {
 				return nil, err
 			}
 		}
-		if seg := bufs[s][offs[s][e.Child]:offs[s][e.Child+1]]; len(seg) > 0 {
-			c.send(to, int(s)+1, seg)
-		}
+		c.forward(c.route(s), held[s], int(e.Child), int(s)+1)
 	}
-	for seen < c.Size()-1 {
-		if err := recvOne(); err != nil {
+	for ; seen < c.Size(); seen++ {
+		if _, err := c.recvBundle(held, out); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// bucketParts is routeParts' scheduled twin: the same two-pass
-// child-subtree bucketing, but the buckets are returned (with their
-// bounds) instead of sent — the slot-gated sends need them to persist
-// past the envelope. One part buffer and one bounds slice are allocated
-// per envelope, the same count as the naive path.
-func (c *Comm) bucketParts(rt *rootRoute, parts []mpx.Part, op string) (mine []byte, found bool, buf []mpx.Part, off []int32, err error) {
-	me := c.Rank()
-	off = make([]int32, len(rt.children)+1)
-	forward := 0
-	for _, pt := range parts {
-		if pt.Dest == me {
-			continue
-		}
-		s := rt.slot[pt.Dest]
-		if s < 0 {
-			return nil, false, nil, nil, fmt.Errorf("comm: %s part for %d outside %d's subtree", op, pt.Dest, me)
-		}
-		off[s+1]++
-		forward++
-	}
-	for i := range rt.children {
-		off[i+1] += off[i]
-	}
-	buf = make([]mpx.Part, forward)
-	// Second pass places parts using rt.ends as write cursors (scratch,
-	// same as routeParts).
-	for i := range rt.children {
-		rt.ends[i] = int(off[i])
-	}
-	for _, pt := range parts {
-		if pt.Dest == me {
-			mine, found = pt.Data, true
-			continue
-		}
-		s := rt.slot[pt.Dest]
-		buf[rt.ends[s]] = pt
-		rt.ends[s]++
-	}
-	return mine, found, buf, off, nil
 }

@@ -56,8 +56,8 @@ type MultiEdge struct {
 	// Child is the index of To within the canonical tree's port-ordered
 	// Children(From). Ports are XOR-invariant under translation, so the
 	// same index addresses the translated child list of every source —
-	// this is what lets comm bucket an all-to-all bundle once per
-	// source and send slot-gated segments without per-rank tables.
+	// and with it that child's run of the source's all-to-all bundle
+	// (comm.rootRoute), with no per-rank tables.
 	Child int32
 	// Sub is the canonical subtree size under To (translation-
 	// invariant): the number of destinations a personalized bundle on

@@ -432,7 +432,9 @@ func (t *Tree) LevelCounts() []int {
 // (including i), or 0 for non-members. O(1): sizes are precomputed.
 func (t *Tree) SubtreeSize(i cube.NodeID) int { return int(t.subSize[i]) }
 
-// SubtreeNodes returns the nodes of the subtree rooted at i in preorder.
+// SubtreeNodes returns the nodes of the subtree rooted at i in preorder:
+// i itself, then each child's SubtreeNodes whole, in Children(i) order
+// (internal/comm slices subtree bundles at these bounds).
 // The returned slice is a shared view of the precomputed preorder; callers
 // must not modify it.
 func (t *Tree) SubtreeNodes(i cube.NodeID) []cube.NodeID {
