@@ -22,7 +22,9 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -118,7 +120,7 @@ type Comm struct {
 
 	// zone is BcastMSBT's posted receive (landing.go), made by the first
 	// call off the root. The pointer and what it points to are guarded by
-	// mu.
+	// mu, but for the two fields zone marks as the rank's own.
 	zone *zone
 }
 
@@ -611,11 +613,17 @@ func (c *Comm) Bcast(root cube.NodeID, data []byte) ([]byte, error) {
 // Off the root the call posts a receive (landing.go, DESIGN.md §18): on
 // a socket transport a whole-segment chunk is read from the socket
 // straight into its place in the buffer this call returns, and is
-// forwarded down its tree from there.
+// forwarded down its tree from there, under the checksum it arrived
+// with.
 //
-// The result is read-only, exactly as Bcast's is: the forwards alias
-// it and may still be queued when the call returns, and the root's
-// data is sent by reference.
+// The result is read-only, and off the root it is valid only until this
+// communicator's next BcastMSBT, which lands into the same buffer when
+// it is large enough: copy it to keep it. (That call first makes sure
+// every forward aliasing the buffer has been written out; see zone.)
+// The root gets its own data back, which is sent by reference: leave it
+// alone until the collective has completed everywhere, as with Bcast.
+// The pieces received must tile the payload exactly; anything else is an
+// error naming the gap or overlap.
 func (c *Comm) BcastMSBT(root cube.NodeID, data []byte) ([]byte, error) {
 	defer c.next()
 	if c.Rank() == root {
@@ -653,22 +661,37 @@ func (c *Comm) BcastMSBT(root cube.NodeID, data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := 0
+	// The chunks must tile [0, total): a hole would hand the caller
+	// whatever the recycled buffer held before. Empty chunks sort ahead
+	// of the one that starts where they sit.
+	slices.SortFunc(chunks, func(a, b msbtChunk) int {
+		return cmp.Or(cmp.Compare(a.off, b.off), cmp.Compare(len(a.data), len(b.data)))
+	})
+	total, end := 0, 0
 	for _, ck := range chunks {
 		total += len(ck.data)
 	}
+	for _, ck := range chunks {
+		if ck.off != end {
+			what := "gap"
+			if ck.off < end {
+				what = "overlap"
+			}
+			return nil, fmt.Errorf("comm: bcastmsbt at rank %d: %s between byte %d, where the chunks before it end, and chunk [%d,%d): the chunks do not tile the %d-byte payload",
+				c.Rank(), what, end, ck.off, ck.off+len(ck.data), total)
+		}
+		end += len(ck.data)
+	}
 	if cap(out) < total {
-		out = make([]byte, total)
+		out = make([]byte, total, total+c.n) // land's slack: the next call may land
 	}
 	out = out[:total]
 	for _, ck := range chunks {
-		if ck.off < 0 || ck.off+len(ck.data) > total {
-			return nil, fmt.Errorf("comm: bcastmsbt chunk [%d,%d) outside the %d-byte payload", ck.off, ck.off+len(ck.data), total)
-		}
 		if len(ck.data) > 0 && &out[ck.off] != &ck.data[0] {
 			copy(out[ck.off:], ck.data)
 		}
 	}
+	z.kept = out
 	return out, nil
 }
 
@@ -693,8 +716,10 @@ func (c *Comm) collectMSBT(root cube.NodeID, z *zone) error {
 			if p, ok := msbt.Parent(c.n, j, c.Rank(), root); !ok || env.From != p {
 				return fmt.Errorf("comm: bcastmsbt chunk %d from %d, want tree parent", j, env.From)
 			}
+			// Same tag, same parts: the forward is the frame that came in,
+			// checksum included.
 			for _, ch := range msbt.Children(c.n, j, c.Rank(), root) {
-				c.send(ch, j+1, env.Parts)
+				c.nd.ForwardTo(ch, env)
 			}
 			parts := env.Parts
 			if pt := parts[0]; first && len(pt.Data) == 0 && pt.Offset < 0 {

@@ -20,15 +20,26 @@ import (
 // claim a region of its own tree's that the real chunk will not use:
 // that chunk then arrives in a buffer of its own and is copied like an
 // early arrival.
+//
+// Who owns the result (DESIGN.md §18): a successful BcastMSBT leaves the
+// buffer it returned in kept, and the communicator's next BcastMSBT
+// lands into it again when it is large enough. The caller's claim ends
+// at that call; the links' claim — forwards that alias the buffer and
+// may still be queued — at the send-completion fence post runs first
+// (mpx.Node.Settle). What the fence cannot vouch for, an error exit and
+// a stopped communicator forfeit the buffer: a fresh one is made.
 type zone struct {
 	posted bool
 	tag0   int    // tree 0's tag; tree j's is tag0+j
-	buf    []byte // allocated at the first landing, sized by lengthBound
+	buf    []byte // taken at the first landing, sized by lengthBound
+	spare  []byte // the last result, fenced: what buf is cut from if it fits
 	at     []span // per tree
 
-	// chunks is the collective's reusable list of received pieces. Only
-	// the rank's own goroutine touches it, without mu.
+	// chunks is the collective's reusable list of received pieces, and
+	// kept the result of the last successful call. Only the rank's own
+	// goroutine touches them, without mu.
 	chunks []msbtChunk
+	kept   []byte
 }
 
 // span is tree j's region of zone.buf.
@@ -41,15 +52,26 @@ type span struct {
 
 // post opens the zone for the current collective's n tree tags. A tree
 // whose message is already queued (its sender ran ahead) is shut from
-// the start.
+// the start. The previous result becomes the spare only behind the
+// fence, which may block in a socket write and so runs before mu.
 func (c *Comm) post(root cube.NodeID) *zone {
+	var spare []byte
+	if z := c.zone; z != nil && z.kept != nil { // our own writes: no lock
+		if c.nd.Settle() {
+			spare = z.kept
+		}
+		z.kept = nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.zone == nil {
 		c.zone = new(zone)
 	}
 	z := c.zone
-	z.posted, z.tag0, z.buf = true, c.tagFor(1), nil
+	if c.stopped {
+		spare = nil
+	}
+	z.posted, z.tag0, z.buf, z.spare = true, c.tagFor(1), nil, spare
 	z.at = z.at[:0]
 	for j := 0; j < c.n; j++ {
 		p, _ := msbt.Parent(c.n, j, c.Rank(), root)
@@ -59,13 +81,19 @@ func (c *Comm) post(root cube.NodeID) *zone {
 }
 
 // unpost closes the zone — on every exit path of the collective, before
-// the sequence advances — and hands over the landing buffer (nil when
-// nothing landed). The buffer is never recycled: after an error exit a
-// link may still be reading into it.
+// the sequence advances — and hands over the landing buffer, or the
+// unused spare at length zero when nothing landed (nil without one). The
+// zone keeps neither: BcastMSBT keeps what it returns (zone.kept), and
+// after an error exit, when a link may still be reading into the buffer,
+// nobody does.
 func (c *Comm) unpost() []byte {
 	c.mu.Lock()
-	buf := c.zone.buf
-	c.zone.posted, c.zone.buf = false, nil
+	z := c.zone
+	buf := z.buf
+	if buf == nil {
+		buf = z.spare[:0]
+	}
+	z.posted, z.buf, z.spare = false, nil, nil
 	c.mu.Unlock()
 	return buf
 }
@@ -99,7 +127,14 @@ func (c *Comm) land(from cube.NodeID, tag, nparts, off, n int) []byte {
 		return z.buf[off : off+n]
 	}
 	if z.buf == nil {
-		z.buf = make([]byte, lengthBound(off, n, j, len(z.at)))
+		// Any tree's bound is within len(z.at) of the payload length, so
+		// that much slack lets the buffer fit whichever tree of a later
+		// broadcast of this size lands first.
+		bound := lengthBound(off, n, j, len(z.at))
+		if cap(z.spare) < bound {
+			z.spare = make([]byte, bound, bound+len(z.at))
+		}
+		z.buf, z.spare = z.spare[:bound], nil
 	}
 	if off+n > len(z.buf) {
 		return nil

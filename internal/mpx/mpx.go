@@ -81,6 +81,11 @@ type Envelope struct {
 	Message
 	Port int
 	From cube.NodeID
+	// BodyCRC, when nonzero, is the frame checksum a socket link verified
+	// over exactly this Message (wire.Frame.BodyCRC). It is good only for
+	// forwarding the message verbatim (Node.ForwardTo) and sits in what
+	// was padding: the struct is 48 bytes with or without it.
+	BodyCRC uint32
 }
 
 // ErrDown is returned by Transport.Send when the transport was shut down
@@ -224,6 +229,24 @@ func (s *TransportStats) Add(o TransportStats) {
 			s.PayloadByJob[k] += v
 		}
 	}
+}
+
+// Forwarder is an optional Transport extension for relays: Forward is
+// Send of env.Message, unchanged since it arrived, and may spend
+// env.BodyCRC on not summing the payload a second time. The frame on the
+// wire is the one Send would have written.
+type Forwarder interface {
+	Forward(from cube.NodeID, port int, env Envelope) error
+}
+
+// Settler is an optional Transport extension: the send-completion fence
+// behind buffer reuse. Settle reports whether every payload node id has
+// sent so far is out of user space — written to its socket, or copied
+// into a replay ring — so that overwriting it cannot change what a
+// neighbor receives. False: a co-hosted neighbor may hold a send by
+// reference, or a link failed with frames queued.
+type Settler interface {
+	Settle(id cube.NodeID) bool
 }
 
 // StatsReporter is an optional Transport extension exposing health
@@ -416,7 +439,12 @@ func (nd *Node) Profile() (LinkProfile, bool) { return nd.m.Profile() }
 // with a fault injector the message may be lost, duplicated, delayed or
 // corrupted; the fault-free path is a single nil test.
 func (nd *Node) Send(port int, msg Message) {
-	if err := nd.m.tr.Send(nd.ID, port, msg); err != nil {
+	nd.sent(nd.m.tr.Send(nd.ID, port, msg))
+}
+
+// sent unwinds the node program when a send failed.
+func (nd *Node) sent(err error) {
+	if err != nil {
 		if err == ErrDown {
 			panic(abortErr{})
 		}
@@ -453,6 +481,28 @@ func (nd *Node) SendTo(to cube.NodeID, msg Message) {
 		panic(fmt.Sprintf("mpx: node %d cannot send directly to non-neighbor %d", nd.ID, to))
 	}
 	nd.Send(port, msg)
+}
+
+// ForwardTo sends env.Message, as received and unmodified, on to the
+// adjacent node to: SendTo, except that a transport which verified a
+// checksum over the message on the way in (Envelope.BodyCRC) need not
+// compute it again on the way out.
+func (nd *Node) ForwardTo(to cube.NodeID, env Envelope) {
+	f, ok := nd.m.tr.(Forwarder)
+	port := nd.m.c.Port(nd.ID, to)
+	if !ok || env.BodyCRC == 0 || port < 0 {
+		nd.SendTo(to, env.Message) // which refuses a non-neighbor
+		return
+	}
+	nd.sent(f.Forward(nd.ID, port, env))
+}
+
+// Settle is the send-completion fence (Settler): true once nothing this
+// node has sent can still be read from the sender's memory. Transports
+// without the extension deliver by reference and never settle.
+func (nd *Node) Settle() bool {
+	s, ok := nd.m.tr.(Settler)
+	return ok && s.Settle(nd.ID)
 }
 
 // Attach hands this node's receive stream to c (Transport.Attach);

@@ -210,3 +210,123 @@ func TestLandingDeliverOnceOnResilientLink(t *testing.T) {
 	conn.Write(seqFrame(4, fourth))
 	k.landed(t, k.next(t), fourth)
 }
+
+// TestSettleFenceHoldsUntilWritten: a large part is queued on a plain
+// link by reference, and Settle is the point after which the sender may
+// overwrite it. With the link's writer held, Settle waits; once it has
+// returned the payload is scribbled over and the receiver still gets the
+// bytes that were sent. A resilient link copied the frame when it was
+// sent, so its fence does not wait for the writer, and an endpoint with
+// a co-hosted neighbor never settles: that neighbor reads by reference.
+func TestSettleFenceHoldsUntilWritten(t *testing.T) {
+	testleak.Check(t)
+	// waits says the fence must not return while the writer is held.
+	scribbleAfterSettle := func(t *testing.T, trs []*TCP, waits bool) {
+		k := newLandingConsumer(1 << 20)
+		trs[0].Attach(0, k.consumer())
+		msg := bigMessage(2, 4096, 200<<10)
+		sent := mpx.Message{Tag: msg.Tag, Parts: []mpx.Part{msg.Parts[0]}}
+		sent.Parts[0].Data = append([]byte(nil), msg.Parts[0].Data...)
+		l := trs[1].linkAt(1, 0)
+		l.wmu.Lock() // nothing is written until the test says so
+		if err := trs[1].Send(1, 0, sent); err != nil {
+			t.Fatal(err)
+		}
+		settled := make(chan bool, 1)
+		go func() { settled <- trs[1].Settle(1) }()
+		if waits {
+			var early bool
+			select {
+			case <-settled:
+				early = true
+			case <-time.After(50 * time.Millisecond):
+			}
+			l.wmu.Unlock()
+			if early {
+				t.Fatal("Settle returned while the link's writer was held with the frame still queued")
+			}
+		}
+		ok := <-settled
+		for i := range sent.Parts[0].Data {
+			sent.Parts[0].Data[i] = 0xEE
+		}
+		if !waits {
+			l.wmu.Unlock()
+		}
+		if !ok {
+			t.Fatal("Settle reports a healthy link unsettled")
+		}
+		k.landed(t, k.next(t), msg)
+	}
+	t.Run("plain", func(t *testing.T) {
+		scribbleAfterSettle(t, meshWith(t, 1, hostsOnePerNode(1), nil), true)
+	})
+	t.Run("resilient", func(t *testing.T) {
+		trs := meshWith(t, 1, hostsOnePerNode(1), func(o *TCPOptions) { o.Resilience = fastResilience() })
+		scribbleAfterSettle(t, trs, false)
+	})
+	t.Run("co-hosted", func(t *testing.T) {
+		trs := meshWith(t, 2, [][]cube.NodeID{{0, 1}, {2}, {3}}, nil)
+		if trs[0].Settle(0) || trs[0].Settle(1) {
+			t.Fatal("a node with a co-hosted neighbor settled: that neighbor holds its envelopes by reference")
+		}
+		if !trs[1].Settle(2) {
+			t.Fatal("a node whose neighbors are all remote did not settle")
+		}
+	})
+}
+
+// TestRelayMemoryDamageIsCaughtDownstream: a relay forwards a landed
+// message under the checksum it arrived with (Forward). Forwarded intact
+// it reaches the next hop bit for bit; with one byte flipped in the
+// relay's memory after it was verified, the next hop drops the frame on
+// its checksum and delivers nothing. Send, which sums what is there now,
+// signs the damage and delivers it: what every relay used to do.
+func TestRelayMemoryDamageIsCaughtDownstream(t *testing.T) {
+	testleak.Check(t)
+	trs := meshWith(t, 2, hostsOnePerNode(2), nil)
+	relay, leaf := newLandingConsumer(1<<20), newLandingConsumer(1<<20)
+	trs[1].Attach(1, relay.consumer())
+	trs[3].Attach(3, leaf.consumer())
+	hop := func(tag int) (mpx.Envelope, mpx.Message) {
+		msg := bigMessage(tag, tag<<17, 100<<10) // a region of its own per hop
+		if err := trs[0].Send(0, 0, msg); err != nil {
+			t.Fatal(err)
+		}
+		env := relay.next(t)
+		relay.landed(t, env, msg)
+		if env.BodyCRC == 0 {
+			t.Fatal("a streamed frame off a plain link arrived without its verified checksum")
+		}
+		return env, msg
+	}
+
+	env, msg := hop(2)
+	if err := trs[1].Forward(1, 1, env); err != nil {
+		t.Fatal(err)
+	}
+	leaf.landed(t, leaf.next(t), msg)
+
+	env, _ = hop(3)
+	env.Parts[0].Data[5000] ^= 0x01
+	if err := trs[1].Forward(1, 1, env); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); trs[3].Stats().CRCDropped != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the next hop never dropped the frame damaged in the relay's memory")
+		}
+	}
+
+	// The link is in order: the re-signed copy arriving next proves the
+	// damaged frame was not delivered ahead of it.
+	if err := trs[1].Send(1, 1, env.Message); err != nil {
+		t.Fatal(err)
+	}
+	if got := leaf.next(t); got.Tag != 3 || got.Parts[0].Data[5000] != env.Parts[0].Data[5000] {
+		t.Fatalf("after the drop the leaf got tag %d, want the re-signed damaged copy of tag 3", got.Tag)
+	}
+	if st := trs[3].Stats(); st.CRCDropped != 1 || st.FramesReceived != 2 {
+		t.Fatalf("leaf counted %d checksum drops and %d good frames, want 1 and 2", st.CRCDropped, st.FramesReceived)
+	}
+}

@@ -1157,6 +1157,35 @@ func (l *link) trimRingLocked(upTo uint64) {
 // frame appended to the link's coalescing buffer. Fault outcomes apply
 // here, at the transport boundary.
 func (t *TCP) Send(from cube.NodeID, port int, msg mpx.Message) error {
+	return t.send(from, port, msg, 0)
+}
+
+// Forward is Send for a relay passing env.Message on verbatim
+// (mpx.Forwarder): a plain link's vectored encoder reuses the checksum
+// the read pump verified instead of summing the payload again.
+func (t *TCP) Forward(from cube.NodeID, port int, env mpx.Envelope) error {
+	return t.send(from, port, env.Message, env.BodyCRC)
+}
+
+// Settle is the send-completion fence (mpx.Settler): it writes out what
+// every plain link of hosted node id has queued by reference and reports
+// whether all of it reached the sockets. Resilient links copied each
+// frame into their replay ring when it was sent and need nothing. A
+// neighbor hosted here (no link) reads its envelopes in process at any
+// later time, and a failed link never drains its queue: both are false.
+func (t *TCP) Settle(id cube.NodeID) bool {
+	for port := t.dim() - 1; port >= 0; port-- {
+		l := t.linkAt(id, port)
+		if l == nil || l.r == nil && l.flush() != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// send is Send with bodyCRC, the verified checksum of a message
+// forwarded verbatim (zero for none).
+func (t *TCP) send(from cube.NodeID, port int, msg mpx.Message, bodyCRC uint32) error {
 	select {
 	case <-t.down:
 		return mpx.ErrDown
@@ -1219,7 +1248,7 @@ func (t *TCP) Send(from cube.NodeID, port int, msg mpx.Message) error {
 			t.memberDrops.Add(1)
 			return nil
 		}
-		err := l.send(msg, out)
+		err := l.send(msg, bodyCRC, out)
 		if err != nil && !errors.Is(err, mpx.ErrDown) {
 			t.memberDrops.Add(1)
 			return nil
@@ -1229,7 +1258,7 @@ func (t *TCP) Send(from cube.NodeID, port int, msg mpx.Message) error {
 	if l == nil {
 		return fmt.Errorf("transport: node %d has no link on port %d (Connect not run?)", from, port)
 	}
-	return l.send(msg, out)
+	return l.send(msg, bodyCRC, out)
 }
 
 // deliverLocal is the in-process path for a link whose both endpoints
@@ -1313,7 +1342,11 @@ func (l *link) ensureLocked(n int) {
 //
 // Fault outcomes that damage the wire image (corrupt, duplicate) always
 // use the contiguous path so the corruption flips a real encoded byte.
-func (l *link) send(msg mpx.Message, out fault.Outcome) error {
+//
+// bodyCRC is the checksum already verified over msg when a relay
+// forwards it verbatim (zero otherwise); only the vectored path, where
+// the payload is worth not summing twice, looks at it.
+func (l *link) send(msg mpx.Message, bodyCRC uint32, out fault.Outcome) error {
 	if l.r != nil {
 		return l.sendResilient(msg, out)
 	}
@@ -1336,7 +1369,7 @@ func (l *link) send(msg mpx.Message, out fault.Outcome) error {
 		over := wire.VecOverhead(wire.MaxVersion, msg)
 		l.ensureLocked(over)
 		l.closeSpanLocked()
-		*l.cur, l.outSegs = wire.AppendFrameVec(*l.cur, l.outSegs, wire.MaxVersion, msg)
+		*l.cur, l.outSegs = wire.AppendFrameVecCRC(*l.cur, l.outSegs, wire.MaxVersion, msg, bodyCRC)
 		l.spanFrom = len(*l.cur)
 		l.queued += over + msg.Size()
 		l.qframes++
@@ -1973,7 +2006,7 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 				return
 			}
 			for _, m := range fr.Msgs {
-				if !l.deliver(m) {
+				if !l.deliver(m, 0) {
 					return
 				}
 			}
@@ -2019,7 +2052,7 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 		default:
 			continue
 		}
-		if !l.deliver(msg) {
+		if !l.deliver(msg, fr.BodyCRC) {
 			return
 		}
 	}
@@ -2046,11 +2079,12 @@ func (l *link) land(seq uint64, tag, nparts, offset, n int) []byte {
 }
 
 // deliver hands one decoded message to the hosted node's inbox,
-// crediting its payload to the goodput counter. Returns false when the
-// transport shut down instead.
-func (l *link) deliver(msg mpx.Message) bool {
+// crediting its payload to the goodput counter; bodyCRC is the frame
+// checksum verified over exactly msg, if the reader recorded one.
+// Returns false when the transport shut down instead.
+func (l *link) deliver(msg mpx.Message, bodyCRC uint32) bool {
 	n := int64(msg.Size())
-	if !l.t.inboxOf(l.self).Deliver(mpx.Envelope{Message: msg, Port: l.port, From: l.peer}) {
+	if !l.t.inboxOf(l.self).Deliver(mpx.Envelope{Message: msg, Port: l.port, From: l.peer, BodyCRC: bodyCRC}) {
 		return false
 	}
 	l.t.credit(msg.Tag, n)

@@ -352,6 +352,8 @@ func FuzzRoundTrip(f *testing.F) {
 // sequence of frames, the two agree frame by frame on the decoded frame
 // or on the class of error (checksum failure, malformed, version,
 // goodbye, or stream ends early) and on how many bytes they consumed.
+// Where the reader records a body checksum for verbatim forwarding, the
+// vectored encoder under that checksum reproduces the frame bit for bit.
 // The reader streams every data frame it can (the threshold is lowered
 // to one byte per part) and its Landing function answers in place, with
 // the wrong length, or not at all, by turns. Run with `go test -fuzz
@@ -420,6 +422,16 @@ func FuzzStreamDecodeMatchesDecodeAny(f *testing.F) {
 				if got.Kind != want.Kind || got.Seq != want.Seq ||
 					!msgEqual(got.Msg, want.Msg) || !msgsEqual(got.Msgs, want.Msgs) || !bytes.Equal(got.Body, want.Body) {
 					t.Fatalf("at %d: frames differ:\nreader    %+v\nDecodeAny %+v", at, got, want)
+				}
+				// A recorded checksum must re-encode to the frame just read,
+				// which must be the frame the encoder builds on its own.
+				if got.BodyCRC != 0 {
+					if got.Kind != KindData {
+						t.Fatalf("at %d: a frame of kind %d recorded a body checksum", at, got.Kind)
+					}
+					if with := vecBytes(got.Msg, got.BodyCRC); !bytes.Equal(with, rest[:n]) || !bytes.Equal(vecBytes(got.Msg, 0), with) {
+						t.Fatalf("at %d: forwarding under the recorded checksum %#x does not reproduce the frame read", at, got.BodyCRC)
+					}
 				}
 			case errors.Is(werr, ErrTruncated):
 				if gerr != io.EOF && gerr != io.ErrUnexpectedEOF && !errors.Is(gerr, ErrCorrupt) {

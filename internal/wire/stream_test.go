@@ -222,3 +222,106 @@ func TestReaderWithoutByteReader(t *testing.T) {
 		t.Fatalf("end of stream: %v, want io.EOF", err)
 	}
 }
+
+// vecBytes is what AppendFrameVecCRC puts on the wire for msg: its
+// segments, concatenated.
+func vecBytes(msg mpx.Message, bodyCRC uint32) []byte {
+	blk := make([]byte, 0, VecOverhead(MaxVersion, msg))
+	_, segs := AppendFrameVecCRC(blk, nil, MaxVersion, msg, bodyCRC)
+	return bytes.Join(segs, nil)
+}
+
+// TestVecPassThroughBitIdentical: the checksum a streamed decode leaves
+// on the frame, handed back to the vectored encoder, yields the very
+// bytes that were read — which are the bytes the encoder produces when
+// it sums the payload itself. Every other decode leaves no checksum: a
+// whole-body frame, a batch, a sequenced frame (whose body starts with
+// the sequence number) and the reusing reader.
+func TestVecPassThroughBitIdentical(t *testing.T) {
+	for _, nparts := range []int{1, 2, 4} {
+		for _, sum := range []uint32{0, 0xDEADBEEF} {
+			var msg mpx.Message
+			msg.Tag = 1<<16 | nparts
+			for i := 0; i < nparts; i++ {
+				msg.Parts = append(msg.Parts, mpx.Part{Dest: 3, Offset: i << 20, Data: bigPart(20<<10+i, i), Sum: sum})
+			}
+			frame := appendFrame(nil, msg)
+			fr, err := NewReader(bytes.NewReader(frame)).ReadAny()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := binary.LittleEndian.Uint32(frame[len(frame)-4:]); fr.BodyCRC != want || want == 0 {
+				t.Fatalf("%d parts, sum %#x: streamed decode recorded checksum %#x, the trailer says %#x", nparts, sum, fr.BodyCRC, want)
+			}
+			if with := vecBytes(fr.Msg, fr.BodyCRC); !bytes.Equal(with, frame) {
+				t.Fatalf("%d parts, sum %#x: re-encoding with the recorded checksum differs from the frame read at byte %d", nparts, sum, firstDiff(with, frame))
+			}
+			if without := vecBytes(fr.Msg, 0); !bytes.Equal(without, frame) {
+				t.Fatalf("%d parts, sum %#x: re-encoding without it differs from the frame read", nparts, sum)
+			}
+
+			seq, err := NewReader(bytes.NewReader(AppendSeqFrame(nil, 7, msg))).ReadAny()
+			if err != nil || seq.Kind != KindSeqData || seq.BodyCRC != 0 {
+				t.Fatalf("sequenced decode: kind %d, recorded checksum %#x, %v", seq.Kind, seq.BodyCRC, err)
+			}
+			var into Frame
+			into.BodyCRC = 1 // what a reused frame might hold
+			if err := NewReader(bytes.NewReader(frame)).ReadAnyInto(&into); err != nil || into.BodyCRC != 0 {
+				t.Fatalf("ReadAnyInto: recorded checksum %#x, %v", into.BodyCRC, err)
+			}
+		}
+	}
+
+	small := mpx.Message{Tag: 5, Parts: []mpx.Part{{Dest: 1, Data: bigPart(1<<10, 9)}}}
+	batch, at := BeginBatch(nil)
+	batch = SealBatch(AppendBatchMsg(batch, small), at)
+	r := NewReader(bytes.NewReader(append(appendFrame(nil, small), batch...)))
+	for _, kind := range []byte{KindData, KindBatch} {
+		if fr, err := r.ReadAny(); err != nil || fr.Kind != kind || fr.BodyCRC != 0 {
+			t.Fatalf("whole-body decode of kind %d: kind %d, recorded checksum %#x, %v", kind, fr.Kind, fr.BodyCRC, err)
+		}
+	}
+
+	// A body that is valid but not what the encoder writes — here a
+	// two-byte varint for tag 5 — must not lend its checksum to one that is.
+	msg := mpx.Message{Tag: 5, Parts: []mpx.Part{{Dest: 1, Data: bigPart(20<<10, 1)}}}
+	canon := appendFrame(nil, msg)
+	b := BodyStart(canon)
+	body := append([]byte{canon[b] | 0x80, 0}, canon[b+1:len(canon)-4]...)
+	odd := binary.AppendUvarint([]byte{MaxVersion, KindData}, uint64(len(body)))
+	odd = binary.LittleEndian.AppendUint32(append(odd, body...), checksum(body))
+	fr, err := NewReader(bytes.NewReader(odd)).ReadAny()
+	if err != nil || !msgEqual(fr.Msg, msg) {
+		t.Fatalf("overlong tag varint: %v", err)
+	}
+	if fr.BodyCRC != 0 {
+		t.Fatal("a non-canonical body left a checksum that re-encoding cannot match")
+	}
+
+	// Nor must a body whose dest is cut down to a NodeID by the decoder:
+	// 3<<31 and the 1<<31 it decodes to are both five-byte varints, so the
+	// length alone does not tell.
+	msg.Parts[0].Dest = 1 << 31
+	canon = appendFrame(nil, msg)
+	b = BodyStart(canon)
+	body = append([]byte(nil), canon[b:len(canon)-4]...)
+	body[2+4] |= 0x10 // bit 32 of the dest, which follows the tag and the count
+	wide := binary.AppendUvarint([]byte{MaxVersion, KindData}, uint64(len(body)))
+	wide = binary.LittleEndian.AppendUint32(append(wide, body...), checksum(body))
+	fr, err = NewReader(bytes.NewReader(wide)).ReadAny()
+	if err != nil || !msgEqual(fr.Msg, msg) {
+		t.Fatalf("33-bit dest: %v, dest %d", err, fr.Msg.Parts[0].Dest)
+	}
+	if fr.BodyCRC != 0 {
+		t.Fatal("a body whose dest lost its top bit left a checksum that re-encoding cannot match")
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}

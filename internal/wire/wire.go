@@ -284,7 +284,8 @@ func SealBatch(dst []byte, start int) []byte {
 // appended to blk, the payload stays in the parts' own Data slices, and
 // the wire-order segment list — alternating blk spans and payload
 // references — is appended to segs, ready for a net.Buffers vectored
-// write. The CRC is computed incrementally across the segments.
+// write. The CRC is computed incrementally across the segments, unless
+// the caller already holds it (AppendFrameVecCRC).
 
 // VecOverhead returns the number of non-payload bytes AppendFrameVec
 // appends to blk for a frame carrying msg, whatever its version byte
@@ -306,6 +307,19 @@ func VecOverhead(_ byte, msg mpx.Message) int {
 // they are now — the usual send contract (payload immutable until
 // delivered) applies.
 func AppendFrameVec(blk []byte, segs [][]byte, ver byte, msg mpx.Message) ([]byte, [][]byte) {
+	return AppendFrameVecCRC(blk, segs, ver, msg, 0)
+}
+
+// AppendFrameVecCRC is AppendFrameVec for a relay forwarding msg
+// verbatim: bodyCRC, when nonzero, is the Frame.BodyCRC a Reader
+// recorded when it verified this very message — same tag, same parts —
+// and becomes the trailer as it stands, so the payload is not summed a
+// second time. A message has one canonical encoding and the Reader
+// records a checksum only for a body that is it, so the frame is
+// bit-identical to AppendFrameVec's. The next receiver verifies it like
+// any other: bytes damaged in the relay's memory since fail there, where
+// a re-computed checksum would have signed them. Zero means no hint.
+func AppendFrameVecCRC(blk []byte, segs [][]byte, ver byte, msg mpx.Message, bodyCRC uint32) ([]byte, [][]byte) {
 	body := bodyLen(msg)
 	spanFrom := len(blk)
 	blk = append(blk, ver, KindData)
@@ -320,16 +334,19 @@ func AppendFrameVec(blk []byte, segs [][]byte, ver byte, msg mpx.Message) ([]byt
 		blk = binary.AppendUvarint(blk, uint64(len(p.Data)))
 		if len(p.Data) > 0 {
 			// Close the open blk span, then emit the payload by reference.
-			crc = checksumUpdate(crc, blk[crcFrom:])
-			segs = append(segs, blk[spanFrom:len(blk):len(blk)])
+			if bodyCRC == 0 {
+				crc = checksumUpdate(crc, blk[crcFrom:])
+				crc = checksumUpdate(crc, p.Data)
+			}
+			segs = append(segs, blk[spanFrom:len(blk):len(blk)], p.Data)
 			spanFrom, crcFrom = len(blk), len(blk)
-			crc = checksumUpdate(crc, p.Data)
-			segs = append(segs, p.Data)
 		}
 		blk = binary.AppendUvarint(blk, uint64(p.Sum))
 	}
-	crc = checksumUpdate(crc, blk[crcFrom:])
-	blk = binary.LittleEndian.AppendUint32(blk, crc)
+	if bodyCRC == 0 {
+		bodyCRC = checksumUpdate(crc, blk[crcFrom:])
+	}
+	blk = binary.LittleEndian.AppendUint32(blk, bodyCRC)
 	segs = append(segs, blk[spanFrom:len(blk):len(blk)])
 	return blk, segs
 }
@@ -357,9 +374,15 @@ func BodyStart(buf []byte) int {
 // is set for the single-message data kinds, Msgs for KindBatch.
 type Frame struct {
 	Kind byte
-	Seq  uint64
-	Msg  mpx.Message
-	Msgs []mpx.Message
+	// BodyCRC is the checksum the Reader verified over the body of a
+	// streamed KindData frame, recorded only when that body is the
+	// canonical encoding of Msg; zero on every other decode. It lets a
+	// relay forward Msg verbatim without summing the payload again
+	// (AppendFrameVecCRC).
+	BodyCRC uint32
+	Seq     uint64
+	Msg     mpx.Message
+	Msgs    []mpx.Message
 	// Body holds the opaque payload of a membership or growth control
 	// frame (KindJoin/KindDrain/KindView/KindGrow/KindAttach). It is a
 	// fresh copy owned by the caller — these are rare control traffic,
@@ -850,7 +873,7 @@ func (r *Reader) ReadAnyInto(fr *Frame) error {
 // on the reader.
 func (r *Reader) readAnyInto(fr *Frame, arena []byte) error {
 	reuse := arena != nil
-	fr.Seq = 0
+	fr.Seq, fr.BodyCRC = 0, 0
 	fr.Msg.Tag = 0
 	fr.Msg.Parts = fr.Msg.Parts[:0]
 	fr.Msgs = fr.Msgs[:0]
@@ -1000,10 +1023,17 @@ func (r *Reader) readLead(kind byte, blen int) (seq, tag, nparts uint64, ok bool
 // first; to report the same thing it folds the rest of the body without
 // parsing it, stays aligned on the trailer, and calls the frame
 // malformed only when the trailer agrees with the bytes that arrived.
+//
+// A well-formed KindData frame leaves its verified checksum on the frame
+// (Frame.BodyCRC) when the body was the canonical encoding of the
+// message — every field kept whole and every varint minimal, the body
+// being no longer than bodyLen says — so that re-encoding the message
+// reproduces these very bytes.
 func (r *Reader) readStreamed(fr *Frame, tag uint64, nparts, left int) error {
+	blen := len(r.head) + left
 	fr.Msg.Tag = unzigzag(tag)
 	crc := uint32(0)
-	malformed, err := r.streamParts(fr, nparts, &left, &crc)
+	lossy, malformed, err := r.streamParts(fr, nparts, &left, &crc)
 	if err != nil {
 		return err
 	}
@@ -1030,14 +1060,19 @@ func (r *Reader) readStreamed(fr *Frame, tag uint64, nparts, left int) error {
 	if malformed != "" {
 		return fmt.Errorf("%w: %s", ErrCorrupt, malformed)
 	}
+	if fr.Kind == KindData && !lossy && bodyLen(fr.Msg) == blen {
+		fr.BodyCRC = crc
+	}
 	return nil
 }
 
 // streamParts parses nparts parts off the stream into fr.Msg.Parts,
 // keeping *left (body bytes to go) and *crc (everything folded so far
 // except r.head) current. It stops at the first thing the whole-body
-// parser would call malformed and names it; err is a stream error.
-func (r *Reader) streamParts(fr *Frame, nparts int, left *int, crc *uint32) (malformed string, err error) {
+// parser would call malformed and names it; err is a stream error. lossy
+// says a part's dest did not fit a NodeID and was cut down to one, as the
+// whole-body parser cuts it: the message no longer encodes to this body.
+func (r *Reader) streamParts(fr *Frame, nparts int, left *int, crc *uint32) (lossy bool, malformed string, err error) {
 	// nparts <= body/streamMin here, far inside the whole-body path's
 	// "four bytes per part" cap: the count cannot drive the allocation.
 	fr.Msg.Parts = make([]mpx.Part, 0, nparts)
@@ -1046,13 +1081,14 @@ func (r *Reader) streamParts(fr *Frame, nparts int, left *int, crc *uint32) (mal
 		ok := true
 		for k := 0; k < len(hdr) && ok; k++ {
 			if hdr[k], ok, err = r.streamUvarint(left); err != nil {
-				return "", err
+				return false, "", err
 			}
 		}
 		if !ok || hdr[2] > uint64(*left) {
-			return fmt.Sprintf("part %d header", i), nil
+			return false, fmt.Sprintf("part %d header", i), nil
 		}
 		p := mpx.Part{Dest: cube.NodeID(hdr[0]), Offset: unzigzag(hdr[1])}
+		lossy = lossy || uint64(p.Dest) != hdr[0]
 		if n := int(hdr[2]); n > 0 {
 			var dst []byte
 			if r.land != nil {
@@ -1064,7 +1100,7 @@ func (r *Reader) streamParts(fr *Frame, nparts int, left *int, crc *uint32) (mal
 			*crc = checksumUpdate(*crc, r.head)
 			r.head = r.head[:0]
 			if _, err := io.ReadFull(r.r, dst); err != nil {
-				return "", unexpectedEOF(err)
+				return false, "", unexpectedEOF(err)
 			}
 			*crc = checksumUpdate(*crc, dst)
 			*left -= n
@@ -1072,18 +1108,18 @@ func (r *Reader) streamParts(fr *Frame, nparts int, left *int, crc *uint32) (mal
 		}
 		sum, ok, err := r.streamUvarint(left)
 		if err != nil {
-			return "", err
+			return false, "", err
 		}
 		if !ok || sum > 0xFFFFFFFF {
-			return fmt.Sprintf("part %d checksum", i), nil
+			return false, fmt.Sprintf("part %d checksum", i), nil
 		}
 		p.Sum = uint32(sum)
 		fr.Msg.Parts = append(fr.Msg.Parts, p)
 	}
 	if *left != 0 {
-		return fmt.Sprintf("%d trailing body bytes", *left), nil
+		return false, fmt.Sprintf("%d trailing body bytes", *left), nil
 	}
-	return "", nil
+	return lossy, "", nil
 }
 
 // unexpectedEOF turns the clean EOF of a stream that ends inside a
