@@ -400,10 +400,8 @@ func (c *Comm) deliver(env mpx.Envelope) {
 	if c.stopped || c.abandoned[env.Tag] {
 		return
 	}
-	if z := c.zone; z != nil && z.posted {
-		if j := env.Tag - z.tag0; j >= 0 && j < len(z.at) {
-			z.at[j].shut = true
-		}
+	if z := c.zone; z != nil {
+		z.shut(env.Tag)
 	}
 	q, ok := c.mailbox[env.Tag]
 	if n := len(c.free); !ok && n > 0 {
@@ -706,6 +704,7 @@ type msbtChunk struct {
 func (c *Comm) collectMSBT(root cube.NodeID, z *zone) error {
 	z.chunks = z.chunks[:0]
 	for j := 0; j < c.n; j++ {
+		z.kids = msbt.AppendChildren(z.kids[:0], c.n, j, c.Rank(), root)
 		// A manifest names the tree's packet count; a tree without one is
 		// a single whole-segment packet.
 		for want, got, first := 1, 0, true; got < want; first = false {
@@ -717,8 +716,10 @@ func (c *Comm) collectMSBT(root cube.NodeID, z *zone) error {
 				return fmt.Errorf("comm: bcastmsbt chunk %d from %d, want tree parent", j, env.From)
 			}
 			// Same tag, same parts: the forward is the frame that came in,
-			// checksum included.
-			for _, ch := range msbt.Children(c.n, j, c.Rank(), root) {
+			// checksum included — out of the result, where a chunk that
+			// arrived in scratch is copied first.
+			c.unscratch(z, j, env.Parts)
+			for _, ch := range z.kids {
 				c.nd.ForwardTo(ch, env)
 			}
 			parts := env.Parts

@@ -204,6 +204,7 @@ func (c *Comm) BcastFT(root cube.NodeID, data []byte, opt FTOptions) ([]byte, er
 	}
 
 	var accepted []byte
+	var kids [cube.MaxDim]cube.NodeID // BcastFT has no zone: the stack holds them
 	seen := make([]bool, c.n)
 	nseen := 0
 	timeout := opt.Timeout
@@ -231,7 +232,7 @@ func (c *Comm) BcastFT(root cube.NodeID, data []byte, opt FTOptions) ([]byte, er
 		seen[j] = true
 		nseen++
 		pt := env.Parts[0]
-		for _, ch := range msbt.Children(c.n, j, me, root) {
+		for _, ch := range msbt.AppendChildren(kids[:0], c.n, j, me, root) {
 			c.send(ch, j+1, env.Parts)
 		}
 		if accepted == nil && checksum(pt.Data) == pt.Sum {

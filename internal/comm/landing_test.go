@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -118,12 +119,13 @@ func hostedMesh(t *testing.T, n int, hosts [][]cube.NodeID, opt func(endpoint in
 	return sum
 }
 
-// allPosted parks the caller until every communicator but its own has a
-// landing zone posted. The tests below hold the root back with it so
-// that no chunk races its receiver into the collective.
-func allPosted(comms []*Comm, self cube.NodeID) {
+// allPosted parks the caller until every communicator but the skipped
+// ones (its own, at least) has a landing zone posted. The tests below
+// hold the root back with it so that no chunk races its receiver into
+// the collective.
+func allPosted(comms []*Comm, skip ...cube.NodeID) {
 	for r, c := range comms {
-		for cube.NodeID(r) != self {
+		for !slices.Contains(skip, cube.NodeID(r)) {
 			c.mu.Lock()
 			posted := c.zone != nil && c.zone.posted
 			c.mu.Unlock()
@@ -194,11 +196,11 @@ func TestBcastMSBTLandingAllocBudget(t *testing.T) {
 }
 
 // TestBcastMSBTEarlyArrival holds one rank out of the collective until
-// tree 0's chunk is queued in its mailbox (the later trees' chunks reach
-// it only through ranks that wait for its own forwards first). That
-// chunk was read before anyone could say where it belongs, so the
-// finishing loop copies it next to the chunks that landed, and the
-// result is byte-exact.
+// tree 0's chunk is queued in its mailbox (the other trees' chunks do
+// not pass through it either, so they may be early too). The rank has
+// run no BcastMSBT yet, so that chunk was read before anyone could say
+// where it belongs: the finishing loop copies it next to the chunks that
+// landed, and the result is byte-exact.
 func TestBcastMSBTEarlyArrival(t *testing.T) {
 	const n, late, size = 3, cube.NodeID(5), 3<<18 + 1
 	payload := landingPayload(size, 2)
@@ -314,8 +316,11 @@ func TestBcastMSBTLandsUnderCorruptAndDuplicate(t *testing.T) {
 
 // TestZoneRules pins what a landing zone hands out: a tree's region
 // only to the link from its parent, the same region again for the same
-// question, never an overlapping or implausible one, nothing once the
-// tree's message is delivered, and nothing once unposted.
+// question, never an overlapping or implausible one, and nothing once
+// the tree's message is delivered. Between calls it lends the next
+// sequence's tree tags scratch segments under the same rules — nothing
+// for the sequence it served, a part with company, a second link or a
+// stopped communicator — and the next post adopts them.
 func TestZoneRules(t *testing.T) {
 	const n, size = 3, 3 << 16
 	err := Run(n, func(c *Comm) error {
@@ -370,7 +375,47 @@ func TestZoneRules(t *testing.T) {
 		}
 		off0, l0 := seg(0)
 		if got := c.land(parent(0), tag(0), 1, off0, l0); got != nil {
-			return errors.New("an unposted zone handed out a region")
+			return errors.New("the sequence the zone served was lent a segment after it was unposted")
+		}
+		c.next()
+		e := c.land(parent(0), tag(0), 1, off0, l0)
+		if len(e) != l0 {
+			return fmt.Errorf("the next sequence's tree 0 was lent %d bytes, want %d", len(e), l0)
+		}
+		if b := c.land(parent(0), tag(0), 1, off0, l0); len(b) != l0 || &b[0] != &e[0] {
+			return errors.New("the same question (a retransmit) was lent a different segment")
+		}
+		if got := c.land(parent(0)^1, tag(0), 1, off0, l0); got != nil {
+			return errors.New("a second link was lent tree 0's segment")
+		}
+		if got := c.land(parent(1), tag(1), 2, off1, l1); got != nil {
+			return errors.New("a part with company was lent a segment")
+		}
+		f := c.land(parent(1)^7, tag(1), 1, off1, l1)
+		if len(f) != l1 {
+			return errors.New("tree 1 was lent nothing, whichever link asked first")
+		}
+		off2, l2 = seg(2)
+		g := c.land(parent(2), tag(2), 1, off2, l2)
+		c.deliver(mpx.Envelope{Message: mpx.Message{Tag: tag(2), Parts: []mpx.Part{{Offset: off2, Data: g}}}, From: parent(2)})
+		if got := c.land(parent(2), tag(2), 1, off2, l2); got != nil {
+			return errors.New("a delivered tree was lent its segment again")
+		}
+		c.post(root)
+		if got := c.land(parent(0), tag(0), 1, off0, l0); len(got) != l0 || &got[0] != &e[0] {
+			return errors.New("the post did not adopt the segment lent to the tree parent's link")
+		}
+		if got := c.land(parent(1), tag(1), 1, off1, l1); got != nil {
+			return errors.New("a tree whose segment went to another link was given a region")
+		}
+		if got := c.land(parent(2), tag(2), 1, off2, l2); got != nil {
+			return errors.New("a tree delivered before the post was given a region")
+		}
+		c.unpost()
+		c.next()
+		c.stop()
+		if got := c.land(parent(0), c.tagFor(1), 1, off0, l0); got != nil {
+			return errors.New("a stopped communicator lent a segment")
 		}
 		return nil
 	})
@@ -385,15 +430,25 @@ func TestZoneRules(t *testing.T) {
 // buffer, so it is abandoned, and the next broadcast on the same
 // communicators allocates its own and is byte-exact. A broadcast that
 // succeeded before the failed one does not change that: its buffer went
-// into the failed call and is abandoned with it.
+// into the failed call and is abandoned with it. Then the same with tree
+// 1's chunk sent to its head while that rank is between calls: the
+// segment it is lent is adopted by the failed call, which never gets to
+// tree 1, and is dropped — it never reaches the free list.
 func TestBcastMSBTErrorExitUnposts(t *testing.T) {
 	testleak.Check(t)
 	const n, size = 2, 1 << 18
 	const root = cube.NodeID(0)
 	payload := landingPayload(size, 5)
-	var failed sync.WaitGroup
-	failed.Add(1<<n - 1)
+	var failed [n]sync.WaitGroup
+	for tree := range failed {
+		failed[tree].Add(1<<n - 1)
+	}
+	comms := make([]*Comm, 1<<n)
+	var registered sync.WaitGroup
+	registered.Add(len(comms))
 	err := RunTCP(n, func(c *Comm) error {
+		comms[c.Rank()] = c
+		registered.Done()
 		var in []byte
 		if c.Rank() == root {
 			in = payload
@@ -401,36 +456,57 @@ func TestBcastMSBTErrorExitUnposts(t *testing.T) {
 		if _, err := c.BcastMSBT(root, in); err != nil {
 			return err
 		}
-		if c.Rank() == root {
-			// Half a broadcast: tree 0's chunk only, then silence until
-			// every other rank has given up.
-			lo, hi := chunkBound(size, n, 0), chunkBound(size, n, 1)
-			c.send(msbt.RootOf(0, root), 1, []mpx.Part{{Dest: root, Offset: lo, Data: payload[lo:hi]}})
-			c.next()
-			failed.Wait()
-		} else {
-			c.SetDeadline(150 * time.Millisecond)
-			_, err := c.BcastMSBT(root, nil)
-			c.mu.Lock()
-			z := c.zone
-			posted, held := z.posted, len(z.buf)+len(z.spare)+cap(z.kept)
-			c.mu.Unlock()
-			failed.Done()
-			var de *DeadlineError
-			if !errors.As(err, &de) {
-				return fmt.Errorf("rank %d: half a broadcast returned %v, want a *DeadlineError", c.Rank(), err)
+		for tree := 0; tree < n; tree++ {
+			head := msbt.RootOf(tree, root)
+			var lent []byte
+			if c.Rank() == root {
+				// Half a broadcast: one tree's chunk, then silence until
+				// every other rank has given up.
+				if tree == 1 {
+					registered.Wait()
+					entered(comms[head], c.seq)
+				}
+				lo, hi := chunkBound(size, n, tree), chunkBound(size, n, tree+1)
+				c.send(head, tree+1, []mpx.Part{{Dest: root, Offset: lo, Data: payload[lo:hi]}})
+				c.next()
+				failed[tree].Wait()
+			} else {
+				if tree == 1 && c.Rank() == head {
+					queued(c, c.tagFor(tree+1))
+					c.mu.Lock()
+					lent = c.zone.early[tree].seg
+					c.mu.Unlock()
+					if lent == nil {
+						failed[tree].Done()
+						return fmt.Errorf("rank %d: tree %d's early chunk was not lent a segment", c.Rank(), tree)
+					}
+				}
+				c.SetDeadline(150 * time.Millisecond)
+				_, err := c.BcastMSBT(root, nil)
+				c.mu.Lock()
+				z := c.zone
+				posted, held := z.posted, len(z.buf)+len(z.spare)+cap(z.kept)
+				c.mu.Unlock()
+				failed[tree].Done()
+				var de *DeadlineError
+				if !errors.As(err, &de) {
+					return fmt.Errorf("rank %d: half a broadcast returned %v, want a *DeadlineError", c.Rank(), err)
+				}
+				if posted || held != 0 {
+					return fmt.Errorf("rank %d: the failed broadcast left its landing zone behind (posted=%v, %d bytes held)", c.Rank(), posted, held)
+				}
+				c.SetDeadline(10 * time.Second)
 			}
-			if posted || held != 0 {
-				return fmt.Errorf("rank %d: the failed broadcast left its landing zone behind (posted=%v, %d bytes held)", c.Rank(), posted, held)
+			got, err := c.BcastMSBT(root, in)
+			if err != nil {
+				return err
 			}
-			c.SetDeadline(10 * time.Second)
-		}
-		got, err := c.BcastMSBT(root, in)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(got, payload) {
-			return fmt.Errorf("rank %d: broadcast after the failed one differs at byte %d", c.Rank(), firstDiff(got, payload))
+			if !bytes.Equal(got, payload) {
+				return fmt.Errorf("rank %d: broadcast after the failed one differs at byte %d", c.Rank(), firstDiff(got, payload))
+			}
+			if _, held := onFreeList(lent); held {
+				return fmt.Errorf("rank %d: the segment lent before the failed call reached the free list", c.Rank())
+			}
 		}
 		return nil
 	})

@@ -44,17 +44,6 @@ func cyclicK(c uint64, n, j int) int {
 // the MSBT and BST parent/children definitions.
 func K(n, j int, i, s cube.NodeID) int { return cyclicK(uint64(i^s), n, j) }
 
-// betweenCyclic returns the bit positions in M_MSBT(c, j) =
-// {(k+1) mod n, ..., (j-1) mod n}: the (zero) bits of c cyclically between
-// the anchor k and bit j, exclusive on both ends.
-func betweenCyclic(n, k, j int) []int {
-	var out []int
-	for m := (k + 1) % n; m != j; m = (m + 1) % n {
-		out = append(out, m)
-	}
-	return out
-}
-
 // Parent returns the parent of node i in the j-th ERSBT of the MSBT graph
 // with source s, with ok == false exactly at the source.
 //
@@ -82,25 +71,31 @@ func Parent(n, j int, i, s cube.NodeID) (cube.NodeID, bool) {
 //	                           this is the ERSBT root, whose edge to the
 //	                           source was reversed
 //	c_j == 0                -> leaf, no children
+//
+// M_MSBT(c, j) = {(k+1) mod n, ..., (j-1) mod n} are the (zero) bits of
+// c cyclically between the anchor k and bit j, exclusive on both ends.
 func Children(n, j int, i, s cube.NodeID) []cube.NodeID {
+	return AppendChildren(nil, n, j, i, s)
+}
+
+// AppendChildren appends Children(n, j, i, s) to dst and returns the
+// extended slice; it allocates nothing when dst has room.
+func AppendChildren(dst []cube.NodeID, n, j int, i, s cube.NodeID) []cube.NodeID {
 	c := uint64(i ^ s)
 	k := cyclicK(c, n, j)
 	switch {
 	case k == -1:
-		return []cube.NodeID{i ^ cube.NodeID(1)<<uint(j)}
+		return append(dst, i^cube.NodeID(1)<<uint(j))
 	case c&(1<<uint(j)) == 0:
-		return nil
-	default:
-		ms := betweenCyclic(n, k, j)
-		if k != j {
-			ms = append(ms, j)
-		}
-		out := make([]cube.NodeID, len(ms))
-		for t, m := range ms {
-			out[t] = i ^ cube.NodeID(1)<<uint(m)
-		}
-		return out
+		return dst
 	}
+	for m := (k + 1) % n; m != j; m = (m + 1) % n {
+		dst = append(dst, i^cube.NodeID(1)<<uint(m))
+	}
+	if k != j {
+		dst = append(dst, i^cube.NodeID(1)<<uint(j))
+	}
+	return dst
 }
 
 // Label returns f(i, j): the scheduling label of the input edge of node i

@@ -266,3 +266,75 @@ func TestRotationStructure(t *testing.T) {
 		}
 	}
 }
+
+// childrenRef is Children as the paper states it, built the direct way:
+// the ports M_MSBT(c, j) between the anchor k and bit j, then port j
+// unless i is the tree's root.
+func childrenRef(n, j int, i, s cube.NodeID) []cube.NodeID {
+	c := uint64(i ^ s)
+	k := cyclicK(c, n, j)
+	switch {
+	case k == -1:
+		return []cube.NodeID{i ^ 1<<uint(j)}
+	case c&(1<<uint(j)) == 0:
+		return nil
+	}
+	var ports []int
+	for m := (k + 1) % n; m != j; m = (m + 1) % n {
+		ports = append(ports, m)
+	}
+	if k != j {
+		ports = append(ports, j)
+	}
+	var out []cube.NodeID
+	for _, m := range ports {
+		out = append(out, i^cube.NodeID(1)<<uint(m))
+	}
+	return out
+}
+
+// TestAppendChildrenMatchesChildren: for every n <= 8, tree, node and
+// source, AppendChildren appends exactly the paper's children, in port
+// order, after whatever dst held, every child names i as its parent, and
+// Children agrees.
+func TestAppendChildrenMatchesChildren(t *testing.T) {
+	prefix := []cube.NodeID{7, 9}
+	buf := make([]cube.NodeID, 0, 16)
+	for n := 1; n <= 8; n++ {
+		N := cube.NodeID(1) << uint(n)
+		for j := 0; j < n; j++ {
+			for s := cube.NodeID(0); s < N; s++ {
+				for i := cube.NodeID(0); i < N; i++ {
+					want := childrenRef(n, j, i, s)
+					got := AppendChildren(append(buf[:0], prefix...), n, j, i, s)
+					if len(got) != len(prefix)+len(want) || got[0] != prefix[0] || got[1] != prefix[1] {
+						t.Fatalf("n=%d j=%d i=%d s=%d: AppendChildren %v, want %v after %v", n, j, i, s, got, want, prefix)
+					}
+					for k, ch := range want {
+						if got[len(prefix)+k] != ch {
+							t.Fatalf("n=%d j=%d i=%d s=%d: AppendChildren %v, want %v after %v", n, j, i, s, got, want, prefix)
+						}
+						if p, ok := Parent(n, j, ch, s); !ok || p != i {
+							t.Fatalf("n=%d j=%d s=%d: child %d of %d names parent %d", n, j, s, ch, i, p)
+						}
+					}
+					if c := Children(n, j, i, s); len(c) != len(want) {
+						t.Fatalf("n=%d j=%d i=%d s=%d: Children %v, want %v", n, j, i, s, c, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAppendChildrenZeroAllocs: with room in dst, no call allocates.
+func TestAppendChildrenZeroAllocs(t *testing.T) {
+	buf := make([]cube.NodeID, 0, 8)
+	if a := testing.AllocsPerRun(100, func() {
+		for j := 0; j < 8; j++ {
+			buf = AppendChildren(buf[:0], 8, j, 0xA5, 0x11)
+		}
+	}); a != 0 {
+		t.Fatalf("a warm AppendChildren allocates %.1f times per 8 calls", a)
+	}
+}

@@ -367,10 +367,11 @@ type link struct {
 	// harness's slow-link fault.
 	chaosDelay atomic.Int64
 
-	wmu   sync.Mutex // serializes conn writes
-	fsegs [][]byte   // flusher-side segment list, reused under wmu
-	fblks []*[]byte  // blocks retired by the in-flight flush
-	ctrl  []byte     // fixed-capacity scratch for piggybacked ACK/NACK frames
+	wmu   sync.Mutex  // serializes conn writes
+	fsegs [][]byte    // flusher-side segment list, reused under wmu
+	wbufs net.Buffers // what a write hands the kernel, reused under wmu: a local escapes
+	fblks []*[]byte   // blocks retired by the in-flight flush
+	ctrl  []byte      // fixed-capacity scratch for piggybacked ACK/NACK frames
 }
 
 // NewTCP binds the transport's listener; Connect must be called before
@@ -1560,11 +1561,11 @@ func (l *link) flushWLocked() error {
 	for _, s := range l.fsegs {
 		total += len(s)
 	}
-	bufs := net.Buffers(l.fsegs)
+	l.wbufs = l.fsegs
 	start := time.Now()
-	_, err := bufs.WriteTo(conn)
+	_, err := l.wbufs.WriteTo(conn)
 	dt := time.Since(start)
-	// WriteTo consumed bufs (it advances the slice in place), so release
+	// WriteTo consumed wbufs (it advances the slice in place), so release
 	// the payload references through our own header and recycle the
 	// blocks this write retired.
 	for i := range l.fsegs {
@@ -1688,9 +1689,9 @@ func (l *link) flushResilientWLocked() {
 	// control appends alike), so len(segs) is the frame count the cost
 	// estimator wants.
 	frames := len(segs)
-	bufs := net.Buffers(segs)
+	l.wbufs = segs
 	start := time.Now()
-	_, err := bufs.WriteTo(conn)
+	_, err := l.wbufs.WriteTo(conn)
 	dt := time.Since(start)
 	for i := range l.fsegs {
 		l.fsegs[i] = nil
@@ -2337,8 +2338,8 @@ func (l *link) shutdown(dirty bool) {
 	conn = l.conn
 	l.mu.Unlock()
 	if !broken && !dirty {
-		bufs := net.Buffers(segs)
-		bufs.WriteTo(conn) // best effort; the conn is closing anyway
+		l.wbufs = segs
+		l.wbufs.WriteTo(conn) // best effort; the conn is closing anyway
 	}
 	conn.Close()
 	l.wmu.Unlock()
