@@ -34,29 +34,37 @@ func main() {
 	maxDim := flag.Int("maxdim", 7, "largest cube dimension")
 	flag.Parse()
 
+	if err := render(os.Stdout, *fig, *chart, *dot, *maxDim); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// render writes figure fig (0 = all) to w, each followed by a blank line.
+func render(w io.Writer, fig int, chart, dot bool, maxDim int) error {
 	type job struct {
 		id int
 		f  func(io.Writer) error
 	}
 	all := []job{
-		{1, func(w io.Writer) error { return figure1(w, *dot) }},
-		{2, func(w io.Writer) error { return figure2(w, *dot) }},
-		{3, func(w io.Writer) error { return figure3(w, *dot) }},
-		{4, func(w io.Writer) error { return figure4(w, *dot) }},
-		{5, func(w io.Writer) error { return figure5(w, *chart, *maxDim) }},
-		{6, func(w io.Writer) error { return figure6(w, *chart, *maxDim) }},
-		{7, func(w io.Writer) error { return figure7(w, *chart, *maxDim) }},
-		{8, func(w io.Writer) error { return figure8(w, *chart, *maxDim) }},
+		{1, func(w io.Writer) error { return figure1(w, dot) }},
+		{2, func(w io.Writer) error { return figure2(w, dot) }},
+		{3, func(w io.Writer) error { return figure3(w, dot) }},
+		{4, func(w io.Writer) error { return figure4(w, dot) }},
+		{5, func(w io.Writer) error { return figure5(w, chart, maxDim) }},
+		{6, func(w io.Writer) error { return figure6(w, chart, maxDim) }},
+		{7, func(w io.Writer) error { return figure7(w, chart, maxDim) }},
+		{8, func(w io.Writer) error { return figure8(w, chart, maxDim) }},
 	}
 	var jobs []job
 	for _, j := range all {
-		if *fig == 0 || *fig == j.id {
+		if fig == 0 || fig == j.id {
 			jobs = append(jobs, j)
 		}
 	}
 	// Each figure renders into its own buffer on the exp worker pool (the
 	// measurement figures are independent simulation sweeps); output is
-	// printed in figure order.
+	// written in figure order.
 	bufs, err := exp.Parallel(jobs, 0, func(j job) (*bytes.Buffer, error) {
 		var b bytes.Buffer
 		if err := j.f(&b); err != nil {
@@ -65,13 +73,13 @@ func main() {
 		return &b, nil
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	for _, b := range bufs {
-		os.Stdout.Write(b.Bytes())
-		fmt.Println()
+		w.Write(b.Bytes())
+		fmt.Fprintln(w)
 	}
+	return nil
 }
 
 func figure1(w io.Writer, dot bool) error {
