@@ -1,7 +1,8 @@
 // Command hypercomm is the umbrella CLI for the hypercube collective
 // communication library: simulate timed broadcasts and scatters under any
-// port model, inspect spanning-structure geometry, and verify the
-// distributed implementations end to end on the goroutine runtime.
+// port model, inspect spanning-structure geometry, and verify every
+// collective of the per-rank communicator end to end on the goroutine
+// runtime.
 //
 // Subcommands:
 //
@@ -9,8 +10,6 @@
 //	scatter   -alg {sbt|bst|tcbt} -n DIM -m ELEMS -b PACKET -order {desc|df|rbf} -rr
 //	tree      -alg {hp|sbt|bst|tcbt} -n DIM -s SOURCE [-render ascii|dot|hist]
 //	verify    -n DIM -s SOURCE
-//	ablate    -n DIM
-//	route     -n DIM -perm {bitrev|transpose|random}
 //	serve     -n DIM -id NODE [-listen ADDR] [-peers A0,A1,...] [-m BYTES]
 //	          [-transport {tcp|uds|auto}] [-autotune] [-naive-allnode]
 //	          [-resilient -attempts K -budget DUR] [-rounds R | -for DUR]
@@ -103,17 +102,16 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/bst"
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/exp"
 	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/msbt"
-	"repro/internal/route"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -136,10 +134,6 @@ func main() {
 		err = cmdTree(os.Args[2:])
 	case "verify":
 		err = cmdVerify(os.Args[2:])
-	case "ablate":
-		err = cmdAblate(os.Args[2:])
-	case "route":
-		err = cmdRoute(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "launch":
@@ -169,7 +163,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: hypercomm <broadcast|scatter|tree|verify|ablate|route|serve|launch|chaos|jobs|member|join|drain|churn|grow> [flags]
+	fmt.Fprintln(os.Stderr, `usage: hypercomm <broadcast|scatter|tree|verify|serve|launch|chaos|jobs|member|join|drain|churn|grow> [flags]
 run "hypercomm <subcommand> -h" for flags`)
 }
 
@@ -187,6 +181,17 @@ func parseAlg(s string) (model.Algorithm, error) {
 		return model.BST, nil
 	}
 	return 0, fmt.Errorf("unknown algorithm %q", s)
+}
+
+// parseSource checks a -s flag against the n-cube's addresses.
+func parseSource(n, src int) (cube.NodeID, error) {
+	if n < 1 || n > cube.MaxDim {
+		return 0, fmt.Errorf("dimension %d out of range [1,%d]", n, cube.MaxDim)
+	}
+	if src < 0 || src >= 1<<uint(n) {
+		return 0, fmt.Errorf("source %d outside the %d-cube (nodes 0..%d)", src, n, 1<<uint(n)-1)
+	}
+	return cube.NodeID(src), nil
 }
 
 // faultFlags registers the shared fault-injection flags on a FlagSet and
@@ -238,7 +243,11 @@ func cmdBroadcast(args []string) error {
 	if err != nil {
 		return err
 	}
-	plan, err := plannerFn(*n, cube.NodeID(*src))
+	s, err := parseSource(*n, *src)
+	if err != nil {
+		return err
+	}
+	plan, err := plannerFn(*n, s)
 	if err != nil {
 		return err
 	}
@@ -246,14 +255,13 @@ func cmdBroadcast(args []string) error {
 	if plan != nil {
 		fmt.Printf("faults: %v\n", plan)
 	}
-	res, err := core.SimBroadcast(a, cube.NodeID(*src), *m, *b, cfg)
+	res, err := sched.SimBroadcast(a, s, *m, *b, cfg)
 	if err != nil {
 		return err
 	}
-	s := trace.Summarize(res)
-	fmt.Printf("%v broadcast on %d-cube (%v): %s\n", a, *n, pm, s)
+	fmt.Printf("%v broadcast on %d-cube (%v): %s\n", a, *n, pm, trace.Summarize(res))
 	if *gantt {
-		xs, err := core.BroadcastSchedule(a, cube.NodeID(*src), *m, *b, cfg)
+		xs, err := sched.BroadcastSchedule(a, s, *m, *b, cfg)
 		if err != nil {
 			return err
 		}
@@ -287,7 +295,11 @@ func cmdScatter(args []string) error {
 	if err != nil {
 		return err
 	}
-	plan, err := plannerFn(*n, cube.NodeID(*src))
+	s, err := parseSource(*n, *src)
+	if err != nil {
+		return err
+	}
+	plan, err := plannerFn(*n, s)
 	if err != nil {
 		return err
 	}
@@ -313,7 +325,7 @@ func cmdScatter(args []string) error {
 	if plan != nil {
 		fmt.Printf("faults: %v\n", plan)
 	}
-	res, err := core.SimScatter(a, cube.NodeID(*src), *m, *b, order, il, cfg)
+	res, err := sched.SimScatter(a, s, *m, *b, order, il, cfg)
 	if err != nil {
 		return err
 	}
@@ -334,11 +346,11 @@ func cmdTree(args []string) error {
 	if err != nil {
 		return err
 	}
-	topo, err := core.TopologyFor(a, *n, cube.NodeID(*src))
+	s, err := parseSource(*n, *src)
 	if err != nil {
 		return err
 	}
-	t, err := topo.Tree()
+	t, err := sched.TreeFor(a, *n, s)
 	if err != nil {
 		return err
 	}
@@ -352,99 +364,12 @@ func cmdTree(args []string) error {
 	case "ascii":
 		fmt.Print(vis.ASCIITree(t, nil))
 	case "dot":
-		fmt.Print(vis.DOT(topo.Name, []*tree.Tree{t}, nil))
+		fmt.Print(vis.DOT(strings.ToLower(*alg), []*tree.Tree{t}, nil))
 	case "hist":
 		fmt.Print(vis.LevelHistogram(t))
 	default:
 		return fmt.Errorf("unknown render mode %q", *render)
 	}
-	return nil
-}
-
-func cmdAblate(args []string) error {
-	fs := flag.NewFlagSet("ablate", flag.ExitOnError)
-	n := fs.Int("n", 6, "cube dimension")
-	fs.Parse(args)
-
-	a, err := exp.AblateMSBTLabels(*n, 6)
-	if err != nil {
-		return err
-	}
-	fmt.Println(a)
-	b, err := exp.AblateScatterOrder(*n, 4, 16)
-	if err != nil {
-		return err
-	}
-	fmt.Println(b)
-	c, err := exp.AblateSBTScatterInterleave(*n, 32, 0.2)
-	if err != nil {
-		return err
-	}
-	fmt.Println(c)
-	fmt.Println(exp.AblateBalance(*n))
-	measured, formula, err := exp.AblatePacketSize(*n, 4096, 100, 1)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-34s measured=%-9.0f formula=%-9.1f (MSBT broadcast B_opt)\n",
-		"packet-size sweep vs closed form", measured, formula)
-	delays, err := exp.AblateTreeChoiceBroadcast(*n)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-34s SBT=%d TCBT=%d MSBT=%d HP=%d (one-packet delay, steps)\n",
-		"tree choice for broadcast", delays["SBT"], delays["TCBT"], delays["MSBT"], delays["HP"])
-	if err := exp.EdgeDisjointnessCheck(*n, 0); err != nil {
-		return err
-	}
-	fmt.Printf("%-34s verified for n=%d\n", "ERSBT edge-disjointness", *n)
-	return nil
-}
-
-func cmdRoute(args []string) error {
-	fs := flag.NewFlagSet("route", flag.ExitOnError)
-	n := fs.Int("n", 10, "cube dimension (even for transpose/bit-reversal symmetry)")
-	m := fs.Float64("m", 8, "message size in elements")
-	permS := fs.String("perm", "bitrev", "permutation: bitrev|transpose|random")
-	seed := fs.Int64("seed", 1, "random seed for Valiant intermediates / random permutation")
-	fs.Parse(args)
-
-	rng := rand.New(rand.NewSource(*seed))
-	var p route.Permutation
-	switch strings.ToLower(*permS) {
-	case "bitrev":
-		p = route.BitReversal(*n)
-	case "transpose":
-		var err error
-		p, err = route.Transpose(*n)
-		if err != nil {
-			return err
-		}
-	case "random":
-		p = route.Random(*n, rng)
-	default:
-		return fmt.Errorf("unknown permutation %q", *permS)
-	}
-	cfg := sim.Config{Dim: *n, Model: model.AllPorts, Tau: 0.01, Tc: 1}
-	xe, err := route.ECube(*n, p, *m)
-	if err != nil {
-		return err
-	}
-	te, ce, err := route.Measure(cfg, xe)
-	if err != nil {
-		return err
-	}
-	xv, err := route.Valiant(*n, p, *m, rng)
-	if err != nil {
-		return err
-	}
-	tv, cv, err := route.Measure(cfg, xv)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s permutation on %d-cube, %g elements/message:\n", *permS, *n, *m)
-	fmt.Printf("  e-cube : congestion=%-4d makespan=%.2f\n", ce, te)
-	fmt.Printf("  valiant: congestion=%-4d makespan=%.2f\n", cv, tv)
 	return nil
 }
 
@@ -455,70 +380,153 @@ func cmdVerify(args []string) error {
 	plannerFn := faultFlags(fs)
 	fs.Parse(args)
 
-	plan, err := plannerFn(*n, cube.NodeID(*src))
+	s, err := parseSource(*n, *src)
+	if err != nil {
+		return err
+	}
+	plan, err := plannerFn(*n, s)
 	if err != nil {
 		return err
 	}
 	if plan != nil {
-		return verifyFaulty(*n, cube.NodeID(*src), plan)
+		return verifyFaulty(*n, s, plan)
 	}
+	return verifyCollectives(*n, s)
+}
 
-	N := 1 << uint(*n)
-	s := cube.NodeID(*src)
+// verifyCollectives runs every collective of the communicator on the
+// goroutine runtime, each rank its own program, and holds every rank's
+// result byte for byte to a serial reference computed here. The rooted
+// collectives are rooted at s.
+func verifyCollectives(n int, s cube.NodeID) error {
+	N := 1 << uint(n)
 	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, 4096)
 	rng.Read(data)
+	personal := make([][]byte, N)  // rank i's payload
+	pairs := make([][][]byte, N)   // pairs[i][j]: what i sends j
+	prefix := make([][]byte, N)    // x_0 || ... || x_i
+	sum := make([]byte, len(data)) // the byte-wise sum of every x_i
+	for i := range personal {
+		personal[i] = []byte(fmt.Sprintf("payload-%d", i))
+		pairs[i] = make([][]byte, N)
+		for j := range pairs[i] {
+			pairs[i][j] = []byte(fmt.Sprintf("%d->%d", i, j))
+		}
+		if i > 0 {
+			prefix[i] = bytes.Clone(prefix[i-1])
+		}
+		prefix[i] = append(prefix[i], personal[i]...)
+	}
+	// x_i, the contribution of rank i to Reduce and AllReduce.
+	contrib := func(i int) []byte {
+		x := bytes.Clone(data)
+		for k := range x {
+			x[k] += byte(i * k)
+		}
+		return x
+	}
+	for i := 0; i < N; i++ {
+		addBytes(sum, contrib(i))
+	}
+	concat := func(a, b []byte) []byte { return append(a, b...) }
+	one := func(b []byte) [][]byte { return [][]byte{b} }
+	isRoot := func(r int) bool { return cube.NodeID(r) == s }
 
-	check := func(name string, got [][]byte, want func(i int) []byte) error {
-		for i, g := range got {
-			if !bytes.Equal(g, want(i)) {
-				return fmt.Errorf("%s: node %d holds wrong data", name, i)
+	collectives := []struct {
+		name string
+		run  func(c *comm.Comm, r int) ([][]byte, error)
+		want func(r int) [][]byte
+	}{
+		{"Bcast", func(c *comm.Comm, r int) ([][]byte, error) {
+			got, err := c.Bcast(s, data)
+			return one(got), err
+		}, func(int) [][]byte { return one(data) }},
+		{"BcastMSBT", func(c *comm.Comm, r int) ([][]byte, error) {
+			got, err := c.BcastMSBT(s, data)
+			return one(got), err
+		}, func(int) [][]byte { return one(data) }},
+		{"Scatter", func(c *comm.Comm, r int) ([][]byte, error) {
+			got, err := c.Scatter(s, personal)
+			return one(got), err
+		}, func(r int) [][]byte { return one(personal[r]) }},
+		{"Gather", func(c *comm.Comm, r int) ([][]byte, error) {
+			return c.Gather(s, personal[r])
+		}, func(r int) [][]byte {
+			if isRoot(r) {
+				return personal
 			}
-		}
-		fmt.Printf("ok  %-14s all %d nodes verified\n", name, N)
-		return nil
+			return nil
+		}},
+		{"Reduce", func(c *comm.Comm, r int) ([][]byte, error) {
+			got, err := c.Reduce(s, contrib(r), addBytes)
+			return one(got), err
+		}, func(r int) [][]byte {
+			if isRoot(r) {
+				return one(sum)
+			}
+			return one(nil)
+		}},
+		{"AllReduce", func(c *comm.Comm, r int) ([][]byte, error) {
+			got, err := c.AllReduce(contrib(r), addBytes)
+			return one(got), err
+		}, func(int) [][]byte { return one(sum) }},
+		{"Scan", func(c *comm.Comm, r int) ([][]byte, error) {
+			got, err := c.Scan(personal[r], concat)
+			return one(got), err
+		}, func(r int) [][]byte { return one(prefix[r]) }},
+		{"AllGather", func(c *comm.Comm, r int) ([][]byte, error) {
+			return c.AllGather(personal[r])
+		}, func(int) [][]byte { return personal }},
+		{"AllToAll", func(c *comm.Comm, r int) ([][]byte, error) {
+			return c.AllToAll(pairs[r])
+		}, func(r int) [][]byte {
+			col := make([][]byte, N)
+			for i := range col {
+				col[i] = pairs[i][r]
+			}
+			return col
+		}},
 	}
 
-	for _, a := range []model.Algorithm{model.HP, model.SBT, model.BST, model.TCBT} {
-		topo, err := core.TopologyFor(a, *n, s)
-		if err != nil {
-			return err
-		}
-		got, err := core.Broadcast(topo, data)
-		if err != nil {
-			return err
-		}
-		if err := check("broadcast/"+a.String(), got, func(int) []byte { return data }); err != nil {
-			return err
-		}
+	// got[k][r] is rank r's result of collective k.
+	got := make([][][][]byte, len(collectives))
+	for k := range got {
+		got[k] = make([][][]byte, N)
 	}
-	got, err := core.BroadcastMSBT(*n, s, data)
+	err := comm.Run(n, func(c *comm.Comm) error {
+		r := int(c.Rank())
+		for k, col := range collectives {
+			res, err := col.run(c, r)
+			if err != nil {
+				return fmt.Errorf("%s: %w", col.name, err)
+			}
+			got[k][r] = res
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	if err := check("broadcast/MSBT", got, func(int) []byte { return data }); err != nil {
-		return err
-	}
-
-	personal := make([][]byte, N)
-	for i := range personal {
-		personal[i] = []byte(fmt.Sprintf("payload-%d", i))
-	}
-	for _, a := range []model.Algorithm{model.SBT, model.BST} {
-		topo, err := core.TopologyFor(a, *n, s)
-		if err != nil {
-			return err
+	for k, col := range collectives {
+		for r := 0; r < N; r++ {
+			if !slices.EqualFunc(got[k][r], col.want(r), bytes.Equal) {
+				return fmt.Errorf("%s: rank %d holds wrong data", col.name, r)
+			}
 		}
-		got, err := core.Scatter(topo, personal, 4)
-		if err != nil {
-			return err
-		}
-		if err := check("scatter/"+a.String(), got, func(i int) []byte { return personal[i] }); err != nil {
-			return err
-		}
+		fmt.Printf("ok  %-10s all %d ranks match the serial reference\n", col.name, N)
 	}
-	fmt.Println("all distributed collectives verified")
+	fmt.Printf("all %d collectives verified (root %d)\n", len(collectives), s)
 	return nil
+}
+
+// addBytes adds b into a byte by byte, wrapping: an associative and
+// commutative reduction whose result is exact.
+func addBytes(a, b []byte) []byte {
+	for i := range a {
+		a[i] += b[i]
+	}
+	return a
 }
 
 // verifyFaulty exercises the fault-tolerant collectives end to end on the

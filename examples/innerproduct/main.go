@@ -4,11 +4,11 @@
 // prefix computation".
 //
 // Two large vectors are distributed by blocks over the N = 2^n nodes.
-// Each node computes its partial dot product; the partials are then
-// reduced three ways and cross-checked:
+// Every node runs the same program: it computes its partial dot product,
+// and the partials are then reduced three ways and cross-checked:
 //
-//  1. ReduceMSBT — the reverse of the paper's MSBT broadcast: partial
-//     results flow up n edge-disjoint trees to one node;
+//  1. Reduce — the reverse of the SBT broadcast: partial results flow up
+//     the spanning binomial tree to one node;
 //  2. AllReduce — classic hypercube dimension exchange, leaving the result
 //     on every node in log N steps;
 //  3. Scan — parallel prefix over the node order, whose last node holds
@@ -24,8 +24,7 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/core"
-	"repro/internal/cube"
+	"repro/internal/comm"
 )
 
 const (
@@ -50,42 +49,49 @@ func main() {
 		want += x[i] * y[i]
 	}
 
-	partial := func(i cube.NodeID) []byte {
-		s := 0.0
-		for k := int(i) * block; k < (int(i)+1)*block; k++ {
-			s += x[k] * y[k]
-		}
-		return encodeFloat(s)
-	}
 	addFloats := func(a, b []byte) []byte {
 		return encodeFloat(decodeFloat(a) + decodeFloat(b))
 	}
 
-	// 1. All-to-one reduction up the n edge-disjoint ERSBTs.
-	one, err := core.ReduceMSBT(dim, 0, 8, partial, addFloats)
-	if err != nil {
-		log.Fatal(err)
-	}
-	report("ReduceMSBT (to node 0)", decodeFloat(one), want)
+	// Node 0's reduction, and every rank's all-reduce and prefix.
+	var one []byte
+	all := make([][]byte, N)
+	prefixes := make([][]byte, N)
+	err := comm.Run(dim, func(c *comm.Comm) error {
+		me := int(c.Rank())
+		s := 0.0
+		for k := me * block; k < (me+1)*block; k++ {
+			s += x[k] * y[k]
+		}
+		partial := encodeFloat(s)
 
-	// 2. Dimension-exchange all-reduce: every node ends with the result.
-	all, err := core.AllReduce(dim, partial, addFloats)
+		// 1. All-to-one reduction up the binomial tree to node 0.
+		r, err := c.Reduce(0, partial, addFloats)
+		if err != nil {
+			return err
+		}
+		if me == 0 {
+			one = r
+		}
+		// 2. Dimension-exchange all-reduce: every node ends with the result.
+		if all[me], err = c.AllReduce(partial, addFloats); err != nil {
+			return err
+		}
+		// 3. Parallel prefix: node i holds the dot product of the first
+		// (i+1) blocks; the last node holds the full inner product.
+		prefixes[me], err = c.Scan(partial, addFloats)
+		return err
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	report("Reduce (to node 0)", decodeFloat(one), want)
 	for i := range all {
 		if math.Abs(decodeFloat(all[i])-want) > 1e-6*math.Abs(want) {
 			log.Fatalf("AllReduce: node %d disagrees", i)
 		}
 	}
 	report(fmt.Sprintf("AllReduce (all %d nodes)", N), decodeFloat(all[0]), want)
-
-	// 3. Parallel prefix: node i holds the dot product of the first
-	// (i+1) blocks; the last node holds the full inner product.
-	prefixes, err := core.Scan(dim, partial, addFloats)
-	if err != nil {
-		log.Fatal(err)
-	}
 	report("Scan (last node's prefix)", decodeFloat(prefixes[N-1]), want)
 
 	// Prefixes must be monotone consistent with the serial partial sums.

@@ -2,12 +2,12 @@
 // motivating use of broadcasting (§1, citing Fox/Otto/Hey's hypercube
 // matrix algorithms).
 //
-// The k x k matrix A is distributed by row blocks over the N = 2^n nodes.
-// The full matrix B is broadcast to every node with the MSBT algorithm
-// (each of the n edge-disjoint trees carries 1/n of B). Every node
-// multiplies its row block by B, and the row blocks of C = A*B are
-// collected at node 0 with an SBT gather. The result is checked against a
-// serial multiplication.
+// Every node runs the same program. Node 0 owns the k x k matrices A and
+// B. It broadcasts B to every node with the MSBT algorithm (each of the n
+// edge-disjoint trees carries 1/n of B) and scatters A by row blocks
+// along the balanced spanning tree. Every node multiplies its row block
+// by B, and the row blocks of C = A*B are gathered at node 0. The result
+// is checked against a serial multiplication.
 //
 // Run with: go run ./examples/matmul
 package main
@@ -19,8 +19,7 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/core"
-	"repro/internal/cube"
+	"repro/internal/comm"
 )
 
 const (
@@ -35,32 +34,36 @@ func main() {
 	A := randomMatrix(rng, k, k)
 	B := randomMatrix(rng, k, k)
 
-	// Node 0 owns B and broadcasts it to everyone via the MSBT.
-	bBytes := encodeMatrix(B)
-	gotB, err := core.BroadcastMSBT(dim, 0, bBytes)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Node 0 owns A and scatters row blocks (personalized data) via the BST.
 	blocks := make([][]byte, N)
 	for r := 0; r < N; r++ {
 		blocks[r] = encodeMatrix(A[r*rows : (r+1)*rows])
 	}
-	gotA, err := core.Scatter(core.BSTTopology(dim, 0), blocks, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Every node computes its block of C = A*B locally.
-	contribution := func(i cube.NodeID) []byte {
-		myA := decodeMatrix(gotA[i], rows, k)
-		myB := decodeMatrix(gotB[i], k, k)
-		return encodeMatrix(multiply(myA, myB))
-	}
-
-	// Gather the row blocks of C at node 0 along the SBT.
-	gathered, err := core.Gather(core.SBTTopology(dim, 0), contribution)
+	var gathered [][]byte
+	err := comm.Run(dim, func(c *comm.Comm) error {
+		// Node 0 owns B and broadcasts it to everyone via the MSBT.
+		var bBytes []byte
+		if c.Rank() == 0 {
+			bBytes = encodeMatrix(B)
+		}
+		gotB, err := c.BcastMSBT(0, bBytes)
+		if err != nil {
+			return err
+		}
+		// Node 0 owns A and scatters row blocks (personalized data) via
+		// the BST.
+		gotA, err := c.Scatter(0, blocks)
+		if err != nil {
+			return err
+		}
+		// Every node computes its block of C = A*B locally ...
+		myC := multiply(decodeMatrix(gotA, rows, k), decodeMatrix(gotB, k, k))
+		// ... and the row blocks of C are gathered at node 0.
+		out, err := c.Gather(0, encodeMatrix(myC))
+		if c.Rank() == 0 {
+			gathered = out
+		}
+		return err
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

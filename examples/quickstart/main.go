@@ -1,8 +1,9 @@
-// Quickstart: broadcast a message to every node of a 6-cube with the
-// single spanning binomial tree (SBT) and with the paper's multiple
-// spanning binomial trees (MSBT), scatter personalized payloads with the
-// balanced spanning tree (BST), and compare the predicted communication
-// times of the two broadcast algorithms.
+// Quickstart: every node of a 6-cube runs the same program and, from
+// inside it, broadcasts a message with the single spanning binomial tree
+// (SBT) and with the paper's multiple spanning binomial trees (MSBT),
+// receives a personalized payload scattered along the balanced spanning
+// tree (BST), and the predicted communication times of the two broadcast
+// algorithms are compared.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -11,8 +12,9 @@ import (
 	"bytes"
 	"fmt"
 	"log"
+	"sync/atomic"
 
-	"repro/internal/core"
+	"repro/internal/comm"
 	"repro/internal/model"
 )
 
@@ -20,53 +22,61 @@ func main() {
 	const n = 6 // 64 nodes
 	N := 1 << n
 
-	// --- Broadcast: same data to every node. ---
 	msg := []byte("hello, hypercube!")
-
-	got, err := core.Broadcast(core.SBTTopology(n, 0), msg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("SBT broadcast: %d/%d nodes received %q\n", countEqual(got, msg), N, msg)
-
-	got, err = core.BroadcastMSBT(n, 0, msg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("MSBT broadcast: %d/%d nodes reassembled %q from %d edge-disjoint trees\n",
-		countEqual(got, msg), N, msg, n)
-
-	// --- Scatter: a personalized payload to every node (BST routing). ---
 	personal := make([][]byte, N)
 	for i := range personal {
 		personal[i] = []byte(fmt.Sprintf("ticket-%02x", i))
 	}
-	got, err = core.Scatter(core.BSTTopology(n, 0), personal, 4)
+
+	// Each rank runs this program; the counters tally correct receipts.
+	var sbtOK, msbtOK, scatterOK atomic.Int32
+	err := comm.Run(n, func(c *comm.Comm) error {
+		var in []byte // only the root's argument is read
+		if c.Rank() == 0 {
+			in = msg
+		}
+		// Broadcast: same data to every node, down the SBT ...
+		got, err := c.Bcast(0, in)
+		if err != nil {
+			return err
+		}
+		if bytes.Equal(got, msg) {
+			sbtOK.Add(1)
+		}
+		// ... and down n edge-disjoint binomial trees, one chunk each.
+		got, err = c.BcastMSBT(0, in)
+		if err != nil {
+			return err
+		}
+		if bytes.Equal(got, msg) {
+			msbtOK.Add(1)
+		}
+		// Scatter: a personalized payload to every node (BST routing).
+		got, err = c.Scatter(0, personal)
+		if err != nil {
+			return err
+		}
+		if bytes.Equal(got, personal[c.Rank()]) {
+			scatterOK.Add(1)
+		}
+		return nil
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	okCount := 0
-	for i := range got {
-		if bytes.Equal(got[i], personal[i]) {
-			okCount++
-		}
+	fmt.Printf("SBT broadcast: %d/%d nodes received %q\n", sbtOK.Load(), N, msg)
+	fmt.Printf("MSBT broadcast: %d/%d nodes reassembled %q from %d edge-disjoint trees\n",
+		msbtOK.Load(), N, msg, n)
+	fmt.Printf("BST scatter: %d/%d nodes received their own payload\n", scatterOK.Load(), N)
+	if sbtOK.Load() != int32(N) || msbtOK.Load() != int32(N) || scatterOK.Load() != int32(N) {
+		log.Fatal("VERIFICATION FAILED")
 	}
-	fmt.Printf("BST scatter: %d/%d nodes received their own payload\n", okCount, N)
+	fmt.Println("verified: every node holds both broadcasts and its own payload")
 
-	// --- Predicted complexity (paper Table 3), 60 KB message, 1 KB packets. ---
+	// Predicted complexity (paper Table 3), 60 KB message, 1 KB packets.
 	p := model.Params{N: n, M: 60 * 1024, B: 1024, Tau: 1.0, Tc: 0.001}
 	sbtT := model.BroadcastTime(model.SBT, model.OneSendAndRecv, p)
 	msbtT := model.BroadcastTime(model.MSBT, model.OneSendAndRecv, p)
 	fmt.Printf("predicted one-port broadcast times: SBT %.1f ms, MSBT %.1f ms (speedup %.2f ~ log N = %d)\n",
 		sbtT, msbtT, sbtT/msbtT, n)
-}
-
-func countEqual(got [][]byte, want []byte) int {
-	c := 0
-	for _, g := range got {
-		if bytes.Equal(g, want) {
-			c++
-		}
-	}
-	return c
 }

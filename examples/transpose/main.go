@@ -6,8 +6,9 @@
 // A k x k matrix is distributed by row blocks over the N = 2^n nodes. To
 // transpose it, node r must send the block A[rL:(r+1)L, vL:(v+1)L]
 // (transposed) to node v, for every v — an all-to-all personalized
-// exchange, executed here with N concurrent BST scatters, one rooted at
-// each node (the all-node extension the paper attributes to [8]).
+// exchange, which every node enters from its own program and which runs
+// as N concurrent BST scatters, one rooted at each node (the all-node
+// extension the paper attributes to [8]).
 //
 // Run with: go run ./examples/transpose
 package main
@@ -19,8 +20,7 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/core"
-	"repro/internal/cube"
+	"repro/internal/comm"
 )
 
 const (
@@ -58,8 +58,12 @@ func main() {
 		}
 	}
 
-	got, err := core.AllToAll(dim, data, func(r cube.NodeID) core.Topology {
-		return core.BSTTopology(dim, r)
+	// got[v][r] is the block node v received from node r.
+	got := make([][][]byte, N)
+	err := comm.Run(dim, func(c *comm.Comm) error {
+		var err error
+		got[c.Rank()], err = c.AllToAll(data[c.Rank()])
+		return err
 	})
 	if err != nil {
 		log.Fatal(err)

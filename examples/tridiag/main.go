@@ -6,11 +6,12 @@
 // elimination.
 //
 // Each of the N = 2^n nodes owns a contiguous chunk of a diagonally
-// dominant tridiagonal system. The chunks are gathered at node 0 along the
-// BST, node 0 runs the Thomas algorithm, and the solution chunks are
-// scattered back along the BST (each node receives only its own piece —
-// personalized communication). The residual is verified, and the predicted
-// times of the gather/scatter phases on SBT vs BST routing are printed.
+// dominant tridiagonal system and runs the same program: the chunks are
+// gathered at node 0 along the BST, node 0 runs the Thomas algorithm, and
+// the solution chunks are scattered back along the BST (each node
+// receives only its own piece — personalized communication). The
+// residual is verified, and the predicted times of the gather/scatter
+// phases on SBT vs BST routing are printed.
 //
 // Run with: go run ./examples/tridiag
 package main
@@ -22,8 +23,7 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/core"
-	"repro/internal/cube"
+	"repro/internal/comm"
 	"repro/internal/model"
 )
 
@@ -54,28 +54,31 @@ func main() {
 		}
 	}
 
-	// Phase 1: gather all chunks at node 0 (BST routing).
-	topo := core.BSTTopology(dim, 0)
-	gathered, err := core.Gather(topo, func(i cube.NodeID) []byte {
-		return encodeRows(sys[int(i)*chunk : (int(i)+1)*chunk])
+	got := make([][]byte, N) // each node's solution chunk
+	err := comm.Run(dim, func(c *comm.Comm) error {
+		me := int(c.Rank())
+		// Phase 1: gather all chunks at node 0 (BST routing).
+		gathered, err := c.Gather(0, encodeRows(sys[me*chunk:(me+1)*chunk]))
+		if err != nil {
+			return err
+		}
+		var pieces [][]byte
+		if me == 0 {
+			full := make([]row, 0, K)
+			for r := 0; r < N; r++ {
+				full = append(full, decodeRows(gathered[r])...)
+			}
+			// Phase 2: node 0 solves serially (Thomas algorithm).
+			x := thomas(full)
+			pieces = make([][]byte, N)
+			for r := 0; r < N; r++ {
+				pieces[r] = encodeFloats(x[r*chunk : (r+1)*chunk])
+			}
+		}
+		// Phase 3: scatter each node's solution chunk back (personalized).
+		got[me], err = c.Scatter(0, pieces)
+		return err
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	full := make([]row, 0, K)
-	for r := 0; r < N; r++ {
-		full = append(full, decodeRows(gathered[r])...)
-	}
-
-	// Phase 2: node 0 solves serially (Thomas algorithm).
-	x := thomas(full)
-
-	// Phase 3: scatter each node's solution chunk back (personalized).
-	pieces := make([][]byte, N)
-	for r := 0; r < N; r++ {
-		pieces[r] = encodeFloats(x[r*chunk : (r+1)*chunk])
-	}
-	got, err := core.Scatter(topo, pieces, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

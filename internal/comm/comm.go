@@ -155,6 +155,29 @@ func (e *DeadlineError) Error() string {
 	return fmt.Sprintf("comm: node %d: collective deadline (%v) expired waiting for %s", e.Rank, e.Wait, e.Op)
 }
 
+// RootError reports a rooted collective (Bcast, BcastMSBT, Scatter,
+// Gather, Reduce, BcastFT, ScatterFT) called with a root outside the
+// cube. Every rank returns it at entry, before sending anything or
+// advancing the collective sequence, so the communicator's next
+// collective runs as if the call had not been made.
+type RootError struct {
+	Op   string
+	Root cube.NodeID
+	Size int
+}
+
+func (e *RootError) Error() string {
+	return fmt.Sprintf("comm: %s: root %d outside the %d ranks", e.Op, e.Root, e.Size)
+}
+
+// checkRoot is every rooted collective's entry check.
+func (c *Comm) checkRoot(op string, root cube.NodeID) error {
+	if int(root) < c.Size() {
+		return nil
+	}
+	return &RootError{Op: op, Root: root, Size: c.Size()}
+}
+
 // SetDeadline bounds every blocking receive inside the plain
 // collectives (Bcast, Scatter, Gather, Barrier, ...): a rank stuck on a
 // silent — not severed, just silent — peer fails with a *DeadlineError
@@ -578,6 +601,9 @@ func (c *Comm) send(to cube.NodeID, sub int, parts []mpx.Part) {
 // likewise leave data alone until the collective has completed
 // everywhere.
 func (c *Comm) Bcast(root cube.NodeID, data []byte) ([]byte, error) {
+	if err := c.checkRoot("bcast", root); err != nil {
+		return nil, err
+	}
 	defer c.next()
 	if c.Rank() != root {
 		env, err := c.recvTag(c.tagFor(0))
@@ -623,6 +649,9 @@ func (c *Comm) Bcast(root cube.NodeID, data []byte) ([]byte, error) {
 // The pieces received must tile the payload exactly; anything else is an
 // error naming the gap or overlap.
 func (c *Comm) BcastMSBT(root cube.NodeID, data []byte) ([]byte, error) {
+	if err := c.checkRoot("bcastmsbt", root); err != nil {
+		return nil, err
+	}
 	defer c.next()
 	if c.Rank() == root {
 		B := c.chooseB(len(data))
@@ -749,6 +778,9 @@ func chunkBound(l, n, j int) int { return j * l / n }
 // contract on rootRoute; a relay forwards sub-slices of the bundle it
 // received, so the parts a rank sees are read-only views of the root's.
 func (c *Comm) Scatter(root cube.NodeID, data [][]byte) ([]byte, error) {
+	if err := c.checkRoot("scatter", root); err != nil {
+		return nil, err
+	}
 	defer c.next()
 	rt := c.route(root)
 	var parts []mpx.Part
@@ -857,6 +889,9 @@ func (c *Comm) relay(rt *rootRoute, parts []mpx.Part, sub int) {
 // spanning tree; the root returns all payloads indexed by rank, others
 // return nil.
 func (c *Comm) Gather(root cube.NodeID, mine []byte) ([][]byte, error) {
+	if err := c.checkRoot("gather", root); err != nil {
+		return nil, err
+	}
 	defer c.next()
 	me := c.Rank()
 	parts := []mpx.Part{{Dest: me, Data: mine}}
@@ -882,6 +917,9 @@ func (c *Comm) Gather(root cube.NodeID, mine []byte) ([][]byte, error) {
 // binomial tree with the associative op; the root returns the result,
 // others return nil.
 func (c *Comm) Reduce(root cube.NodeID, mine []byte, op func(a, b []byte) []byte) ([]byte, error) {
+	if err := c.checkRoot("reduce", root); err != nil {
+		return nil, err
+	}
 	defer c.next()
 	me := c.Rank()
 	acc := append([]byte(nil), mine...)

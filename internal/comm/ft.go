@@ -186,6 +186,9 @@ func (c *Comm) ProbeLiveness(opt FTOptions) (fault.Liveness, error) {
 // copies arrived or, once a valid copy is accepted, a receive timeout
 // declares the missing trees severed.
 func (c *Comm) BcastFT(root cube.NodeID, data []byte, opt FTOptions) ([]byte, error) {
+	if err := c.checkRoot("bcastft", root); err != nil {
+		return nil, err
+	}
 	defer c.next()
 	opt = opt.withDefaults()
 	me := c.Rank()
@@ -253,6 +256,9 @@ func (c *Comm) BcastFT(root cube.NodeID, data []byte, opt FTOptions) ([]byte, er
 // reachable ranks receive exactly their payload. Bundles carry checksums;
 // a corrupted bundle is reported, not mis-delivered.
 func (c *Comm) ScatterFT(root cube.NodeID, data [][]byte, live fault.Liveness, opt FTOptions) ([]byte, error) {
+	if err := c.checkRoot("scatterft", root); err != nil {
+		return nil, err
+	}
 	defer c.next()
 	opt = opt.withDefaults()
 	me := c.Rank()

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/bst"
-	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/model"
 	"repro/internal/msbt"
@@ -104,11 +103,11 @@ func AblateMSBTLabels(n int, packetsPerTree int) (AblationResult, error) {
 // internal/routetab).
 func AblateScatterOrder(n int, m, b float64) (AblationResult, error) {
 	cfg := sim.Config{Dim: n, Model: model.AllPorts, Tau: 1, Tc: 1}
-	df, err := core.SimScatter(model.BST, 0, m, b, sched.OrderDF, sched.RoundRobin, cfg)
+	df, err := sched.SimScatter(model.BST, 0, m, b, sched.OrderDF, sched.RoundRobin, cfg)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	rbf, err := core.SimScatter(model.BST, 0, m, b, sched.OrderRBF, sched.RoundRobin, cfg)
+	rbf, err := sched.SimScatter(model.BST, 0, m, b, sched.OrderRBF, sched.RoundRobin, cfg)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -128,11 +127,11 @@ func AblateSBTScatterInterleave(n int, m float64, overlap float64) (AblationResu
 	cfg := sim.Config{
 		Dim: n, Model: model.OneSendOrRecv, Tau: 1, Tc: 0.01, Overlap: overlap,
 	}
-	inter, err := core.SimScatter(model.SBT, 0, m, m, sched.OrderDescending, sched.RoundRobin, cfg)
+	inter, err := sched.SimScatter(model.SBT, 0, m, m, sched.OrderDescending, sched.RoundRobin, cfg)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	port, err := core.SimScatter(model.SBT, 0, m, m, sched.OrderDF, sched.PortOriented, cfg)
+	port, err := sched.SimScatter(model.SBT, 0, m, m, sched.OrderDF, sched.PortOriented, cfg)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -153,7 +152,7 @@ func AblatePacketSize(n int, mSize, tau, tc float64) (measuredBopt, formulaBopt 
 	cfg := sim.Config{Dim: n, Model: model.OneSendAndRecv, Tau: tau, Tc: tc}
 	best := math.Inf(1)
 	for b := 1.0; b <= mSize; b *= 2 {
-		res, err := core.SimBroadcast(model.MSBT, 0, mSize, b, cfg)
+		res, err := sched.SimBroadcast(model.MSBT, 0, mSize, b, cfg)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -187,7 +186,7 @@ func AblateTreeChoiceBroadcast(n int) (map[string]int, error) {
 	out := map[string]int{}
 	cfg := sim.Config{Dim: n, Model: model.OneSendAndRecv, Tau: 1, Tc: 0}
 	for _, a := range []model.Algorithm{model.SBT, model.TCBT, model.HP} {
-		res, err := core.SimBroadcast(a, 0, 1, 1, cfg)
+		res, err := sched.SimBroadcast(a, 0, 1, 1, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -205,9 +204,9 @@ func AblateTreeChoiceBroadcast(n int) (map[string]int, error) {
 	return out, nil
 }
 
-// EdgeDisjointnessCheck verifies on demand (for the CLI) that the n
-// ERSBTs of an arbitrary source are edge-disjoint — the structural
-// property all MSBT concurrency rests on.
+// EdgeDisjointnessCheck verifies that the n ERSBTs of an arbitrary
+// source are edge-disjoint — the structural property all MSBT
+// concurrency rests on.
 func EdgeDisjointnessCheck(n int, s cube.NodeID) error {
 	trees := msbt.CachedTrees(n, s)
 	return tree.EdgeDisjoint(trees...)

@@ -1,7 +1,7 @@
 // Package exp reproduces each table and figure of Ho & Johnsson (ICPP
 // 1986) by combining the analytic model (internal/model), the schedule
-// generators (internal/sched via internal/core) and the discrete-event
-// simulator (internal/sim). The cmd/tables and cmd/figures binaries and
+// generators (internal/sched) and the discrete-event simulator
+// (internal/sim). The cmd/tables and cmd/figures binaries and
 // the repository's benchmark harness all print the structures produced
 // here, and EXPERIMENTS.md records their output against the paper.
 package exp
@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"repro/internal/bst"
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -56,7 +55,7 @@ func Table1(n int) ([]Table1Row, error) {
 				}
 				res, err = sim.Run(cfg, xs)
 			} else {
-				res, err = core.SimBroadcast(a, 0, 1, 1, cfg)
+				res, err = sched.SimBroadcast(a, 0, 1, 1, cfg)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("table1 %v/%v: %w", a, pm, err)
@@ -101,7 +100,7 @@ func Table2(n int) ([]Table2Row, error) {
 					}
 					return res.Steps, nil
 				}
-				res, err := core.SimBroadcast(a, 0, float64(q), 1, cfg)
+				res, err := sched.SimBroadcast(a, 0, float64(q), 1, cfg)
 				if err != nil {
 					return 0, err
 				}
@@ -171,7 +170,7 @@ func Table3(p model.Params) ([]Table3Row, error) {
 			Simulated: math.NaN(),
 		}
 		cfg := sim.Config{Dim: p.N, Model: r.pm, Tau: p.Tau, Tc: p.Tc}
-		res, err := core.SimBroadcast(r.a, 0, p.M, p.B, cfg)
+		res, err := sched.SimBroadcast(r.a, 0, p.M, p.B, cfg)
 		if err == nil {
 			row.Simulated = res.Makespan
 		}
@@ -197,7 +196,7 @@ func Table4(n int) ([]Table4Row, error) {
 	measure := func(a model.Algorithm, pm model.PortModel) (float64, error) {
 		q := 16 * n
 		cfg := sim.Config{Dim: n, Model: pm, Tau: 1, Tc: 0}
-		res, err := core.SimBroadcast(a, 0, float64(q), 1, cfg)
+		res, err := sched.SimBroadcast(a, 0, float64(q), 1, cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -269,7 +268,7 @@ func Table6(p model.Params) ([]Table6Row, error) {
 					b = N / float64(p.N) * p.M
 					order, il = sched.OrderRBF, sched.RoundRobin
 				}
-				res, err := core.SimScatter(a, 0, p.M, b, order, il, cfg)
+				res, err := sched.SimScatter(a, 0, p.M, b, order, il, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -302,7 +301,7 @@ func Figure5(dims []int, m float64, packetSizes []float64) ([]trace.Series, erro
 			Dim: pt.n, Model: model.OneSendAndRecv,
 			Tau: IPSC.Tau, Tc: IPSC.Tc, InternalPacket: IPSC.InternalPacket,
 		}
-		res, err := core.SimBroadcast(model.SBT, 0, m, pt.b, cfg)
+		res, err := sched.SimBroadcast(model.SBT, 0, m, pt.b, cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -343,7 +342,7 @@ func Figure6(dims []int) (sbtSeries, msbtSeries trace.Series, err error) {
 			Dim: pt.n, Model: model.OneSendAndRecv,
 			Tau: IPSC.Tau, Tc: IPSC.Tc, InternalPacket: IPSC.InternalPacket,
 		}
-		res, err := core.SimBroadcast(pt.a, 0, m, b, cfg)
+		res, err := sched.SimBroadcast(pt.a, 0, m, b, cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -398,7 +397,7 @@ func Figure8(dims []int, m float64) (sbtSeries, bstSeries trace.Series, err erro
 			Dim: pt.n, Model: model.OneSendOrRecv, Overlap: 0.2,
 			Tau: IPSC.Tau, Tc: IPSC.Tc, InternalPacket: IPSC.InternalPacket,
 		}
-		res, err := core.SimScatter(pt.a, 0, m, IPSC.InternalPacket,
+		res, err := sched.SimScatter(pt.a, 0, m, IPSC.InternalPacket,
 			pt.order, sched.RoundRobin, cfg)
 		if err != nil {
 			return 0, err

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/bst"
-	"repro/internal/core"
 	"repro/internal/cube"
 	"repro/internal/fault"
 	"repro/internal/model"
@@ -44,14 +43,7 @@ func Degradation(n int, faultCounts []int, seed int64, m, b float64, kind string
 	if kind != "links" && kind != "nodes" {
 		return nil, fmt.Errorf("degradation: fault kind %q not structural (want links or nodes)", kind)
 	}
-	sbtTree, err := core.SBTTopology(n, src).Tree()
-	if err != nil {
-		return nil, err
-	}
-	bstTree, err := core.BSTTopology(n, src).Tree()
-	if err != nil {
-		return nil, err
-	}
+	sbtTree, bstTree := sbt.Cached(n, src), bst.Cached(n, src)
 	q := int(math.Ceil(m / b))
 	elems := m / float64(q)
 	perTree := m / float64(n)

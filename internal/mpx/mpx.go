@@ -22,7 +22,7 @@
 // attaches a sink, and deliverers file envelopes straight into it.
 //
 // The runtime carries real payload bytes, making it the end-to-end
-// correctness substrate for the collective operations in internal/core
+// correctness substrate for the collective operations in internal/comm
 // (the discrete-event simulator in internal/sim is the timing substrate).
 //
 // A machine may be built with a fault.Injector (NewWithInjector): dead
