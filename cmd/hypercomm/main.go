@@ -11,11 +11,11 @@
 //	tree      -alg {hp|sbt|bst|tcbt} -n DIM -s SOURCE [-render ascii|dot|hist]
 //	verify    -n DIM -s SOURCE
 //	serve     -n DIM -id NODE [-listen ADDR] [-peers A0,A1,...] [-m BYTES]
-//	          [-transport {tcp|uds|auto}] [-autotune] [-naive-allnode]
+//	          [-transport {tcp|uds|auto}]
 //	          [-resilient -attempts K -budget DUR] [-rounds R | -for DUR]
 //	          [-jobs K -tenants T -jobs-seed S]
 //	          [-deadline DUR] [-chaos -chaos-seed S -chaos-hold DUR] [-v]
-//	launch    -n DIM [-m BYTES] [-transport {tcp|uds|auto}] [-autotune] [-naive-allnode]
+//	launch    -n DIM [-m BYTES] [-transport {tcp|uds|auto}]
 //	chaos     -n DIM [-m BYTES] [-for DUR] [-seed S] [-hold DUR]
 //	          [-attempts K -budget DUR -deadline DUR] [-min-events E]
 //	          [-kill-node NODE -kill-after DUR] [-transport {tcp|uds|auto}]
@@ -39,11 +39,7 @@
 // uses Unix-domain sockets when peers are discovered over the stdio
 // handshake (launch and its drills deploy on one host, where the
 // TCP/IP stack buys nothing) and TCP with an explicit -peers list that
-// may span hosts. -autotune turns on model-driven packet sizing: the
-// transport fits the link constants (tau, t_c) online and collectives
-// split payloads at the paper's B_opt; -naive-allnode runs the all-node
-// collectives without the multi-source schedule (the A/B baseline). With
-// -resilient the links self-heal: a lost connection is redialed with
+// may span hosts. With -resilient the links self-heal: a lost connection is redialed with
 // jittered exponential backoff and the sequenced frames the peer
 // missed are retransmitted from a replay ring, so collectives survive
 // socket kills invisibly; -v prints the per-node link-health counters

@@ -42,8 +42,6 @@ func cmdServe(args []string) error {
 	listen := fs.String("listen", "", "listen address (tcp default 127.0.0.1:0 = pick a free port; uds default = fresh socket path)")
 	peersS := fs.String("peers", "", "comma-separated listen addresses of all 2^n nodes in node order (empty = stdio handshake: print ADDR, read PEERS)")
 	transportS := fs.String("transport", "auto", "socket family for the cube links: tcp, uds, or auto (uds when peers arrive over the stdio handshake — a same-host deployment — tcp with an explicit -peers list)")
-	autotune := fs.Bool("autotune", false, "model-driven packet sizing: collectives split payloads at the online B_opt from the link-cost fit")
-	naiveAllNode := fs.Bool("naive-allnode", false, "run the all-node collectives with the naive forward-on-arrival launch instead of the contention-aware multi-source schedule (A/B baseline)")
 	m := fs.Int("m", 4096, "broadcast payload size in bytes")
 	rounds := fs.Int("rounds", 1, "workload repetitions (each: msbt broadcast + bst scatter/gather + barrier)")
 	runFor := fs.Duration("for", 0, "run workload rounds in lockstep until this much wall-clock time elapses at the root (overrides -rounds)")
@@ -143,7 +141,7 @@ func cmdServe(args []string) error {
 	if *jobs > 0 {
 		runErr = serveJobs(machine, *n, *id, *jobs, *tenants, *jobsSeed)
 	} else {
-		runErr = comm.RunOn(machine, serveProgram(*m, *rounds, *runFor, *deadline, *autotune, *naiveAllNode))
+		runErr = comm.RunOn(machine, serveProgram(*m, *rounds, *runFor, *deadline))
 	}
 	if agent != nil {
 		agent.Stop()
@@ -218,13 +216,11 @@ func serveJobs(machine *mpx.Machine, n, id, jobs, tenants int, seed int64) error
 // continue/stop flag each round, so all ranks agree on the round count
 // without shared memory. The timed mode is what keeps collectives in
 // flight while a chaos agent or an external kill disturbs the links.
-func serveProgram(mbytes, rounds int, runFor, deadline time.Duration, autotune, naiveAllNode bool) func(c *comm.Comm) error {
+func serveProgram(mbytes, rounds int, runFor, deadline time.Duration) func(c *comm.Comm) error {
 	return func(c *comm.Comm) error {
 		if deadline > 0 {
 			c.SetDeadline(deadline)
 		}
-		c.SetAutotune(autotune)
-		c.SetAllNodeSchedule(!naiveAllNode)
 		done := 0
 		if runFor > 0 {
 			start := time.Now()
@@ -262,8 +258,7 @@ func serveProgram(mbytes, rounds int, runFor, deadline time.Duration, autotune, 
 // an MSBT broadcast (payload chunked down the n edge-disjoint ERSBTs),
 // a BST scatter, a gather round-trip proving every rank's payload back
 // at the root, a full all-to-all personalized exchange (all 2^n
-// sources at once — the multi-source scheduled path unless
-// -naive-allnode), and a closing barrier. All expected values are
+// sources at once), and a closing barrier. All expected values are
 // derived deterministically from the rank, so each process verifies
 // its own deliveries with no shared memory.
 func workloadRound(c *comm.Comm, mbytes int) error {
@@ -417,21 +412,12 @@ func cmdLaunch(args []string) error {
 	n := fs.Int("n", 3, "cube dimension (spawns 2^n serve processes)")
 	m := fs.Int("m", 4096, "broadcast payload size in bytes")
 	transportS := fs.String("transport", "auto", "socket family the children link over: tcp, uds, or auto (same-host launch = uds)")
-	autotune := fs.Bool("autotune", false, "enable model-driven packet sizing inside the children")
-	naiveAllNode := fs.Bool("naive-allnode", false, "run the children's all-node collectives with the naive launch instead of the multi-source schedule")
 	fs.Parse(args)
 
 	N := 1 << uint(*n)
 	procs, _, killAll, err := spawnCube(N, func(i int) []string {
-		a := []string{"serve", "-n", fmt.Sprint(*n), "-id", fmt.Sprint(i), "-m", fmt.Sprint(*m),
+		return []string{"serve", "-n", fmt.Sprint(*n), "-id", fmt.Sprint(i), "-m", fmt.Sprint(*m),
 			"-transport", *transportS}
-		if *autotune {
-			a = append(a, "-autotune")
-		}
-		if *naiveAllNode {
-			a = append(a, "-naive-allnode")
-		}
-		return a
 	}, false)
 	if err != nil {
 		return fmt.Errorf("launch: %w", err)

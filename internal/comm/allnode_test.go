@@ -2,8 +2,10 @@ package comm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,15 +19,14 @@ import (
 // layer must keep every collective correct, and the (generous) deadline
 // must never fire on a self-healing mesh: a trip means a fault leaked
 // past the replay protocol as a silent hang.
-func allNodeSoak(t *testing.T, network string, naive bool) {
+func allNodeSoak(t *testing.T, network string) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
 	}
 	var events atomic.Int64
 	opt := TCPRunOptions{
-		Network:      network,
-		NaiveAllNode: naive,
+		Network: network,
 		Resilience: transport.ResilienceOptions{
 			Enabled:     true,
 			MaxAttempts: 50,
@@ -124,21 +125,13 @@ func allNodeSoak(t *testing.T, network string, naive bool) {
 	}
 }
 
-// TestChaosAllNodeCollectivesTCP: the all-node soak over loopback TCP,
-// with the contention-aware schedule (the default) driving the
-// all-node collectives.
-func TestChaosAllNodeCollectivesTCP(t *testing.T) { allNodeSoak(t, "tcp", false) }
+// TestChaosAllNodeCollectivesTCP: the all-node soak over loopback TCP.
+func TestChaosAllNodeCollectivesTCP(t *testing.T) { allNodeSoak(t, "tcp") }
 
 // TestChaosAllNodeCollectivesUDS: the same soak over Unix-domain
 // sockets — the same framing minus the TCP/IP stack, so a fault class
 // that only reproduces on one family shows up as a split verdict.
-func TestChaosAllNodeCollectivesUDS(t *testing.T) { allNodeSoak(t, "unix", false) }
-
-// TestChaosAllNodeNaiveTCP soaks the naive forward-on-arrival launch
-// under the same chaos: the A/B baseline must stay just as correct
-// under faults, or a bench comparison against it would be comparing a
-// working path to a broken one.
-func TestChaosAllNodeNaiveTCP(t *testing.T) { allNodeSoak(t, "tcp", true) }
+func TestChaosAllNodeCollectivesUDS(t *testing.T) { allNodeSoak(t, "unix") }
 
 // TestDeadlineFiresOnSilentAllNodeCollective parks three ranks in
 // AllGather's any-root receive while rank 0 stays silent: the armed
@@ -160,4 +153,155 @@ func TestDeadlineFiresOnSilentAllNodeCollective(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("error is %v, want a *DeadlineError", err)
 	}
+}
+
+// allNodePayload is rank r's seeded payload for the equivalence tests —
+// deterministic, so every rank verifies every slot locally.
+func allNodePayload(seed int64, r, size int) []byte {
+	return randBytes(seed*7919+int64(r), size)
+}
+
+// allNodePairPayload is what rank i sends rank j in the all-to-all.
+func allNodePairPayload(seed int64, i, j, size int) []byte {
+	return randBytes(seed*7919+int64(i)*131+int64(j), size)
+}
+
+// xorFold is a commutative, associative AllReduce op over equal-length
+// payloads.
+func xorFold(a, b []byte) []byte {
+	for i := range a {
+		a[i] ^= b[i]
+	}
+	return a
+}
+
+// allNodeEquivalenceProgram runs AllGather + AllToAll + AllReduce once
+// and verifies every byte against the locally computed expectation.
+func allNodeEquivalenceProgram(c *Comm, seed int64, size int) error {
+	N := c.Size()
+	me := int(c.Rank())
+
+	all, err := c.AllGather(allNodePayload(seed, me, size))
+	if err != nil {
+		return fmt.Errorf("allgather: %w", err)
+	}
+	for i := 0; i < N; i++ {
+		if !bytes.Equal(all[i], allNodePayload(seed, i, size)) {
+			return fmt.Errorf("allgather slot %d differs from the seeded expectation", i)
+		}
+	}
+
+	outbound := make([][]byte, N)
+	for j := 0; j < N; j++ {
+		outbound[j] = allNodePairPayload(seed, me, j, size)
+	}
+	got, err := c.AllToAll(outbound)
+	if err != nil {
+		return fmt.Errorf("alltoall: %w", err)
+	}
+	for i := 0; i < N; i++ {
+		if !bytes.Equal(got[i], allNodePairPayload(seed, i, me, size)) {
+			return fmt.Errorf("alltoall packet from %d differs from the seeded expectation", i)
+		}
+	}
+
+	want := make([]byte, size)
+	for i := 0; i < N; i++ {
+		xorFold(want, allNodePayload(seed, i, size))
+	}
+	acc, err := c.AllReduce(allNodePayload(seed, me, size), xorFold)
+	if err != nil {
+		return fmt.Errorf("allreduce: %w", err)
+	}
+	if !bytes.Equal(acc, want) {
+		return fmt.Errorf("allreduce result differs from the local fold")
+	}
+	return nil
+}
+
+// TestAllNodeMatchesIndependentExpectation: the all-node collectives
+// deliver exactly what each rank computes on its own from the seeded
+// inputs, across seeds, dimensions and both the in-process and socket
+// backends.
+func TestAllNodeMatchesIndependentExpectation(t *testing.T) {
+	program := func(seed int64, size int) func(c *Comm) error {
+		return func(c *Comm) error { return allNodeEquivalenceProgram(c, seed, size) }
+	}
+	for d := 2; d <= 5; d++ {
+		for _, seed := range []int64{1, 2, 3} {
+			size := 16 << uint(seed) // 32, 64, 128 bytes
+			if err := Run(d, program(seed, size)); err != nil {
+				t.Fatalf("inproc d=%d seed=%d: %v", d, seed, err)
+			}
+		}
+	}
+	if testing.Short() {
+		t.Skip("TCP equivalence sweep skipped in -short mode")
+	}
+	for d := 2; d <= 3; d++ {
+		for _, seed := range []int64{1, 2} {
+			if err := RunTCP(d, program(seed, 64)); err != nil {
+				t.Fatalf("tcp d=%d seed=%d: %v", d, seed, err)
+			}
+		}
+	}
+}
+
+// TestAllReduceZeroAllocsDimensionExchange guards the dimension-exchange
+// hot path: a warm communicator's AllReduce must not allocate payload
+// buffers inside the loop (the old code snapshotted the accumulator
+// once per step — n payload-sized allocations per call). Only the
+// returned result may be fresh, so total allocated bytes per call must
+// stay near one payload per rank; the pre-fix cost was (n+2) payloads
+// per rank per call.
+func TestAllReduceZeroAllocsDimensionExchange(t *testing.T) {
+	const (
+		d       = 4
+		payload = 128 << 10
+		rounds  = 8
+	)
+	N := 1 << uint(d)
+	var perCall float64
+	err := Run(d, func(c *Comm) error {
+		mine := make([]byte, payload)
+		binary.LittleEndian.PutUint64(mine, uint64(c.Rank()))
+		// Warm both parity buffer sets before measuring.
+		for i := 0; i < 3; i++ {
+			if _, err := c.AllReduce(mine, xorFold); err != nil {
+				return err
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		var before, after runtime.MemStats
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		for i := 0; i < rounds; i++ {
+			if _, err := c.AllReduce(mine, xorFold); err != nil {
+				return err
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+			perCall = float64(after.TotalAlloc-before.TotalAlloc) / rounds
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// All N in-process ranks share the heap: the budget is per mesh
+	// call, 3 payloads per rank (true cost ≈1 result copy + envelope
+	// noise + the bracketing barriers' small exchanges).
+	budget := float64(N) * 3 * payload
+	if perCall > budget {
+		t.Fatalf("AllReduce allocates %.0f bytes per call across the mesh, budget %.0f — payload copies crept back into the dimension loop",
+			perCall, budget)
+	}
+	t.Logf("AllReduce allocates %.0f bytes per %d-rank call (budget %.0f)", perCall, N, budget)
 }

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -52,16 +51,13 @@ func TestMalformedBundleFailsAtTheRelay(t *testing.T) {
 	allGather := func(c *Comm) error { _, err := c.AllGather(data[c.Rank()]); return err }
 	ops := []struct {
 		name  string
-		sched bool
 		sub   int        // subtag of the tree rooted at 0
 		valid []mpx.Part // what rank 0 would send rank 1
 		call  func(c *Comm) error
 	}{
-		{"scatter", false, 0, good(), scatter},
-		{"alltoall", false, 1, good(), allToAll},
-		{"alltoall", true, 1, good(), allToAll},
-		{"allgather", false, 1, good()[:1], allGather},
-		{"allgather", true, 1, good()[:1], allGather},
+		{"scatter", 0, good(), scatter},
+		{"alltoall", 1, good(), allToAll},
+		{"allgather", 1, good()[:1], allGather},
 	}
 	eachTransport(t, func(t *testing.T, run func(int, func(*Comm) error) error) {
 		for _, op := range ops {
@@ -80,13 +76,12 @@ func TestMalformedBundleFailsAtTheRelay(t *testing.T) {
 					malformed{"subtag N+1", 1<<n + 1, [][]mpx.Part{op.valid}, dup + "16"})
 			}
 			for _, tc := range cases {
-				name := fmt.Sprintf("%s sched=%v: %s", op.name, op.sched, tc.name)
+				name := op.name + ": " + tc.name
 				var relayErr error
 				finished := make([]bool, 1<<n)
 				done := make(chan error, 1)
 				go func() {
 					done <- run(n, func(c *Comm) error {
-						c.SetAllNodeSchedule(op.sched)
 						if c.Rank() != 0 {
 							err := op.call(c)
 							if c.Rank() == relay {
@@ -165,23 +160,19 @@ func meshMallocs(t *testing.T, d, rounds int, call func(c *Comm) error) float64 
 
 // TestAllToAllAllocBudget: a warm AllToAll allocates its result slice and
 // its own tree's bundle — two objects per rank per call — and nothing per
-// envelope received or forwarded, in either send order. One allocation
-// per arriving bundle (what re-bucketing cost) would be N−1 more per rank.
+// envelope received or forwarded. One allocation per arriving bundle
+// (what re-bucketing cost) would be N−1 more per rank.
 func TestAllToAllAllocBudget(t *testing.T) {
 	const d, N = 4, 1 << 4
-	for _, scheduled := range []bool{true, false} {
-		mine := make([][]byte, N)
-		got := meshMallocs(t, d, 100, func(c *Comm) error {
-			c.SetAllNodeSchedule(scheduled)
-			_, err := c.AllToAll(mine)
-			return err
-		})
-		if budget := 3.0 * N; got > budget {
-			t.Fatalf("scheduled=%v: AllToAll makes %.1f allocations per %d-rank call, budget %.0f (2 per rank and slack)",
-				scheduled, got, N, budget)
-		}
-		t.Logf("scheduled=%v: %.1f allocations per %d-rank call", scheduled, got, N)
+	mine := make([][]byte, N)
+	got := meshMallocs(t, d, 100, func(c *Comm) error {
+		_, err := c.AllToAll(mine)
+		return err
+	})
+	if budget := 3.0 * N; got > budget {
+		t.Fatalf("AllToAll makes %.1f allocations per %d-rank call, budget %.0f (2 per rank and slack)", got, N, budget)
 	}
+	t.Logf("%.1f allocations per %d-rank call", got, N)
 }
 
 // TestScatterRelayAllocBudget: the root cuts one bundle per Scatter and

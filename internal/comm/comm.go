@@ -55,27 +55,12 @@ type Comm struct {
 	// plain collectives (see SetDeadline).
 	deadline time.Duration
 
-	// autotune enables model-driven packet sizing (see SetAutotune);
-	// lastB is the previous choice (hysteresis anchor) and at the
-	// counters. All three are touched only from the rank's own
-	// goroutine, like seq.
-	autotune bool
-	lastB    int
-	forceB   int // test hook: pin chooseB's answer
-	at       AutotuneStats
-
 	// routes caches, per tree root, this rank's place in that root's BST
 	// (see route). held is AllToAll's per-source table of whole bundles,
 	// made by the first call and all nil between calls. Both are touched
 	// only from the rank's own goroutine, like seq.
 	routes []*rootRoute
 	held   [][]mpx.Part
-
-	// naiveAllNode disables the contention-aware multi-source schedule
-	// for the all-node collectives (see SetAllNodeSchedule); the
-	// zero value keeps scheduling ON. Touched only from the rank's own
-	// goroutine, like seq.
-	naiveAllNode bool
 
 	// AllReduce's dimension-exchange send buffers, double-buffered by
 	// call parity (arCalls&1). A sent buffer is held by reference by
@@ -190,6 +175,11 @@ func (c *Comm) SetDeadline(d time.Duration) { c.deadline = d }
 // Rank returns this node's address.
 func (c *Comm) Rank() cube.NodeID { return c.nd.ID }
 
+// Profile returns the transport's live link-cost fit, the (τ, t_c) pair
+// of the paper's cost model, and whether the transport measures one at
+// all.
+func (c *Comm) Profile() (mpx.LinkProfile, bool) { return c.nd.Profile() }
+
 // Dim returns the cube dimension.
 func (c *Comm) Dim() int { return c.n }
 
@@ -273,13 +263,6 @@ type TCPRunOptions struct {
 	// (default, loopback) or "unix" (Unix-domain sockets; see
 	// transport.NewUDS).
 	Network string
-	// Autotune enables model-driven packet sizing on every rank's
-	// communicator (Comm.SetAutotune) before the program runs.
-	Autotune bool
-	// NaiveAllNode disables the contention-aware multi-source schedule
-	// on every rank (Comm.SetAllNodeSchedule(false)) — the free-for-all
-	// A/B baseline for the all-node collectives.
-	NaiveAllNode bool
 }
 
 // RunTCP is Run with every cube link carried over a loopback TCP
@@ -324,13 +307,9 @@ func RunTCPWith(n int, opt TCPRunOptions, program func(c *Comm) error) error {
 		}
 	}
 	run := program
-	if opt.Deadline > 0 || opt.Autotune || opt.NaiveAllNode {
+	if opt.Deadline > 0 {
 		run = func(c *Comm) error {
-			if opt.Deadline > 0 {
-				c.SetDeadline(opt.Deadline)
-			}
-			c.SetAutotune(opt.Autotune)
-			c.SetAllNodeSchedule(!opt.NaiveAllNode)
+			c.SetDeadline(opt.Deadline)
 			return program(c)
 		}
 	}
@@ -619,20 +598,8 @@ func (c *Comm) Bcast(root cube.NodeID, data []byte) ([]byte, error) {
 }
 
 // BcastMSBT distributes data from root down the n edge-disjoint ERSBTs
-// (chunk j through tree j), reassembling at every rank.
-//
-// With autotuning enabled (SetAutotune) and a settled transport
-// profile, the root splits each tree's segment into packets of at most
-// the live B_opt and announces the count with a manifest — a
-// zero-length part whose Offset is the negated packet count, riding
-// ahead of the first packet in the same message, with the remaining
-// packets following as separate messages. Non-root ranks detect the
-// manifest and forward
-// every message down the tree as it arrives, so packet k+1 overlaps
-// packet k's next hop: the store-and-forward pipelining the paper's
-// multi-packet MSBT analysis models. Receivers handle both framings
-// regardless of their own autotune setting; a legacy single-message
-// tree and an adaptive one differ only in what the root chose to send.
+// (chunk j through tree j, one message per tree), reassembling at every
+// rank.
 //
 // Off the root the call posts a receive (landing.go, DESIGN.md §18): on
 // a socket transport a whole-segment chunk is read from the socket
@@ -648,40 +615,33 @@ func (c *Comm) Bcast(root cube.NodeID, data []byte) ([]byte, error) {
 // alone until the collective has completed everywhere, as with Bcast.
 // The pieces received must tile the payload exactly; anything else is an
 // error naming the gap or overlap.
-func (c *Comm) BcastMSBT(root cube.NodeID, data []byte) ([]byte, error) {
+func (c *Comm) BcastMSBT(root cube.NodeID, data []byte) (_ []byte, err error) {
 	if err := c.checkRoot("bcastmsbt", root); err != nil {
 		return nil, err
 	}
 	defer c.next()
 	if c.Rank() == root {
-		B := c.chooseB(len(data))
 		for j := 0; j < c.n; j++ {
-			lo := chunkBound(len(data), c.n, j)
-			seg := data[lo:chunkBound(len(data), c.n, j+1)]
-			tr := msbt.RootOf(j, root)
-			if B <= 0 || len(seg) <= B {
-				c.send(tr, j+1, []mpx.Part{{Dest: root, Offset: lo, Data: seg}})
-				continue
-			}
-			q := (len(seg) + B - 1) / B
-			// The manifest part rides in the first packet's message, so
-			// adaptive framing costs q messages per tree, not q+1.
-			c.send(tr, j+1, []mpx.Part{
-				{Dest: root, Offset: -q},
-				{Dest: root, Offset: lo, Data: seg[:B]},
-			})
-			for k := 1; k < q; k++ {
-				at := k * B
-				c.send(tr, j+1, []mpx.Part{{Dest: root, Offset: lo + at, Data: seg[at:min(at+B, len(seg))]}})
-			}
+			lo, hi := chunkBound(len(data), c.n, j), chunkBound(len(data), c.n, j+1)
+			c.send(msbt.RootOf(j, root), j+1, []mpx.Part{{Dest: root, Offset: lo, Data: data[lo:hi]}})
 		}
 		return data, nil
 	}
-	// Length is unknown off-root: collect every tree's packets, landed
-	// in place where the link could be told in time, then finish with
+	// An error exit gives up this sequence's tree tags, as the FT
+	// collectives do: a chunk still on its way is dropped on delivery
+	// instead of being read by the next call as a corrupt stream.
+	defer func() {
+		if err != nil {
+			for j := 1; j <= c.n; j++ {
+				c.abandon(c.tagFor(j))
+			}
+		}
+	}()
+	// Length is unknown off-root: collect every tree's chunk, landed in
+	// place where the link could be told in time, then finish with
 	// whatever is not.
 	z := c.post(root)
-	err := c.collectMSBT(root, z)
+	err = c.collectMSBT(root, z)
 	out := c.unpost()
 	chunks := z.chunks
 	defer clear(chunks) // do not pin the payloads
@@ -728,39 +688,28 @@ type msbtChunk struct {
 	data []byte
 }
 
-// collectMSBT receives every tree's packets into z.chunks, forwarding
-// each message down its tree as it arrives.
+// collectMSBT receives every tree's message into z.chunks, forwarding
+// each down its tree as it arrives.
 func (c *Comm) collectMSBT(root cube.NodeID, z *zone) error {
 	z.chunks = z.chunks[:0]
 	for j := 0; j < c.n; j++ {
+		env, err := c.recvTag(c.tagFor(j + 1))
+		if err != nil {
+			return err
+		}
+		if p, ok := msbt.Parent(c.n, j, c.Rank(), root); !ok || env.From != p {
+			return fmt.Errorf("comm: bcastmsbt chunk %d from %d, want tree parent", j, env.From)
+		}
+		// Same tag, same parts: the forward is the frame that came in,
+		// checksum included — out of the result, where a chunk that
+		// arrived in scratch is copied first.
+		c.unscratch(z, j, env.Parts)
 		z.kids = msbt.AppendChildren(z.kids[:0], c.n, j, c.Rank(), root)
-		// A manifest names the tree's packet count; a tree without one is
-		// a single whole-segment packet.
-		for want, got, first := 1, 0, true; got < want; first = false {
-			env, err := c.recvTag(c.tagFor(j + 1))
-			if err != nil {
-				return err
-			}
-			if p, ok := msbt.Parent(c.n, j, c.Rank(), root); !ok || env.From != p {
-				return fmt.Errorf("comm: bcastmsbt chunk %d from %d, want tree parent", j, env.From)
-			}
-			// Same tag, same parts: the forward is the frame that came in,
-			// checksum included — out of the result, where a chunk that
-			// arrived in scratch is copied first.
-			c.unscratch(z, j, env.Parts)
-			for _, ch := range z.kids {
-				c.nd.ForwardTo(ch, env)
-			}
-			parts := env.Parts
-			if pt := parts[0]; first && len(pt.Data) == 0 && pt.Offset < 0 {
-				// Adaptive framing: any parts after the manifest (the first
-				// packet rides with it) already count toward it.
-				want, parts = -pt.Offset, parts[1:]
-			}
-			for _, p := range parts {
-				z.chunks = append(z.chunks, msbtChunk{p.Offset, p.Data})
-				got++
-			}
+		for _, ch := range z.kids {
+			c.nd.ForwardTo(ch, env)
+		}
+		for _, p := range env.Parts {
+			z.chunks = append(z.chunks, msbtChunk{p.Offset, p.Data})
 		}
 	}
 	return nil
@@ -878,7 +827,7 @@ func (c *Comm) forward(rt *rootRoute, parts []mpx.Part, i, sub int) {
 	c.send(rt.children[i], sub, parts[rt.bound[i]:rt.bound[i+1]])
 }
 
-// relay forwards every child's run on arrival (Scatter, naive AllToAll).
+// relay forwards every child's run on arrival (Scatter, AllToAll).
 func (c *Comm) relay(rt *rootRoute, parts []mpx.Part, sub int) {
 	for i := range rt.children {
 		c.forward(rt, parts, i, sub)
@@ -943,7 +892,7 @@ func (c *Comm) Reduce(root cube.NodeID, mine []byte, op func(a, b []byte) []byte
 //
 // The exchange is inherently link-conflict-free — step d uses every
 // directed dim-d link exactly once, so all 2^d "sources" already run
-// disjoint and the multi-source schedule has nothing to reorder. Its
+// disjoint and there is no send order to choose. Its
 // hot-path cost was allocation instead: the send must not alias the
 // accumulator (in-process envelopes and socket writev queues hold sent
 // buffers by reference, and op mutates its first argument), and the old
@@ -1010,14 +959,10 @@ func (c *Comm) Barrier() error {
 
 // AllGather returns every rank's payload on every rank, running N
 // concurrent balanced-spanning-tree broadcasts (one rooted at each rank).
-// By default the N trees' sends follow the contention-aware multi-source
-// schedule (see multisched.go); SetAllNodeSchedule(false) restores the
-// naive forward-on-arrival launch below. Both orders send the same tree
-// edges with the same tags, so mixed meshes interoperate byte-exactly.
+// A rank sends its own payload to its tree's children first, then
+// forwards every other payload down that payload's tree the moment it
+// arrives (subtag r+1 is the tree rooted at rank r).
 func (c *Comm) AllGather(mine []byte) ([][]byte, error) {
-	if !c.naiveAllNode {
-		return c.allGatherScheduled(mine)
-	}
 	defer c.next()
 	me := c.Rank()
 	out := make([][]byte, c.Size())
@@ -1104,20 +1049,23 @@ func dupErr(op string, r int) error {
 
 // AllToAll delivers mine[d] to rank d for every pair, over N concurrent
 // balanced-tree scatters. Returns got[r] = payload received from rank r.
-// Like AllGather, the default send order is the conflict-free
-// multi-source schedule; SetAllNodeSchedule(false) restores the naive
-// launch below. Bundles follow Scatter's layout (see rootRoute) in both.
+// Like AllGather, a rank relays its own tree's bundle first and every
+// other bundle on arrival; bundles follow Scatter's layout (see
+// rootRoute), so each child's run goes out as a sub-slice.
 func (c *Comm) AllToAll(mine [][]byte) ([][]byte, error) {
-	if !c.naiveAllNode {
-		return c.allToAllScheduled(mine)
-	}
 	defer c.next()
-	out, held, err := c.beginAllToAll(mine)
-	if err != nil {
-		return nil, err
+	if len(mine) != c.Size() {
+		return nil, fmt.Errorf("comm: alltoall needs %d payloads, got %d", c.Size(), len(mine))
 	}
+	if len(c.held) != c.Size() { // first call, or the cube has grown (elastic.go)
+		c.held = make([][]mpx.Part, c.Size())
+	}
+	held := c.held
 	defer clear(held)
 	me := c.Rank()
+	held[me] = bundle(c.route(me).want, mine)
+	out := make([][]byte, c.Size())
+	out[me] = mine[me]
 	c.relay(c.route(me), held[me], int(me)+1)
 	for n := 1; n < c.Size(); n++ {
 		r, err := c.recvBundle(held, out)
@@ -1127,24 +1075,6 @@ func (c *Comm) AllToAll(mine [][]byte) ([][]byte, error) {
 		c.relay(c.route(r), held[r], int(r)+1)
 	}
 	return out, nil
-}
-
-// beginAllToAll starts either AllToAll: it returns the result slice and
-// the per-source table of whole bundles (Comm.held, which the caller
-// clears on return) with this rank's own entries filled in — its tree's
-// bundle is cut here, once per call.
-func (c *Comm) beginAllToAll(mine [][]byte) (out [][]byte, held [][]mpx.Part, err error) {
-	if len(mine) != c.Size() {
-		return nil, nil, fmt.Errorf("comm: alltoall needs %d payloads, got %d", c.Size(), len(mine))
-	}
-	if len(c.held) != c.Size() { // first call, or the cube has grown (elastic.go)
-		c.held = make([][]mpx.Part, c.Size())
-	}
-	me := c.Rank()
-	c.held[me] = bundle(c.route(me).want, mine)
-	out = make([][]byte, c.Size())
-	out[me] = mine[me]
-	return out, c.held, nil
 }
 
 // recvBundle receives the next all-to-all bundle from any tree, checks

@@ -159,9 +159,9 @@ func (c *Comm) land(from cube.NodeID, tag, nparts, off, n int) []byte {
 }
 
 // wholeSegment is what land requires of tree j's part before it answers:
-// only a whole-segment chunk lands. It travels alone in its message (a
-// manifest tree's first packet has company), and segments differ by at
-// most a byte, so the j before this one end by j*(n+1).
+// only a whole-segment chunk lands. It travels alone in its message, and
+// segments differ by at most a byte, so the j before this one end by
+// j*(n+1).
 func wholeSegment(nparts, j, trees, off, n int) bool {
 	return nparts == 1 && j >= 0 && j < trees && off >= 0 && off <= j*(n+1)
 }

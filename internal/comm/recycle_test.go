@@ -42,38 +42,47 @@ func TestHotStructSizes(t *testing.T) {
 }
 
 // TestBcastMSBTChunksMustTile: the pieces a rank receives must cover the
-// payload exactly once. A forged second chunk that overlaps the first
-// (and so leaves a hole at the end, which a recycled buffer would fill
-// with the previous payload) or starts past it fails on every rank with
-// an error naming the rank, the offsets and the total — on every
-// transport, whether or not the chunks landed.
+// payload exactly once. Rank 0 sends the honest chunk down tree 0 and a
+// forged message down tree 1: a chunk that overlaps tree 0's (and so
+// leaves a hole at the end, which a recycled buffer would fill with the
+// previous payload), one that starts past it, or the retired packet
+// manifest, an empty part at offset -q ahead of the data. Every rank
+// fails, well inside its deadline, with the "do not tile" error naming
+// the rank, the offsets and the total — on every transport, whether or
+// not the chunks landed.
 func TestBcastMSBTChunksMustTile(t *testing.T) {
 	const n, size = 2, 64 << 10
 	const root = cube.NodeID(0)
 	payload := landingPayload(size, 6)
+	chunk := func(lo, hi int) mpx.Part { return mpx.Part{Dest: root, Offset: lo, Data: payload[lo:hi]} }
 	for _, forged := range []struct {
-		what   string
-		lo, hi int // tree 1's chunk; tree 0's is the honest [0, size/2)
+		what  string
+		tree1 []mpx.Part // tree 0's chunk is the honest [0, size/2)
+		end   int        // where the pieces before the offending one end
+		lo    int        // the offending piece's span
+		hi    int
+		total int
 	}{
-		{"overlap", size/2 - 8, size - 8},
-		{"gap", size/2 + 8, size},
+		{"overlap", []mpx.Part{chunk(size/2-8, size-8)}, size / 2, size/2 - 8, size - 8, size},
+		{"gap", []mpx.Part{chunk(size/2+8, size)}, size / 2, size/2 + 8, size, size - 8},
+		{"overlap", []mpx.Part{{Dest: root, Offset: -2}, chunk(size/2, size)}, 0, -2, -2, size},
 	} {
 		eachTransport(t, func(t *testing.T, run func(int, func(*Comm) error) error) {
 			err := run(n, func(c *Comm) error {
+				c.SetDeadline(5 * time.Second)
 				if c.Rank() == root {
-					c.send(msbt.RootOf(0, root), 1, []mpx.Part{{Dest: root, Data: payload[:size/2]}})
-					c.send(msbt.RootOf(1, root), 2, []mpx.Part{{Dest: root, Offset: forged.lo, Data: payload[forged.lo:forged.hi]}})
+					c.send(msbt.RootOf(0, root), 1, []mpx.Part{chunk(0, size/2)})
+					c.send(msbt.RootOf(1, root), 2, forged.tree1)
 					c.next()
 					return c.Barrier()
 				}
 				got, err := c.BcastMSBT(root, nil)
 				if err == nil {
-					return fmt.Errorf("rank %d: chunks [0,%d) and [%d,%d) were accepted as a %d-byte payload", c.Rank(), size/2, forged.lo, forged.hi, len(got))
+					return fmt.Errorf("rank %d: tree 1's %d parts were accepted as a %d-byte payload", c.Rank(), len(forged.tree1), len(got))
 				}
-				total := size/2 + forged.hi - forged.lo
 				for _, want := range []string{
-					fmt.Sprintf("rank %d", c.Rank()), forged.what, fmt.Sprintf("byte %d", size/2),
-					fmt.Sprintf("[%d,%d)", forged.lo, forged.hi), fmt.Sprintf("%d-byte", total),
+					fmt.Sprintf("rank %d", c.Rank()), forged.what, fmt.Sprintf("byte %d,", forged.end),
+					fmt.Sprintf("[%d,%d)", forged.lo, forged.hi), fmt.Sprintf("do not tile the %d-byte", forged.total),
 				} {
 					if !strings.Contains(err.Error(), want) {
 						return fmt.Errorf("rank %d: error %q does not say %q", c.Rank(), err, want)
@@ -82,7 +91,7 @@ func TestBcastMSBTChunksMustTile(t *testing.T) {
 				return c.Barrier()
 			})
 			if err != nil {
-				t.Fatalf("%s: %v", forged.what, err)
+				t.Fatalf("%s at [%d,%d): %v", forged.what, forged.lo, forged.hi, err)
 			}
 		})
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/sbt"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/tree"
 )
 
 // The ablations quantify the design choices DESIGN.md calls out: what the
@@ -177,37 +176,4 @@ func AblateBalance(n int) AblationResult {
 		Alternative: float64(sbtMax),
 		Unit:        "destinations on busiest root link",
 	}
-}
-
-// AblateTreeChoiceBroadcast measures single-packet broadcast delay for
-// every tree on one-port hardware, confirming Table 1's ordering
-// SBT < TCBT < MSBT-first-round < HP.
-func AblateTreeChoiceBroadcast(n int) (map[string]int, error) {
-	out := map[string]int{}
-	cfg := sim.Config{Dim: n, Model: model.OneSendAndRecv, Tau: 1, Tc: 0}
-	for _, a := range []model.Algorithm{model.SBT, model.TCBT, model.HP} {
-		res, err := sched.SimBroadcast(a, 0, 1, 1, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[a.String()] = res.Steps
-	}
-	xs, err := sched.BroadcastMSBT(n, 0, 1, 1)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(cfg, xs)
-	if err != nil {
-		return nil, err
-	}
-	out[model.MSBT.String()] = res.Steps
-	return out, nil
-}
-
-// EdgeDisjointnessCheck verifies that the n ERSBTs of an arbitrary
-// source are edge-disjoint — the structural property all MSBT
-// concurrency rests on.
-func EdgeDisjointnessCheck(n int, s cube.NodeID) error {
-	trees := msbt.CachedTrees(n, s)
-	return tree.EdgeDisjoint(trees...)
 }

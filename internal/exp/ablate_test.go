@@ -82,27 +82,3 @@ func TestAblateBalance(t *testing.T) {
 		t.Error("empty string")
 	}
 }
-
-func TestAblateTreeChoiceBroadcast(t *testing.T) {
-	// Table 1 ordering on one-port full duplex for one packet:
-	// SBT (n) < TCBT (2n-2) < MSBT first round (2n) << HP (N-1).
-	n := 5
-	got, err := AblateTreeChoiceBroadcast(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(got["SBT"] < got["TCBT"] && got["TCBT"] < got["MSBT"] && got["MSBT"] < got["HP"]) {
-		t.Errorf("ordering violated: %v", got)
-	}
-	if got["SBT"] != n || got["TCBT"] != 2*n-2 || got["MSBT"] != 2*n || got["HP"] != 1<<uint(n)-1 {
-		t.Errorf("exact delays wrong: %v", got)
-	}
-}
-
-func TestEdgeDisjointnessCheck(t *testing.T) {
-	for n := 2; n <= 7; n++ {
-		if err := EdgeDisjointnessCheck(n, 3%(1<<uint(n))); err != nil {
-			t.Errorf("n=%d: %v", n, err)
-		}
-	}
-}

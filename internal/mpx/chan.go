@@ -252,9 +252,7 @@ const chanProfileSample = 64
 
 // Profile reports the live link cost model fitted from sampled sends
 // (implements Profiler). In-process delivery copies nothing, so the
-// fitted per-byte cost is near zero and model-driven packet sizing
-// degenerates to the legacy single-chunk split — the right answer for
-// a channel transport.
+// fitted per-byte cost is near zero.
 func (t *ChanTransport) Profile() LinkProfile { return t.est.Profile() }
 
 // sendClean is the untouched-delivery path, shared by the fault-free

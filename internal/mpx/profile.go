@@ -8,16 +8,15 @@ import (
 // LinkProfile is a transport's live cost model in the paper's terms: a
 // packet of B bytes occupies a link for Tau + B*Tc seconds. Tau is the
 // per-frame startup cost (syscall, framing, scheduling), Tc the
-// per-byte transfer cost. Collectives feed it into model.BroadcastBopt
-// to pick packet sizes online instead of using fixed chunking.
+// per-byte transfer cost: the constants model.BroadcastBopt and the
+// rest of the paper's cost model are evaluated at.
 type LinkProfile struct {
 	// Tau is the estimated per-frame cost in seconds.
 	Tau float64
 	// Tc is the estimated per-byte cost in seconds.
 	Tc float64
 	// Samples counts the observations behind the estimate. Callers
-	// should treat profiles below ProfileMinSamples as unsettled and
-	// keep their static defaults.
+	// should treat profiles below ProfileMinSamples as unsettled.
 	Samples int64
 }
 
@@ -91,9 +90,8 @@ func (e *LinkEstimator) Observe(frames, bytes int, d time.Duration) {
 // Profile solves the 2x2 normal equations for (Tau, Tc), clamped to
 // physically plausible ranges. When the observations are collinear
 // (every flush the same shape — the parameters are not separable) it
-// attributes the whole cost to Tau and reports Tc = 0; a zero Tc sends
-// model B_opt to +Inf, which callers clamp to "one packet", i.e. the
-// legacy fixed chunking — under-information never changes behavior.
+// attributes the whole cost to Tau and reports Tc = 0, which puts the
+// model's B_opt at +Inf: one packet per tree.
 func (e *LinkEstimator) Profile() LinkProfile {
 	e.mu.Lock()
 	skk, skb, sbb, sky, sby, n := e.skk, e.skb, e.sbb, e.sky, e.sby, e.n

@@ -70,24 +70,6 @@ func BitReversal(n int) Permutation {
 	return p
 }
 
-// Transpose returns the matrix-transposition permutation on addresses
-// viewed as (row, column) halves: (r, c) -> (c, r). n must be even.
-func Transpose(n int) (Permutation, error) {
-	if n%2 != 0 {
-		return nil, fmt.Errorf("route: transpose needs even dimension, got %d", n)
-	}
-	h := n / 2
-	N := 1 << uint(n)
-	p := make(Permutation, N)
-	mask := cube.NodeID(1<<uint(h) - 1)
-	for i := 0; i < N; i++ {
-		lo := cube.NodeID(i) & mask
-		hi := cube.NodeID(i) >> uint(h)
-		p[i] = lo<<uint(h) | hi
-	}
-	return p, nil
-}
-
 // Random returns a uniformly random permutation.
 func Random(n int, rng *rand.Rand) Permutation {
 	N := 1 << uint(n)

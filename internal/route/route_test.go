@@ -17,16 +17,6 @@ func TestPermutationValidate(t *testing.T) {
 	if err := BitReversal(6).Validate(6); err != nil {
 		t.Error(err)
 	}
-	tr, err := Transpose(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(6); err != nil {
-		t.Error(err)
-	}
-	if _, err := Transpose(5); err == nil {
-		t.Error("odd transpose accepted")
-	}
 	bad := Permutation{0, 0, 1, 2}
 	if err := bad.Validate(2); err == nil {
 		t.Error("non-bijection accepted")
@@ -46,18 +36,6 @@ func TestBitReversalInvolution(t *testing.T) {
 	for i, d := range p {
 		if p[d] != cube.NodeID(i) {
 			t.Fatalf("bit reversal not an involution at %d", i)
-		}
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	p, err := Transpose(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range p {
-		if p[d] != cube.NodeID(i) {
-			t.Fatalf("transpose not an involution at %d", i)
 		}
 	}
 }

@@ -92,6 +92,32 @@ func TestMSBTPropagationDelayTable1(t *testing.T) {
 	}
 }
 
+func TestTable1OnePacketOrdering(t *testing.T) {
+	// Table 1's single-packet propagation delays under one send + one
+	// receive: SBT (n) < TCBT (2n-2) < MSBT's first round (2n) < HP (N-1).
+	const n = 5
+	cfg := unitCfg(n, model.OneSendAndRecv)
+	got := map[model.Algorithm]int{}
+	for _, a := range []model.Algorithm{model.SBT, model.TCBT, model.HP} {
+		res, err := SimBroadcast(a, 0, 1, 1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[a] = res.Steps
+	}
+	xs, err := BroadcastMSBT(n, 0, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[model.MSBT] = run(t, cfg, xs).Steps
+	if !(got[model.SBT] < got[model.TCBT] && got[model.TCBT] < got[model.MSBT] && got[model.MSBT] < got[model.HP]) {
+		t.Errorf("ordering violated: %v", got)
+	}
+	if got[model.SBT] != n || got[model.TCBT] != 2*n-2 || got[model.MSBT] != 2*n || got[model.HP] != 1<<n-1 {
+		t.Errorf("exact delays wrong: %v", got)
+	}
+}
+
 func TestMSBTHalfDuplex(t *testing.T) {
 	// 2*ceil(M/B) + log N - 1 steps under one send OR receive; greedy may
 	// differ by a small constant, so allow +/- 2 steps.
