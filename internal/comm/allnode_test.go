@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cube"
+	"repro/internal/mpx"
 	"repro/internal/transport"
 )
 
@@ -310,4 +312,133 @@ func TestAllReduceZeroAllocsDimensionExchange(t *testing.T) {
 			perCall, budget)
 	}
 	t.Logf("AllReduce allocates %.0f bytes per %d-rank call (budget %.0f)", perCall, N, budget)
+}
+
+// laggedLink is an in-process transport whose link 0 -> 1 delivers
+// every envelope 30 ms late, in order, from a goroutine of its own: the
+// sender has long returned, and may have moved on to its next
+// collective, when the receiver sees the parts it sent by reference.
+type laggedLink struct {
+	*mpx.ChanTransport
+	q chan laggedEnvelope
+}
+
+type laggedEnvelope struct {
+	due time.Time
+	msg mpx.Message
+}
+
+func (t *laggedLink) Send(from cube.NodeID, port int, msg mpx.Message) error {
+	if from != 0 || port != 0 {
+		return t.ChanTransport.Send(from, port, msg)
+	}
+	t.q <- laggedEnvelope{time.Now().Add(30 * time.Millisecond), msg}
+	return nil
+}
+
+// runLagged runs program on every rank of an in-process n-cube whose
+// link 0 -> 1 lags.
+func runLagged(t *testing.T, n int, program func(c *Comm) error) {
+	t.Helper()
+	tr := &laggedLink{
+		ChanTransport: mpx.NewChanTransport(n, CollectiveDepth(n), nil),
+		// Room for every envelope a test sends over the link (at most one
+		// per tree per call), so the sender never waits on the lag.
+		q: make(chan laggedEnvelope, 1024),
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for e := range tr.q {
+			time.Sleep(time.Until(e.due))
+			tr.ChanTransport.Send(0, 0, e.msg) // ErrDown once the run is over
+		}
+	}()
+	err := RunOn(mpx.NewWithTransport(tr, nil), program)
+	close(tr.q)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllNodeRecycledTablesUnderLag: AllToAll and AllGather send their
+// own tree's parts from arrays the communicator reuses two calls later
+// (see allNode). Rank 0's envelopes to rank 1 arrive 30 ms late, long
+// after rank 0 has finished the call that sent them and started the
+// next, so reusing one array every call hands rank 1 the next call's
+// payloads. Back-to-back calls with payloads distinct per call must
+// each deliver every byte of their own.
+func TestAllNodeRecycledTablesUnderLag(t *testing.T) {
+	const n, calls = 3, 6
+	N := 1 << n
+	runLagged(t, n, func(c *Comm) error {
+		me := int(c.Rank())
+		for k := 0; k < calls; k++ {
+			mine := make([][]byte, N)
+			for j := range mine {
+				mine[j] = fmt.Appendf(nil, "%d-%d-%d", k, me, j)
+			}
+			got, err := c.AllToAll(mine)
+			if err != nil {
+				return err
+			}
+			for i, b := range got {
+				if want := fmt.Sprintf("%d-%d-%d", k, i, me); string(b) != want {
+					return fmt.Errorf("alltoall call %d rank %d from %d: got %s want %s", k, me, i, b, want)
+				}
+			}
+		}
+		for k := 0; k < calls; k++ {
+			all, err := c.AllGather(fmt.Appendf(nil, "%d-%d", k, me))
+			if err != nil {
+				return err
+			}
+			for i, b := range all {
+				if want := fmt.Sprintf("%d-%d", k, i); string(b) != want {
+					return fmt.Errorf("allgather call %d rank %d from %d: got %s want %s", k, me, i, b, want)
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// TestDimensionExchangeRecycledUnderLag: the same lag against AllReduce
+// and Scan, whose per-step snapshots ride parts recycled by call parity.
+// Rank 0 finishes a call without its step-0 message to rank 1 having
+// arrived, so a snapshot rewritten by the next call would be folded in.
+func TestDimensionExchangeRecycledUnderLag(t *testing.T) {
+	const n, calls = 3, 6
+	N := 1 << n
+	concat := func(a, b []byte) []byte { return append(a, b...) }
+	runLagged(t, n, func(c *Comm) error {
+		me := int(c.Rank())
+		for k := 0; k < calls; k++ {
+			sum, err := c.AllReduce([]byte{byte((k + 1) * me)}, func(a, b []byte) []byte {
+				a[0] += b[0]
+				return a
+			})
+			if err != nil {
+				return err
+			}
+			if want := []byte{byte((k + 1) * N * (N - 1) / 2)}; !bytes.Equal(sum, want) {
+				return fmt.Errorf("allreduce call %d rank %d: got %v want %v", k, me, sum, want)
+			}
+		}
+		for k := 0; k < calls; k++ {
+			prefix, err := c.Scan([]byte{byte(10*k + me)}, concat)
+			if err != nil {
+				return err
+			}
+			want := make([]byte, me+1)
+			for i := range want {
+				want[i] = byte(10*k + i)
+			}
+			if !bytes.Equal(prefix, want) {
+				return fmt.Errorf("scan call %d rank %d: got %v want %v", k, me, prefix, want)
+			}
+		}
+		return nil
+	})
 }

@@ -28,7 +28,7 @@ func TestMalformedBundleFailsAtTheRelay(t *testing.T) {
 		data[i] = []byte{byte(i)}
 	}
 	// good is what rank 1 should get down the tree rooted at 0.
-	good := func() []mpx.Part { return bundle([]cube.NodeID{1, 3, 7, 15, 5}, data) }
+	good := func() []mpx.Part { return bundle(nil, []cube.NodeID{1, 3, 7, 15, 5}, data) }
 	bundles := []struct {
 		name  string
 		parts []mpx.Part
@@ -37,7 +37,7 @@ func TestMalformedBundleFailsAtTheRelay(t *testing.T) {
 		{"one part short", good()[:4], "ends after 4 of 5 parts, before the one for 5"},
 		{"one part long", append(good(), mpx.Part{Dest: 9}), "part 5, for 9, is past the 5 of its subtree"},
 		{"foreign dest", slices.Replace(good(), 2, 3, mpx.Part{Dest: 9}), "part 2 is for 9, want 7"},
-		{"children's runs swapped", bundle([]cube.NodeID{1, 5, 3, 7, 15}, data), "part 1 is for 5, want 3"},
+		{"children's runs swapped", bundle(nil, []cube.NodeID{1, 5, 3, 7, 15}, data), "part 1 is for 5, want 3"},
 		{"own part missing", good()[1:], "part 0 is for 3, want 1"},
 	}
 	type malformed struct {
@@ -158,21 +158,70 @@ func meshMallocs(t *testing.T, d, rounds int, call func(c *Comm) error) float64 
 	return perRound
 }
 
-// TestAllToAllAllocBudget: a warm AllToAll allocates its result slice and
-// its own tree's bundle — two objects per rank per call — and nothing per
-// envelope received or forwarded. One allocation per arriving bundle
-// (what re-bucketing cost) would be N−1 more per rank.
+// allocBudget fails the test if a warm call makes more than budget
+// allocations across the ranks of an in-process 4-cube.
+func allocBudget(t *testing.T, what string, budget float64, call func(c *Comm) error) {
+	t.Helper()
+	got := meshMallocs(t, 4, 100, call)
+	if got > budget {
+		t.Fatalf("%s makes %.1f allocations per 16-rank call, budget %.1f", what, got, budget)
+	}
+	t.Logf("%.1f allocations per 16-rank call", got)
+}
+
+// TestAllToAllAllocBudget: a warm AllToAll allocates nothing — its own
+// tree's bundle and the result table are the communicator's, recycled
+// (see allNode) — and nothing per envelope received or forwarded. The
+// budget, N/4 per call, fails if a quarter of the ranks allocate one
+// object per call; the bundle and the table were two per rank.
 func TestAllToAllAllocBudget(t *testing.T) {
-	const d, N = 4, 1 << 4
-	mine := make([][]byte, N)
-	got := meshMallocs(t, d, 100, func(c *Comm) error {
+	mine := make([][]byte, 16)
+	allocBudget(t, "AllToAll", 4, func(c *Comm) error {
 		_, err := c.AllToAll(mine)
 		return err
 	})
-	if budget := 3.0 * N; got > budget {
-		t.Fatalf("AllToAll makes %.1f allocations per %d-rank call, budget %.0f (2 per rank and slack)", got, N, budget)
+}
+
+// TestAllGatherAllocBudget: the same for AllGather, whose one-part own
+// message was allocated once per child send and its table once per call.
+func TestAllGatherAllocBudget(t *testing.T) {
+	mine := make([][]byte, 16)
+	for i := range mine {
+		mine[i] = []byte{byte(i)}
 	}
-	t.Logf("%.1f allocations per %d-rank call", got, N)
+	allocBudget(t, "AllGather", 4, func(c *Comm) error {
+		_, err := c.AllGather(mine[c.Rank()])
+		return err
+	})
+}
+
+// TestBarrierAllocBudget: a warm dimension exchange allocates nothing
+// per step — the part each step sends is recycled by call parity with
+// its snapshot — and a Barrier's empty result is nil. One rank
+// allocating in each of its 4 steps would be over the budget.
+func TestBarrierAllocBudget(t *testing.T) {
+	allocBudget(t, "Barrier", 2, (*Comm).Barrier)
+}
+
+// TestScanAllocBudget: a warm Scan allocates only the prefix it returns,
+// one per rank. Its snapshots ride the recycled parts and its operand
+// copies the communicator's scratch; one rank allocating in each of its
+// 4 steps would be over the budget of the 16 results and 2.
+func TestScanAllocBudget(t *testing.T) {
+	add := func(a, b []byte) []byte {
+		for i := range a {
+			a[i] += b[i]
+		}
+		return a
+	}
+	mine := make([][]byte, 16)
+	for i := range mine {
+		mine[i] = []byte{byte(i), 1, 2, 3}
+	}
+	allocBudget(t, "Scan", 16+2, func(c *Comm) error {
+		_, err := c.Scan(mine[c.Rank()], add)
+		return err
+	})
 }
 
 // TestScatterRelayAllocBudget: the root cuts one bundle per Scatter and

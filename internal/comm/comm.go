@@ -56,26 +56,27 @@ type Comm struct {
 	deadline time.Duration
 
 	// routes caches, per tree root, this rank's place in that root's BST
-	// (see route). held is AllToAll's per-source table of whole bundles,
-	// made by the first call and all nil between calls. Both are touched
-	// only from the rank's own goroutine, like seq.
+	// (see route). all is what AllGather and AllToAll keep between calls
+	// (see allNode). Both are touched only from the rank's own goroutine,
+	// like seq.
 	routes []*rootRoute
-	held   [][]mpx.Part
+	all    *allNode
 
-	// AllReduce's dimension-exchange send buffers, double-buffered by
-	// call parity (arCalls&1). A sent buffer is held by reference by
-	// in-flight envelopes (in-process delivery) and pending writev
-	// queues (sockets), and a neighbor may lag a whole collective
-	// behind, so same-call or next-call reuse would corrupt its unread
-	// inbox. Two calls is provably enough distance: before call k+2
-	// touches parity-k buffers, this rank has completed call k+1, which
-	// required every neighbor to finish call k — consuming every
-	// parity-k envelope this rank sent. arAcc is the private
-	// accumulator seed per parity, never sent. Touched only from the
-	// rank's own goroutine, like seq.
-	arCalls int
-	arBufs  [2][][]byte
-	arAcc   [2][]byte
+	// The dimension exchange's (AllReduce, Scan, Barrier) sent parts,
+	// double-buffered by call parity (dxCalls&1): part d of a set is the
+	// one-part message of step d, its Data the snapshot sent. A sent
+	// part is held by reference by in-flight envelopes (in-process
+	// delivery) and pending writev queues (sockets), and a neighbor may
+	// lag a whole collective behind, so same-call or next-call reuse
+	// would corrupt its unread inbox. Two calls is provably enough
+	// distance: before call k+2 touches the parity-k set, this rank has
+	// completed call k+1, which required every neighbor to finish call k
+	// — consuming every parity-k envelope this rank sent. dxScratch holds
+	// a call's private operands (see scratch), never sent, so it needs no
+	// parity. Touched only from the rank's own goroutine, like seq.
+	dxCalls   int
+	dxSent    [2][]mpx.Part
+	dxScratch []byte
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -737,7 +738,7 @@ func (c *Comm) Scatter(root cube.NodeID, data [][]byte) ([]byte, error) {
 		if len(data) != c.Size() {
 			return nil, fmt.Errorf("comm: scatter needs %d payloads, got %d", c.Size(), len(data))
 		}
-		parts = bundle(rt.want, data)
+		parts = bundle(make([]mpx.Part, 0, len(rt.want)), rt.want, data)
 	} else {
 		env, err := c.recvTag(c.tagFor(0))
 		if err != nil {
@@ -753,11 +754,11 @@ func (c *Comm) Scatter(root cube.NodeID, data [][]byte) ([]byte, error) {
 }
 
 // bundle cuts a tree root's whole bundle — a part for every node, in the
-// tree's preorder — out of the root's per-rank payloads.
-func bundle(preorder []cube.NodeID, data [][]byte) []mpx.Part {
-	parts := make([]mpx.Part, len(preorder))
-	for i, d := range preorder {
-		parts[i] = mpx.Part{Dest: d, Data: data[d]}
+// tree's preorder — out of the root's per-rank payloads and appends it
+// to parts.
+func bundle(parts []mpx.Part, preorder []cube.NodeID, data [][]byte) []mpx.Part {
+	for _, d := range preorder {
+		parts = append(parts, mpx.Part{Dest: d, Data: data[d]})
 	}
 	return parts
 }
@@ -892,62 +893,50 @@ func (c *Comm) Reduce(root cube.NodeID, mine []byte, op func(a, b []byte) []byte
 //
 // The exchange is inherently link-conflict-free — step d uses every
 // directed dim-d link exactly once, so all 2^d "sources" already run
-// disjoint and there is no send order to choose. Its
-// hot-path cost was allocation instead: the send must not alias the
-// accumulator (in-process envelopes and socket writev queues hold sent
-// buffers by reference, and op mutates its first argument), and the old
-// code paid a fresh payload-sized snapshot per step. The snapshots now
-// come from the communicator's parity-alternating buffer sets (see the
-// arBufs field), so a warm call's dimension loop allocates no payload
-// buffers at all — only the returned result is fresh.
+// disjoint and there is no send order to choose. Its hot-path cost is
+// allocation instead: the send must not alias the accumulator
+// (in-process envelopes and socket writev queues hold sent buffers by
+// reference, and op mutates its first argument). The snapshot and the
+// part that carries it come from the communicator's parity-alternating
+// sets and the accumulator from its scratch (see the dxSent field), so
+// a warm call allocates only the result it returns.
 func (c *Comm) AllReduce(mine []byte, op func(a, b []byte) []byte) ([]byte, error) {
 	defer c.next()
-	parity := c.arCalls & 1
-	c.arCalls++
-	set := c.arBufs[parity]
-	if len(set) < c.n {
-		set = make([][]byte, c.n)
-		c.arBufs[parity] = set
-	}
-	acc := append(c.arAcc[parity][:0], mine...)
-	c.arAcc[parity] = acc // keep grown capacity even if op rebinds acc
+	set := c.exchangeSet()
+	acc := c.scratch(mine)
 	for d := 0; d < c.n; d++ {
-		snap := append(set[d][:0], acc...)
-		set[d] = snap
-		c.nd.Send(d, mpx.Message{Tag: c.tagFor(d), Parts: []mpx.Part{{Dest: c.Rank(), Data: snap}}})
-		env, err := c.recvTag(c.tagFor(d))
+		other, err := c.exchange(set, d, acc)
 		if err != nil {
 			return nil, err
 		}
-		acc = op(acc, env.Parts[0].Data)
+		acc = op(acc, other)
 	}
-	// The result must outlive the pooled buffers: acc usually IS
-	// arAcc[parity] (op folding in place), which call k+2 will overwrite.
+	// The result must outlive the scratch, which the next call reuses.
 	return append([]byte(nil), acc...), nil
 }
 
 // Scan returns the inclusive prefix combine(x_0, ..., x_rank) on every
-// rank. op must be associative (need not be commutative).
+// rank. op must be associative (need not be commutative). Like
+// AllReduce, a warm call allocates only the result it returns.
 func (c *Comm) Scan(mine []byte, op func(a, b []byte) []byte) ([]byte, error) {
 	defer c.next()
-	prefix := append([]byte(nil), mine...)
-	total := append([]byte(nil), mine...)
+	set := c.exchangeSet()
+	prefix, total := c.scratch(mine), c.scratch(mine)
 	for d := 0; d < c.n; d++ {
-		snap := append([]byte(nil), total...)
-		c.nd.Send(d, mpx.Message{Tag: c.tagFor(d), Parts: []mpx.Part{{Dest: c.Rank(), Data: snap}}})
-		env, err := c.recvTag(c.tagFor(d))
+		other, err := c.exchange(set, d, total)
 		if err != nil {
 			return nil, err
 		}
-		other := env.Parts[0].Data
+		// op folds into its first argument, which must not be the
+		// neighbor's snapshot: where that comes first, a copy does.
 		if c.Rank()&(1<<uint(d)) != 0 {
-			prefix = op(append([]byte(nil), other...), prefix)
-			total = op(append([]byte(nil), other...), total)
+			prefix = op(c.scratch(other), prefix)
+			total = op(c.scratch(other), total)
 		} else {
 			total = op(total, other)
 		}
 	}
-	return prefix, nil
+	return append([]byte(nil), prefix...), nil
 }
 
 // Barrier blocks until every rank has entered it (an AllReduce of empty
@@ -957,20 +946,62 @@ func (c *Comm) Barrier() error {
 	return err
 }
 
+// exchangeSet starts a dimension-exchange call: it returns the call's
+// parity set of sent parts, one per dimension, and empties the scratch.
+func (c *Comm) exchangeSet() []mpx.Part {
+	p := c.dxCalls & 1
+	c.dxCalls++
+	if len(c.dxSent[p]) < c.n { // first use, or the cube has grown (elastic.go)
+		c.dxSent[p] = make([]mpx.Part, c.n)
+	}
+	c.dxScratch = c.dxScratch[:0]
+	return c.dxSent[p]
+}
+
+// exchange is dimension-exchange step d: it sends a snapshot of b to the
+// dim-d neighbor in set's part d and returns the neighbor's snapshot,
+// which is read-only.
+func (c *Comm) exchange(set []mpx.Part, d int, b []byte) ([]byte, error) {
+	set[d] = mpx.Part{Dest: c.Rank(), Data: append(set[d].Data[:0], b...)}
+	c.nd.Send(d, mpx.Message{Tag: c.tagFor(d), Parts: set[d : d+1]})
+	env, err := c.recvTag(c.tagFor(d))
+	if err != nil {
+		return nil, err
+	}
+	return env.Parts[0].Data, nil
+}
+
+// scratch copies b into the call's private scratch, a bump region that
+// exchangeSet empties. The copy's capacity ends at its length, so an op
+// that appends to it reallocates instead of running into the next copy;
+// copies handed out before the scratch grows keep the old array.
+func (c *Comm) scratch(b []byte) []byte {
+	n := len(c.dxScratch)
+	c.dxScratch = append(c.dxScratch, b...)
+	return c.dxScratch[n:len(c.dxScratch):len(c.dxScratch)]
+}
+
 // AllGather returns every rank's payload on every rank, running N
 // concurrent balanced-spanning-tree broadcasts (one rooted at each rank).
 // A rank sends its own payload to its tree's children first, then
 // forwards every other payload down that payload's tree the moment it
 // arrives (subtag r+1 is the tree rooted at rank r).
+//
+// The table returned belongs to the communicator: it is valid until this
+// communicator's next AllGather, which refills it. Its entries are
+// read-only, like Bcast's result: the forwards alias them.
 func (c *Comm) AllGather(mine []byte) ([][]byte, error) {
 	defer c.next()
+	a, own := c.allNode()
+	defer clear(a.held)
 	me := c.Rank()
-	out := make([][]byte, c.Size())
+	out := a.gathered
 	out[me] = mine
-	for _, ch := range bst.Children(c.n, me, me) {
-		c.send(ch, int(me)+1, []mpx.Part{{Dest: me, Data: mine}})
+	own = append(own, mpx.Part{Dest: me, Data: mine})
+	for _, ch := range c.route(me).children {
+		c.send(ch, int(me)+1, own)
 	}
-	for seen := 0; seen < c.Size()-1; seen++ {
+	for seen := 1; seen < c.Size(); seen++ {
 		env, err := c.recvTagAnyRoot()
 		if err != nil {
 			return nil, err
@@ -979,15 +1010,56 @@ func (c *Comm) AllGather(mine []byte) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if out[r] != nil {
+		if a.held[r] != nil {
 			return nil, dupErr("allgather", int(r))
 		}
-		out[r] = env.Parts[0].Data
+		a.held[r], out[r] = env.Parts, env.Parts[0].Data
 		for _, ch := range c.route(r).children {
 			c.send(ch, int(r)+1, env.Parts)
 		}
 	}
 	return out, nil
+}
+
+// allNode is what AllGather and AllToAll keep between calls. The first
+// of them makes it, and it is made again when the cube grows
+// (elastic.go).
+//
+// own holds this rank's own-tree parts, double-buffered by call parity
+// (calls&1, one count for both collectives): AllToAll's whole bundle,
+// or AllGather's one part. Sent parts are held by reference in process
+// and by ranks sharing an endpoint, and every rank forwards runs of
+// them on down the tree, so they are reused two calls later and no
+// sooner. Two calls is enough: before call k+2 reuses the parity-k
+// array, this rank has completed call k+1, which took a message from
+// every other rank's tree; each rank started its tree only after it had
+// finished call k, so every envelope of call k has been consumed. held
+// files each source's arriving parts for the duplicate check (and
+// AllToAll's relaying) and is all nil between calls; gathered and
+// scattered are the tables the collectives return.
+type allNode struct {
+	calls               int
+	own                 [2][]mpx.Part
+	held                [][]mpx.Part
+	gathered, scattered [][]byte
+}
+
+// allNode returns the communicator's all-node state and this call's
+// own-tree array, empty, to append the parts to.
+func (c *Comm) allNode() (*allNode, []mpx.Part) {
+	N := c.Size()
+	a := c.all
+	if a == nil || len(a.held) != N {
+		a = &allNode{
+			own:      [2][]mpx.Part{make([]mpx.Part, 0, N), make([]mpx.Part, 0, N)},
+			held:     make([][]mpx.Part, N),
+			gathered: make([][]byte, N), scattered: make([][]byte, N),
+		}
+		c.all = a
+	}
+	own := a.own[a.calls&1]
+	a.calls++
+	return a, own
 }
 
 // recvTagAnyRoot receives the next message belonging to the CURRENT
@@ -1052,21 +1124,24 @@ func dupErr(op string, r int) error {
 // Like AllGather, a rank relays its own tree's bundle first and every
 // other bundle on arrival; bundles follow Scatter's layout (see
 // rootRoute), so each child's run goes out as a sub-slice.
+//
+// The table returned belongs to the communicator: it is valid until this
+// communicator's next AllToAll, which refills it. Its entries are
+// read-only views of the senders' payloads, like Scatter's result.
 func (c *Comm) AllToAll(mine [][]byte) ([][]byte, error) {
 	defer c.next()
 	if len(mine) != c.Size() {
 		return nil, fmt.Errorf("comm: alltoall needs %d payloads, got %d", c.Size(), len(mine))
 	}
-	if len(c.held) != c.Size() { // first call, or the cube has grown (elastic.go)
-		c.held = make([][]mpx.Part, c.Size())
-	}
-	held := c.held
+	a, own := c.allNode()
+	held := a.held
 	defer clear(held)
 	me := c.Rank()
-	held[me] = bundle(c.route(me).want, mine)
-	out := make([][]byte, c.Size())
+	rt := c.route(me)
+	held[me] = bundle(own, rt.want, mine)
+	out := a.scattered
 	out[me] = mine[me]
-	c.relay(c.route(me), held[me], int(me)+1)
+	c.relay(rt, held[me], int(me)+1)
 	for n := 1; n < c.Size(); n++ {
 		r, err := c.recvBundle(held, out)
 		if err != nil {
