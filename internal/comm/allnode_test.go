@@ -46,9 +46,8 @@ func allNodeSoak(t *testing.T, network string, seed int64) {
 				events.Add(1)
 			},
 		},
-		// Every blocking receive inside the collectives runs on the
-		// deadline path (recvTagWait / recvSeqAnyWait) instead of the
-		// unbounded one — the soak exercises exactly the code the
+		// Every blocking receive inside the collectives runs with a
+		// deadline armed — the soak exercises the timed wait the
 		// all-node ready queue feeds.
 		Deadline: 30 * time.Second,
 	}
@@ -144,7 +143,7 @@ func TestChaosAllNodeNaiveTCP(t *testing.T) { allNodeSoak(t, "tcp", 314) }
 // TestDeadlineFiresOnSilentAllNodeCollective parks three ranks in
 // AllGather's any-root receive while rank 0 stays silent: the armed
 // deadline must convert the hang into a typed *DeadlineError on the
-// recvSeqAnyWait path (the ready-queue-fed twin of recvTag's).
+// ready-queue-fed receive (recvTag(anyTag)).
 func TestDeadlineFiresOnSilentAllNodeCollective(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {

@@ -12,7 +12,9 @@
 // reported as corruption rather than mis-delivered. Every communicator
 // attaches an unbounded tag-matched mailbox to its node's inbox — the
 // delivering goroutine files each message straight into it — so a slow
-// participant can never deadlock a fast neighbor.
+// participant can never deadlock a fast neighbor. The mailbox files the
+// current collective's messages in a table indexed by subtag and keeps
+// a map only for the rest: early arrivals, stragglers, other epochs.
 //
 // On machines with injected faults (RunFaulty), the fault-tolerant
 // collectives in ft.go add detection and recovery: per-receive timeouts
@@ -45,11 +47,10 @@ type Comm struct {
 	seq int // collective sequence number; all nodes advance in lockstep
 
 	// base is the encoded (tenant, job) half of every tag this
-	// communicator sends (svc.Base); key is its svc.JobKey. Standalone
-	// communicators (Run, RunTCP, ...) use base 0 — the legacy tag
-	// space — while job-attached communicators carry their job's slice.
+	// communicator sends (svc.Base). Standalone communicators (Run,
+	// RunTCP, ...) use base 0 — the legacy tag space — while job-attached
+	// communicators carry their job's slice.
 	base int
-	key  int
 
 	// deadline, when nonzero, bounds every blocking receive inside the
 	// plain collectives (see SetDeadline).
@@ -78,25 +79,10 @@ type Comm struct {
 	dxSent    [2][]mpx.Part
 	dxScratch []byte
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	mailbox   map[int][]mpx.Envelope // tag -> queued envelopes
-	free      [][]mpx.Envelope       // drained queues, recycled by deliver
-	abandoned map[int]bool           // tags given up on by FT collectives
-	stopped   bool
-
-	// ready is a FIFO of mailbox tags with queued envelopes belonging to
-	// the CURRENT collective sequence, one entry per envelope, in arrival
-	// order. recvTagAnyRoot pops ready[readyHead] — O(1) per wakeup instead
-	// of rescanning the whole mailbox map in nondeterministic order — and
-	// rewinds to the front of the array once the queue drains, so deliver's
-	// append keeps reusing one backing array.
-	// deliver appends matching arrivals; next() reseeds it from the mailbox
-	// for envelopes that arrived early (a neighbor running ahead).
-	// Entries can go stale when another receive path drains the same tag;
-	// the pop validates against the mailbox before trusting one.
-	ready     []int
-	readyHead int
+	mu      sync.Mutex
+	cond    *sync.Cond
+	mailbox mailbox // its current collective is tagFor's, kept in step by next and rebase
+	stopped bool
 
 	// interrupt, when non-nil, fails every blocking receive immediately —
 	// the elastic runtime sets it (with a *member.ViewChangedError) when
@@ -115,11 +101,7 @@ type Comm struct {
 // envelope stream: attach is the node's inbox (nd.Attach) for a
 // standalone communicator, the job's dispatcher hook for a job's.
 func newComm(nd *mpx.Node, n, base int, attach func(mpx.Consumer)) *Comm {
-	c := &Comm{
-		nd: nd, n: n, base: base, key: svc.JobKeyOf(base),
-		mailbox:   map[int][]mpx.Envelope{},
-		abandoned: map[int]bool{},
-	}
+	c := &Comm{nd: nd, n: n, base: base, mailbox: mailbox{cur: base}}
 	c.cond = sync.NewCond(&c.mu)
 	attach(mpx.Consumer{Sink: c.deliver, Closed: c.stop, Land: c.land})
 	return c
@@ -400,40 +382,13 @@ func closeAll(trs []*transport.TCP) {
 func (c *Comm) deliver(env mpx.Envelope) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.stopped || c.abandoned[env.Tag] {
+	if c.stopped || !c.mailbox.put(env) {
 		return
 	}
 	if z := c.zone; z != nil {
 		z.shut(env.Tag)
 	}
-	q, ok := c.mailbox[env.Tag]
-	if n := len(c.free); !ok && n > 0 {
-		q, c.free = c.free[n-1], c.free[:n-1]
-	}
-	c.mailbox[env.Tag] = append(q, env)
-	if svc.JobKeyOf(env.Tag) == c.key && svc.StreamSeq(env.Tag) == c.seq {
-		c.ready = append(c.ready, env.Tag)
-	}
 	c.cond.Broadcast()
-}
-
-// popLocked takes the oldest envelope queued under tag (mu held). A
-// drained queue's slice joins the free list, so the usual one message
-// per tag allocates nothing once warm.
-func (c *Comm) popLocked(tag int) (mpx.Envelope, bool) {
-	q := c.mailbox[tag]
-	if len(q) == 0 {
-		return mpx.Envelope{}, false
-	}
-	env := q[0]
-	q[0] = mpx.Envelope{} // do not pin the payload
-	if len(q) > 1 {
-		c.mailbox[tag] = q[1:]
-	} else {
-		delete(c.mailbox, tag)
-		c.free = append(c.free, q[:0])
-	}
-	return env, true
 }
 
 // stop fails blocked receives with stoppedErr and drops later
@@ -445,43 +400,75 @@ func (c *Comm) stop() {
 	c.mu.Unlock()
 }
 
-// recvTag blocks until a message with the given tag is available. A
-// queued message carrying the same subtag but a PAST collective sequence
-// is a corrupted collective stream (some rank is running collectives out
-// of order) and fails hard with full provenance: sender rank, raw tag,
-// and expected vs. actual sequence. Future-sequence messages are normal —
-// a neighbor may legitimately run ahead — and stragglers from abandoned
-// fault-tolerant collectives never reach the mailbox (see deliver).
+// anyTag asks recvTag for the current collective's next message under
+// any subtag, in arrival order — what the all-node collectives and
+// BcastFT take, whose messages arrive from many trees in any order.
+const anyTag = -1
+
+// recvTag blocks until a message with the given tag (or anyTag) is
+// available, failing with a *DeadlineError once the communicator's
+// deadline (SetDeadline), if set, has passed.
 func (c *Comm) recvTag(tag int) (mpx.Envelope, error) {
-	if d := c.deadline; d > 0 {
-		env, ok, err := c.recvTagWait(tag, d)
-		if err != nil {
-			return env, err
-		}
-		if !ok {
-			return env, c.deadlineErr(fmt.Sprintf("tag %d", tag), d)
-		}
-		return env, nil
+	env, ok, err := c.recvTagWait(tag, c.deadline)
+	if err == nil && !ok {
+		err = c.deadlineErr(waitingFor(tag), c.deadline)
 	}
+	return env, err
+}
+
+// recvTagWait is every blocking receive: d, when nonzero, bounds the
+// wait, and ok == false reports that it expired (the message may still
+// arrive later; abandon the tag if giving up). A queued message carrying
+// the same subtag but a PAST collective sequence is a corrupted
+// collective stream (some rank is running collectives out of order) and
+// fails hard with full provenance: sender rank, raw tag, and expected
+// vs. actual sequence. Future-sequence messages are normal — a neighbor
+// may legitimately run ahead — and stragglers from abandoned
+// fault-tolerant collectives never reach the mailbox (see deliver).
+func (c *Comm) recvTagWait(tag int, d time.Duration) (mpx.Envelope, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var until time.Time
+	if d > 0 {
+		until = time.Now().Add(d)
+		timer := time.AfterFunc(d, func() {
+			c.mu.Lock()
+			c.cond.Broadcast()
+			c.mu.Unlock()
+		})
+		defer timer.Stop()
+	}
 	for {
-		if env, ok := c.popLocked(tag); ok {
-			return env, nil
-		}
-		if err := c.staleLocked(tag); err != nil {
-			return mpx.Envelope{}, err
+		if tag == anyTag {
+			if env, ok := c.mailbox.popAny(); ok {
+				return env, true, nil
+			}
+		} else if env, ok := c.mailbox.pop(tag); ok {
+			return env, true, nil
+		} else if err := c.staleLocked(tag); err != nil {
+			return mpx.Envelope{}, false, err
 		}
 		if err := c.interrupt; err != nil {
 			// The view changed under an epoch-pinned collective: fail now
 			// rather than block on peers that have moved to a new epoch.
-			return mpx.Envelope{}, err
+			return mpx.Envelope{}, false, err
 		}
 		if c.stopped {
-			return mpx.Envelope{}, c.stoppedErr(fmt.Sprintf("tag %d", tag))
+			return mpx.Envelope{}, false, c.stoppedErr(waitingFor(tag))
+		}
+		if d > 0 && !time.Now().Before(until) {
+			return mpx.Envelope{}, false, nil
 		}
 		c.cond.Wait()
 	}
+}
+
+// waitingFor names what a receive for tag waits for, in its errors.
+func waitingFor(tag int) string {
+	if tag == anyTag {
+		return "collective traffic"
+	}
+	return fmt.Sprintf("tag %d", tag)
 }
 
 // deadlineErr explains an expired collective deadline. A connection
@@ -515,20 +502,17 @@ func (c *Comm) stoppedErr(waitingFor string) error {
 	return fmt.Errorf("comm: node %d: machine stopped while waiting for %s", c.nd.ID, waitingFor)
 }
 
-// staleLocked scans the mailbox (mu held) for a message whose subtag
-// matches tag but whose collective sequence is in the past — corruption
-// of the lockstep collective stream. The error carries everything a fault
+// staleLocked reports a queued message (mu held) whose subtag matches
+// tag but whose collective sequence is in the past — corruption of the
+// lockstep collective stream. The error carries everything a fault
 // experiment needs to debug it.
 func (c *Comm) staleLocked(tag int) error {
-	sub, seq := svc.StreamSub(tag), svc.StreamSeq(tag)
-	for k, q := range c.mailbox {
-		if len(q) > 0 && svc.JobKeyOf(k) == c.key && svc.StreamSub(k) == sub && svc.StreamSeq(k) < seq {
-			env := q[0]
-			return fmt.Errorf("comm: node %d: corrupt collective stream: message from rank %d with tag %#x (subtag %d) carries sequence %d, expected sequence %d",
-				c.nd.ID, env.From, k, sub, svc.StreamSeq(k), seq)
-		}
+	env, k, ok := c.mailbox.stale(tag)
+	if !ok {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("comm: node %d: corrupt collective stream: message from rank %d with tag %#x (subtag %d) carries sequence %d, expected sequence %d",
+		c.nd.ID, env.From, k, svc.StreamSub(k), svc.StreamSeq(k), svc.StreamSeq(tag))
 }
 
 // tagFor builds this collective's message tag for subtag sub: the
@@ -539,29 +523,13 @@ func (c *Comm) tagFor(sub int) int { return c.base | svc.StreamTag(c.seq, sub) }
 
 // next advances the collective sequence (call exactly once per collective,
 // on every node). The bump happens under the mailbox lock — deliver
-// compares arrival tags against seq — and reseeds the ready queue with
-// envelopes of the new sequence that arrived early.
+// files arrivals by the mailbox's current collective — and moves the
+// mailbox along with it.
 func (c *Comm) next() {
 	c.mu.Lock()
 	c.seq++
-	c.reseedLocked()
+	c.mailbox.advance(c.tagFor(0))
 	c.mu.Unlock()
-}
-
-// reseedLocked rebuilds the ready queue for the current sequence from
-// the mailbox: one scan per collective, so the per-wakeup receive path
-// stays O(1). Early arrivals lose their exact arrival order here (the
-// map does not remember it); everything arriving after this point is
-// appended by deliver in true order.
-func (c *Comm) reseedLocked() {
-	c.ready, c.readyHead = c.ready[:0], 0
-	for tag, q := range c.mailbox {
-		if svc.JobKeyOf(tag) == c.key && svc.StreamSeq(tag) == c.seq {
-			for range q {
-				c.ready = append(c.ready, tag)
-			}
-		}
-	}
 }
 
 // send wraps SendTo with the current collective's tag.
@@ -1002,7 +970,7 @@ func (c *Comm) AllGather(mine []byte) ([][]byte, error) {
 		c.send(ch, int(me)+1, own)
 	}
 	for seen := 1; seen < c.Size(); seen++ {
-		env, err := c.recvTagAnyRoot()
+		env, err := c.recvTag(anyTag)
 		if err != nil {
 			return nil, err
 		}
@@ -1062,47 +1030,6 @@ func (c *Comm) allNode() (*allNode, []mpx.Part) {
 	return a, own
 }
 
-// recvTagAnyRoot receives the next message belonging to the CURRENT
-// collective sequence regardless of subtag — used by the all-node
-// collectives, whose messages arrive from all N trees in any order.
-func (c *Comm) recvTagAnyRoot() (mpx.Envelope, error) {
-	if d := c.deadline; d > 0 {
-		env, ok, err := c.recvSeqAnyWait(d)
-		if err != nil {
-			return env, err
-		}
-		if !ok {
-			return env, c.deadlineErr("all-node collective traffic", d)
-		}
-		return env, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		for c.readyHead < len(c.ready) {
-			tag := c.ready[c.readyHead]
-			if c.readyHead++; c.readyHead == len(c.ready) {
-				c.ready, c.readyHead = c.ready[:0], 0
-			}
-			// Validate: another receive path (an FT collective's scan, a
-			// recvTag on the same tag) may have drained this entry already.
-			if svc.StreamSeq(tag) != c.seq {
-				continue
-			}
-			if env, ok := c.popLocked(tag); ok {
-				return env, nil
-			}
-		}
-		if err := c.interrupt; err != nil {
-			return mpx.Envelope{}, err
-		}
-		if c.stopped {
-			return mpx.Envelope{}, c.stoppedErr("all-node collective traffic")
-		}
-		c.cond.Wait()
-	}
-}
-
 // source names the tree an all-node envelope travels: subtag r+1 is the
 // BST rooted at rank r. A subtag naming no other rank — some rank ran a
 // different collective at this sequence number — fails like the second
@@ -1156,7 +1083,7 @@ func (c *Comm) AllToAll(mine [][]byte) ([][]byte, error) {
 // it against that tree's layout and files it: the whole bundle in
 // held[r], to forward runs of, and its first part in out[r].
 func (c *Comm) recvBundle(held [][]mpx.Part, out [][]byte) (cube.NodeID, error) {
-	env, err := c.recvTagAnyRoot()
+	env, err := c.recvTag(anyTag)
 	if err != nil {
 		return 0, err
 	}

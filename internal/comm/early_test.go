@@ -18,7 +18,7 @@ import (
 func queued(c *Comm, tag int) {
 	for done := false; !done; time.Sleep(50 * time.Microsecond) {
 		c.mu.Lock()
-		done = len(c.mailbox[tag]) > 0
+		done = c.mailbox.has(tag)
 		c.mu.Unlock()
 	}
 }

@@ -524,18 +524,11 @@ func (c *Comm) setInterrupt(err error) {
 // that this stays bounded in practice.)
 func (c *Comm) rebase(base int) {
 	c.mu.Lock()
-	oldKey := c.key
-	c.base = base
-	c.key = svc.JobKeyOf(base)
-	c.seq = 0
-	c.interrupt = nil
-	if oldKey != c.key {
-		for tag := range c.mailbox {
-			if svc.JobKeyOf(tag) == oldKey {
-				delete(c.mailbox, tag)
-			}
-		}
+	oldKey := svc.JobKeyOf(c.base)
+	c.base, c.seq, c.interrupt = base, 0, nil
+	c.mailbox.advance(c.tagFor(0))
+	if svc.JobKeyOf(base) != oldKey {
+		c.mailbox.drop(oldKey)
 	}
-	c.reseedLocked()
 	c.mu.Unlock()
 }

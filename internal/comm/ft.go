@@ -61,69 +61,9 @@ func checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 func (c *Comm) abandon(tags ...int) {
 	c.mu.Lock()
 	for _, tag := range tags {
-		c.abandoned[tag] = true
-		delete(c.mailbox, tag)
+		c.mailbox.abandon(tag)
 	}
 	c.mu.Unlock()
-}
-
-// recvTagWait is recvTag with a deadline: ok == false reports a timeout
-// (the message may still arrive later; abandon the tag if giving up).
-func (c *Comm) recvTagWait(tag int, d time.Duration) (mpx.Envelope, bool, error) {
-	deadline := time.Now().Add(d)
-	timer := time.AfterFunc(d, func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	defer timer.Stop()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if env, ok := c.popLocked(tag); ok {
-			return env, true, nil
-		}
-		if err := c.staleLocked(tag); err != nil {
-			return mpx.Envelope{}, false, err
-		}
-		if c.stopped {
-			return mpx.Envelope{}, false, c.stoppedErr(fmt.Sprintf("tag %d", tag))
-		}
-		if !time.Now().Before(deadline) {
-			return mpx.Envelope{}, false, nil
-		}
-		c.cond.Wait()
-	}
-}
-
-// recvSeqAnyWait waits up to d for any message of the CURRENT collective
-// sequence, regardless of subtag; ok == false reports a timeout.
-func (c *Comm) recvSeqAnyWait(d time.Duration) (mpx.Envelope, bool, error) {
-	deadline := time.Now().Add(d)
-	timer := time.AfterFunc(d, func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	defer timer.Stop()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		for tag := range c.mailbox {
-			if svc.JobKeyOf(tag) == c.key && svc.StreamSeq(tag) == c.seq {
-				if env, ok := c.popLocked(tag); ok {
-					return env, true, nil
-				}
-			}
-		}
-		if c.stopped {
-			return mpx.Envelope{}, false, c.stoppedErr("fault-tolerant collective traffic")
-		}
-		if !time.Now().Before(deadline) {
-			return mpx.Envelope{}, false, nil
-		}
-		c.cond.Wait()
-	}
 }
 
 // ProbeLiveness learns a node-liveness mask by dimension-exchange
@@ -213,7 +153,7 @@ func (c *Comm) BcastFT(root cube.NodeID, data []byte, opt FTOptions) ([]byte, er
 	timeout := opt.Timeout
 	retries := 0
 	for nseen < c.n {
-		env, ok, err := c.recvSeqAnyWait(timeout)
+		env, ok, err := c.recvTagWait(anyTag, timeout)
 		if err != nil {
 			return nil, err
 		}

@@ -238,10 +238,11 @@ func TestScatterFTAroundDeadNode(t *testing.T) {
 // TestStaleSequenceErrorDetail pins the corruption diagnostic (who sent
 // it, which tag, which sequences) by planting an out-of-order message.
 func TestStaleSequenceErrorDetail(t *testing.T) {
-	c := &Comm{nd: &mpx.Node{ID: 3}, n: 3, seq: 2, mailbox: map[int][]mpx.Envelope{}, abandoned: map[int]bool{}}
+	c := &Comm{nd: &mpx.Node{ID: 3}, n: 3, seq: 2}
 	c.cond = sync.NewCond(&c.mu)
+	c.mailbox.advance(c.tagFor(0))
 	staleTag := svc.Tag{Seq: 1, Sub: 5}.MustEncode() // one collective behind
-	c.mailbox[staleTag] = []mpx.Envelope{{Message: mpx.Message{Tag: staleTag}, From: 6}}
+	c.deliver(mpx.Envelope{Message: mpx.Message{Tag: staleTag}, From: 6})
 	_, err := c.recvTag(c.tagFor(5))
 	if err == nil {
 		t.Fatal("stale collective message went undetected")

@@ -89,7 +89,7 @@ func (c *Comm) post(root cube.NodeID) *zone {
 	z.at = z.at[:0]
 	for j := 0; j < c.n; j++ {
 		p, _ := msbt.Parent(c.n, j, c.Rank(), root)
-		sp := span{parent: p, shut: len(c.mailbox[z.tag0+j]) > 0}
+		sp := span{parent: p, shut: c.mailbox.has(z.tag0 + j)}
 		if z.etag0 == z.tag0 && j < len(z.early) {
 			if e := z.early[j]; e.out && e.parent == p {
 				sp.off, sp.n, sp.out, sp.seg = e.off, e.n, true, e.seg
@@ -211,7 +211,7 @@ func (c *Comm) lendLocked(z *zone, from cube.NodeID, tag, nparts, off, n int) []
 		clear(z.early)
 		z.etag0, z.early = t0, z.early[:0]
 		for k := range z.at {
-			z.early = append(z.early, span{shut: len(c.mailbox[t0+k]) > 0})
+			z.early = append(z.early, span{shut: c.mailbox.has(t0 + k)})
 		}
 	}
 	e := &z.early[j]

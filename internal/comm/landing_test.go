@@ -210,9 +210,9 @@ func TestBcastMSBTEarlyArrival(t *testing.T) {
 		case 0:
 			in = payload
 		case late:
-			for queued := 0; queued == 0; time.Sleep(100 * time.Microsecond) {
+			for queued := false; !queued; time.Sleep(100 * time.Microsecond) {
 				c.mu.Lock()
-				queued = len(c.mailbox[c.tagFor(1)])
+				queued = c.mailbox.has(c.tagFor(1))
 				c.mu.Unlock()
 			}
 		}
