@@ -9,8 +9,9 @@
 //
 //  1. Reduce — the reverse of the SBT broadcast: partial results flow up
 //     the spanning binomial tree to one node;
-//  2. AllReduce — classic hypercube dimension exchange, leaving the result
-//     on every node in log N steps;
+//  2. AllReduce — the same reduction up the SBT, then a broadcast of the
+//     result back down it, leaving the result on every node in 2(N−1)
+//     messages (a dimension exchange would send N·log N);
 //  3. Scan — parallel prefix over the node order, whose last node holds
 //     the full reduction.
 //
@@ -73,7 +74,8 @@ func main() {
 		if me == 0 {
 			one = r
 		}
-		// 2. Dimension-exchange all-reduce: every node ends with the result.
+		// 2. All-reduce, up the SBT and back down: every node ends with the
+		// result.
 		if all[me], err = c.AllReduce(partial, addFloats); err != nil {
 			return err
 		}

@@ -254,14 +254,13 @@ func TestAllNodeMatchesIndependentExpectation(t *testing.T) {
 	}
 }
 
-// TestAllReduceZeroAllocsDimensionExchange guards the dimension-exchange
-// hot path: a warm communicator's AllReduce must not allocate payload
-// buffers inside the loop (the old code snapshotted the accumulator
-// once per step — n payload-sized allocations per call). Only the
-// returned result may be fresh, so total allocated bytes per call must
-// stay near one payload per rank; the pre-fix cost was (n+2) payloads
-// per rank per call.
-func TestAllReduceZeroAllocsDimensionExchange(t *testing.T) {
+// TestAllReduceZeroAllocsTree guards the AllReduce hot path: a warm
+// communicator's AllReduce must not allocate payload buffers on the way
+// up or down the tree (the accumulator is scratch, the sent snapshots
+// ride parts recycled by call parity). Only the returned result may be
+// fresh, so total allocated bytes per call must stay near one payload per
+// rank; a dimension exchange snapshotting per step cost (n+2).
+func TestAllReduceZeroAllocsTree(t *testing.T) {
 	const (
 		d       = 4
 		payload = 128 << 10
@@ -307,7 +306,7 @@ func TestAllReduceZeroAllocsDimensionExchange(t *testing.T) {
 	// noise + the bracketing barriers' small exchanges).
 	budget := float64(N) * 3 * payload
 	if perCall > budget {
-		t.Fatalf("AllReduce allocates %.0f bytes per call across the mesh, budget %.0f — payload copies crept back into the dimension loop",
+		t.Fatalf("AllReduce allocates %.0f bytes per call across the mesh, budget %.0f — payload copies crept back into the tree",
 			perCall, budget)
 	}
 	t.Logf("AllReduce allocates %.0f bytes per %d-rank call (budget %.0f)", perCall, N, budget)
@@ -403,11 +402,12 @@ func TestAllNodeRecycledTablesUnderLag(t *testing.T) {
 	})
 }
 
-// TestDimensionExchangeRecycledUnderLag: the same lag against AllReduce
-// and Scan, whose per-step snapshots ride parts recycled by call parity.
-// Rank 0 finishes a call without its step-0 message to rank 1 having
-// arrived, so a snapshot rewritten by the next call would be folded in.
-func TestDimensionExchangeRecycledUnderLag(t *testing.T) {
+// TestParitySetsRecycledUnderLag: the same lag against AllReduce and
+// Scan, whose snapshots ride parts recycled by call parity. Rank 0, the
+// AllReduce root, finishes a call without its result having reached
+// rank 1 (and Scan without its step-0 message), so a snapshot rewritten
+// by the next call would be what rank 1 returns, or folds in.
+func TestParitySetsRecycledUnderLag(t *testing.T) {
 	const n, calls = 3, 6
 	N := 1 << n
 	concat := func(a, b []byte) []byte { return append(a, b...) }

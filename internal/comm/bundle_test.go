@@ -195,10 +195,11 @@ func TestAllGatherAllocBudget(t *testing.T) {
 	})
 }
 
-// TestBarrierAllocBudget: a warm dimension exchange allocates nothing
-// per step — the part each step sends is recycled by call parity with
-// its snapshot — and a Barrier's empty result is nil. One rank
-// allocating in each of its 4 steps would be over the budget.
+// TestBarrierAllocBudget: a warm AllReduce allocates nothing on the way
+// up or down the tree — the part each rank sends is recycled by call
+// parity with its snapshot, the SBT children by the communicator — and
+// a Barrier's empty result is nil. An allocation per send (30 per call)
+// would be far over the budget.
 func TestBarrierAllocBudget(t *testing.T) {
 	allocBudget(t, "Barrier", 2, (*Comm).Barrier)
 }

@@ -3,9 +3,9 @@
 // operations from inside, exactly as it would against a message-passing
 // library on the iPSC. The collectives are the paper's: binomial-tree
 // broadcast (SBT), multi-tree broadcast (MSBT), balanced-tree
-// personalized communication (BST scatter/gather), plus tree reduction,
-// dimension-exchange all-reduce, prefix scan, and all-gather/all-to-all
-// over N concurrent balanced trees.
+// personalized communication (BST scatter/gather), plus SBT reduction
+// and all-reduce, prefix scan, and all-gather/all-to-all over N
+// concurrent balanced trees.
 //
 // Collective calls must be made by every node in the same order (the MPI
 // rule); each call is sequence-stamped, and a mismatched message is
@@ -58,23 +58,24 @@ type Comm struct {
 
 	// routes caches, per tree root, this rank's place in that root's BST
 	// (see route). all is what AllGather and AllToAll keep between calls
-	// (see allNode). Both are touched only from the rank's own goroutine,
-	// like seq.
+	// (see allNode), kids the SBT children Bcast, Reduce and AllReduce
+	// refill. All are touched only from the rank's own goroutine, like seq.
 	routes []*rootRoute
 	all    *allNode
+	kids   []cube.NodeID
 
-	// The dimension exchange's (AllReduce, Scan, Barrier) sent parts,
-	// double-buffered by call parity (dxCalls&1): part d of a set is the
-	// one-part message of step d, its Data the snapshot sent. A sent
-	// part is held by reference by in-flight envelopes (in-process
-	// delivery) and pending writev queues (sockets), and a neighbor may
-	// lag a whole collective behind, so same-call or next-call reuse
-	// would corrupt its unread inbox. Two calls is provably enough
-	// distance: before call k+2 touches the parity-k set, this rank has
-	// completed call k+1, which required every neighbor to finish call k
-	// — consuming every parity-k envelope this rank sent. dxScratch holds
-	// a call's private operands (see scratch), never sent, so it needs no
-	// parity. Touched only from the rank's own goroutine, like seq.
+	// AllReduce's and Scan's sent parts, double-buffered by call parity
+	// (dxCalls&1): AllReduce's fold goes up in part 0 and the root's result
+	// down in part 1, Scan step d's message is part d; Data is the
+	// snapshot sent. In-flight envelopes (and, in process, the forwards
+	// down the tree) and writev queues hold sent parts by reference, and a
+	// rank may lag a whole collective behind. Two calls is provably enough
+	// distance: no rank completes one of these collectives before every
+	// rank has entered it (the result comes down only once the root has
+	// heard from every rank; a Scan's total folds every input), so before
+	// call k+2 touches the parity-k set every rank has finished call k.
+	// dxScratch holds a call's private operands (see scratch), never sent.
+	// Touched only from the rank's own goroutine, like seq.
 	dxCalls   int
 	dxSent    [2][]mpx.Part
 	dxScratch []byte
@@ -553,6 +554,14 @@ func (c *Comm) Bcast(root cube.NodeID, data []byte) ([]byte, error) {
 		return nil, err
 	}
 	defer c.next()
+	c.kids = sbt.AppendChildren(c.kids[:0], c.n, c.Rank(), root)
+	return c.bcastDown(root, c.kids, data)
+}
+
+// bcastDown is the way down a tree rooted at root (Bcast, ViewComm.Bcast):
+// off the root data arrives on subtag 0, and every rank sends it on to
+// its kids.
+func (c *Comm) bcastDown(root cube.NodeID, kids []cube.NodeID, data []byte) ([]byte, error) {
 	if c.Rank() != root {
 		env, err := c.recvTag(c.tagFor(0))
 		if err != nil {
@@ -560,7 +569,7 @@ func (c *Comm) Bcast(root cube.NodeID, data []byte) ([]byte, error) {
 		}
 		data = env.Parts[0].Data
 	}
-	for _, ch := range sbt.Children(c.n, c.Rank(), root) {
+	for _, ch := range kids {
 		c.send(ch, 0, []mpx.Part{{Dest: root, Data: data}})
 	}
 	return data, nil
@@ -811,17 +820,24 @@ func (c *Comm) Gather(root cube.NodeID, mine []byte) ([][]byte, error) {
 		return nil, err
 	}
 	defer c.next()
-	me := c.Rank()
-	parts := []mpx.Part{{Dest: me, Data: mine}}
-	for range bst.Children(c.n, me, root) {
+	p, ok := bst.Parent(c.n, c.Rank(), root)
+	return c.gatherUp(p, ok, len(bst.Children(c.n, c.Rank(), root)), mine)
+}
+
+// gatherUp is the way up a tree (Gather, ViewComm.Gather): the kids'
+// parts come up on subtag 0 and go on to parent (ok false at the root,
+// which files them by rank) with this rank's own.
+func (c *Comm) gatherUp(parent cube.NodeID, ok bool, kids int, mine []byte) ([][]byte, error) {
+	parts := []mpx.Part{{Dest: c.Rank(), Data: mine}}
+	for range kids {
 		env, err := c.recvTag(c.tagFor(0))
 		if err != nil {
 			return nil, err
 		}
 		parts = append(parts, env.Parts...)
 	}
-	if p, ok := bst.Parent(c.n, me, root); ok {
-		c.send(p, 0, parts)
+	if ok {
+		c.send(parent, 0, parts)
 		return nil, nil
 	}
 	out := make([][]byte, c.Size())
@@ -839,53 +855,77 @@ func (c *Comm) Reduce(root cube.NodeID, mine []byte, op func(a, b []byte) []byte
 		return nil, err
 	}
 	defer c.next()
-	me := c.Rank()
-	acc := append([]byte(nil), mine...)
-	for range sbt.Children(c.n, me, root) {
+	c.kids = sbt.AppendChildren(c.kids[:0], c.n, c.Rank(), root)
+	acc, err := c.reduceUp(len(c.kids), append([]byte(nil), mine...), op)
+	if p, ok := sbt.Parent(c.n, c.Rank(), root); ok && err == nil {
+		// A non-root returns at once, so acc, fresh, is sent as is.
+		c.send(p, 0, []mpx.Part{{Dest: root, Data: acc}})
+		return nil, nil
+	}
+	return acc, err
+}
+
+// reduceUp is the way up a tree (Reduce, both AllReduces): it folds into
+// acc the contributions of this rank's kids children, up on subtag 0.
+func (c *Comm) reduceUp(kids int, acc []byte, op func(a, b []byte) []byte) ([]byte, error) {
+	for range kids {
 		env, err := c.recvTag(c.tagFor(0))
 		if err != nil {
 			return nil, err
 		}
 		acc = op(acc, env.Parts[0].Data)
 	}
-	if p, ok := sbt.Parent(c.n, me, root); ok {
-		c.send(p, 0, []mpx.Part{{Dest: root, Data: acc}})
-		return nil, nil
-	}
 	return acc, nil
 }
 
 // AllReduce folds every rank's contribution and returns the result on
-// every rank, by dimension exchange in log N full-duplex steps. op must
-// be associative and commutative.
-//
-// The exchange is inherently link-conflict-free — step d uses every
-// directed dim-d link exactly once, so all 2^d "sources" already run
-// disjoint and there is no send order to choose. Its hot-path cost is
-// allocation instead: the send must not alias the accumulator
-// (in-process envelopes and socket writev queues hold sent buffers by
-// reference, and op mutates its first argument). The snapshot and the
-// part that carries it come from the communicator's parity-alternating
-// sets and the accumulator from its scratch (see the dxSent field), so
-// a warm call allocates only the result it returns.
+// every rank: a reduce up the spanning binomial tree rooted at rank 0,
+// then a broadcast of the result back down it — 2(N−1) messages, where a
+// dimension exchange sends N·log N. op must be associative and
+// commutative. The result is the caller's, and a warm call allocates
+// nothing else: the accumulator is scratch, the sends ride the parity
+// sets (see the dxSent field).
 func (c *Comm) AllReduce(mine []byte, op func(a, b []byte) []byte) ([]byte, error) {
 	defer c.next()
+	p, ok := sbt.Parent(c.n, c.Rank(), 0)
+	c.kids = sbt.AppendChildren(c.kids[:0], c.n, c.Rank(), 0)
+	return c.allReduce(0, p, ok, c.kids, mine, op)
+}
+
+// allReduce is AllReduce over a tree rooted at root where this rank has
+// parent (ok false at the root) and kids: the fold goes up on subtag 0,
+// the root sends the result down on subtag 1, and every other rank
+// forwards the envelope it received to its kids.
+func (c *Comm) allReduce(root, parent cube.NodeID, ok bool, kids []cube.NodeID, mine []byte, op func(a, b []byte) []byte) ([]byte, error) {
 	set := c.exchangeSet()
-	acc := c.scratch(mine)
-	for d := 0; d < c.n; d++ {
-		other, err := c.exchange(set, d, acc)
-		if err != nil {
-			return nil, err
-		}
-		acc = op(acc, other)
+	acc, err := c.reduceUp(len(kids), c.scratch(mine), op)
+	if err != nil {
+		return nil, err
 	}
-	// The result must outlive the scratch, which the next call reuses.
-	return append([]byte(nil), acc...), nil
+	if !ok {
+		set[1] = mpx.Part{Dest: root, Data: append(set[1].Data[:0], acc...)}
+		for _, ch := range kids {
+			c.send(ch, 1, set[1:2])
+		}
+		// The result must outlive the scratch, which the next call reuses.
+		return append([]byte(nil), acc...), nil
+	}
+	set[0] = mpx.Part{Dest: root, Data: append(set[0].Data[:0], acc...)}
+	c.send(parent, 0, set[0:1])
+	env, err := c.recvTag(c.tagFor(1))
+	if err != nil {
+		return nil, err
+	}
+	for _, ch := range kids {
+		c.nd.ForwardTo(ch, env)
+	}
+	return append([]byte(nil), env.Parts[0].Data...), nil
 }
 
 // Scan returns the inclusive prefix combine(x_0, ..., x_rank) on every
-// rank. op must be associative (need not be commutative). Like
-// AllReduce, a warm call allocates only the result it returns.
+// rank, by dimension exchange, which prefix order needs. op must be
+// associative (need not be commutative). Like AllReduce, a warm call
+// allocates only the result it returns.
 func (c *Comm) Scan(mine []byte, op func(a, b []byte) []byte) ([]byte, error) {
 	defer c.next()
 	set := c.exchangeSet()
@@ -908,19 +948,19 @@ func (c *Comm) Scan(mine []byte, op func(a, b []byte) []byte) ([]byte, error) {
 }
 
 // Barrier blocks until every rank has entered it (an AllReduce of empty
-// payloads).
+// payloads: up the tree and back down).
 func (c *Comm) Barrier() error {
 	_, err := c.AllReduce([]byte{}, func(a, b []byte) []byte { return a })
 	return err
 }
 
-// exchangeSet starts a dimension-exchange call: it returns the call's
-// parity set of sent parts, one per dimension, and empties the scratch.
+// exchangeSet starts an AllReduce or Scan call: it returns the call's
+// parity set of sent parts (max(n, 2)) and empties the scratch.
 func (c *Comm) exchangeSet() []mpx.Part {
 	p := c.dxCalls & 1
 	c.dxCalls++
-	if len(c.dxSent[p]) < c.n { // first use, or the cube has grown (elastic.go)
-		c.dxSent[p] = make([]mpx.Part, c.n)
+	if len(c.dxSent[p]) < max(c.n, 2) { // first use, or the cube has grown (elastic.go)
+		c.dxSent[p] = make([]mpx.Part, max(c.n, 2))
 	}
 	c.dxScratch = c.dxScratch[:0]
 	return c.dxSent[p]
@@ -1024,6 +1064,11 @@ func (c *Comm) allNode() (*allNode, []mpx.Part) {
 			gathered: make([][]byte, N), scattered: make([][]byte, N),
 		}
 		c.all = a
+		// Room for a call's arrivals and the next one's early ones, now
+		// rather than at the ready queue's high-water mark in a later call.
+		c.mu.Lock()
+		c.mailbox.ready = slices.Grow(c.mailbox.ready, 2*N)
+		c.mu.Unlock()
 	}
 	own := a.own[a.calls&1]
 	a.calls++

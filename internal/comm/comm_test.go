@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cube"
+	"repro/internal/mpx"
 )
 
 // runners are the transport backends every collective test runs
@@ -163,6 +164,35 @@ func TestReduceAndAllReduce(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestAllReduceSendsTwoMessagesPerTreeEdge counts frames on a fault-free
+// 3-cube of socket endpoints: k AllReduces add exactly k·2(N−1) to the
+// frames sent, one up and one down each tree edge. A dimension exchange
+// sends k·N·n. Each directed link carries one message per call and the
+// next only after the first was read, so no two share a batch frame.
+func TestAllReduceSendsTwoMessagesPerTreeEdge(t *testing.T) {
+	const n, N, k = 3, 1 << 3, 5
+	frames := func(calls int) int64 {
+		var sent int64
+		opt := TCPRunOptions{StatsSink: func(s mpx.TransportStats) { sent = s.FramesSent }}
+		err := RunTCPWith(n, opt, func(c *Comm) error {
+			for i := 0; i < calls; i++ {
+				if _, err := c.AllReduce(u64(uint64(c.Rank())), add64); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sent
+	}
+	base := frames(0)
+	if got, want := frames(k)-base, int64(k*2*(N-1)); got != want {
+		t.Fatalf("%d AllReduces on %d ranks sent %d frames, want %d (2(N−1) per call)", k, N, got, want)
+	}
 }
 
 func TestScanOrdering(t *testing.T) {

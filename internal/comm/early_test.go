@@ -184,11 +184,12 @@ func TestBcastMSBTEarlyChunkForwardsFromResult(t *testing.T) {
 }
 
 // TestEarlyScratchTakenByAnotherCollective: right after a BcastMSBT the
-// next collective is a 32 KiB AllReduce, whose dimension subtags 1 and 2
-// are tree tags too, so off the root its streamed messages are lent
-// segments. They are AllReduce's now: none reaches the free list, what
-// AllReduce received is intact after more broadcasts with late ranks
-// have taken and returned segments, and so is its result.
+// next collective is a 32 KiB AllReduce, whose result comes down the tree
+// on subtag 1 — tree 0's tag — so off the root the streamed result is
+// lent a segment. It is AllReduce's now: it never reaches the free list,
+// what AllReduce received is intact after more broadcasts with late ranks
+// have taken and returned segments, and so is the result AllReduce
+// returned, which does not share its memory.
 func TestEarlyScratchTakenByAnotherCollective(t *testing.T) {
 	const n, size, part = 3, 1 << 20, 32 << 10
 	const root = cube.NodeID(0)
@@ -198,12 +199,12 @@ func TestEarlyScratchTakenByAnotherCollective(t *testing.T) {
 			want[i] ^= b
 		}
 	}
-	comms := make([]*Comm, 1<<n)
-	var registered sync.WaitGroup
-	registered.Add(len(comms))
+	// Room on the free list, so a segment wrongly put back stays there.
+	scratch.mu.Lock()
+	clear(scratch.segs)
+	scratch.segs = scratch.segs[:0]
+	scratch.mu.Unlock()
 	socketMesh(t, n, func(int) transport.TCPOptions { return transport.TCPOptions{} }, func(c *Comm) error {
-		comms[c.Rank()] = c
-		registered.Done()
 		c.SetDeadline(10 * time.Second)
 		bcast := func(i int) error {
 			payload := landingPayload(size, 30+i)
@@ -220,27 +221,7 @@ func TestEarlyScratchTakenByAnotherCollective(t *testing.T) {
 		if err := bcast(0); err != nil {
 			return err
 		}
-		registered.Wait()
-		for _, o := range comms {
-			entered(o, c.seq)
-		}
-		// Every rank is between calls now, so every dimension step's
-		// message reaches its receiver between its BcastMSBT calls.
-		var got [][]byte
-		var opErr error
-		d := 0
 		res, err := c.AllReduce(landingPayload(part, int(c.Rank())), func(a, b []byte) []byte {
-			if d > 0 && c.Rank() != root {
-				c.mu.Lock()
-				e := c.zone.early
-				lent := len(e) >= d && len(e[d-1].seg) > 0 && &e[d-1].seg[0] == &b[0]
-				c.mu.Unlock()
-				if !lent {
-					opErr = fmt.Errorf("rank %d: dimension %d's %d bytes were not lent a segment", c.Rank(), d, len(b))
-				}
-				got = append(got, b)
-			}
-			d++
 			for i := range a {
 				a[i] ^= b[i]
 			}
@@ -249,12 +230,28 @@ func TestEarlyScratchTakenByAnotherCollective(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if opErr != nil {
-			return opErr
+		var got []byte
+		if c.Rank() != root {
+			c.mu.Lock()
+			if e := c.zone.early; len(e) > 0 && e[0].out {
+				got = e[0].seg
+			}
+			c.mu.Unlock()
+			switch {
+			case got == nil:
+				return fmt.Errorf("rank %d: the %d-byte result that came down was not lent a segment", c.Rank(), part)
+			case !bytes.Equal(got, want):
+				return fmt.Errorf("rank %d: the lent segment differs from the result at byte %d", c.Rank(), firstDiff(got, want))
+			case &res[0] == &got[0]:
+				return fmt.Errorf("rank %d: AllReduce returned the lent segment, not a fresh result", c.Rank())
+			}
 		}
-		kept := make([][]byte, len(got))
-		for i, b := range got {
-			kept[i] = bytes.Clone(b)
+		// Every rank's result has come down once the barrier is over.
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if _, held := onFreeList(got); held {
+			return fmt.Errorf("rank %d: the segment AllReduce received went back to the free list", c.Rank())
 		}
 		for i := 1; i <= 4; i++ {
 			if c.Rank() == heldLate {
@@ -267,12 +264,12 @@ func TestEarlyScratchTakenByAnotherCollective(t *testing.T) {
 		if !bytes.Equal(res, want) {
 			return fmt.Errorf("rank %d: the AllReduce result differs at byte %d", c.Rank(), firstDiff(res, want))
 		}
-		for i, b := range got {
-			if !bytes.Equal(b, kept[i]) {
-				return fmt.Errorf("rank %d: what AllReduce received at dimension %d was overwritten at byte %d", c.Rank(), i+1, firstDiff(b, kept[i]))
+		if got != nil {
+			if !bytes.Equal(got, want) {
+				return fmt.Errorf("rank %d: what AllReduce received was overwritten at byte %d", c.Rank(), firstDiff(got, want))
 			}
-			if _, held := onFreeList(b); held {
-				return fmt.Errorf("rank %d: the segment AllReduce received at dimension %d is on the free list", c.Rank(), i+1)
+			if _, held := onFreeList(got); held {
+				return fmt.Errorf("rank %d: the segment AllReduce received is on the free list", c.Rank())
 			}
 		}
 		return c.Barrier()

@@ -419,18 +419,7 @@ func (v *ViewComm) Bcast(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	me := c.Rank()
-	if me != v.root {
-		env, err := c.recvTag(c.tagFor(0))
-		if err != nil {
-			return nil, err
-		}
-		data = env.Parts[0].Data
-	}
-	for _, ch := range t.Children(me) {
-		c.send(ch, 0, []mpx.Part{{Dest: v.root, Data: data}})
-	}
-	return data, nil
+	return c.bcastDown(v.root, t.Children(c.Rank()), data)
 }
 
 // Gather collects every live rank's payload at the view root, leaf-up
@@ -443,31 +432,15 @@ func (v *ViewComm) Gather(mine []byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	me := c.Rank()
-	parts := []mpx.Part{{Dest: me, Data: mine}}
-	for range t.Children(me) {
-		env, err := c.recvTag(c.tagFor(0))
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, env.Parts...)
-	}
-	if p, ok := t.Parent(me); ok {
-		c.send(p, 0, parts)
-		return nil, nil
-	}
-	out := make([][]byte, c.Size())
-	for _, pt := range parts {
-		out[pt.Dest] = pt.Data
-	}
-	return out, nil
+	p, ok := t.Parent(c.Rank())
+	return c.gatherUp(p, ok, len(t.Children(c.Rank())), mine)
 }
 
 // AllReduce folds every live rank's contribution with op and returns
-// the result on every live rank: a reduction up the repaired tree, then
-// a broadcast of the result back down — the dimension-exchange
-// algorithm needs full cube population, which an elastic view cannot
-// promise. op must be associative and commutative.
+// the result on every live rank: Comm.AllReduce's reduction up the tree
+// and broadcast back down, over the repaired tree of the view's live
+// ranks from the view root. op must be associative and commutative. The
+// result is fresh, and a warm call allocates nothing else.
 func (v *ViewComm) AllReduce(mine []byte, op func(a, b []byte) []byte) ([]byte, error) {
 	c := v.s.c
 	defer c.next()
@@ -475,27 +448,8 @@ func (v *ViewComm) AllReduce(mine []byte, op func(a, b []byte) []byte) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	me := c.Rank()
-	acc := append([]byte(nil), mine...)
-	for range t.Children(me) {
-		env, err := c.recvTag(c.tagFor(0))
-		if err != nil {
-			return nil, err
-		}
-		acc = op(acc, env.Parts[0].Data)
-	}
-	if p, ok := t.Parent(me); ok {
-		c.send(p, 0, []mpx.Part{{Dest: v.root, Data: acc}})
-		env, err := c.recvTag(c.tagFor(1))
-		if err != nil {
-			return nil, err
-		}
-		acc = env.Parts[0].Data
-	}
-	for _, ch := range t.Children(me) {
-		c.send(ch, 1, []mpx.Part{{Dest: v.root, Data: acc}})
-	}
-	return acc, nil
+	p, ok := t.Parent(c.Rank())
+	return c.allReduce(v.root, p, ok, t.Children(c.Rank()), mine, op)
 }
 
 // Barrier blocks until every live rank of the pinned view has entered

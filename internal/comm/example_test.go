@@ -10,7 +10,7 @@ import (
 
 // Every node runs the same program, exactly like an iPSC application: the
 // root broadcasts a greeting down the spanning binomial tree, then all
-// ranks sum their ranks with a dimension-exchange all-reduce.
+// ranks sum their ranks with an all-reduce up the same tree and back down.
 func ExampleRun() {
 	var mu sync.Mutex
 	var lines []string

@@ -177,3 +177,27 @@ func TestMailboxZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestAllNodeReservesReadyQueue: making the all-node state reserves the
+// mailbox's ready queue, so a fresh communicator's first all-node burst
+// — N−1 arrivals, one per tree — does not grow it in put (where it would
+// allocate once, at its high-water mark, in some timed call).
+func TestAllNodeReservesReadyQueue(t *testing.T) {
+	const n, N = 6, 1 << 6
+	c := &Comm{nd: &mpx.Node{ID: 1}, n: n, seq: 4}
+	c.cond = sync.NewCond(&c.mu)
+	c.mailbox.advance(c.tagFor(0))
+	c.allNode()
+	before := cap(c.mailbox.ready)
+	for r := 0; r < N; r++ {
+		if r != int(c.Rank()) {
+			c.deliver(mpx.Envelope{Message: mpx.Message{Tag: c.tagFor(r + 1)}, From: 0})
+		}
+	}
+	if got := len(c.mailbox.ready); got != N-1 {
+		t.Fatalf("%d ready entries after the burst, want %d", got, N-1)
+	}
+	if after := cap(c.mailbox.ready); after != before {
+		t.Fatalf("put grew the ready queue from %d to %d entries: the all-node state reserved too little", before, after)
+	}
+}

@@ -27,18 +27,17 @@ func Parent(n int, i, s cube.NodeID) (parent cube.NodeID, ok bool) {
 	return i ^ cube.NodeID(1)<<uint(k), true
 }
 
-// Children returns the children of node i in the SBT rooted at s: the
-// neighbors across every bit m in {k+1, ..., n-1} where k is the
-// highest-order one bit of c = i XOR s (k = -1 for the root), i.e. the
-// complementations of c's leading zeroes.
-func Children(n int, i, s cube.NodeID) []cube.NodeID {
+// AppendChildren appends the children of node i in the SBT rooted at s to
+// dst and returns the extended slice: the neighbors across every bit m in
+// {k+1, ..., n-1} where k is the highest-order one bit of c = i XOR s
+// (k = -1 for the root), i.e. the complementations of c's leading zeroes.
+// It allocates nothing when dst has room.
+func AppendChildren(dst []cube.NodeID, n int, i, s cube.NodeID) []cube.NodeID {
 	c := uint64(i^s) & bits.Mask(n)
-	k := bits.HighestOne(c) // -1 at the root
-	out := make([]cube.NodeID, 0, n-k-1)
-	for m := k + 1; m < n; m++ {
-		out = append(out, i^cube.NodeID(1)<<uint(m))
+	for m := bits.HighestOne(c) + 1; m < n; m++ {
+		dst = append(dst, i^cube.NodeID(1)<<uint(m))
 	}
-	return out
+	return dst
 }
 
 // Level returns the tree level of node i, which equals the Hamming weight

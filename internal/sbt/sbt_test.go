@@ -48,10 +48,46 @@ func TestChildrenParentConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := tr.VerifyChildrenFunc(func(i cube.NodeID) []cube.NodeID {
-			return Children(n, i, s)
+			return AppendChildren(nil, n, i, s)
 		}); err != nil {
 			t.Errorf("s=%d: %v", s, err)
 		}
+	}
+}
+
+// TestAppendChildrenKeepsPrefix: AppendChildren appends after whatever
+// dst held, in port order, and every child it appends names i as its
+// parent.
+func TestAppendChildrenKeepsPrefix(t *testing.T) {
+	prefix := []cube.NodeID{7, 9}
+	const n = 5
+	for s := cube.NodeID(0); s < 1<<n; s++ {
+		for i := cube.NodeID(0); i < 1<<n; i++ {
+			got := AppendChildren(append([]cube.NodeID(nil), prefix...), n, i, s)
+			if got[0] != prefix[0] || got[1] != prefix[1] {
+				t.Fatalf("i=%d s=%d: AppendChildren %v lost the prefix %v", i, s, got, prefix)
+			}
+			for k, ch := range got[len(prefix):] {
+				if k > 0 && ch^i <= got[len(prefix)+k-1]^i {
+					t.Fatalf("i=%d s=%d: children %v out of port order", i, s, got[len(prefix):])
+				}
+				if p, ok := Parent(n, ch, s); !ok || p != i {
+					t.Fatalf("i=%d s=%d: child %d names parent %d", i, s, ch, p)
+				}
+			}
+		}
+	}
+}
+
+// TestAppendChildrenZeroAllocs: with room in dst, no call allocates.
+func TestAppendChildrenZeroAllocs(t *testing.T) {
+	buf := make([]cube.NodeID, 0, 8)
+	if a := testing.AllocsPerRun(100, func() {
+		for i := cube.NodeID(0); i < 8; i++ {
+			buf = AppendChildren(buf[:0], 8, 0xA5^i, 0x11)
+		}
+	}); a != 0 {
+		t.Fatalf("a warm AppendChildren allocates %.1f times per 8 calls", a)
 	}
 }
 
