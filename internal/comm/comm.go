@@ -95,6 +95,12 @@ type Comm struct {
 	// call off the root. The pointer and what it points to are guarded by
 	// mu, but for the two fields zone marks as the rank's own.
 	zone *zone
+
+	// sink and closed are the mailbox's consumer (deliver and stop), made
+	// once so that a job communicator attaches to each job's stream
+	// without allocating (see reset).
+	sink   func(mpx.Envelope)
+	closed func()
 }
 
 // newComm builds a communicator over nd whose tags live in the
@@ -104,8 +110,29 @@ type Comm struct {
 func newComm(nd *mpx.Node, n, base int, attach func(mpx.Consumer)) *Comm {
 	c := &Comm{nd: nd, n: n, base: base, mailbox: mailbox{cur: base}}
 	c.cond = sync.NewCond(&c.mu)
-	attach(mpx.Consumer{Sink: c.deliver, Closed: c.stop, Land: c.land})
+	c.sink, c.closed = c.deliver, c.stop
+	attach(mpx.Consumer{Sink: c.sink, Closed: c.closed, Land: c.land})
 	return c
+}
+
+// reset readies a job communicator for the next job its worker runs,
+// under that job's base, as if it were new: sequence, deadline, stop and
+// interrupt are cleared and the mailbox emptied. It keeps what is the
+// rank's alone — the struct, its cond and consumer, routes, kids and the
+// scratch — and drops whatever the last job may still have lent by
+// reference: the parity sets, the all-node state and the landing zone.
+// The parity argument (see dxSent) is about one communicator's calls;
+// a peer's worker may still be reading the last job's message while
+// this one runs any number of later jobs. The caller closed the last
+// job's stream first, so nothing is delivered into the mailbox until
+// the next Attach.
+func (c *Comm) reset(base int) {
+	c.seq, c.base, c.deadline = 0, base, 0
+	c.dxCalls, c.dxSent, c.all, c.zone = 0, [2][]mpx.Part{}, nil, nil
+	c.mu.Lock()
+	c.stopped, c.interrupt = false, nil
+	c.mailbox.reset(base)
+	c.mu.Unlock()
 }
 
 // DeadlineError reports a collective receive that outlived the deadline

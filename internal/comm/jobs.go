@@ -18,17 +18,25 @@ import (
 )
 
 // Job adapts a collective program into an svc.Program: each node's
-// share gets a fresh communicator whose tags live in the job's slice of
-// the tag space (tenant/job base bits) and whose mailbox the node's
-// dispatcher feeds with exactly the job's traffic. Unlike RunOn, an
-// erroring job does NOT shut the machine down — isolation is the
-// runtime's concern (it aborts the job's local mailboxes), so sibling
-// jobs keep running.
+// share runs on a communicator whose tags live in the job's slice of the
+// tag space (tenant/job base bits) and whose mailbox the node's
+// dispatcher feeds with exactly the job's traffic. The communicator is
+// the worker's: kept in JobContext.Kept and reset for each job it runs
+// (see Comm.reset), it is as good as new and valid only until program
+// returns. Unlike RunOn, an erroring job does NOT shut the machine down
+// — isolation is the runtime's concern (it aborts the job's local
+// mailboxes), so sibling jobs keep running.
 func Job(program func(c *Comm) error) svc.Program {
 	return func(jc *svc.JobContext) error {
+		c, _ := jc.Kept.(*Comm)
+		if c == nil || c.nd != jc.Node || c.n != jc.Dim {
+			c = newComm(jc.Node, jc.Dim, jc.Base, func(mpx.Consumer) {}) // attached below, for every job
+			jc.Kept = c
+		}
+		c.reset(jc.Base)
 		// The dispatcher takes no posted receives: job payloads are small
 		// (DESIGN.md §18), so a job's BcastMSBT always finishes by copying.
-		c := newComm(jc.Node, jc.Dim, jc.Base, func(k mpx.Consumer) { jc.Attach(k.Sink, k.Closed) })
+		jc.Attach(c.sink, c.closed)
 		defer c.stop()
 		return program(c)
 	}
@@ -279,7 +287,7 @@ func StartCluster(n int, opt svc.Options, topt TCPRunOptions) (*Cluster, error) 
 func (cl *Cluster) Submit(tenant int, prog svc.Program) (*ClusterHandle, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	h := &ClusterHandle{}
+	h := &ClusterHandle{Handles: make([]*svc.Handle, 0, len(cl.rts))}
 	for _, rt := range cl.rts {
 		hh, err := rt.Submit(tenant, prog)
 		if err != nil {
@@ -296,8 +304,16 @@ func (cl *Cluster) SubmitSpec(s JobSpec) (*ClusterHandle, error) {
 }
 
 // Drain stops admission on every runtime, waits for all jobs, and shuts
-// the mesh down, returning the first error.
+// the mesh down, returning the first error. Admission stops everywhere
+// under the Submit lock, so a job is on every runtime or on none: one
+// that reached only some of them would wait there for ranks that never
+// run it.
 func (cl *Cluster) Drain() error {
+	cl.mu.Lock()
+	for _, rt := range cl.rts {
+		rt.StopAdmission()
+	}
+	cl.mu.Unlock()
 	errs := make(chan error, len(cl.rts))
 	for _, rt := range cl.rts {
 		go func(rt *svc.Runtime) { errs <- rt.Drain() }(rt)

@@ -215,6 +215,18 @@ func (m *mailbox) advance(cur int) {
 	}
 }
 
+// reset empties the mailbox for a new stream whose first collective's
+// tag for subtag 0 is cur. The table's and free list's arrays are kept.
+func (m *mailbox) reset(cur int) {
+	for sub, q := range m.table {
+		clear(q) // do not pin the payloads
+		m.table[sub] = q[:0]
+	}
+	m.other, m.gone = nil, nil
+	m.ready, m.readyHead = m.ready[:0], 0
+	m.cur = cur
+}
+
 // drop discards every queue under key, an elastic epoch left behind.
 func (m *mailbox) drop(key int) {
 	for tag, q := range m.other {

@@ -59,9 +59,10 @@ func TestWorkersBoundedReusedAndReclaimed(t *testing.T) {
 			t.Errorf("job %d: %v", i, err)
 		}
 	}
-	// Every job is done; what is left is Start's goroutine, a scheduler
-	// per node, and the workers, all parked until Drain.
-	if got, max := runtime.NumGoroutine()-base, 1+(1<<n)*(1+tenants*inflight); got > max {
+	// Every job is done; what is left is Start's goroutine and the
+	// workers, all parked until Drain. A node's first worker is its
+	// nodeMain: there is no scheduler goroutine beside them.
+	if got, max := runtime.NumGoroutine()-base, 1+(1<<n)*tenants*inflight; got > max {
 		t.Errorf("%d goroutines after %d jobs, want at most %d (%d workers per node)", got, jobs, max, tenants*inflight)
 	}
 	if err := rt.Drain(); err == nil || !strings.Contains(err.Error(), "job bug") {
