@@ -247,7 +247,7 @@ func TestAllNodeMatchesIndependentExpectation(t *testing.T) {
 	}
 	for d := 2; d <= 3; d++ {
 		for _, seed := range []int64{1, 2} {
-			if err := RunTCP(d, program(seed, 64)); err != nil {
+			if err := RunTCPWith(d, TCPRunOptions{}, program(seed, 64)); err != nil {
 				t.Fatalf("tcp d=%d seed=%d: %v", d, seed, err)
 			}
 		}

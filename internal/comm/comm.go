@@ -14,7 +14,7 @@
 // delivering goroutine files each message straight into it — so a slow
 // participant can never deadlock a fast neighbor. The mailbox files the
 // current collective's messages in a table indexed by subtag and keeps
-// a map only for the rest: early arrivals, stragglers, other epochs.
+// a map only for the rest: early arrivals and stragglers.
 //
 // On machines with injected faults (RunFaulty), the fault-tolerant
 // collectives in ft.go add detection and recovery: per-receive timeouts
@@ -48,7 +48,7 @@ type Comm struct {
 
 	// base is the encoded (tenant, job) half of every tag this
 	// communicator sends (svc.Base). Standalone communicators (Run,
-	// RunTCP, ...) use base 0 — the legacy tag space — while job-attached
+	// RunTCPWith, ...) use base 0 — the legacy tag space — while job-attached
 	// communicators carry their job's slice.
 	base int
 
@@ -82,14 +82,8 @@ type Comm struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	mailbox mailbox // its current collective is tagFor's, kept in step by next and rebase
+	mailbox mailbox // its current collective is tagFor's, kept in step by next and reset
 	stopped bool
-
-	// interrupt, when non-nil, fails every blocking receive immediately —
-	// the elastic runtime sets it (with a *member.ViewChangedError) when
-	// the membership view advances under an epoch-pinned collective.
-	// Guarded by mu.
-	interrupt error
 
 	// zone is BcastMSBT's posted receive (landing.go), made by the first
 	// call off the root. The pointer and what it points to are guarded by
@@ -116,8 +110,8 @@ func newComm(nd *mpx.Node, n, base int, attach func(mpx.Consumer)) *Comm {
 }
 
 // reset readies a job communicator for the next job its worker runs,
-// under that job's base, as if it were new: sequence, deadline, stop and
-// interrupt are cleared and the mailbox emptied. It keeps what is the
+// under that job's base, as if it were new: sequence, deadline and stop
+// are cleared and the mailbox emptied. It keeps what is the
 // rank's alone — the struct, its cond and consumer, routes, kids and the
 // scratch — and drops whatever the last job may still have lent by
 // reference: the parity sets, the all-node state and the landing zone.
@@ -130,7 +124,7 @@ func (c *Comm) reset(base int) {
 	c.seq, c.base, c.deadline = 0, base, 0
 	c.dxCalls, c.dxSent, c.all, c.zone = 0, [2][]mpx.Part{}, nil, nil
 	c.mu.Lock()
-	c.stopped, c.interrupt = false, nil
+	c.stopped = false
 	c.mailbox.reset(base)
 	c.mu.Unlock()
 }
@@ -255,7 +249,7 @@ func RunOn(m *mpx.Machine, program func(c *Comm) error) error {
 	return err
 }
 
-// TCPRunOptions tunes RunTCPWith beyond the plain RunTCP defaults.
+// TCPRunOptions tunes RunTCPWith; the zero value is plain loopback TCP.
 type TCPRunOptions struct {
 	// Resilience configures self-healing links on every endpoint.
 	Resilience transport.ResilienceOptions
@@ -276,32 +270,10 @@ type TCPRunOptions struct {
 	Network string
 }
 
-// RunTCP is Run with every cube link carried over a loopback TCP
-// socket: one transport endpoint per node, connected into a full cube
-// mesh, one machine per endpoint — the single-process twin of a
-// multi-process `hypercomm launch` deployment. Collective programs run
-// unchanged; only the transport underneath differs.
-func RunTCP(n int, program func(c *Comm) error) error {
-	return RunTCPWith(n, TCPRunOptions{}, program)
-}
-
-// RunUDS is RunTCP with every cube link carried over a Unix-domain
-// socket instead of loopback TCP: the same wire protocol and framing,
-// minus the TCP/IP stack — the transport `hypercomm serve` picks
-// automatically for same-host deployments.
-func RunUDS(n int, program func(c *Comm) error) error {
-	return RunTCPWith(n, TCPRunOptions{Network: "unix"}, program)
-}
-
-// RunUDSWith is RunTCPWith over Unix-domain sockets.
-func RunUDSWith(n int, opt TCPRunOptions, program func(c *Comm) error) error {
-	opt.Network = "unix"
-	return RunTCPWith(n, opt, program)
-}
-
-// RunTCPWith is RunTCP with self-healing links, chaos injection and
-// per-collective deadlines available — the in-process harness the
-// robustness tests drive.
+// RunTCPWith is Run with every cube link a loopback socket (TCP, or
+// Unix-domain with Network "unix"): one endpoint and machine per node,
+// the single-process twin of a `hypercomm launch` deployment. opt adds
+// self-healing links, chaos and per-collective deadlines.
 func RunTCPWith(n int, opt TCPRunOptions, program func(c *Comm) error) error {
 	size := 1 << uint(n)
 	trs, err := loopbackMesh(n, opt, nil)
@@ -474,11 +446,6 @@ func (c *Comm) recvTagWait(tag int, d time.Duration) (mpx.Envelope, bool, error)
 		} else if env, ok := c.mailbox.pop(tag); ok {
 			return env, true, nil
 		} else if err := c.staleLocked(tag); err != nil {
-			return mpx.Envelope{}, false, err
-		}
-		if err := c.interrupt; err != nil {
-			// The view changed under an epoch-pinned collective: fail now
-			// rather than block on peers that have moved to a new epoch.
 			return mpx.Envelope{}, false, err
 		}
 		if c.stopped {

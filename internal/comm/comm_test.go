@@ -12,16 +12,20 @@ import (
 )
 
 // runners are the transport backends every collective test runs
-// against: the in-process channel transport (Run) and loopback TCP
-// sockets (RunTCP). The collective programs are identical — the
-// transport choice must be invisible to them.
+// against: the in-process channel transport (Run), and loopback TCP and
+// Unix-domain sockets (RunTCPWith). The collective programs are
+// identical — the transport choice must be invisible to them.
 var runners = []struct {
 	name string
 	run  func(n int, program func(c *Comm) error) error
 }{
 	{"chan", Run},
-	{"tcp", RunTCP},
-	{"uds", RunUDS},
+	{"tcp", func(n int, program func(c *Comm) error) error {
+		return RunTCPWith(n, TCPRunOptions{}, program)
+	}},
+	{"uds", func(n int, program func(c *Comm) error) error {
+		return RunTCPWith(n, TCPRunOptions{Network: "unix"}, program)
+	}},
 }
 
 // eachTransport runs the test body once per transport backend.

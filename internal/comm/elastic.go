@@ -8,13 +8,13 @@
 // on the old view or fails with a *member.ViewChangedError carrying the
 // new epoch, and RetryOnViewChange re-pins and reruns it.
 //
-// Tag discipline: every epoch owns a (tenant, job) slice of the tag
-// space — tenant ElasticTenant, job = epoch mod (MaxJob+1) — and the
-// collective sequence restarts at zero on every epoch change. Two ranks
-// momentarily on different epochs therefore cannot mis-deliver into
-// each other's collectives: the straggler's messages sit in the mailbox
-// under a key nobody reads until its sender catches up, and the stale
-// slice is dropped at the next rebase.
+// Tag discipline: a pinned view is a job. A Session feeds its node's
+// inbox to an svc.Dispatcher with one key per epoch (see elasticBase).
+// Pin opens the view's key on a communicator at sequence zero and closes
+// the keys it leaves, dropping their stragglers; traffic under a key not
+// pinned yet waits for it. A view change aborts the pinned key, failing
+// its collective with a *member.ViewChangedError; the abort names the
+// key, so a late one for a key already closed does nothing.
 package comm
 
 import (
@@ -38,15 +38,15 @@ import (
 const ElasticTenant = svc.MaxTenant
 
 // elasticBase encodes the (tenant, job) tag base of one membership
-// epoch. Epochs are folded mod MaxJob+1: an alias needs 4096 view
-// changes between two live epochs, far beyond any plausible overlap.
+// epoch, folded onto job IDs 1..MaxJob like the dispatcher's tombstone
+// ring. It names an epoch, not a view: View.Epoch is a sum, and ranks
+// holding different views can share it — and so a key and a sequence.
 func elasticBase(epoch uint64) int {
-	b, err := svc.Base(ElasticTenant, int(epoch%uint64(svc.MaxJob+1)))
-	if err != nil {
-		panic(err) // unreachable: both fields are in range by construction
-	}
-	return b
+	return svc.Tag{Tenant: ElasticTenant, Job: 1 + int(epoch%svc.MaxJob)}.MustEncode()
 }
+
+// elasticKey is the dispatcher key of epoch's tag base.
+func elasticKey(epoch uint64) int { return svc.JobKeyOf(elasticBase(epoch)) }
 
 // DefaultElasticResilience is the link self-healing configuration an
 // Elastic endpoint uses when the caller does not supply one: a few
@@ -93,11 +93,19 @@ type Elastic struct {
 	tr   *transport.TCP
 	mgr  *member.Manager
 
-	mu     sync.Mutex
-	dim    int             // current cube dimension; grows with the view
-	re     *fault.Reactive // tree repairer at dim; rebuilt on growth
-	cur    *Comm           // the running Session's communicator; nil between Runs
-	pinned uint64          // epoch the current ViewComm is pinned to; 0 = unpinned
+	// leaving holds a token while Drain announces the leave: a program
+	// whose Pin sees its rank drained may return and Close before the
+	// announcement is out, so Close waits for the token (for a bound).
+	leaving chan struct{}
+
+	mu   sync.Mutex
+	dim  int             // current cube dimension; grows with the view
+	re   *fault.Reactive // tree repairer at dim; rebuilt on growth
+	sess *Session        // the last Run's Session; nil before the first
+
+	// viewHook, when set, runs in onView between reading the open epoch
+	// and aborting its key (tests park it there to force the race).
+	viewHook func(epoch uint64)
 }
 
 // NewElastic builds one elastic endpoint. The transport listens
@@ -134,7 +142,7 @@ func NewElastic(opt ElasticOptions) (*Elastic, error) {
 	hooks.OnControl = mgr.OnControl
 	e := &Elastic{
 		dim: opt.Dim, self: opt.Self, tr: tr, mgr: mgr,
-		re: newRepairer(opt.Dim),
+		re: newRepairer(opt.Dim), leaving: make(chan struct{}, 1),
 	}
 	mgr.Subscribe(e.onView)
 	// Bind the starting view so trees exist before the first change.
@@ -183,9 +191,9 @@ func (e *Elastic) ensureDim(dim int) {
 }
 
 // onView tracks every view change: widen to a grown view's dimension,
-// rebind the tree repairer, and if a collective is pinned to an older
-// epoch, interrupt it. Runs on transport goroutines (read pumps,
-// supervisors) — must not block.
+// rebind the tree repairer, and abort the Session's open key if its
+// epoch is older (if Pin has moved on meanwhile, the key is closed and
+// the abort does nothing). Runs on transport goroutines — must not block.
 func (e *Elastic) onView(v member.View) {
 	ep := v.Epoch()
 	if v.Dim > e.dimNow() {
@@ -193,11 +201,19 @@ func (e *Elastic) onView(v member.View) {
 	}
 	e.reactive().Rebind(ep, v.Live())
 	e.mu.Lock()
-	c, pinned := e.cur, e.pinned
-	e.mu.Unlock()
-	if c != nil && pinned != 0 && ep > pinned {
-		c.setInterrupt(&member.ViewChangedError{Epoch: ep, Op: "collective"})
+	s, hook := e.sess, e.viewHook
+	var open uint64
+	if s != nil {
+		open = s.open
 	}
+	e.mu.Unlock()
+	if open == 0 || ep <= open {
+		return
+	}
+	if hook != nil {
+		hook(ep)
+	}
+	s.d.Abort(elasticKey(open))
 }
 
 // Addr returns the endpoint's listen address (for peers' Connect/Join).
@@ -232,10 +248,12 @@ func (e *Elastic) Join(peers []string, timeout time.Duration) error {
 
 // Drain announces a graceful leave (peers record Drained, not Dead) and
 // gives the announcement a moment to flush before closing. The caller's
-// running program, if any, fails with a shutdown error — by design: a
-// draining rank stops participating.
+// running program, if any, stops — by design: a draining rank is out of
+// the view, so its collective fails and its next Pin refuses.
 func (e *Elastic) Drain(settle time.Duration) error {
+	e.leaving <- struct{}{}
 	e.mgr.Drain()
+	<-e.leaving
 	time.Sleep(settle)
 	return e.tr.Close()
 }
@@ -245,40 +263,54 @@ func (e *Elastic) Drain(settle time.Duration) error {
 // declaring this rank dead — exactly a process crash, minus the SIGKILL.
 func (e *Elastic) Crash() error { return e.tr.Abort() }
 
-// Close shuts the endpoint down cleanly (BYE on every link).
-func (e *Elastic) Close() error { return e.tr.Close() }
+// Close shuts the endpoint down cleanly (BYE on every link), after the
+// announcement of a Drain in progress.
+func (e *Elastic) Close() error {
+	select {
+	case e.leaving <- struct{}{}:
+		<-e.leaving
+	case <-time.After(time.Second):
+	}
+	return e.tr.Close()
+}
 
-// Run executes program against a Session for the hosted rank. It
-// returns when the program does; the transport stays open (so a
-// finished program can be followed by Drain or Close, or by another Run,
-// whose communicator takes the inbox over).
+// Run executes program against a Session for the hosted rank: the
+// node's inbox feeds the Session's dispatcher, and the first Pin makes
+// the communicator. It returns when the program does; the transport
+// stays open (so a finished program can be followed by Drain or Close,
+// or by another Run, whose dispatcher takes the inbox over).
 func (e *Elastic) Run(program func(s *Session) error) error {
-	m := mpx.NewWithTransport(e.tr, nil)
-	return m.Run(func(nd *mpx.Node) error {
-		c := newComm(nd, e.dimNow(), elasticBase(e.mgr.Epoch()), nd.Attach)
-		defer c.stop()
-		e.mu.Lock()
-		e.cur = c
-		e.mu.Unlock()
-		defer func() {
-			e.mu.Lock()
-			e.cur = nil
-			e.pinned = 0
-			e.mu.Unlock()
-		}()
-		return program(&Session{e: e, c: c})
-	})
+	return mpx.NewWithTransport(e.tr, nil).Run(func(nd *mpx.Node) error { return e.runOn(nd, program) })
+}
+
+// runOn is Run's body on the hosted rank's node.
+func (e *Elastic) runOn(nd *mpx.Node, program func(s *Session) error) error {
+	s := &Session{e: e, nd: nd, d: svc.NewDispatcher()}
+	nd.Attach(mpx.Consumer{Sink: s.d.Deliver, Closed: s.d.Down})
+	e.mu.Lock()
+	e.sess = s // kept after Run: aborts on its dispatcher then reach no one
+	e.mu.Unlock()
+	defer func() {
+		if s.c != nil {
+			s.c.stop()
+		}
+	}()
+	return program(s)
 }
 
 // Session is a rank's handle inside Elastic.Run: it pins membership
 // views into ViewComms and reruns view-sensitive work.
 type Session struct {
-	e *Elastic
-	c *Comm
+	e  *Elastic
+	nd *mpx.Node
+	d  *svc.Dispatcher // the node's inbox, demultiplexed by epoch key
+
+	c    *Comm  // the open key's communicator, made by the first Pin
+	open uint64 // the open key's epoch (0: none); written under e.mu
 }
 
 // Rank returns the hosted rank.
-func (s *Session) Rank() cube.NodeID { return s.c.Rank() }
+func (s *Session) Rank() cube.NodeID { return s.e.self }
 
 // Epoch returns the manager's current epoch (advances under the caller
 // at any time; pin a view to hold one still).
@@ -288,18 +320,19 @@ func (s *Session) Epoch() uint64 { return s.e.mgr.Epoch() }
 func (s *Session) Manager() *member.Manager { return s.e.mgr }
 
 // Pin snapshots the current membership view into a ViewComm. On an
-// epoch change since the last pin, the communicator rebases into the
-// new epoch's tag slice (collective sequence restarts at zero; the
-// previous epoch's queued stragglers are dropped); re-pinning the same
-// epoch keeps the sequence running — ranks re-pinning between
-// collectives of a stable view stay in lockstep.
+// epoch change since the last pin, the view's key becomes the open key
+// (see enter): the collective sequence restarts at zero. Re-pinning the
+// same epoch keeps the communicator and its sequence — ranks re-pinning
+// between collectives of a stable view stay in lockstep.
 func (s *Session) Pin() (*ViewComm, error) {
 	for {
 		v := s.e.mgr.View()
 		ep := v.Epoch()
-		me := s.c.Rank()
-		if !v.Alive(me) {
+		if me := s.e.self; !v.Alive(me) {
 			return nil, fmt.Errorf("comm: rank %d is not alive in view %s", me, v)
+		}
+		if s.c == nil {
+			s.c = newComm(s.nd, s.e.dimNow(), elasticBase(ep), func(mpx.Consumer) {}) // opened by enter
 		}
 		// A view that outgrew this endpoint re-dimensions it before the
 		// pin: transport links widen online and the repairer is rebuilt
@@ -316,20 +349,32 @@ func (s *Session) Pin() (*ViewComm, error) {
 			return nil, fmt.Errorf("comm: view %s has no live root inside the %d-cube", v, s.c.n)
 		}
 		s.e.reactive().Rebind(ep, v.Live())
-		s.e.mu.Lock()
-		s.e.pinned = ep
-		s.e.mu.Unlock()
-		if base := elasticBase(ep); base != s.c.base {
-			s.c.rebase(base)
+		if ep != s.open {
+			s.enter(ep)
 		}
-		// A view change between the snapshot above and here would leave a
-		// pin the interrupt path may have already missed; re-check and
-		// loop rather than hand out a stale ViewComm.
+		// A view change between the snapshot above and here may have
+		// aborted the key this pin left rather than the one it opened;
+		// re-check and loop rather than hand out a stale ViewComm.
 		if s.e.mgr.Epoch() != ep {
 			continue
 		}
 		return &ViewComm{s: s, view: v, epoch: ep, root: root}, nil
 	}
+}
+
+// enter makes epoch's key the open key, as an svc worker moves to its
+// next job: close the key it leaves and those of the epochs skipped
+// (their stragglers drop), reset the communicator to the new base at
+// sequence zero, and open the key, flushing what arrived early.
+func (s *Session) enter(epoch uint64) {
+	for x := s.open; x != 0 && x < epoch; x++ {
+		s.d.CloseJob(elasticKey(x))
+	}
+	s.c.reset(elasticBase(epoch))
+	s.e.mu.Lock()
+	s.open = epoch
+	s.e.mu.Unlock()
+	s.d.Open(elasticKey(epoch), s.c.sink, s.c.closed)
 }
 
 // RetryOnViewChange runs fn against a freshly pinned view, re-pinning
@@ -361,14 +406,14 @@ func (s *Session) RetryOnViewChange(attempts int, fn func(vc *ViewComm) error) e
 
 // ViewComm is a communicator pinned to one membership epoch: its
 // collectives run over the repaired spanning tree of the view's live
-// ranks, rooted at the lowest live rank. A view change in flight makes
-// them fail with a *member.ViewChangedError instead of blocking on
-// ranks that moved on. Ranks the view grew beyond the founding cube
-// participate like any other once they grow-attach to the transport
-// mesh: pinning a grown view re-dimensions the endpoint online (links
-// widen, trees rebuild at the new dimension) with no restart — until a
-// joiner's attach reaches this endpoint, sends toward it drop silently
-// and the repaired tree simply routes around the hole.
+// ranks, rooted at the lowest live rank. A view change in flight aborts
+// the epoch's key, and they fail with a *member.ViewChangedError
+// instead of blocking on ranks that moved on. Ranks the view grew beyond
+// the founding cube participate like any other once they grow-attach to
+// the transport mesh: pinning a grown view re-dimensions the endpoint
+// online (links widen, trees rebuild at the new dimension) with no
+// restart — until a joiner's attach reaches this endpoint, sends toward
+// it drop silently and the repaired tree simply routes around the hole.
 type ViewComm struct {
 	s     *Session
 	view  member.View
@@ -409,6 +454,15 @@ func (v *ViewComm) tree(op string) (*fault.Tree, error) {
 	return t, nil
 }
 
+// result reports a collective's failure on a view that has changed
+// since the pin as the view change, which aborted the epoch's key.
+func (v *ViewComm) result(op string, err error) error {
+	if ep := v.s.e.mgr.Epoch(); err != nil && ep != v.epoch {
+		return &member.ViewChangedError{Epoch: ep, Op: op}
+	}
+	return err
+}
+
 // Bcast distributes data from the view root to every live rank along
 // the repaired tree; every rank returns the payload (the root passes
 // its own data, other ranks pass nil).
@@ -419,7 +473,8 @@ func (v *ViewComm) Bcast(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.bcastDown(v.root, t.Children(c.Rank()), data)
+	out, err := c.bcastDown(v.root, t.Children(c.Rank()), data)
+	return out, v.result("bcast", err)
 }
 
 // Gather collects every live rank's payload at the view root, leaf-up
@@ -433,7 +488,8 @@ func (v *ViewComm) Gather(mine []byte) ([][]byte, error) {
 		return nil, err
 	}
 	p, ok := t.Parent(c.Rank())
-	return c.gatherUp(p, ok, len(t.Children(c.Rank())), mine)
+	out, err := c.gatherUp(p, ok, len(t.Children(c.Rank())), mine)
+	return out, v.result("gather", err)
 }
 
 // AllReduce folds every live rank's contribution with op and returns
@@ -449,7 +505,8 @@ func (v *ViewComm) AllReduce(mine []byte, op func(a, b []byte) []byte) ([]byte, 
 		return nil, err
 	}
 	p, ok := t.Parent(c.Rank())
-	return c.allReduce(v.root, p, ok, t.Children(c.Rank()), mine, op)
+	out, err := c.allReduce(v.root, p, ok, t.Children(c.Rank()), mine, op)
+	return out, v.result("allreduce", err)
 }
 
 // Barrier blocks until every live rank of the pinned view has entered
@@ -457,32 +514,4 @@ func (v *ViewComm) AllReduce(mine []byte, op func(a, b []byte) []byte) ([]byte, 
 func (v *ViewComm) Barrier() error {
 	_, err := v.AllReduce(nil, func(a, _ []byte) []byte { return a })
 	return err
-}
-
-// setInterrupt fails every blocking receive on the communicator with
-// err (a view-change notice) and wakes the waiters.
-func (c *Comm) setInterrupt(err error) {
-	c.mu.Lock()
-	c.interrupt = err
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-// rebase moves the communicator into the tag slice of a new membership
-// epoch: the collective sequence restarts at zero, any pending
-// interrupt is cleared, and the previous epoch's queued stragglers are
-// dropped. Messages queued under OTHER keys — epochs this rank skipped,
-// or a peer running ahead — are kept: a fast peer's early traffic must
-// survive until this rank catches up. (Slices of epochs nobody ever
-// rebases into can linger until shutdown; churn counts are small enough
-// that this stays bounded in practice.)
-func (c *Comm) rebase(base int) {
-	c.mu.Lock()
-	oldKey := svc.JobKeyOf(c.base)
-	c.base, c.seq, c.interrupt = base, 0, nil
-	c.mailbox.advance(c.tagFor(0))
-	if svc.JobKeyOf(base) != oldKey {
-		c.mailbox.drop(oldKey)
-	}
-	c.mu.Unlock()
 }

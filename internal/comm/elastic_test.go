@@ -5,12 +5,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cube"
 	"repro/internal/member"
+	"repro/internal/mpx"
+	"repro/internal/svc"
 	"repro/internal/transport"
 )
 
@@ -438,4 +442,238 @@ func isExpectedChurnExit(err error) bool {
 		bytes.Contains([]byte(s), []byte("connection lost")) ||
 		bytes.Contains([]byte(s), []byte("is not alive in view")) ||
 		bytes.Contains([]byte(s), []byte("transport is closed"))
+}
+
+// ---- epoch keys on the dispatcher, in process ----
+
+// localElastics builds one Elastic per rank of a dim-cube with no
+// transport: each manager starts on the bootstrap view and changes only
+// when a test feeds it an event, so views move exactly when a test says.
+func localElastics(dim int) []*Elastic {
+	eps := make([]*Elastic, 1<<uint(dim))
+	for i := range eps {
+		mgr := member.New(member.Config{Self: cube.NodeID(i), Dim: dim})
+		e := &Elastic{self: cube.NodeID(i), mgr: mgr, dim: dim, re: newRepairer(dim)}
+		mgr.Subscribe(e.onView)
+		e.re.Rebind(mgr.Epoch(), mgr.View().Live())
+		eps[i] = e
+	}
+	return eps
+}
+
+// runLocal runs program as every rank's Session on an in-process
+// machine, rank r on eps[r]. A failing rank shuts the machine down, so
+// the others unwind instead of waiting for it.
+func runLocal(t *testing.T, eps []*Elastic, program func(s *Session) error) {
+	t.Helper()
+	dim := eps[0].dim
+	m := mpx.NewWithTransport(mpx.NewChanTransport(dim, CollectiveDepth(dim), nil), nil)
+	defer m.Shutdown()
+	err := m.Run(func(nd *mpx.Node) error {
+		err := eps[nd.ID].runOn(nd, program)
+		if err != nil {
+			m.Shutdown()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pinBarrier pins the current view and runs a barrier on it.
+func pinBarrier(s *Session) (*ViewComm, error) {
+	vc, err := s.Pin()
+	if err != nil {
+		return nil, err
+	}
+	return vc, vc.Barrier()
+}
+
+var errRank3Gone = errors.New("rank 3 gone")
+
+// TestElasticLateViewNotice forces the race a view-change notice can
+// lose. On each survivor, onView reads the open epoch and then parks
+// (viewHook) until the rank has pinned the new view; only then does it
+// act. The notice names a key that Pin has already closed, so each
+// survivor must then run 50 collectives on the new view with no error.
+func TestElasticLateViewNotice(t *testing.T) {
+	const dim, survivors, rounds = 2, 3, 50
+	eps := localElastics(dim)
+	e0 := eps[0].mgr.Epoch()
+	var reached, release [survivors]chan struct{}
+	for r := range survivors {
+		reached[r], release[r] = make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		eps[r].mu.Lock()
+		eps[r].viewHook = func(uint64) {
+			once.Do(func() {
+				close(reached[r])
+				<-release[r]
+			})
+		}
+		eps[r].mu.Unlock()
+	}
+	runLocal(t, eps, func(s *Session) error {
+		if _, err := pinBarrier(s); err != nil || s.Rank() == 3 {
+			return err
+		}
+		r := s.Rank()
+		noticed := make(chan struct{})
+		go func() {
+			s.e.mgr.OnPeerDown(r, 3, errRank3Gone)
+			close(noticed)
+		}()
+		select {
+		case <-reached[r]:
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("rank %d: onView never saw the view change", r)
+		}
+		vc, err := s.Pin()
+		close(release[r])
+		<-noticed
+		if err != nil {
+			return err
+		}
+		if vc.Epoch() == e0 {
+			return fmt.Errorf("rank %d: pinned epoch %d again after the view change", r, e0)
+		}
+		for i := range rounds {
+			got, err := vc.AllReduce([]byte{1}, func(a, b []byte) []byte { return []byte{a[0] + b[0]} })
+			if err != nil {
+				return fmt.Errorf("rank %d: collective %d on epoch %d: %w", r, i, vc.Epoch(), err)
+			}
+			if got[0] != survivors {
+				return fmt.Errorf("rank %d: collective %d summed %d, want %d", r, i, got[0], survivors)
+			}
+		}
+		return nil
+	})
+}
+
+// TestElasticClosedKeyDropsStragglers: once rank 0 pinned a new view, a
+// message sent under the old view's key is a straggler. It never reaches
+// the new view's communicator, while a message under the new key does.
+func TestElasticClosedKeyDropsStragglers(t *testing.T) {
+	eps := localElastics(2)
+	e0 := eps[0].mgr.Epoch()
+	pinned := make(chan uint64, 1)
+	stale := elasticBase(e0) | svc.StreamTag(0, 1)
+	runLocal(t, eps, func(s *Session) error {
+		if _, err := pinBarrier(s); err != nil {
+			return err
+		}
+		switch s.Rank() {
+		case 0:
+			s.e.mgr.OnPeerDown(0, 3, errRank3Gone)
+			vc, err := s.Pin()
+			if err != nil {
+				return err
+			}
+			pinned <- vc.Epoch()
+			fence := elasticBase(vc.Epoch()) | svc.StreamTag(0, 1)
+			if _, err := s.c.recvTag(fence); err != nil {
+				return err
+			}
+			s.c.mu.Lock()
+			defer s.c.mu.Unlock()
+			if s.c.mailbox.has(stale) || len(s.c.mailbox.other) > 0 {
+				return fmt.Errorf("a straggler of epoch %d reached epoch %d's communicator", e0, vc.Epoch())
+			}
+		case 1:
+			ep := <-pinned
+			s.nd.SendTo(0, mpx.Message{Tag: stale})
+			s.nd.SendTo(0, mpx.Message{Tag: elasticBase(ep) | svc.StreamTag(0, 1)})
+		}
+		return nil
+	})
+}
+
+// TestElasticEarlyArrivalDelivered: a message sent under a view rank 0
+// has not pinned yet waits for it and is delivered once it pins that
+// view.
+func TestElasticEarlyArrivalDelivered(t *testing.T) {
+	eps := localElastics(2)
+	sent := make(chan uint64, 1)
+	runLocal(t, eps, func(s *Session) error {
+		if _, err := pinBarrier(s); err != nil {
+			return err
+		}
+		switch s.Rank() {
+		case 0:
+			ep := <-sent
+			s.e.mgr.OnPeerDown(0, 3, errRank3Gone)
+			vc, err := s.Pin()
+			if err != nil {
+				return err
+			}
+			if vc.Epoch() != ep {
+				return fmt.Errorf("rank 0 pinned epoch %d, rank 1 sent under %d", vc.Epoch(), ep)
+			}
+			env, ok, err := s.c.recvTagWait(elasticBase(ep)|svc.StreamTag(0, 1), 5*time.Second)
+			if err != nil || !ok || string(env.Parts[0].Data) != "early" {
+				return fmt.Errorf("early arrival: %+v, %v, %v", env, ok, err)
+			}
+		case 1:
+			s.e.mgr.OnPeerDown(1, 3, errRank3Gone)
+			ep := s.e.mgr.Epoch()
+			s.nd.SendTo(0, mpx.Message{Tag: elasticBase(ep) | svc.StreamTag(0, 1), Parts: []mpx.Part{{Dest: 0, Data: []byte("early")}}})
+			sent <- ep
+		}
+		return nil
+	})
+}
+
+// TestElasticCloseWaitsForDrainAnnouncement: a draining rank's own Pin
+// fails as soon as its view marks it drained, before Drain has told any
+// peer, so its program can return and Close the endpoint while the
+// announcement is still to go out. Here that Close lands exactly there,
+// from Drain's own diagnostic, and rank 0 must still see rank 1 drained.
+func TestElasticCloseWaitsForDrainAnnouncement(t *testing.T) {
+	const dim = 1
+	eps := make([]*Elastic, 2)
+	addrs := make([]string, 2)
+	closed := make(chan struct{})
+	for i := range eps {
+		opt := ElasticOptions{Dim: dim, Self: cube.NodeID(i), Resilience: elasticRes(), HandshakeTimeout: 10 * time.Second}
+		if i == 1 {
+			opt.Logf = func(format string, _ ...any) {
+				if !strings.Contains(format, "draining") {
+					return
+				}
+				go func() {
+					eps[1].Close()
+					close(closed)
+				}()
+				select { // give the Close every chance to cut the announcement off
+				case <-eps[1].tr.Done():
+				case <-time.After(300 * time.Millisecond):
+				}
+			}
+		}
+		e, err := NewElastic(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		eps[i], addrs[i] = e, e.Addr()
+	}
+	errs := make(chan error, len(eps))
+	for _, e := range eps {
+		go func(e *Elastic) { errs <- e.Connect(addrs) }(e)
+	}
+	for range eps {
+		if err := <-errs; err != nil {
+			t.Fatalf("Connect: %v", err)
+		}
+	}
+	e0 := eps[0].mgr.Epoch()
+	eps[1].Drain(0)
+	<-closed
+	if !eps[0].mgr.WaitEpochAbove(e0, 5*time.Second) {
+		t.Fatal("rank 0 never saw the drain of rank 1")
+	}
+	if v := eps[0].mgr.View(); v.Stat[1] != member.Drained {
+		t.Fatalf("rank 0's view %s, want rank 1 drained", v)
+	}
 }

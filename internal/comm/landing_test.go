@@ -204,7 +204,7 @@ func TestBcastMSBTLandingAllocBudget(t *testing.T) {
 func TestBcastMSBTEarlyArrival(t *testing.T) {
 	const n, late, size = 3, cube.NodeID(5), 3<<18 + 1
 	payload := landingPayload(size, 2)
-	err := RunTCP(n, func(c *Comm) error {
+	err := RunTCPWith(n, TCPRunOptions{}, func(c *Comm) error {
 		var in []byte
 		switch c.Rank() {
 		case 0:
@@ -446,7 +446,7 @@ func TestBcastMSBTErrorExitUnposts(t *testing.T) {
 	comms := make([]*Comm, 1<<n)
 	var registered sync.WaitGroup
 	registered.Add(len(comms))
-	err := RunTCP(n, func(c *Comm) error {
+	err := RunTCPWith(n, TCPRunOptions{}, func(c *Comm) error {
 		comms[c.Rank()] = c
 		registered.Done()
 		var in []byte

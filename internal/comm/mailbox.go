@@ -11,11 +11,12 @@ import (
 // guarded by Comm.mu. The current collective — one (job key, sequence)
 // — is filed in a table indexed by subtag, so the hot path matches a tag
 // by index rather than by hash. The map holds everything else: early
-// arrivals of later sequences, stragglers of past ones, other keys (an
-// elastic epoch this rank has not reached or has left) and subtags past
-// tableCap, which only a foreign frame carries. advance moves envelopes
-// across that line when the collective changes, so each tag's queue
-// stays first in, first out wherever it sits.
+// arrivals of later sequences, stragglers of past ones and subtags past
+// tableCap, which only a foreign frame carries. Other keys do not reach
+// it: a dispatcher feeds a job's or an elastic view's communicator its
+// key's traffic only, and standalone communicators all use key 0.
+// advance moves envelopes across that line when the collective changes,
+// so each tag's queue stays first in, first out wherever it sits.
 type mailbox struct {
 	cur   int                    // the current collective's tag for subtag 0
 	table [][]mpx.Envelope       // the current collective's queues, by subtag
@@ -225,14 +226,4 @@ func (m *mailbox) reset(cur int) {
 	m.other, m.gone = nil, nil
 	m.ready, m.readyHead = m.ready[:0], 0
 	m.cur = cur
-}
-
-// drop discards every queue under key, an elastic epoch left behind.
-func (m *mailbox) drop(key int) {
-	for tag, q := range m.other {
-		if svc.JobKeyOf(tag) == key {
-			delete(m.other, tag)
-			m.release(q)
-		}
-	}
 }

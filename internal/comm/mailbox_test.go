@@ -58,8 +58,9 @@ func (r *refMailbox) advance(cur int) {
 
 // TestMailboxMatchesMapReference drives the mailbox and refMailbox with
 // the same seeded events — deliveries for the current collective, the
-// next, a past one, another key and subtags past tableCap; receives by
-// tag and by arrival; abandons, advances and rebases — and requires the
+// next, a past one, another key (a foreign frame) and subtags past
+// tableCap; receives by tag and by arrival; abandons, advances and
+// resets to a new key — and requires the
 // same envelopes in the same order, the same stale reports and the same
 // ready order.
 func TestMailboxMatchesMapReference(t *testing.T) {
@@ -132,18 +133,9 @@ func TestMailboxMatchesMapReference(t *testing.T) {
 				m.advance(base | svc.StreamTag(seq, 0))
 				ref.advance(base | svc.StreamTag(seq, 0))
 			default:
-				old := base
 				base, seq = keys[rng.Intn(2)], 0
-				m.advance(base)
-				ref.advance(base)
-				if base != old {
-					m.drop(svc.JobKeyOf(old))
-					for tg := range ref.q {
-						if svc.JobKeyOf(tg) == svc.JobKeyOf(old) {
-							delete(ref.q, tg)
-						}
-					}
-				}
+				m.reset(base)
+				ref = refMailbox{cur: base, q: map[int][]mpx.Envelope{}, gone: map[int]bool{}}
 			}
 			var ready []int
 			for _, sub := range m.ready[m.readyHead:] {

@@ -367,3 +367,31 @@ func TestManagerControlFrameCodec(t *testing.T) {
 	m.OnControl(1, wire.KindView, []byte{0xff})
 	m.OnControl(1, wire.KindJoin, nil)
 }
+
+// TestEpochDoesNotNameTheView: two managers start from one bootstrap
+// view and each records a different peer down. Their epochs are equal
+// and their live sets are not — an epoch is a sum over the view's
+// entries, not an identity, so anything keyed by the epoch alone (the
+// elastic communicator's tag base) can be shared by ranks that disagree
+// on the view. Merging the two views yields a third, larger epoch.
+func TestEpochDoesNotNameTheView(t *testing.T) {
+	const dim = 2
+	a := New(Config{Self: 0, Dim: dim})
+	b := New(Config{Self: 1, Dim: dim})
+	a.OnPeerDown(0, 3, nil)
+	b.OnPeerDown(1, 2, nil)
+	va, vb := a.View(), b.View()
+	if va.Epoch() != vb.Epoch() {
+		t.Fatalf("epochs %d and %d differ; the collision this pins is gone", va.Epoch(), vb.Epoch())
+	}
+	if va.Live().Equal(vb.Live()) {
+		t.Fatalf("live sets of %s and %s agree", va, vb)
+	}
+	m := va.Clone()
+	if _, err := m.Merge(vb); err != nil {
+		t.Fatal(err)
+	}
+	if m.Epoch() <= va.Epoch() {
+		t.Fatalf("merged epoch %d, want above %d", m.Epoch(), va.Epoch())
+	}
+}
