@@ -217,30 +217,18 @@ func isExpectedMemberExit(err error) bool {
 	return false
 }
 
-// ---- the member / join / drain child ----
+// ---- the member child ----
 
 func cmdMember(args []string) error {
-	return memberMain("member", args, false, 0)
-}
-
-func cmdJoin(args []string) error {
-	return memberMain("join", args, true, 0)
-}
-
-func cmdDrain(args []string) error {
-	return memberMain("drain", args, false, 2*time.Second)
-}
-
-func memberMain(name string, args []string, joinDefault bool, drainDefault time.Duration) error {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs := flag.NewFlagSet("member", flag.ExitOnError)
 	n := fs.Int("n", 2, "cube dimension")
 	id := fs.Int("id", 0, "rank this process hosts")
 	listen := fs.String("listen", "", "listen address (tcp default 127.0.0.1:0; uds default = fresh socket path)")
 	peersS := fs.String("peers", "", "comma-separated listen addresses in rank order; EMPTY entries mark dead ranks' holes (empty flag = stdio ADDR/PEERS handshake)")
 	transportS := fs.String("transport", "auto", "socket family: tcp, uds, or auto (uds under the stdio handshake, tcp with -peers)")
-	join := fs.Bool("join", joinDefault, "attach as a late joiner through a hole in a running mesh instead of founding it")
+	join := fs.Bool("join", false, "attach as a late joiner through a hole in a running mesh instead of founding it")
 	runFor := fs.Duration("for", 2*time.Minute, "root only: stop the mesh after this long (0 = only a STOP command stops it)")
-	drainAfter := fs.Duration("drain-after", drainDefault, "leave gracefully (drain) this long after attaching (0 = stay)")
+	drainAfter := fs.Duration("drain-after", 0, "leave gracefully (drain) this long after attaching (0 = stay)")
 	attempts := fs.Int("attempts", 4, "reconnect attempts per outage before the peer is declared dead")
 	budget := fs.Duration("budget", 2*time.Second, "reconnect budget per outage — the crash-detection latency")
 	verbose := fs.Bool("v", false, "log membership diagnostics to stderr")
@@ -248,10 +236,10 @@ func memberMain(name string, args []string, joinDefault bool, drainDefault time.
 
 	N := 1 << uint(*n)
 	if *n < 1 || *n > 6 {
-		return fmt.Errorf("%s: dimension %d outside 1..6", name, *n)
+		return fmt.Errorf("member: dimension %d outside 1..6", *n)
 	}
 	if *id < 0 || *id >= N {
-		return fmt.Errorf("%s: rank %d outside the %d-cube", name, *id, *n)
+		return fmt.Errorf("member: rank %d outside the %d-cube", *id, *n)
 	}
 	var network string
 	switch *transportS {
@@ -266,10 +254,10 @@ func memberMain(name string, args []string, joinDefault bool, drainDefault time.
 			network = "tcp"
 		}
 	default:
-		return fmt.Errorf("%s: unknown -transport %q (want tcp, uds or auto)", name, *transportS)
+		return fmt.Errorf("member: unknown -transport %q (want tcp, uds or auto)", *transportS)
 	}
 	if *join && *peersS == "" {
-		return fmt.Errorf("%s: a joiner needs an explicit -peers list (the stdio handshake only founds meshes)", name)
+		return fmt.Errorf("member: a joiner needs an explicit -peers list (the stdio handshake only founds meshes)")
 	}
 
 	var logf func(string, ...any)
@@ -309,16 +297,16 @@ func memberMain(name string, args []string, joinDefault bool, drainDefault time.
 	if *peersS != "" {
 		peers = strings.Split(*peersS, ",")
 		if len(peers) != N {
-			return fmt.Errorf("%s: -peers lists %d addresses, a %d-cube has %d nodes", name, len(peers), *n, N)
+			return fmt.Errorf("member: -peers lists %d addresses, a %d-cube has %d nodes", len(peers), *n, N)
 		}
 	} else {
 		say("ADDR %d %s", *id, e.Addr())
 		if !sc.Scan() {
-			return fmt.Errorf("%s: stdin closed before the PEERS line arrived", name)
+			return fmt.Errorf("member: stdin closed before the PEERS line arrived")
 		}
 		fields := strings.Fields(sc.Text())
 		if len(fields) != 1+N || fields[0] != "PEERS" {
-			return fmt.Errorf("%s: want %q line with %d addresses, got %q", name, "PEERS", N, sc.Text())
+			return fmt.Errorf("member: want %q line with %d addresses, got %q", "PEERS", N, sc.Text())
 		}
 		peers = fields[1:]
 	}
@@ -392,7 +380,7 @@ func memberMain(name string, args []string, joinDefault bool, drainDefault time.
 		return nil // a crashed rank's torn-down program is the point
 	case draining.Load():
 		if runErr != nil && !isExpectedMemberExit(runErr) {
-			return fmt.Errorf("%s: drained rank's program failed oddly: %w", name, runErr)
+			return fmt.Errorf("member: drained rank's program failed oddly: %w", runErr)
 		}
 		say("DRAINED %d %s", *id, tail)
 		return nil
@@ -595,7 +583,7 @@ func cmdChurn(args []string) error {
 		return fail("%v", err)
 	}
 	fmt.Printf("churn: joining a fresh rank %d into the hole\n", crashV)
-	jArgs := []string{"join", "-n", fmt.Sprint(*n), "-id", fmt.Sprint(crashV),
+	jArgs := []string{"member", "-join", "-n", fmt.Sprint(*n), "-id", fmt.Sprint(crashV),
 		"-transport", family, "-attempts", fmt.Sprint(*attempts),
 		"-budget", budget.String(), "-for", "2m",
 		"-peers", strings.Join(joinPeers, ",")}

@@ -116,7 +116,7 @@ func cmdGrow(args []string) error {
 		return fail("%v", err)
 	}
 	fmt.Printf("grow: joining rank %d into the %d-cube mid-traffic\n", joinerID, grownDim)
-	jArgs := []string{"join", "-n", fmt.Sprint(grownDim), "-id", fmt.Sprint(joinerID),
+	jArgs := []string{"member", "-join", "-n", fmt.Sprint(grownDim), "-id", fmt.Sprint(joinerID),
 		"-transport", family, "-attempts", fmt.Sprint(*attempts),
 		"-budget", budget.String(), "-for", "2m",
 		"-peers", strings.Join(joinPeers, ",")}

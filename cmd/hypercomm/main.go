@@ -24,8 +24,6 @@
 //	          [-transport {tcp|uds|auto}]
 //	member    -n DIM -id NODE [-peers A0,A1,...] [-join] [-drain-after DUR]
 //	          [-for DUR] [-attempts K -budget DUR] [-transport {tcp|uds|auto}]
-//	join      (member -join) attach a late joiner through a dead rank's hole
-//	drain     (member -drain-after 2s) a member that leaves gracefully
 //	churn     -n DIM [-seed S] [-attempts K -budget DUR]
 //	          [-transport {tcp|uds|auto}] [-v]
 //	grow      -n DIM [-seed S] [-churn] [-attempts K -budget DUR]
@@ -67,9 +65,9 @@
 // runtime (internal/member): ranks join through dead ranks' holes,
 // leave gracefully by draining, or crash and get detected by the
 // survivors' reconnect supervisors, while epoch-pinned collective
-// rounds keep flowing over reactively repaired spanning trees. join
-// and drain are convenience spellings of the joiner and the graceful
-// leaver. churn is the storm drill: a seeded crash + hole-join + drain
+// rounds keep flowing over reactively repaired spanning trees (-join
+// attaches a late joiner, -drain-after makes a graceful leaver). churn
+// is the storm drill: a seeded crash + hole-join + drain
 // sequence against a live cube of member processes, self-verdicting on
 // byte-exact round delivery, typed view-change retries, and final-view
 // agreement across the survivors. grow is the online-growth drill: a
@@ -140,10 +138,6 @@ func main() {
 		err = cmdJobs(os.Args[2:])
 	case "member":
 		err = cmdMember(os.Args[2:])
-	case "join":
-		err = cmdJoin(os.Args[2:])
-	case "drain":
-		err = cmdDrain(os.Args[2:])
 	case "churn":
 		err = cmdChurn(os.Args[2:])
 	case "grow":
@@ -159,7 +153,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: hypercomm <broadcast|scatter|tree|verify|serve|launch|chaos|jobs|member|join|drain|churn|grow> [flags]
+	fmt.Fprintln(os.Stderr, `usage: hypercomm <broadcast|scatter|tree|verify|serve|launch|chaos|jobs|member|churn|grow> [flags]
 run "hypercomm <subcommand> -h" for flags`)
 }
 

@@ -82,10 +82,6 @@ func cmdServe(args []string) error {
 	default:
 		return fmt.Errorf("serve: unknown -transport %q (want tcp, uds or auto)", *transportS)
 	}
-	var cls mpx.JobClassifier
-	if *jobs > 0 {
-		cls = svc.StatsClassifier // per-job payload accounting for the STATS line
-	}
 	tr, err := transport.NewTCP(transport.TCPOptions{
 		Dim:     *n,
 		Locals:  []cube.NodeID{cube.NodeID(*id)},
@@ -97,7 +93,6 @@ func cmdServe(args []string) error {
 			MaxAttempts: *attempts,
 			Budget:      *budget,
 		},
-		Classifier: cls,
 	})
 	if err != nil {
 		return err
@@ -138,8 +133,9 @@ func cmdServe(args []string) error {
 	}
 	machine := mpx.NewWithTransport(tr, nil)
 	var runErr error
+	var handles []*svc.Handle
 	if *jobs > 0 {
-		runErr = serveJobs(machine, *n, *id, *jobs, *tenants, *jobsSeed)
+		handles, runErr = serveJobs(machine, *n, *id, *jobs, *tenants, *jobsSeed)
 	} else {
 		runErr = comm.RunOn(machine, serveProgram(*m, *rounds, *runFor, *deadline))
 	}
@@ -153,15 +149,23 @@ func cmdServe(args []string) error {
 				st.NacksSent, st.DupsDropped, st.SeveredLinks, st.ReplayHighWater,
 				st.BytesSent, st.BytesReceived, st.FramesSent, st.FramesReceived, st.PayloadDelivered,
 				st.MemberDrops, st.GrowEvents, st.GrowAccepts, st.AttachesReceived)
-			if len(st.PayloadByJob) > 0 {
-				keys := make([]int, 0, len(st.PayloadByJob))
-				for k := range st.PayloadByJob {
+			// per_job: the payload each job delivered to this node, from
+			// its handle.
+			perJob := map[int]int64{}
+			for _, h := range handles {
+				if h != nil && h.Payload > 0 {
+					perJob[svc.JobKey(h.Tenant, h.Job)] += h.Payload
+				}
+			}
+			if len(perJob) > 0 {
+				keys := make([]int, 0, len(perJob))
+				for k := range perJob {
 					keys = append(keys, k)
 				}
 				sort.Ints(keys)
 				parts := make([]string, len(keys))
 				for i, k := range keys {
-					parts[i] = fmt.Sprintf("t%dj%d:%d", svc.KeyTenant(k), svc.KeyJob(k), st.PayloadByJob[k])
+					parts[i] = fmt.Sprintf("t%dj%d:%d", svc.KeyTenant(k), svc.KeyJob(k), perJob[k])
 				}
 				line += " per_job=" + strings.Join(parts, ",")
 			}
@@ -177,8 +181,9 @@ func cmdServe(args []string) error {
 // SAME jobs in the SAME order, which the shared -jobs/-tenants/-jobs-seed
 // flags guarantee), wait for every handle, and drain. Each job verifies
 // its own payloads byte-exactly on every rank, so the OK line is a real
-// verdict, not a liveness ping.
-func serveJobs(machine *mpx.Machine, n, id, jobs, tenants int, seed int64) error {
+// verdict, not a liveness ping. The handles carry each job's payload for
+// the STATS line.
+func serveJobs(machine *mpx.Machine, n, id, jobs, tenants int, seed int64) ([]*svc.Handle, error) {
 	rt := svc.New(machine, svc.Options{})
 	rt.Start()
 	handles := make([]*svc.Handle, jobs)
@@ -204,10 +209,10 @@ func serveJobs(machine *mpx.Machine, n, id, jobs, tenants int, seed int64) error
 		firstErr = err
 	}
 	if firstErr != nil {
-		return firstErr
+		return handles, firstErr
 	}
 	fmt.Printf("OK %d: %d jobs from %d tenants verified (bcast+scatter+allreduce mix)\n", id, jobs, tenants)
-	return nil
+	return handles, nil
 }
 
 // serveProgram runs the verification workload either a fixed number of

@@ -276,7 +276,7 @@ type TCPRunOptions struct {
 // self-healing links, chaos and per-collective deadlines.
 func RunTCPWith(n int, opt TCPRunOptions, program func(c *Comm) error) error {
 	size := 1 << uint(n)
-	trs, err := loopbackMesh(n, opt, nil)
+	trs, err := loopbackMesh(n, opt)
 	if err != nil {
 		return err
 	}
@@ -327,9 +327,9 @@ func RunTCPWith(n int, opt TCPRunOptions, program func(c *Comm) error) error {
 }
 
 // loopbackMesh binds one endpoint per rank of an n-cube on loopback
-// sockets, configured from opt (cls, when non-nil, meters payload per
-// job), and connects the mesh; on error nothing is left open.
-func loopbackMesh(n int, opt TCPRunOptions, cls mpx.JobClassifier) ([]*transport.TCP, error) {
+// sockets, configured from opt, and connects the mesh; on error nothing
+// is left open.
+func loopbackMesh(n int, opt TCPRunOptions) ([]*transport.TCP, error) {
 	size := 1 << uint(n)
 	trs := make([]*transport.TCP, 0, size)
 	peers := make([]string, size)
@@ -340,7 +340,7 @@ func loopbackMesh(n int, opt TCPRunOptions, cls mpx.JobClassifier) ([]*transport
 	for i := range peers {
 		tr, err := transport.NewTCP(transport.TCPOptions{
 			Dim: n, Locals: []cube.NodeID{cube.NodeID(i)}, Depth: CollectiveDepth(n),
-			Resilience: opt.Resilience, Network: opt.Network, Classifier: cls,
+			Resilience: opt.Resilience, Network: opt.Network,
 		})
 		if err != nil {
 			return fail(err)

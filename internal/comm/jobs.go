@@ -247,12 +247,8 @@ type Cluster struct {
 }
 
 // StartLocalCluster starts the service on one in-process machine.
-// Per-job payload accounting is always on — it is the point of a
-// multi-tenant service (svc.StatsClassifier keys the stats map).
 func StartLocalCluster(n int, opt svc.Options) *Cluster {
-	tr := mpx.NewChanTransport(n, CollectiveDepth(n), nil)
-	tr.SetJobClassifier(svc.StatsClassifier)
-	rt := svc.New(mpx.NewWithTransport(tr, nil), opt)
+	rt := svc.New(mpx.NewWithTransport(mpx.NewChanTransport(n, CollectiveDepth(n), nil), nil), opt)
 	rt.Start()
 	return &Cluster{rts: []*svc.Runtime{rt}}
 }
@@ -262,7 +258,7 @@ func StartLocalCluster(n int, opt svc.Options) *Cluster {
 // topt's Resilience/Chaos/Network apply to every endpoint; Deadline
 // and StatsSink are ignored here (use Stats).
 func StartCluster(n int, opt svc.Options, topt TCPRunOptions) (*Cluster, error) {
-	trs, err := loopbackMesh(n, topt, svc.StatsClassifier)
+	trs, err := loopbackMesh(n, topt)
 	if err != nil {
 		return nil, err
 	}
@@ -329,8 +325,8 @@ func (cl *Cluster) Drain() error {
 }
 
 // Stats sums transport counters across the cluster's endpoints (zero
-// in-process: the chan transport only counts severed links unless a
-// classifier is installed).
+// in-process: the chan transport only counts severed links). A job's
+// payload is on its handles (svc.Handle.Payload).
 func (cl *Cluster) Stats() mpx.TransportStats {
 	var sum mpx.TransportStats
 	for _, rt := range cl.rts {

@@ -24,16 +24,6 @@ func PathRank(i, s cube.NodeID) int {
 	return int(bits.GrayRank(uint64(i ^ s)))
 }
 
-// Path returns the full Hamiltonian path of the n-cube starting at s.
-func Path(n int, s cube.NodeID) []cube.NodeID {
-	N := 1 << uint(n)
-	out := make([]cube.NodeID, N)
-	for p := 0; p < N; p++ {
-		out[p] = PathNode(p, s)
-	}
-	return out
-}
-
 // Parent returns the predecessor of node i on the path from s, with
 // ok == false at the source. Viewing the path as a spanning tree, this is
 // the parent function.

@@ -7,12 +7,21 @@ import (
 	"repro/internal/cube"
 )
 
+// path is the Hamiltonian path of the n-cube from s, node by node.
+func path(n int, s cube.NodeID) []cube.NodeID {
+	p := make([]cube.NodeID, 1<<uint(n))
+	for k := range p {
+		p[k] = PathNode(k, s)
+	}
+	return p
+}
+
 func TestPathIsHamiltonian(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for n := 1; n <= 10; n++ {
 		N := 1 << uint(n)
 		s := cube.NodeID(rng.Intn(N))
-		p := Path(n, s)
+		p := path(n, s)
 		if len(p) != N {
 			t.Fatalf("n=%d: path length %d", n, len(p))
 		}

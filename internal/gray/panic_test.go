@@ -18,7 +18,7 @@ func TestMustNewPanicsOnBadDim(t *testing.T) {
 func TestParentFollowsPath(t *testing.T) {
 	// parent(path[k]) == path[k-1] for every position, any source.
 	for _, s := range []int{0, 5, 12} {
-		p := Path(4, cube.NodeID(s))
+		p := path(4, cube.NodeID(s))
 		for k := 1; k < len(p); k++ {
 			got, ok := Parent(p[k], cube.NodeID(s))
 			if !ok || got != p[k-1] {

@@ -26,13 +26,6 @@ type ChanTransport struct {
 	// fault-free transport and costs one pointer test per send.
 	inj fault.Injector
 
-	// cls, when non-nil, attributes every delivered payload to a job
-	// key for per-job stats. Nil costs one pointer test per send,
-	// preserving the zero-allocation guarantee of the clean path.
-	cls   JobClassifier
-	jobMu sync.Mutex
-	byJob map[int]int64
-
 	// est fits the link cost model from sampled sends: every
 	// chanProfileSample-th clean send of a node is timed end-to-end
 	// (including any inbox-full blocking — honest occupancy). Sampling
@@ -210,40 +203,11 @@ func (t *ChanTransport) FirstPeerError() error {
 	return nil
 }
 
-// SetJobClassifier installs a per-job payload accountant consulted on
-// every delivery (see JobClassifier). Call it before the machine runs;
-// nil (the default) disables accounting and keeps the clean send path
-// allocation-free.
-func (t *ChanTransport) SetJobClassifier(cls JobClassifier) { t.cls = cls }
-
 // Stats reports health counters (implements StatsReporter). The
-// in-process transport has no wire, so only the severed-link count —
-// and, with a JobClassifier installed, the per-job payload map — can
+// in-process transport has no wire, so only the severed-link count can
 // be nonzero.
 func (t *ChanTransport) Stats() TransportStats {
-	st := TransportStats{SeveredLinks: t.nSevered.Load()}
-	if t.cls != nil {
-		t.jobMu.Lock()
-		st.PayloadByJob = make(map[int]int64, len(t.byJob))
-		for k, v := range t.byJob {
-			st.PayloadByJob[k] += v
-			st.PayloadDelivered += v
-		}
-		t.jobMu.Unlock()
-	}
-	return st
-}
-
-// countJob attributes size payload bytes to tag's job key (cls != nil).
-func (t *ChanTransport) countJob(tag, size int) {
-	if key, ok := t.cls(tag); ok {
-		t.jobMu.Lock()
-		if t.byJob == nil {
-			t.byJob = map[int]int64{}
-		}
-		t.byJob[key] += int64(size)
-		t.jobMu.Unlock()
-	}
+	return TransportStats{SeveredLinks: t.nSevered.Load()}
 }
 
 // chanProfileSample is the send-sampling interval of the in-process
@@ -261,10 +225,8 @@ func (t *ChanTransport) sendClean(from, to cube.NodeID, port int, msg Message) e
 	var start time.Time
 	size := 0
 	sample := t.sendCount[from].n.Add(1)&(chanProfileSample-1) == 0
-	if sample || t.cls != nil {
-		size = msg.Size() // before delivery: the receiver may recycle Parts
-	}
 	if sample {
+		size = msg.Size() // before delivery: the receiver may recycle Parts
 		start = time.Now()
 	}
 	if !t.inbox[to].Deliver(Envelope{Message: msg, Port: port, From: from}) {
@@ -272,9 +234,6 @@ func (t *ChanTransport) sendClean(from, to cube.NodeID, port int, msg Message) e
 	}
 	if sample {
 		t.est.Observe(1, size, time.Since(start))
-	}
-	if t.cls != nil {
-		t.countJob(msg.Tag, size)
 	}
 	return nil
 }
@@ -297,12 +256,7 @@ func (t *ChanTransport) sendFaulty(from, to cube.NodeID, port int, msg Message) 
 	if out.Delay > 0 {
 		time.Sleep(out.Delay)
 	}
-	size := msg.Size()
-	n, ok := t.inbox[to].DeliverFaulty(Envelope{Message: msg, Port: port, From: from}, out)
-	if t.cls != nil {
-		t.countJob(msg.Tag, n*size)
-	}
-	if !ok {
+	if _, ok := t.inbox[to].DeliverFaulty(Envelope{Message: msg, Port: port, From: from}, out); !ok {
 		return ErrDown
 	}
 	return nil

@@ -185,17 +185,7 @@ type TransportStats struct {
 	GrowEvents       int64
 	GrowAccepts      int64
 	AttachesReceived int64
-
-	// PayloadByJob breaks PayloadDelivered down per job key (see
-	// svc.JobKey) on transports configured with a JobClassifier; nil
-	// when no classifier is installed.
-	PayloadByJob map[int]int64
 }
-
-// JobClassifier maps a message tag to a job key for per-job accounting
-// (ok == false leaves the message unclassified). Transports consult it
-// on every delivery when installed; nil costs one pointer test.
-type JobClassifier func(tag int) (key int, ok bool)
 
 // Add accumulates o into s: counters sum, ReplayHighWater takes the
 // maximum. Harnesses use it to aggregate per-endpoint transports into
@@ -221,14 +211,6 @@ func (s *TransportStats) Add(o TransportStats) {
 	s.GrowEvents += o.GrowEvents
 	s.GrowAccepts += o.GrowAccepts
 	s.AttachesReceived += o.AttachesReceived
-	if len(o.PayloadByJob) > 0 {
-		if s.PayloadByJob == nil {
-			s.PayloadByJob = make(map[int]int64, len(o.PayloadByJob))
-		}
-		for k, v := range o.PayloadByJob {
-			s.PayloadByJob[k] += v
-		}
-	}
 }
 
 // Forwarder is an optional Transport extension for relays: Forward is

@@ -1,53 +1,18 @@
 package mpx
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// TestStatsAddMergesPerJob pins the per-job payload aggregation: Add
-// sums overlapping job keys, adopts new ones, and leaves the map nil
-// when neither side classified anything.
-func TestStatsAddMergesPerJob(t *testing.T) {
+// TestStatsAddSums pins the aggregation harnesses use over endpoints:
+// counters sum and ReplayHighWater takes the maximum.
+func TestStatsAddSums(t *testing.T) {
 	var sum TransportStats
-	sum.Add(TransportStats{PayloadDelivered: 10, PayloadByJob: map[int]int64{1: 4, 2: 6}})
-	sum.Add(TransportStats{PayloadDelivered: 5, PayloadByJob: map[int]int64{2: 1, 9: 4}})
-	sum.Add(TransportStats{PayloadDelivered: 3}) // unclassified endpoint
+	sum.Add(TransportStats{PayloadDelivered: 10, ReplayHighWater: 4})
+	sum.Add(TransportStats{PayloadDelivered: 5, ReplayHighWater: 9})
+	sum.Add(TransportStats{PayloadDelivered: 3, ReplayHighWater: 2})
 	if sum.PayloadDelivered != 18 {
 		t.Fatalf("PayloadDelivered = %d, want 18", sum.PayloadDelivered)
 	}
-	want := map[int]int64{1: 4, 2: 7, 9: 4}
-	if !reflect.DeepEqual(sum.PayloadByJob, want) {
-		t.Fatalf("PayloadByJob = %v, want %v", sum.PayloadByJob, want)
-	}
-	var empty TransportStats
-	empty.Add(TransportStats{PayloadDelivered: 1})
-	if empty.PayloadByJob != nil {
-		t.Fatalf("Add with no per-job data allocated a map: %v", empty.PayloadByJob)
-	}
-}
-
-// TestChanTransportJobClassifier: with a classifier installed, the
-// in-process transport attributes every delivered payload to its job
-// key and reports the sum as PayloadDelivered.
-func TestChanTransportJobClassifier(t *testing.T) {
-	tr := NewChanTransport(1, 4, nil)
-	tr.SetJobClassifier(func(tag int) (int, bool) { return tag >> 8, tag >= 0 })
-	defer tr.Close()
-	send := func(tag, n int) {
-		if err := tr.Send(0, 0, Message{Tag: tag, Parts: []Part{{Dest: 1, Data: make([]byte, n)}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send(1<<8, 100)
-	send(1<<8, 50)
-	send(2<<8, 7)
-	st := tr.Stats()
-	want := map[int]int64{1: 150, 2: 7}
-	if !reflect.DeepEqual(st.PayloadByJob, want) {
-		t.Fatalf("PayloadByJob = %v, want %v", st.PayloadByJob, want)
-	}
-	if st.PayloadDelivered != 157 {
-		t.Fatalf("PayloadDelivered = %d, want 157", st.PayloadDelivered)
+	if sum.ReplayHighWater != 9 {
+		t.Fatalf("ReplayHighWater = %d, want 9", sum.ReplayHighWater)
 	}
 }

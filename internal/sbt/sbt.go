@@ -40,10 +40,6 @@ func AppendChildren(dst []cube.NodeID, n int, i, s cube.NodeID) []cube.NodeID {
 	return dst
 }
 
-// Level returns the tree level of node i, which equals the Hamming weight
-// of its relative address.
-func Level(i, s cube.NodeID) int { return bits.OnesCount(uint64(i ^ s)) }
-
 // SubtreeOf returns the index j of the root subtree containing node i
 // (i != s): the paper's rule that i belongs to the j-th subtree iff
 // c_j = 1 and c_k = 0 for all k < j, i.e. j is the lowest one bit of the

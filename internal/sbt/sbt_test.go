@@ -111,7 +111,7 @@ func TestLevelEqualsHamming(t *testing.T) {
 		const n = 10
 		mask := cube.NodeID(1<<n - 1)
 		i, s := cube.NodeID(iRaw)&mask, cube.NodeID(sRaw)&mask
-		return Level(i, s) == bits.Hamming(uint64(i), uint64(s))
+		return MustNew(n, s).Level(i) == bits.Hamming(uint64(i), uint64(s))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -127,7 +127,8 @@ func TestParentReducesLevel(t *testing.T) {
 		if i == s {
 			return !ok
 		}
-		return ok && Level(p, s) == Level(i, s)-1 && bits.Hamming(uint64(p), uint64(i)) == 1
+		level := func(v cube.NodeID) int { return bits.Hamming(uint64(v), uint64(s)) }
+		return ok && level(p) == level(i)-1 && bits.Hamming(uint64(p), uint64(i)) == 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -14,6 +14,8 @@ import (
 // Traffic arriving before the job opens locally (a neighbor started it
 // first) is buffered and flushed on Open; traffic for a job already
 // closed here is dropped as a straggler (e.g. a chaos-duplicated frame).
+// It meters each job's payload on this node: the bytes of every envelope
+// it files or buffers for the key, which CloseJob returns.
 type Dispatcher struct {
 	mu sync.Mutex
 	// keys maps each job key the dispatcher knows to its state, so each
@@ -35,6 +37,7 @@ type keyState struct {
 	closed  func()
 	pending []mpx.Envelope // arrived before Open
 	aborted bool           // job failed somewhere; Opens come pre-closed
+	payload int64          // bytes filed or buffered for the key
 }
 
 // tombstone is the state of every key closed here.
@@ -65,9 +68,11 @@ func (d *Dispatcher) Deliver(env mpx.Envelope) {
 	switch ks := d.keys[key]; {
 	case ks == tombstone: // straggler of a finished job
 	case ks != nil && ks.put != nil:
+		ks.payload += int64(env.Size()) // before put: the sink may recycle the parts
 		ks.put(env)
 	case ks == nil || !ks.aborted:
 		ks = d.state(key)
+		ks.payload += int64(env.Size())
 		ks.pending = append(ks.pending, env)
 	} // else: straggler of an aborted job
 	d.mu.Unlock()
@@ -104,11 +109,13 @@ func (d *Dispatcher) Open(key int, put func(mpx.Envelope), closed func()) {
 	d.mu.Unlock()
 }
 
-// CloseJob ends job key on this node: its abort mark (if any) clears
-// and later arrivals for the key are dropped.
-func (d *Dispatcher) CloseJob(key int) {
+// CloseJob ends job key on this node and returns the payload bytes the
+// key received here: its abort mark (if any) clears and later arrivals
+// for the key are dropped.
+func (d *Dispatcher) CloseJob(key int) (payload int64) {
 	d.mu.Lock()
 	if ks := d.keys[key]; ks != nil && ks != tombstone {
+		payload = ks.payload
 		clear(ks.pending)
 		*ks = keyState{pending: ks.pending[:0]}
 		d.free = append(d.free, ks)
@@ -119,6 +126,7 @@ func (d *Dispatcher) CloseJob(key int) {
 		delete(d.keys, half)
 	}
 	d.mu.Unlock()
+	return payload
 }
 
 // Abort poisons job key: its stream (current or future) ends so any

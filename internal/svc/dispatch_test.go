@@ -12,12 +12,14 @@ import (
 
 // refDispatcher is the dispatcher as it was with four maps — open sinks,
 // pending queues, done tombstones and aborted marks — kept as the
-// reference the one-map Dispatcher must match.
+// reference the one-map Dispatcher must match, with a fifth for the
+// payload each key received.
 type refDispatcher struct {
 	open    map[int]jobSink
 	pending map[int][]mpx.Envelope
 	done    map[int]bool
 	aborted map[int]bool
+	payload map[int]int64
 	down    bool
 }
 
@@ -32,14 +34,17 @@ func newRefDispatcher() *refDispatcher {
 		pending: map[int][]mpx.Envelope{},
 		done:    map[int]bool{},
 		aborted: map[int]bool{},
+		payload: map[int]int64{},
 	}
 }
 
 func (d *refDispatcher) Deliver(env mpx.Envelope) {
 	key := JobKeyOf(env.Tag)
 	if js, ok := d.open[key]; ok {
+		d.payload[key] += int64(env.Size())
 		js.put(env)
 	} else if !d.done[key] && !d.aborted[key] {
+		d.payload[key] += int64(env.Size())
 		d.pending[key] = append(d.pending[key], env)
 	}
 }
@@ -63,12 +68,15 @@ func (d *refDispatcher) Open(key int, put func(mpx.Envelope), closed func()) {
 	}
 }
 
-func (d *refDispatcher) CloseJob(key int) {
+func (d *refDispatcher) CloseJob(key int) int64 {
+	payload := d.payload[key]
+	delete(d.payload, key)
 	delete(d.open, key)
 	delete(d.aborted, key)
 	delete(d.pending, key)
 	d.done[key] = true
 	delete(d.done, JobKey(KeyTenant(key), 1+(KeyJob(key)+MaxJob/2)%MaxJob))
+	return payload
 }
 
 func (d *refDispatcher) Abort(key int) {
@@ -91,7 +99,7 @@ type dispatcher interface {
 	Deliver(mpx.Envelope)
 	Down()
 	Open(key int, put func(mpx.Envelope), closed func())
-	CloseJob(key int)
+	CloseJob(key int) int64
 	Abort(key int)
 }
 
@@ -99,8 +107,8 @@ type dispatcher interface {
 // four-map reference through the same random sequences of deliveries,
 // opens, closes, aborts and a machine going down, over keys that include
 // each other's half-ring tombstone partners, and requires the same
-// envelopes in the same sinks and the same closed calls in the same
-// order.
+// envelopes in the same sinks, the same closed calls in the same order,
+// and the same payload count from every CloseJob.
 func TestDispatcherMatchesFourMapReference(t *testing.T) {
 	half := func(job int) int { return 1 + (job+MaxJob/2)%MaxJob }
 	var keys []int
@@ -126,7 +134,8 @@ func TestDispatcherMatchesFourMapReference(t *testing.T) {
 				case op == 0:
 					d.Down()
 				case op <= 45:
-					d.Deliver(mpx.Envelope{Message: mpx.Message{Tag: tagOf(key, step)}})
+					parts := []mpx.Part{{Data: make([]byte, step%5)}, {Data: make([]byte, step%3)}}
+					d.Deliver(mpx.Envelope{Message: mpx.Message{Tag: tagOf(key, step), Parts: parts}})
 				case op <= 65:
 					d.Open(key, func(env mpx.Envelope) {
 						*log = append(*log, fmt.Sprintf("sink %d got %#x", step, env.Tag))
@@ -134,7 +143,7 @@ func TestDispatcherMatchesFourMapReference(t *testing.T) {
 						*log = append(*log, fmt.Sprintf("sink %d closed", step))
 					})
 				case op <= 90:
-					d.CloseJob(key)
+					*log = append(*log, fmt.Sprintf("close %d: %d bytes", step, d.CloseJob(key)))
 				default:
 					d.Abort(key)
 				}

@@ -3,6 +3,7 @@ package svc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,23 +22,15 @@ type Options struct {
 	// TenantQueue bounds a tenant's outstanding submissions (queued +
 	// running); Submit blocks past it — the per-tenant backpressure
 	// that keeps one chatty tenant from ballooning the queue. Default
-	// 64; negative means unlimited.
+	// 64.
 	TenantQueue int
-
-	// Global, when positive, additionally caps jobs in flight per node
-	// across ALL tenants. A timing-dependent global gate could admit
-	// different job sets on different processes and deadlock a
-	// distributed mesh, so a global cap switches admission to strict
-	// submission order (deterministic everywhere); leave it 0 to let
-	// tenants interleave freely under their per-tenant windows.
-	Global int
 }
 
 func (o Options) withDefaults() Options {
 	if o.TenantInFlight <= 0 {
 		o.TenantInFlight = 2
 	}
-	if o.TenantQueue == 0 {
+	if o.TenantQueue <= 0 {
 		o.TenantQueue = 64
 	}
 	return o
@@ -88,8 +81,11 @@ type Handle struct {
 	Tenant, Job int
 	SubmittedAt time.Time
 
-	// DoneAt is valid after Wait/Done.
-	DoneAt time.Time
+	// DoneAt and Payload are valid after Wait/Done. Payload is the
+	// bytes the job's messages delivered to the nodes this runtime
+	// hosts; a multi-process deployment sums its processes' handles.
+	DoneAt  time.Time
+	Payload int64
 
 	done chan struct{}
 	once sync.Once
@@ -108,9 +104,9 @@ func (h *Handle) Wait() error {
 // Err returns the job's error; call it only after Done/Wait.
 func (h *Handle) Err() error { return h.err }
 
-func (h *Handle) finish(err error) {
+func (h *Handle) finish(err error, payload int64) {
 	h.once.Do(func() {
-		h.err = err
+		h.err, h.Payload = err, payload
 		h.DoneAt = time.Now()
 		close(h.done)
 	})
@@ -126,15 +122,18 @@ type job struct {
 	key, base  int
 	prog       Program
 	h          Handle
-	remaining  int // local node executions outstanding
-	started    int // local node executions claimed by a worker
+	remaining  int   // local node executions outstanding
+	started    int   // local node executions claimed by a worker
+	payload    int64 // bytes delivered so far to the nodes that finished it
 	err        error
 }
 
 type tenantState struct {
-	queue       []*job // submission order; per-node cursors index it
-	seq         int    // total submissions (job IDs derive from it)
-	outstanding int    // submitted minus locally completed
+	// queue holds the tenant's unfinished jobs in submission order;
+	// per-node cursors index it.
+	queue       []*job
+	seq         int // total submissions (job IDs derive from it)
+	outstanding int // submitted minus locally completed
 }
 
 // nodeState is one hosted node's scheduling position and its workers.
@@ -144,11 +143,9 @@ type nodeState struct {
 	nd *mpx.Node
 	d  *Dispatcher
 
-	cursor     []int // by tenant: next queue index to start
-	inflight   []int // by tenant: started-not-finished here
-	running    int   // sum of inflight: jobs this node is executing
-	rrPos      int   // round-robin position in rt.rr
-	nextGlobal int   // next rt.order index (Global > 0 mode)
+	cursor   []int // by tenant: next queue index to start
+	inflight []int // by tenant: started-not-finished here
+	rrPos    int   // round-robin position in rt.rr
 
 	// Workers run the node's jobs; between jobs they park on idle (over
 	// rt.mu). At most one is on its way to claim a job: a parked worker
@@ -180,11 +177,11 @@ type Runtime struct {
 	cond     *sync.Cond     // Submit's backpressure wait
 	tenants  []*tenantState // by tenant; nil until its first submission
 	rr       []int          // tenants in first-submission order (RR ring)
-	order    []*job         // global submission order
 	nodes    []*nodeState   // hosted nodes, as their nodeMain registers
 	size     int            // hosted nodes
 	draining bool
-	closed   bool // Drain finished its shutdown; machine-down is expected
+	closed   bool  // Drain finished its shutdown; machine-down is expected
+	jobErr   error // the first error a handle reported
 	fatalErr error
 	started  bool
 
@@ -244,7 +241,7 @@ func (rt *Runtime) Submit(tenant int, prog Program) (*Handle, error) {
 		if rt.draining {
 			return nil, ErrDraining
 		}
-		if rt.opt.TenantQueue < 0 || ts.outstanding < rt.opt.TenantQueue {
+		if ts.outstanding < rt.opt.TenantQueue {
 			break
 		}
 		rt.cond.Wait()
@@ -267,29 +264,25 @@ func (rt *Runtime) Submit(tenant int, prog Program) (*Handle, error) {
 	}
 	ts.queue = append(ts.queue, j)
 	ts.outstanding++
-	rt.order = append(rt.order, j)
-	// Where j is startable, it is the only startable job without a
-	// claimer (see next); where an earlier job is startable, that one has
-	// a claimer, which summons the next.
+	// Where j is startable — next of its tenant, with room in the window —
+	// it is the only startable job without a claimer (see next); where an
+	// earlier job is startable, that one has a claimer, which summons the
+	// next.
 	for _, ns := range rt.nodes {
-		if rt.startsNow(ns, j) {
+		if ns.cursor[tenant] == len(ts.queue)-1 && ns.inflight[tenant] < rt.opt.TenantInFlight {
 			rt.summon(ns)
 		}
 	}
 	return &j.h, nil
 }
 
-// startsNow reports whether j, just submitted, is startable on ns (rt.mu
-// held): next of its tenant (next in submission order under Global), with
-// room in the windows.
-func (rt *Runtime) startsNow(ns *nodeState, j *job) bool {
-	if ns.inflight[j.tenant] >= rt.opt.TenantInFlight {
-		return false
+// live calls f on every unfinished job (rt.mu held).
+func (rt *Runtime) live(f func(*job)) {
+	for _, t := range rt.rr {
+		for _, j := range rt.tenants[t].queue {
+			f(j)
+		}
 	}
-	if rt.opt.Global > 0 {
-		return ns.nextGlobal == len(rt.order)-1 && ns.running < rt.opt.Global
-	}
-	return ns.cursor[j.tenant] == len(rt.tenants[j.tenant].queue)-1
 }
 
 // nodeMain attaches the node's dispatcher to its inbox and becomes the
@@ -315,11 +308,11 @@ func (rt *Runtime) nodeMain(nd *mpx.Node) error {
 	// jobDone aborts a failed job on the dispatchers registered at that
 	// moment; a node that registers later catches up here, or its share
 	// of the job would wait for traffic that never comes.
-	for _, j := range rt.order {
+	rt.live(func(j *job) {
 		if j.err != nil && j.remaining > 0 {
 			d.Abort(j.key)
 		}
-	}
+	})
 	rt.mu.Unlock()
 	ns.workers.Add(1)
 	rt.work(ns)
@@ -348,8 +341,7 @@ func (rt *Runtime) work(ns *nodeState) {
 		key = j.key
 		jc.Tenant, jc.Job, jc.Base = j.tenant, j.id, j.base
 		err := runJob(j, jc)
-		ns.d.CloseJob(j.key)
-		j = rt.jobDone(ns, j, err)
+		j = rt.jobDone(ns, j, err, ns.d.CloseJob(j.key))
 	}
 }
 
@@ -373,8 +365,7 @@ func runJob(j *job, jc *JobContext) (err error) {
 // drained or died, when the worker exits. A claim that leaves another job
 // startable summons a worker for it, so every startable job has a
 // claimer. Admission: FIFO within each tenant under its in-flight window;
-// round-robin across tenants so no tenant with budget is starved; with a
-// Global cap, strict submission order.
+// round-robin across tenants so no tenant with budget is starved.
 func (rt *Runtime) next(ns *nodeState) *job {
 	for {
 		if rt.fatalErr != nil {
@@ -403,7 +394,7 @@ func (rt *Runtime) next(ns *nodeState) *job {
 // claims the job, and summons again if another is left. A worker starts
 // only when every existing one is running a job and a job is startable,
 // so a node never has more workers than admission lets jobs run at once
-// (tenants × TenantInFlight, or Global).
+// (tenants × TenantInFlight).
 func (rt *Runtime) summon(ns *nodeState) {
 	switch {
 	case ns.signaled || ns.starting:
@@ -417,31 +408,27 @@ func (rt *Runtime) summon(ns *nodeState) {
 	}
 }
 
-// claim records that this node starts its next admissible job and
-// returns it, or nil when none is startable (rt.mu held).
+// claim scans tenants round-robin from the node's position and takes the
+// first startable job off its tenant's queue, recording that this node
+// starts it; nil when none is startable (rt.mu held).
 func (rt *Runtime) claim(ns *nodeState) *job {
-	var j *job
-	if rt.opt.Global > 0 {
-		if !rt.startable(ns) {
-			return nil
+	nt := len(rt.rr)
+	for i := 0; i < nt; i++ {
+		t := rt.rr[(ns.rrPos+i)%nt]
+		q, cur := rt.tenants[t].queue, ns.cursor[t]
+		if cur < len(q) && ns.inflight[t] < rt.opt.TenantInFlight {
+			ns.cursor[t] = cur + 1
+			ns.rrPos = (ns.rrPos + i + 1) % nt
+			ns.inflight[t]++
+			q[cur].started++
+			return q[cur]
 		}
-		j = rt.order[ns.nextGlobal]
-		ns.nextGlobal++
-	} else if j = rt.pickRR(ns); j == nil {
-		return nil
 	}
-	ns.inflight[j.tenant]++
-	ns.running++
-	j.started++
-	return j
+	return nil
 }
 
 // startable reports whether ns may start a job now (rt.mu held).
 func (rt *Runtime) startable(ns *nodeState) bool {
-	if rt.opt.Global > 0 {
-		return ns.nextGlobal < len(rt.order) && ns.running < rt.opt.Global &&
-			ns.inflight[rt.order[ns.nextGlobal].tenant] < rt.opt.TenantInFlight
-	}
 	for _, t := range rt.rr {
 		if ns.cursor[t] < len(rt.tenants[t].queue) && ns.inflight[t] < rt.opt.TenantInFlight {
 			return true
@@ -450,31 +437,11 @@ func (rt *Runtime) startable(ns *nodeState) bool {
 	return false
 }
 
-// pickRR scans tenants round-robin from the node's cursor and takes the
-// first startable job off its tenant's queue (rt.mu held).
-func (rt *Runtime) pickRR(ns *nodeState) *job {
-	nt := len(rt.rr)
-	for i := 0; i < nt; i++ {
-		t := rt.rr[(ns.rrPos+i)%nt]
-		ts := rt.tenants[t]
-		cur := ns.cursor[t]
-		if cur < len(ts.queue) && ns.inflight[t] < rt.opt.TenantInFlight {
-			ns.cursor[t] = cur + 1
-			ns.rrPos = (ns.rrPos + i + 1) % nt
-			return ts.queue[cur]
-		}
-	}
-	return nil
-}
-
 // drained reports whether admission stopped and this node has started
 // every submitted job (rt.mu held): its workers may exit.
 func (rt *Runtime) drained(ns *nodeState) bool {
 	if !rt.draining {
 		return false
-	}
-	if rt.opt.Global > 0 {
-		return ns.nextGlobal == len(rt.order)
 	}
 	for _, t := range rt.rr {
 		if ns.cursor[t] < len(rt.tenants[t].queue) {
@@ -484,16 +451,17 @@ func (rt *Runtime) drained(ns *nodeState) bool {
 	return true
 }
 
-// jobDone retires one node's execution of j and, in the same hold of
-// rt.mu, claims the worker's next job (see next), parking it if there is
-// none. The job's first error is kept, and a failed job is aborted on
-// every local dispatcher so sibling nodes blocked on its traffic unwind
-// instead of hanging.
-func (rt *Runtime) jobDone(ns *nodeState, j *job, err error) *job {
+// jobDone retires one node's execution of j, which delivered payload
+// bytes to the node, and, in the same hold of rt.mu, claims the worker's
+// next job (see next), parking it if there is none. The job's first
+// error is kept, and a failed job is aborted on every local dispatcher so
+// sibling nodes blocked on its traffic unwind instead of hanging. A job
+// finished on every hosted node leaves its tenant's queue.
+func (rt *Runtime) jobDone(ns *nodeState, j *job, err error, payload int64) *job {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	ns.inflight[j.tenant]--
-	ns.running--
+	j.payload += payload
 	if err != nil && j.err == nil {
 		j.err = err
 		for _, o := range rt.nodes {
@@ -502,11 +470,28 @@ func (rt *Runtime) jobDone(ns *nodeState, j *job, err error) *job {
 	}
 	j.remaining--
 	if j.remaining == 0 {
-		rt.tenants[j.tenant].outstanding--
+		ts := rt.tenants[j.tenant]
+		ts.outstanding--
 		rt.cond.Broadcast()
-		j.h.finish(j.err)
+		rt.finish(j, j.err)
+		// Every node's cursor is past a finished job: it leaves the queue,
+		// and the cursors move down with it.
+		i := slices.Index(ts.queue, j)
+		ts.queue = slices.Delete(ts.queue, i, i+1)
+		for _, o := range rt.nodes {
+			o.cursor[j.tenant]--
+		}
 	}
 	return rt.next(ns)
+}
+
+// finish completes j's handle with err, once, and keeps the first error
+// any handle reported for Drain (rt.mu held).
+func (rt *Runtime) finish(j *job, err error) {
+	if err != nil && rt.jobErr == nil {
+		rt.jobErr = err
+	}
+	j.h.finish(err, j.payload)
 }
 
 // NoteViewChange reacts to a membership epoch change (internal/member):
@@ -520,16 +505,16 @@ func (rt *Runtime) jobDone(ns *nodeState, j *job, err error) *job {
 func (rt *Runtime) NoteViewChange(epoch uint64) int {
 	rt.mu.Lock()
 	aborted := 0
-	for _, j := range rt.order {
+	rt.live(func(j *job) {
 		if j.started == 0 || j.remaining == 0 || j.err != nil {
-			continue
+			return
 		}
 		j.err = &member.ViewChangedError{Epoch: epoch, Op: fmt.Sprintf("tenant %d job %d", j.tenant, j.id)}
 		for _, ns := range rt.nodes {
 			ns.d.Abort(j.key)
 		}
 		aborted++
-	}
+	})
 	rt.mu.Unlock()
 	return aborted
 }
@@ -550,16 +535,9 @@ func (rt *Runtime) noteDown() {
 		}
 		rt.fatalErr = fmt.Errorf("svc: machine down: %w", err)
 	}
-	fatal := rt.fatalErr
-	pending := make([]*Handle, 0, len(rt.order))
-	for _, j := range rt.order {
-		pending = append(pending, &j.h)
-	}
+	rt.live(func(j *job) { rt.finish(j, rt.fatalErr) }) // once per handle
 	rt.wakeAll()
 	rt.mu.Unlock()
-	for _, h := range pending {
-		h.finish(fatal) // no-op on already-finished handles
-	}
 }
 
 // wakeAll wakes every waiter (rt.mu held): submitters blocked on
@@ -588,20 +566,15 @@ func (rt *Runtime) StopAdmission() {
 func (rt *Runtime) Drain() error {
 	rt.StopAdmission()
 	rt.mu.Lock()
-	handles := make([]*Handle, len(rt.order))
-	for i, j := range rt.order {
-		handles[i] = &j.h
-	}
+	var live []*Handle
+	rt.live(func(j *job) { live = append(live, &j.h) })
 	rt.mu.Unlock()
-	var first error
-	for _, h := range handles {
-		if err := h.Wait(); err != nil && first == nil {
-			first = err
-		}
+	for _, h := range live {
+		h.Wait()
 	}
 	rt.mu.Lock()
 	rt.closed = true
-	fatal := rt.fatalErr
+	first, fatal := rt.jobErr, rt.fatalErr
 	rt.mu.Unlock()
 	rt.m.Shutdown()
 	if err := <-rt.runErr; err != nil && first == nil {
@@ -612,8 +585,3 @@ func (rt *Runtime) Drain() error {
 	}
 	return first
 }
-
-// StatsClassifier maps a raw message tag to its job key for transports
-// counting per-job delivered payload (see mpx.TransportStats); the
-// standalone key 0 is reported too, as tenant 0 / job 0.
-func StatsClassifier(tag int) (key int, ok bool) { return JobKeyOf(tag), true }

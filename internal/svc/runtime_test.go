@@ -74,35 +74,6 @@ func TestFIFOWithinTenant(t *testing.T) {
 	}
 }
 
-// TestGlobalCapStrictOrder pins the deterministic admission mode: a
-// global cap admits jobs in strict submission order across tenants.
-func TestGlobalCapStrictOrder(t *testing.T) {
-	rt := newTestRuntime(t, 1, Options{TenantInFlight: 8, Global: 1})
-	var mu sync.Mutex
-	var got []int
-	var want []int
-	for i := 0; i < 12; i++ {
-		tenant := 1 + i%3
-		want = append(want, JobKey(tenant, 1+i/3))
-		if _, err := rt.Submit(tenant, func(jc *JobContext) error {
-			if jc.Node.ID == 0 {
-				mu.Lock()
-				got = append(got, JobKey(jc.Tenant, jc.Job))
-				mu.Unlock()
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rt.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("global-cap start order %v, want submission order %v", got, want)
-	}
-}
-
 // TestNoCrossTenantHeadOfLineBlocking: a tenant sitting on its window
 // must not stall another tenant's jobs.
 func TestNoCrossTenantHeadOfLineBlocking(t *testing.T) {
@@ -136,6 +107,39 @@ func TestNoCrossTenantHeadOfLineBlocking(t *testing.T) {
 	default:
 	}
 	close(release)
+	if err := rt.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRuntimeKeepsOnlyLiveJobs submits three job-ID rings' worth of jobs
+// over four tenants and keeps only each tenant's latest handle: once those
+// finished, the runtime holds at most TenantQueue job records per tenant,
+// not one per job ever submitted.
+func TestRuntimeKeepsOnlyLiveJobs(t *testing.T) {
+	const tenants = 4
+	opt := Options{TenantInFlight: 2, TenantQueue: 8}
+	rt := newTestRuntime(t, 1, opt)
+	last := make([]*Handle, tenants)
+	for i := 0; i < 3*MaxJob; i++ {
+		h, err := rt.Submit(1+i%tenants, func(jc *JobContext) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		last[i%tenants] = h
+	}
+	for _, h := range last {
+		if err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt.mu.Lock()
+	for tenant := 1; tenant <= tenants; tenant++ {
+		if n := len(rt.tenants[tenant].queue); n > opt.TenantQueue {
+			t.Errorf("tenant %d: runtime holds %d job records after %d jobs in all, want at most %d", tenant, n, 3*MaxJob, opt.TenantQueue)
+		}
+	}
+	rt.mu.Unlock()
 	if err := rt.Drain(); err != nil {
 		t.Fatal(err)
 	}

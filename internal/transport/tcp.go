@@ -146,13 +146,10 @@ type TCPOptions struct {
 	HandshakeTimeout time.Duration
 	// Resilience configures self-healing links; zero value disables them.
 	Resilience ResilienceOptions
-	// Classifier, when non-nil, attributes every delivered payload to a
-	// job key for the per-job stats map (see mpx.JobClassifier).
-	Classifier mpx.JobClassifier
 	// Network selects the socket family: "tcp" (the default) or "unix"
 	// for Unix-domain sockets between co-located endpoints (NewUDS).
 	// Everything above the dial — wire codec, resilience supervisors,
-	// per-job metering — is family-agnostic.
+	// payload counters — is family-agnostic.
 	Network string
 	// Member, when non-nil, puts the transport in member mode: the mesh
 	// is elastic. Link supervisors that exhaust their reconnect budget
@@ -238,11 +235,6 @@ type TCP struct {
 	framesRecv       atomic.Int64
 	payloadDelivered atomic.Int64
 	acksBatched      atomic.Int64
-
-	// Per-job delivered-payload map, populated when opt.Classifier is
-	// installed (see mpx.TransportStats.PayloadByJob).
-	jobMu sync.Mutex
-	byJob map[int]int64
 }
 
 // seqFrame is one encoded frame parked in a link's replay ring until the
@@ -450,7 +442,7 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 // NewUDS is NewTCP over Unix-domain sockets: co-located endpoints skip
 // the TCP/IP stack (no checksum offload games, no Nagle, cheaper
 // per-byte copies through the kernel) while the wire codec, resilience
-// supervisors and per-job metering run unchanged.
+// supervisors and payload counters run unchanged.
 // An empty Listen picks a fresh socket path under the temp root; Addr
 // returns it "unix:"-prefixed so it can be mixed into the same peers
 // slice as TCP addresses.
@@ -525,7 +517,7 @@ func (t *TCP) CRCDropped() int64 { return t.crcDropped.Load() }
 // Stats reports the transport's health counters (implements
 // mpx.StatsReporter).
 func (t *TCP) Stats() mpx.TransportStats {
-	st := mpx.TransportStats{
+	return mpx.TransportStats{
 		CRCDropped:       t.crcDropped.Load(),
 		Retransmits:      t.retransmits.Load(),
 		Reconnects:       t.reconnects.Load(),
@@ -545,15 +537,6 @@ func (t *TCP) Stats() mpx.TransportStats {
 		GrowAccepts:      t.growAccepts.Load(),
 		AttachesReceived: t.attachesRecv.Load(),
 	}
-	if t.opt.Classifier != nil {
-		t.jobMu.Lock()
-		st.PayloadByJob = make(map[int]int64, len(t.byJob))
-		for k, v := range t.byJob {
-			st.PayloadByJob[k] = v
-		}
-		t.jobMu.Unlock()
-	}
-	return st
 }
 
 // Profile reports the endpoint's live link cost model (implements
@@ -569,23 +552,9 @@ func (t *TCP) Profile() mpx.LinkProfile {
 	return agg.Profile()
 }
 
-// credit counts one delivered message's n payload bytes, per job key
-// when a Classifier is installed. Callers take n before delivery: the
-// receiver may recycle the message's Parts.
-func (t *TCP) credit(tag int, n int64) {
-	t.payloadDelivered.Add(n)
-	if t.opt.Classifier == nil {
-		return
-	}
-	if key, ok := t.opt.Classifier(tag); ok {
-		t.jobMu.Lock()
-		if t.byJob == nil {
-			t.byJob = map[int]int64{}
-		}
-		t.byJob[key] += n
-		t.jobMu.Unlock()
-	}
-}
+// credit counts one delivered message's n payload bytes. Callers take n
+// before delivery: the receiver may recycle the message's Parts.
+func (t *TCP) credit(n int64) { t.payloadDelivered.Add(n) }
 
 func (t *TCP) resilient() bool { return t.opt.Resilience.Enabled }
 
@@ -1268,7 +1237,7 @@ func (t *TCP) deliverLocal(from, to cube.NodeID, port int, msg mpx.Message, out 
 	size := msg.Size()
 	n, ok := t.inboxOf(to).DeliverFaulty(mpx.Envelope{Message: msg, Port: port, From: from}, out)
 	if n > 0 {
-		t.credit(msg.Tag, int64(n*size))
+		t.credit(int64(n * size))
 	}
 	if !ok {
 		return mpx.ErrDown
@@ -2088,7 +2057,7 @@ func (l *link) deliver(msg mpx.Message, bodyCRC uint32) bool {
 	if !l.t.inboxOf(l.self).Deliver(mpx.Envelope{Message: msg, Port: l.port, From: l.peer, BodyCRC: bodyCRC}) {
 		return false
 	}
-	l.t.credit(msg.Tag, n)
+	l.t.credit(n)
 	return true
 }
 
