@@ -562,13 +562,13 @@ func verifyFaulty(n int, s cube.NodeID, plan *fault.Plan) error {
 	results := make([]*outcome, N)
 	err = comm.RunFaulty(n, plan.Injector(), func(c *comm.Comm) error {
 		var o outcome
-		probed, err := c.ProbeLiveness(comm.FTOptions{})
+		probed, err := c.ProbeLiveness()
 		if err != nil {
 			return err
 		}
 		o.probed = probed.LiveCount()
-		o.bcast, o.bcastErr = c.BcastFT(s, data, comm.FTOptions{})
-		o.scatter, o.scatterErr = c.ScatterFT(s, personal, live, comm.FTOptions{})
+		o.bcast, o.bcastErr = c.BcastFT(s, data)
+		o.scatter, o.scatterErr = c.ScatterFT(s, personal, live)
 		results[c.Rank()] = &o
 		return nil
 	})

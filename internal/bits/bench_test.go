@@ -18,14 +18,6 @@ func BenchmarkPeriod(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkMinRotation(b *testing.B) {
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink ^= MinRotation(uint64(i)*0x9E3779B97F4A7C15, 24)
-	}
-	_ = sink
-}
-
 func BenchmarkGrayCode(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {

@@ -27,19 +27,6 @@ func Mask(n int) uint64 {
 	return (uint64(1) << uint(n)) - 1
 }
 
-// Bit reports whether bit j of x is set.
-func Bit(x uint64, j int) bool { return x>>uint(j)&1 == 1 }
-
-// SetBit returns x with bit j set.
-func SetBit(x uint64, j int) uint64 { return x | uint64(1)<<uint(j) }
-
-// ClearBit returns x with bit j cleared.
-func ClearBit(x uint64, j int) uint64 { return x &^ (uint64(1) << uint(j)) }
-
-// FlipBit returns x with bit j complemented. This is the fundamental
-// hypercube move: FlipBit(i, j) is the neighbor of node i across port j.
-func FlipBit(x uint64, j int) uint64 { return x ^ uint64(1)<<uint(j) }
-
 // HighestOne returns the index of the highest-order one bit of x,
 // or -1 if x == 0. For the SBT with relative address c, HighestOne(c)
 // is the paper's k: the child set complements bits above k.
@@ -59,10 +46,10 @@ func LowestOne(x uint64) int {
 	return bits.TrailingZeros64(x)
 }
 
-// RotR returns the right rotation by one step of the n-bit word x:
+// rotR returns the right rotation by one step of the n-bit word x:
 // R((a_{n-1} ... a_1 a_0)) = (a_0 a_{n-1} ... a_1).
 // x must fit in n bits; n must be in [1, 64].
-func RotR(x uint64, n int) uint64 {
+func rotR(x uint64, n int) uint64 {
 	low := x & 1
 	return (x >> 1) | (low << uint(n-1))
 }
@@ -85,9 +72,6 @@ func RotRK(x uint64, n, k int) uint64 {
 	return ((x >> uint(k)) | (x << uint(n-k))) & m
 }
 
-// RotL returns the left rotation by one step of the n-bit word x.
-func RotL(x uint64, n int) uint64 { return RotRK(x, n, n-1) }
-
 // Period returns P_x, the least j >= 1 such that R^j(x) == x for the n-bit
 // word x. The period always divides n. Example: Period(0b011011, 6) == 3.
 func Period(x uint64, n int) int {
@@ -95,7 +79,7 @@ func Period(x uint64, n int) int {
 	// makes the straightforward scan cheap and obviously correct.
 	y := x
 	for j := 1; j <= n; j++ {
-		y = RotR(y, n)
+		y = rotR(y, n)
 		if y == x {
 			return j
 		}
@@ -119,82 +103,13 @@ func Base(x uint64, n int) int {
 	bestJ := 0
 	y := x & Mask(n)
 	for j := 1; j < n; j++ {
-		y = RotR(y, n)
+		y = rotR(y, n)
 		if y < best {
 			best = y
 			bestJ = j
 		}
 	}
 	return bestJ
-}
-
-// MinRotation returns the minimal value among all rotations of the n-bit
-// word x (the canonical necklace representative of x's generator set).
-func MinRotation(x uint64, n int) uint64 {
-	return RotRK(x, n, Base(x, n))
-}
-
-// RotationSet returns all distinct rotations of the n-bit word x, i.e. the
-// generator set (necklace) G_x, in the order R^0(x), R^1(x), ...,
-// R^{P_x - 1}(x). The length of the result equals Period(x, n).
-func RotationSet(x uint64, n int) []uint64 {
-	p := Period(x, n)
-	out := make([]uint64, p)
-	y := x & Mask(n)
-	for j := 0; j < p; j++ {
-		out[j] = y
-		y = RotR(y, n)
-	}
-	return out
-}
-
-// BaseSet returns J_x = {j : R^j(x) == MinRotation(x)} for the n-bit word x,
-// in increasing order. |J_x| == n / Period(x, n); Base(x, n) == BaseSet(...)[0].
-func BaseSet(x uint64, n int) []int {
-	min := MinRotation(x, n)
-	var out []int
-	y := x & Mask(n)
-	for j := 0; j < n; j++ {
-		if y == min {
-			out = append(out, j)
-		}
-		y = RotR(y, n)
-	}
-	return out
-}
-
-// NecklaceCount returns the number of distinct generator sets (necklaces)
-// among the n-bit words, computed by Burnside's lemma:
-// (1/n) * sum_{d | n} phi(n/d) * 2^d.
-func NecklaceCount(n int) uint64 {
-	if n <= 0 {
-		return 0
-	}
-	var sum uint64
-	for d := 1; d <= n; d++ {
-		if n%d != 0 {
-			continue
-		}
-		sum += uint64(eulerPhi(n/d)) << uint(d)
-	}
-	return sum / uint64(n)
-}
-
-// eulerPhi returns Euler's totient of m.
-func eulerPhi(m int) int {
-	out := m
-	for p := 2; p*p <= m; p++ {
-		if m%p == 0 {
-			for m%p == 0 {
-				m /= p
-			}
-			out -= out / p
-		}
-	}
-	if m > 1 {
-		out -= out / m
-	}
-	return out
 }
 
 // GrayCode returns the i-th binary-reflected Gray code word: i XOR (i >> 1).
@@ -212,12 +127,6 @@ func GrayRank(g uint64) uint64 {
 	return i
 }
 
-// GrayTransition returns the index of the bit that changes between
-// GrayCode(i) and GrayCode(i+1), which equals the number of trailing ones
-// of i, equivalently the lowest set bit of i+1. The transition sequence
-// 0 1 0 2 0 1 0 3 ... governs the SBT scatter port order (paper §5.2).
-func GrayTransition(i uint64) int { return bits.TrailingZeros64(i + 1) }
-
 // Binomial returns C(n, k), the binomial coefficient, with C(n, k) == 0 for
 // k < 0 or k > n. Safe for the n <= 64 range used by cube dimensions.
 func Binomial(n, k int) uint64 {
@@ -233,9 +142,3 @@ func Binomial(n, k int) uint64 {
 	}
 	return c
 }
-
-// Log2 returns floor(log2(x)) for x >= 1, and -1 for x == 0.
-func Log2(x uint64) int { return HighestOne(x) }
-
-// IsPow2 reports whether x is a power of two (x >= 1).
-func IsPow2(x uint64) bool { return x != 0 && x&(x-1) == 0 }

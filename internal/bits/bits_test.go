@@ -46,25 +46,6 @@ func TestMask(t *testing.T) {
 	}
 }
 
-func TestBitOps(t *testing.T) {
-	x := uint64(0b1010)
-	if !Bit(x, 1) || Bit(x, 0) {
-		t.Error("Bit wrong")
-	}
-	if SetBit(x, 0) != 0b1011 {
-		t.Error("SetBit wrong")
-	}
-	if ClearBit(x, 1) != 0b1000 {
-		t.Error("ClearBit wrong")
-	}
-	if FlipBit(x, 3) != 0b0010 {
-		t.Error("FlipBit wrong")
-	}
-	if FlipBit(FlipBit(x, 5), 5) != x {
-		t.Error("FlipBit not involutive")
-	}
-}
-
 func TestHighestLowestOne(t *testing.T) {
 	if HighestOne(0) != -1 || LowestOne(0) != -1 {
 		t.Error("zero should give -1")
@@ -82,11 +63,11 @@ func TestHighestLowestOne(t *testing.T) {
 
 func TestRotR(t *testing.T) {
 	// Paper definition: R((a_{n-1}...a_1 a_0)) = (a_0 a_{n-1}...a_1).
-	if got := RotR(0b000001, 6); got != 0b100000 {
-		t.Errorf("RotR(000001) = %06b", got)
+	if got := rotR(0b000001, 6); got != 0b100000 {
+		t.Errorf("rotR(000001) = %06b", got)
 	}
-	if got := RotR(0b011011, 6); got != 0b101101 {
-		t.Errorf("RotR(011011) = %06b", got)
+	if got := rotR(0b011011, 6); got != 0b101101 {
+		t.Errorf("rotR(011011) = %06b", got)
 	}
 	if got := RotRK(0b011011, 6, 3); got != 0b011011 {
 		t.Errorf("RotRK 3 of period-3 word = %06b", got)
@@ -94,8 +75,8 @@ func TestRotR(t *testing.T) {
 	if got := RotRK(0b0001, 4, -1); got != 0b0010 {
 		t.Errorf("RotRK(-1) = %04b", got)
 	}
-	if got := RotL(0b1000, 4); got != 0b0001 {
-		t.Errorf("RotL = %04b", got)
+	if got := RotRK(0b1000, 4, 3); got != 0b0001 {
+		t.Errorf("RotRK(3) = %04b", got)
 	}
 }
 
@@ -194,31 +175,43 @@ func TestBaseIsArgminRotation(t *testing.T) {
 				return false
 			}
 		}
-		return min == MinRotation(x, n)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }
 
+// baseSet returns the paper's J_x = {j : R^j(x) is the minimal rotation
+// of x}, in increasing order.
+func baseSet(x uint64, n int) []int {
+	min := RotRK(x, n, Base(x, n))
+	var out []int
+	for j := 0; j < n; j++ {
+		if RotRK(x, n, j) == min {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
 func TestRotationSetAndBaseSet(t *testing.T) {
 	// (001001), (010010), (100100) are one generator set.
-	set := RotationSet(0b001001, 6)
-	if len(set) != 3 {
-		t.Fatalf("len = %d", len(set))
+	if p := Period(0b001001, 6); p != 3 {
+		t.Fatalf("period = %d", p)
 	}
 	want := map[uint64]bool{0b001001: true, 0b100100: true, 0b010010: true}
-	for _, v := range set {
-		if !want[v] {
+	for j := 0; j < 3; j++ {
+		if v := RotRK(0b001001, 6, j); !want[v] {
 			t.Errorf("unexpected rotation %06b", v)
 		}
 	}
-	bs := BaseSet(0b001001, 6)
+	bs := baseSet(0b001001, 6)
 	if len(bs) != 2 { // n / P = 6/3
 		t.Fatalf("BaseSet len = %d, want 2", len(bs))
 	}
 	if bs[0] != Base(0b001001, 6) {
-		t.Error("BaseSet[0] must equal Base")
+		t.Error("J[0] must equal Base")
 	}
 }
 
@@ -226,32 +219,25 @@ func TestBaseSetSize(t *testing.T) {
 	f := func(x uint64, nRaw uint8) bool {
 		n := int(nRaw%16) + 1
 		x &= Mask(n)
-		return len(BaseSet(x, n)) == n/Period(x, n)
+		return len(baseSet(x, n)) == n/Period(x, n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestNecklaceCount checks that Base's canonical forms R^base(x)(x) are
+// the binary necklaces: one per generator set, as many as OEIS A000031
+// counts.
 func TestNecklaceCount(t *testing.T) {
-	// OEIS A000031: necklaces of n binary beads.
-	want := map[int]uint64{
-		1: 2, 2: 3, 3: 4, 4: 6, 5: 8, 6: 14, 7: 20, 8: 36,
-		9: 60, 10: 108, 12: 352, 16: 4116, 20: 52488,
-	}
-	for n, w := range want {
-		if got := NecklaceCount(n); got != w {
-			t.Errorf("NecklaceCount(%d) = %d, want %d", n, got, w)
-		}
-	}
-	// Cross-check against brute force enumeration of canonical forms.
-	for n := 1; n <= 14; n++ {
+	want := []int{1: 2, 3, 4, 6, 8, 14, 20, 36, 60, 108, 188, 352, 632, 1182}
+	for n := 1; n < len(want); n++ {
 		seen := map[uint64]bool{}
 		for x := uint64(0); x < 1<<uint(n); x++ {
-			seen[MinRotation(x, n)] = true
+			seen[RotRK(x, n, Base(x, n))] = true
 		}
-		if uint64(len(seen)) != NecklaceCount(n) {
-			t.Errorf("n=%d: brute force %d != formula %d", n, len(seen), NecklaceCount(n))
+		if len(seen) != want[n] {
+			t.Errorf("n=%d: %d canonical forms, want %d necklaces", n, len(seen), want[n])
 		}
 	}
 }
@@ -280,23 +266,6 @@ func TestGrayRankInverse(t *testing.T) {
 	f := func(i uint64) bool { return GrayRank(GrayCode(i)) == i }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGrayTransition(t *testing.T) {
-	// Transition sequence for n=3: 0 1 0 2 0 1 0.
-	want := []int{0, 1, 0, 2, 0, 1, 0}
-	for i, w := range want {
-		if got := GrayTransition(uint64(i)); got != w {
-			t.Errorf("GrayTransition(%d) = %d, want %d", i, got, w)
-		}
-	}
-	// The transition bit is exactly the bit in which successive codes differ.
-	for i := uint64(0); i < 1<<12-1; i++ {
-		d := GrayCode(i) ^ GrayCode(i+1)
-		if d != uint64(1)<<uint(GrayTransition(i)) {
-			t.Fatalf("transition mismatch at %d", i)
-		}
 	}
 }
 
@@ -330,18 +299,6 @@ func TestBinomial(t *testing.T) {
 		if sum != 1<<uint(n) {
 			t.Fatalf("row sum n=%d: %d", n, sum)
 		}
-	}
-}
-
-func TestLog2AndIsPow2(t *testing.T) {
-	if Log2(0) != -1 {
-		t.Error("Log2(0)")
-	}
-	if Log2(1) != 0 || Log2(2) != 1 || Log2(1024) != 10 || Log2(1023) != 9 {
-		t.Error("Log2 values")
-	}
-	if !IsPow2(1) || !IsPow2(64) || IsPow2(0) || IsPow2(6) {
-		t.Error("IsPow2")
 	}
 }
 

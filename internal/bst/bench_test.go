@@ -19,7 +19,7 @@ func BenchmarkConstruct(b *testing.B) {
 // base over all 2^n addresses) at n = 16.
 func BenchmarkSubtreeSizes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		SubtreeSizes(16)
+		subtreeSizes(16)
 	}
 }
 

@@ -19,16 +19,6 @@ import (
 	"repro/internal/tree"
 )
 
-// SubtreeOf returns the index of the root subtree that node i belongs to in
-// the BST with source s: base(i XOR s). Returns -1 for the source itself.
-func SubtreeOf(n int, i, s cube.NodeID) int {
-	c := uint64(i ^ s)
-	if c == 0 {
-		return -1
-	}
-	return bits.Base(c, n)
-}
-
 // Parent returns the parent of node i in the BST of the n-cube rooted at
 // source s, with ok == false at the source. For c = i XOR s != 0 with base
 // j, the parent complements bit k, the first one bit of c cyclically to
@@ -104,11 +94,11 @@ var cache = tree.NewCanonCache(func(n int, s cube.NodeID) []*tree.Tree {
 // shared and immutable. Safe for concurrent use.
 func Cached(n int, s cube.NodeID) *tree.Tree { return cache.Get(n, s)[0] }
 
-// SubtreeSizes returns the number of nodes assigned to each of the n root
+// subtreeSizes returns the number of nodes assigned to each of the n root
 // subtrees (excluding the source), computed directly from the base
 // assignment without materializing the tree. This is how the paper's
 // Table 5 column BST(max) is generated up to n = 20.
-func SubtreeSizes(n int) []int {
+func subtreeSizes(n int) []int {
 	counts := make([]int, n)
 	N := uint64(1) << uint(n)
 	for c := uint64(1); c < N; c++ {
@@ -121,30 +111,12 @@ func SubtreeSizes(n int) []int {
 // n-cube BST — the paper's BST(max) column in Table 5.
 func MaxSubtreeSize(n int) int {
 	max := 0
-	for _, c := range SubtreeSizes(n) {
+	for _, c := range subtreeSizes(n) {
 		if c > max {
 			max = c
 		}
 	}
 	return max
-}
-
-// MinSubtreeSize returns the size of the smallest root subtree.
-func MinSubtreeSize(n int) int {
-	sizes := SubtreeSizes(n)
-	min := sizes[0]
-	for _, c := range sizes {
-		if c < min {
-			min = c
-		}
-	}
-	return min
-}
-
-// IdealSubtreeSize returns (N-1)/log N, the perfectly balanced subtree
-// size the BST approaches as n grows (paper Table 5, middle column).
-func IdealSubtreeSize(n int) float64 {
-	return (float64(uint64(1)<<uint(n)) - 1) / float64(n)
 }
 
 // Table5Row is one row of the paper's Table 5.
@@ -163,7 +135,7 @@ type Table5Row struct {
 func Table5(from, to int) []Table5Row {
 	var rows []Table5Row
 	for n := from; n <= to; n++ {
-		sizes := SubtreeSizes(n)
+		sizes := subtreeSizes(n)
 		max, min := 0, sizes[0]
 		for _, c := range sizes {
 			if c > max {
@@ -180,7 +152,7 @@ func Table5(from, to int) []Table5Row {
 				cyc++
 			}
 		}
-		ideal := IdealSubtreeSize(n)
+		ideal := (float64(N) - 1) / float64(n)
 		rows = append(rows, Table5Row{
 			N: n, BSTMax: max, Ideal: ideal, Ratio: float64(max) / ideal,
 			BSTMin: min, Cyclics: cyc,

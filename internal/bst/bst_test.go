@@ -3,12 +3,22 @@ package bst
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bits"
 	"repro/internal/cube"
 	"repro/internal/tree"
 )
+
+// subtreeOf returns the root subtree of node i in the BST rooted at s,
+// base(i XOR s); -1 at the source.
+func subtreeOf(n int, i, s cube.NodeID) int {
+	if i == s {
+		return -1
+	}
+	return bits.Base(uint64(i^s), n)
+}
 
 func sources(n int) []cube.NodeID {
 	N := 1 << uint(n)
@@ -56,9 +66,9 @@ func TestParentPreservesBase(t *testing.T) {
 			if p == 0 {
 				continue
 			}
-			if SubtreeOf(n, p, 0) != SubtreeOf(n, id, 0) {
+			if subtreeOf(n, p, 0) != subtreeOf(n, id, 0) {
 				t.Fatalf("n=%d: parent %0*b of %0*b changes base %d -> %d",
-					n, n, p, n, id, SubtreeOf(n, id, 0), SubtreeOf(n, p, 0))
+					n, n, p, n, id, subtreeOf(n, id, 0), subtreeOf(n, p, 0))
 			}
 		}
 	}
@@ -112,7 +122,7 @@ func TestTable5Golden(t *testing.T) {
 
 func TestSubtreeSizesSumAndBounds(t *testing.T) {
 	for n := 2; n <= 12; n++ {
-		sizes := SubtreeSizes(n)
+		sizes := subtreeSizes(n)
 		sum := 0
 		for _, c := range sizes {
 			sum += c
@@ -123,8 +133,8 @@ func TestSubtreeSizesSumAndBounds(t *testing.T) {
 		// Lemma 4.1 lower bound: at least (N+2)/(2+log N) nodes per subtree.
 		N := int(1) << uint(n)
 		lower := float64(N+2) / float64(2+n)
-		if float64(MinSubtreeSize(n)) < math.Floor(lower) {
-			t.Errorf("n=%d: min subtree %d below lower bound %f", n, MinSubtreeSize(n), lower)
+		if float64(slices.Min(sizes)) < math.Floor(lower) {
+			t.Errorf("n=%d: min subtree %d below lower bound %f", n, slices.Min(sizes), lower)
 		}
 	}
 }
@@ -207,7 +217,7 @@ func TestPaperProperty4Isomorphic(t *testing.T) {
 		members := []cube.NodeID{}
 		for i := 1; i < 1<<n; i++ {
 			id := cube.NodeID(i)
-			if SubtreeOf(n, id, 0) == 0 && id != ones {
+			if subtreeOf(n, id, 0) == 0 && id != ones {
 				members = append(members, id)
 			}
 		}
@@ -279,7 +289,7 @@ func TestRootNeighborsRootTheirSubtrees(t *testing.T) {
 	// base(2^j) == j, so the source's neighbor across port j roots subtree j.
 	for n := 1; n <= 10; n++ {
 		for j := 0; j < n; j++ {
-			if got := SubtreeOf(n, cube.NodeID(1)<<uint(j), 0); got != j {
+			if got := subtreeOf(n, cube.NodeID(1)<<uint(j), 0); got != j {
 				t.Errorf("n=%d: base(2^%d) = %d", n, j, got)
 			}
 		}

@@ -115,7 +115,7 @@ func allNodeSoak(t *testing.T, network string, seed int64) {
 		}
 	})
 	if err != nil {
-		var de *DeadlineError
+		var de *deadlineError
 		if errors.As(err, &de) {
 			t.Fatalf("deadline fired on a self-healing mesh (fault leaked as a hang): %v", err)
 		}
@@ -142,7 +142,7 @@ func TestChaosAllNodeNaiveTCP(t *testing.T) { allNodeSoak(t, "tcp", 314) }
 
 // TestDeadlineFiresOnSilentAllNodeCollective parks three ranks in
 // AllGather's any-root receive while rank 0 stays silent: the armed
-// deadline must convert the hang into a typed *DeadlineError on the
+// deadline must convert the hang into a typed *deadlineError on the
 // ready-queue-fed receive (recvTag(anyTag)).
 func TestDeadlineFiresOnSilentAllNodeCollective(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
@@ -156,9 +156,9 @@ func TestDeadlineFiresOnSilentAllNodeCollective(t *testing.T) {
 	if err == nil {
 		t.Fatal("AllGather with a silent rank returned nil")
 	}
-	var de *DeadlineError
+	var de *deadlineError
 	if !errors.As(err, &de) {
-		t.Fatalf("error is %v, want a *DeadlineError", err)
+		t.Fatalf("error is %v, want a *deadlineError", err)
 	}
 }
 

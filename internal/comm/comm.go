@@ -47,7 +47,7 @@ type Comm struct {
 	seq int // collective sequence number; all nodes advance in lockstep
 
 	// base is the encoded (tenant, job) half of every tag this
-	// communicator sends (svc.Base). Standalone communicators (Run,
+	// communicator sends (an encoded svc.Tag). Standalone communicators (Run,
 	// RunTCPWith, ...) use base 0 — the legacy tag space — while job-attached
 	// communicators carry their job's slice.
 	base int
@@ -129,11 +129,11 @@ func (c *Comm) reset(base int) {
 	c.mu.Unlock()
 }
 
-// DeadlineError reports a collective receive that outlived the deadline
+// deadlineError reports a collective receive that outlived the deadline
 // set with SetDeadline: the awaited peer is silent but no transport
 // failure was recorded — a hang turned into a deterministic, named
 // failure.
-type DeadlineError struct {
+type deadlineError struct {
 	// Rank is the waiting node; Op names what it was waiting for.
 	Rank cube.NodeID
 	Op   string
@@ -141,22 +141,22 @@ type DeadlineError struct {
 	Wait time.Duration
 }
 
-func (e *DeadlineError) Error() string {
+func (e *deadlineError) Error() string {
 	return fmt.Sprintf("comm: node %d: collective deadline (%v) expired waiting for %s", e.Rank, e.Wait, e.Op)
 }
 
-// RootError reports a rooted collective (Bcast, BcastMSBT, Scatter,
+// rootError reports a rooted collective (Bcast, BcastMSBT, Scatter,
 // Gather, Reduce, BcastFT, ScatterFT) called with a root outside the
 // cube. Every rank returns it at entry, before sending anything or
 // advancing the collective sequence, so the communicator's next
 // collective runs as if the call had not been made.
-type RootError struct {
+type rootError struct {
 	Op   string
 	Root cube.NodeID
 	Size int
 }
 
-func (e *RootError) Error() string {
+func (e *rootError) Error() string {
 	return fmt.Sprintf("comm: %s: root %d outside the %d ranks", e.Op, e.Root, e.Size)
 }
 
@@ -165,16 +165,16 @@ func (c *Comm) checkRoot(op string, root cube.NodeID) error {
 	if int(root) < c.Size() {
 		return nil
 	}
-	return &RootError{Op: op, Root: root, Size: c.Size()}
+	return &rootError{Op: op, Root: root, Size: c.Size()}
 }
 
 // SetDeadline bounds every blocking receive inside the plain
 // collectives (Bcast, Scatter, Gather, Barrier, ...): a rank stuck on a
-// silent — not severed, just silent — peer fails with a *DeadlineError
+// silent — not severed, just silent — peer fails with a deadline error
 // after d instead of blocking forever. Zero restores the default
 // (block indefinitely; transport failures still abort). Set it between
 // collectives, not concurrently with one; it does not apply to the
-// fault-tolerant collectives, which take explicit FTOptions timeouts.
+// fault-tolerant collectives, which bound their own waits (ftTimeout).
 func (c *Comm) SetDeadline(d time.Duration) { c.deadline = d }
 
 // Rank returns this node's address.
@@ -266,7 +266,7 @@ type TCPRunOptions struct {
 	StatsSink func(mpx.TransportStats)
 	// Network picks the socket family for every endpoint: "tcp"
 	// (default, loopback) or "unix" (Unix-domain sockets; see
-	// transport.NewUDS).
+	// transport.TCPOptions.Network).
 	Network string
 }
 
@@ -406,7 +406,7 @@ func (c *Comm) stop() {
 const anyTag = -1
 
 // recvTag blocks until a message with the given tag (or anyTag) is
-// available, failing with a *DeadlineError once the communicator's
+// available, failing with a *deadlineError once the communicator's
 // deadline (SetDeadline), if set, has passed.
 func (c *Comm) recvTag(tag int) (mpx.Envelope, error) {
 	env, ok, err := c.recvTagWait(tag, c.deadline)
@@ -474,7 +474,7 @@ func (c *Comm) deadlineErr(waitingFor string, d time.Duration) error {
 		return fmt.Errorf("comm: node %d: deadline (%v) expired waiting for %s after a connection loss: %w",
 			c.nd.ID, d, waitingFor, perr)
 	}
-	return &DeadlineError{Rank: c.nd.ID, Op: waitingFor, Wait: d}
+	return &deadlineError{Rank: c.nd.ID, Op: waitingFor, Wait: d}
 }
 
 // stoppedErr explains why the machine stopped underneath a blocked
@@ -513,7 +513,7 @@ func (c *Comm) staleLocked(tag int) error {
 // tagFor builds this collective's message tag for subtag sub: the
 // communicator's (tenant, job) base ORed with the svc codec's
 // (sequence, subtag) stream half. Subtags are small (tree index,
-// dimension, or rank+1); svc.MaxSub of headroom is ample.
+// dimension, or rank+1); the 16-bit subtag field has ample headroom.
 func (c *Comm) tagFor(sub int) int { return c.base | svc.StreamTag(c.seq, sub) }
 
 // next advances the collective sequence (call exactly once per collective,

@@ -16,7 +16,7 @@ import (
 // TestSetDeadlineTurnsHangIntoError blocks a rank on a peer that is
 // silent — alive, connected, just never sending — and expects the
 // collective deadline to convert the indefinite hang into a typed
-// *DeadlineError naming the waiting rank.
+// *deadlineError naming the waiting rank.
 func TestSetDeadlineTurnsHangIntoError(t *testing.T) {
 	err := Run(1, func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -30,15 +30,15 @@ func TestSetDeadlineTurnsHangIntoError(t *testing.T) {
 	if err == nil {
 		t.Fatal("Bcast against a silent root returned nil")
 	}
-	var de *DeadlineError
+	var de *deadlineError
 	if !errors.As(err, &de) {
-		t.Fatalf("error is %v, want a *DeadlineError", err)
+		t.Fatalf("error is %v, want a *deadlineError", err)
 	}
 	if de.Rank != 1 {
-		t.Fatalf("DeadlineError names rank %d, want 1", de.Rank)
+		t.Fatalf("deadlineError names rank %d, want 1", de.Rank)
 	}
 	if de.Wait != 80*time.Millisecond {
-		t.Fatalf("DeadlineError reports wait %v, want 80ms", de.Wait)
+		t.Fatalf("deadlineError reports wait %v, want 80ms", de.Wait)
 	}
 }
 

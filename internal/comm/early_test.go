@@ -159,7 +159,7 @@ func TestBcastMSBTEarlyArrivalAllocBudget(t *testing.T) {
 // rounds of different payloads.
 func TestBcastMSBTEarlyChunkForwardsFromResult(t *testing.T) {
 	const n, size, rounds = 3, 1 << 20, 6
-	if len(msbt.Children(n, 0, heldLate, 0)) == 0 {
+	if len(msbt.AppendChildren(nil, n, 0, heldLate, 0)) == 0 {
 		t.Fatalf("tree 0: rank %d is a leaf, the test needs it interior", heldLate)
 	}
 	var mu sync.Mutex

@@ -32,27 +32,27 @@ import (
 	"repro/internal/transport"
 )
 
-// ElasticTenant is the reserved tenant id for epoch-scoped collective
+// elasticTenant is the reserved tenant id for epoch-scoped collective
 // tags. The svc runtime hands out tenant ids from zero, so the topmost
 // tenant never collides with a hosted job.
-const ElasticTenant = svc.MaxTenant
+const elasticTenant = svc.MaxTenant
 
 // elasticBase encodes the (tenant, job) tag base of one membership
 // epoch, folded onto job IDs 1..MaxJob like the dispatcher's tombstone
 // ring. It names an epoch, not a view: View.Epoch is a sum, and ranks
 // holding different views can share it — and so a key and a sequence.
 func elasticBase(epoch uint64) int {
-	return svc.Tag{Tenant: ElasticTenant, Job: 1 + int(epoch%svc.MaxJob)}.MustEncode()
+	return svc.Tag{Tenant: elasticTenant, Job: 1 + int(epoch%svc.MaxJob)}.MustEncode()
 }
 
 // elasticKey is the dispatcher key of epoch's tag base.
 func elasticKey(epoch uint64) int { return svc.JobKeyOf(elasticBase(epoch)) }
 
-// DefaultElasticResilience is the link self-healing configuration an
+// defaultElasticResilience is the link self-healing configuration an
 // Elastic endpoint uses when the caller does not supply one: a few
 // quick reconnect attempts, then escalation to the membership layer
 // (which records the peer dead) rather than transport shutdown.
-func DefaultElasticResilience() transport.ResilienceOptions {
+func defaultElasticResilience() transport.ResilienceOptions {
 	return transport.ResilienceOptions{
 		Enabled:     true,
 		MaxAttempts: 5,
@@ -76,7 +76,7 @@ type ElasticOptions struct {
 	// port on tcp, a fresh socket path on unix).
 	Listen string
 	// Resilience tunes link self-healing; the zero value means
-	// DefaultElasticResilience. The budget doubles as the crash
+	// defaultElasticResilience. The budget doubles as the crash
 	// detection latency: a peer is declared dead when it exhausts this.
 	Resilience transport.ResilienceOptions
 	// HandshakeTimeout bounds Connect/Join dials (0 = transport default).
@@ -116,7 +116,7 @@ func NewElastic(opt ElasticOptions) (*Elastic, error) {
 	}
 	res := opt.Resilience
 	if !res.Enabled {
-		res = DefaultElasticResilience()
+		res = defaultElasticResilience()
 	}
 	hooks := &transport.MemberHooks{}
 	tr, err := transport.NewTCP(transport.TCPOptions{

@@ -26,31 +26,18 @@ import (
 	"repro/internal/svc"
 )
 
-// FTOptions tunes failure detection in the fault-tolerant collectives.
-type FTOptions struct {
-	// Timeout is the initial per-receive wait; zero means 50ms.
-	Timeout time.Duration
-	// Retries bounds how many times a timed-out wait is retried with the
-	// timeout doubled (exponential backoff); zero means 3.
-	Retries int
-	// Sweeps is the number of full dimension-exchange rounds a liveness
-	// probe performs; zero means 2 (the second sweep forwards bits that
-	// missed their one butterfly path through a dead region).
-	Sweeps int
-}
-
-func (o FTOptions) withDefaults() FTOptions {
-	if o.Timeout <= 0 {
-		o.Timeout = 50 * time.Millisecond
-	}
-	if o.Retries <= 0 {
-		o.Retries = 3
-	}
-	if o.Sweeps <= 0 {
-		o.Sweeps = 2
-	}
-	return o
-}
+// Failure detection in the fault-tolerant collectives.
+const (
+	// ftTimeout is the initial per-receive wait.
+	ftTimeout = 50 * time.Millisecond
+	// ftRetries bounds how many times a timed-out wait is retried with
+	// the timeout doubled (exponential backoff).
+	ftRetries = 3
+	// ftSweeps is the number of full dimension-exchange rounds a liveness
+	// probe performs: the second sweep forwards bits that missed their
+	// one butterfly path through a dead region.
+	ftSweeps = 2
+)
 
 // checksum is the end-to-end payload checksum carried in mpx.Part.Sum.
 func checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
@@ -74,30 +61,29 @@ func (c *Comm) abandon(tags ...int) {
 // around faults on the other dimensions. The result is this rank's local
 // belief — exact for dead nodes in a connected live subcube, conservative
 // when faults partition knowledge.
-func (c *Comm) ProbeLiveness(opt FTOptions) (fault.Liveness, error) {
+func (c *Comm) ProbeLiveness() (fault.Liveness, error) {
 	defer c.next()
-	opt = opt.withDefaults()
 	me := c.Rank()
 	live := fault.NoneAlive(c.n)
 	live.Set(me)
 	var tags []int
 	// Receive deadlines follow a global schedule — step k times out at
-	// probe start + (k+1)*Timeout — so a rank stalled by a dead partner at
+	// probe start + (k+1)*ftTimeout — so a rank stalled by a dead partner at
 	// step k is still inside its live partners' step-k+1 window. Per-step
 	// timeouts would cascade: the stalled rank's NEXT partner would time
 	// out on it and falsely mark the whole branch dead.
 	start := time.Now()
 	step := 0
-	for s := 0; s < opt.Sweeps; s++ {
+	for s := 0; s < ftSweeps; s++ {
 		for d := 0; d < c.n; d++ {
 			step++
 			sub := s*c.n + d + 1
 			tag := c.tagFor(sub)
 			tags = append(tags, tag)
 			c.nd.Send(d, mpx.Message{Tag: tag, Parts: []mpx.Part{{Dest: me, Data: live.Bytes()}}})
-			wait := time.Until(start.Add(time.Duration(step) * opt.Timeout))
-			if wait < opt.Timeout/2 {
-				wait = opt.Timeout / 2 // behind schedule: keep a real window
+			wait := time.Until(start.Add(time.Duration(step) * ftTimeout))
+			if wait < ftTimeout/2 {
+				wait = ftTimeout / 2 // behind schedule: keep a real window
 			}
 			env, ok, err := c.recvTagWait(tag, wait)
 			if err != nil {
@@ -125,12 +111,11 @@ func (c *Comm) ProbeLiveness(opt FTOptions) (fault.Liveness, error) {
 // rank reachable in the live cube. Ranks keep forwarding until all n
 // copies arrived or, once a valid copy is accepted, a receive timeout
 // declares the missing trees severed.
-func (c *Comm) BcastFT(root cube.NodeID, data []byte, opt FTOptions) ([]byte, error) {
+func (c *Comm) BcastFT(root cube.NodeID, data []byte) ([]byte, error) {
 	if err := c.checkRoot("bcastft", root); err != nil {
 		return nil, err
 	}
 	defer c.next()
-	opt = opt.withDefaults()
 	me := c.Rank()
 	tags := make([]int, c.n)
 	for j := range tags {
@@ -150,7 +135,7 @@ func (c *Comm) BcastFT(root cube.NodeID, data []byte, opt FTOptions) ([]byte, er
 	var kids [cube.MaxDim]cube.NodeID // BcastFT has no zone: the stack holds them
 	seen := make([]bool, c.n)
 	nseen := 0
-	timeout := opt.Timeout
+	timeout := ftTimeout
 	retries := 0
 	for nseen < c.n {
 		env, ok, err := c.recvTagWait(anyTag, timeout)
@@ -161,7 +146,7 @@ func (c *Comm) BcastFT(root cube.NodeID, data []byte, opt FTOptions) ([]byte, er
 			if accepted != nil {
 				break // have a valid copy; missing trees are severed
 			}
-			if retries >= opt.Retries {
+			if retries >= ftRetries {
 				return nil, fmt.Errorf("comm: node %d: bcastft: no valid copy of the broadcast arrived (%d timeouts, all trees severed or corrupt)", me, retries+1)
 			}
 			retries++
@@ -195,12 +180,11 @@ func (c *Comm) BcastFT(root cube.NodeID, data []byte, opt FTOptions) ([]byte, er
 // cut off from the root — and, trivially, dead ranks — receive nothing;
 // reachable ranks receive exactly their payload. Bundles carry checksums;
 // a corrupted bundle is reported, not mis-delivered.
-func (c *Comm) ScatterFT(root cube.NodeID, data [][]byte, live fault.Liveness, opt FTOptions) ([]byte, error) {
+func (c *Comm) ScatterFT(root cube.NodeID, data [][]byte, live fault.Liveness) ([]byte, error) {
 	if err := c.checkRoot("scatterft", root); err != nil {
 		return nil, err
 	}
 	defer c.next()
-	opt = opt.withDefaults()
 	me := c.Rank()
 	ft, err := fault.Regraft(c.n, root, func(i cube.NodeID) (cube.NodeID, bool) {
 		return bst.Parent(c.n, i, root)
@@ -227,7 +211,7 @@ func (c *Comm) ScatterFT(root cube.NodeID, data [][]byte, live fault.Liveness, o
 	}
 
 	var env mpx.Envelope
-	timeout := opt.Timeout
+	timeout := ftTimeout
 	for attempt := 0; ; attempt++ {
 		var ok bool
 		env, ok, err = c.recvTagWait(tag, timeout)
@@ -237,7 +221,7 @@ func (c *Comm) ScatterFT(root cube.NodeID, data [][]byte, live fault.Liveness, o
 		if ok {
 			break
 		}
-		if attempt >= opt.Retries {
+		if attempt >= ftRetries {
 			c.abandon(tag)
 			return nil, fmt.Errorf("comm: node %d: scatterft: no bundle from parent within %d attempts", me, attempt+1)
 		}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cube"
 	"repro/internal/fault"
@@ -14,15 +13,11 @@ import (
 	"repro/internal/svc"
 )
 
-// fast FT options so fault tests spend milliseconds, not seconds, waiting
-// on links that will never deliver.
-var quick = FTOptions{Timeout: 25 * time.Millisecond, Retries: 3}
-
 func TestBcastFTFaultFree(t *testing.T) {
 	payload := []byte("redundant broadcast payload")
 	for n := 1; n <= 4; n++ {
 		err := Run(n, func(c *Comm) error {
-			got, err := c.BcastFT(0, payload, quick)
+			got, err := c.BcastFT(0, payload)
 			if err != nil {
 				return err
 			}
@@ -54,7 +49,7 @@ func TestBcastFTExhaustiveSingleLink4Cube(t *testing.T) {
 		plan := fault.NewPlan(n).KillLink(e.From, e.To)
 		delivered := make([][]byte, c4.Nodes())
 		err := RunFaulty(n, plan.Injector(), func(c *Comm) error {
-			got, err := c.BcastFT(0, payload, quick)
+			got, err := c.BcastFT(0, payload)
 			if err != nil {
 				return err
 			}
@@ -82,7 +77,7 @@ func TestBcastFTToleratesNMinusOneDeadLinks(t *testing.T) {
 	plan := fault.NewPlan(n).KillLink(7, 6).KillLink(7, 5) // only 7-3 survives
 	payload := []byte("one tree left")
 	err := RunFaulty(n, plan.Injector(), func(c *Comm) error {
-		got, err := c.BcastFT(0, payload, quick)
+		got, err := c.BcastFT(0, payload)
 		if err != nil {
 			return err
 		}
@@ -106,7 +101,7 @@ func TestBcastFTSurvivesCorruptingLink(t *testing.T) {
 		AddRule(fault.Rule{Link: cube.Edge{From: 1, To: 0}, Kind: fault.Corrupt, Nth: fault.EveryMessage})
 	payload := []byte("checksums catch the flip")
 	err := RunFaulty(n, plan.Injector(), func(c *Comm) error {
-		got, err := c.BcastFT(0, payload, quick)
+		got, err := c.BcastFT(0, payload)
 		if err != nil {
 			return err
 		}
@@ -123,7 +118,7 @@ func TestBcastFTSurvivesCorruptingLink(t *testing.T) {
 func TestProbeLivenessFaultFree(t *testing.T) {
 	const n = 3
 	err := Run(n, func(c *Comm) error {
-		live, err := c.ProbeLiveness(quick)
+		live, err := c.ProbeLiveness()
 		if err != nil {
 			return err
 		}
@@ -144,7 +139,7 @@ func TestProbeLivenessDetectsDeadNode(t *testing.T) {
 	var mu sync.Mutex
 	masks := map[cube.NodeID]fault.Liveness{}
 	err := RunFaulty(n, plan.Injector(), func(c *Comm) error {
-		live, err := c.ProbeLiveness(quick)
+		live, err := c.ProbeLiveness()
 		if err != nil {
 			return err
 		}
@@ -180,7 +175,7 @@ func TestScatterFTFaultFreeMatchesScatter(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ft, err := c.ScatterFT(2, data, fault.AllAlive(n), quick)
+		ft, err := c.ScatterFT(2, data, fault.AllAlive(n))
 		if err != nil {
 			return err
 		}
@@ -209,7 +204,7 @@ func TestScatterFTAroundDeadNode(t *testing.T) {
 	var mu sync.Mutex
 	got := map[cube.NodeID][]byte{}
 	err := RunFaulty(n, plan.Injector(), func(c *Comm) error {
-		mine, err := c.ScatterFT(root, data, live, quick)
+		mine, err := c.ScatterFT(root, data, live)
 		if err != nil {
 			return err
 		}

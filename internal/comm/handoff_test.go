@@ -68,7 +68,7 @@ func TestJobStartsNoPumpGoroutine(t *testing.T) {
 	var parked sync.WaitGroup
 	parked.Add(1 << n)
 	release := make(chan struct{})
-	h, err := cl.Submit(1, Job(func(c *Comm) error {
+	h, err := cl.Submit(1, jobProgram(func(c *Comm) error {
 		err := c.Barrier()
 		parked.Done()
 		<-release

@@ -17,7 +17,7 @@ import (
 	"repro/internal/transport"
 )
 
-// Job adapts a collective program into an svc.Program: each node's
+// jobProgram adapts a collective program into an svc.Program: each node's
 // share runs on a communicator whose tags live in the job's slice of the
 // tag space (tenant/job base bits) and whose mailbox the node's
 // dispatcher feeds with exactly the job's traffic. The communicator is
@@ -26,7 +26,7 @@ import (
 // returns. Unlike RunOn, an erroring job does NOT shut the machine down
 // — isolation is the runtime's concern (it aborts the job's local
 // mailboxes), so sibling jobs keep running.
-func Job(program func(c *Comm) error) svc.Program {
+func jobProgram(program func(c *Comm) error) svc.Program {
 	return func(jc *svc.JobContext) error {
 		c, _ := jc.Kept.(*Comm)
 		if c == nil || c.nd != jc.Node || c.n != jc.Dim {
@@ -153,7 +153,7 @@ func contribution(seed int64, r int) uint64 {
 // Program returns the spec's collective as a runnable job program that
 // verifies its own result on every rank.
 func (s JobSpec) Program() svc.Program {
-	return Job(func(c *Comm) error { return s.run(c) })
+	return jobProgram(func(c *Comm) error { return s.run(c) })
 }
 
 func (s JobSpec) run(c *Comm) error {

@@ -198,7 +198,7 @@ func TestJobAllocBudget(t *testing.T) {
 		s := MixedJobSpec(n, tenants, 5, i)
 		return s.Tenant, s.Program()
 	})
-	barrier := Job(func(c *Comm) error { return c.Barrier() })
+	barrier := jobProgram(func(c *Comm) error { return c.Barrier() })
 	_, perNodeJob := measure(func(i int) (int, svc.Program) { return 1 + i%tenants, barrier })
 	if err := cl.Drain(); err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestKeptJobCommIsolated(t *testing.T) {
 		}
 	}
 	submit := func(t *testing.T, cl *Cluster, tenant int, prog func(c *Comm) error) *ClusterHandle {
-		h, err := cl.Submit(tenant, Job(prog))
+		h, err := cl.Submit(tenant, jobProgram(prog))
 		if err != nil {
 			t.Fatal(err)
 		}

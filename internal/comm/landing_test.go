@@ -488,9 +488,9 @@ func TestBcastMSBTErrorExitUnposts(t *testing.T) {
 				posted, held := z.posted, len(z.buf)+len(z.spare)+cap(z.kept)
 				c.mu.Unlock()
 				failed[tree].Done()
-				var de *DeadlineError
+				var de *deadlineError
 				if !errors.As(err, &de) {
-					return fmt.Errorf("rank %d: half a broadcast returned %v, want a *DeadlineError", c.Rank(), err)
+					return fmt.Errorf("rank %d: half a broadcast returned %v, want a *deadlineError", c.Rank(), err)
 				}
 				if posted || held != 0 {
 					return fmt.Errorf("rank %d: the failed broadcast left its landing zone behind (posted=%v, %d bytes held)", c.Rank(), posted, held)

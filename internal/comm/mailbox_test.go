@@ -24,7 +24,7 @@ func (r *refMailbox) put(env mpx.Envelope) bool {
 		return false
 	}
 	r.q[env.Tag] = append(r.q[env.Tag], env)
-	if env.Tag&^svc.MaxSub == r.cur {
+	if env.Tag-svc.StreamSub(env.Tag) == r.cur {
 		r.ready = append(r.ready, env.Tag)
 	}
 	return true
@@ -49,7 +49,7 @@ func (r *refMailbox) popAny() (env mpx.Envelope, ok bool) {
 func (r *refMailbox) advance(cur int) {
 	r.cur, r.ready = cur, nil
 	for tag, q := range r.q {
-		for i := 0; i < len(q) && tag&^svc.MaxSub == cur; i++ {
+		for i := 0; i < len(q) && tag-svc.StreamSub(tag) == cur; i++ {
 			r.ready = append(r.ready, tag)
 		}
 	}

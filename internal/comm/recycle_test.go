@@ -300,7 +300,7 @@ func TestBcastMSBTCoHostedRanksDoNotRecycle(t *testing.T) {
 	if p, _ := msbt.Parent(n, 0, child, root); p != parent {
 		t.Fatalf("tree 0: rank %d's parent is %d, the test assumes %d", child, p, parent)
 	}
-	if p, _ := msbt.Parent(n, n-1, child, root); p != holder || len(msbt.Children(n, n-1, child, root)) != 0 {
+	if p, _ := msbt.Parent(n, n-1, child, root); p != holder || len(msbt.AppendChildren(nil, n, n-1, child, root)) != 0 {
 		t.Fatalf("tree %d: rank %d must be a leaf under %d", n-1, child, holder)
 	}
 	first, second := landingPayload(size, 7), landingPayload(size, 8)

@@ -11,7 +11,7 @@ import (
 )
 
 // TestRootOutsideCube calls each rooted collective with a root past the
-// last rank: every rank must fail at once with a *RootError — no hang,
+// last rank: every rank must fail at once with a *rootError — no hang,
 // no panic, no rank left holding nothing without an error — and the same
 // communicators must then run a valid broadcast.
 func TestRootOutsideCube(t *testing.T) {
@@ -28,9 +28,9 @@ func TestRootOutsideCube(t *testing.T) {
 		"Scatter":   func(c *Comm, r cube.NodeID) error { _, err := c.Scatter(r, per); return err },
 		"Gather":    func(c *Comm, r cube.NodeID) error { _, err := c.Gather(r, data); return err },
 		"Reduce":    func(c *Comm, r cube.NodeID) error { _, err := c.Reduce(r, data, first); return err },
-		"BcastFT":   func(c *Comm, r cube.NodeID) error { _, err := c.BcastFT(r, data, FTOptions{}); return err },
+		"BcastFT":   func(c *Comm, r cube.NodeID) error { _, err := c.BcastFT(r, data); return err },
 		"ScatterFT": func(c *Comm, r cube.NodeID) error {
-			_, err := c.ScatterFT(r, per, fault.AllAlive(n), FTOptions{})
+			_, err := c.ScatterFT(r, per, fault.AllAlive(n))
 			return err
 		},
 	}
@@ -40,9 +40,9 @@ func TestRootOutsideCube(t *testing.T) {
 			go func() {
 				done <- Run(n, func(c *Comm) error {
 					err := op(c, root)
-					var re *RootError
+					var re *rootError
 					if !errors.As(err, &re) || re.Root != root || re.Size != 1<<n {
-						t.Errorf("%s(root %d) at rank %d: error %v, want a *RootError", name, root, c.Rank(), err)
+						t.Errorf("%s(root %d) at rank %d: error %v, want a *rootError", name, root, c.Rank(), err)
 					}
 					got, err := c.Bcast(1, data)
 					if err == nil && !bytes.Equal(got, data) {

@@ -11,7 +11,7 @@ func TestAutomorphismPreservesAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := New(6)
 	for trial := 0; trial < 100; trial++ {
-		a := RandomAutomorphism(6, rng)
+		a := randomAutomorphism(6, rng)
 		if err := a.Validate(c); err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func TestAutomorphismBijective(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := New(5)
 	for trial := 0; trial < 50; trial++ {
-		a := RandomAutomorphism(5, rng)
+		a := randomAutomorphism(5, rng)
 		seen := make([]bool, c.Nodes())
 		for v := 0; v < c.Nodes(); v++ {
 			img := a.Apply(NodeID(v))
@@ -52,7 +52,7 @@ func TestInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := New(6)
 	for trial := 0; trial < 100; trial++ {
-		a := RandomAutomorphism(6, rng)
+		a := randomAutomorphism(6, rng)
 		inv := a.Inverse()
 		if err := inv.Validate(c); err != nil {
 			t.Fatal(err)
@@ -69,8 +69,8 @@ func TestCompose(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	c := New(5)
 	for trial := 0; trial < 100; trial++ {
-		a := RandomAutomorphism(5, rng)
-		b := RandomAutomorphism(5, rng)
+		a := randomAutomorphism(5, rng)
+		b := randomAutomorphism(5, rng)
 		ab := a.Compose(b)
 		if err := ab.Validate(c); err != nil {
 			t.Fatal(err)
@@ -88,7 +88,7 @@ func TestRotationAutomorphismMatchesBitRotation(t *testing.T) {
 	// inverse of the paper's right rotation R^k.
 	const n = 6
 	for k := 0; k < n; k++ {
-		a := RotationAutomorphism(n, k)
+		a := rotationAutomorphism(n, k)
 		for v := 0; v < 1<<n; v++ {
 			want := NodeID(bits.RotRK(uint64(v), n, n-k))
 			if got := a.Apply(NodeID(v)); got != want {
@@ -99,7 +99,7 @@ func TestRotationAutomorphismMatchesBitRotation(t *testing.T) {
 }
 
 func TestTranslationAutomorphism(t *testing.T) {
-	a := TranslationAutomorphism(4, 0b1010)
+	a := translationAutomorphism(4, 0b1010)
 	if a.Apply(0b0110) != 0b1100 {
 		t.Errorf("translation wrong: %04b", a.Apply(0b0110))
 	}
@@ -110,16 +110,16 @@ func TestTranslationAutomorphism(t *testing.T) {
 
 func TestValidateRejectsBadAutomorphisms(t *testing.T) {
 	c := New(3)
-	if err := (Automorphism{Perm: []int{0, 1}}).Validate(c); err == nil {
+	if err := (automorphism{Perm: []int{0, 1}}).Validate(c); err == nil {
 		t.Error("short perm accepted")
 	}
-	if err := (Automorphism{Perm: []int{0, 0, 1}}).Validate(c); err == nil {
+	if err := (automorphism{Perm: []int{0, 0, 1}}).Validate(c); err == nil {
 		t.Error("repeated dim accepted")
 	}
-	if err := (Automorphism{Perm: []int{0, 1, 2}, Translate: 8}).Validate(c); err == nil {
+	if err := (automorphism{Perm: []int{0, 1, 2}, Translate: 8}).Validate(c); err == nil {
 		t.Error("out-of-range translation accepted")
 	}
-	if err := IdentityAutomorphism(3).Validate(c); err != nil {
+	if err := identityAutomorphism(3).Validate(c); err != nil {
 		t.Error(err)
 	}
 }
@@ -130,7 +130,7 @@ func TestMSBTRotationStructureViaAutomorphism(t *testing.T) {
 	// checked here purely at the cube level: rotating preserves the
 	// "first one bit cyclically right of j" anchor.
 	const n = 5
-	a := RotationAutomorphism(n, 2)
+	a := rotationAutomorphism(n, 2)
 	for v := 1; v < 1<<n; v++ {
 		img := a.Apply(NodeID(v))
 		// lowest one bit of v relative to position 0 maps to the same

@@ -232,13 +232,9 @@ func Table4(n int) ([]Table4Row, error) {
 	return out, nil
 }
 
-// Table5Row aliases the BST table row so harnesses need not import
-// internal/bst directly.
-type Table5Row = bst.Table5Row
-
 // Table5 re-exports the BST subtree-size table (computed, golden-tested
 // against the paper digit for digit).
-func Table5(from, to int) []Table5Row { return bst.Table5(from, to) }
+func Table5(from, to int) []bst.Table5Row { return bst.Table5(from, to) }
 
 // Table6Row is one personalized-communication complexity row.
 type Table6Row struct {

@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cube"
 )
@@ -32,8 +31,6 @@ const (
 	Drop Kind = iota
 	// Duplicate delivers the message twice.
 	Duplicate
-	// Delay holds the message for Rule.Delay before delivery.
-	Delay
 	// Corrupt flips payload bytes in flight (checksums still match the
 	// original payload, so receivers can detect the damage).
 	Corrupt
@@ -45,8 +42,6 @@ func (k Kind) String() string {
 		return "drop"
 	case Duplicate:
 		return "duplicate"
-	case Delay:
-		return "delay"
 	case Corrupt:
 		return "corrupt"
 	}
@@ -57,10 +52,9 @@ func (k Kind) String() string {
 // Link suffers the fault (Nth counts from 0; Nth == EveryMessage matches
 // every crossing).
 type Rule struct {
-	Link  cube.Edge
-	Kind  Kind
-	Nth   int
-	Delay time.Duration // used when Kind == Delay
+	Link cube.Edge
+	Kind Kind
+	Nth  int
 }
 
 // EveryMessage as Rule.Nth makes the rule match every crossing.
@@ -72,7 +66,6 @@ type Outcome struct {
 	Drop      bool
 	Duplicate bool
 	Corrupt   bool
-	Delay     time.Duration
 }
 
 // IsZero reports whether the outcome delivers the message untouched, so
@@ -250,8 +243,6 @@ func (inj *planInjector) OnSend(from, to cube.NodeID) Outcome {
 			out.Drop = true
 		case Duplicate:
 			out.Duplicate = true
-		case Delay:
-			out.Delay += r.Delay
 		case Corrupt:
 			out.Corrupt = true
 		}
@@ -287,13 +278,13 @@ func (s Scenario) Plan(n int, protect cube.NodeID) (*Plan, error) {
 	case "nodes":
 		return RandomDeadNodes(n, s.Count, s.Seed, protect), nil
 	case "neighbor":
-		return DeadSourceNeighbor(n, protect, 0), nil
+		return deadSourceNeighbor(n, protect, 0), nil
 	case "drop":
-		return RandomMessageFaults(n, Drop, s.Count, s.Seed), nil
+		return randomMessageFaults(n, Drop, s.Count, s.Seed), nil
 	case "corrupt":
-		return RandomMessageFaults(n, Corrupt, s.Count, s.Seed), nil
+		return randomMessageFaults(n, Corrupt, s.Count, s.Seed), nil
 	case "duplicate":
-		return RandomMessageFaults(n, Duplicate, s.Count, s.Seed), nil
+		return randomMessageFaults(n, Duplicate, s.Count, s.Seed), nil
 	}
 	return nil, fmt.Errorf("fault: unknown scenario kind %q (want links|nodes|neighbor|drop|corrupt|duplicate|none)", s.Kind)
 }
@@ -341,17 +332,17 @@ func RandomDeadNodes(n, k int, seed int64, protect ...cube.NodeID) *Plan {
 	return p
 }
 
-// DeadSourceNeighbor returns a plan where the neighbor of src across the
+// deadSourceNeighbor returns a plan where the neighbor of src across the
 // given port is dead — the scenario that forces every structure rooted at
 // src to route around a failed first hop.
-func DeadSourceNeighbor(n int, src cube.NodeID, port int) *Plan {
+func deadSourceNeighbor(n int, src cube.NodeID, port int) *Plan {
 	c := cube.New(n)
 	return NewPlan(n).KillNode(c.Neighbor(src, port))
 }
 
-// RandomMessageFaults returns a plan where k random directed links apply
-// the given fault kind to every crossing message. Delay rules use 1ms.
-func RandomMessageFaults(n int, kind Kind, k int, seed int64) *Plan {
+// randomMessageFaults returns a plan where k random directed links apply
+// the given fault kind to every crossing message.
+func randomMessageFaults(n int, kind Kind, k int, seed int64) *Plan {
 	p := NewPlan(n)
 	c := cube.New(n)
 	edges := c.DirectedEdges()
@@ -361,7 +352,7 @@ func RandomMessageFaults(n int, kind Kind, k int, seed int64) *Plan {
 		k = len(edges)
 	}
 	for _, e := range edges[:k] {
-		p.AddRule(Rule{Link: e, Kind: kind, Nth: EveryMessage, Delay: time.Millisecond})
+		p.AddRule(Rule{Link: e, Kind: kind, Nth: EveryMessage})
 	}
 	return p
 }

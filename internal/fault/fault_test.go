@@ -2,7 +2,6 @@ package fault
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/cube"
 )
@@ -35,14 +34,14 @@ func TestInjectorAppliesRulesToNthCrossing(t *testing.T) {
 	p := NewPlan(3).
 		AddRule(Rule{Link: link, Kind: Drop, Nth: 1}).
 		AddRule(Rule{Link: link, Kind: Corrupt, Nth: EveryMessage}).
-		AddRule(Rule{Link: link, Kind: Delay, Nth: 0, Delay: time.Millisecond})
+		AddRule(Rule{Link: link, Kind: Duplicate, Nth: 0})
 	inj := p.Injector()
 	first := inj.OnSend(0, 1)
-	if first.Drop || !first.Corrupt || first.Delay != time.Millisecond {
+	if first.Drop || !first.Corrupt || !first.Duplicate {
 		t.Errorf("crossing 0 outcome %+v", first)
 	}
 	second := inj.OnSend(0, 1)
-	if !second.Drop || !second.Corrupt || second.Delay != 0 {
+	if !second.Drop || !second.Corrupt || second.Duplicate {
 		t.Errorf("crossing 1 outcome %+v", second)
 	}
 	if out := inj.OnSend(1, 0); out != (Outcome{}) {
@@ -87,11 +86,11 @@ func TestScenarioBuildersAreDeterministic(t *testing.T) {
 		}
 	}
 
-	if p := DeadSourceNeighbor(4, 5, 2); !p.NodeDead(5 ^ 4) {
-		t.Error("DeadSourceNeighbor killed the wrong node")
+	if p := deadSourceNeighbor(4, 5, 2); !p.NodeDead(5 ^ 4) {
+		t.Error("deadSourceNeighbor killed the wrong node")
 	}
 
-	msgs := RandomMessageFaults(3, Corrupt, 4, 1)
+	msgs := randomMessageFaults(3, Corrupt, 4, 1)
 	if msgs.ruleCount != 4 {
 		t.Fatalf("%d rules, want 4", msgs.ruleCount)
 	}

@@ -114,7 +114,7 @@ func TestRegraftFaultFreeReproducesBaseTrees(t *testing.T) {
 
 func TestRegraftAroundDeadSourceNeighbor(t *testing.T) {
 	const n = 4
-	plan := DeadSourceNeighbor(n, 0, 0) // node 1 dies
+	plan := deadSourceNeighbor(n, 0, 0) // node 1 dies
 	live := plan.Liveness()
 	ft, err := Regraft(n, 0, func(i cube.NodeID) (cube.NodeID, bool) { return bst.Parent(n, i, 0) }, live, nil)
 	if err != nil {

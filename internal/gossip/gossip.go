@@ -1,21 +1,17 @@
-// Package gossip builds timed schedules for the all-node collective
-// operations the paper sketches in §1: broadcasting from every node to
-// every other node (all-gather) and sending personalized data from every
-// node to every other node (all-to-all, the matrix-transposition
-// pattern), both executed as N concurrent spanning-tree operations, one
-// tree rooted at each node.
+// Package gossip builds timed schedules for all-to-all personalized
+// communication, the matrix-transposition pattern the paper sketches in
+// §1: personalized data from every node to every other node, executed as
+// N concurrent spanning-tree scatters, one tree rooted at each node.
 //
 // The paper notes that lower-bound algorithms for these operations are
 // attained "by using N BST's rooted at each node concurrently" (citing
 // its companion report [8]). The schedules here let the simulator measure
 // exactly why balance matters at this scale. By vertex transitivity the
-// AGGREGATE volume per link is family-independent for all-to-all; what
-// the BSTs buy is temporal balance: each SBT serializes half of its
-// root's data through one link (makespan ~ N), while each BST pushes only
-// ~N/log N through any link, so the N concurrent BSTs finish in about
-// 2N/log N — a log N / 2 speedup visible directly in the makespan. For
-// all-gather the edge-usage counts themselves differ, and the BSTs also
-// cut the busiest-link load.
+// AGGREGATE volume per link is family-independent; what the BSTs buy is
+// temporal balance: each SBT serializes half of its root's data through
+// one link (makespan ~ N), while each BST pushes only ~N/log N through
+// any link, so the N concurrent BSTs finish in about 2N/log N — a
+// log N / 2 speedup visible directly in the makespan.
 package gossip
 
 import (
@@ -29,70 +25,38 @@ import (
 	"repro/internal/tree"
 )
 
-// Family selects the spanning-tree family used for the N concurrent trees.
-type Family int
+// family selects the spanning-tree family used for the N concurrent trees.
+type family int
 
 const (
-	SBTs Family = iota // binomial trees (unbalanced subtrees)
-	BSTs               // balanced spanning trees
+	sbts family = iota // binomial trees (unbalanced subtrees)
+	bsts               // balanced spanning trees
 )
 
-func (f Family) String() string {
-	if f == SBTs {
+func (f family) String() string {
+	if f == sbts {
 		return "sbt"
 	}
 	return "bst"
 }
 
 // treeAt materializes the family's tree rooted at r.
-func treeAt(f Family, n int, r cube.NodeID) (*tree.Tree, error) {
+func treeAt(f family, n int, r cube.NodeID) (*tree.Tree, error) {
 	switch f {
-	case SBTs:
+	case sbts:
 		return sbt.Cached(n, r), nil
-	case BSTs:
+	case bsts:
 		return bst.Cached(n, r), nil
 	}
 	return nil, fmt.Errorf("gossip: unknown family %d", f)
 }
 
-// AllGather builds the schedule for broadcasting m elements from every
-// node to every other node over N concurrent trees: for each root r, m
-// elements flow down tree(r), every edge forwarding after its parent edge
-// (store-and-forward pipelining). Priorities interleave the roots so all
-// trees progress together.
-func AllGather(f Family, n int, m float64) ([]sim.Xmit, error) {
-	N := 1 << uint(n)
-	var xs []sim.Xmit
-	for r := 0; r < N; r++ {
-		t, err := treeAt(f, n, cube.NodeID(r))
-		if err != nil {
-			return nil, err
-		}
-		last := map[cube.NodeID]int{}
-		for _, u := range t.BreadthFirst() {
-			for _, c := range t.Children(u) {
-				var deps []int
-				if in, ok := last[u]; ok {
-					deps = []int{in}
-				}
-				xs = append(xs, sim.Xmit{
-					From: u, To: c, Elems: m,
-					Prio: int64(t.Level(c)), // level-major: all trees advance in lockstep
-					Deps: deps,
-				})
-				last[c] = len(xs) - 1
-			}
-		}
-	}
-	return xs, nil
-}
-
-// AllToAll builds the schedule for all-to-all personalized communication
+// allToAll builds the schedule for all-to-all personalized communication
 // with m elements per (source, destination) pair over N concurrent trees:
 // in tree(r), the edge into node v carries the data for v's whole subtree,
 // so volumes shrink toward the leaves exactly as in the single-source
 // scatter.
-func AllToAll(f Family, n int, m float64) ([]sim.Xmit, error) {
+func allToAll(f family, n int, m float64) ([]sim.Xmit, error) {
 	N := 1 << uint(n)
 	var xs []sim.Xmit
 	for r := 0; r < N; r++ {
@@ -119,10 +83,10 @@ func AllToAll(f Family, n int, m float64) ([]sim.Xmit, error) {
 	return xs, nil
 }
 
-// Measure runs the schedule under the given machine configuration and
+// measure runs the schedule under the given machine configuration and
 // returns the makespan together with the busiest-link load — the quantity
 // the BSTs' balance improves.
-func Measure(cfg sim.Config, xs []sim.Xmit) (makespan, busiest float64, err error) {
+func measure(cfg sim.Config, xs []sim.Xmit) (makespan, busiest float64, err error) {
 	res, err := sim.Run(cfg, xs)
 	if err != nil {
 		return 0, 0, err
@@ -136,16 +100,16 @@ func Measure(cfg sim.Config, xs []sim.Xmit) (makespan, busiest float64, err erro
 // balanced trees should cut completion time by about log N / 2.
 func CompareFamilies(n int, m float64) (sbtTime, bstTime float64, err error) {
 	cfg := sim.Config{Dim: n, Model: model.AllPorts, Tau: 0.001, Tc: 1}
-	for _, f := range []Family{SBTs, BSTs} {
-		xs, err := AllToAll(f, n, m)
+	for _, f := range []family{sbts, bsts} {
+		xs, err := allToAll(f, n, m)
 		if err != nil {
 			return 0, 0, err
 		}
-		mk, _, err := Measure(cfg, xs)
+		mk, _, err := measure(cfg, xs)
 		if err != nil {
 			return 0, 0, err
 		}
-		if f == SBTs {
+		if f == sbts {
 			sbtTime = mk
 		} else {
 			bstTime = mk

@@ -11,7 +11,7 @@ import (
 func path(n int, s cube.NodeID) []cube.NodeID {
 	p := make([]cube.NodeID, 1<<uint(n))
 	for k := range p {
-		p[k] = PathNode(k, s)
+		p[k] = pathNode(k, s)
 	}
 	return p
 }
@@ -46,7 +46,7 @@ func TestRankInverse(t *testing.T) {
 	const n = 8
 	for s := 0; s < 1<<n; s += 37 {
 		for i := 0; i < 1<<n; i++ {
-			if PathNode(PathRank(cube.NodeID(i), cube.NodeID(s)), cube.NodeID(s)) != cube.NodeID(i) {
+			if pathNode(pathRank(cube.NodeID(i), cube.NodeID(s)), cube.NodeID(s)) != cube.NodeID(i) {
 				t.Fatalf("rank/node not inverse at i=%d s=%d", i, s)
 			}
 		}
@@ -71,28 +71,6 @@ func TestTreeIsPath(t *testing.T) {
 			if tr.Fanout(cube.NodeID(i)) > 1 {
 				t.Fatalf("n=%d: node %d fanout %d", n, i, tr.Fanout(cube.NodeID(i)))
 			}
-		}
-	}
-}
-
-func TestPortSequence(t *testing.T) {
-	want := []int{0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0}
-	got := PortSequence(len(want))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PortSequence[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	// Port j is used every 2^(j+1) cycles: count occurrences.
-	seq := PortSequence(1 << 10)
-	counts := map[int]int{}
-	for _, p := range seq {
-		counts[p]++
-	}
-	for j := 0; j < 9; j++ {
-		want := 1 << uint(9-j)
-		if counts[j] != want {
-			t.Errorf("port %d used %d times, want %d", j, counts[j], want)
 		}
 	}
 }

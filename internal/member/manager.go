@@ -62,9 +62,9 @@ func New(cfg Config) *Manager {
 	m := &Manager{cfg: cfg}
 	m.cond = sync.NewCond(&m.mu)
 	if cfg.Join {
-		m.view = Empty(cfg.Dim)
+		m.view = empty(cfg.Dim)
 	} else {
-		m.view = Bootstrap(cfg.Dim)
+		m.view = bootstrap(cfg.Dim)
 	}
 	return m
 }
@@ -175,7 +175,7 @@ func (m *Manager) OnControl(from cube.NodeID, kind byte, body []byte) {
 		m.logf("member %d: rank %d attached from %s", m.cfg.Self, r, addr)
 		m.handleJoin(r)
 	case wire.KindView:
-		v, err := DecodeView(body)
+		v, err := decodeView(body)
 		if err != nil {
 			m.logf("member %d: bad view from %d: %v", m.cfg.Self, from, err)
 			return

@@ -16,7 +16,7 @@ import (
 func TestViewMergeSemilattice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	randomView := func() View {
-		v := Empty(3)
+		v := empty(3)
 		for i := range v.Ver {
 			v.Ver[i] = uint32(rng.Intn(4))
 			v.Stat[i] = Status(rng.Intn(3))
@@ -59,7 +59,7 @@ func TestViewMergeSemilattice(t *testing.T) {
 func TestViewGrowMergeCommutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	randomView := func(dim int) View {
-		v := Empty(dim)
+		v := empty(dim)
 		for i := range v.Ver {
 			v.Ver[i] = uint32(rng.Intn(4))
 			v.Stat[i] = Status(rng.Intn(3))
@@ -100,7 +100,7 @@ func TestViewGrowMergeCommutes(t *testing.T) {
 }
 
 func TestViewBumpAndTiebreak(t *testing.T) {
-	v := Bootstrap(2)
+	v := bootstrap(2)
 	e0 := v.Epoch()
 	v.Bump(1, Dead)
 	if v.Epoch() <= e0 {
@@ -108,7 +108,7 @@ func TestViewBumpAndTiebreak(t *testing.T) {
 	}
 	// Concurrent same-version bumps: crash detector says Dead, join
 	// handler says Alive.
-	a, b := Bootstrap(2), Bootstrap(2)
+	a, b := bootstrap(2), bootstrap(2)
 	a.Bump(1, Dead)
 	b.Bump(1, Alive)
 	m1, m2 := a.Clone(), b.Clone()
@@ -125,28 +125,28 @@ func TestViewBumpAndTiebreak(t *testing.T) {
 
 // TestViewEncodeDecode round-trips views, including a grown one.
 func TestViewEncodeDecode(t *testing.T) {
-	v := Bootstrap(3)
+	v := bootstrap(3)
 	v.Bump(2, Dead)
 	v.Bump(5, Drained)
 	if err := v.Grow(); err != nil {
 		t.Fatal(err)
 	}
 	v.Bump(12, Alive)
-	got, err := DecodeView(v.Encode())
+	got, err := decodeView(v.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(v) {
 		t.Fatalf("round trip mismatch:\n got %s\nwant %s", got, v)
 	}
-	if _, err := DecodeView(nil); err == nil {
+	if _, err := decodeView(nil); err == nil {
 		t.Fatal("empty encoding accepted")
 	}
-	if _, err := DecodeView([]byte{21}); err == nil {
+	if _, err := decodeView([]byte{21}); err == nil {
 		t.Fatal("oversized dim accepted")
 	}
 	enc := v.Encode()
-	if _, err := DecodeView(enc[:len(enc)-1]); err == nil {
+	if _, err := decodeView(enc[:len(enc)-1]); err == nil {
 		t.Fatal("truncated encoding accepted")
 	}
 }
@@ -154,7 +154,7 @@ func TestViewEncodeDecode(t *testing.T) {
 // TestViewHelpers covers the root choice, liveness mask and membership
 // listings the collectives derive from an agreed view.
 func TestViewHelpers(t *testing.T) {
-	v := Bootstrap(3)
+	v := bootstrap(3)
 	v.Bump(0, Dead)
 	v.Bump(3, Drained)
 	root, ok := v.LowestLive()
@@ -234,7 +234,7 @@ func TestManagerCrashDetectionConverges(t *testing.T) {
 		if r == 5 {
 			continue
 		}
-		if !m.WaitEpochAbove(Bootstrap(dim).Epoch(), time.Second) {
+		if !m.WaitEpochAbove(bootstrap(dim).Epoch(), time.Second) {
 			t.Fatalf("rank %d never saw the view change", r)
 		}
 		if got := m.View(); !got.Equal(want) || got.Alive(5) {
@@ -303,7 +303,7 @@ func TestManagerDrain(t *testing.T) {
 	}
 	mgrs[3].Drain()
 	for r := 0; r < 3; r++ {
-		if !mgrs[r].WaitEpochAbove(Bootstrap(dim).Epoch(), time.Second) {
+		if !mgrs[r].WaitEpochAbove(bootstrap(dim).Epoch(), time.Second) {
 			t.Fatalf("rank %d missed the drain", r)
 		}
 		if got := mgrs[r].View(); got.Stat[3] != Drained {
@@ -337,7 +337,7 @@ func TestManagerGrowByJoin(t *testing.T) {
 		t.Fatal("grown joiner never admitted")
 	}
 	for r, m := range mgrs {
-		if !m.WaitEpochAbove(Bootstrap(dim).Epoch(), time.Second) {
+		if !m.WaitEpochAbove(bootstrap(dim).Epoch(), time.Second) {
 			t.Fatalf("rank %d missed the growth", r)
 		}
 		v := m.View()

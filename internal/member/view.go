@@ -59,11 +59,11 @@ type View struct {
 	Stat []Status
 }
 
-// Bootstrap returns the launch view of a d-cube: every rank Alive at
+// bootstrap returns the launch view of a d-cube: every rank Alive at
 // version 1. Epoch 0 is reserved for the empty (joiner) view, so any
 // bootstrapped view compares above it.
-func Bootstrap(dim int) View {
-	v := Empty(dim)
+func bootstrap(dim int) View {
+	v := empty(dim)
 	for i := range v.Ver {
 		v.Ver[i] = 1
 		v.Stat[i] = Alive
@@ -71,9 +71,9 @@ func Bootstrap(dim int) View {
 	return v
 }
 
-// Empty returns the zero view of a d-cube — all ranks Dead at version 0.
+// empty returns the zero view of a d-cube — all ranks Dead at version 0.
 // A joiner bootstraps from it and adopts the mesh's real view by merge.
-func Empty(dim int) View {
+func empty(dim int) View {
 	n := 1 << uint(dim)
 	return View{Dim: dim, Ver: make([]uint32, n), Stat: make([]Status, n)}
 }
@@ -222,8 +222,8 @@ func (v View) Encode() []byte {
 	return buf
 }
 
-// DecodeView inverts Encode, validating dimension and status ranges.
-func DecodeView(buf []byte) (View, error) {
+// decodeView inverts Encode, validating dimension and status ranges.
+func decodeView(buf []byte) (View, error) {
 	if len(buf) < 1 {
 		return View{}, fmt.Errorf("member: empty view encoding")
 	}
@@ -231,7 +231,7 @@ func DecodeView(buf []byte) (View, error) {
 	if dim > maxDim {
 		return View{}, fmt.Errorf("member: view dim %d exceeds limit %d", dim, maxDim)
 	}
-	v := Empty(dim)
+	v := empty(dim)
 	rest := buf[1:]
 	for i := 0; i < v.Size(); i++ {
 		u, k := binary.Uvarint(rest)

@@ -9,10 +9,10 @@ import "math"
 // pipeline-fill steps but only 1 cycle per packet, while the one-port SBT
 // pays log N cycles per packet — so for large enough M/tau the path wins.
 
-// HPBeatsSBT reports whether the Hamiltonian-path broadcast is faster than
+// hpBeatsSBT reports whether the Hamiltonian-path broadcast is faster than
 // the one-port SBT broadcast at optimal packet sizes under the given
 // parameters (full-duplex one-port for both).
-func HPBeatsSBT(p Params) bool {
+func hpBeatsSBT(p Params) bool {
 	return BroadcastTmin(HP, OneSendAndRecv, p) < BroadcastTmin(SBT, OneSendAndRecv, p)
 }
 
@@ -31,7 +31,7 @@ func HPSBTCrossoverM(n int, tau, tc float64) float64 {
 	p := Params{N: n, Tau: tau, Tc: tc}
 	at := func(m float64) bool {
 		p.M = m
-		return HPBeatsSBT(p)
+		return hpBeatsSBT(p)
 	}
 	if at(lo) {
 		return lo
@@ -50,8 +50,8 @@ func HPSBTCrossoverM(n int, tau, tc float64) float64 {
 	return hi
 }
 
-// HPBeatsTCBT reports whether the HP broadcast beats the one-port TCBT
+// hpBeatsTCBT reports whether the HP broadcast beats the one-port TCBT
 // broadcast at optimal packet sizes (full duplex).
-func HPBeatsTCBT(p Params) bool {
+func hpBeatsTCBT(p Params) bool {
 	return BroadcastTmin(HP, OneSendAndRecv, p) < BroadcastTmin(TCBT, OneSendAndRecv, p)
 }

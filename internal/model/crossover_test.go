@@ -16,12 +16,12 @@ func TestHPCrossoverExistsAndIsMonotone(t *testing.T) {
 			t.Fatalf("n=%d: no crossover found", n)
 		}
 		p := Params{N: n, M: m * 2, Tau: 100, Tc: 1}
-		if !HPBeatsSBT(p) {
+		if !hpBeatsSBT(p) {
 			t.Errorf("n=%d: HP does not win at 2x the crossover", n)
 		}
 		if m > 1 { // m == 1 means HP wins everywhere (n = 2: N-3 = 1)
 			p.M = m / 4
-			if HPBeatsSBT(p) {
+			if hpBeatsSBT(p) {
 				t.Errorf("n=%d: HP already wins at a quarter of the crossover", n)
 			}
 		}
@@ -46,11 +46,11 @@ func TestHPBeatsTCBTSometimes(t *testing.T) {
 	// The paper's remark covers TCBT too: with streaming-sized messages
 	// the HP's 1 cycle/packet beats TCBT's 2.
 	p := Params{N: 4, M: 1 << 22, Tau: 1, Tc: 1}
-	if !HPBeatsTCBT(p) {
+	if !hpBeatsTCBT(p) {
 		t.Error("HP should beat TCBT for huge messages on a small cube")
 	}
 	p = Params{N: 10, M: 16, Tau: 1000, Tc: 1}
-	if HPBeatsTCBT(p) {
+	if hpBeatsTCBT(p) {
 		t.Error("HP should lose to TCBT for tiny messages on a big cube")
 	}
 }

@@ -463,9 +463,9 @@ func binom(n, k int) float64 {
 	return out
 }
 
-// SpeedupMSBToverSBT returns the predicted broadcast speedup of MSBT over
+// speedupMSBToverSBT returns the predicted broadcast speedup of MSBT over
 // SBT for the given parameters and port model — the quantity Figure 7
 // plots (measured ~ log N on the iPSC).
-func SpeedupMSBToverSBT(pm PortModel, p Params) float64 {
+func speedupMSBToverSBT(pm PortModel, p Params) float64 {
 	return BroadcastTime(SBT, pm, p) / BroadcastTime(MSBT, pm, p)
 }

@@ -249,11 +249,11 @@ func TestSpeedupMSBToverSBTShape(t *testing.T) {
 	// under half-duplex and ~ log N under full-duplex.
 	for _, n := range []int{4, 5, 6} {
 		p := Params{N: n, M: 60 * 1024, B: 1024, Tau: 1000, Tc: 1}
-		fd := SpeedupMSBToverSBT(OneSendAndRecv, p)
+		fd := speedupMSBToverSBT(OneSendAndRecv, p)
 		if want := float64(n); math.Abs(fd-want)/want > 0.15 {
 			t.Errorf("n=%d: full-duplex speedup %f, want ~%f", n, fd, want)
 		}
-		hd := SpeedupMSBToverSBT(OneSendOrRecv, p)
+		hd := speedupMSBToverSBT(OneSendOrRecv, p)
 		if want := float64(n) / 2; math.Abs(hd-want)/want > 0.2 {
 			t.Errorf("n=%d: half-duplex speedup %f, want ~%f", n, hd, want)
 		}

@@ -10,7 +10,7 @@ func TestMSBTNearOptimalEverywhere(t *testing.T) {
 		for _, n := range []int{4, 6, 8, 10} {
 			for _, m := range []float64{1, 64, 4096, 1 << 20} {
 				p := Params{N: n, M: m, Tau: 100, Tc: 1}
-				_, tBest := BestBroadcast(pm, p)
+				_, tBest := bestBroadcast(pm, p)
 				msbt := BroadcastTmin(MSBT, pm, p)
 				if bound := tBest * float64(n+1) / float64(n) * 1.01; msbt > bound {
 					t.Errorf("%v n=%d M=%.0f: MSBT %.1f above bound %.1f",
@@ -27,7 +27,7 @@ func TestMSBTWinsStreaming(t *testing.T) {
 	for _, pm := range PortModels {
 		for _, n := range []int{4, 6, 8, 10} {
 			p := Params{N: n, M: 1 << 20, Tau: 100, Tc: 1}
-			if w, _ := BestBroadcast(pm, p); w != MSBT {
+			if w, _ := bestBroadcast(pm, p); w != MSBT {
 				t.Errorf("%v n=%d: streaming winner %v, want MSBT", pm, n, w)
 			}
 		}
@@ -37,7 +37,7 @@ func TestMSBTWinsStreaming(t *testing.T) {
 func TestBSTWinsAllPortScatter(t *testing.T) {
 	for _, n := range []int{5, 7, 10} {
 		p := Params{N: n, M: 64, Tau: 10, Tc: 1}
-		w, _ := BestScatter(AllPorts, p)
+		w, _ := bestScatter(AllPorts, p)
 		if w != BST {
 			t.Errorf("n=%d: all-port scatter winner %v, want BST", n, w)
 		}
@@ -48,14 +48,14 @@ func TestSBTWinsOnePortScatter(t *testing.T) {
 	// One port at a time: the SBT's log N start-ups beat the BST's
 	// 2 log N - 2 and the TCBT's bound (§4.3).
 	p := Params{N: 8, M: 64, Tau: 1000, Tc: 1}
-	w, _ := BestScatter(OneSendAndRecv, p)
+	w, _ := bestScatter(OneSendAndRecv, p)
 	if w != SBT {
 		t.Errorf("one-port scatter winner %v, want SBT", w)
 	}
 }
 
 func TestWinnerMapBandsAreContiguous(t *testing.T) {
-	bands := BroadcastWinnerMap(OneSendAndRecv, 6, 100, 1, 1, 1<<20, 2)
+	bands := broadcastWinnerMap(OneSendAndRecv, 6, 100, 1, 1, 1<<20, 2)
 	if len(bands) == 0 {
 		t.Fatal("no bands")
 	}
@@ -77,10 +77,10 @@ func TestWinnerMapBandsAreContiguous(t *testing.T) {
 func TestWinnerMapWithoutMSBTShowsHPCrossover(t *testing.T) {
 	// Restricting to the pre-MSBT world (HP vs SBT vs TCBT) recovers the
 	// §3.4 remark: the SBT wins small messages, the HP wins huge ones.
-	old := BroadcastAlgorithms
-	BroadcastAlgorithms = []Algorithm{HP, SBT, TCBT}
-	defer func() { BroadcastAlgorithms = old }()
-	bands := BroadcastWinnerMap(OneSendAndRecv, 5, 100, 1, 1, 1<<26, 2)
+	old := broadcastAlgorithms
+	broadcastAlgorithms = []Algorithm{HP, SBT, TCBT}
+	defer func() { broadcastAlgorithms = old }()
+	bands := broadcastWinnerMap(OneSendAndRecv, 5, 100, 1, 1, 1<<26, 2)
 	if len(bands) < 2 {
 		t.Fatalf("expected a crossover, got %v", bands)
 	}

@@ -164,23 +164,3 @@ func TestSendRecvZeroAllocsSteadyState(t *testing.T) {
 		t.Errorf("Send into an attached sink allocates %.1f (want 0) and delivered %d of %d", perSend, delivered, runs+1)
 	}
 }
-
-// TestPartsPoolRoundTripNoAllocs checks that a warmed GetParts/PutParts
-// cycle reuses its buffers. The pool can shed entries under GC pressure,
-// so the check is lenient rather than exactly zero.
-func TestPartsPoolRoundTripNoAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc guard skipped in -short mode")
-	}
-	for i := 0; i < 8; i++ {
-		PutParts(GetParts(8))
-	}
-	perRun := testing.AllocsPerRun(100, func() {
-		ps := GetParts(8)
-		ps = append(ps, Part{Dest: 1})
-		PutParts(ps)
-	})
-	if perRun > 0.5 {
-		t.Errorf("warm GetParts/PutParts cycle allocates %.2f, want ~0", perRun)
-	}
-}

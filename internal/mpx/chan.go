@@ -179,7 +179,7 @@ func (t *ChanTransport) sever(a, b cube.NodeID) error {
 }
 
 // PeerError reports the first failure recorded on one of node id's
-// links (implements PeerErrorer).
+// links (implements peerErrorer).
 func (t *ChanTransport) PeerError(id cube.NodeID) error {
 	s := t.severed.Load()
 	if s == nil {
@@ -195,7 +195,7 @@ func (t *ChanTransport) PeerError(id cube.NodeID) error {
 }
 
 // FirstPeerError reports the first link failure recorded anywhere on
-// the transport (implements FirstPeerErrorer).
+// the transport (implements firstPeerErrorer).
 func (t *ChanTransport) FirstPeerError() error {
 	if pe := t.firstErr.Load(); pe != nil {
 		return pe
@@ -203,7 +203,7 @@ func (t *ChanTransport) FirstPeerError() error {
 	return nil
 }
 
-// Stats reports health counters (implements StatsReporter). The
+// Stats reports health counters (implements statsReporter). The
 // in-process transport has no wire, so only the severed-link count can
 // be nonzero.
 func (t *ChanTransport) Stats() TransportStats {
@@ -215,7 +215,7 @@ func (t *ChanTransport) Stats() TransportStats {
 const chanProfileSample = 64
 
 // Profile reports the live link cost model fitted from sampled sends
-// (implements Profiler). In-process delivery copies nothing, so the
+// (implements profiler). In-process delivery copies nothing, so the
 // fitted per-byte cost is near zero.
 func (t *ChanTransport) Profile() LinkProfile { return t.est.Profile() }
 
@@ -253,22 +253,19 @@ func (t *ChanTransport) sendFaulty(from, to cube.NodeID, port int, msg Message) 
 	if out.Drop {
 		return nil
 	}
-	if out.Delay > 0 {
-		time.Sleep(out.Delay)
-	}
 	if _, ok := t.inbox[to].DeliverFaulty(Envelope{Message: msg, Port: port, From: from}, out); !ok {
 		return ErrDown
 	}
 	return nil
 }
 
-// CorruptCopy returns msg with every part's payload deep-copied and its
+// corruptCopy returns msg with every part's payload deep-copied and its
 // first byte flipped; checksums (Part.Sum) are left intact so receivers
 // can detect the damage. Empty payloads pass through unharmed. Transports
 // use it to apply a Corrupt fault outcome to an in-process delivery (on
 // the wire, the TCP transport instead flips encoded frame bytes, which
 // the receiver's CRC catches).
-func CorruptCopy(msg Message) Message {
+func corruptCopy(msg Message) Message {
 	parts := make([]Part, len(msg.Parts))
 	for i, p := range msg.Parts {
 		q := p

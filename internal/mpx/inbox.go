@@ -90,7 +90,7 @@ func (in *Inbox) Deliver(env Envelope) bool {
 // copies got through, and false if the transport went down first.
 func (in *Inbox) DeliverFaulty(env Envelope, out fault.Outcome) (int, bool) {
 	if out.Corrupt {
-		env.Message = CorruptCopy(env.Message)
+		env.Message = corruptCopy(env.Message)
 	}
 	dup := env
 	if out.Duplicate {

@@ -123,19 +123,19 @@ type Transport interface {
 	Close() error
 }
 
-// PeerErrorer is an optional Transport extension reporting the first
+// peerErrorer is an optional Transport extension reporting the first
 // connection-level failure observed on one of a hosted node's links —
 // a crashed neighbor process, a severed socket. The in-process
 // ChanTransport never reports one.
-type PeerErrorer interface {
+type peerErrorer interface {
 	PeerError(id cube.NodeID) error
 }
 
-// FirstPeerErrorer is an optional Transport extension reporting the
+// firstPeerErrorer is an optional Transport extension reporting the
 // first connection-level failure observed on ANY hosted node's links.
 // It lets a rank that stalled as collateral of a neighbor's dead link
 // still name the dead peer instead of reporting a bare shutdown.
-type FirstPeerErrorer interface {
+type firstPeerErrorer interface {
 	FirstPeerError() error
 }
 
@@ -213,27 +213,27 @@ func (s *TransportStats) Add(o TransportStats) {
 	s.AttachesReceived += o.AttachesReceived
 }
 
-// Forwarder is an optional Transport extension for relays: Forward is
+// forwarder is an optional Transport extension for relays: Forward is
 // Send of env.Message, unchanged since it arrived, and may spend
 // env.BodyCRC on not summing the payload a second time. The frame on the
 // wire is the one Send would have written.
-type Forwarder interface {
+type forwarder interface {
 	Forward(from cube.NodeID, port int, env Envelope) error
 }
 
-// Settler is an optional Transport extension: the send-completion fence
+// settler is an optional Transport extension: the send-completion fence
 // behind buffer reuse. Settle reports whether every payload node id has
 // sent so far is out of user space — written to its socket, or copied
 // into a replay ring — so that overwriting it cannot change what a
 // neighbor receives. False: a co-hosted neighbor may hold a send by
 // reference, or a link failed with frames queued.
-type Settler interface {
+type settler interface {
 	Settle(id cube.NodeID) bool
 }
 
-// StatsReporter is an optional Transport extension exposing health
+// statsReporter is an optional Transport extension exposing health
 // counters. Both shipped backends implement it.
-type StatsReporter interface {
+type statsReporter interface {
 	Stats() TransportStats
 }
 
@@ -349,7 +349,7 @@ func (m *Machine) Transport() Transport { return m.tr }
 // PeerError reports the first connection-level failure recorded on one
 // of node id's links, or nil — always nil for in-process transports.
 func (m *Machine) PeerError(id cube.NodeID) error {
-	if pe, ok := m.tr.(PeerErrorer); ok {
+	if pe, ok := m.tr.(peerErrorer); ok {
 		return pe.PeerError(id)
 	}
 	return nil
@@ -357,11 +357,11 @@ func (m *Machine) PeerError(id cube.NodeID) error {
 
 // FirstPeerError reports the first connection-level failure recorded
 // anywhere on the machine's transport, falling back to a per-local scan
-// when the transport lacks the FirstPeerErrorer extension. It lets a
+// when the transport lacks the firstPeerErrorer extension. It lets a
 // rank whose own links are healthy — but which stalled because a
 // NEIGHBOR's link died and shut the job down — still name the dead peer.
 func (m *Machine) FirstPeerError() error {
-	if fpe, ok := m.tr.(FirstPeerErrorer); ok {
+	if fpe, ok := m.tr.(firstPeerErrorer); ok {
 		if err := fpe.FirstPeerError(); err != nil {
 			return err
 		}
@@ -376,18 +376,18 @@ func (m *Machine) FirstPeerError() error {
 }
 
 // Stats reports the transport's health counters; ok is false when the
-// transport does not implement StatsReporter.
+// transport does not implement statsReporter.
 func (m *Machine) Stats() (TransportStats, bool) {
-	if sr, ok := m.tr.(StatsReporter); ok {
+	if sr, ok := m.tr.(statsReporter); ok {
 		return sr.Stats(), true
 	}
 	return TransportStats{}, false
 }
 
 // Profile reports the transport's live link cost model; ok is false
-// when the transport does not implement Profiler.
+// when the transport does not implement profiler.
 func (m *Machine) Profile() (LinkProfile, bool) {
-	if pr, ok := m.tr.(Profiler); ok {
+	if pr, ok := m.tr.(profiler); ok {
 		return pr.Profile(), true
 	}
 	return LinkProfile{}, false
@@ -437,8 +437,7 @@ func (nd *Node) sent(err error) {
 // Fanout transmits one message through each of the given ports, reusing
 // the same encoded message for every copy: all receivers share the Parts
 // slice and payload arrays. Receivers of a fanned-out message must treat
-// the envelope as read-only and must not recycle its Parts via PutParts
-// — sole-receiver ownership is what makes recycling safe.
+// the envelope as read-only.
 func (nd *Node) Fanout(ports []int, msg Message) {
 	for _, p := range ports {
 		nd.Send(p, msg)
@@ -470,7 +469,7 @@ func (nd *Node) SendTo(to cube.NodeID, msg Message) {
 // checksum over the message on the way in (Envelope.BodyCRC) need not
 // compute it again on the way out.
 func (nd *Node) ForwardTo(to cube.NodeID, env Envelope) {
-	f, ok := nd.m.tr.(Forwarder)
+	f, ok := nd.m.tr.(forwarder)
 	port := nd.m.c.Port(nd.ID, to)
 	if !ok || env.BodyCRC == 0 || port < 0 {
 		nd.SendTo(to, env.Message) // which refuses a non-neighbor
@@ -479,11 +478,11 @@ func (nd *Node) ForwardTo(to cube.NodeID, env Envelope) {
 	nd.sent(f.Forward(nd.ID, port, env))
 }
 
-// Settle is the send-completion fence (Settler): true once nothing this
+// Settle is the send-completion fence (settler): true once nothing this
 // node has sent can still be read from the sender's memory. Transports
 // without the extension deliver by reference and never settle.
 func (nd *Node) Settle() bool {
-	s, ok := nd.m.tr.(Settler)
+	s, ok := nd.m.tr.(settler)
 	return ok && s.Settle(nd.ID)
 }
 

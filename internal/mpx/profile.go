@@ -16,23 +16,23 @@ type LinkProfile struct {
 	// Tc is the estimated per-byte cost in seconds.
 	Tc float64
 	// Samples counts the observations behind the estimate. Callers
-	// should treat profiles below ProfileMinSamples as unsettled.
+	// should treat profiles below profileMinSamples as unsettled.
 	Samples int64
 }
 
-// ProfileMinSamples is the observation count below which a profile is
+// profileMinSamples is the observation count below which a profile is
 // considered unsettled (Valid returns false).
-const ProfileMinSamples = 16
+const profileMinSamples = 16
 
 // Valid reports whether the profile has settled enough to drive
 // decisions: enough samples and a positive per-frame cost.
 func (p LinkProfile) Valid() bool {
-	return p.Samples >= ProfileMinSamples && p.Tau > 0
+	return p.Samples >= profileMinSamples && p.Tau > 0
 }
 
-// Profiler is an optional Transport extension exposing the live link
+// profiler is an optional Transport extension exposing the live link
 // cost model. Both shipped backends implement it.
-type Profiler interface {
+type profiler interface {
 	Profile() LinkProfile
 }
 

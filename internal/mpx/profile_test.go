@@ -72,11 +72,11 @@ func TestEstimatorClamps(t *testing.T) {
 
 func TestEstimatorUnsettledInvalid(t *testing.T) {
 	var e LinkEstimator
-	for i := 0; i < ProfileMinSamples-1; i++ {
+	for i := 0; i < profileMinSamples-1; i++ {
 		e.Observe(1, 100, time.Millisecond)
 	}
 	if p := e.Profile(); p.Valid() {
-		t.Fatalf("profile valid at %d samples, want >= %d", p.Samples, ProfileMinSamples)
+		t.Fatalf("profile valid at %d samples, want >= %d", p.Samples, profileMinSamples)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestChanTransportProfile(t *testing.T) {
 	defer tr.Close()
 	m := NewWithTransport(tr, nil)
 	err := m.Run(func(nd *Node) error {
-		for i := 0; i < 2*chanProfileSample*ProfileMinSamples; i++ {
+		for i := 0; i < 2*chanProfileSample*profileMinSamples; i++ {
 			nd.Send(0, Message{Tag: i})
 			nd.Recv()
 		}
@@ -142,7 +142,7 @@ func TestChanTransportProfile(t *testing.T) {
 	}
 	p, ok := m.Profile()
 	if !ok {
-		t.Fatal("ChanTransport does not implement Profiler")
+		t.Fatal("ChanTransport does not implement profiler")
 	}
 	if !p.Valid() {
 		t.Fatalf("profile not settled after %d sampled sends: %+v", p.Samples, p)

@@ -18,7 +18,6 @@
 package msbt
 
 import (
-	"repro/internal/bits"
 	"repro/internal/cube"
 	"repro/internal/tree"
 )
@@ -63,7 +62,9 @@ func Parent(n, j int, i, s cube.NodeID) (cube.NodeID, bool) {
 	}
 }
 
-// Children returns the children of node i in the j-th ERSBT with source s.
+// AppendChildren appends the children of node i in the j-th ERSBT with
+// source s to dst and returns the extended slice; it allocates nothing
+// when dst has room.
 //
 //	k == -1 (source)        -> the single child s XOR 2^j (the ERSBT root)
 //	c_j == 1 and k != j     -> ports M_MSBT(c, j) plus port j
@@ -74,12 +75,6 @@ func Parent(n, j int, i, s cube.NodeID) (cube.NodeID, bool) {
 //
 // M_MSBT(c, j) = {(k+1) mod n, ..., (j-1) mod n} are the (zero) bits of
 // c cyclically between the anchor k and bit j, exclusive on both ends.
-func Children(n, j int, i, s cube.NodeID) []cube.NodeID {
-	return AppendChildren(nil, n, j, i, s)
-}
-
-// AppendChildren appends Children(n, j, i, s) to dst and returns the
-// extended slice; it allocates nothing when dst has room.
 func AppendChildren(dst []cube.NodeID, n, j int, i, s cube.NodeID) []cube.NodeID {
 	c := uint64(i ^ s)
 	k := cyclicK(c, n, j)
@@ -166,7 +161,3 @@ func CachedTrees(n int, s cube.NodeID) []*tree.Tree { return cache.Get(n, s) }
 
 // RootOf returns the root of the j-th ERSBT below the source: s XOR 2^j.
 func RootOf(j int, s cube.NodeID) cube.NodeID { return s ^ cube.NodeID(1)<<uint(j) }
-
-// IsInternal reports whether node i is an internal node of the j-th ERSBT,
-// i.e. bit j of the relative address is one.
-func IsInternal(j int, i, s cube.NodeID) bool { return bits.Bit(uint64(i^s), j) }

@@ -42,16 +42,6 @@ func (p Permutation) Validate(n int) error {
 	return nil
 }
 
-// Identity returns the identity permutation.
-func Identity(n int) Permutation {
-	N := 1 << uint(n)
-	p := make(Permutation, N)
-	for i := range p {
-		p[i] = cube.NodeID(i)
-	}
-	return p
-}
-
 // BitReversal returns the bit-reversal permutation — the classic
 // adversary for dimension-ordered routing: all 2^(n/2) sources sharing
 // low bits funnel through the same middle links.
@@ -96,11 +86,11 @@ func ECube(n int, p Permutation, m float64) ([]sim.Xmit, error) {
 	return xs, nil
 }
 
-// Valiant builds the two-phase randomized schedule: every message first
+// valiant builds the two-phase randomized schedule: every message first
 // travels (dimension-ordered) to an independent uniformly random
 // intermediate node, then on to its true destination. rng drives the
 // intermediate choices.
-func Valiant(n int, p Permutation, m float64, rng *rand.Rand) ([]sim.Xmit, error) {
+func valiant(n int, p Permutation, m float64, rng *rand.Rand) ([]sim.Xmit, error) {
 	if err := p.Validate(n); err != nil {
 		return nil, err
 	}
@@ -130,10 +120,10 @@ func appendPath(xs *[]sim.Xmit, path []cube.NodeID, m float64, prio int64) {
 	}
 }
 
-// Congestion returns the maximum number of messages crossing any single
+// congestionOf returns the maximum number of messages crossing any single
 // directed link in the schedule — the static load bound that dominates
 // completion time for bandwidth-bound routing.
-func Congestion(xs []sim.Xmit) int {
+func congestionOf(xs []sim.Xmit) int {
 	load := map[cube.Edge]int{}
 	max := 0
 	for _, x := range xs {
@@ -156,7 +146,7 @@ func Measure(cfg sim.Config, xs []sim.Xmit) (makespan float64, congestion int, e
 	if err != nil {
 		return 0, 0, err
 	}
-	return res.Makespan, Congestion(xs), nil
+	return res.Makespan, congestionOf(xs), nil
 }
 
 // Stats summarizes repeated randomized measurements.
@@ -182,7 +172,7 @@ func MeasureValiantMany(cfg sim.Config, n int, p Permutation, m float64, trials 
 	s.MinMakespan = -1
 	for k := 0; k < trials; k++ {
 		rng := rand.New(rand.NewSource(seed + int64(k)))
-		xs, err := Valiant(n, p, m, rng)
+		xs, err := valiant(n, p, m, rng)
 		if err != nil {
 			return Stats{}, err
 		}
@@ -218,5 +208,5 @@ func WorstCaseCongestionECube(n int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return Congestion(xs), nil
+	return congestionOf(xs), nil
 }

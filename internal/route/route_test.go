@@ -11,9 +11,6 @@ import (
 )
 
 func TestPermutationValidate(t *testing.T) {
-	if err := Identity(4).Validate(4); err != nil {
-		t.Error(err)
-	}
 	if err := BitReversal(6).Validate(6); err != nil {
 		t.Error(err)
 	}
@@ -98,11 +95,11 @@ func TestValiantSpreadsAdversary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valiant, err := Valiant(n, BitReversal(n), 1, rng)
+	valiant, err := valiant(n, BitReversal(n), 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce, cv := Congestion(ecube), Congestion(valiant)
+	ce, cv := congestionOf(ecube), congestionOf(valiant)
 	if cv*3 > ce {
 		t.Errorf("valiant congestion %d not clearly below e-cube %d", cv, ce)
 	}
@@ -127,7 +124,7 @@ func TestValiantCompletionBeatsECubeOnAdversary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		xv, err := Valiant(n, BitReversal(n), 8, rng)
+		xv, err := valiant(n, BitReversal(n), 8, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +153,7 @@ func TestValiantNoWorseOnRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xv, err := Valiant(n, p, 4, rng)
+	xv, err := valiant(n, p, 4, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +196,11 @@ func TestMeasureValiantMany(t *testing.T) {
 }
 
 func TestIdentityIsFree(t *testing.T) {
-	xs, err := ECube(4, Identity(4), 1)
+	identity := make(Permutation, 16)
+	for i := range identity {
+		identity[i] = cube.NodeID(i)
+	}
+	xs, err := ECube(4, identity, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

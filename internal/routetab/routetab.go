@@ -25,9 +25,9 @@ import (
 	"repro/internal/tree"
 )
 
-// RootTable is the source node's single transmission table for BST
+// rootTable is the source node's single transmission table for BST
 // personalized communication.
-type RootTable struct {
+type rootTable struct {
 	N int // cube dimension
 	// Entries are the relative addresses of subtree 0's nodes in
 	// transmission order. The address sent on port j at step t is the
@@ -35,23 +35,23 @@ type RootTable struct {
 	Entries []cube.NodeID
 }
 
-// BuildRootTable constructs the root table for the n-cube BST using
+// buildRootTable constructs the root table for the n-cube BST using
 // depth-first transmission order within subtree 0.
-func BuildRootTable(n int) (*RootTable, error) {
+func buildRootTable(n int) (*rootTable, error) {
 	t := bst.Cached(n, 0)
 	// Subtree 0 is rooted at node 1 (base(1) == 0).
 	var entries []cube.NodeID
 	for _, v := range t.SubtreeNodes(1) {
 		entries = append(entries, v)
 	}
-	return &RootTable{N: n, Entries: entries}, nil
+	return &rootTable{N: n, Entries: entries}, nil
 }
 
 // PortDest returns the relative destination address transmitted on port j
 // at table step t, and ok == false when the entry is cyclic with period
 // <= j (that rotation would duplicate a destination already covered by an
 // earlier port).
-func (rt *RootTable) PortDest(t, j int) (cube.NodeID, bool) {
+func (rt *rootTable) PortDest(t, j int) (cube.NodeID, bool) {
 	e := rt.Entries[t]
 	if bits.Period(uint64(e), rt.N) <= j {
 		return 0, false
@@ -62,7 +62,7 @@ func (rt *RootTable) PortDest(t, j int) (cube.NodeID, bool) {
 // Destinations enumerates, for every port, the relative destination
 // sequence the root transmits: Destinations()[j][k] is the k-th address
 // sent into subtree j.
-func (rt *RootTable) Destinations() [][]cube.NodeID {
+func (rt *rootTable) Destinations() [][]cube.NodeID {
 	out := make([][]cube.NodeID, rt.N)
 	for j := 0; j < rt.N; j++ {
 		for t := range rt.Entries {
@@ -76,12 +76,12 @@ func (rt *RootTable) Destinations() [][]cube.NodeID {
 
 // SizeBits returns the root table's size in bits: one log N-bit entry per
 // canonical-subtree node (paper: ~ (N / log N) * log N = N bits).
-func (rt *RootTable) SizeBits() int { return len(rt.Entries) * rt.N }
+func (rt *rootTable) SizeBits() int { return len(rt.Entries) * rt.N }
 
 // Validate checks that the rotated port sequences cover every non-root
 // node exactly once — the root table is a complete, duplicate-free
 // personalization of the cube.
-func (rt *RootTable) Validate() error {
+func (rt *rootTable) Validate() error {
 	seen := map[cube.NodeID]bool{}
 	for _, dests := range rt.Destinations() {
 		for _, d := range dests {
@@ -122,8 +122,8 @@ func (o Order) String() string {
 	return "reversed-breadth-first"
 }
 
-// NodeTable is one internal node's routing table for BST scatter.
-type NodeTable struct {
+// nodeTable is one internal node's routing table for BST scatter.
+type nodeTable struct {
 	Node  cube.NodeID
 	Order Order
 	// Counts[j] is, for DepthFirst, a single-element slice holding the
@@ -132,9 +132,9 @@ type NodeTable struct {
 	Counts map[int][]int
 }
 
-// BuildNodeTable constructs node i's table for the BST rooted at s.
-func BuildNodeTable(t *tree.Tree, i cube.NodeID, order Order) *NodeTable {
-	nt := &NodeTable{Node: i, Order: order, Counts: map[int][]int{}}
+// buildNodeTable constructs node i's table for the BST rooted at s.
+func buildNodeTable(t *tree.Tree, i cube.NodeID, order Order) *nodeTable {
+	nt := &nodeTable{Node: i, Order: order, Counts: map[int][]int{}}
 	for _, c := range t.Children(i) {
 		port := t.Cube().Port(i, c)
 		switch order {
@@ -159,7 +159,7 @@ func BuildNodeTable(t *tree.Tree, i cube.NodeID, order Order) *NodeTable {
 
 // SizeBits returns the table's storage cost in bits, with every count
 // stored in a log N-bit field as the paper assumes.
-func (nt *NodeTable) SizeBits(n int) int {
+func (nt *nodeTable) SizeBits(n int) int {
 	entries := 0
 	for _, c := range nt.Counts {
 		entries += len(c)
@@ -188,7 +188,7 @@ func TableSizeBits(n int, order Order) (TableSizeStats, error) {
 		if id == t.Root() || t.IsLeaf(id) {
 			continue
 		}
-		bitsUsed := BuildNodeTable(t, id, order).SizeBits(n)
+		bitsUsed := buildNodeTable(t, id, order).SizeBits(n)
 		stats.TotalBits += bitsUsed
 		if bitsUsed > stats.MaxBits {
 			stats.MaxBits = bitsUsed

@@ -10,7 +10,7 @@ import (
 
 func TestRootTableCoversCube(t *testing.T) {
 	for n := 2; n <= 10; n++ {
-		rt, err := BuildRootTable(n)
+		rt, err := buildRootTable(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -23,7 +23,7 @@ func TestRootTableCoversCube(t *testing.T) {
 func TestRootTableSize(t *testing.T) {
 	// The paper: one table of length ~ N/log N with log N-bit entries.
 	for n := 3; n <= 12; n++ {
-		rt, err := BuildRootTable(n)
+		rt, err := buildRootTable(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestPortDestRotation(t *testing.T) {
 	// Port j's destinations are the right rotations by j of the entries,
 	// and rotations of an entry land in subtree j.
 	n := 6
-	rt, err := BuildRootTable(n)
+	rt, err := buildRootTable(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPortDestRotation(t *testing.T) {
 				}
 				continue
 			}
-			if got := bst.SubtreeOf(n, d, 0); got != j {
+			if got := bits.Base(uint64(d), n); got != j {
 				t.Fatalf("port %d destination %06b in subtree %d", j, d, got)
 			}
 		}
@@ -73,7 +73,7 @@ func TestPortDestRotation(t *testing.T) {
 func TestCyclicEntriesSkipped(t *testing.T) {
 	// A cyclic entry of period P must be transmitted only on ports < P.
 	n := 6
-	rt, err := BuildRootTable(n)
+	rt, err := buildRootTable(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestNodeTableDepthFirst(t *testing.T) {
 		if id == 0 || tr.IsLeaf(id) {
 			continue
 		}
-		nt := BuildNodeTable(tr, id, DepthFirst)
+		nt := buildNodeTable(tr, id, DepthFirst)
 		// One count per child, equal to the child's subtree size.
 		if len(nt.Counts) != tr.Fanout(id) {
 			t.Fatalf("node %d: %d counts, fanout %d", id, len(nt.Counts), tr.Fanout(id))
@@ -136,7 +136,7 @@ func TestNodeTableRBFLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := tr.Children(0)[0] // root of subtree 0
-	nt := BuildNodeTable(tr, id, ReversedBreadthFirst)
+	nt := buildNodeTable(tr, id, ReversedBreadthFirst)
 	for port, levels := range nt.Counts {
 		child := tr.Cube().Neighbor(id, port)
 		sum := 0

@@ -40,12 +40,6 @@ func AppendChildren(dst []cube.NodeID, n int, i, s cube.NodeID) []cube.NodeID {
 	return dst
 }
 
-// SubtreeOf returns the index j of the root subtree containing node i
-// (i != s): the paper's rule that i belongs to the j-th subtree iff
-// c_j = 1 and c_k = 0 for all k < j, i.e. j is the lowest one bit of the
-// relative address. Returns -1 for the root itself.
-func SubtreeOf(i, s cube.NodeID) int { return bits.LowestOne(uint64(i ^ s)) }
-
 // SubtreeSize returns the number of nodes in root subtree j of an n-cube
 // SBT: 2^(n-1-j). Subtree n-1 is the single node s XOR 2^(n-1).
 func SubtreeSize(n, j int) int { return 1 << uint(n-1-j) }
@@ -58,21 +52,15 @@ func New(n int, s cube.NodeID) (*tree.Tree, error) {
 	})
 }
 
-// MustNew is New, panicking on construction errors. The SBT definition
-// cannot fail for valid n and s; the panic guards internal invariants.
-func MustNew(n int, s cube.NodeID) *tree.Tree {
-	t, err := New(n, s)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // cache holds the canonical source-0 SBT per dimension plus an LRU of
 // recent translations. The SBT parent function depends only on i XOR s,
 // so the tree at source s is the XOR-translate of the tree at 0.
 var cache = tree.NewCanonCache(func(n int, s cube.NodeID) []*tree.Tree {
-	return []*tree.Tree{MustNew(n, s)}
+	t, err := New(n, s)
+	if err != nil {
+		panic(err) // the SBT definition cannot fail for a valid n and s
+	}
+	return []*tree.Tree{t}
 })
 
 // Cached returns the SBT of the n-cube rooted at s from a process-wide

@@ -111,7 +111,7 @@ func TestLevelEqualsHamming(t *testing.T) {
 		const n = 10
 		mask := cube.NodeID(1<<n - 1)
 		i, s := cube.NodeID(iRaw)&mask, cube.NodeID(sRaw)&mask
-		return MustNew(n, s).Level(i) == bits.Hamming(uint64(i), uint64(s))
+		return Cached(n, s).Level(i) == bits.Hamming(uint64(i), uint64(s))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -161,30 +161,17 @@ func TestSubtreeStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Root subtree j holds exactly the nodes whose relative address has
-		// lowest one bit j, and has 2^(n-1-j) nodes.
-		for i := 0; i < tr.Cube().Nodes(); i++ {
-			id := cube.NodeID(i)
-			if id == s {
-				if SubtreeOf(id, s) != -1 {
-					t.Fatal("root must be in no subtree")
+		// Root subtree j, below s XOR 2^j, holds exactly the nodes whose
+		// relative address has lowest one bit j: 2^(n-1-j) of them.
+		for j := 0; j < n; j++ {
+			sub := tr.SubtreeNodes(s ^ cube.NodeID(1)<<uint(j))
+			if len(sub) != SubtreeSize(n, j) {
+				t.Errorf("s=%d subtree %d: %d nodes, want %d", s, j, len(sub), SubtreeSize(n, j))
+			}
+			for _, id := range sub {
+				if bits.LowestOne(uint64(id^s)) != j {
+					t.Fatalf("s=%d: node %d lies in subtree %d", s, id, j)
 				}
-				continue
-			}
-			j := SubtreeOf(id, s)
-			if j != bits.LowestOne(uint64(id^s)) {
-				t.Fatalf("subtree index wrong for %d", id)
-			}
-		}
-		counts := make([]int, n)
-		for i := 0; i < tr.Cube().Nodes(); i++ {
-			if cube.NodeID(i) != s {
-				counts[SubtreeOf(cube.NodeID(i), s)]++
-			}
-		}
-		for j, c := range counts {
-			if c != SubtreeSize(n, j) {
-				t.Errorf("s=%d subtree %d: %d nodes, want %d", s, j, c, SubtreeSize(n, j))
 			}
 		}
 	}
@@ -195,7 +182,7 @@ func TestRecursiveDecomposition(t *testing.T) {
 	// the roots: the subtree under the root's port-(n-1) neighbor, together
 	// with the rest, each span an (n-1)-subcube.
 	const n = 6
-	tr := MustNew(n, 0)
+	tr := Cached(n, 0)
 	// The largest root subtree hangs below node 1 and spans the odd
 	// (n-1)-subcube: every node with bit 0 set.
 	sub := tr.SubtreeNodes(1)
@@ -207,13 +194,4 @@ func TestRecursiveDecomposition(t *testing.T) {
 			t.Fatalf("node %d of the odd subtree is even", v)
 		}
 	}
-}
-
-func TestMustNewPanicsOnBadDim(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew(0, 0) did not panic")
-		}
-	}()
-	MustNew(0, 0)
 }

@@ -109,7 +109,7 @@ func SimScatter(a model.Algorithm, s cube.NodeID, M, B float64,
 	if err != nil {
 		return nil, err
 	}
-	xs, err := ScatterTree(t, M, B, order, il)
+	xs, err := scatterTree(t, M, B, order, il)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,9 @@ package sched
 import (
 	"testing"
 
+	"repro/internal/bits"
 	"repro/internal/bst"
 	"repro/internal/cube"
-	"repro/internal/gray"
 	"repro/internal/model"
 	"repro/internal/sbt"
 	"repro/internal/sim"
@@ -41,9 +41,15 @@ func TestTopologiesMaterialize(t *testing.T) {
 			t.Fatal(err)
 		}
 		local := map[model.Algorithm]func(i cube.NodeID) (cube.NodeID, bool){
-			model.SBT:  func(i cube.NodeID) (cube.NodeID, bool) { return sbt.Parent(n, i, s) },
-			model.BST:  func(i cube.NodeID) (cube.NodeID, bool) { return bst.Parent(n, i, s) },
-			model.HP:   func(i cube.NodeID) (cube.NodeID, bool) { return gray.Parent(i, s) },
+			model.SBT: func(i cube.NodeID) (cube.NodeID, bool) { return sbt.Parent(n, i, s) },
+			model.BST: func(i cube.NodeID) (cube.NodeID, bool) { return bst.Parent(n, i, s) },
+			model.HP: func(i cube.NodeID) (cube.NodeID, bool) {
+				r := bits.GrayRank(uint64(i ^ s)) // i's position on the path
+				if r == 0 {
+					return 0, false
+				}
+				return s ^ cube.NodeID(bits.GrayCode(r-1)), true
+			},
 			model.TCBT: e.Parent,
 		}
 		for a, parent := range local {

@@ -12,8 +12,8 @@ import (
 func TestGatherSmallPackets(t *testing.T) {
 	// B < M: every upward hop fragments; total volume is conserved and
 	// the simulator still completes.
-	tr := sbt.MustNew(4, 0)
-	xs, err := GatherTree(tr, 10, 3)
+	tr := sbt.Cached(4, 0)
+	xs, err := gatherTree(tr, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func TestGatherSmallPackets(t *testing.T) {
 func TestScatterSingleNodeSubcube(t *testing.T) {
 	// Dimension 1: one destination, one hop, everything degenerate but
 	// well-formed.
-	tr := sbt.MustNew(1, 0)
-	xs, err := ScatterTree(tr, 5, 2, OrderDF, RoundRobin)
+	tr := sbt.Cached(1, 0)
+	xs, err := scatterTree(tr, 5, 2, OrderDF, RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestScatterSingleNodeSubcube(t *testing.T) {
 }
 
 func TestBroadcastSingleNodeTree(t *testing.T) {
-	tr := sbt.MustNew(1, 1)
+	tr := sbt.Cached(1, 1)
 	xs := BroadcastPipelined(tr, 3, 2)
 	if len(xs) != 3 {
 		t.Fatalf("%d transmissions", len(xs))

@@ -6,7 +6,7 @@ package sched
 // launch lets the 2^d trees fight for links.
 //
 // The whole construction rides on the XOR-translation symmetry of the
-// paper's spanning structures (tree.Translate): source s's tree is the
+// paper's spanning structures (tree.CanonCache): source s's tree is the
 // canonical source-0 tree relabeled by XOR with s, so a canonical edge
 // u→v appears in source s's tree as the physical link (u^s)→(v^s).
 // Two facts follow immediately:

@@ -216,13 +216,13 @@ func (il Interleave) String() string {
 	return "round-robin"
 }
 
-// ScatterTree builds one-to-all personalized communication on tree t: the
+// scatterTree builds one-to-all personalized communication on tree t: the
 // root owns M elements for every other node and sends each node's data
 // along its tree path, merging data for up to floor(B/M) destinations into
 // one packet (B >= M) or splitting each destination's data into
 // ceil(M/B) packets (B < M). Returns the schedule and the number of
 // packets the root emits.
-func ScatterTree(t *tree.Tree, m, b float64, order Order, il Interleave) ([]sim.Xmit, error) {
+func scatterTree(t *tree.Tree, m, b float64, order Order, il Interleave) ([]sim.Xmit, error) {
 	if m <= 0 || b <= 0 {
 		return nil, fmt.Errorf("sched: nonpositive M or B")
 	}
@@ -378,11 +378,11 @@ func groupDests(dests []cube.NodeID, m, b float64) [][]cube.NodeID {
 	return out
 }
 
-// GatherTree builds the reverse of ScatterTree: every node owns M elements
+// gatherTree builds the reverse of scatterTree: every node owns M elements
 // destined for the root; data flows up the tree, merged per packet
 // capacity. It is the paper's "collection of data to a single node"
 // (reduction without combining).
-func GatherTree(t *tree.Tree, m, b float64) ([]sim.Xmit, error) {
+func gatherTree(t *tree.Tree, m, b float64) ([]sim.Xmit, error) {
 	if m <= 0 || b <= 0 {
 		return nil, fmt.Errorf("sched: nonpositive M or B")
 	}
@@ -421,12 +421,12 @@ func GatherTree(t *tree.Tree, m, b float64) ([]sim.Xmit, error) {
 	return xs, nil
 }
 
-// ReduceTree builds a reduction (reverse broadcast): each node sends one
+// reduceTree builds a reduction (reverse broadcast): each node sends one
 // B-element partial result to its parent after receiving all children's
 // partials — the reverse operation of §1 (inner products, parallel
 // prefix). `elems` is the size of a partial result (it does not grow
 // upward: partials combine).
-func ReduceTree(t *tree.Tree, elems float64) []sim.Xmit {
+func reduceTree(t *tree.Tree, elems float64) []sim.Xmit {
 	xs := make([]sim.Xmit, 0, t.Size()-1)
 	upIdx := make([][]int, t.Cube().Nodes())
 	prio := int64(0)

@@ -33,7 +33,7 @@ func TestSBTPortOrientedOnePort(t *testing.T) {
 	// T = ceil(M/B) * log N routing steps (paper §3.3.1), exact.
 	for n := 2; n <= 6; n++ {
 		for _, q := range []int{1, 3, 8} {
-			xs := BroadcastPortOriented(sbt.MustNew(n, 0), q, 1)
+			xs := BroadcastPortOriented(sbt.Cached(n, 0), q, 1)
 			res := run(t, unitCfg(n, model.OneSendOrRecv), xs)
 			if res.Steps != q*n {
 				t.Errorf("n=%d q=%d: %d steps, want %d", n, q, res.Steps, q*n)
@@ -46,7 +46,7 @@ func TestSBTPipelinedAllPorts(t *testing.T) {
 	// T = ceil(M/B) + log N - 1 routing steps, exact.
 	for n := 2; n <= 6; n++ {
 		for _, q := range []int{1, 4, 10} {
-			xs := BroadcastPipelined(sbt.MustNew(n, 0), q, 1)
+			xs := BroadcastPipelined(sbt.Cached(n, 0), q, 1)
 			res := run(t, unitCfg(n, model.AllPorts), xs)
 			if res.Steps != q+n-1 {
 				t.Errorf("n=%d q=%d: %d steps, want %d", n, q, res.Steps, q+n-1)
@@ -140,7 +140,7 @@ func TestTCBTBroadcastShape(t *testing.T) {
 	// Table 1: propagation delay 2 log N - 2 (one-port) and log N
 	// (all ports) for a single packet. Exact.
 	for n := 2; n <= 8; n++ {
-		tr := tcbt.MustNew(n, 0).MustTree()
+		tr := tcbtTree(t, n)
 		xs := BroadcastPipelined(tr, 1, 1)
 		res := run(t, unitCfg(n, model.OneSendOrRecv), xs)
 		if res.Steps != 2*n-2 {
@@ -157,7 +157,7 @@ func TestTCBTStreaming(t *testing.T) {
 	// Steady state: ~2 cycles per packet full-duplex, ~3 half-duplex
 	// (Table 2). Check the slope between q=4 and q=12.
 	n := 5
-	tr := tcbt.MustNew(n, 0).MustTree()
+	tr := tcbtTree(t, n)
 	slope := func(pm model.PortModel) float64 {
 		a := run(t, unitCfg(n, pm), BroadcastPipelined(tr, 4, 1)).Steps
 		b := run(t, unitCfg(n, pm), BroadcastPipelined(tr, 12, 1)).Steps
@@ -180,7 +180,10 @@ func TestHPBroadcast(t *testing.T) {
 	// full-duplex count exactly and the half-duplex slope ~2.
 	n := 4
 	N := 16
-	hp := gray.MustNew(n, 0)
+	hp, err := gray.New(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range []int{1, 5} {
 		xs := BroadcastPipelined(hp, q, 1)
 		res := run(t, unitCfg(n, model.OneSendAndRecv), xs)
@@ -201,7 +204,7 @@ func TestBroadcastSpeedupMSBToverSBT(t *testing.T) {
 	for n := 3; n <= 6; n++ {
 		q := 8 * n // packets, divisible by n
 		sbtSteps := run(t, unitCfg(n, model.OneSendAndRecv),
-			BroadcastPortOriented(sbt.MustNew(n, 0), q, 1)).Steps
+			BroadcastPortOriented(sbt.Cached(n, 0), q, 1)).Steps
 		xs, err := BroadcastMSBT(n, 0, q/n, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -222,7 +225,7 @@ func TestScatterSBTLargePackets(t *testing.T) {
 	for n := 2; n <= 6; n++ {
 		N := float64(int(1) << uint(n))
 		m := 4.0
-		xs, err := ScatterTree(sbt.MustNew(n, 0), m, N*m, OrderDescending, PortOriented)
+		xs, err := scatterTree(sbt.Cached(n, 0), m, N*m, OrderDescending, PortOriented)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +244,7 @@ func TestScatterConservation(t *testing.T) {
 	n := 5
 	m := 2.0
 	tr := bst.MustNew(n, 0)
-	xs, err := ScatterTree(tr, m, 8*m, OrderDF, RoundRobin)
+	xs, err := scatterTree(tr, m, 8*m, OrderDF, RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,13 +275,13 @@ func TestScatterEveryNodeServed(t *testing.T) {
 	n := 5
 	m := 3.0
 	trees := map[string]*tree.Tree{
-		"sbt": sbt.MustNew(n, 0),
+		"sbt": sbt.Cached(n, 0),
 		"bst": bst.MustNew(n, 0),
 	}
 	for name, tr := range trees {
 		for _, order := range []Order{OrderDescending, OrderDF, OrderRBF} {
 			for _, il := range []Interleave{PortOriented, RoundRobin} {
-				xs, err := ScatterTree(tr, m, 5*m, order, il)
+				xs, err := scatterTree(tr, m, 5*m, order, il)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -305,11 +308,11 @@ func TestScatterBSTAllPortsSpeedup(t *testing.T) {
 		tau, tc := 1.0, 1.0
 		cfg := sim.Config{Dim: n, Model: model.AllPorts, Tau: tau, Tc: tc}
 		big := N * m
-		xsS, err := ScatterTree(sbt.MustNew(n, 0), m, big, OrderRBF, PortOriented)
+		xsS, err := scatterTree(sbt.Cached(n, 0), m, big, OrderRBF, PortOriented)
 		if err != nil {
 			t.Fatal(err)
 		}
-		xsB, err := ScatterTree(bst.MustNew(n, 0), m, m*N/float64(n), OrderRBF, RoundRobin)
+		xsB, err := scatterTree(bst.MustNew(n, 0), m, m*N/float64(n), OrderRBF, RoundRobin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,11 +334,11 @@ func TestScatterSmallPacketsEquivalence(t *testing.T) {
 	N := float64(int(1) << uint(n))
 	m := 4.0
 	cfg := sim.Config{Dim: n, Model: model.OneSendAndRecv, Tau: 2, Tc: 1}
-	xsS, err := ScatterTree(sbt.MustNew(n, 0), m, m, OrderDescending, RoundRobin)
+	xsS, err := scatterTree(sbt.Cached(n, 0), m, m, OrderDescending, RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xsB, err := ScatterTree(bst.MustNew(n, 0), m, m, OrderDF, RoundRobin)
+	xsB, err := scatterTree(bst.MustNew(n, 0), m, m, OrderDF, RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +358,7 @@ func TestGatherMirrorsScatter(t *testing.T) {
 	n := 5
 	N := float64(int(1) << uint(n))
 	m := 2.0
-	xs, err := GatherTree(sbt.MustNew(n, 0), m, N*m)
+	xs, err := gatherTree(sbt.Cached(n, 0), m, N*m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +384,7 @@ func TestReduceTree(t *testing.T) {
 	// Reduction on the SBT: every node sends one partial; with all ports
 	// it completes in log N steps (reverse of broadcast).
 	for n := 2; n <= 6; n++ {
-		xs := ReduceTree(sbt.MustNew(n, 0), 1)
+		xs := reduceTree(sbt.Cached(n, 0), 1)
 		if len(xs) != 1<<uint(n)-1 {
 			t.Fatalf("n=%d: %d transmissions", n, len(xs))
 		}
@@ -393,17 +396,17 @@ func TestReduceTree(t *testing.T) {
 }
 
 func TestScatterRejectsBadParams(t *testing.T) {
-	tr := sbt.MustNew(3, 0)
-	if _, err := ScatterTree(tr, 0, 1, OrderDF, RoundRobin); err == nil {
+	tr := sbt.Cached(3, 0)
+	if _, err := scatterTree(tr, 0, 1, OrderDF, RoundRobin); err == nil {
 		t.Error("M=0 accepted")
 	}
-	if _, err := ScatterTree(tr, 1, 0, OrderDF, RoundRobin); err == nil {
+	if _, err := scatterTree(tr, 1, 0, OrderDF, RoundRobin); err == nil {
 		t.Error("B=0 accepted")
 	}
-	if _, err := GatherTree(tr, -1, 1); err == nil {
+	if _, err := gatherTree(tr, -1, 1); err == nil {
 		t.Error("gather M<0 accepted")
 	}
-	if _, err := ScatterTree(tr, 1, 1, OrderDF, Interleave(9)); err == nil {
+	if _, err := scatterTree(tr, 1, 1, OrderDF, Interleave(9)); err == nil {
 		t.Error("bad interleave accepted")
 	}
 }
@@ -416,4 +419,13 @@ func TestOrderStrings(t *testing.T) {
 	if PortOriented.String() != "port-oriented" || RoundRobin.String() != "round-robin" {
 		t.Error("interleave strings")
 	}
+}
+
+func tcbtTree(t *testing.T, n int) *tree.Tree {
+	t.Helper()
+	e, err := tcbt.New(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.MustTree()
 }

@@ -1,16 +1,13 @@
-package sim_test
+package sim
 
 import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/sbt"
-	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 // TestEngineSteadyStateZeroAllocs is the performance-pass guard: once an
-// Engine has run a schedule and its buffers are sized, re-running the
+// engine has run a schedule and its buffers are sized, re-running the
 // same shape must not allocate at all. A regression here means the event
 // loop (heaps, dependency CSR, candidate set, or Result refill) grew a
 // per-run or per-event allocation.
@@ -19,10 +16,9 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 		t.Skip("alloc guard skipped in -short mode")
 	}
 	const n = 6
-	tr := sbt.MustNew(n, 0)
-	xs := sched.BroadcastPipelined(tr, 8, 1)
-	cfg := sim.Config{Dim: n, Model: model.AllPorts, Tau: 1, Tc: 0}
-	e := sim.NewEngine()
+	xs := benchSchedule(n, 8)
+	cfg := Config{Dim: n, Model: model.AllPorts, Tau: 1, Tc: 0}
+	e := newEngine()
 	if _, err := e.Run(cfg, xs); err != nil {
 		t.Fatal(err)
 	}

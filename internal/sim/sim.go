@@ -32,10 +32,10 @@
 // executor attains their analytic bounds; for ad-hoc schedules it is a
 // faithful "what would the machine do" executor.
 //
-// The executor is an Engine whose state is entirely flat and reusable:
+// The executor is an engine whose state is entirely flat and reusable:
 // per-link ready min-heaps, one typed event heap, CSR dependency lists,
 // epoch-stamped affected-node sets, and a flat per-link busy table (the
-// Result's edge map is materialized once at the end). A warm Engine runs
+// Result's edge map is materialized once at the end). A warm engine runs
 // a schedule with zero allocations in the steady-state event loop;
 // multi-million-transmission schedules (Figure 5 at d = 10-12 with
 // 16-byte packets) execute in seconds. The package-level Run draws
@@ -136,13 +136,12 @@ func (c *Config) cost(elems float64) float64 {
 
 // enginePool recycles engines (and so all their flat state) across
 // package-level Run calls.
-var enginePool = sync.Pool{New: func() any { return NewEngine() }}
+var enginePool = sync.Pool{New: func() any { return newEngine() }}
 
 // Run executes the transmissions on the simulated machine. The returned
-// Result is independent of any engine state; for repeated runs that must
-// not allocate, use an Engine directly.
+// Result is independent of any engine state.
 func Run(cfg Config, xs []Xmit) (*Result, error) {
-	e := enginePool.Get().(*Engine)
+	e := enginePool.Get().(*engine)
 	defer enginePool.Put(e)
 	res, err := e.Run(cfg, xs)
 	if err != nil {
@@ -177,13 +176,13 @@ type event struct {
 	id   int32
 }
 
-// Engine executes transmission schedules, reusing all scratch state
+// engine executes transmission schedules, reusing all scratch state
 // between runs: after the first run of a given size, the steady-state
-// event loop performs no allocations. An Engine is not safe for
+// event loop performs no allocations. An engine is not safe for
 // concurrent use; the Result returned by Run aliases engine-owned buffers
 // and is valid only until the next Run on the same engine (the
 // package-level Run copies it out).
-type Engine struct {
+type engine struct {
 	cfg Config
 	cb  *cube.Cube
 	n   int
@@ -228,19 +227,19 @@ type Engine struct {
 	resLinkBusy map[cube.Edge]float64
 }
 
-// NewEngine returns an empty engine; buffers are sized on first Run.
-func NewEngine() *Engine {
-	return &Engine{resLinkBusy: map[cube.Edge]float64{}}
+// newEngine returns an empty engine; buffers are sized on first Run.
+func newEngine() *engine {
+	return &engine{resLinkBusy: map[cube.Edge]float64{}}
 }
 
 // linkIndex maps the directed edge (from, port) to a dense index.
-func (e *Engine) linkIndex(from cube.NodeID, port int) int {
+func (e *engine) linkIndex(from cube.NodeID, port int) int {
 	return int(from)*e.n + port
 }
 
 // Run executes the transmissions on the simulated machine. The returned
 // Result aliases engine-owned buffers: it is valid until the next Run.
-func (e *Engine) Run(cfg Config, xs []Xmit) (*Result, error) {
+func (e *engine) Run(cfg Config, xs []Xmit) (*Result, error) {
 	cb := e.cb
 	if cb == nil || cb.Dim() != cfg.Dim {
 		cb = cube.New(cfg.Dim)
@@ -284,7 +283,7 @@ func (e *Engine) Run(cfg Config, xs []Xmit) (*Result, error) {
 // reset resizes every buffer for the current run and clears carried-over
 // state. Buffers only grow; a warm engine re-running the same shape of
 // schedule allocates nothing.
-func (e *Engine) reset() {
+func (e *engine) reset() {
 	m := len(e.xs)
 	N := e.cb.Nodes()
 	L := N * e.n
@@ -344,7 +343,7 @@ func (e *Engine) reset() {
 }
 
 // buildDeps assembles the CSR dependents lists and dependency counters.
-func (e *Engine) buildDeps() {
+func (e *engine) buildDeps() {
 	m := len(e.xs)
 	if cap(e.depHead) < m+1 {
 		e.depHead = make([]int32, m+1)
@@ -385,7 +384,7 @@ func (e *Engine) buildDeps() {
 // (dead sender, receiver or link) and propagates loss forward through
 // dependency edges — data that never reached a node cannot be forwarded
 // by it.
-func (e *Engine) markLost() {
+func (e *engine) markLost() {
 	p := e.cfg.Faults
 	if p == nil {
 		return
@@ -410,7 +409,7 @@ func (e *Engine) markLost() {
 }
 
 // touch adds v to the current round's affected set.
-func (e *Engine) touch(v cube.NodeID) {
+func (e *engine) touch(v cube.NodeID) {
 	if e.affStamp[v] != e.epoch {
 		e.affStamp[v] = e.epoch
 		e.affList = append(e.affList, v)
@@ -420,7 +419,7 @@ func (e *Engine) touch(v cube.NodeID) {
 // loop is the event loop: rounds of simultaneous (equal-time) deliveries
 // and resource releases, each followed by a greedy start pass over the
 // nodes the round affected.
-func (e *Engine) loop() {
+func (e *engine) loop() {
 	e.epoch++
 	e.affList = e.affList[:0]
 	for i := range e.xs {
@@ -454,7 +453,7 @@ func (e *Engine) loop() {
 
 // deliver marks transmission i delivered; nodes whose queues may have new
 // work join the affected set.
-func (e *Engine) deliver(i int) {
+func (e *engine) deliver(i int) {
 	for _, d := range e.depList[e.depHead[i]:e.depHead[i+1]] {
 		e.depsLeft[d]--
 		if e.depsLeft[d] == 0 && !e.lost[d] {
@@ -477,7 +476,7 @@ func (e *Engine) deliver(i int) {
 // get busier, so candidates are recomputed just for the two endpoint
 // nodes of each started transmission. (prio, idx) pairs are unique, so
 // the global minimum — and hence the schedule — is deterministic.
-func (e *Engine) attemptNodes(t float64) {
+func (e *engine) attemptNodes(t float64) {
 	for _, v := range e.affList {
 		e.updateCand(v, t)
 	}
@@ -506,7 +505,7 @@ func (e *Engine) attemptNodes(t float64) {
 
 // updateCand recomputes node v's best startable transmission and
 // repositions v in (or removes it from) the candidate heap.
-func (e *Engine) updateCand(v cube.NodeID, t float64) {
+func (e *engine) updateCand(v cube.NodeID, t float64) {
 	item, port, ok := e.bestCandidate(v, t)
 	if ok {
 		e.candItem[v], e.candPort[v] = item, int32(port)
@@ -524,11 +523,11 @@ func (e *Engine) updateCand(v cube.NodeID, t float64) {
 	}
 }
 
-func (e *Engine) candLess(a, b cube.NodeID) bool {
+func (e *engine) candLess(a, b cube.NodeID) bool {
 	return e.candItem[a].less(e.candItem[b])
 }
 
-func (e *Engine) candUp(i int) {
+func (e *engine) candUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
 		if !e.candLess(e.candHeap[i], e.candHeap[p]) {
@@ -539,7 +538,7 @@ func (e *Engine) candUp(i int) {
 	}
 }
 
-func (e *Engine) candDown(i int) {
+func (e *engine) candDown(i int) {
 	n := len(e.candHeap)
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -558,13 +557,13 @@ func (e *Engine) candDown(i int) {
 	}
 }
 
-func (e *Engine) candSwap(i, j int) {
+func (e *engine) candSwap(i, j int) {
 	e.candHeap[i], e.candHeap[j] = e.candHeap[j], e.candHeap[i]
 	e.candPos[e.candHeap[i]] = int32(i)
 	e.candPos[e.candHeap[j]] = int32(j)
 }
 
-func (e *Engine) candRemove(i int) {
+func (e *engine) candRemove(i int) {
 	n := len(e.candHeap) - 1
 	v := e.candHeap[i]
 	e.candPos[v] = -1
@@ -582,7 +581,7 @@ func (e *Engine) candRemove(i int) {
 
 // bestCandidate returns the lowest-priority transmission node v could
 // start at time t across its per-port ready queues, or ok == false.
-func (e *Engine) bestCandidate(v cube.NodeID, t float64) (readyItem, int, bool) {
+func (e *engine) bestCandidate(v cube.NodeID, t float64) (readyItem, int, bool) {
 	if !e.senderFree(v, t) {
 		return readyItem{}, 0, false
 	}
@@ -609,7 +608,7 @@ func (e *Engine) bestCandidate(v cube.NodeID, t float64) (readyItem, int, bool) 
 	return best, bestPort, true
 }
 
-func (e *Engine) senderFree(v cube.NodeID, t float64) bool {
+func (e *engine) senderFree(v cube.NodeID, t float64) bool {
 	switch e.cfg.Model {
 	case model.OneSendOrRecv:
 		return e.chanFree[v] <= t
@@ -620,7 +619,7 @@ func (e *Engine) senderFree(v cube.NodeID, t float64) bool {
 	}
 }
 
-func (e *Engine) receiverFree(v cube.NodeID, t float64) bool {
+func (e *engine) receiverFree(v cube.NodeID, t float64) bool {
 	switch e.cfg.Model {
 	case model.OneSendOrRecv:
 		return e.chanFree[v] <= t
@@ -631,7 +630,7 @@ func (e *Engine) receiverFree(v cube.NodeID, t float64) bool {
 	}
 }
 
-func (e *Engine) startXmit(i, port int, t float64) {
+func (e *engine) startXmit(i, port int, t float64) {
 	x := &e.xs[i]
 	d := e.cfg.cost(x.Elems)
 	e.start[i] = t
@@ -657,7 +656,7 @@ func (e *Engine) startXmit(i, port int, t float64) {
 
 // finalize assembles the engine-owned Result: makespan, delivered count,
 // uniform-cost step count, and the per-edge busy map from the flat table.
-func (e *Engine) finalize() (*Result, error) {
+func (e *engine) finalize() (*Result, error) {
 	res := &e.res
 	res.Finish = e.finish
 	res.Start = e.start

@@ -25,31 +25,31 @@ package svc
 
 import "fmt"
 
-// Field widths and shifts of the tag layout. Widths are public so tests
-// and docs can assert the layout; shifts compose them LSB-first.
+// Field widths and shifts of the tag layout; shifts compose the widths
+// LSB-first.
 const (
-	SubBits    = 16
-	SeqBits    = 24
-	JobBits    = 12
-	TenantBits = 8
+	subBits    = 16
+	seqBits    = 24
+	jobBits    = 12
+	tenantBits = 8
 
-	seqShift    = SubBits
-	jobShift    = SubBits + SeqBits
-	tenantShift = SubBits + SeqBits + JobBits
+	seqShift    = subBits
+	jobShift    = subBits + seqBits
+	tenantShift = subBits + seqBits + jobBits
 
-	// MaxSub..MaxTenant are the inclusive upper bounds of each field.
-	MaxSub    = 1<<SubBits - 1
-	MaxSeq    = 1<<SeqBits - 1
-	MaxJob    = 1<<JobBits - 1
-	MaxTenant = 1<<TenantBits - 1
+	// maxSub..MaxTenant are the inclusive upper bounds of each field.
+	maxSub    = 1<<subBits - 1
+	maxSeq    = 1<<seqBits - 1
+	MaxJob    = 1<<jobBits - 1
+	MaxTenant = 1<<tenantBits - 1
 )
 
 // Tag is the decoded form of a structured message tag.
 type Tag struct {
 	Tenant int // 0..MaxTenant
 	Job    int // 0..MaxJob; 0 = standalone communicator
-	Seq    int // 0..MaxSeq collective sequence
-	Sub    int // 0..MaxSub intra-collective stream
+	Seq    int // 0..maxSeq collective sequence
+	Sub    int // 0..maxSub intra-collective stream
 }
 
 // Encode packs the tag, validating every field's range.
@@ -60,11 +60,11 @@ func (t Tag) Encode() (int, error) {
 	if t.Job < 0 || t.Job > MaxJob {
 		return 0, fmt.Errorf("svc: job %d out of range [0,%d]", t.Job, MaxJob)
 	}
-	if t.Seq < 0 || t.Seq > MaxSeq {
-		return 0, fmt.Errorf("svc: seq %d out of range [0,%d]", t.Seq, MaxSeq)
+	if t.Seq < 0 || t.Seq > maxSeq {
+		return 0, fmt.Errorf("svc: seq %d out of range [0,%d]", t.Seq, maxSeq)
 	}
-	if t.Sub < 0 || t.Sub > MaxSub {
-		return 0, fmt.Errorf("svc: sub %d out of range [0,%d]", t.Sub, MaxSub)
+	if t.Sub < 0 || t.Sub > maxSub {
+		return 0, fmt.Errorf("svc: sub %d out of range [0,%d]", t.Sub, maxSub)
 	}
 	return t.Tenant<<tenantShift | t.Job<<jobShift | t.Seq<<seqShift | t.Sub, nil
 }
@@ -79,46 +79,30 @@ func (t Tag) MustEncode() int {
 	return raw
 }
 
-// DecodeTag unpacks a raw tag into its four fields.
-func DecodeTag(raw int) Tag {
-	return Tag{
-		Tenant: raw >> tenantShift & MaxTenant,
-		Job:    raw >> jobShift & MaxJob,
-		Seq:    raw >> seqShift & MaxSeq,
-		Sub:    raw & MaxSub,
-	}
-}
-
-// Base returns the encoded (tenant, job) bits with zero seq and sub: the
-// constant a communicator ORs with StreamTag on every send.
-func Base(tenant, job int) (int, error) {
-	return Tag{Tenant: tenant, Job: job}.Encode()
-}
-
 // JobKey compacts (tenant, job) into one comparable int — the key the
 // dispatcher and the per-job stats map route on.
-func JobKey(tenant, job int) int { return tenant<<JobBits | job }
+func JobKey(tenant, job int) int { return tenant<<jobBits | job }
 
 // JobKeyOf extracts the job key from a raw tag without a full decode.
 func JobKeyOf(raw int) int { return raw >> jobShift }
 
 // KeyTenant and KeyJob split a JobKey back into its halves.
-func KeyTenant(key int) int { return key >> JobBits }
+func KeyTenant(key int) int { return key >> jobBits }
 func KeyJob(key int) int    { return key & MaxJob }
 
 // StreamTag packs the per-collective (seq, sub) half of a tag — the hot
 // path, called on every send and receive, so it panics on range
 // violations instead of returning an error. A communicator that runs
-// MaxSeq collectives has a stuck counter, not an input problem.
+// maxSeq collectives has a stuck counter, not an input problem.
 func StreamTag(seq, sub int) int {
-	if uint(seq) > MaxSeq || uint(sub) > MaxSub {
+	if uint(seq) > maxSeq || uint(sub) > maxSub {
 		panic(fmt.Sprintf("svc: stream tag (seq=%d, sub=%d) out of range", seq, sub))
 	}
 	return seq<<seqShift | sub
 }
 
 // StreamSeq extracts the collective sequence from a raw tag.
-func StreamSeq(raw int) int { return raw >> seqShift & MaxSeq }
+func StreamSeq(raw int) int { return raw >> seqShift & maxSeq }
 
 // StreamSub extracts the intra-collective stream from a raw tag.
-func StreamSub(raw int) int { return raw & MaxSub }
+func StreamSub(raw int) int { return raw & maxSub }

@@ -5,13 +5,19 @@ import (
 	"testing"
 )
 
+// decodeTag unpacks a raw tag with the extractors the runtime routes on.
+func decodeTag(raw int) Tag {
+	key := JobKeyOf(raw)
+	return Tag{Tenant: KeyTenant(key), Job: KeyJob(key), Seq: StreamSeq(raw), Sub: StreamSub(raw)}
+}
+
 func TestTagRoundTrip(t *testing.T) {
 	cases := []Tag{
 		{},
 		{Tenant: 1, Job: 2, Seq: 3, Sub: 4},
-		{Tenant: MaxTenant, Job: MaxJob, Seq: MaxSeq, Sub: MaxSub},
-		{Sub: MaxSub},
-		{Seq: MaxSeq},
+		{Tenant: MaxTenant, Job: MaxJob, Seq: maxSeq, Sub: maxSub},
+		{Sub: maxSub},
+		{Seq: maxSeq},
 		{Job: MaxJob},
 		{Tenant: MaxTenant},
 	}
@@ -20,8 +26,8 @@ func TestTagRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Encode(%+v): %v", want, err)
 		}
-		if got := DecodeTag(raw); got != want {
-			t.Fatalf("DecodeTag(Encode(%+v)) = %+v", want, got)
+		if got := decodeTag(raw); got != want {
+			t.Fatalf("decodeTag(Encode(%+v)) = %+v", want, got)
 		}
 	}
 }
@@ -32,11 +38,11 @@ func TestTagRoundTripRandom(t *testing.T) {
 		want := Tag{
 			Tenant: rng.Intn(MaxTenant + 1),
 			Job:    rng.Intn(MaxJob + 1),
-			Seq:    rng.Intn(MaxSeq + 1),
-			Sub:    rng.Intn(MaxSub + 1),
+			Seq:    rng.Intn(maxSeq + 1),
+			Sub:    rng.Intn(maxSub + 1),
 		}
 		raw := want.MustEncode()
-		if got := DecodeTag(raw); got != want {
+		if got := decodeTag(raw); got != want {
 			t.Fatalf("round trip %+v -> %#x -> %+v", want, raw, got)
 		}
 		if JobKeyOf(raw) != JobKey(want.Tenant, want.Job) {
@@ -54,8 +60,8 @@ func TestTagRangeValidation(t *testing.T) {
 	bad := []Tag{
 		{Tenant: -1}, {Tenant: MaxTenant + 1},
 		{Job: -1}, {Job: MaxJob + 1},
-		{Seq: -1}, {Seq: MaxSeq + 1},
-		{Sub: -1}, {Sub: MaxSub + 1},
+		{Seq: -1}, {Seq: maxSeq + 1},
+		{Sub: -1}, {Sub: maxSub + 1},
 	}
 	for _, tg := range bad {
 		if _, err := tg.Encode(); err == nil {
@@ -70,26 +76,26 @@ func TestMustEncodePanics(t *testing.T) {
 			t.Fatal("MustEncode on out-of-range tag did not panic")
 		}
 	}()
-	Tag{Sub: MaxSub + 1}.MustEncode()
+	Tag{Sub: maxSub + 1}.MustEncode()
 }
 
 func TestStreamTagPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("StreamTag(MaxSeq+1, 0) did not panic")
+			t.Fatal("StreamTag(maxSeq+1, 0) did not panic")
 		}
 	}()
-	StreamTag(MaxSeq+1, 0)
+	StreamTag(maxSeq+1, 0)
 }
 
 func TestBaseComposesWithStreamTag(t *testing.T) {
-	base, err := Base(7, 42)
+	base, err := Tag{Tenant: 7, Job: 42}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := base | StreamTag(9, 3)
 	want := Tag{Tenant: 7, Job: 42, Seq: 9, Sub: 3}
-	if got := DecodeTag(raw); got != want {
+	if got := decodeTag(raw); got != want {
 		t.Fatalf("base|stream = %+v, want %+v", got, want)
 	}
 }

@@ -112,8 +112,8 @@ func (h *Handle) finish(err error, payload int64) {
 	})
 }
 
-// ErrDraining is returned by Submit after Drain began.
-var ErrDraining = errors.New("svc: runtime is draining")
+// errDraining is returned by Submit after Drain began.
+var errDraining = errors.New("svc: runtime is draining")
 
 // job is the runtime's internal record of one submission; Submit hands
 // out a pointer to its Handle, made with it.
@@ -239,7 +239,7 @@ func (rt *Runtime) Submit(tenant int, prog Program) (*Handle, error) {
 			return nil, rt.fatalErr
 		}
 		if rt.draining {
-			return nil, ErrDraining
+			return nil, errDraining
 		}
 		if ts.outstanding < rt.opt.TenantQueue {
 			break
@@ -550,7 +550,7 @@ func (rt *Runtime) wakeAll() {
 	}
 }
 
-// StopAdmission makes every later Submit fail with ErrDraining, and so
+// StopAdmission makes every later Submit fail with errDraining, and so
 // wakes submitters blocked on backpressure; jobs already submitted still
 // run. Drain calls it first. Idempotent.
 func (rt *Runtime) StopAdmission() {

@@ -85,15 +85,6 @@ func New(n int, s cube.NodeID) (*Embedding, error) {
 	return e, nil
 }
 
-// MustNew is New, panicking on error.
-func MustNew(n int, s cube.NodeID) *Embedding {
-	e, err := New(n, s)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Tree materializes the embedding as a validated spanning tree rooted at R1.
 func (e *Embedding) Tree() (*tree.Tree, error) {
 	c := cube.New(e.N)

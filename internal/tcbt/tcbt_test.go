@@ -7,6 +7,15 @@ import (
 	"repro/internal/cube"
 )
 
+func mustNew(t *testing.T, n int, s cube.NodeID) *Embedding {
+	t.Helper()
+	e, err := New(n, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestSpanningAllDims(t *testing.T) {
 	for n := 1; n <= 10; n++ {
 		e, err := New(n, 0)
@@ -30,7 +39,7 @@ func TestShape(t *testing.T) {
 	// The TCBT rooted at R1: R1 has children {R2, C1}; R2 has single child
 	// C2; C1 and C2 root complete binary trees of 2^(n-1)-1 nodes each.
 	for n := 2; n <= 10; n++ {
-		e := MustNew(n, 0)
+		e := mustNew(t, n, 0)
 		tr := e.MustTree()
 		if !tr.Cube().Adjacent(e.R1, e.R2) {
 			t.Fatalf("n=%d: roots not adjacent", n)
@@ -78,7 +87,7 @@ func TestHeight(t *testing.T) {
 	// Height from R1: the deepest leaf is in C2's CBT at depth
 	// 2 (R1->R2->C2) + (n-2) = n.
 	for n := 2; n <= 10; n++ {
-		tr := MustNew(n, 0).MustTree()
+		tr := mustNew(t, n, 0).MustTree()
 		if tr.Height() != n {
 			t.Errorf("n=%d: height %d", n, tr.Height())
 		}
@@ -91,7 +100,7 @@ func TestArbitrarySource(t *testing.T) {
 		N := 1 << uint(n)
 		for trial := 0; trial < 3; trial++ {
 			s := cube.NodeID(rng.Intn(N))
-			e := MustNew(n, s)
+			e := mustNew(t, n, s)
 			if e.R1 != s {
 				t.Fatalf("n=%d: R1 = %d, want %d", n, e.R1, s)
 			}
@@ -104,7 +113,7 @@ func TestArbitrarySource(t *testing.T) {
 }
 
 func TestDimension1(t *testing.T) {
-	e := MustNew(1, 1)
+	e := mustNew(t, 1, 1)
 	tr := e.MustTree()
 	if tr.Size() != 2 || tr.Height() != 1 {
 		t.Errorf("n=1 tree wrong: size %d height %d", tr.Size(), tr.Height())
@@ -127,7 +136,7 @@ func TestParentAdjacency(t *testing.T) {
 	// Dilation 1: every tree edge is a cube edge (also checked by
 	// tree.FromParentFunc, but assert directly on the embedding).
 	for n := 2; n <= 9; n++ {
-		e := MustNew(n, 0)
+		e := mustNew(t, n, 0)
 		c := cube.New(n)
 		for v := 0; v < c.Nodes(); v++ {
 			p, ok := e.Parent(cube.NodeID(v))

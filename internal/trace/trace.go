@@ -5,12 +5,10 @@
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/cube"
@@ -201,37 +199,6 @@ func Gantt(xs []sim.Xmit, res *sim.Result, width, maxRows int) string {
 		fmt.Fprintf(&b, "%4d->%-4d |%s| %.1f\n", r.edge.From, r.edge.To, line, r.busy)
 	}
 	return b.String()
-}
-
-// CSV writes series as comma-separated values with a header row: the
-// shared X column followed by one Y column per series, for downstream
-// plotting. All series must share the same X values.
-func CSV(w io.Writer, xLabel string, series ...Series) error {
-	if len(series) == 0 {
-		return nil
-	}
-	cw := csv.NewWriter(w)
-	header := append([]string{xLabel}, make([]string, 0, len(series))...)
-	for _, s := range series {
-		if len(s.X) != len(series[0].X) {
-			return fmt.Errorf("trace: series %q has %d points, want %d", s.Label, len(s.X), len(series[0].X))
-		}
-		header = append(header, s.Label)
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for i := range series[0].X {
-		row := []string{strconv.FormatFloat(series[0].X[i], 'g', -1, 64)}
-		for _, s := range series {
-			row = append(row, strconv.FormatFloat(s.Y[i], 'g', -1, 64))
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Chart renders series as a crude ASCII scatter plot (linear axes), good

@@ -132,30 +132,6 @@ func TestGantt(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := CSV(&buf, "n",
-		Series{Label: "a", X: []float64{1, 2}, Y: []float64{10, 20.5}},
-		Series{Label: "b", X: []float64{1, 2}, Y: []float64{3, 4}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "n,a,b\n1,10,3\n2,20.5,4\n"
-	if buf.String() != want {
-		t.Errorf("csv = %q, want %q", buf.String(), want)
-	}
-	if err := CSV(&buf, "x",
-		Series{Label: "a", X: []float64{1}, Y: []float64{1}},
-		Series{Label: "b", X: []float64{1, 2}, Y: []float64{1, 2}},
-	); err == nil {
-		t.Error("mismatched series accepted")
-	}
-	if err := CSV(&buf, "x"); err != nil {
-		t.Error("empty CSV should be a no-op")
-	}
-}
-
 func TestFormatNum(t *testing.T) {
 	if formatNum(3) != "3" {
 		t.Errorf("%q", formatNum(3))

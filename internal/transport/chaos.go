@@ -21,9 +21,6 @@ const (
 	// ChaosDelay stalls every flush on one link for the hold window (a
 	// slow link, not a dead one).
 	ChaosDelay ChaosKind = "delay"
-	// ChaosPartition kills every remote link of this endpoint at once
-	// and keeps them severed for the hold window.
-	ChaosPartition ChaosKind = "partition"
 )
 
 // ChaosOptions configures a chaos agent.
@@ -35,9 +32,9 @@ type ChaosOptions struct {
 	// MinPause/MaxPause bound the idle time between events.
 	// 0 means 30ms / 150ms.
 	MinPause, MaxPause time.Duration
-	// Hold is how long flap/delay/partition faults persist. 0 means
-	// 120ms. Keep it well under the resilience budget: a partition held
-	// past the budget escalates by design.
+	// Hold is how long flap and delay faults persist. 0 means
+	// 120ms. Keep it well under the resilience budget: a flap held past
+	// the budget escalates by design.
 	Hold time.Duration
 	// Events, when > 0, stops the agent after that many injected events.
 	Events int
@@ -98,7 +95,7 @@ func (c *Chaos) Stop() {
 func (c *Chaos) Events() int64 { return c.events.Load() }
 
 // Severed reports how many live sockets the agent actually closed
-// (kills, plus each closure within a flap or partition).
+// (kills, plus each closure within a flap).
 func (c *Chaos) Severed() int64 { return c.severed.Load() }
 
 func (c *Chaos) run(opts ChaosOptions, links []*link) {
@@ -149,23 +146,6 @@ func (c *Chaos) run(opts ChaosOptions, links []*link) {
 			l.chaosDelay.Store(0)
 			if !ok {
 				return
-			}
-		case ChaosPartition:
-			n := 0
-			deadline := time.Now().Add(opts.Hold)
-			for time.Now().Before(deadline) {
-				for _, lk := range links {
-					if c.sever(lk) {
-						n++
-					}
-				}
-				if !c.sleep(opts.Hold / 4) {
-					return
-				}
-			}
-			if n > 0 {
-				c.events.Add(1)
-				opts.Log("chaos: partition endpoint (%d severs over %v)", n, opts.Hold)
 			}
 		}
 	}

@@ -96,11 +96,12 @@ type ResilienceOptions struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the redial delay. 0 means 500ms.
 	MaxBackoff time.Duration
-	// ReplayWindow bounds the per-link replay ring, in frames. A sender
-	// whose window is full blocks until ACKs drain it (backpressure
-	// through an outage). 0 means 1024.
-	ReplayWindow int
 }
+
+// replayWindow bounds a resilient link's replay ring, in frames. A sender
+// whose window is full blocks until ACKs drain it (backpressure through
+// an outage).
+const replayWindow = 1024
 
 func (r *ResilienceOptions) normalize() {
 	if r.MaxAttempts <= 0 {
@@ -117,9 +118,6 @@ func (r *ResilienceOptions) normalize() {
 		if r.MaxBackoff < r.BaseBackoff {
 			r.MaxBackoff = r.BaseBackoff
 		}
-	}
-	if r.ReplayWindow <= 0 {
-		r.ReplayWindow = 1024
 	}
 }
 
@@ -147,7 +145,7 @@ type TCPOptions struct {
 	// Resilience configures self-healing links; zero value disables them.
 	Resilience ResilienceOptions
 	// Network selects the socket family: "tcp" (the default) or "unix"
-	// for Unix-domain sockets between co-located endpoints (NewUDS).
+	// for Unix-domain sockets between co-located endpoints.
 	// Everything above the dial — wire codec, resilience supervisors,
 	// payload counters — is family-agnostic.
 	Network string
@@ -439,18 +437,6 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 	return t, nil
 }
 
-// NewUDS is NewTCP over Unix-domain sockets: co-located endpoints skip
-// the TCP/IP stack (no checksum offload games, no Nagle, cheaper
-// per-byte copies through the kernel) while the wire codec, resilience
-// supervisors and payload counters run unchanged.
-// An empty Listen picks a fresh socket path under the temp root; Addr
-// returns it "unix:"-prefixed so it can be mixed into the same peers
-// slice as TCP addresses.
-func NewUDS(opts TCPOptions) (*TCP, error) {
-	opts.Network = "unix"
-	return NewTCP(opts)
-}
-
 // Addr returns the bound listen address other endpoints must be given
 // as this transport's peers entry: "host:port" for TCP, "unix:<path>"
 // for Unix-domain endpoints. Dials parse the prefix per peer entry, so
@@ -515,7 +501,7 @@ func (t *TCP) Done() <-chan struct{} { return t.down }
 func (t *TCP) CRCDropped() int64 { return t.crcDropped.Load() }
 
 // Stats reports the transport's health counters (implements
-// mpx.StatsReporter).
+// mpx.statsReporter).
 func (t *TCP) Stats() mpx.TransportStats {
 	return mpx.TransportStats{
 		CRCDropped:       t.crcDropped.Load(),
@@ -540,7 +526,7 @@ func (t *TCP) Stats() mpx.TransportStats {
 }
 
 // Profile reports the endpoint's live link cost model (implements
-// mpx.Profiler): the per-link τ/t_c estimators — fed one observation
+// mpx.profiler): the per-link τ/t_c estimators — fed one observation
 // per timed flush — pooled across every socket link.
 // Endpoints whose links are all in-process report an unsettled profile
 // (zero samples), which callers treat as "keep the defaults".
@@ -1131,13 +1117,13 @@ func (t *TCP) Send(from cube.NodeID, port int, msg mpx.Message) error {
 }
 
 // Forward is Send for a relay passing env.Message on verbatim
-// (mpx.Forwarder): a plain link's vectored encoder reuses the checksum
+// (mpx.forwarder): a plain link's vectored encoder reuses the checksum
 // the read pump verified instead of summing the payload again.
 func (t *TCP) Forward(from cube.NodeID, port int, env mpx.Envelope) error {
 	return t.send(from, port, env.Message, env.BodyCRC)
 }
 
-// Settle is the send-completion fence (mpx.Settler): it writes out what
+// Settle is the send-completion fence (mpx.settler): it writes out what
 // every plain link of hosted node id has queued by reference and reports
 // whether all of it reached the sockets. Resilient links copied each
 // frame into their replay ring when it was sent and need nothing. A
@@ -1201,9 +1187,6 @@ func (t *TCP) send(from cube.NodeID, port int, msg mpx.Message, bodyCRC uint32) 
 		out = inj.OnSend(from, to)
 		if out.Drop {
 			return nil
-		}
-		if out.Delay > 0 {
-			time.Sleep(out.Delay)
 		}
 	}
 	if localTo {
@@ -1430,7 +1413,7 @@ func (l *link) queueFaultyLocked(msg mpx.Message, out fault.Outcome) {
 func (l *link) sendResilient(msg mpx.Message, out fault.Outcome) error {
 	l.mu.Lock()
 	r := l.r
-	for l.err == nil && !l.retired && !l.t.isDown() && len(r.ring) >= l.t.opt.Resilience.ReplayWindow {
+	for l.err == nil && !l.retired && !l.t.isDown() && len(r.ring) >= replayWindow {
 		r.space.Wait()
 	}
 	if l.retired {
@@ -2156,7 +2139,7 @@ func (l *link) onNack(from uint64) {
 }
 
 // PeerError reports the first connection-level failure recorded on one
-// of node id's links (implements mpx.PeerErrorer).
+// of node id's links (implements mpx.peerErrorer).
 func (t *TCP) PeerError(id cube.NodeID) error {
 	if !t.hosted(id) {
 		return nil
@@ -2175,7 +2158,7 @@ func (t *TCP) PeerError(id cube.NodeID) error {
 }
 
 // FirstPeerError reports the first connection-level failure recorded on
-// ANY hosted node's links (implements mpx.FirstPeerErrorer) — it lets a
+// ANY hosted node's links (implements mpx.firstPeerErrorer) — it lets a
 // rank stalled as collateral of a neighbor's dead link still name the
 // dead peer.
 func (t *TCP) FirstPeerError() error {

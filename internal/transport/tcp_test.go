@@ -331,7 +331,7 @@ func TestTCPCoalescedBurst(t *testing.T) {
 // baseline after a run over the in-process transport.
 func TestInProcNoGoroutineLeak(t *testing.T) {
 	testleak.Check(t)
-	tr := NewInProc(4, 8, nil)
+	tr := mpx.NewChanTransport(4, 8, nil)
 	m := mpx.NewWithTransport(tr, nil)
 	if err := m.Run(neighborExchange); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
-// Package transport provides the message transports that carry the mpx
-// runtime's traffic: the in-process channel transport (re-exported from
-// mpx, where its zero-allocation fast path lives) and a TCP transport
-// that runs the cube over real sockets, one or more nodes per OS
-// process, each node owning log N neighbor connections.
+// Package transport provides the socket transport that carries the mpx
+// runtime's traffic between processes: TCP runs the cube over TCP or
+// Unix-domain sockets, one or more nodes per OS process, each node owning
+// log N neighbor connections. The in-process channel transport lives in
+// mpx, next to its zero-allocation fast path.
 //
-// Both implementations satisfy mpx.Transport, so every collective in
+// Both satisfy mpx.Transport, so every collective in
 // internal/comm and every node program written against mpx runs
 // unchanged over either backend — the paper's algorithms are distributed
 // by construction (each node decides locally from its own address), and
@@ -12,25 +12,8 @@
 // or a checksummed frame (internal/wire) on a socket.
 //
 // Fault injection applies at this boundary: a fault.Injector given to a
-// transport drops, delays, duplicates or corrupts individual crossings.
+// transport drops, duplicates or corrupts individual crossings.
 // Over TCP a corrupt outcome flips a byte of the encoded frame on the
 // wire, so the receiver's CRC check — the real one, not a simulation —
 // detects and discards the damage.
 package transport
-
-import (
-	"repro/internal/fault"
-	"repro/internal/mpx"
-)
-
-// Transport is the contract both backends satisfy (defined next to the
-// runtime it serves).
-type Transport = mpx.Transport
-
-// NewInProc returns the in-process channel transport hosting every node
-// of an n-cube: buffered channels, zero allocations per fault-free send.
-// It is mpx's native transport, re-exported so callers can choose a
-// backend through one package.
-func NewInProc(n, depth int, inj fault.Injector) Transport {
-	return mpx.NewChanTransport(n, depth, inj)
-}

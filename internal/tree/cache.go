@@ -76,7 +76,7 @@ func (c *CanonCache) Get(n int, s cube.NodeID) []*Tree {
 	}
 	fam := make([]*Tree, len(base))
 	for i, t := range base {
-		fam[i] = Translate(t, s)
+		fam[i] = translate(t, s)
 	}
 	if len(c.entries) >= c.cap {
 		var oldest cacheKey

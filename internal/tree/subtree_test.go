@@ -21,10 +21,14 @@ import (
 func TestSubtreeNodesIsSelfThenChildrenRuns(t *testing.T) {
 	for n := 1; n <= 8; n++ {
 		for r := cube.NodeID(0); r < 1<<uint(n); r++ {
+			e, err := tcbt.New(n, r)
+			if err != nil {
+				t.Fatal(err)
+			}
 			families := map[string]*tree.Tree{
 				"sbt":  sbt.Cached(n, r),
 				"bst":  bst.Cached(n, r),
-				"tcbt": tcbt.MustNew(n, r).MustTree(),
+				"tcbt": e.MustTree(),
 			}
 			for j, tr := range msbt.CachedTrees(n, r) {
 				families[fmt.Sprintf("ersbt%d", j)] = tr

@@ -25,7 +25,11 @@ func TestCachedTreesMatchFreshBuilds(t *testing.T) {
 			sources = append(sources, cube.NodeID(rng.Intn(N)))
 		}
 		for _, s := range sources {
-			requireSameTree(t, "sbt", n, s, sbt.MustNew(n, s), sbt.Cached(n, s))
+			built, err := sbt.New(n, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameTree(t, "sbt", n, s, built, sbt.Cached(n, s))
 			requireSameTree(t, "bst", n, s, bst.MustNew(n, s), bst.Cached(n, s))
 			fresh := msbt.MustTrees(n, s)
 			cached := msbt.CachedTrees(n, s)

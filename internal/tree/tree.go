@@ -268,15 +268,15 @@ func sortByKey(ids []cube.NodeID, key func(cube.NodeID) int32) {
 	}
 }
 
-// Translate returns the tree XOR-translated by `by`: node v of t becomes
+// translate returns the tree XOR-translated by `by`: node v of t becomes
 // node v XOR by, rooted at Root() XOR by. Every spanning structure of the
 // paper is translation-invariant (its parent function depends only on the
 // relative address i XOR s), so the tree at an arbitrary source is the
-// translate of the canonical tree at source 0 — Translate rebuilds all
+// translate of the canonical tree at source 0 — translate rebuilds all
 // flat structures by relabeling in O(N) with no re-validation. Ports are
 // preserved by XOR, so child orders, preorder, and both breadth-first
 // orders translate position for position.
-func Translate(t *Tree, by cube.NodeID) *Tree {
+func translate(t *Tree, by cube.NodeID) *Tree {
 	if by == 0 {
 		return t
 	}
@@ -555,9 +555,9 @@ func (t *Tree) VerifyChildrenFunc(children func(i cube.NodeID) []cube.NodeID) er
 	return nil
 }
 
-// ErrNotEdgeDisjoint is reported by EdgeDisjoint when two trees share a
+// errNotEdgeDisjoint is reported by EdgeDisjoint when two trees share a
 // directed edge.
-var ErrNotEdgeDisjoint = errors.New("tree: trees share a directed edge")
+var errNotEdgeDisjoint = errors.New("tree: trees share a directed edge")
 
 // EdgeDisjoint checks that the directed edge sets of the given trees are
 // pairwise disjoint. The MSBT construction requires its n ERSBTs to be
@@ -568,7 +568,7 @@ func EdgeDisjoint(trees ...*Tree) error {
 	for k, t := range trees {
 		for _, e := range t.Edges() {
 			if prev, dup := seen[e]; dup {
-				return fmt.Errorf("%w: edge %v in trees %d and %d", ErrNotEdgeDisjoint, e, prev, k)
+				return fmt.Errorf("%w: edge %v in trees %d and %d", errNotEdgeDisjoint, e, prev, k)
 			}
 			seen[e] = k
 		}

@@ -295,7 +295,7 @@ func TestEdgeDisjoint(t *testing.T) {
 	// A second, identical tree shares every edge.
 	tr2 := buildSBT(t, 3)
 	err := EdgeDisjoint(tr1, tr2)
-	if !errors.Is(err, ErrNotEdgeDisjoint) {
+	if !errors.Is(err, errNotEdgeDisjoint) {
 		t.Errorf("identical trees reported disjoint: %v", err)
 	}
 	if err := EdgeDisjoint(tr1); err != nil {

@@ -15,9 +15,9 @@ import (
 	"repro/internal/tree"
 )
 
-// NodeLabel formats a node id as an n-bit binary string, the paper's
+// nodeLabel formats a node id as an n-bit binary string, the paper's
 // address notation.
-func NodeLabel(id cube.NodeID, n int) string {
+func nodeLabel(id cube.NodeID, n int) string {
 	return fmt.Sprintf("%0*b", n, uint64(id))
 }
 
@@ -36,7 +36,7 @@ type EdgeLabeler func(child cube.NodeID) (label int, ok bool)
 func ASCIITree(t *tree.Tree, labeler EdgeLabeler) string {
 	var b strings.Builder
 	n := t.Cube().Dim()
-	b.WriteString(NodeLabel(t.Root(), n))
+	b.WriteString(nodeLabel(t.Root(), n))
 	b.WriteString("\n")
 	var walk func(v cube.NodeID, prefix string)
 	walk = func(v cube.NodeID, prefix string) {
@@ -48,7 +48,7 @@ func ASCIITree(t *tree.Tree, labeler EdgeLabeler) string {
 			}
 			b.WriteString(prefix)
 			b.WriteString(connector)
-			b.WriteString(NodeLabel(c, n))
+			b.WriteString(nodeLabel(c, n))
 			if labeler != nil {
 				if l, ok := labeler(c); ok {
 					fmt.Fprintf(&b, " [%d]", l)
@@ -81,7 +81,7 @@ func DOT(name string, trees []*tree.Tree, labelers []EdgeLabeler) string {
 	}
 	sort.Ints(ids)
 	for _, i := range ids {
-		fmt.Fprintf(&b, "  n%d [label=%q];\n", i, NodeLabel(cube.NodeID(i), n))
+		fmt.Fprintf(&b, "  n%d [label=%q];\n", i, nodeLabel(cube.NodeID(i), n))
 	}
 	for k, t := range trees {
 		color := colors[k%len(colors)]

@@ -11,17 +11,17 @@ import (
 )
 
 func TestNodeLabel(t *testing.T) {
-	if NodeLabel(5, 4) != "0101" {
-		t.Errorf("label %q", NodeLabel(5, 4))
+	if nodeLabel(5, 4) != "0101" {
+		t.Errorf("label %q", nodeLabel(5, 4))
 	}
-	if NodeLabel(0, 3) != "000" {
-		t.Errorf("label %q", NodeLabel(0, 3))
+	if nodeLabel(0, 3) != "000" {
+		t.Errorf("label %q", nodeLabel(0, 3))
 	}
 }
 
 func TestASCIITreeStructure(t *testing.T) {
 	// Paper Figure 1: the SBT in a 4-cube.
-	tr := sbt.MustNew(4, 0)
+	tr := sbt.Cached(4, 0)
 	out := ASCIITree(tr, nil)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 16 {
@@ -32,7 +32,7 @@ func TestASCIITreeStructure(t *testing.T) {
 	}
 	// Every node address appears.
 	for i := 0; i < 16; i++ {
-		want := NodeLabel(cube.NodeID(i), 4)
+		want := nodeLabel(cube.NodeID(i), 4)
 		if strings.Count(out, want) < 1 {
 			t.Errorf("address %s missing", want)
 		}

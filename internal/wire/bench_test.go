@@ -83,7 +83,7 @@ func benchDecodeAny(b *testing.B, frame []byte) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		arena, _, err = DecodeAnyInto(&fr, arena, frame)
+		arena, _, err = decodeAnyInto(&fr, arena, frame)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func BenchmarkReadAnyInto(b *testing.B) {
 
 // TestEncodeDecodeZeroAllocsWarm is the wire-layer zero-alloc guard the
 // issue asks for: once buffers exist, encoding (contiguous, vectored
-// and batch) and decoding (DecodeAnyInto, ReadAnyInto) allocate nothing
+// and batch) and decoding (decodeAnyInto, ReadAnyInto) allocate nothing
 // per frame.
 func TestEncodeDecodeZeroAllocsWarm(t *testing.T) {
 	msg := benchMsg()
@@ -162,17 +162,17 @@ func TestEncodeDecodeZeroAllocsWarm(t *testing.T) {
 	} {
 		var fr Frame
 		var arena []byte
-		arena, _, err := DecodeAnyInto(&fr, arena, frame) // warm the arena and parts
+		arena, _, err := decodeAnyInto(&fr, arena, frame) // warm the arena and parts
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n := testing.AllocsPerRun(100, func() {
-			arena, _, err = DecodeAnyInto(&fr, arena, frame)
+			arena, _, err = decodeAnyInto(&fr, arena, frame)
 			if err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("DecodeAnyInto kind=%d: %.0f allocs/op warm, want 0", fr.Kind, n)
+			t.Errorf("decodeAnyInto kind=%d: %.0f allocs/op warm, want 0", fr.Kind, n)
 		}
 
 		rd := bytes.NewReader(frame)

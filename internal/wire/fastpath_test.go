@@ -95,8 +95,8 @@ func TestBatchRejects(t *testing.T) {
 	if _, _, err := DecodeAny(flip); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupt batch: err=%v, want ErrChecksum", err)
 	}
-	if _, _, err := DecodeAny(frame[:len(frame)-5]); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated batch: err=%v, want ErrTruncated", err)
+	if _, _, err := DecodeAny(frame[:len(frame)-5]); !errors.Is(err, errTruncated) {
+		t.Fatalf("truncated batch: err=%v, want errTruncated", err)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestDecodeAnyIntoReuse(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i, frame := range frames {
 			var err error
-			arena, _, err = DecodeAnyInto(&fr, arena, frame)
+			arena, _, err = decodeAnyInto(&fr, arena, frame)
 			if err != nil {
 				t.Fatalf("round %d frame %d: %v", round, i, err)
 			}

@@ -109,8 +109,8 @@ func checkDecodeAny(t *testing.T, data []byte) {
 	if n < 0 || n > len(data) {
 		t.Fatalf("consumed %d of %d bytes", n, len(data))
 	}
-	if len(data) >= 2 && data[0] != MaxVersion && !errors.Is(err, ErrVersion) {
-		t.Fatalf("version byte %d: err=%v, want ErrVersion", data[0], err)
+	if len(data) >= 2 && data[0] != MaxVersion && !errors.Is(err, errVersion) {
+		t.Fatalf("version byte %d: err=%v, want errVersion", data[0], err)
 	}
 	if err != nil {
 		return
@@ -156,8 +156,8 @@ func checkDecodeAny(t *testing.T, data []byte) {
 	}
 	// The reusable decoders must agree with the fresh ones.
 	var into Frame
-	if _, n2, err := DecodeAnyInto(&into, nil, data); err != nil || n2 != n || !same(into) {
-		t.Fatalf("DecodeAnyInto disagrees with DecodeAny: err=%v", err)
+	if _, n2, err := decodeAnyInto(&into, nil, data); err != nil || n2 != n || !same(into) {
+		t.Fatalf("decodeAnyInto disagrees with DecodeAny: err=%v", err)
 	}
 	var rinto Frame
 	if err := NewReader(bytes.NewReader(data)).ReadAnyInto(&rinto); err != nil || !same(rinto) {
@@ -217,7 +217,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		if len(frame) > BatchOverhead {
 			flip := append([]byte(nil), frame...)
 			flip[6] ^= 0xFF
-			if _, _, err := DecodeAny(flip); !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
+			if _, _, err := DecodeAny(flip); !errors.Is(err, ErrChecksum) && !errors.Is(err, errTruncated) && !errors.Is(err, errCorrupt) {
 				t.Fatalf("body flip: err=%v, want checksum failure", err)
 			}
 		}
@@ -301,7 +301,7 @@ func FuzzDecodeAttach(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if uint64(rank) >= 1<<uint(cube.MaxDim) || len(addr) > MaxAttachAddr {
+		if uint64(rank) >= 1<<uint(cube.MaxDim) || len(addr) > maxAttachAddr {
 			t.Fatalf("accepted out-of-bounds attach: rank %d, %d addr bytes", rank, len(addr))
 		}
 		r2, a2, err := DecodeAttach(EncodeAttach(rank, addr))
@@ -339,7 +339,7 @@ func FuzzRoundTrip(f *testing.F) {
 		// A flipped body byte must never pass the checksum.
 		if body := BodyStart(frame); body >= 0 && body < len(frame)-4 {
 			frame[body] ^= 0xFF
-			if _, _, err := decodeMsg(frame); !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrTruncated) {
+			if _, _, err := decodeMsg(frame); !errors.Is(err, ErrChecksum) && !errors.Is(err, errTruncated) {
 				t.Fatalf("body flip: err=%v, want checksum failure", err)
 			}
 		}
@@ -433,15 +433,15 @@ func FuzzStreamDecodeMatchesDecodeAny(f *testing.F) {
 						t.Fatalf("at %d: forwarding under the recorded checksum %#x does not reproduce the frame read", at, got.BodyCRC)
 					}
 				}
-			case errors.Is(werr, ErrTruncated):
-				if gerr != io.EOF && gerr != io.ErrUnexpectedEOF && !errors.Is(gerr, ErrCorrupt) {
+			case errors.Is(werr, errTruncated):
+				if gerr != io.EOF && gerr != io.ErrUnexpectedEOF && !errors.Is(gerr, errCorrupt) {
 					// (A header varint cut short by the end of input reads as a
 					// bad length to the reader.)
 					t.Fatalf("at %d: DecodeAny says truncated, reader says %v", at, gerr)
 				}
 				return
 			default:
-				for _, class := range []error{ErrChecksum, ErrCorrupt, ErrVersion, ErrBye} {
+				for _, class := range []error{ErrChecksum, errCorrupt, errVersion, ErrBye} {
 					if errors.Is(werr, class) != errors.Is(gerr, class) {
 						t.Fatalf("at %d: DecodeAny says %v, reader says %v", at, werr, gerr)
 					}

@@ -45,7 +45,7 @@ func TestMemberFrameBodyIsOwned(t *testing.T) {
 	body := []byte("epoch payload")
 	buf := AppendMemberFrame(nil, KindView, body)
 	var fr Frame
-	if _, _, err := DecodeAnyInto(&fr, nil, buf); err != nil {
+	if _, _, err := decodeAnyInto(&fr, nil, buf); err != nil {
 		t.Fatal(err)
 	}
 	for i := range buf {

@@ -192,7 +192,7 @@ func TestStreamedErrorOrder(t *testing.T) {
 	junk = binary.AppendUvarint(junk, uint64(len(body)))
 	junk = append(junk, body...)
 	junk = binary.LittleEndian.AppendUint32(junk, checksum(body))
-	agree("trailing byte", junk, ErrCorrupt)
+	agree("trailing byte", junk, errCorrupt)
 
 	// Cut inside the payload.
 	if err1, _ := readBoth(good[:b+5000]); err1 != io.ErrUnexpectedEOF {

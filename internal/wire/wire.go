@@ -17,7 +17,7 @@
 //
 // There is one protocol version, MaxVersion. Every frame, control frame
 // and hello carries it in its version byte, and the decoders reject any
-// other byte with ErrVersion: there is nothing to negotiate. The
+// other byte with errVersion: there is nothing to negotiate. The
 // checksum is CRC-32C (Castagnoli, hardware-accelerated via SSE4.2/ARMv8
 // CRC instructions where the stdlib supports it). The KindBatch frame
 // packs many small messages under one header, one length and one
@@ -54,9 +54,9 @@ const MaxVersion = 4
 const (
 	// KindData frames carry one encoded mpx.Message.
 	KindData = 0
-	// KindBye announces an orderly link shutdown: no more frames will
+	// kindBye announces an orderly link shutdown: no more frames will
 	// follow, and the coming EOF is not a peer failure.
-	KindBye = 1
+	kindBye = 1
 	// KindSeqData is a KindData frame whose CRC-protected body is
 	// prefixed with a per-link sequence number — the unit of the
 	// resilient transport's at-least-once replay protocol. A reconnecting
@@ -107,24 +107,24 @@ func memberKind(kind byte) bool {
 	return kind >= KindJoin && kind <= KindAttach
 }
 
-// MaxBody bounds a frame body, protecting receivers from a corrupted or
+// maxBody bounds a frame body, protecting receivers from a corrupted or
 // hostile length prefix asking for gigabytes.
-const MaxBody = 64 << 20
+const maxBody = 64 << 20
 
 var (
 	// ErrChecksum reports a frame whose body failed CRC verification.
 	// The frame was consumed whole: the stream remains usable.
 	ErrChecksum = errors.New("wire: frame checksum mismatch")
-	// ErrVersion reports a version byte other than MaxVersion.
-	ErrVersion = errors.New("wire: protocol version mismatch")
+	// errVersion reports a version byte other than MaxVersion.
+	errVersion = errors.New("wire: protocol version mismatch")
 	// ErrBye is returned by the decoders when the peer announces an orderly
 	// shutdown of the link.
 	ErrBye = errors.New("wire: peer closed the link")
-	// ErrTruncated reports a frame that ends before its declared length.
-	ErrTruncated = errors.New("wire: truncated frame")
-	// ErrCorrupt reports a structurally invalid frame body (bad varint,
+	// errTruncated reports a frame that ends before its declared length.
+	errTruncated = errors.New("wire: truncated frame")
+	// errCorrupt reports a structurally invalid frame body (bad varint,
 	// part lengths exceeding the body, unknown kind...).
-	ErrCorrupt = errors.New("wire: malformed frame")
+	errCorrupt = errors.New("wire: malformed frame")
 )
 
 // castagnoli is the CRC-32C table; crc32.MakeTable returns the stdlib's
@@ -141,7 +141,7 @@ func checksumUpdate(crc uint32, p []byte) uint32 { return crc32.Update(crc, cast
 // checkVersion rejects every version byte but MaxVersion.
 func checkVersion(v byte) error {
 	if v != MaxVersion {
-		return fmt.Errorf("%w: version byte %d, want %d", ErrVersion, v, MaxVersion)
+		return fmt.Errorf("%w: version byte %d, want %d", errVersion, v, MaxVersion)
 	}
 	return nil
 }
@@ -234,7 +234,7 @@ func AppendNack(dst []byte, from uint64) []byte {
 }
 
 // AppendBye appends the orderly-shutdown control frame to dst.
-func AppendBye(dst []byte) []byte { return append(dst, MaxVersion, KindBye) }
+func AppendBye(dst []byte) []byte { return append(dst, MaxVersion, kindBye) }
 
 // Batch frames: many small messages, one header, one CRC.
 //
@@ -404,10 +404,10 @@ func AppendMemberFrame(dst []byte, kind byte, body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, checksum(body))
 }
 
-// MaxAttachAddr bounds the address carried by a KindAttach body — far
+// maxAttachAddr bounds the address carried by a KindAttach body — far
 // above any host:port or unix socket path, low enough that a corrupt
 // length cannot ask for a huge allocation.
-const MaxAttachAddr = 1024
+const maxAttachAddr = 1024
 
 // EncodeGrow builds the KindGrow body: the new cube dimension as a
 // uvarint.
@@ -419,13 +419,13 @@ func EncodeGrow(dim int) []byte {
 func DecodeGrow(body []byte) (int, error) {
 	d, n := binary.Uvarint(body)
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad grow dimension", ErrCorrupt)
+		return 0, fmt.Errorf("%w: bad grow dimension", errCorrupt)
 	}
 	if len(body) != n {
-		return 0, fmt.Errorf("%w: %d trailing bytes after grow body", ErrCorrupt, len(body)-n)
+		return 0, fmt.Errorf("%w: %d trailing bytes after grow body", errCorrupt, len(body)-n)
 	}
 	if d == 0 || d > uint64(cube.MaxDim) {
-		return 0, fmt.Errorf("%w: grow dimension %d out of range 1..%d", ErrCorrupt, d, cube.MaxDim)
+		return 0, fmt.Errorf("%w: grow dimension %d out of range 1..%d", errCorrupt, d, cube.MaxDim)
 	}
 	return int(d), nil
 }
@@ -443,22 +443,22 @@ func EncodeAttach(rank cube.NodeID, addr string) []byte {
 func DecodeAttach(body []byte) (cube.NodeID, string, error) {
 	r, n := binary.Uvarint(body)
 	if n <= 0 {
-		return 0, "", fmt.Errorf("%w: bad attach rank", ErrCorrupt)
+		return 0, "", fmt.Errorf("%w: bad attach rank", errCorrupt)
 	}
 	if r >= 1<<uint(cube.MaxDim) {
-		return 0, "", fmt.Errorf("%w: attach rank %d out of range", ErrCorrupt, r)
+		return 0, "", fmt.Errorf("%w: attach rank %d out of range", errCorrupt, r)
 	}
 	body = body[n:]
 	alen, n := binary.Uvarint(body)
 	if n <= 0 {
-		return 0, "", fmt.Errorf("%w: bad attach address length", ErrCorrupt)
+		return 0, "", fmt.Errorf("%w: bad attach address length", errCorrupt)
 	}
-	if alen > MaxAttachAddr {
-		return 0, "", fmt.Errorf("%w: attach address of %d bytes exceeds limit %d", ErrCorrupt, alen, MaxAttachAddr)
+	if alen > maxAttachAddr {
+		return 0, "", fmt.Errorf("%w: attach address of %d bytes exceeds limit %d", errCorrupt, alen, maxAttachAddr)
 	}
 	body = body[n:]
 	if uint64(len(body)) != alen {
-		return 0, "", fmt.Errorf("%w: attach address truncated (%d of %d bytes)", ErrCorrupt, len(body), alen)
+		return 0, "", fmt.Errorf("%w: attach address truncated (%d of %d bytes)", errCorrupt, len(body), alen)
 	}
 	return cube.NodeID(r), string(body), nil
 }
@@ -470,18 +470,18 @@ func DecodeAttach(body []byte) (cube.NodeID, string, error) {
 // it could parse. The returned frame owns freshly copied payloads.
 func DecodeAny(buf []byte) (Frame, int, error) {
 	var fr Frame
-	_, n, err := DecodeAnyInto(&fr, nil, buf)
+	_, n, err := decodeAnyInto(&fr, nil, buf)
 	return fr, n, err
 }
 
-// DecodeAnyInto is DecodeAny with caller-managed reuse: parts are
+// decodeAnyInto is DecodeAny with caller-managed reuse: parts are
 // decoded into fr.Msg.Parts / fr.Msgs (capacity reused) and payload
 // bytes into arena, which is grown only when too small and returned for
 // the next call. A caller looping with the same fr and arena decodes
 // warm frames without allocating. The decoded frame — including every
 // payload slice — is valid only until the next call with the same
 // arguments.
-func DecodeAnyInto(fr *Frame, arena []byte, buf []byte) ([]byte, int, error) {
+func decodeAnyInto(fr *Frame, arena []byte, buf []byte) ([]byte, int, error) {
 	fr.Seq = 0
 	fr.Msg.Tag = 0
 	fr.Msg.Parts = fr.Msg.Parts[:0]
@@ -490,7 +490,7 @@ func DecodeAnyInto(fr *Frame, arena []byte, buf []byte) ([]byte, int, error) {
 	arena = arena[:0]
 	if len(buf) < 2 {
 		fr.Kind = 0
-		return arena, 0, ErrTruncated
+		return arena, 0, errTruncated
 	}
 	if err := checkVersion(buf[0]); err != nil {
 		return arena, 0, err
@@ -498,27 +498,27 @@ func DecodeAnyInto(fr *Frame, arena []byte, buf []byte) ([]byte, int, error) {
 	kind := buf[1]
 	fr.Kind = kind
 	switch kind {
-	case KindBye:
+	case kindBye:
 		return arena, 2, ErrBye
 	case KindAck, KindNack:
 		v, k := binary.Uvarint(buf[2:])
 		if k <= 0 {
-			return arena, 0, fmt.Errorf("%w: bad ack sequence", ErrCorrupt)
+			return arena, 0, fmt.Errorf("%w: bad ack sequence", errCorrupt)
 		}
 		fr.Seq = v
 		return arena, 2 + k, nil
 	case KindData, KindSeqData, KindJoin, KindDrain, KindView, KindGrow, KindAttach:
 	case KindBatch:
 		if len(buf) < 6 {
-			return arena, 0, ErrTruncated
+			return arena, 0, errTruncated
 		}
 		blen := binary.LittleEndian.Uint32(buf[2:6])
-		if blen > MaxBody {
-			return arena, 0, fmt.Errorf("%w: body of %d bytes exceeds limit %d", ErrCorrupt, blen, MaxBody)
+		if blen > maxBody {
+			return arena, 0, fmt.Errorf("%w: body of %d bytes exceeds limit %d", errCorrupt, blen, maxBody)
 		}
 		total := 6 + int(blen) + 4
 		if len(buf) < total {
-			return arena, 0, ErrTruncated
+			return arena, 0, errTruncated
 		}
 		body := buf[6 : 6+blen]
 		if checksum(body) != binary.LittleEndian.Uint32(buf[6+blen:]) {
@@ -527,19 +527,19 @@ func DecodeAnyInto(fr *Frame, arena []byte, buf []byte) ([]byte, int, error) {
 		arena, err := decodeBatch(fr, arena, body)
 		return arena, total, err
 	default:
-		return arena, 0, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, kind)
+		return arena, 0, fmt.Errorf("%w: unknown frame kind %d", errCorrupt, kind)
 	}
 	blen, k := binary.Uvarint(buf[2:])
 	if k <= 0 {
-		return arena, 0, fmt.Errorf("%w: bad body length", ErrCorrupt)
+		return arena, 0, fmt.Errorf("%w: bad body length", errCorrupt)
 	}
-	if blen > MaxBody {
-		return arena, 0, fmt.Errorf("%w: body of %d bytes exceeds limit %d", ErrCorrupt, blen, MaxBody)
+	if blen > maxBody {
+		return arena, 0, fmt.Errorf("%w: body of %d bytes exceeds limit %d", errCorrupt, blen, maxBody)
 	}
 	hdr := 2 + k
 	total := hdr + int(blen) + 4
 	if len(buf) < total {
-		return arena, 0, ErrTruncated
+		return arena, 0, errTruncated
 	}
 	body := buf[hdr : hdr+int(blen)]
 	if checksum(body) != binary.LittleEndian.Uint32(buf[hdr+int(blen):]) {
@@ -552,7 +552,7 @@ func DecodeAnyInto(fr *Frame, arena []byte, buf []byte) ([]byte, int, error) {
 	if kind == KindSeqData {
 		seq, n, ok := readUvarint(body)
 		if !ok {
-			return arena, total, fmt.Errorf("%w: bad frame sequence", ErrCorrupt)
+			return arena, total, fmt.Errorf("%w: bad frame sequence", errCorrupt)
 		}
 		fr.Seq = seq
 		body = body[n:]
@@ -574,7 +574,7 @@ func decodeBatch(fr *Frame, arena []byte, body []byte) ([]byte, error) {
 	for len(body) > 0 {
 		mlen, k, ok := readUvarint(body)
 		if !ok || mlen > uint64(len(body)-k) {
-			return arena, fmt.Errorf("%w: bad batch message length", ErrCorrupt)
+			return arena, fmt.Errorf("%w: bad batch message length", errCorrupt)
 		}
 		body = body[k:]
 		// Extend within capacity so a recycled element keeps its Parts
@@ -637,23 +637,23 @@ func decodeBodyInto(msg *mpx.Message, arena []byte, body []byte) ([]byte, error)
 	msg.Parts = msg.Parts[:0]
 	tag, n, ok := readUvarint(body)
 	if !ok {
-		return arena, fmt.Errorf("%w: bad tag", ErrCorrupt)
+		return arena, fmt.Errorf("%w: bad tag", errCorrupt)
 	}
 	body = body[n:]
 	msg.Tag = unzigzag(tag)
 	nparts, n, ok := readUvarint(body)
 	if !ok {
-		return arena, fmt.Errorf("%w: bad part count", ErrCorrupt)
+		return arena, fmt.Errorf("%w: bad part count", errCorrupt)
 	}
 	body = body[n:]
 	// Each part costs at least 4 encoded bytes; a count beyond that is a
 	// lie and must not drive the allocation below.
 	if nparts > uint64(len(body)/4)+1 {
-		return arena, fmt.Errorf("%w: %d parts in %d body bytes", ErrCorrupt, nparts, len(body))
+		return arena, fmt.Errorf("%w: %d parts in %d body bytes", errCorrupt, nparts, len(body))
 	}
 	total, ok := bodyPayload(body, nparts)
 	if !ok {
-		return arena, fmt.Errorf("%w: bad part layout", ErrCorrupt)
+		return arena, fmt.Errorf("%w: bad part layout", errCorrupt)
 	}
 	if cap(arena)-len(arena) < total {
 		arena = make([]byte, 0, total)
@@ -665,19 +665,19 @@ func decodeBodyInto(msg *mpx.Message, arena []byte, body []byte) ([]byte, error)
 		var p mpx.Part
 		dest, n, ok := readUvarint(body)
 		if !ok {
-			return arena, fmt.Errorf("%w: part %d dest", ErrCorrupt, i)
+			return arena, fmt.Errorf("%w: part %d dest", errCorrupt, i)
 		}
 		body = body[n:]
 		p.Dest = cube.NodeID(dest)
 		off, n, ok := readUvarint(body)
 		if !ok {
-			return arena, fmt.Errorf("%w: part %d offset", ErrCorrupt, i)
+			return arena, fmt.Errorf("%w: part %d offset", errCorrupt, i)
 		}
 		body = body[n:]
 		p.Offset = unzigzag(off)
 		dlen, n, ok := readUvarint(body)
 		if !ok || dlen > uint64(len(body)-n) {
-			return arena, fmt.Errorf("%w: part %d data length", ErrCorrupt, i)
+			return arena, fmt.Errorf("%w: part %d data length", errCorrupt, i)
 		}
 		body = body[n:]
 		if dlen > 0 {
@@ -688,14 +688,14 @@ func decodeBodyInto(msg *mpx.Message, arena []byte, body []byte) ([]byte, error)
 		}
 		sum, n, ok := readUvarint(body)
 		if !ok || sum > 0xFFFFFFFF {
-			return arena, fmt.Errorf("%w: part %d checksum", ErrCorrupt, i)
+			return arena, fmt.Errorf("%w: part %d checksum", errCorrupt, i)
 		}
 		body = body[n:]
 		p.Sum = uint32(sum)
 		msg.Parts = append(msg.Parts, p)
 	}
 	if len(body) != 0 {
-		return arena, fmt.Errorf("%w: %d trailing body bytes", ErrCorrupt, len(body))
+		return arena, fmt.Errorf("%w: %d trailing body bytes", errCorrupt, len(body))
 	}
 	return arena, nil
 }
@@ -709,17 +709,17 @@ func decodeBodyAlias(msg *mpx.Message, body []byte) error {
 	msg.Parts = msg.Parts[:0]
 	tag, n, ok := readUvarint(body)
 	if !ok {
-		return fmt.Errorf("%w: bad tag", ErrCorrupt)
+		return fmt.Errorf("%w: bad tag", errCorrupt)
 	}
 	body = body[n:]
 	msg.Tag = unzigzag(tag)
 	nparts, n, ok := readUvarint(body)
 	if !ok {
-		return fmt.Errorf("%w: bad part count", ErrCorrupt)
+		return fmt.Errorf("%w: bad part count", errCorrupt)
 	}
 	body = body[n:]
 	if nparts > uint64(len(body)/4)+1 {
-		return fmt.Errorf("%w: %d parts in %d body bytes", ErrCorrupt, nparts, len(body))
+		return fmt.Errorf("%w: %d parts in %d body bytes", errCorrupt, nparts, len(body))
 	}
 	if nparts > 0 && cap(msg.Parts) < int(nparts) {
 		msg.Parts = make([]mpx.Part, 0, nparts)
@@ -728,19 +728,19 @@ func decodeBodyAlias(msg *mpx.Message, body []byte) error {
 		var p mpx.Part
 		dest, n, ok := readUvarint(body)
 		if !ok {
-			return fmt.Errorf("%w: part %d dest", ErrCorrupt, i)
+			return fmt.Errorf("%w: part %d dest", errCorrupt, i)
 		}
 		body = body[n:]
 		p.Dest = cube.NodeID(dest)
 		off, n, ok := readUvarint(body)
 		if !ok {
-			return fmt.Errorf("%w: part %d offset", ErrCorrupt, i)
+			return fmt.Errorf("%w: part %d offset", errCorrupt, i)
 		}
 		body = body[n:]
 		p.Offset = unzigzag(off)
 		dlen, n, ok := readUvarint(body)
 		if !ok || dlen > uint64(len(body)-n) {
-			return fmt.Errorf("%w: part %d data length", ErrCorrupt, i)
+			return fmt.Errorf("%w: part %d data length", errCorrupt, i)
 		}
 		body = body[n:]
 		if dlen > 0 {
@@ -749,14 +749,14 @@ func decodeBodyAlias(msg *mpx.Message, body []byte) error {
 		}
 		sum, n, ok := readUvarint(body)
 		if !ok || sum > 0xFFFFFFFF {
-			return fmt.Errorf("%w: part %d checksum", ErrCorrupt, i)
+			return fmt.Errorf("%w: part %d checksum", errCorrupt, i)
 		}
 		body = body[n:]
 		p.Sum = uint32(sum)
 		msg.Parts = append(msg.Parts, p)
 	}
 	if len(body) != 0 {
-		return fmt.Errorf("%w: %d trailing body bytes", ErrCorrupt, len(body))
+		return fmt.Errorf("%w: %d trailing body bytes", errCorrupt, len(body))
 	}
 	return nil
 }
@@ -767,7 +767,7 @@ func decodeBatchAlias(fr *Frame, body []byte) error {
 	for len(body) > 0 {
 		mlen, k, ok := readUvarint(body)
 		if !ok || mlen > uint64(len(body)-k) {
-			return fmt.Errorf("%w: bad batch message length", ErrCorrupt)
+			return fmt.Errorf("%w: bad batch message length", errCorrupt)
 		}
 		body = body[k:]
 		fr.Msgs = append(fr.Msgs, mpx.Message{})
@@ -892,19 +892,19 @@ func (r *Reader) readAnyInto(fr *Frame, arena []byte) error {
 	fr.Kind = kind
 	var blen uint64
 	switch kind {
-	case KindBye:
+	case kindBye:
 		return ErrBye
 	case KindAck, KindNack:
 		v, err := r.readUvarint()
 		if err != nil {
-			return fmt.Errorf("%w: bad ack sequence", ErrCorrupt)
+			return fmt.Errorf("%w: bad ack sequence", errCorrupt)
 		}
 		fr.Seq = v
 		return nil
 	case KindData, KindSeqData, KindJoin, KindDrain, KindView, KindGrow, KindAttach:
 		v, err := r.readUvarint()
 		if err != nil {
-			return fmt.Errorf("%w: bad body length", ErrCorrupt)
+			return fmt.Errorf("%w: bad body length", errCorrupt)
 		}
 		blen = v
 	case KindBatch:
@@ -916,10 +916,10 @@ func (r *Reader) readAnyInto(fr *Frame, arena []byte) error {
 		}
 		blen = uint64(binary.LittleEndian.Uint32(r.hdr[2:6]))
 	default:
-		return fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, kind)
+		return fmt.Errorf("%w: unknown frame kind %d", errCorrupt, kind)
 	}
-	if blen > MaxBody {
-		return fmt.Errorf("%w: body of %d bytes exceeds limit %d", ErrCorrupt, blen, MaxBody)
+	if blen > maxBody {
+		return fmt.Errorf("%w: body of %d bytes exceeds limit %d", errCorrupt, blen, maxBody)
 	}
 	need := int(blen) + 4
 	var raw []byte
@@ -973,7 +973,7 @@ func (r *Reader) readAnyInto(fr *Frame, arena []byte) error {
 	case KindSeqData:
 		seq, n, ok := readUvarint(body)
 		if !ok {
-			return fmt.Errorf("%w: bad frame sequence", ErrCorrupt)
+			return fmt.Errorf("%w: bad frame sequence", errCorrupt)
 		}
 		fr.Seq = seq
 		body = body[n:]
@@ -1058,7 +1058,7 @@ func (r *Reader) readStreamed(fr *Frame, tag uint64, nparts, left int) error {
 		return ErrChecksum
 	}
 	if malformed != "" {
-		return fmt.Errorf("%w: %s", ErrCorrupt, malformed)
+		return fmt.Errorf("%w: %s", errCorrupt, malformed)
 	}
 	if fr.Kind == KindData && !lossy && bodyLen(fr.Msg) == blen {
 		fr.BodyCRC = crc
@@ -1150,7 +1150,7 @@ func (r *Reader) readUvarint() (uint64, error) {
 	left := binary.MaxVarintLen64
 	v, ok, err := r.streamUvarint(&left)
 	if err == nil && !ok {
-		err = ErrCorrupt
+		err = errCorrupt
 	}
 	return v, err
 }
@@ -1238,7 +1238,7 @@ func ReadHello(r io.Reader) (Hello, error) {
 	case resumeMagic:
 		h.Resilient = true
 	default:
-		return Hello{}, fmt.Errorf("%w: bad hello magic %q", ErrCorrupt, buf[:4])
+		return Hello{}, fmt.Errorf("%w: bad hello magic %q", errCorrupt, buf[:4])
 	}
 	if err := checkVersion(buf[4]); err != nil {
 		return Hello{}, err

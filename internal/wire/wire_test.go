@@ -190,7 +190,7 @@ func TestTruncationDetected(t *testing.T) {
 
 // TestVersionMismatch: there is one version byte. Every frame kind and
 // both hello forms stamped 1, 2, 3 (the retired versions) or 5 are
-// rejected with ErrVersion by the slice decoder, the stream reader and
+// rejected with errVersion by the slice decoder, the stream reader and
 // ReadHello, before anything else about them is looked at.
 func TestVersionMismatch(t *testing.T) {
 	msg := sampleMessages()[3]
@@ -220,27 +220,27 @@ func TestVersionMismatch(t *testing.T) {
 			}
 			bad := append([]byte(nil), frame...)
 			bad[0] = ver
-			if _, n, err := DecodeAny(bad); !errors.Is(err, ErrVersion) || n != 0 {
-				t.Fatalf("%s frame stamped %d: DecodeAny n=%d err=%v, want ErrVersion", name, ver, n, err)
+			if _, n, err := DecodeAny(bad); !errors.Is(err, errVersion) || n != 0 {
+				t.Fatalf("%s frame stamped %d: DecodeAny n=%d err=%v, want errVersion", name, ver, n, err)
 			}
-			if _, err := NewReader(bytes.NewReader(bad)).ReadAny(); !errors.Is(err, ErrVersion) {
-				t.Fatalf("%s frame stamped %d: ReadAny err=%v, want ErrVersion", name, ver, err)
+			if _, err := NewReader(bytes.NewReader(bad)).ReadAny(); !errors.Is(err, errVersion) {
+				t.Fatalf("%s frame stamped %d: ReadAny err=%v, want errVersion", name, ver, err)
 			}
 			var fr Frame
-			if err := NewReader(bytes.NewReader(bad)).ReadAnyInto(&fr); !errors.Is(err, ErrVersion) {
-				t.Fatalf("%s frame stamped %d: ReadAnyInto err=%v, want ErrVersion", name, ver, err)
+			if err := NewReader(bytes.NewReader(bad)).ReadAnyInto(&fr); !errors.Is(err, errVersion) {
+				t.Fatalf("%s frame stamped %d: ReadAnyInto err=%v, want errVersion", name, ver, err)
 			}
 		}
 		for name, hello := range hellos {
 			bad := append([]byte(nil), hello...)
 			bad[4] = ver
-			if _, err := ReadHello(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
-				t.Fatalf("%s hello stamped %d: err=%v, want ErrVersion", name, ver, err)
+			if _, err := ReadHello(bytes.NewReader(bad)); !errors.Is(err, errVersion) {
+				t.Fatalf("%s hello stamped %d: err=%v, want errVersion", name, ver, err)
 			}
 		}
 		// The byte AppendFrameV is handed is the byte it stamps.
-		if _, _, err := DecodeAny(AppendFrameV(nil, ver, msg)); !errors.Is(err, ErrVersion) {
-			t.Fatalf("AppendFrameV(ver=%d): err=%v, want ErrVersion", ver, err)
+		if _, _, err := DecodeAny(AppendFrameV(nil, ver, msg)); !errors.Is(err, errVersion) {
+			t.Fatalf("AppendFrameV(ver=%d): err=%v, want errVersion", ver, err)
 		}
 	}
 }
@@ -396,8 +396,8 @@ func TestHelloRoundTrip(t *testing.T) {
 		}
 		bad := append([]byte(nil), enc...)
 		bad[0] = 'Z'
-		if _, err := ReadHello(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%+v: bad magic: %v, want ErrCorrupt", h, err)
+		if _, err := ReadHello(bytes.NewReader(bad)); !errors.Is(err, errCorrupt) {
+			t.Fatalf("%+v: bad magic: %v, want errCorrupt", h, err)
 		}
 		// A truncated hello (for the resume form, the plain prefix of one)
 		// must error, not hang or misparse.
@@ -408,8 +408,8 @@ func TestHelloRoundTrip(t *testing.T) {
 	// The retired stripe-attach magic is no hello at all.
 	hsta := AppendHello(nil, hellos[0])
 	copy(hsta, "HSTA")
-	if _, err := ReadHello(bytes.NewReader(append(hsta, 1))); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("HSTA hello: %v, want ErrCorrupt", err)
+	if _, err := ReadHello(bytes.NewReader(append(hsta, 1))); !errors.Is(err, errCorrupt) {
+		t.Fatalf("HSTA hello: %v, want errCorrupt", err)
 	}
 }
 
@@ -417,11 +417,11 @@ func TestHelloRoundTrip(t *testing.T) {
 // length prefix demanding gigabytes.
 func TestHugeLengthRejected(t *testing.T) {
 	buf := []byte{MaxVersion, KindData, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
-	if _, _, err := decodeMsg(buf); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("got %v, want ErrCorrupt", err)
+	if _, _, err := decodeMsg(buf); !errors.Is(err, errCorrupt) {
+		t.Fatalf("got %v, want errCorrupt", err)
 	}
 	r := NewReader(bytes.NewReader(buf))
-	if _, err := r.ReadAny(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("stream: got %v, want ErrCorrupt", err)
+	if _, err := r.ReadAny(); !errors.Is(err, errCorrupt) {
+		t.Fatalf("stream: got %v, want errCorrupt", err)
 	}
 }
