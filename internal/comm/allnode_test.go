@@ -46,10 +46,6 @@ func allNodeSoak(t *testing.T, network string, seed int64) {
 				events.Add(1)
 			},
 		},
-		// Every blocking receive inside the collectives runs with a
-		// deadline armed — the soak exercises the timed wait the
-		// all-node ready queue feeds.
-		Deadline: 30 * time.Second,
 	}
 	const (
 		n         = 2
@@ -59,6 +55,10 @@ func allNodeSoak(t *testing.T, network string, seed int64) {
 	N := 1 << uint(n)
 	start := time.Now()
 	err := RunTCPWith(n, opt, func(c *Comm) error {
+		// Every blocking receive inside the collectives runs with a
+		// deadline armed — the soak exercises the timed wait the
+		// all-node ready queue feeds.
+		c.SetDeadline(30 * time.Second)
 		for r := 0; ; r++ {
 			var flag []byte
 			if c.Rank() == 0 {

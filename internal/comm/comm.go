@@ -257,9 +257,6 @@ type TCPRunOptions struct {
 	// Seed, Seed+1, ...) after the mesh connects and stops them when the
 	// run ends.
 	Chaos *transport.ChaosOptions
-	// Deadline, when nonzero, is set on every rank's communicator
-	// (Comm.SetDeadline) before the program runs.
-	Deadline time.Duration
 	// StatsSink, when non-nil, receives the transport counters summed
 	// across all endpoints after the run finishes — the delivered-payload
 	// numbers benchmarks derive goodput from.
@@ -273,10 +270,12 @@ type TCPRunOptions struct {
 // RunTCPWith is Run with every cube link a loopback socket (TCP, or
 // Unix-domain with Network "unix"): one endpoint and machine per node,
 // the single-process twin of a `hypercomm launch` deployment. opt adds
-// self-healing links, chaos and per-collective deadlines.
+// self-healing links and chaos.
 func RunTCPWith(n int, opt TCPRunOptions, program func(c *Comm) error) error {
 	size := 1 << uint(n)
-	trs, err := loopbackMesh(n, opt)
+	trs, err := transport.Loopback(n, func(o *transport.TCPOptions) {
+		o.Depth, o.Resilience, o.Network = CollectiveDepth(n), opt.Resilience, opt.Network
+	})
 	if err != nil {
 		return err
 	}
@@ -289,17 +288,10 @@ func RunTCPWith(n int, opt TCPRunOptions, program func(c *Comm) error) error {
 			agents = append(agents, tr.StartChaos(co))
 		}
 	}
-	run := program
-	if opt.Deadline > 0 {
-		run = func(c *Comm) error {
-			c.SetDeadline(opt.Deadline)
-			return program(c)
-		}
-	}
 	errs := make(chan error, size)
 	for _, tr := range trs {
 		go func(tr *transport.TCP) {
-			errs <- RunOn(mpx.NewWithTransport(tr, nil), run)
+			errs <- RunOn(mpx.NewWithTransport(tr, nil), program)
 		}(tr)
 	}
 	var first error
@@ -324,46 +316,6 @@ func RunTCPWith(n int, opt TCPRunOptions, program func(c *Comm) error) error {
 		opt.StatsSink(sum)
 	}
 	return first
-}
-
-// loopbackMesh binds one endpoint per rank of an n-cube on loopback
-// sockets, configured from opt, and connects the mesh; on error nothing
-// is left open.
-func loopbackMesh(n int, opt TCPRunOptions) ([]*transport.TCP, error) {
-	size := 1 << uint(n)
-	trs := make([]*transport.TCP, 0, size)
-	peers := make([]string, size)
-	fail := func(err error) ([]*transport.TCP, error) {
-		closeAll(trs)
-		return nil, err
-	}
-	for i := range peers {
-		tr, err := transport.NewTCP(transport.TCPOptions{
-			Dim: n, Locals: []cube.NodeID{cube.NodeID(i)}, Depth: CollectiveDepth(n),
-			Resilience: opt.Resilience, Network: opt.Network,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		trs = append(trs, tr)
-		peers[i] = tr.Addr()
-	}
-	var wg sync.WaitGroup
-	connErrs := make([]error, size)
-	for i, tr := range trs {
-		wg.Add(1)
-		go func(i int, tr *transport.TCP) {
-			defer wg.Done()
-			connErrs[i] = tr.Connect(peers)
-		}(i, tr)
-	}
-	wg.Wait()
-	for _, err := range connErrs {
-		if err != nil {
-			return fail(err)
-		}
-	}
-	return trs, nil
 }
 
 func closeAll(trs []*transport.TCP) {

@@ -63,7 +63,7 @@ func heldOutRounds(t *testing.T, network string, payloads [][]byte, mark func(ro
 	comms := make([]*Comm, 1<<n)
 	var registered sync.WaitGroup
 	registered.Add(len(comms))
-	socketMesh(t, n, func(int) transport.TCPOptions { return transport.TCPOptions{Network: network} }, func(c *Comm) error {
+	socketMesh(t, n, func(o *transport.TCPOptions) { o.Network = network }, nil, func(c *Comm) error {
 		comms[c.Rank()] = c
 		registered.Done()
 		c.SetDeadline(10 * time.Second)
@@ -204,7 +204,7 @@ func TestEarlyScratchTakenByAnotherCollective(t *testing.T) {
 	clear(scratch.segs)
 	scratch.segs = scratch.segs[:0]
 	scratch.mu.Unlock()
-	socketMesh(t, n, func(int) transport.TCPOptions { return transport.TCPOptions{} }, func(c *Comm) error {
+	socketMesh(t, n, nil, nil, func(c *Comm) error {
 		c.SetDeadline(10 * time.Second)
 		bcast := func(i int) error {
 			payload := landingPayload(size, 30+i)

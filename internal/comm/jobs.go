@@ -255,10 +255,12 @@ func StartLocalCluster(n int, opt svc.Options) *Cluster {
 
 // StartCluster starts the service over loopback sockets: 2^n endpoints
 // connected into a cube mesh, one machine + runtime per endpoint.
-// topt's Resilience/Chaos/Network apply to every endpoint; Deadline
-// and StatsSink are ignored here (use Stats).
+// topt's Resilience/Chaos/Network apply to every endpoint; StatsSink is
+// ignored here (use Stats).
 func StartCluster(n int, opt svc.Options, topt TCPRunOptions) (*Cluster, error) {
-	trs, err := loopbackMesh(n, topt)
+	trs, err := transport.Loopback(n, func(o *transport.TCPOptions) {
+		o.Depth, o.Resilience, o.Network = CollectiveDepth(n), topt.Resilience, topt.Network
+	})
 	if err != nil {
 		return nil, err
 	}

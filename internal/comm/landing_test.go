@@ -48,57 +48,30 @@ func landingPayload(n, salt int) []byte {
 	return b
 }
 
-// socketMesh runs program on every rank of an n-cube of one-rank socket
-// endpoints built from opt(rank), and returns the summed transport
-// counters. Unlike RunTCPWith it takes per-endpoint options, so tests
-// can inject faults.
-func socketMesh(t *testing.T, n int, opt func(rank int) transport.TCPOptions, program func(c *Comm) error) mpx.TransportStats {
+// socketMesh runs program on every rank of an n-cube of loopback socket
+// endpoints (transport.Loopback, each shaped by shape when it is
+// non-nil) and returns the summed transport counters. Unlike RunTCPWith
+// it takes per-endpoint options, so tests can inject faults, and runs
+// each rank over wrap(endpoint) when wrap is non-nil — a transport that
+// embeds the connected endpoint and stands in its way.
+func socketMesh(t *testing.T, n int, shape func(*transport.TCPOptions),
+	wrap func(*transport.TCP) mpx.Transport, program func(c *Comm) error) mpx.TransportStats {
 	t.Helper()
-	return hostedMesh(t, n, onePerRank(n), opt, nil, program)
-}
-
-func onePerRank(n int) [][]cube.NodeID {
-	hosts := make([][]cube.NodeID, 1<<uint(n))
-	for i := range hosts {
-		hosts[i] = []cube.NodeID{cube.NodeID(i)}
-	}
-	return hosts
-}
-
-// hostedMesh is socketMesh with endpoint i hosting the ranks hosts[i]
-// and, when wrap is non-nil, running them over wrap(i, endpoint) — a
-// transport that embeds the connected endpoint and stands in its way.
-func hostedMesh(t *testing.T, n int, hosts [][]cube.NodeID, opt func(endpoint int) transport.TCPOptions,
-	wrap func(endpoint int, tr *transport.TCP) mpx.Transport, program func(c *Comm) error) mpx.TransportStats {
-	t.Helper()
-	trs := make([]*transport.TCP, len(hosts))
-	peers := make([]string, 1<<uint(n))
-	for i := range trs {
-		o := opt(i)
-		o.Dim, o.Locals, o.Depth = n, hosts[i], CollectiveDepth(n)
-		tr, err := transport.NewTCP(o)
-		if err != nil {
-			t.Fatal(err)
+	trs, err := transport.Loopback(n, func(o *transport.TCPOptions) {
+		o.Depth = CollectiveDepth(n)
+		if shape != nil {
+			shape(o)
 		}
-		t.Cleanup(func() { tr.Close() })
-		trs[i] = tr
-		for _, id := range hosts[i] {
-			peers[id] = tr.Addr()
-		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { closeAll(trs) })
 	errs := make(chan error, len(trs))
 	for _, tr := range trs {
-		go func(tr *transport.TCP) { errs <- tr.Connect(peers) }(tr)
-	}
-	for range trs {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, tr := range trs {
 		var over mpx.Transport = tr
 		if wrap != nil {
-			over = wrap(i, tr)
+			over = wrap(tr)
 		}
 		go func() { errs <- RunOn(mpx.NewWithTransport(over, nil), program) }()
 	}
@@ -155,7 +128,7 @@ func TestBcastMSBTLandingAllocBudget(t *testing.T) {
 			var registered sync.WaitGroup
 			registered.Add(len(comms))
 			var before, after runtime.MemStats
-			socketMesh(t, n, func(int) transport.TCPOptions { return transport.TCPOptions{Network: network} }, func(c *Comm) error {
+			socketMesh(t, n, func(o *transport.TCPOptions) { o.Network = network }, nil, func(c *Comm) error {
 				comms[c.Rank()] = c
 				registered.Done()
 				for i := 0; i < warm+runs; i++ {
@@ -254,14 +227,12 @@ func TestBcastMSBTLandsUnderCorruptAndDuplicate(t *testing.T) {
 		}
 	}
 	payloads := [][]byte{landingPayload(size, 3), landingPayload(size, 4), landingPayload(size, 5)}
-	stats := socketMesh(t, n, func(int) transport.TCPOptions {
-		return transport.TCPOptions{
-			Injector: plan.Injector(),
-			Resilience: transport.ResilienceOptions{
-				Enabled: true, Budget: 5 * time.Second, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
-			},
+	stats := socketMesh(t, n, func(o *transport.TCPOptions) {
+		o.Injector = plan.Injector()
+		o.Resilience = transport.ResilienceOptions{
+			Enabled: true, Budget: 5 * time.Second, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
 		}
-	}, func(c *Comm) error {
+	}, nil, func(c *Comm) error {
 		if err := c.Barrier(); err != nil { // link 0->1's crossing 0
 			return err
 		}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cube"
 	"repro/internal/mpx"
 	"repro/internal/msbt"
-	"repro/internal/svc"
 	"repro/internal/testleak"
 	"repro/internal/transport"
 )
@@ -101,7 +100,8 @@ func TestBcastMSBTChunksMustTile(t *testing.T) {
 // result is valid until the communicator's next BcastMSBT, which lands
 // into the same memory whenever it is large enough — growing, shrinking
 // and empty payloads included, each byte-exact — while the root keeps
-// getting its own data back.
+// getting its own data back. The in-process transport is the forfeit:
+// it delivers by reference and cannot settle, so no result is reused.
 func TestBcastMSBTRecyclesResult(t *testing.T) {
 	const n = 3
 	const root = cube.NodeID(0)
@@ -110,39 +110,52 @@ func TestBcastMSBTRecyclesResult(t *testing.T) {
 	for i, size := range sizes {
 		payloads[i] = landingPayload(size, 10+i)
 	}
+	program := func(recycles bool) func(c *Comm) error {
+		return func(c *Comm) error {
+			c.SetDeadline(20 * time.Second)
+			var prev []byte
+			for i, payload := range payloads {
+				var in []byte
+				if c.Rank() == root {
+					in = payload
+				}
+				got, err := c.BcastMSBT(root, in)
+				if err != nil {
+					return err
+				}
+				if !bytes.Equal(got, payload) {
+					return fmt.Errorf("rank %d call %d (%d bytes): result differs at byte %d", c.Rank(), i, sizes[i], firstDiff(got, payload))
+				}
+				switch {
+				case c.Rank() == root:
+					if len(got) > 0 && &got[0] != &payload[0] {
+						return fmt.Errorf("root call %d: the result is not the root's own data", i)
+					}
+				case i == 0:
+				case !recycles:
+					if len(got) > 0 && len(prev) > 0 && &got[0] == &prev[0] {
+						return fmt.Errorf("rank %d call %d: reused the previous result's buffer on a transport that cannot settle", c.Rank(), i)
+					}
+				case sizes[i] <= cap(prev):
+					if shared := &got[:1][0] == &prev[:1][0]; !shared {
+						return fmt.Errorf("rank %d call %d: %d bytes did not reuse the previous result's %d-byte buffer", c.Rank(), i, sizes[i], cap(prev))
+					}
+				}
+				prev = got
+			}
+			return nil
+		}
+	}
+	t.Run("chan", func(t *testing.T) {
+		if err := Run(n, program(false)); err != nil {
+			t.Fatal(err)
+		}
+	})
 	for _, network := range []string{"tcp", "unix"} {
 		for _, res := range []transport.ResilienceOptions{{}, {Enabled: true, Budget: 5 * time.Second}} {
 			t.Run(fmt.Sprintf("%s/resilient=%v", network, res.Enabled), func(t *testing.T) {
 				testleak.Check(t)
-				err := RunTCPWith(n, TCPRunOptions{Network: network, Resilience: res, Deadline: 20 * time.Second}, func(c *Comm) error {
-					var prev []byte
-					for i, payload := range payloads {
-						var in []byte
-						if c.Rank() == root {
-							in = payload
-						}
-						got, err := c.BcastMSBT(root, in)
-						if err != nil {
-							return err
-						}
-						if !bytes.Equal(got, payload) {
-							return fmt.Errorf("rank %d call %d (%d bytes): result differs at byte %d", c.Rank(), i, sizes[i], firstDiff(got, payload))
-						}
-						switch {
-						case c.Rank() == root:
-							if len(got) > 0 && &got[0] != &payload[0] {
-								return fmt.Errorf("root call %d: the result is not the root's own data", i)
-							}
-						case i > 0 && sizes[i] <= cap(prev):
-							if shared := &got[:1][0] == &prev[:1][0]; !shared {
-								return fmt.Errorf("rank %d call %d: %d bytes did not reuse the previous result's %d-byte buffer", c.Rank(), i, sizes[i], cap(prev))
-							}
-						}
-						prev = got
-					}
-					return nil
-				})
-				if err != nil {
+				if err := RunTCPWith(n, TCPRunOptions{Network: network, Resilience: res}, program(true)); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -189,7 +202,8 @@ func TestBcastMSBTFenceHoldsReuse(t *testing.T) {
 		Seed: 11, Kinds: []transport.ChaosKind{transport.ChaosDelay},
 		MinPause: time.Millisecond, MaxPause: 2 * time.Millisecond, Hold: 40 * time.Millisecond,
 	}
-	err := RunTCPWith(n, TCPRunOptions{Chaos: chaos, Deadline: 5 * time.Second}, func(c *Comm) error {
+	err := RunTCPWith(n, TCPRunOptions{Chaos: chaos}, func(c *Comm) error {
+		c.SetDeadline(5 * time.Second)
 		comms[c.Rank()] = c
 		registered.Done()
 		for i, payload := range payloads {
@@ -241,8 +255,8 @@ func TestBcastMSBTPassThroughReachesTheLinks(t *testing.T) {
 	} {
 		payload := landingPayload(tc.size, 9)
 		var hinted atomic.Int64
-		wrap := func(_ int, tr *transport.TCP) mpx.Transport { return countForwards{tr, &hinted} }
-		hostedMesh(t, n, onePerRank(n), func(int) transport.TCPOptions { return transport.TCPOptions{} }, wrap, func(c *Comm) error {
+		wrap := func(tr *transport.TCP) mpx.Transport { return countForwards{tr, &hinted} }
+		socketMesh(t, n, nil, wrap, func(c *Comm) error {
 			var in []byte
 			if c.Rank() == root {
 				in = payload
@@ -257,108 +271,4 @@ func TestBcastMSBTPassThroughReachesTheLinks(t *testing.T) {
 			t.Errorf("%d-byte broadcast: %d forwards carried a verified checksum, want %d", tc.size, got, tc.want)
 		}
 	}
-}
-
-// heldSend is an endpoint whose hosted node from, asked to send tag
-// through port, waits for release first.
-type heldSend struct {
-	*transport.TCP
-	from      cube.NodeID
-	port, tag int
-	release   <-chan struct{}
-}
-
-func (h *heldSend) wait(from cube.NodeID, port, tag int) {
-	if from == h.from && port == h.port && tag == h.tag {
-		<-h.release
-	}
-}
-
-func (h *heldSend) Send(from cube.NodeID, port int, msg mpx.Message) error {
-	h.wait(from, port, msg.Tag)
-	return h.TCP.Send(from, port, msg)
-}
-
-func (h *heldSend) Forward(from cube.NodeID, port int, env mpx.Envelope) error {
-	h.wait(from, port, env.Tag)
-	return h.TCP.Forward(from, port, env)
-}
-
-// TestBcastMSBTCoHostedRanksDoNotRecycle: ranks 3 and 2 share an
-// endpoint, and in tree 0 (root 0) rank 3 is rank 2's parent, so 3's
-// forward hands 2 a view of 3's landing buffer in process. Rank 2 is
-// then parked inside the first broadcast — tree 2's chunk, which reaches
-// it through rank 6 and nobody else needs from it, is held back — with
-// that view in hand, while rank 3 finishes and starts a second broadcast
-// of a different payload. No fence can vouch for rank 2's view, so rank
-// 3 must land the second payload in a fresh buffer: rank 2's first
-// result is byte-exact when it is finally let go.
-func TestBcastMSBTCoHostedRanksDoNotRecycle(t *testing.T) {
-	testleak.Check(t)
-	const n, size = 3, 1 << 20
-	const root, parent, child, holder = cube.NodeID(0), cube.NodeID(3), cube.NodeID(2), cube.NodeID(6)
-	if p, _ := msbt.Parent(n, 0, child, root); p != parent {
-		t.Fatalf("tree 0: rank %d's parent is %d, the test assumes %d", child, p, parent)
-	}
-	if p, _ := msbt.Parent(n, n-1, child, root); p != holder || len(msbt.AppendChildren(nil, n, n-1, child, root)) != 0 {
-		t.Fatalf("tree %d: rank %d must be a leaf under %d", n-1, child, holder)
-	}
-	first, second := landingPayload(size, 7), landingPayload(size, 8)
-	hosts := [][]cube.NodeID{{0}, {1}, {child, parent}, {4}, {5}, {6}, {7}}
-	comms := make([]*Comm, 1<<n)
-	var registered sync.WaitGroup
-	registered.Add(len(comms))
-	release := make(chan struct{})
-	// Let the held chunk go once rank 3's second broadcast has taken
-	// delivery of tree 0's chunk — the one that would overwrite rank 2's
-	// view — or when the test is clearly stuck.
-	go func() {
-		defer close(release)
-		registered.Wait()
-		c := comms[parent]
-		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
-			c.mu.Lock()
-			z := c.zone
-			done := z != nil && z.posted && z.tag0 == svc.StreamTag(1, 1) && z.at[0].shut
-			c.mu.Unlock()
-			if done {
-				return
-			}
-		}
-	}()
-	hostedMesh(t, n, hosts, func(int) transport.TCPOptions { return transport.TCPOptions{} },
-		func(i int, tr *transport.TCP) mpx.Transport {
-			if hosts[i][0] != holder {
-				return tr
-			}
-			return &heldSend{TCP: tr, from: holder, port: 2, tag: svc.StreamTag(0, n), release: release}
-		},
-		func(c *Comm) error {
-			comms[c.Rank()] = c
-			registered.Done()
-			c.SetDeadline(20 * time.Second)
-			var results [2][]byte
-			for i, payload := range [][]byte{first, second} {
-				var in []byte
-				if c.Rank() == root {
-					// Rank 3's chunks must land, not arrive early: hold this
-					// call back until rank 3 has posted for it.
-					in = payload
-					registered.Wait()
-					postedFor(comms[parent], c.tagFor(1))
-				}
-				got, err := c.BcastMSBT(root, in)
-				if err != nil {
-					return err
-				}
-				if !bytes.Equal(got, payload) {
-					return fmt.Errorf("rank %d call %d: result differs at byte %d", c.Rank(), i, firstDiff(got, payload))
-				}
-				results[i] = got
-			}
-			if c.Rank() == parent && &results[0][0] == &results[1][0] {
-				return fmt.Errorf("rank %d reused a buffer its co-hosted child %d still held a view of", parent, child)
-			}
-			return c.Barrier()
-		})
 }

@@ -9,11 +9,11 @@
 // Messages move through a Transport. The in-process ChanTransport (the
 // default behind New) hosts every node in one process and delivers over
 // buffered channels with a zero-allocation fast path; the TCP transport
-// in internal/transport hosts one or more nodes per OS process and
-// carries the same messages over real sockets with length-prefixed,
-// checksummed frames (internal/wire). A Machine built over any transport
-// runs programs only on the nodes that transport hosts, so a multi-
-// process cube is simply one Machine per process.
+// in internal/transport hosts one node per endpoint and carries the
+// same messages over real sockets with length-prefixed, checksummed
+// frames (internal/wire). A Machine built over any transport runs
+// programs only on the nodes that transport hosts, so a multi-process
+// cube is simply one Machine per process.
 //
 // Each node owns a single buffered Inbox (like the iPSC's receive queue);
 // Send(port, msg) enqueues into the neighbor's inbox and Recv dequeues in
@@ -95,8 +95,9 @@ var ErrDown = errors.New("mpx: machine shut down")
 
 // Transport moves envelopes between cube nodes. The runtime ships two
 // implementations, each keeping one Inbox per hosted node: ChanTransport
-// (in-process, the default) and the TCP transport in internal/transport
-// (real sockets, one or more hosted nodes per OS process).
+// (in-process, the default, hosting the whole cube) and the TCP
+// transport in internal/transport (real sockets, one hosted node per
+// endpoint).
 // Implementations must be safe for concurrent use by every hosted node.
 type Transport interface {
 	// Send delivers msg from node `from` (which must be hosted by this
@@ -225,8 +226,8 @@ type forwarder interface {
 // behind buffer reuse. Settle reports whether every payload node id has
 // sent so far is out of user space — written to its socket, or copied
 // into a replay ring — so that overwriting it cannot change what a
-// neighbor receives. False: a co-hosted neighbor may hold a send by
-// reference, or a link failed with frames queued.
+// neighbor receives. False: a link is missing, or failed with frames
+// queued.
 type settler interface {
 	Settle(id cube.NodeID) bool
 }

@@ -11,28 +11,27 @@ import (
 )
 
 // TestAttachOrderingTCP is the socket twin of mpx's attach-switch test.
-// Node 0 of a 2-cube has one neighbor hosted by its own endpoint (local
-// delivery on the sender's goroutine) and one across a socket (the
-// link's read pump). Both stream into node 0 until its channel is full
-// and they are stuck behind it; then a sink attaches. Every sender's
-// tags must reach the sink in order and none may stay in the channel.
-// Run under -race -count=10 in CI.
+// Rank 0 of a 2-cube of one-rank endpoints hears from two socket
+// senders, ranks 1 and 2, each on its own link's read pump. Both stream
+// into rank 0 until its channel is full and they are stuck behind it;
+// then a sink attaches. Every sender's tags must reach the sink in
+// order and none may stay in the channel. Run under -race -count=10 in
+// CI.
 func TestAttachOrderingTCP(t *testing.T) {
 	testleak.Check(t)
 	const perSender = 300
-	trs := mesh(t, 2, [][]cube.NodeID{{0, 1}, {2, 3}}, nil)
+	trs := loopback(t, 2, nil)
 	senders := []struct {
-		tr   *TCP
 		from cube.NodeID
 		port int
-	}{{trs[0], 1, 0}, {trs[1], 2, 1}}
+	}{{1, 0}, {2, 1}}
 	var wg sync.WaitGroup
 	for _, s := range senders {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				if err := s.tr.Send(s.from, s.port, mpx.Message{Tag: i}); err != nil {
+				if err := trs[s.from].Send(s.from, s.port, mpx.Message{Tag: i}); err != nil {
 					t.Errorf("send %d from %d: %v", i, s.from, err)
 					return
 				}

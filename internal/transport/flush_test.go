@@ -64,7 +64,7 @@ func drainedEndpoint(t *testing.T, res ResilienceOptions) *TCP {
 func TestFlushZeroAllocs(t *testing.T) {
 	testleak.Check(t)
 	t.Run("plain", func(t *testing.T) {
-		l := drainedEndpoint(t, ResilienceOptions{}).linkAt(0, 0)
+		l := drainedEndpoint(t, ResilienceOptions{}).linkAt(0)
 		msg := mpx.Message{Tag: 1, Parts: []mpx.Part{{Dest: 1, Data: make([]byte, 64)}}}
 		var err error
 		if a := testing.AllocsPerRun(200, func() {
@@ -79,7 +79,7 @@ func TestFlushZeroAllocs(t *testing.T) {
 		}
 	})
 	t.Run("resilient", func(t *testing.T) {
-		l := drainedEndpoint(t, fastResilience()).linkAt(0, 0)
+		l := drainedEndpoint(t, fastResilience()).linkAt(0)
 		if a := testing.AllocsPerRun(200, func() {
 			l.mu.Lock()
 			l.r.needAck = true

@@ -79,7 +79,7 @@ func bigMessage(tag, offset, n int) mpx.Message {
 func TestLandingOnPlainAndStripedLinks(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
 		testleak.Check(t)
-		trs := meshWith(t, 1, hostsOnePerNode(1), nil)
+		trs := loopback(t, 1, nil)
 		k := newLandingConsumer(1 << 20)
 		trs[0].Attach(0, k.consumer())
 		small := mpx.Message{Tag: 1, Parts: []mpx.Part{{Dest: 0, Data: []byte("small")}}}
@@ -216,8 +216,9 @@ func TestLandingDeliverOnceOnResilientLink(t *testing.T) {
 // overwrite it. With the link's writer held, Settle waits; once it has
 // returned the payload is scribbled over and the receiver still gets the
 // bytes that were sent. A resilient link copied the frame when it was
-// sent, so its fence does not wait for the writer, and an endpoint with
-// a co-hosted neighbor never settles: that neighbor reads by reference.
+// sent, so its fence does not wait for the writer, and an endpoint that
+// was never connected does not settle: a port without a link is the
+// missing slot Settle reports false for.
 func TestSettleFenceHoldsUntilWritten(t *testing.T) {
 	testleak.Check(t)
 	// waits says the fence must not return while the writer is held.
@@ -227,7 +228,7 @@ func TestSettleFenceHoldsUntilWritten(t *testing.T) {
 		msg := bigMessage(2, 4096, 200<<10)
 		sent := mpx.Message{Tag: msg.Tag, Parts: []mpx.Part{msg.Parts[0]}}
 		sent.Parts[0].Data = append([]byte(nil), msg.Parts[0].Data...)
-		l := trs[1].linkAt(1, 0)
+		l := trs[1].linkAt(0)
 		l.wmu.Lock() // nothing is written until the test says so
 		if err := trs[1].Send(1, 0, sent); err != nil {
 			t.Fatal(err)
@@ -259,19 +260,20 @@ func TestSettleFenceHoldsUntilWritten(t *testing.T) {
 		k.landed(t, k.next(t), msg)
 	}
 	t.Run("plain", func(t *testing.T) {
-		scribbleAfterSettle(t, meshWith(t, 1, hostsOnePerNode(1), nil), true)
+		scribbleAfterSettle(t, loopback(t, 1, nil), true)
 	})
 	t.Run("resilient", func(t *testing.T) {
-		trs := meshWith(t, 1, hostsOnePerNode(1), func(o *TCPOptions) { o.Resilience = fastResilience() })
+		trs := loopback(t, 1, func(o *TCPOptions) { o.Resilience = fastResilience() })
 		scribbleAfterSettle(t, trs, false)
 	})
-	t.Run("co-hosted", func(t *testing.T) {
-		trs := meshWith(t, 2, [][]cube.NodeID{{0, 1}, {2}, {3}}, nil)
-		if trs[0].Settle(0) || trs[0].Settle(1) {
-			t.Fatal("a node with a co-hosted neighbor settled: that neighbor holds its envelopes by reference")
+	t.Run("never connected", func(t *testing.T) {
+		tr, err := NewTCP(TCPOptions{Dim: 2, Locals: []cube.NodeID{3}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !trs[1].Settle(2) {
-			t.Fatal("a node whose neighbors are all remote did not settle")
+		defer tr.Close()
+		if tr.Settle(3) {
+			t.Fatal("an endpoint without links settled")
 		}
 	})
 }
@@ -284,7 +286,7 @@ func TestSettleFenceHoldsUntilWritten(t *testing.T) {
 // signs the damage and delivers it: what every relay used to do.
 func TestRelayMemoryDamageIsCaughtDownstream(t *testing.T) {
 	testleak.Check(t)
-	trs := meshWith(t, 2, hostsOnePerNode(2), nil)
+	trs := loopback(t, 2, nil)
 	relay, leaf := newLandingConsumer(1<<20), newLandingConsumer(1<<20)
 	trs[1].Attach(1, relay.consumer())
 	trs[3].Attach(3, leaf.consumer())

@@ -23,11 +23,8 @@ type MemberHooks struct {
 	// performs on escalation.
 	OnPeerDown func(self, peer cube.NodeID, err error)
 	// OnControl receives a membership control frame (wire.KindJoin,
-	// KindDrain, KindView or KindAttach) from a neighbor. The hook may
-	// retain body but must not mutate it: frames off the wire arrive
-	// freshly decoded, while loopback dispatch (SendControl between two
-	// ranks hosted on one endpoint) shares the caller's buffer — see the
-	// ownership rule on SendControl.
+	// KindDrain, KindView or KindAttach) from a neighbor; body arrives
+	// freshly decoded and the hook may retain it.
 	OnControl func(from cube.NodeID, kind byte, body []byte)
 }
 
@@ -64,7 +61,7 @@ func (t *TCP) dispatchControl(from cube.NodeID, kind byte, body []byte) {
 // again and the stale death would poison the view), and fires at most
 // once per link.
 func (t *TCP) memberDown(l *link, err error) {
-	if t.linkAt(l.self, l.port) != l {
+	if t.linkAt(l.port) != l {
 		return
 	}
 	if l.downFired.Swap(true) {
@@ -90,18 +87,13 @@ func (l *link) peerBye() {
 	l.mu.Unlock()
 }
 
-// SendControl transmits one membership control frame from a hosted node
-// to a cube neighbor, best-effort: frames to absent, failed, retired or
-// currently-disconnected links are dropped (the membership flood is
-// idempotent and re-floods on every later change, so loss only delays
-// convergence). Control frames ride outside the replay protocol —
+// SendControl transmits one membership control frame from the hosted
+// rank to a cube neighbor, best-effort: frames to absent, failed,
+// retired or currently-disconnected links are dropped (the membership
+// flood is idempotent and re-floods on every later change, so loss only
+// delays convergence). Control frames ride outside the replay protocol —
 // written directly to the socket, frame-aligned under the write lock.
-//
-// Ownership: the transport never retains body, but the loopback path
-// (to hosted on this same endpoint) hands it to the OnControl hook
-// without copying. The caller must therefore not mutate body after the
-// call, and the hook must not mutate it either — the same immutability
-// the remote path gets for free by encoding body into a fresh frame.
+// The transport never retains body.
 func (t *TCP) SendControl(from, to cube.NodeID, kind byte, body []byte) error {
 	if !t.memberMode() {
 		return errors.New("transport: SendControl outside member mode")
@@ -109,16 +101,11 @@ func (t *TCP) SendControl(from, to cube.NodeID, kind byte, body []byte) error {
 	if t.isDown() {
 		return mpx.ErrDown
 	}
-	t.linkMu.RLock()
-	c := t.c
-	hosted := int(from) < len(t.local) && t.local[from]
-	inCube := int(to) < c.Nodes()
-	localTo := inCube && t.local[to]
-	t.linkMu.RUnlock()
-	if !hosted {
+	if from != t.self {
 		return fmt.Errorf("transport: SendControl from node %d, which is not hosted here", from)
 	}
-	if !inCube {
+	c := t.Cube()
+	if int(to) >= c.Nodes() {
 		// The view can name ranks beyond this endpoint's cube — a growth
 		// event whose attach has not reached us yet. They are unreachable
 		// from here and the flood covers them via members that do share
@@ -126,15 +113,11 @@ func (t *TCP) SendControl(from, to cube.NodeID, kind byte, body []byte) error {
 		t.memberDrops.Add(1)
 		return nil
 	}
-	if localTo {
-		t.dispatchControl(from, kind, body)
-		return nil
-	}
 	port := c.Port(from, to)
 	if port < 0 {
 		return fmt.Errorf("transport: SendControl to node %d, not a neighbor of %d", to, from)
 	}
-	l := t.linkAt(from, port)
+	l := t.linkAt(port)
 	if l == nil {
 		t.memberDrops.Add(1)
 		return nil
@@ -188,7 +171,7 @@ func (t *TCP) acceptMemberJoin(conn net.Conn, hs wire.Hello, port int) error {
 	}
 	conn.SetDeadline(time.Time{})
 	l := t.newLink(hs.To, hs.From, port, conn, false, "")
-	if old := t.setLinkAt(hs.To, port, l); old != nil {
+	if old := t.setLinkAt(port, l); old != nil {
 		// Silence the old incarnation: no OnPeerDown (the rank is alive
 		// again — deduping here keeps a slow supervisor's eventual
 		// escalation from poisoning the view) and a sticky error so any
@@ -207,8 +190,8 @@ func (t *TCP) acceptMemberJoin(conn net.Conn, hs wire.Hello, port int) error {
 }
 
 // JoinMesh connects a late joiner to an already-running member mesh: a
-// single-attempt parallel dial to every cube neighbor of the (single)
-// hosted rank. peers is indexed by rank like Connect's argument; dead
+// single-attempt parallel dial to every cube neighbor of the hosted
+// rank. peers is indexed by rank like Connect's argument; dead
 // ranks' addresses simply refuse. At least one neighbor must accept —
 // with zero live neighbors the joiner is partitioned and cannot be
 // admitted. After JoinMesh the caller announces itself through the
@@ -217,13 +200,10 @@ func (t *TCP) JoinMesh(peers []string) error {
 	if !t.memberMode() {
 		return errors.New("transport: JoinMesh outside member mode")
 	}
-	if len(t.locals) != 1 {
-		return fmt.Errorf("transport: JoinMesh supports exactly one hosted rank, have %v", t.locals)
-	}
 	if len(peers) != t.c.Nodes() {
 		return fmt.Errorf("transport: JoinMesh wants %d peer addresses, got %d", t.c.Nodes(), len(peers))
 	}
-	self := t.locals[0]
+	self := t.self
 	deadline := time.Now().Add(t.opt.HandshakeTimeout)
 
 	var (
@@ -264,7 +244,7 @@ func (t *TCP) JoinMesh(peers []string) error {
 		return fmt.Errorf("transport: joiner %d reached none of its neighbors (%v)", self, errors.Join(errs...))
 	}
 	for _, l := range links {
-		t.setLinkAt(l.self, l.port, l)
+		t.setLinkAt(l.port, l)
 	}
 	for _, l := range links {
 		t.startLink(l)
@@ -278,54 +258,44 @@ func (t *TCP) JoinMesh(peers []string) error {
 	// announce the membership layer sends next — this one additionally
 	// covers joiners beyond the founding cube, whose accepting survivors
 	// just widened their mesh for us.
-	attach := wire.EncodeAttach(self, t.self)
+	attach := wire.EncodeAttach(self, t.addr)
 	for _, l := range links {
 		l.writeControl(wire.KindAttach, attach)
 	}
 	return nil
 }
 
-// growSlotBudget bounds the tables GrowTo allocates — 2^dim·dim link
-// slots plus 2^dim inboxes and local flags, before any peer of the new
-// cube has proved it exists. The dimension reaches GrowTo from the wire
-// (an unauthenticated resume hello, its echo, a KindGrow frame, a
-// flooded view), where cube.MaxDim alone would let 22 bytes ask for
-// gigabytes. 2^16 slots admit a 12-cube (4096 ranks, about half a
-// megabyte of tables), far past any mesh this transport has carried.
-const growSlotBudget = 1 << 16
+// maxGrowDim bounds the dimension GrowTo accepts. The dimension reaches
+// GrowTo from the wire (an unauthenticated resume hello, its echo, a
+// KindGrow frame, a flooded view), and what the layers above the
+// transport build for the grown cube grows with 2^dim: the membership
+// view holds a status per rank, and the trees span every rank.
+// cube.MaxDim alone would let 22 bytes ask for gigabytes. A 12-cube
+// (4096 ranks) is far past any mesh this transport has carried.
+const maxGrowDim = 12
 
-// GrowTo widens the mesh to newDim online. The cube, the links table
-// (whose stride is the dimension), the local mask and the inbox table
-// are all swapped in one linkMu critical section, so a concurrent send
-// observes either the old or the new topology, never a mix. Existing
-// links carry over untouched — a link's port is the index of the bit
-// its endpoints differ in, which growth never changes — so in-flight
-// traffic, replay rings and resume state survive. The new dimension's
-// slots start empty and fill as joiners grow-attach (and the holes
-// drop sends silently, like any absent member). Returns whether the
-// mesh actually widened: growth to the current or a smaller dimension
-// is an idempotent no-op, and a dimension whose link table would exceed
-// growSlotBudget is refused. Member mode only.
+// GrowTo widens the mesh to newDim online. The cube and the dimension
+// are swapped and the links table gains the new ports in one linkMu
+// critical section, so a concurrent send observes either the old or the
+// new topology, never a mix. Existing links carry over untouched — a
+// link's port is the index of the bit its endpoints differ in, which
+// growth never changes — so in-flight traffic, replay rings and resume
+// state survive. The new ports start empty and fill as joiners
+// grow-attach (and the holes drop sends silently, like any absent
+// member). Returns whether the mesh actually widened: growth to the
+// current or a smaller dimension is an idempotent no-op, and a
+// dimension past maxGrowDim is refused. Member mode only.
 func (t *TCP) GrowTo(newDim int) bool {
-	if !t.memberMode() || newDim > cube.MaxDim || newDim<<uint(newDim) > growSlotBudget {
+	if !t.memberMode() || newDim > maxGrowDim {
 		return false
 	}
 	t.linkMu.Lock()
 	defer t.linkMu.Unlock()
-	oldDim := t.opt.Dim
-	if newDim <= oldDim {
+	if newDim <= t.opt.Dim {
 		return false
 	}
-	c := cube.New(newDim)
-	links := make([]*link, c.Nodes()*newDim)
-	for id := 0; id < len(t.local); id++ {
-		copy(links[id*newDim:id*newDim+oldDim], t.links[id*oldDim:(id+1)*oldDim])
-	}
-	local := make([]bool, c.Nodes())
-	copy(local, t.local)
-	inbox := make([]*mpx.Inbox, c.Nodes())
-	copy(inbox, t.inbox)
-	t.c, t.links, t.local, t.inbox = c, links, local, inbox
+	t.c = cube.New(newDim)
+	t.links = append(t.links, make([]*link, newDim-t.opt.Dim)...)
 	t.opt.Dim = newDim
 	t.growEvents.Add(1)
 	return true

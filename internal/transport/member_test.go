@@ -400,7 +400,7 @@ func TestMemberHostileGrowIsBounded(t *testing.T) {
 
 	// The same dimension in a growth frame, on the link from rank 1.
 	before := victim.MemberDrops()
-	if err := ranks[1].tr.linkAt(1, 0).writeControl(wire.KindGrow, wire.EncodeGrow(30)); err != nil {
+	if err := ranks[1].tr.linkAt(0).writeControl(wire.KindGrow, wire.EncodeGrow(30)); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(10 * time.Second); victim.MemberDrops() == before; {

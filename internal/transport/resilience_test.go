@@ -27,51 +27,10 @@ func fastResilience() ResilienceOptions {
 	}
 }
 
-// meshResilient is mesh with self-healing links enabled.
-func meshResilient(t *testing.T, dim int, hosts [][]cube.NodeID, injs []fault.Injector, res ResilienceOptions) []*TCP {
-	t.Helper()
-	trs := make([]*TCP, len(hosts))
-	peers := make([]string, 1<<uint(dim))
-	for i, locals := range hosts {
-		var inj fault.Injector
-		if injs != nil {
-			inj = injs[i]
-		}
-		tr, err := NewTCP(TCPOptions{
-			Dim: dim, Locals: locals, Injector: inj,
-			HandshakeTimeout: 10 * time.Second, Resilience: res,
-		})
-		if err != nil {
-			t.Fatalf("NewTCP(%v): %v", locals, err)
-		}
-		trs[i] = tr
-		t.Cleanup(func() { tr.Close() })
-		for _, id := range locals {
-			peers[id] = tr.Addr()
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(trs))
-	for i, tr := range trs {
-		wg.Add(1)
-		go func(i int, tr *TCP) {
-			defer wg.Done()
-			errs[i] = tr.Connect(peers)
-		}(i, tr)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("Connect endpoint %d: %v", i, err)
-		}
-	}
-	return trs
-}
-
-// sever closes the current socket of endpoint tr's link (id, port) from
+// sever closes the current socket of endpoint tr's link on port from
 // outside the protocol — exactly what a dropped connection looks like.
-func sever(tr *TCP, id cube.NodeID, port int) bool {
-	l := tr.links[tr.linkIndex(id, port)]
+func sever(tr *TCP, port int) bool {
+	l := tr.linkAt(port)
 	if l == nil {
 		return false
 	}
@@ -92,7 +51,7 @@ func sever(tr *TCP, id cube.NodeID, port int) bool {
 func TestResilientReconnectReplaysInOrder(t *testing.T) {
 	testleak.Check(t)
 	const msgs = 500
-	trs := meshResilient(t, 1, [][]cube.NodeID{{0}, {1}}, nil, fastResilience())
+	trs := loopback(t, 1, func(o *TCPOptions) { o.Resilience = fastResilience() })
 
 	// Sever the sender-side socket a few times while the stream runs.
 	stop := make(chan struct{})
@@ -106,7 +65,7 @@ func TestResilientReconnectReplaysInOrder(t *testing.T) {
 				return
 			case <-time.After(15 * time.Millisecond):
 			}
-			sever(trs[0], 0, 0)
+			sever(trs[0], 0)
 		}
 	}()
 
@@ -153,10 +112,7 @@ func TestResilientCorruptRecoveredByRetransmit(t *testing.T) {
 	plan := fault.NewPlan(1).AddRule(fault.Rule{
 		Link: cube.Edge{From: 0, To: 1}, Kind: fault.Corrupt, Nth: 0,
 	})
-	trs := meshResilient(t, 1,
-		[][]cube.NodeID{{0}, {1}},
-		[]fault.Injector{plan.Injector(), plan.Injector()},
-		fastResilience())
+	trs := loopback(t, 1, func(o *TCPOptions) { o.Injector, o.Resilience = plan.Injector(), fastResilience() })
 	err := runAll(trs, func(nd *mpx.Node) error {
 		if nd.ID == 0 {
 			nd.Send(0, mpx.Message{Tag: 1, Parts: []mpx.Part{{Dest: 1, Data: []byte("first: corrupted on the wire")}}})
@@ -195,10 +151,7 @@ func TestResilientDuplicateDeduped(t *testing.T) {
 	plan := fault.NewPlan(1).AddRule(fault.Rule{
 		Link: cube.Edge{From: 0, To: 1}, Kind: fault.Duplicate, Nth: fault.EveryMessage,
 	})
-	trs := meshResilient(t, 1,
-		[][]cube.NodeID{{0}, {1}},
-		[]fault.Injector{plan.Injector(), plan.Injector()},
-		fastResilience())
+	trs := loopback(t, 1, func(o *TCPOptions) { o.Injector, o.Resilience = plan.Injector(), fastResilience() })
 	const msgs = 10
 	err := runAll(trs, func(nd *mpx.Node) error {
 		if nd.ID == 0 {
@@ -389,7 +342,7 @@ func TestSupervisorAbandonedMidBackoffNoLeak(t *testing.T) {
 	// Wait for the crash to reach the supervisor and the backoff to start.
 	deadline := time.Now().Add(5 * time.Second)
 	for tr.Stats().SeveredLinks == 0 && time.Now().Before(deadline) {
-		l := tr.links[tr.linkIndex(0, 0)]
+		l := tr.linkAt(0)
 		l.mu.Lock()
 		lost := l.r != nil && !l.r.connected
 		l.mu.Unlock()
@@ -508,7 +461,7 @@ func refused(conn net.Conn) error {
 // without an echo, and goes on serving its links.
 func TestOtherVersionHelloRefused(t *testing.T) {
 	testleak.Check(t)
-	trs := meshResilient(t, 2, hostsOnePerNode(2), nil, fastResilience())
+	trs := loopback(t, 2, func(o *TCPOptions) { o.Resilience = fastResilience() })
 	for _, resilient := range []bool{false, true} {
 		for _, ver := range []byte{1, 2, 3, wire.MaxVersion + 1} {
 			conn, err := dialAddr(trs[0].Addr(), 5*time.Second)

@@ -9,7 +9,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -125,10 +124,8 @@ func (r *ResilienceOptions) normalize() {
 type TCPOptions struct {
 	// Dim is the cube dimension.
 	Dim int
-	// Locals are the nodes this process hosts (at least one). A
-	// single-node process is the canonical deployment; hosting several
-	// nodes lets one process own a subcube (links between two hosted
-	// nodes never touch a socket).
+	// Locals names the one rank this endpoint hosts: exactly one entry,
+	// inside the cube. Every cube link of the rank is a socket.
 	Locals []cube.NodeID
 	// Listen is the listen address; empty means "127.0.0.1:0" (pick a
 	// free port — read it back with Addr).
@@ -160,18 +157,18 @@ type TCPOptions struct {
 	Member *MemberHooks
 }
 
-// TCP is a socket-backed mpx.Transport: every cube link whose endpoints
-// live in different processes is one TCP connection carrying
-// length-prefixed, CRC-checksummed frames (internal/wire). Writes
-// coalesce into a per-link buffer drained by a flusher goroutine; a read
-// pump per link decodes frames into the hosted node's inbox.
+// TCP is a socket-backed mpx.Transport hosting one rank: each of the
+// rank's cube links is one connection carrying length-prefixed,
+// CRC-checksummed frames (internal/wire). Writes coalesce into a
+// per-link buffer drained by a flusher goroutine; a read pump per link
+// decodes frames into the rank's inbox.
 //
 // Lifecycle: NewTCP binds the listener (Addr reports the port),
 // Connect(peers) establishes every neighbor link with a
 // version/dim/identity handshake, Close flushes, announces shutdown
 // (BYE) and tears everything down. An unannounced connection loss — a
 // crashed peer — is recorded as a *mpx.PeerError and shuts the
-// transport down so hosted nodes abort instead of hanging; with
+// transport down so the hosted rank aborts instead of hanging; with
 // Resilience enabled the loss is first handed to the link supervisor,
 // which redials, resumes and replays, and only escalates to that fatal
 // path once the reconnect budget is spent.
@@ -179,24 +176,24 @@ type TCP struct {
 	c      *cube.Cube
 	opt    TCPOptions
 	ln     net.Listener
-	self   string // bound listen address
+	addr   string // bound listen address
 	udsDir string // temp dir owning an auto-created unix socket path
 
-	local  []bool
-	locals []cube.NodeID
-	inbox  []*mpx.Inbox
+	// self is the hosted rank and inbox its inbox. Neither changes after
+	// NewTCP, so the read pumps reach the inbox without linkMu.
+	self  cube.NodeID
+	inbox *mpx.Inbox
 
-	// links is indexed by int(local)*dim+port; nil when the neighbor is
-	// hosted locally (direct inbox delivery) or the node is not local.
+	// links has one slot per port; nil until the link is connected.
 	// Guarded by linkMu: in member mode links are replaced at runtime
 	// when a joiner occupies a dead rank's hole, concurrent with sends.
 	//
 	// linkMu also guards the topology itself: GrowTo re-dimensions the
-	// mesh online, swapping c, opt.Dim, local, inbox and the links table
-	// (whose stride is the dimension) in one critical section. Runtime
-	// paths must read those fields through topo/dim/linkAt/setLinkAt
-	// rather than directly; bootstrap paths (NewTCP, Connect, JoinMesh)
-	// run before the endpoint is attached and may read them bare.
+	// mesh online, swapping c and opt.Dim and widening links in one
+	// critical section. Runtime paths must read those fields through
+	// Cube/dim/linkAt/setLinkAt rather than directly; bootstrap paths
+	// (NewTCP, Connect, JoinMesh) run before the endpoint is attached
+	// and may read them bare.
 	linkMu sync.RWMutex
 	links  []*link
 
@@ -284,7 +281,7 @@ type relState struct {
 	space *sync.Cond
 }
 
-// link is one neighbor connection from a hosted node.
+// link is one neighbor connection of the hosted rank.
 type link struct {
 	t          *TCP
 	self, peer cube.NodeID
@@ -365,10 +362,14 @@ type link struct {
 }
 
 // NewTCP binds the transport's listener; Connect must be called before
-// any Send. The returned transport hosts opts.Locals.
+// any Send. The returned transport hosts the rank opts.Locals names.
 func NewTCP(opts TCPOptions) (*TCP, error) {
-	if len(opts.Locals) == 0 {
-		return nil, errors.New("transport: TCPOptions.Locals is empty")
+	if len(opts.Locals) != 1 {
+		return nil, fmt.Errorf("transport: an endpoint hosts exactly one rank, TCPOptions.Locals names %d", len(opts.Locals))
+	}
+	self := opts.Locals[0]
+	if opts.Dim < 1 || opts.Dim > cube.MaxDim || int(self) >= 1<<uint(opts.Dim) {
+		return nil, fmt.Errorf("transport: rank %d outside the %d-cube", self, opts.Dim)
 	}
 	udsDir := ""
 	switch opts.Network {
@@ -386,7 +387,7 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 				return nil, fmt.Errorf("transport: uds socket dir: %w", err)
 			}
 			udsDir = dir
-			opts.Listen = filepath.Join(dir, fmt.Sprintf("n%d.sock", opts.Locals[0]))
+			opts.Listen = filepath.Join(dir, fmt.Sprintf("n%d.sock", self))
 		}
 	default:
 		return nil, fmt.Errorf("transport: unsupported network %q (want tcp or unix)", opts.Network)
@@ -403,28 +404,15 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 	if opts.Member != nil && !opts.Resilience.Enabled {
 		return nil, errors.New("transport: member mode requires Resilience.Enabled (the link supervisors are the crash detectors)")
 	}
-	c := cube.New(opts.Dim)
 	t := &TCP{
-		c:      c,
+		c:      cube.New(opts.Dim),
 		opt:    opts,
-		local:  make([]bool, c.Nodes()),
-		inbox:  make([]*mpx.Inbox, c.Nodes()),
-		links:  make([]*link, c.Nodes()*opts.Dim),
+		self:   self,
+		links:  make([]*link, opts.Dim),
 		down:   make(chan struct{}),
-		locals: append([]cube.NodeID(nil), opts.Locals...),
+		udsDir: udsDir,
 	}
-	sort.Slice(t.locals, func(i, j int) bool { return t.locals[i] < t.locals[j] })
-	for _, id := range t.locals {
-		if int(id) >= c.Nodes() {
-			return nil, fmt.Errorf("transport: local node %d outside the %d-cube", id, opts.Dim)
-		}
-		if t.local[id] {
-			return nil, fmt.Errorf("transport: local node %d listed twice", id)
-		}
-		t.local[id] = true
-		t.inbox[id] = mpx.NewInbox(opts.Depth, t.down)
-	}
-	t.udsDir = udsDir
+	t.inbox = mpx.NewInbox(opts.Depth, t.down)
 	ln, err := net.Listen(opts.Network, opts.Listen)
 	if err != nil {
 		if udsDir != "" {
@@ -433,7 +421,7 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 		return nil, fmt.Errorf("transport: listen %s %s: %w", opts.Network, opts.Listen, err)
 	}
 	t.ln = ln
-	t.self = ln.Addr().String()
+	t.addr = ln.Addr().String()
 	return t, nil
 }
 
@@ -443,9 +431,9 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 // a mesh may mix families.
 func (t *TCP) Addr() string {
 	if t.opt.Network == "unix" {
-		return "unix:" + t.self
+		return "unix:" + t.addr
 	}
-	return t.self
+	return t.addr
 }
 
 // splitAddr resolves a peers entry to its socket family: a "unix:"
@@ -473,26 +461,16 @@ func (t *TCP) Cube() *cube.Cube {
 	return c
 }
 
-// Locals returns the hosted nodes, ascending.
-func (t *TCP) Locals() []cube.NodeID { return t.locals }
+// Locals returns the hosted rank.
+func (t *TCP) Locals() []cube.NodeID { return []cube.NodeID{t.self} }
 
-// Inbox returns the receive channel of a hosted node.
-func (t *TCP) Inbox(id cube.NodeID) <-chan mpx.Envelope { return t.inboxOf(id).Chan() }
+// Inbox returns the receive channel of the hosted rank (id must be it).
+func (t *TCP) Inbox(id cube.NodeID) <-chan mpx.Envelope { return t.inbox.Chan() }
 
-// Attach routes a hosted node's deliveries to c.Sink (mpx.Inbox.Attach):
-// local senders and the links' read pumps then run it themselves, and
-// the pumps ask c.Land where a large part belongs before reading it.
-func (t *TCP) Attach(id cube.NodeID, c mpx.Consumer) {
-	t.inboxOf(id).Attach(c)
-}
-
-// inboxOf snapshots node id's inbox (GrowTo swaps the table).
-func (t *TCP) inboxOf(id cube.NodeID) *mpx.Inbox {
-	t.linkMu.RLock()
-	in := t.inbox[id]
-	t.linkMu.RUnlock()
-	return in
-}
+// Attach routes the hosted rank's deliveries to c.Sink (mpx.Inbox.Attach;
+// id must be the rank): the links' read pumps then run it themselves,
+// and ask c.Land where a large part belongs before reading it.
+func (t *TCP) Attach(id cube.NodeID, c mpx.Consumer) { t.inbox.Attach(c) }
 
 // Done is closed when the transport shuts down.
 func (t *TCP) Done() <-chan struct{} { return t.down }
@@ -527,9 +505,9 @@ func (t *TCP) Stats() mpx.TransportStats {
 
 // Profile reports the endpoint's live link cost model (implements
 // mpx.profiler): the per-link τ/t_c estimators — fed one observation
-// per timed flush — pooled across every socket link.
-// Endpoints whose links are all in-process report an unsettled profile
-// (zero samples), which callers treat as "keep the defaults".
+// per timed flush — pooled across every link. An endpoint with no
+// connected link reports an unsettled profile (zero samples), which
+// callers treat as "keep the defaults".
 func (t *TCP) Profile() mpx.LinkProfile {
 	var agg mpx.LinkEstimator
 	for _, l := range t.allLinks() {
@@ -553,39 +531,6 @@ func (t *TCP) isDown() bool {
 	}
 }
 
-// linkIndex locates the link slot for a hosted node's port. The stride
-// is the dimension, so the index is only meaningful against the links
-// table of the same dimension — runtime paths use linkAt/setLinkAt,
-// which compute it under linkMu.
-func (t *TCP) linkIndex(id cube.NodeID, port int) int { return int(id)*t.opt.Dim + port }
-
-// getLink reads a link slot under linkMu (member mode replaces links at
-// runtime; everyone else writes only during Connect).
-func (t *TCP) getLink(idx int) *link {
-	t.linkMu.RLock()
-	l := t.links[idx]
-	t.linkMu.RUnlock()
-	return l
-}
-
-// setLink writes a link slot, returning the link it replaced.
-func (t *TCP) setLink(idx int, l *link) *link {
-	t.linkMu.Lock()
-	old := t.links[idx]
-	t.links[idx] = l
-	t.linkMu.Unlock()
-	return old
-}
-
-// topo snapshots the cube and dimension. GrowTo swaps both under
-// linkMu; runtime paths must not read t.c or t.opt.Dim bare.
-func (t *TCP) topo() (*cube.Cube, int) {
-	t.linkMu.RLock()
-	c, dim := t.c, t.opt.Dim
-	t.linkMu.RUnlock()
-	return c, dim
-}
-
 // dim snapshots the current dimension.
 func (t *TCP) dim() int {
 	t.linkMu.RLock()
@@ -594,35 +539,25 @@ func (t *TCP) dim() int {
 	return d
 }
 
-// hosted reports whether a node lives on this endpoint (lock-safe: the
-// local mask is re-sliced by GrowTo).
-func (t *TCP) hosted(id cube.NodeID) bool {
-	t.linkMu.RLock()
-	ok := int(id) < len(t.local) && t.local[id]
-	t.linkMu.RUnlock()
-	return ok
-}
-
-// linkAt reads the link slot of a hosted node's port, computing the
-// index under linkMu so it stays consistent with the table's current
-// dimension. Ports beyond the current dimension read as nil.
-func (t *TCP) linkAt(id cube.NodeID, port int) *link {
+// linkAt reads the link slot of a port under linkMu (member mode
+// replaces links at runtime and GrowTo widens the table). Ports beyond
+// the current dimension read as nil.
+func (t *TCP) linkAt(port int) *link {
 	t.linkMu.RLock()
 	var l *link
-	if port >= 0 && port < t.opt.Dim {
-		l = t.links[int(id)*t.opt.Dim+port]
+	if port >= 0 && port < len(t.links) {
+		l = t.links[port]
 	}
 	t.linkMu.RUnlock()
 	return l
 }
 
-// setLinkAt writes the link slot of a hosted node's port, returning the
-// link it replaced. Like linkAt, the index is computed under linkMu.
-func (t *TCP) setLinkAt(id cube.NodeID, port int, l *link) *link {
+// setLinkAt writes the link slot of a port, returning the link it
+// replaced.
+func (t *TCP) setLinkAt(port int, l *link) *link {
 	t.linkMu.Lock()
-	idx := int(id)*t.opt.Dim + port
-	old := t.links[idx]
-	t.links[idx] = l
+	old := t.links[port]
+	t.links[port] = l
 	t.linkMu.Unlock()
 	return old
 }
@@ -641,12 +576,12 @@ func (t *TCP) allLinks() []*link {
 }
 
 // Connect establishes every neighbor link: peers[j] is the listen
-// address of the transport hosting node j (entries for our own locals
-// are ignored). For each cube edge crossing a process boundary, the
-// endpoint with the smaller node ID dials and the larger accepts; the
-// handshake carries protocol version, cube dimension, both node IDs and
-// the resilience mode, and either side rejects a mismatch. Dials retry
-// until HandshakeTimeout so endpoints may start in any order.
+// address of the endpoint hosting rank j (our own entry is ignored).
+// For each cube edge, the endpoint with the smaller rank dials and the
+// larger accepts; the handshake carries protocol version, cube
+// dimension, both node IDs and the resilience mode, and either side
+// rejects a mismatch. Dials retry until HandshakeTimeout so endpoints
+// may start in any order.
 //
 // With resilience enabled the listener stays open after Connect to
 // accept resumed connections from reconnecting peers.
@@ -657,25 +592,13 @@ func (t *TCP) Connect(peers []string) error {
 	}
 	deadline := time.Now().Add(t.opt.HandshakeTimeout)
 
-	type dialTarget struct {
-		self, peer cube.NodeID
-		port       int
-	}
-	var dials []dialTarget
-	expectAccepts := 0
-	for _, id := range t.locals {
-		for d := 0; d < t.opt.Dim; d++ {
-			peer := t.c.Neighbor(id, d)
-			if t.local[peer] {
-				continue
-			}
-			if id < peer {
-				dials = append(dials, dialTarget{id, peer, d})
-			} else {
-				expectAccepts++
-			}
+	var dials []int // ports whose peer has the larger rank
+	for d := 0; d < t.opt.Dim; d++ {
+		if t.self < t.c.Neighbor(t.self, d) {
+			dials = append(dials, d)
 		}
 	}
+	expectAccepts := t.opt.Dim - len(dials)
 
 	type result struct {
 		l   *link
@@ -714,11 +637,12 @@ func (t *TCP) Connect(peers []string) error {
 		}
 	}()
 
-	for _, dt := range dials {
-		go func(dt dialTarget) {
-			l, err := t.dialHandshake(dt.self, dt.peer, dt.port, peers[dt.peer], deadline)
+	for _, port := range dials {
+		go func(port int) {
+			peer := t.c.Neighbor(t.self, port)
+			l, err := t.dialHandshake(t.self, peer, port, peers[peer], deadline)
 			results <- result{l, err}
-		}(dt)
+		}(port)
 	}
 
 	var links []*link
@@ -735,7 +659,7 @@ collect:
 			}
 			links = append(links, r.l)
 		case <-timeout.C:
-			firstErr = fmt.Errorf("transport: node(s) %v: handshake timed out after %v", t.locals, t.opt.HandshakeTimeout)
+			firstErr = fmt.Errorf("transport: node %d: handshake timed out after %v", t.self, t.opt.HandshakeTimeout)
 			break collect
 		}
 	}
@@ -755,7 +679,7 @@ collect:
 	<-acceptDone
 
 	for _, l := range links {
-		t.setLink(t.linkIndex(l.self, l.port), l)
+		t.setLinkAt(l.port, l)
 	}
 	for _, l := range links {
 		t.startLink(l)
@@ -769,6 +693,50 @@ collect:
 		})
 	}
 	return nil
+}
+
+// Loopback binds one endpoint per rank of a dim-cube on loopback
+// sockets and connects them all concurrently. shape, when non-nil,
+// adjusts each endpoint's options before NewTCP; they arrive with Dim
+// and Locals set, so shape can tell the endpoints apart. On error every
+// endpoint is closed.
+func Loopback(dim int, shape func(*TCPOptions)) ([]*TCP, error) {
+	size := 1 << uint(dim)
+	trs := make([]*TCP, 0, size)
+	peers := make([]string, size)
+	closeAll := func() {
+		for _, tr := range trs {
+			tr.Close()
+		}
+	}
+	for i := range peers {
+		opts := TCPOptions{Dim: dim, Locals: []cube.NodeID{cube.NodeID(i)}}
+		if shape != nil {
+			shape(&opts)
+		}
+		tr, err := NewTCP(opts)
+		if err != nil {
+			closeAll()
+			return nil, err
+		}
+		trs = append(trs, tr)
+		peers[i] = tr.Addr()
+	}
+	errs := make(chan error, size)
+	for _, tr := range trs {
+		go func(tr *TCP) { errs <- tr.Connect(peers) }(tr)
+	}
+	var first error
+	for range trs {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+		}
+	}
+	if first != nil {
+		closeAll()
+		return nil, first
+	}
+	return trs, nil
 }
 
 // startLink launches the per-link goroutines: a flusher, a read pump
@@ -847,14 +815,14 @@ func (t *TCP) acceptHandshake(conn net.Conn, hs wire.Hello) (*link, error) {
 	if hs.Dim != t.opt.Dim {
 		return nil, fmt.Errorf("transport: peer %d speaks a %d-cube, this is a %d-cube", hs.From, hs.Dim, t.opt.Dim)
 	}
-	if int(hs.To) >= t.c.Nodes() || !t.local[hs.To] {
+	if hs.To != t.self {
 		return nil, fmt.Errorf("transport: handshake for node %d, which is not hosted here", hs.To)
 	}
 	port := t.c.Port(hs.To, hs.From)
 	if port < 0 {
 		return nil, fmt.Errorf("transport: handshake from node %d, not a neighbor of %d", hs.From, hs.To)
 	}
-	if t.getLink(t.linkIndex(hs.To, port)) != nil {
+	if t.linkAt(port) != nil {
 		return nil, fmt.Errorf("transport: duplicate connection for link %d<->%d", hs.To, hs.From)
 	}
 	echo := wire.Hello{Dim: t.opt.Dim, From: hs.To, To: hs.From, Resilient: t.resilient()}
@@ -980,6 +948,9 @@ func (t *TCP) handleResume(conn net.Conn) error {
 	if !hs.Resilient {
 		return fmt.Errorf("transport: bad resume handshake from peer %d", hs.From)
 	}
+	if hs.To != t.self {
+		return fmt.Errorf("transport: resume for node %d, which is not hosted here", hs.To)
+	}
 	if hs.Dim > t.dim() {
 		// Grow-attach: the peer speaks a larger cube — a joiner beyond
 		// our founding 2^d, or a survivor that widened before us. Only
@@ -999,15 +970,11 @@ func (t *TCP) handleResume(conn net.Conn) error {
 	// existing links keep their port geometry at any dimension, and the
 	// peer learns the grown dimension from the echo and widens on its
 	// side.
-	c, _ := t.topo()
-	if int(hs.To) >= c.Nodes() || !t.hosted(hs.To) {
-		return fmt.Errorf("transport: resume for node %d, which is not hosted here", hs.To)
-	}
-	port := c.Port(hs.To, hs.From)
+	port := t.Cube().Port(hs.To, hs.From)
 	if port < 0 {
 		return fmt.Errorf("transport: resume from node %d, not a neighbor of %d", hs.From, hs.To)
 	}
-	l := t.linkAt(hs.To, port)
+	l := t.linkAt(port)
 	if t.memberMode() {
 		// A fresh incarnation of the peer — a joiner filling the hole of a
 		// crashed or drained rank — dials with RecvSeq 0 and no shared
@@ -1108,10 +1075,9 @@ func (l *link) trimRingLocked(upTo uint64) {
 	r.acked = upTo
 }
 
-// Send delivers msg from a hosted node through the given port. Local
-// neighbors are delivered in process; remote neighbors get an encoded
-// frame appended to the link's coalescing buffer. Fault outcomes apply
-// here, at the transport boundary.
+// Send delivers msg from the hosted rank through the given port: an
+// encoded frame is appended to the link's coalescing buffer. Fault
+// outcomes apply here, at the transport boundary.
 func (t *TCP) Send(from cube.NodeID, port int, msg mpx.Message) error {
 	return t.send(from, port, msg, 0)
 }
@@ -1124,14 +1090,17 @@ func (t *TCP) Forward(from cube.NodeID, port int, env mpx.Envelope) error {
 }
 
 // Settle is the send-completion fence (mpx.settler): it writes out what
-// every plain link of hosted node id has queued by reference and reports
-// whether all of it reached the sockets. Resilient links copied each
-// frame into their replay ring when it was sent and need nothing. A
-// neighbor hosted here (no link) reads its envelopes in process at any
-// later time, and a failed link never drains its queue: both are false.
+// every plain link of the hosted rank id has queued by reference and
+// reports whether all of it reached the sockets. Resilient links copied
+// each frame into their replay ring when it was sent and need nothing.
+// A port without a link (never connected, or a member mesh's hole) and
+// a failed link, which never drains its queue, are both false.
 func (t *TCP) Settle(id cube.NodeID) bool {
+	if id != t.self {
+		return false
+	}
 	for port := t.dim() - 1; port >= 0; port-- {
-		l := t.linkAt(id, port)
+		l := t.linkAt(port)
 		if l == nil || l.r == nil && l.flush() != nil {
 			return false
 		}
@@ -1147,27 +1116,20 @@ func (t *TCP) send(from cube.NodeID, port int, msg mpx.Message, bodyCRC uint32) 
 		return mpx.ErrDown
 	default:
 	}
-	// One topology snapshot: in member mode GrowTo re-dimensions the
-	// mesh concurrently with sends, so the cube, the local mask and the
-	// link slot must all come from the same critical section.
-	t.linkMu.RLock()
-	c, dim := t.c, t.opt.Dim
-	hosted := int(from) < len(t.local) && t.local[from]
-	portOK := port >= 0 && port < dim
-	var to cube.NodeID
-	var localTo bool
-	var l *link
-	if hosted && portOK {
-		to = c.Neighbor(from, port)
-		localTo = t.local[to]
-		if !localTo {
-			l = t.links[int(from)*dim+port]
-		}
-	}
-	t.linkMu.RUnlock()
-	if !hosted {
+	if from != t.self {
 		return fmt.Errorf("transport: node %d is not hosted by this endpoint", from)
 	}
+	// One snapshot: in member mode GrowTo re-dimensions the mesh
+	// concurrently with sends, so the dimension and the link slot must
+	// come from the same critical section.
+	t.linkMu.RLock()
+	dim := t.opt.Dim
+	portOK := port >= 0 && port < dim
+	var l *link
+	if portOK {
+		l = t.links[port]
+	}
+	t.linkMu.RUnlock()
 	if !portOK {
 		// A collective layer that learned of a grown view before this
 		// endpoint widened its links can address a port the mesh does
@@ -1181,6 +1143,7 @@ func (t *TCP) send(from cube.NodeID, port int, msg mpx.Message, bodyCRC uint32) 
 	}
 	var out fault.Outcome
 	if inj := t.opt.Injector; inj != nil {
+		to := from ^ cube.NodeID(1)<<uint(port)
 		if inj.NodeDead(from) || inj.NodeDead(to) || inj.LinkDead(from, to) {
 			return nil
 		}
@@ -1188,9 +1151,6 @@ func (t *TCP) send(from cube.NodeID, port int, msg mpx.Message, bodyCRC uint32) 
 		if out.Drop {
 			return nil
 		}
-	}
-	if localTo {
-		return t.deliverLocal(from, to, port, msg, out)
 	}
 	if t.memberMode() {
 		// Elastic meshes route around missing peers: a send into a dead,
@@ -1212,20 +1172,6 @@ func (t *TCP) send(from cube.NodeID, port int, msg mpx.Message, bodyCRC uint32) 
 		return fmt.Errorf("transport: node %d has no link on port %d (Connect not run?)", from, port)
 	}
 	return l.send(msg, bodyCRC, out)
-}
-
-// deliverLocal is the in-process path for a link whose both endpoints
-// are hosted here — semantically identical to ChanTransport.
-func (t *TCP) deliverLocal(from, to cube.NodeID, port int, msg mpx.Message, out fault.Outcome) error {
-	size := msg.Size()
-	n, ok := t.inboxOf(to).DeliverFaulty(mpx.Envelope{Message: msg, Port: port, From: from}, out)
-	if n > 0 {
-		t.credit(int64(n * size))
-	}
-	if !ok {
-		return mpx.ErrDown
-	}
-	return nil
 }
 
 // maxPartLen is the largest single part payload: the vectored-write
@@ -1879,14 +1825,6 @@ func (l *link) resumeHandshake(conn net.Conn, deadline time.Time) (uint64, error
 	return echo.RecvSeq, nil
 }
 
-// readPump decodes inbound frames into the hosted node's inbox. A
-// checksum-rejected frame is counted and dropped (the stream stays
-// aligned); on a resilient link it additionally requests a retransmit
-// (NACK). A BYE frame ends the pump quietly — the peer shut down in
-// good order. Any other stream failure is a lost connection: on a plain
-// link it is recorded as a PeerError and the whole transport shuts down
-// so hosted nodes abort instead of waiting forever; on a resilient link
-// it severs only this connection generation and wakes the supervisor.
 // countReader counts raw bytes flowing off a connection (below the
 // bufio layer, so read-ahead counts when it happens, which is what
 // "wire bytes received" means).
@@ -1901,6 +1839,15 @@ func (c countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// readPump decodes inbound frames into the hosted rank's inbox. A
+// checksum-rejected frame is counted and dropped (the stream stays
+// aligned); on a resilient link it additionally requests a retransmit
+// (NACK). A BYE frame ends the pump quietly — the peer shut down in
+// good order. Any other stream failure is a lost connection: on a plain
+// link it is recorded as a PeerError and the whole transport shuts down
+// so the hosted rank aborts instead of waiting forever; on a resilient
+// link it severs only this connection generation and wakes the
+// supervisor.
 func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 	defer l.t.wg.Done()
 	defer close(pumped)
@@ -2012,7 +1959,7 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 }
 
 // land is the read pump's posted-receive hook (wire.Landing): it asks
-// the hosted node's consumer where a part about to be read belongs, and
+// the hosted rank's consumer where a part about to be read belongs, and
 // only for a frame the pump will deliver. On a resilient link that is
 // the next in-order sequence number and nothing else — a duplicate or a
 // frame behind a gap is read into scratch and discarded as before — so
@@ -2028,16 +1975,16 @@ func (l *link) land(seq uint64, tag, nparts, offset, n int) []byte {
 			return nil
 		}
 	}
-	return l.t.inboxOf(l.self).Land(l.peer, tag, nparts, offset, n)
+	return l.t.inbox.Land(l.peer, tag, nparts, offset, n)
 }
 
-// deliver hands one decoded message to the hosted node's inbox,
+// deliver hands one decoded message to the hosted rank's inbox,
 // crediting its payload to the goodput counter; bodyCRC is the frame
 // checksum verified over exactly msg, if the reader recorded one.
 // Returns false when the transport shut down instead.
 func (l *link) deliver(msg mpx.Message, bodyCRC uint32) bool {
 	n := int64(msg.Size())
-	if !l.t.inboxOf(l.self).Deliver(mpx.Envelope{Message: msg, Port: l.port, From: l.peer, BodyCRC: bodyCRC}) {
+	if !l.t.inbox.Deliver(mpx.Envelope{Message: msg, Port: l.port, From: l.peer, BodyCRC: bodyCRC}) {
 		return false
 	}
 	l.t.credit(n)
@@ -2141,11 +2088,11 @@ func (l *link) onNack(from uint64) {
 // PeerError reports the first connection-level failure recorded on one
 // of node id's links (implements mpx.peerErrorer).
 func (t *TCP) PeerError(id cube.NodeID) error {
-	if !t.hosted(id) {
+	if id != t.self {
 		return nil
 	}
 	for d := 0; d < t.dim(); d++ {
-		if l := t.linkAt(id, d); l != nil {
+		if l := t.linkAt(d); l != nil {
 			l.mu.Lock()
 			err := l.err
 			l.mu.Unlock()
@@ -2158,9 +2105,8 @@ func (t *TCP) PeerError(id cube.NodeID) error {
 }
 
 // FirstPeerError reports the first connection-level failure recorded on
-// ANY hosted node's links (implements mpx.firstPeerErrorer) — it lets a
-// rank stalled as collateral of a neighbor's dead link still name the
-// dead peer.
+// any link (implements mpx.firstPeerErrorer) — it lets a rank stalled
+// as collateral of a neighbor's dead link still name the dead peer.
 func (t *TCP) FirstPeerError() error {
 	for _, l := range t.allLinks() {
 		l.mu.Lock()
@@ -2173,8 +2119,8 @@ func (t *TCP) FirstPeerError() error {
 	return nil
 }
 
-// Close shuts the transport down: every hosted inbox closes, telling
-// its attached consumer; every link gets a bounded final flush of
+// Close shuts the transport down: the hosted rank's inbox closes,
+// telling its attached consumer; every link gets a bounded final flush of
 // pending frames plus a BYE announcement, then its connection is
 // closed; the listener stops; pumps, flushers and supervisors drain
 // out. Idempotent, safe to call from pump goroutines.
@@ -2202,9 +2148,7 @@ func (t *TCP) Close() error {
 			}
 		}
 		close(t.down)
-		for _, id := range t.locals {
-			t.inboxOf(id).Close()
-		}
+		t.inbox.Close()
 		t.ln.Close()
 		dirty := t.closingDirty()
 		for _, l := range t.allLinks() {

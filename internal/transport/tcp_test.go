@@ -21,42 +21,24 @@ func payload(from, to cube.NodeID) []byte {
 	return []byte(fmt.Sprintf("edge %d->%d", from, to))
 }
 
-// mesh builds one TCP transport per hosting set and connects the full
-// cube. hosts[i] lists the nodes of endpoint i; cleanup closes all.
-func mesh(t *testing.T, dim int, hosts [][]cube.NodeID, injs []fault.Injector) []*TCP {
+// loopback connects a dim-cube of one-rank endpoints (Loopback), each
+// shaped by shape when it is non-nil; cleanup closes all.
+func loopback(t *testing.T, dim int, shape func(*TCPOptions)) []*TCP {
 	t.Helper()
-	trs := make([]*TCP, len(hosts))
-	peers := make([]string, 1<<uint(dim))
-	for i, locals := range hosts {
-		var inj fault.Injector
-		if injs != nil {
-			inj = injs[i]
+	trs, err := Loopback(dim, func(o *TCPOptions) {
+		o.HandshakeTimeout = 10 * time.Second
+		if shape != nil {
+			shape(o)
 		}
-		tr, err := NewTCP(TCPOptions{Dim: dim, Locals: locals, Injector: inj, HandshakeTimeout: 10 * time.Second})
-		if err != nil {
-			t.Fatalf("NewTCP(%v): %v", locals, err)
-		}
-		trs[i] = tr
-		t.Cleanup(func() { tr.Close() })
-		for _, id := range locals {
-			peers[id] = tr.Addr()
-		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(trs))
-	for i, tr := range trs {
-		wg.Add(1)
-		go func(i int, tr *TCP) {
-			defer wg.Done()
-			errs[i] = tr.Connect(peers)
-		}(i, tr)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("Connect endpoint %d: %v", i, err)
+	t.Cleanup(func() {
+		for _, tr := range trs {
+			tr.Close()
 		}
-	}
+	})
 	return trs
 }
 
@@ -108,33 +90,15 @@ func neighborExchange(nd *mpx.Node) error {
 // each — every cube link is a real socket.
 func TestTCPOneProcessPerNode(t *testing.T) {
 	testleak.Check(t)
-	dim := 3
-	hosts := make([][]cube.NodeID, 1<<uint(dim))
-	for i := range hosts {
-		hosts[i] = []cube.NodeID{cube.NodeID(i)}
-	}
-	trs := mesh(t, dim, hosts, nil)
+	trs := loopback(t, 3, nil)
 	if err := runAll(trs, neighborExchange); err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range trs {
+	for id, tr := range trs {
 		tr.Close()
-		for _, id := range tr.Locals() {
-			if err := tr.PeerError(id); err != nil {
-				t.Errorf("node %d: unexpected peer error after graceful close: %v", id, err)
-			}
+		if err := tr.PeerError(cube.NodeID(id)); err != nil {
+			t.Errorf("node %d: unexpected peer error after graceful close: %v", id, err)
 		}
-	}
-}
-
-// TestTCPSplitCube hosts each half of a 3-cube in one endpoint: links
-// inside a half are direct inbox deliveries, links across are sockets,
-// and node programs cannot tell the difference.
-func TestTCPSplitCube(t *testing.T) {
-	testleak.Check(t)
-	trs := mesh(t, 3, [][]cube.NodeID{{0, 1, 2, 3}, {4, 5, 6, 7}}, nil)
-	if err := runAll(trs, neighborExchange); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -173,9 +137,7 @@ func TestTCPFaultCorruptExercisesChecksum(t *testing.T) {
 	plan := fault.NewPlan(1).AddRule(fault.Rule{
 		Link: cube.Edge{From: 0, To: 1}, Kind: fault.Corrupt, Nth: 0,
 	})
-	trs := mesh(t, 1,
-		[][]cube.NodeID{{0}, {1}},
-		[]fault.Injector{plan.Injector(), plan.Injector()})
+	trs := loopback(t, 1, func(o *TCPOptions) { o.Injector = plan.Injector() })
 	err := runAll(trs, func(nd *mpx.Node) error {
 		if nd.ID == 0 {
 			nd.Send(0, mpx.Message{Tag: 1, Parts: []mpx.Part{{Dest: 1, Data: []byte("first: corrupted on the wire")}}})
@@ -209,9 +171,7 @@ func TestTCPFaultDropAndDuplicate(t *testing.T) {
 	plan := fault.NewPlan(1).
 		AddRule(fault.Rule{Link: cube.Edge{From: 0, To: 1}, Kind: fault.Duplicate, Nth: fault.EveryMessage}).
 		AddRule(fault.Rule{Link: cube.Edge{From: 1, To: 0}, Kind: fault.Drop, Nth: fault.EveryMessage})
-	trs := mesh(t, 1,
-		[][]cube.NodeID{{0}, {1}},
-		[]fault.Injector{plan.Injector(), plan.Injector()})
+	trs := loopback(t, 1, func(o *TCPOptions) { o.Injector = plan.Injector() })
 	err := runAll(trs, func(nd *mpx.Node) error {
 		if nd.ID == 0 {
 			nd.Send(0, mpx.Message{Tag: 7, Parts: []mpx.Part{{Dest: 1, Data: []byte("dup me")}}})
@@ -296,7 +256,7 @@ func TestTCPFaultPeerCrashSurfacesPeerError(t *testing.T) {
 func TestTCPCoalescedBurst(t *testing.T) {
 	testleak.Check(t)
 	const msgs = 2000
-	trs := mesh(t, 1, [][]cube.NodeID{{0}, {1}}, nil)
+	trs := loopback(t, 1, nil)
 	err := runAll(trs, func(nd *mpx.Node) error {
 		if nd.ID == 0 {
 			body := make([]byte, 512)
@@ -340,15 +300,104 @@ func TestInProcNoGoroutineLeak(t *testing.T) {
 }
 
 // TestTCPNoGoroutineLeak asserts pumps and flushers all exit after a
-// graceful run-and-close over the TCP transport. (mesh registers Close
-// via t.Cleanup, which runs before testleak's check.)
+// graceful run-and-close over the TCP transport. (loopback registers
+// Close via t.Cleanup, which runs before testleak's check.)
 func TestTCPNoGoroutineLeak(t *testing.T) {
 	testleak.Check(t)
-	trs := mesh(t, 2, [][]cube.NodeID{{0, 2}, {1, 3}}, nil)
+	trs := loopback(t, 2, nil)
 	if err := runAll(trs, neighborExchange); err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range trs {
 		tr.Close()
+	}
+}
+
+// TestNewTCPHostsOneRank: an endpoint hosts exactly one rank of its
+// cube; any other Locals is refused before a socket is bound.
+func TestNewTCPHostsOneRank(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		locals []cube.NodeID
+		want   string
+	}{
+		{"empty", nil, "exactly one rank"},
+		{"two ranks", []cube.NodeID{0, 1}, "exactly one rank"},
+		{"outside the cube", []cube.NodeID{4}, "outside the 2-cube"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := NewTCP(TCPOptions{Dim: 2, Locals: tc.locals})
+			if err == nil {
+				tr.Close()
+				t.Fatalf("NewTCP(Locals %v) succeeded", tc.locals)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("NewTCP(Locals %v) = %v, want an error saying %q", tc.locals, err, tc.want)
+			}
+		})
+	}
+	tr, err := NewTCP(TCPOptions{Dim: 2, Locals: []cube.NodeID{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+}
+
+// TestHandshakeRefusesRankNotHosted: a hello addressed to a rank the
+// endpoint does not host — its neighbor's own rank, or one outside the
+// cube — is outside input, refused on both paths that read one: the
+// handshake while Connect runs, and the resume handshake a connected
+// resilient endpoint serves afterwards. The connection closes without
+// an echo and no link slot changes.
+func TestHandshakeRefusesRankNotHosted(t *testing.T) {
+	testleak.Check(t)
+	for _, to := range []cube.NodeID{0, 2} {
+		t.Run(fmt.Sprintf("connect/to=%d", to), func(t *testing.T) {
+			tr, err := NewTCP(TCPOptions{Dim: 1, Locals: []cube.NodeID{1}, HandshakeTimeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			connectErr := make(chan error, 1)
+			go func() { connectErr <- tr.Connect([]string{"unused", tr.Addr()}) }()
+			conn, err := dialAddr(tr.Addr(), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn.Write(wire.AppendHello(nil, wire.Hello{Dim: 1, From: 1, To: to}))
+			if err := refused(conn); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-connectErr; err == nil || !strings.Contains(err.Error(), "not hosted here") {
+				t.Fatalf("Connect err = %v, want the hello refused as not hosted here", err)
+			}
+			if l := tr.linkAt(0); l != nil {
+				t.Fatalf("the refused hello installed a link to %d", l.peer)
+			}
+		})
+		t.Run(fmt.Sprintf("resume/to=%d", to), func(t *testing.T) {
+			trs := loopback(t, 1, func(o *TCPOptions) { o.Resilience = fastResilience() })
+			l := trs[1].linkAt(0)
+			l.mu.Lock()
+			gen := l.gen
+			l.mu.Unlock()
+			conn, err := dialAddr(trs[1].Addr(), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn.Write(wire.AppendHello(nil, wire.Hello{Dim: 1, From: 1, To: to, Resilient: true, RecvSeq: 3}))
+			if err := refused(conn); err != nil {
+				t.Fatal(err)
+			}
+			l.mu.Lock()
+			same := l.gen == gen
+			l.mu.Unlock()
+			if trs[1].linkAt(0) != l || !same || trs[1].Stats().Reconnects != 0 {
+				t.Fatal("the refused resume hello replaced or reinstalled the link")
+			}
+			if err := runAll(trs, neighborExchange); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -1,8 +1,9 @@
 // Package transport provides the socket transport that carries the mpx
 // runtime's traffic between processes: TCP runs the cube over TCP or
-// Unix-domain sockets, one or more nodes per OS process, each node owning
-// log N neighbor connections. The in-process channel transport lives in
-// mpx, next to its zero-allocation fast path.
+// Unix-domain sockets, one rank per endpoint, each rank owning log N
+// neighbor connections (Loopback connects a whole cube of endpoints in
+// one process). The in-process channel transport lives in mpx, next to
+// its zero-allocation fast path.
 //
 // Both satisfy mpx.Transport, so every collective in
 // internal/comm and every node program written against mpx runs

@@ -7,60 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cube"
 	"repro/internal/mpx"
 )
 
-// meshWith builds a connected full-cube mesh like mesh, but lets the
-// caller shape each endpoint's TCPOptions (network family, resilience)
-// before NewTCP.
-func meshWith(t *testing.T, dim int, hosts [][]cube.NodeID, shape func(*TCPOptions)) []*TCP {
-	t.Helper()
-	trs := make([]*TCP, len(hosts))
-	peers := make([]string, 1<<uint(dim))
-	for i, locals := range hosts {
-		opts := TCPOptions{Dim: dim, Locals: locals, HandshakeTimeout: 10 * time.Second}
-		if shape != nil {
-			shape(&opts)
-		}
-		tr, err := NewTCP(opts)
-		if err != nil {
-			t.Fatalf("NewTCP(%v): %v", locals, err)
-		}
-		trs[i] = tr
-		t.Cleanup(func() { tr.Close() })
-		for _, id := range locals {
-			peers[id] = tr.Addr()
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(trs))
-	for i, tr := range trs {
-		wg.Add(1)
-		go func(i int, tr *TCP) {
-			defer wg.Done()
-			errs[i] = tr.Connect(peers)
-		}(i, tr)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("Connect endpoint %d: %v", i, err)
-		}
-	}
-	return trs
-}
-
-func hostsOnePerNode(dim int) [][]cube.NodeID {
-	hosts := make([][]cube.NodeID, 1<<uint(dim))
-	for i := range hosts {
-		hosts[i] = []cube.NodeID{cube.NodeID(i)}
-	}
-	return hosts
-}
-
 func TestUDSOneProcessPerNode(t *testing.T) {
-	trs := meshWith(t, 3, hostsOnePerNode(3), func(o *TCPOptions) { o.Network = "unix" })
+	trs := loopback(t, 3, func(o *TCPOptions) { o.Network = "unix" })
 	if !strings.HasPrefix(trs[0].Addr(), "unix:") {
 		t.Fatalf("Addr() = %q, want unix: scheme", trs[0].Addr())
 	}
@@ -70,7 +21,7 @@ func TestUDSOneProcessPerNode(t *testing.T) {
 }
 
 func TestUDSResilient(t *testing.T) {
-	trs := meshWith(t, 2, hostsOnePerNode(2), func(o *TCPOptions) {
+	trs := loopback(t, 2, func(o *TCPOptions) {
 		o.Network = "unix"
 		o.Resilience = ResilienceOptions{Enabled: true}
 	})
@@ -82,7 +33,7 @@ func TestUDSResilient(t *testing.T) {
 // TestUDSMixedFamilies checks that a mesh can mix address families per
 // endpoint: the scheme prefix in each peer entry picks the dial family.
 func TestUDSMixedFamilies(t *testing.T) {
-	trs := meshWith(t, 2, hostsOnePerNode(2), func(o *TCPOptions) {
+	trs := loopback(t, 2, func(o *TCPOptions) {
 		if o.Locals[0]%2 == 0 {
 			o.Network = "unix"
 		}
@@ -97,7 +48,7 @@ func TestUDSMixedFamilies(t *testing.T) {
 // physically plausible. Concurrent Profile reads race real flushes, so
 // this doubles as the estimator's data-race drill on the wire backend.
 func TestTCPProfileSettles(t *testing.T) {
-	trs := meshWith(t, 1, hostsOnePerNode(1), nil)
+	trs := loopback(t, 1, nil)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
