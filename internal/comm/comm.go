@@ -90,6 +90,13 @@ type Comm struct {
 	// mu, but for the two fields zone marks as the rank's own.
 	zone *zone
 
+	// scattered is the lease of the bundle the last Scatter off the root
+	// returned its result from, given back by the next Scatter behind the
+	// send fence (releaseScattered). Touched only from the rank's own
+	// goroutine, like seq; kept across jobs (reset), whose programs are
+	// done with their results when they return.
+	scattered *mpx.Lease
+
 	// sink and closed are the mailbox's consumer (deliver and stop), made
 	// once so that a job communicator attaches to each job's stream
 	// without allocating (see reset).
@@ -111,10 +118,11 @@ func newComm(nd *mpx.Node, n, base int, attach func(mpx.Consumer)) *Comm {
 
 // reset readies a job communicator for the next job its worker runs,
 // under that job's base, as if it were new: sequence, deadline and stop
-// are cleared and the mailbox emptied. It keeps what is the
-// rank's alone — the struct, its cond and consumer, routes, kids and the
-// scratch — and drops whatever the last job may still have lent by
-// reference: the parity sets, the all-node state and the landing zone.
+// are cleared and the mailbox emptied. It keeps what is the rank's
+// alone — the struct, its cond and consumer, routes, kids, the scratch
+// and the last Scatter's lease — and drops whatever the last job may
+// still have lent by reference: the parity sets, the all-node state and
+// the landing zone.
 // The parity argument (see dxSent) is about one communicator's calls;
 // a peer's worker may still be reading the last job's message while
 // this one runs any number of later jobs. The caller closed the last
@@ -650,13 +658,21 @@ func chunkBound(l, n, j int) int { return j * l / n }
 // Each subtree's data travels as one message, a bundle laid out by the
 // contract on rootRoute; a relay forwards sub-slices of the bundle it
 // received, so the parts a rank sees are read-only views of the root's.
+//
+// The result is read-only. Off the root it is valid until this
+// communicator's next Scatter: on sockets it aliases the receive buffer
+// the bundle arrived in, which that call gives back to the transport for
+// the next frame (DESIGN.md §18, "Who owns the result"); copy it to keep
+// it. The root gets its own data[root] back.
 func (c *Comm) Scatter(root cube.NodeID, data [][]byte) ([]byte, error) {
 	if err := c.checkRoot("scatter", root); err != nil {
 		return nil, err
 	}
+	c.releaseScattered()
 	defer c.next()
 	rt := c.route(root)
 	var parts []mpx.Part
+	var lease *mpx.Lease
 	if c.Rank() == root {
 		if len(data) != c.Size() {
 			return nil, fmt.Errorf("comm: scatter needs %d payloads, got %d", c.Size(), len(data))
@@ -670,10 +686,36 @@ func (c *Comm) Scatter(root cube.NodeID, data [][]byte) ([]byte, error) {
 		if err := c.checkBundle(rt, env.Parts, "scatter"); err != nil {
 			return nil, err
 		}
-		parts = env.Parts
+		parts, lease = env.Parts, env.Lease
 	}
 	c.relay(rt, parts, 0)
+	c.scattered = lease
 	return parts[0].Data, nil
+}
+
+// releaseScattered gives the last Scatter's bundle back to its transport
+// once nothing can read it: the caller's claim on the result ended with
+// this call, and the relay's forwards, which a socket link may have
+// queued by reference, are written out by the send-completion fence
+// (mpx.Node.Settle, as BcastMSBT's post runs it). Where the fence cannot
+// vouch for them — a transport without one, a failed link — or the
+// communicator is stopped, the bundle is forfeited to the garbage
+// collector instead.
+func (c *Comm) releaseScattered() {
+	lease := c.scattered
+	if lease == nil {
+		return
+	}
+	c.scattered = nil
+	if !c.nd.Settle() {
+		return
+	}
+	c.mu.Lock()
+	stopped := c.stopped
+	c.mu.Unlock()
+	if !stopped {
+		lease.Release()
+	}
 }
 
 // bundle cuts a tree root's whole bundle — a part for every node, in the
@@ -1045,7 +1087,9 @@ func dupErr(op string, r int) error {
 //
 // The table returned belongs to the communicator: it is valid until this
 // communicator's next AllToAll, which refills it. Its entries are
-// read-only views of the senders' payloads, like Scatter's result.
+// read-only views of the senders' payloads, as Scatter's result is, but
+// no later call reuses what they point to: AllToAll gives no receive
+// buffer back, so an entry taken out of the table stays valid.
 func (c *Comm) AllToAll(mine [][]byte) ([][]byte, error) {
 	defer c.next()
 	if len(mine) != c.Size() {

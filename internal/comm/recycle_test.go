@@ -20,14 +20,17 @@ import (
 // TestHotStructSizes pins the structs every message and every job pays
 // for. Envelope, Message and Part are copied per hop and sit in mailbox
 // queues; a Comm is made per job. The body checksum rides in what was
-// Envelope's padding: a field that pushes one of these into the next
-// size class shows up as allocated bytes on every spine row.
+// Envelope's padding; the receive lease adds 8 bytes, and the spine's
+// in-process all-to-all row, which copies envelopes the most, still
+// allocates 0 KiB per op with them. A field that pushes one of these
+// into the next size class shows up as allocated bytes on every spine
+// row.
 func TestHotStructSizes(t *testing.T) {
 	for _, s := range []struct {
 		name      string
 		got, want uintptr
 	}{
-		{"mpx.Envelope", unsafe.Sizeof(mpx.Envelope{}), 48},
+		{"mpx.Envelope", unsafe.Sizeof(mpx.Envelope{}), 56},
 		{"mpx.Message", unsafe.Sizeof(mpx.Message{}), 32},
 		{"mpx.Part", unsafe.Sizeof(mpx.Part{}), 48},
 	} {
@@ -226,6 +229,53 @@ func TestBcastMSBTFenceHoldsReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestScatterFenceHoldsRelayBuffer: in the 3-cube's BST rooted at 0,
+// rank 1 receives the bundle [1 3 7] of 8 KiB parts and forwards [3 7]
+// to rank 3, by reference (parts of zcThreshold and more are queued for
+// a vectored write, not copied). Its bundle's receive record goes back
+// to the endpoint at rank 1's next Scatter, and the root, which waits
+// for nobody, has the following bundles on their way by then: one of
+// them is read into that record as soon as it is free. Meanwhile the
+// chaos agent's delay fault keeps stalling rank 1's flushes with the
+// forward still queued. Without the send fence before the release, a
+// forward goes out with the next bundle's bytes under its own checksum,
+// and rank 3 drops it and misses its deadline, or passes on the wrong
+// bytes; with it, every rank gets exactly its own payload of every call.
+func TestScatterFenceHoldsRelayBuffer(t *testing.T) {
+	testleak.Check(t)
+	const n, size, calls = 3, 8 << 10, 200
+	const root, relay = cube.NodeID(0), cube.NodeID(1)
+	var payloads [2][][]byte // alternate, so a reused buffer shows
+	for k := range payloads {
+		for r := 0; r < 1<<n; r++ {
+			payloads[k] = append(payloads[k], landingPayload(size, 10*r+k))
+		}
+	}
+	slow := func(tr *transport.TCP) mpx.Transport {
+		if tr.Locals()[0] == relay {
+			tr.StartChaos(transport.ChaosOptions{
+				Seed: 5, Kinds: []transport.ChaosKind{transport.ChaosDelay},
+				MinPause: time.Millisecond, MaxPause: 2 * time.Millisecond, Hold: 40 * time.Millisecond,
+			})
+		}
+		return tr
+	}
+	socketMesh(t, n, nil, slow, func(c *Comm) error {
+		c.SetDeadline(5 * time.Second)
+		for i := 0; i < calls; i++ {
+			in := payloads[i%2]
+			got, err := c.Scatter(root, in)
+			if err != nil {
+				return fmt.Errorf("call %d: %w", i, err)
+			}
+			if want := in[c.Rank()]; !bytes.Equal(got, want) {
+				return fmt.Errorf("rank %d call %d: result differs at byte %d: a receive buffer was reused under a queued forward", c.Rank(), i, firstDiff(got, want))
+			}
+		}
+		return nil
+	})
 }
 
 // countForwards is an endpoint that counts the relays' verbatim

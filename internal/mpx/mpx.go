@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cube"
@@ -84,8 +85,40 @@ type Envelope struct {
 	// BodyCRC, when nonzero, is the frame checksum a socket link verified
 	// over exactly this Message (wire.Frame.BodyCRC). It is good only for
 	// forwarding the message verbatim (Node.ForwardTo) and sits in what
-	// was padding: the struct is 48 bytes with or without it.
+	// was padding.
 	BodyCRC uint32
+	// Lease, when set, is the message's share of a receive buffer that
+	// the delivering transport recycles: the parts alias that buffer
+	// (see Lease.Release). The struct is 56 bytes with it.
+	Lease *Lease
+}
+
+// A Lease is one delivered message's share of a receive buffer that a
+// transport recycles. The transport sets Owner once and arms the lease
+// before each delivery (Arm); the first Release after that tells the
+// owner the message is done with the buffer.
+type Lease struct {
+	// Owner.Recycle runs once per delivery, on the lease's first Release.
+	Owner    interface{ Recycle() }
+	released atomic.Bool
+}
+
+// Arm readies the lease for one more delivery of a message it covers.
+func (l *Lease) Arm() { l.released.Store(false) }
+
+// Release gives the message back to the transport that delivered it.
+// Once every message its frame carried has been released, the receive
+// buffer the parts alias is reused, and any byte of them may change:
+// release only what nothing reads any more, a queued send of a part
+// included (Node.Settle). Release is idempotent per message — a second
+// call, through this envelope or a copy, does nothing — until the
+// transport reuses the buffer, so a released envelope is dropped, not
+// kept. A nil lease — every in-process delivery, and on sockets a frame
+// read into buffers of its own (small or streamed) — does nothing.
+func (l *Lease) Release() {
+	if l != nil && l.released.CompareAndSwap(false, true) {
+		l.Owner.Recycle()
+	}
 }
 
 // ErrDown is returned by Transport.Send when the transport was shut down

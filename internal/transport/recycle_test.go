@@ -1,0 +1,130 @@
+package transport
+
+import (
+	"bytes"
+	"net"
+	"testing"
+	"time"
+
+	"repro/internal/cube"
+	"repro/internal/mpx"
+	"repro/internal/testleak"
+	"repro/internal/wire"
+)
+
+// rawPeerEndpoint hosts node 0 of a 1-cube whose node 1 is a bare
+// socket that answers the handshake; the test writes node 1's frames to
+// the returned connection itself.
+func rawPeerEndpoint(t *testing.T) (*TCP, net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conns := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			close(conns)
+			return
+		}
+		if _, err := wire.ReadHello(conn); err != nil {
+			conn.Close()
+			close(conns)
+			return
+		}
+		conn.Write(wire.AppendHello(nil, wire.Hello{Dim: 1, From: 1, To: 0}))
+		conns <- conn
+	}()
+	tr, err := NewTCP(TCPOptions{Dim: 1, Locals: []cube.NodeID{0}, HandshakeTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	if err := tr.Connect([]string{tr.Addr(), ln.Addr().String()}); err != nil {
+		t.Fatal(err)
+	}
+	conn, ok := <-conns
+	if !ok {
+		t.Fatal("the raw peer did not complete its handshake")
+	}
+	t.Cleanup(func() { conn.Close() })
+	return tr, conn
+}
+
+// freeRecords is the length of the endpoint's receive-record free list.
+func (t *TCP) freeRecords() int {
+	t.recvMu.Lock()
+	defer t.recvMu.Unlock()
+	return len(t.recvFree)
+}
+
+// TestReceiveRecordRecyclesAfterEveryRelease pins the ownership rules of
+// a receive record: a batch frame's record goes back on the free list
+// only when every message it carried has been released, a second
+// Release of one message (on a copy of its envelope, too) changes
+// nothing, and the next frame is read into the record given back. A
+// frame below the recycling size holds no lease.
+func TestReceiveRecordRecyclesAfterEveryRelease(t *testing.T) {
+	testleak.Check(t)
+	tr, peer := rawPeerEndpoint(t)
+	msg := func(tag int, n int) mpx.Message {
+		return mpx.Message{Tag: tag, Parts: []mpx.Part{{Dest: 0, Data: bytes.Repeat([]byte{byte(tag)}, n)}}}
+	}
+	recv := func() mpx.Envelope {
+		t.Helper()
+		select {
+		case env := <-tr.Inbox(0):
+			return env
+		case <-time.After(5 * time.Second):
+			t.Fatal("no delivery")
+		}
+		return mpx.Envelope{}
+	}
+	// Two 600-byte messages: each alone is too small to recycle, together
+	// their batch frame is not.
+	batch, st := wire.BeginBatch(nil)
+	batch = wire.AppendBatchMsg(batch, msg(1, 600))
+	batch = wire.AppendBatchMsg(batch, msg(2, 600))
+	if _, err := peer.Write(wire.SealBatch(batch, st)); err != nil {
+		t.Fatal(err)
+	}
+	a, b := recv(), recv()
+	if a.Lease == nil || b.Lease == nil || a.Lease == b.Lease || a.Lease.Owner != b.Lease.Owner {
+		t.Fatalf("a batch's messages hold leases %p and %p, want two of one record", a.Lease, b.Lease)
+	}
+	rec := a.Lease.Owner
+	if n := tr.freeRecords(); n != 0 {
+		t.Fatalf("%d records free while both messages are held", n)
+	}
+	a.Lease.Release()
+	copyOfA := a
+	copyOfA.Lease.Release()
+	if n := tr.freeRecords(); n != 0 {
+		t.Fatalf("%d records free after one message was released twice, want 0", n)
+	}
+	b.Lease.Release()
+	if n := tr.freeRecords(); n != 1 {
+		t.Fatalf("%d records free after both messages were released, want 1", n)
+	}
+	b.Lease.Release()
+	if n := tr.freeRecords(); n != 1 {
+		t.Fatalf("%d records free after a second release of the last message, want 1", n)
+	}
+
+	if _, err := peer.Write(wire.AppendFrameV(nil, wire.MaxVersion, msg(3, 2000))); err != nil {
+		t.Fatal(err)
+	}
+	c := recv()
+	if c.Lease == nil || c.Lease.Owner != rec || !bytes.Equal(c.Parts[0].Data, msg(3, 2000).Parts[0].Data) {
+		t.Fatalf("the next frame was not read into the record given back (lease %p)", c.Lease)
+	}
+	if _, err := peer.Write(wire.AppendFrameV(nil, wire.MaxVersion, msg(4, 100))); err != nil {
+		t.Fatal(err)
+	}
+	if small := recv(); small.Lease != nil || small.Tag != 4 {
+		t.Fatalf("a %d-byte frame holds lease %p, want none", small.Size(), small.Lease)
+	}
+	c.Lease.Release()
+}

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"repro/internal/cube"
 	"repro/internal/fault"
@@ -222,6 +223,11 @@ type TCP struct {
 	growEvents   atomic.Int64 // member mode: dimension widenings applied by GrowTo
 	growAccepts  atomic.Int64 // member mode: grow-attach handshakes accepted from larger-cube joiners
 	attachesRecv atomic.Int64 // member mode: KindAttach announcements received from joiners
+
+	// recvFree is the endpoint's free list of receive records (at most
+	// recvKeep), shared by its read pumps; see recvRecord.
+	recvMu   sync.Mutex
+	recvFree []*recvRecord
 
 	// Data-plane volume counters.
 	bytesSent        atomic.Int64
@@ -584,8 +590,12 @@ func (t *TCP) allLinks() []*link {
 // may start in any order.
 //
 // With resilience enabled the listener stays open after Connect to
-// accept resumed connections from reconnecting peers.
+// accept resumed connections from reconnecting peers. Connect on a
+// closed endpoint, or on one closed while it waits, returns mpx.ErrDown.
 func (t *TCP) Connect(peers []string) error {
+	if t.isDown() {
+		return mpx.ErrDown
+	}
 	if len(peers) != t.c.Nodes() {
 		t.Close()
 		return fmt.Errorf("transport: Connect wants %d peer addresses, got %d", t.c.Nodes(), len(peers))
@@ -658,6 +668,11 @@ collect:
 				break collect
 			}
 			links = append(links, r.l)
+		case <-t.down:
+			// Closed under us (Loopback gives up on a peer's failure):
+			// the accept loop reports nothing once the endpoint is down.
+			firstErr = mpx.ErrDown
+			break collect
 		case <-timeout.C:
 			firstErr = fmt.Errorf("transport: node %d: handshake timed out after %v", t.self, t.opt.HandshakeTimeout)
 			break collect
@@ -681,6 +696,14 @@ collect:
 	for _, l := range links {
 		t.setLinkAt(l.port, l)
 	}
+	if t.isDown() {
+		// Closed while the links were being installed: Close may have
+		// looked for them before they were there.
+		for _, l := range links {
+			l.conn.Close()
+		}
+		return mpx.ErrDown
+	}
 	for _, l := range links {
 		t.startLink(l)
 	}
@@ -698,8 +721,8 @@ collect:
 // Loopback binds one endpoint per rank of a dim-cube on loopback
 // sockets and connects them all concurrently. shape, when non-nil,
 // adjusts each endpoint's options before NewTCP; they arrive with Dim
-// and Locals set, so shape can tell the endpoints apart. On error every
-// endpoint is closed.
+// and Locals set, so shape can tell the endpoints apart. At the first
+// error every endpoint is closed, which ends the other Connects at once.
 func Loopback(dim int, shape func(*TCPOptions)) ([]*TCP, error) {
 	size := 1 << uint(dim)
 	trs := make([]*TCP, 0, size)
@@ -730,10 +753,10 @@ func Loopback(dim int, shape func(*TCPOptions)) ([]*TCP, error) {
 	for range trs {
 		if err := <-errs; err != nil && first == nil {
 			first = err
+			closeAll()
 		}
 	}
 	if first != nil {
-		closeAll()
 		return nil, first
 	}
 	return trs, nil
@@ -1848,13 +1871,39 @@ func (c countReader) Read(p []byte) (int, error) {
 // so the hosted rank aborts instead of waiting forever; on a resilient
 // link it severs only this connection generation and wakes the
 // supervisor.
+//
+// Frames are read into a receive record (recvRecord). One whose parts
+// alias the record's body is delivered under the record's leases; every
+// other frame leaves the record with the pump for the next read. A pump
+// takes a record when a frame starts to arrive and gives it back when
+// its link goes quiet, so an idle link holds none.
 func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 	defer l.t.wg.Done()
 	defer close(pumped)
-	r := wire.NewReader(bufio.NewReaderSize(countReader{conn, &l.t.bytesRecv}, 16<<10))
+	br := bufio.NewReaderSize(countReader{conn, &l.t.bytesRecv}, 16<<10)
+	r := wire.NewReader(br)
 	r.Land(l.land)
+	var rec *recvRecord
 	for {
-		fr, err := r.ReadAny()
+		if br.Buffered() == 0 {
+			if rec != nil {
+				l.t.putRecord(rec)
+				rec = nil
+			}
+			br.Peek(1) // a failure is the read's to report
+		}
+		if rec == nil {
+			rec = l.t.takeRecord()
+		}
+		// The record's part tables: a frame decoded into tables of its own
+		// hands those out with it, and the record keeps these.
+		parts, msgs := rec.fr.Msg.Parts, rec.fr.Msgs
+		body, inBody, err := r.ReadInto(&rec.fr, rec.body)
+		rec.body = body
+		fr := rec.fr
+		if !inBody {
+			rec.fr.Msg.Parts, rec.fr.Msgs = parts, msgs
+		}
 		switch {
 		case err == nil:
 			l.t.framesRecv.Add(1)
@@ -1905,8 +1954,16 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 				l.t.Close()
 				return
 			}
-			for _, m := range fr.Msgs {
-				if !l.deliver(m, 0) {
+			var leases []mpx.Lease
+			if inBody && len(fr.Msgs) > 0 {
+				leases, rec = rec.lease(len(fr.Msgs)), nil
+			}
+			for i, m := range fr.Msgs {
+				var lease *mpx.Lease
+				if leases != nil {
+					lease = &leases[i]
+				}
+				if !l.deliver(m, 0, lease) {
 					return
 				}
 			}
@@ -1952,10 +2009,101 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 		default:
 			continue
 		}
-		if !l.deliver(msg, fr.BodyCRC) {
+		var lease *mpx.Lease
+		if inBody {
+			lease, rec = &rec.lease(1)[0], nil
+		}
+		if !l.deliver(msg, fr.BodyCRC, lease) {
 			return
 		}
 	}
+}
+
+// recvRecord is what the read pump decodes a frame into, kept for reuse:
+// the body buffer, which the parts of a frame read whole alias, the
+// decoded Frame, whose part tables the delivered messages alias too, and
+// a lease per message (mpx.Lease). live counts the messages not yet
+// released; the last Release puts the record back on its endpoint's free
+// list (Recycle). A record that is not released — a collective other
+// than Scatter keeps its envelopes, or a delivery is dropped — is left to
+// the garbage collector, like any buffer before records existed.
+type recvRecord struct {
+	t      *TCP
+	body   []byte
+	fr     wire.Frame
+	live   atomic.Int32
+	leases []mpx.Lease
+}
+
+// recvKeep bounds an endpoint's free list of receive records, and
+// recvKeepBytes what one record may hold and still be kept: a record
+// over it (a body that large, or the part tables of a great many parts)
+// is left to the garbage collector. Together they bound what the list
+// keeps alive at 8 × 64 KiB per endpoint. On the spine's scatter row a
+// rank receives one bundle per call and Scatter gives the last one back
+// at its next call, so each endpoint circulates two or three records.
+const (
+	recvKeep      = 8
+	recvKeepBytes = 64 << 10
+)
+
+// takeRecord pops a free receive record, or makes one.
+func (t *TCP) takeRecord() *recvRecord {
+	t.recvMu.Lock()
+	defer t.recvMu.Unlock()
+	n := len(t.recvFree)
+	if n == 0 {
+		return &recvRecord{t: t}
+	}
+	rec := t.recvFree[n-1]
+	t.recvFree[n-1] = nil
+	t.recvFree = t.recvFree[:n-1]
+	return rec
+}
+
+// lease arms the record's first n leases, one per message about to be
+// delivered from it, and returns them.
+func (rec *recvRecord) lease(n int) []mpx.Lease {
+	for len(rec.leases) < n {
+		rec.leases = append(rec.leases, mpx.Lease{Owner: rec})
+	}
+	leases := rec.leases[:n]
+	for i := range leases {
+		leases[i].Arm()
+	}
+	rec.live.Store(int32(n))
+	return leases
+}
+
+// Recycle is the leases' owner hook: the record goes back on the free
+// list when its last message is released.
+func (rec *recvRecord) Recycle() {
+	if rec.live.Add(-1) == 0 {
+		rec.t.putRecord(rec)
+	}
+}
+
+// putRecord puts a record back on the free list, if it is small enough
+// to keep and the list has room.
+func (t *TCP) putRecord(rec *recvRecord) {
+	if rec.bytes() > recvKeepBytes {
+		return
+	}
+	t.recvMu.Lock()
+	if len(t.recvFree) < recvKeep {
+		t.recvFree = append(t.recvFree, rec)
+	}
+	t.recvMu.Unlock()
+}
+
+// bytes is what the record keeps alive: its body and its part tables.
+func (rec *recvRecord) bytes() int {
+	const part, msg = int(unsafe.Sizeof(mpx.Part{})), int(unsafe.Sizeof(mpx.Message{}))
+	n := cap(rec.body) + part*cap(rec.fr.Msg.Parts) + msg*cap(rec.fr.Msgs)
+	for _, m := range rec.fr.Msgs[:cap(rec.fr.Msgs)] {
+		n += part * cap(m.Parts)
+	}
+	return n
 }
 
 // land is the read pump's posted-receive hook (wire.Landing): it asks
@@ -1980,11 +2128,12 @@ func (l *link) land(seq uint64, tag, nparts, offset, n int) []byte {
 
 // deliver hands one decoded message to the hosted rank's inbox,
 // crediting its payload to the goodput counter; bodyCRC is the frame
-// checksum verified over exactly msg, if the reader recorded one.
+// checksum verified over exactly msg, if the reader recorded one, and
+// lease the message's share of its receive record, if it has one.
 // Returns false when the transport shut down instead.
-func (l *link) deliver(msg mpx.Message, bodyCRC uint32) bool {
+func (l *link) deliver(msg mpx.Message, bodyCRC uint32, lease *mpx.Lease) bool {
 	n := int64(msg.Size())
-	if !l.t.inbox.Deliver(mpx.Envelope{Message: msg, Port: l.port, From: l.peer, BodyCRC: bodyCRC}) {
+	if !l.t.inbox.Deliver(mpx.Envelope{Message: msg, Port: l.port, From: l.peer, BodyCRC: bodyCRC, Lease: lease}) {
 		return false
 	}
 	l.t.credit(n)

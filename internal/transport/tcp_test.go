@@ -129,6 +129,53 @@ func TestTCPHandshakeRejectsDimMismatch(t *testing.T) {
 	}
 }
 
+// TestConnectDownReturnsAtOnce: Connect on an endpoint that is already
+// closed returns mpx.ErrDown at once, and a Loopback whose handshakes
+// fail (one endpoint asks for resilient links, its neighbors do not)
+// fails at once too: every endpoint is closed at the first error, which
+// ends the other Connects, instead of each redialing a closed listener
+// until its handshake timeout. Whether a neighbor dials after the failed
+// endpoint has closed is a race (three of five tries before the fix), so
+// the Loopback is tried five times.
+func TestConnectDownReturnsAtOnce(t *testing.T) {
+	testleak.Check(t)
+	const timeout = 10 * time.Second
+	tr, err := NewTCP(TCPOptions{Dim: 1, Locals: []cube.NodeID{1}, HandshakeTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+	start := time.Now()
+	if err := tr.Connect([]string{"127.0.0.1:1", tr.Addr()}); !errors.Is(err, mpx.ErrDown) {
+		t.Fatalf("Connect on a closed endpoint: %v, want mpx.ErrDown", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Connect on a closed endpoint took %v", took)
+	}
+
+	for try := 0; try < 5; try++ {
+		start = time.Now()
+		trs, err := Loopback(3, func(o *TCPOptions) {
+			o.HandshakeTimeout = timeout
+			o.Resilience.Enabled = o.Locals[0] == 7
+		})
+		if err == nil {
+			for _, tr := range trs {
+				tr.Close()
+			}
+			t.Fatal("Loopback with one resilient endpoint connected")
+		}
+		// Rank 7 refuses its neighbors' hellos; a neighbor sees that as
+		// the connection closing under its handshake.
+		if msg := err.Error(); !strings.Contains(msg, "resilience mode mismatch") && !strings.Contains(msg, "from peer 7") {
+			t.Fatalf("Loopback failed with %v, want the mode mismatch", err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("try %d: a failed Loopback took %v", try, took)
+		}
+	}
+}
+
 // TestTCPFaultCorruptExercisesChecksum injects a Corrupt fault on the
 // wire: the sender flips a byte of the encoded frame after the CRC was
 // computed, and the receiver's checksum — the real one — must reject it.

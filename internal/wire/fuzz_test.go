@@ -460,3 +460,107 @@ func FuzzStreamDecodeMatchesDecodeAny(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRecycledDecodeMatchesDecodeAny holds ReadInto, the read pump's
+// decode into a recycled body and Frame, to DecodeAny on arbitrary
+// bytes. One body buffer and one Frame serve every input, as a receive
+// record serves frame after frame, and between decodes every byte of the
+// body's capacity is painted 0xA5 and every part and message slot within
+// the Frame's capacity is filled with junk: a decode that reads a byte
+// this frame did not bring, or leaves a slot of an earlier frame in
+// view, disagrees with DecodeAny. Every data and batch frame is read into
+// the body (the recycling threshold is lowered to nothing), and each
+// part it decodes must alias the body. Run with `go test -fuzz
+// FuzzRecycledDecodeMatchesDecodeAny ./internal/wire`.
+func FuzzRecycledDecodeMatchesDecodeAny(f *testing.F) {
+	batch, st := BeginBatch(nil)
+	for _, msg := range sampleMessages() {
+		batch = AppendBatchMsg(batch, msg)
+		f.Add(appendFrame(nil, msg))
+		f.Add(AppendSeqFrame(nil, 99, msg))
+	}
+	batch = SealBatch(batch, st)
+	f.Add(batch)
+	f.Add(batch[:len(batch)-3])
+	flip := append([]byte(nil), batch...)
+	flip[len(flip)/2] ^= 0x40
+	f.Add(flip)
+	two, st := BeginBatch(nil)
+	two = AppendBatchMsg(two, sampleMessages()[2])
+	f.Add(SealBatch(two, st))
+	empty, st := BeginBatch(nil)
+	f.Add(SealBatch(empty, st))
+	f.Add(AppendAck(nil, 5))
+	f.Add(AppendMemberFrame(nil, KindView, []byte{1, 2, 3}))
+	f.Add(AppendBye(nil))
+
+	var body []byte
+	var fr Frame
+	stale := bytes.Repeat([]byte{0xA5}, 7)
+	junk := mpx.Part{Dest: 0xA5A5, Offset: -0x5A5A, Data: stale, Sum: 0xA5A5A5A5}
+	paint := func() {
+		if cap(body) > 64<<10 {
+			body = nil // grown by a hostile length claim: a receive record drops such a body
+		}
+		for i := range body[:cap(body)] {
+			body[:cap(body)][i] = 0xA5
+		}
+		for i := range fr.Msg.Parts[:cap(fr.Msg.Parts)] {
+			fr.Msg.Parts[:cap(fr.Msg.Parts)][i] = junk
+		}
+		msgs := fr.Msgs[:cap(fr.Msgs)]
+		for i := range msgs {
+			msgs[i].Tag = -0x5A5A
+			for j := range msgs[i].Parts[:cap(msgs[i].Parts)] {
+				msgs[i].Parts[:cap(msgs[i].Parts)][j] = junk
+			}
+		}
+		fr.Msg.Parts = fr.Msg.Parts[:cap(fr.Msg.Parts)]
+		fr.Msgs = msgs
+		fr.Kind, fr.Seq, fr.BodyCRC, fr.Msg.Tag, fr.Body = 0xA5, 0xA5A5, 0xA5A5, -0x5A5A, stale
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		paint()
+		r := NewReader(bytes.NewReader(data))
+		r.bodyMin = 0
+		want, _, werr := DecodeAny(data)
+		var inBody bool
+		var gerr error
+		body, inBody, gerr = r.ReadInto(&fr, body)
+		switch {
+		case werr == nil:
+			if gerr != nil {
+				t.Fatalf("ReadInto fails with %v on a frame DecodeAny accepts", gerr)
+			}
+			if fr.Kind != want.Kind || fr.Seq != want.Seq || !msgEqual(fr.Msg, want.Msg) ||
+				!msgsEqual(fr.Msgs, want.Msgs) || !bytes.Equal(fr.Body, want.Body) {
+				t.Fatalf("frames differ:\nReadInto  %+v\nDecodeAny %+v", fr, want)
+			}
+			data := fr.Kind == KindData || fr.Kind == KindSeqData || fr.Kind == KindBatch
+			if inBody != data {
+				t.Fatalf("kind %d: inBody %v", fr.Kind, inBody)
+			}
+			// Every part aliases the body: repaint it and look.
+			for i := range body[:cap(body)] {
+				body[:cap(body)][i] = 0x5A
+			}
+			for _, m := range append([]mpx.Message{fr.Msg}, fr.Msgs...) {
+				for _, p := range m.Parts {
+					if len(p.Data) > 0 && !bytes.Equal(p.Data, bytes.Repeat([]byte{0x5A}, len(p.Data))) {
+						t.Fatalf("a part of tag %d does not alias the body", m.Tag)
+					}
+				}
+			}
+		case errors.Is(werr, errTruncated):
+			if gerr != io.EOF && gerr != io.ErrUnexpectedEOF && !errors.Is(gerr, errCorrupt) {
+				t.Fatalf("DecodeAny says truncated, ReadInto says %v", gerr)
+			}
+		default:
+			for _, class := range []error{ErrChecksum, errCorrupt, errVersion, ErrBye} {
+				if errors.Is(werr, class) != errors.Is(gerr, class) {
+					t.Fatalf("DecodeAny says %v, ReadInto says %v", werr, gerr)
+				}
+			}
+		}
+	})
+}

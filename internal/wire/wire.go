@@ -577,16 +577,8 @@ func decodeBatch(fr *Frame, arena []byte, body []byte) ([]byte, error) {
 			return arena, fmt.Errorf("%w: bad batch message length", errCorrupt)
 		}
 		body = body[k:]
-		// Extend within capacity so a recycled element keeps its Parts
-		// backing array for reuse.
-		if n := len(fr.Msgs); n < cap(fr.Msgs) {
-			fr.Msgs = fr.Msgs[:n+1]
-		} else {
-			fr.Msgs = append(fr.Msgs, mpx.Message{})
-		}
-		m := &fr.Msgs[len(fr.Msgs)-1]
 		var err error
-		arena, err = decodeBodyInto(m, arena, body[:mlen])
+		arena, err = decodeBodyInto(nextMsg(fr), arena, body[:mlen])
 		if err != nil {
 			fr.Msgs = fr.Msgs[:len(fr.Msgs)-1]
 			return arena, err
@@ -770,14 +762,25 @@ func decodeBatchAlias(fr *Frame, body []byte) error {
 			return fmt.Errorf("%w: bad batch message length", errCorrupt)
 		}
 		body = body[k:]
-		fr.Msgs = append(fr.Msgs, mpx.Message{})
-		if err := decodeBodyAlias(&fr.Msgs[len(fr.Msgs)-1], body[:mlen]); err != nil {
+		if err := decodeBodyAlias(nextMsg(fr), body[:mlen]); err != nil {
 			fr.Msgs = fr.Msgs[:len(fr.Msgs)-1]
 			return err
 		}
 		body = body[mlen:]
 	}
 	return nil
+}
+
+// nextMsg appends one message slot to fr.Msgs and returns it. It extends
+// within capacity first, so a recycled element keeps its Parts backing
+// for the decode to reuse.
+func nextMsg(fr *Frame) *mpx.Message {
+	if n := len(fr.Msgs); n < cap(fr.Msgs) {
+		fr.Msgs = fr.Msgs[:n+1]
+	} else {
+		fr.Msgs = append(fr.Msgs, mpx.Message{})
+	}
+	return &fr.Msgs[len(fr.Msgs)-1]
 }
 
 // readUvarint is binary.Uvarint with an ok flag instead of sign tricks.
@@ -789,17 +792,17 @@ func readUvarint(b []byte) (uint64, int, bool) {
 	return v, n, true
 }
 
-// Reader decodes frames from a byte stream, reusing one internal buffer
-// across frames. ReadAny hands ownership of decoded payloads to the
-// caller; ReadAnyInto additionally reuses the decode structures,
-// so a warm pump loop allocates nothing.
+// Reader decodes frames from a byte stream. ReadAny hands ownership of
+// decoded payloads to the caller; ReadInto decodes into a body buffer and
+// a Frame the caller recycles; ReadAnyInto copies payloads into an arena
+// of the reader's own, so a warm loop allocates nothing.
 //
 // A frame takes one of two decode paths, chosen from its own header. A
-// single-message data frame whose parts are large on average (ReadAny
-// only) is streamed: its part headers are parsed off the stream and
-// each payload is read from the source straight into its final place —
-// the slice the Landing function names, or a buffer of the part's own —
-// with the CRC folded over the bytes as they pass. Every other frame is
+// single-message data frame whose parts are large on average (ReadAny and
+// ReadInto only) is streamed: its part headers are parsed off the stream
+// and each payload is read from the source straight into its final place
+// — the slice the Landing function names, or a buffer of the part's own
+// — with the CRC folded over the bytes as they pass. Every other frame is
 // read whole into one body buffer, verified, then parsed.
 type Reader struct {
 	r     io.Reader
@@ -812,7 +815,11 @@ type Reader struct {
 	// streamMin is the average part size from which a data frame is
 	// streamed (streamPartMin; the differential fuzz lowers it).
 	streamMin int
-	head      []byte // header bytes of a streamed body awaiting the CRC fold
+	// bodyMin is the body length from which ReadInto reads a frame into
+	// the caller's body buffer (recycleBodyMin; the recycled-decode fuzz
+	// lowers it).
+	bodyMin int
+	head    []byte // header bytes of a streamed body awaiting the CRC fold
 }
 
 // Landing is a posted receive. Before the reader takes one part's n
@@ -834,26 +841,45 @@ type Landing func(seq uint64, tag, nparts, offset, n int) []byte
 // stays one allocation and one read.
 const streamPartMin = 16 << 10
 
+// recycleBodyMin is the body length from which ReadInto reads a whole
+// frame into the caller's recycled body buffer. A smaller frame is read
+// into a buffer of its own, as ReadAny reads it: a recycled buffer that
+// small saves less than the receive record that keeps it costs, and a
+// frame nobody gives back would take a large recycled buffer with it.
+const recycleBodyMin = 1 << 10
+
 // NewReader returns a frame reader over r. Wrap r in a bufio.Reader if
 // it issues unbuffered syscalls.
 func NewReader(r io.Reader) *Reader {
 	br, _ := r.(io.ByteReader)
-	return &Reader{r: r, br: br, streamMin: streamPartMin}
+	return &Reader{r: r, br: br, streamMin: streamPartMin, bodyMin: recycleBodyMin}
 }
 
-// Land installs the posted-receive hook ReadAny consults for streamed
-// frames. Call it before the first read.
+// Land installs the posted-receive hook ReadAny and ReadInto consult for
+// streamed frames. Call it before the first read.
 func (r *Reader) Land(land Landing) { r.land = land }
 
 // ReadAny reads the next frame of any kind. It returns ErrBye on an
 // orderly shutdown frame and ErrChecksum for a damaged-but-framed body
 // (the stream stays aligned; the caller may keep reading — the returned
 // Frame still carries the kind). Any other error is terminal for the
-// stream. The returned frame owns freshly copied payloads.
+// stream. The returned frame owns freshly allocated payloads.
 func (r *Reader) ReadAny() (Frame, error) {
 	var fr Frame
-	err := r.readAnyInto(&fr, nil)
+	_, _, err := r.ReadInto(&fr, nil)
 	return fr, err
+}
+
+// ReadInto is ReadAny for a caller that recycles what it reads. A data
+// or batch frame of recycleBodyMin body bytes or more that is read whole
+// lands in body, grown when it is too small, and its parts alias it in
+// place; inBody reports that. fr's Parts and Msgs keep their capacity,
+// and a recycled batch element keeps its Parts backing. Any other frame
+// is decoded as ReadAny decodes it, into buffers and part tables of its
+// own. The returned buffer is the one to pass next time, whatever the
+// error. A frame in body is valid until body or fr is passed again.
+func (r *Reader) ReadInto(fr *Frame, body []byte) (_ []byte, inBody bool, err error) {
+	return r.readFrame(fr, nil, body)
 }
 
 // ReadAnyInto is ReadAny with full reuse: fr's part/message slices and
@@ -865,64 +891,59 @@ func (r *Reader) ReadAnyInto(fr *Frame) error {
 	if r.arena == nil {
 		r.arena = make([]byte, 0, 64)
 	}
-	return r.readAnyInto(fr, r.arena)
+	_, _, err := r.readFrame(fr, r.arena, nil)
+	return err
 }
 
-// readAnyInto reads one frame. A nil arena means "fresh allocations,
-// caller keeps the payloads"; otherwise arena is reused and stored back
-// on the reader.
-func (r *Reader) readAnyInto(fr *Frame, arena []byte) error {
+// readFrame reads one frame. A non-nil arena (ReadAnyInto) means payloads
+// are copied into it, which is stored back on the reader, and nothing is
+// streamed; otherwise it is ReadInto.
+func (r *Reader) readFrame(fr *Frame, arena, body []byte) ([]byte, bool, error) {
 	reuse := arena != nil
 	fr.Seq, fr.BodyCRC = 0, 0
 	fr.Msg.Tag = 0
 	fr.Msg.Parts = fr.Msg.Parts[:0]
 	fr.Msgs = fr.Msgs[:0]
 	fr.Body = nil
-	if !reuse {
-		fr.Msg.Parts = nil
-		fr.Msgs = nil
-	}
 	if _, err := io.ReadFull(r.r, r.hdr[:2]); err != nil {
-		return err
+		return body, false, err
 	}
 	if err := checkVersion(r.hdr[0]); err != nil {
-		return err
+		return body, false, err
 	}
 	kind := r.hdr[1]
 	fr.Kind = kind
 	var blen uint64
 	switch kind {
 	case kindBye:
-		return ErrBye
+		return body, false, ErrBye
 	case KindAck, KindNack:
 		v, err := r.readUvarint()
 		if err != nil {
-			return fmt.Errorf("%w: bad ack sequence", errCorrupt)
+			return body, false, fmt.Errorf("%w: bad ack sequence", errCorrupt)
 		}
 		fr.Seq = v
-		return nil
+		return body, false, nil
 	case KindData, KindSeqData, KindJoin, KindDrain, KindView, KindGrow, KindAttach:
 		v, err := r.readUvarint()
 		if err != nil {
-			return fmt.Errorf("%w: bad body length", errCorrupt)
+			return body, false, fmt.Errorf("%w: bad body length", errCorrupt)
 		}
 		blen = v
 	case KindBatch:
 		if _, err := io.ReadFull(r.r, r.hdr[2:6]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return err
+			return body, false, unexpectedEOF(err)
 		}
 		blen = uint64(binary.LittleEndian.Uint32(r.hdr[2:6]))
 	default:
-		return fmt.Errorf("%w: unknown frame kind %d", errCorrupt, kind)
+		return body, false, fmt.Errorf("%w: unknown frame kind %d", errCorrupt, kind)
 	}
 	if blen > maxBody {
-		return fmt.Errorf("%w: body of %d bytes exceeds limit %d", errCorrupt, blen, maxBody)
+		return body, false, fmt.Errorf("%w: body of %d bytes exceeds limit %d", errCorrupt, blen, maxBody)
 	}
 	need := int(blen) + 4
 	var raw []byte
+	inBody := false
 	lead := 0 // body bytes already consumed into r.head
 	if reuse {
 		if cap(r.buf) < need {
@@ -935,60 +956,66 @@ func (r *Reader) readAnyInto(fr *Frame, arena []byte) error {
 			// in, decides. What that look consumed is the body's prefix.
 			seq, tag, nparts, ok, err := r.readLead(kind, int(blen))
 			if err != nil {
-				return err
+				return body, false, err
 			}
 			if ok && nparts > 0 && blen/nparts >= uint64(r.streamMin) {
 				fr.Seq = seq
-				return r.readStreamed(fr, tag, int(nparts), int(blen)-len(r.head))
+				return body, false, r.readStreamed(fr, tag, int(nparts), int(blen)-len(r.head))
 			}
 			lead = len(r.head)
 		}
-		// Fresh mode hands ownership out with the frame, so the body is
-		// read into a buffer of its own and the decoded parts alias it in
-		// place: the frame body is moved exactly once (socket to buffer).
-		raw = make([]byte, need)
+		if inBody = int(blen) >= r.bodyMin && !memberKind(kind); inBody {
+			if cap(body) < need {
+				// With room to spare: a recycled body meets frames a few
+				// bytes apart, as tags lengthen with the sequence number.
+				body = make([]byte, need, need+need/8)
+			}
+			raw = body[:need]
+		} else {
+			// A buffer and part tables of the frame's own, handed out with
+			// it: the frame body is moved exactly once (socket to buffer).
+			fr.Msg.Parts, fr.Msgs = nil, nil
+			raw = make([]byte, need)
+		}
 		copy(raw, r.head[:lead])
 	}
 	if _, err := io.ReadFull(r.r, raw[lead:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return err
+		return body, false, unexpectedEOF(err)
 	}
-	body := raw[:blen]
-	if checksum(body) != binary.LittleEndian.Uint32(raw[blen:]) {
-		return ErrChecksum
+	data := raw[:blen]
+	if checksum(data) != binary.LittleEndian.Uint32(raw[blen:]) {
+		return body, false, ErrChecksum
 	}
 	var err error
 	switch kind {
 	case KindJoin, KindDrain, KindView, KindGrow, KindAttach:
-		fr.Body = append([]byte(nil), body...)
-		return nil
+		fr.Body = append([]byte(nil), data...)
+		return body, false, nil
 	case KindBatch:
 		if reuse {
-			arena, err = decodeBatch(fr, arena[:0], body)
+			arena, err = decodeBatch(fr, arena[:0], data)
 		} else {
-			err = decodeBatchAlias(fr, body)
+			err = decodeBatchAlias(fr, data)
 		}
 	case KindSeqData:
-		seq, n, ok := readUvarint(body)
+		seq, n, ok := readUvarint(data)
 		if !ok {
-			return fmt.Errorf("%w: bad frame sequence", errCorrupt)
+			return body, false, fmt.Errorf("%w: bad frame sequence", errCorrupt)
 		}
 		fr.Seq = seq
-		body = body[n:]
+		data = data[n:]
 		fallthrough
 	default: // KindData (and the SeqData fallthrough)
 		if reuse {
-			arena, err = decodeBodyInto(&fr.Msg, arena[:0], body)
+			arena, err = decodeBodyInto(&fr.Msg, arena[:0], data)
 		} else {
-			err = decodeBodyAlias(&fr.Msg, body)
+			err = decodeBodyAlias(&fr.Msg, data)
 		}
 	}
 	if reuse {
 		r.arena = arena
 	}
-	return err
+	return body, inBody && err == nil, err
 }
 
 // readLead consumes the leading fields of a data frame's body — the
