@@ -267,16 +267,18 @@ func TestScatterRelayAllocBudget(t *testing.T) {
 
 // TestScatterSocketAllocBudget is TestScatterRelayAllocBudget on loopback
 // sockets, with the spine row's 1 KiB per rank. Every bundle arrives in a
-// receive record its read pump took from the endpoint's free list, and
-// the receiving rank's next Scatter gives it back, so once warm the root's
-// bundle is the one allocation of a call. Reading each bundle into a
-// fresh body with fresh part tables cost about 3 allocations per
-// receiving rank per call, 45 for this mesh. An endpoint makes as many
-// records as its pumps and rank ever hold at once, and such peaks are
-// rare: hence the long warm-up, and the slack of a record made now and
-// then (1.00 per call in most runs, 1.01 in some). The ranks keep step
-// on a barrier of the test's own, as the spine's workloads do: Barrier's
-// own frames, about 90 allocations per call on sockets, would have to be
+// receive record its read pump took from the endpoint's free list; the
+// receiving rank copies its own part out into a buffer of its
+// communicator's, and its next collective gives the record back, so once
+// warm the root's bundle is the one allocation of a call. Reading each
+// bundle into a fresh body with fresh part tables cost about 3
+// allocations per receiving rank per call, 45 for this mesh. An endpoint
+// makes as many records as its pumps and rank ever hold at once, and
+// such peaks are rare: hence the long warm-up, and the slack of a record
+// made now and then (1.00 per call in most runs, 1.01 in some). The
+// ranks keep step on a barrier of the test's own, as the spine's
+// workloads do: Barrier's own frames, about 90 allocations per call on
+// sockets before every collective gave its frames back, would have to be
 // taken off again, and how many of them share a batch frame varies from
 // run to run by more than this budget.
 func TestScatterSocketAllocBudget(t *testing.T) {

@@ -90,12 +90,17 @@ type Comm struct {
 	// mu, but for the two fields zone marks as the rank's own.
 	zone *zone
 
-	// scattered is the lease of the bundle the last Scatter off the root
-	// returned its result from, given back by the next Scatter behind the
-	// send fence (releaseScattered). Touched only from the rank's own
-	// goroutine, like seq; kept across jobs (reset), whose programs are
-	// done with their results when they return.
-	scattered *mpx.Lease
+	// leases are the receive leases of the envelopes whose bytes a result
+	// or a queued forward of the rank's last two collectives aliases: the
+	// one before last's are leases[:split], the last's the rest. Call
+	// k+2's entry gives call k's back behind the send fence (enter).
+	// Envelopes a collective only reads are given back at once and never
+	// held here. scatter is what Scatter keeps between calls. Touched only
+	// from the rank's own goroutine, like seq; a job's end empties leases
+	// (jobProgram), and reset leaves both alone.
+	leases  []*mpx.Lease
+	split   int
+	scatter *scatterState
 
 	// sink and closed are the mailbox's consumer (deliver and stop), made
 	// once so that a job communicator attaches to each job's stream
@@ -119,10 +124,10 @@ func newComm(nd *mpx.Node, n, base int, attach func(mpx.Consumer)) *Comm {
 // reset readies a job communicator for the next job its worker runs,
 // under that job's base, as if it were new: sequence, deadline and stop
 // are cleared and the mailbox emptied. It keeps what is the rank's
-// alone — the struct, its cond and consumer, routes, kids, the scratch
-// and the last Scatter's lease — and drops whatever the last job may
-// still have lent by reference: the parity sets, the all-node state and
-// the landing zone.
+// alone — the struct, its cond and consumer, routes, kids, the scratch,
+// the held leases and Scatter's buffers — and drops whatever the last
+// job may still have lent by reference: the parity sets, the all-node
+// state and the landing zone.
 // The parity argument (see dxSent) is about one communicator's calls;
 // a peer's worker may still be reading the last job's message while
 // this one runs any number of later jobs. The caller closed the last
@@ -338,11 +343,13 @@ func closeAll(trs []*transport.TCP) {
 // inbox lock: it only takes mu and never blocks or sends. It drops what
 // reaches a stopped communicator, and any tag a fault-tolerant
 // collective gave up on (severed tree, timed-out heartbeat), so that a
-// straggler can never pass for corruption of a later collective.
+// straggler can never pass for corruption of a later collective; a
+// dropped envelope's lease is given back on the spot.
 func (c *Comm) deliver(env mpx.Envelope) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.stopped || !c.mailbox.put(env) {
+		env.Lease.Release()
 		return
 	}
 	if z := c.zone; z != nil {
@@ -492,6 +499,84 @@ func (c *Comm) send(to cube.NodeID, sub int, parts []mpx.Part) {
 	c.nd.SendTo(to, mpx.Message{Tag: c.tagFor(sub), Parts: parts})
 }
 
+// enter starts a collective. The caller's claim on what the collective
+// before last returned ended with this call, so its held leases go back
+// (giveBack), and fenced reports that the send fence ran for them. A
+// call that fails its root check returns before it, as if it had not
+// been made.
+func (c *Comm) enter() (fenced bool) {
+	fenced = c.giveBack(c.split)
+	c.split = len(c.leases)
+	return fenced
+}
+
+// hold keeps a received envelope's lease with the current call's
+// leases: its bytes are in the result, or in a forward that may still be
+// queued. A nil lease — every in-process delivery, a streamed frame — is
+// not kept, so nothing here allocates in process.
+func (c *Comm) hold(l *mpx.Lease) {
+	if l != nil {
+		c.leases = append(c.leases, l)
+	}
+}
+
+// holdForward keeps a lease whose bytes only this call's forwards alias,
+// not its result: it goes back at the next call's entry, with the call
+// before last's.
+func (c *Comm) holdForward(l *mpx.Lease) {
+	if l != nil {
+		c.leases = slices.Insert(c.leases, c.split, l)
+		c.split++
+	}
+}
+
+// giveBack releases the first n held leases to the transport once
+// nothing can read them: the forwards that alias their envelopes, which
+// a socket link may have queued by reference, are written out by the
+// send-completion fence first (mpx.Node.Settle, as BcastMSBT's post runs
+// it). Where the fence cannot vouch for them — a transport without one,
+// a failed link — or the communicator is stopped, they are forfeited to
+// the garbage collector instead. It reports whether the fence ran and
+// held.
+func (c *Comm) giveBack(n int) (fenced bool) {
+	if n == 0 {
+		return false
+	}
+	if fenced = c.nd.Settle(); fenced {
+		c.mu.Lock()
+		stopped := c.stopped
+		c.mu.Unlock()
+		if !stopped {
+			release(c.leases[:n])
+		}
+	}
+	c.forfeit(0, n)
+	return fenced
+}
+
+// release gives leases back to their transports at once.
+func release(leases []*mpx.Lease) {
+	for _, l := range leases {
+		l.Release()
+	}
+}
+
+// forfeit drops held leases [i, j) without releasing them: their
+// envelopes go to the garbage collector with their receive buffers. A
+// collective's error exit forfeits what the call held.
+func (c *Comm) forfeit(i, j int) {
+	k := i + copy(c.leases[i:], c.leases[j:])
+	clear(c.leases[k:]) // do not pin the records
+	c.leases = c.leases[:k]
+}
+
+// forfeitOnError is a collective's deferred error exit (see forfeit).
+func (c *Comm) forfeitOnError(err *error) {
+	if *err != nil {
+		c.forfeit(c.split, len(c.leases))
+	}
+}
+
 // Bcast distributes data from root to every node along the spanning
 // binomial tree; every rank returns the payload (the root passes its own
 // data, other ranks pass nil).
@@ -502,11 +587,14 @@ func (c *Comm) send(to cube.NodeID, sub int, parts []mpx.Part) {
 // or unread in an in-process child's mailbox, when the call returns. A
 // caller that wants to modify the payload copies it first; the root must
 // likewise leave data alone until the collective has completed
-// everywhere.
+// everywhere. Off the root the result is valid until this
+// communicator's second collective after this one, like every
+// collective's (DESIGN.md §18, "Who owns the result").
 func (c *Comm) Bcast(root cube.NodeID, data []byte) ([]byte, error) {
 	if err := c.checkRoot("bcast", root); err != nil {
 		return nil, err
 	}
+	c.enter()
 	defer c.next()
 	c.kids = sbt.AppendChildren(c.kids[:0], c.n, c.Rank(), root)
 	return c.bcastDown(root, c.kids, data)
@@ -522,6 +610,7 @@ func (c *Comm) bcastDown(root cube.NodeID, kids []cube.NodeID, data []byte) ([]b
 			return nil, err
 		}
 		data = env.Parts[0].Data
+		c.hold(env.Lease)
 	}
 	for _, ch := range kids {
 		c.send(ch, 0, []mpx.Part{{Dest: root, Data: data}})
@@ -539,10 +628,13 @@ func (c *Comm) bcastDown(root cube.NodeID, kids []cube.NodeID, data []byte) ([]b
 // forwarded down its tree from there, under the checksum it arrived
 // with.
 //
-// The result is read-only, and off the root it is valid only until this
-// communicator's next BcastMSBT, which lands into the same buffer when
-// it is large enough: copy it to keep it. (That call first makes sure
-// every forward aliasing the buffer has been written out; see zone.)
+// The result is read-only, and off the root it is valid until this
+// communicator's second collective after this one, like every
+// collective's, or its next BcastMSBT if that comes first: that call
+// lands into the same buffer when it is large enough. Copy it to keep
+// it. (That call first makes sure every forward aliasing the buffer has
+// been written out; see zone.) A chunk that did not land is forwarded
+// from the frame it arrived in, which is held like Bcast's.
 // The root gets its own data back, which is sent by reference: leave it
 // alone until the collective has completed everywhere, as with Bcast.
 // The pieces received must tile the payload exactly; anything else is an
@@ -551,6 +643,7 @@ func (c *Comm) BcastMSBT(root cube.NodeID, data []byte) (_ []byte, err error) {
 	if err := c.checkRoot("bcastmsbt", root); err != nil {
 		return nil, err
 	}
+	c.enter()
 	defer c.next()
 	if c.Rank() == root {
 		for j := 0; j < c.n; j++ {
@@ -567,6 +660,7 @@ func (c *Comm) BcastMSBT(root cube.NodeID, data []byte) (_ []byte, err error) {
 			for j := 1; j <= c.n; j++ {
 				c.abandon(c.tagFor(j))
 			}
+			c.forfeit(c.split, len(c.leases))
 		}
 	}()
 	// Length is unknown off-root: collect every tree's chunk, landed in
@@ -643,6 +737,7 @@ func (c *Comm) collectMSBT(root cube.NodeID, z *zone) error {
 		for _, p := range env.Parts {
 			z.chunks = append(z.chunks, msbtChunk{p.Offset, p.Data})
 		}
+		c.hold(env.Lease)
 	}
 	return nil
 }
@@ -660,62 +755,64 @@ func chunkBound(l, n, j int) int { return j * l / n }
 // received, so the parts a rank sees are read-only views of the root's.
 //
 // The result is read-only. Off the root it is valid until this
-// communicator's next Scatter: on sockets it aliases the receive buffer
-// the bundle arrived in, which that call gives back to the transport for
-// the next frame (DESIGN.md §18, "Who owns the result"); copy it to keep
-// it. The root gets its own data[root] back.
+// communicator's second collective after this one, so it may be passed
+// as the next call's input; copy it to keep it longer. In process it
+// aliases the root's data; on sockets it is a copy in a buffer of the
+// communicator's, and the receive buffer the bundle arrived in goes
+// back to the transport at the next call (DESIGN.md §18, "Who owns the
+// result"). The root gets its own data[root] back.
 func (c *Comm) Scatter(root cube.NodeID, data [][]byte) ([]byte, error) {
 	if err := c.checkRoot("scatter", root); err != nil {
 		return nil, err
 	}
-	c.releaseScattered()
+	fenced := c.enter()
 	defer c.next()
 	rt := c.route(root)
-	var parts []mpx.Part
-	var lease *mpx.Lease
 	if c.Rank() == root {
 		if len(data) != c.Size() {
 			return nil, fmt.Errorf("comm: scatter needs %d payloads, got %d", c.Size(), len(data))
 		}
-		parts = bundle(make([]mpx.Part, 0, len(rt.want)), rt.want, data)
-	} else {
-		env, err := c.recvTag(c.tagFor(0))
-		if err != nil {
-			return nil, err
-		}
-		if err := c.checkBundle(rt, env.Parts, "scatter"); err != nil {
-			return nil, err
-		}
-		parts, lease = env.Parts, env.Lease
+		c.relay(rt, bundle(make([]mpx.Part, 0, len(rt.want)), rt.want, data), 0)
+		return data[root], nil
 	}
-	c.relay(rt, parts, 0)
-	c.scattered = lease
-	return parts[0].Data, nil
+	env, err := c.recvTag(c.tagFor(0))
+	if err != nil {
+		return nil, err
+	}
+	if err := c.checkBundle(rt, env.Parts, "scatter"); err != nil {
+		return nil, err
+	}
+	c.relay(rt, env.Parts, 0)
+	if env.Lease == nil {
+		return env.Parts[0].Data, nil
+	}
+	// Only the forwards alias the bundle's record now, so it goes back at
+	// the next call; the result lasts two calls, like every result, in a
+	// buffer of the communicator's, reused two Scatters later behind the
+	// fence.
+	c.holdForward(env.Lease)
+	s := c.scatter
+	if s == nil {
+		s = new(scatterState)
+		c.scatter = s
+	}
+	p := s.calls & 1
+	s.calls++
+	if !fenced && !c.nd.Settle() {
+		s.own[p] = nil
+	}
+	s.own[p] = append(s.own[p][:0], env.Parts[0].Data...)
+	return s.own[p], nil
 }
 
-// releaseScattered gives the last Scatter's bundle back to its transport
-// once nothing can read it: the caller's claim on the result ended with
-// this call, and the relay's forwards, which a socket link may have
-// queued by reference, are written out by the send-completion fence
-// (mpx.Node.Settle, as BcastMSBT's post runs it). Where the fence cannot
-// vouch for them — a transport without one, a failed link — or the
-// communicator is stopped, the bundle is forfeited to the garbage
-// collector instead.
-func (c *Comm) releaseScattered() {
-	lease := c.scattered
-	if lease == nil {
-		return
-	}
-	c.scattered = nil
-	if !c.nd.Settle() {
-		return
-	}
-	c.mu.Lock()
-	stopped := c.stopped
-	c.mu.Unlock()
-	if !stopped {
-		lease.Release()
-	}
+// scatterState is what Scatter keeps between calls off the root on a
+// socket transport: the buffers its results are copied into out of their
+// receive records, double-buffered by call parity and reused only where
+// the send fence vouches that no link still reads them
+// (mpx.Node.Settle).
+type scatterState struct {
+	own   [2][]byte
+	calls int
 }
 
 // bundle cuts a tree root's whole bundle — a part for every node, in the
@@ -802,11 +899,14 @@ func (c *Comm) relay(rt *rootRoute, parts []mpx.Part, sub int) {
 
 // Gather collects every rank's payload at root along the balanced
 // spanning tree; the root returns all payloads indexed by rank, others
-// return nil.
+// return nil. The root's table is new every call. Its entries are
+// read-only; those that came over a socket are the root's own copies,
+// and in process they are the senders' slices.
 func (c *Comm) Gather(root cube.NodeID, mine []byte) ([][]byte, error) {
 	if err := c.checkRoot("gather", root); err != nil {
 		return nil, err
 	}
+	c.enter()
 	defer c.next()
 	p, ok := bst.Parent(c.n, c.Rank(), root)
 	return c.gatherUp(p, ok, len(bst.Children(c.n, c.Rank(), root)), mine)
@@ -814,8 +914,11 @@ func (c *Comm) Gather(root cube.NodeID, mine []byte) ([][]byte, error) {
 
 // gatherUp is the way up a tree (Gather, ViewComm.Gather): the kids'
 // parts come up on subtag 0 and go on to parent (ok false at the root,
-// which files them by rank) with this rank's own.
-func (c *Comm) gatherUp(parent cube.NodeID, ok bool, kids int, mine []byte) ([][]byte, error) {
+// which files them by rank) with this rank's own. A relay's forward
+// aliases what it received, which it holds; the root copies what came
+// in receive records out of them and gives them back at once.
+func (c *Comm) gatherUp(parent cube.NodeID, ok bool, kids int, mine []byte) (_ [][]byte, err error) {
+	defer c.forfeitOnError(&err)
 	parts := []mpx.Part{{Dest: c.Rank(), Data: mine}}
 	for range kids {
 		env, err := c.recvTag(c.tagFor(0))
@@ -823,10 +926,16 @@ func (c *Comm) gatherUp(parent cube.NodeID, ok bool, kids int, mine []byte) ([][
 			return nil, err
 		}
 		parts = append(parts, env.Parts...)
+		c.hold(env.Lease)
 	}
 	if ok {
 		c.send(parent, 0, parts)
 		return nil, nil
+	}
+	if len(c.leases) > c.split {
+		copyOut(parts[1:])
+		release(c.leases[c.split:])
+		c.forfeit(c.split, len(c.leases))
 	}
 	out := make([][]byte, c.Size())
 	for _, pt := range parts {
@@ -835,13 +944,30 @@ func (c *Comm) gatherUp(parent cube.NodeID, ok bool, kids int, mine []byte) ([][
 	return out, nil
 }
 
+// copyOut moves the parts' payloads into one new buffer of their own.
+func copyOut(parts []mpx.Part) {
+	n := 0
+	for _, pt := range parts {
+		n += len(pt.Data)
+	}
+	buf := make([]byte, 0, n)
+	for i, pt := range parts {
+		at := len(buf)
+		buf = append(buf, pt.Data...)
+		parts[i].Data = buf[at:len(buf):len(buf)]
+	}
+}
+
 // Reduce folds every rank's contribution to the root along the spanning
 // binomial tree with the associative op; the root returns the result,
-// others return nil.
+// others return nil. op folds b into a and returns the result; it may
+// not keep b, which is a received message's buffer and is given back
+// to the transport as soon as op returns.
 func (c *Comm) Reduce(root cube.NodeID, mine []byte, op func(a, b []byte) []byte) ([]byte, error) {
 	if err := c.checkRoot("reduce", root); err != nil {
 		return nil, err
 	}
+	c.enter()
 	defer c.next()
 	c.kids = sbt.AppendChildren(c.kids[:0], c.n, c.Rank(), root)
 	acc, err := c.reduceUp(len(c.kids), append([]byte(nil), mine...), op)
@@ -854,7 +980,8 @@ func (c *Comm) Reduce(root cube.NodeID, mine []byte, op func(a, b []byte) []byte
 }
 
 // reduceUp is the way up a tree (Reduce, both AllReduces): it folds into
-// acc the contributions of this rank's kids children, up on subtag 0.
+// acc the contributions of this rank's kids children, up on subtag 0,
+// and gives each envelope back once op has read it.
 func (c *Comm) reduceUp(kids int, acc []byte, op func(a, b []byte) []byte) ([]byte, error) {
 	for range kids {
 		env, err := c.recvTag(c.tagFor(0))
@@ -862,6 +989,7 @@ func (c *Comm) reduceUp(kids int, acc []byte, op func(a, b []byte) []byte) ([]by
 			return nil, err
 		}
 		acc = op(acc, env.Parts[0].Data)
+		env.Lease.Release()
 	}
 	return acc, nil
 }
@@ -870,10 +998,11 @@ func (c *Comm) reduceUp(kids int, acc []byte, op func(a, b []byte) []byte) ([]by
 // every rank: a reduce up the spanning binomial tree rooted at rank 0,
 // then a broadcast of the result back down it — 2(N−1) messages, where a
 // dimension exchange sends N·log N. op must be associative and
-// commutative. The result is the caller's, and a warm call allocates
-// nothing else: the accumulator is scratch, the sends ride the parity
-// sets (see the dxSent field).
+// commutative, and may not keep b (see Reduce). The result is the
+// caller's, and a warm call allocates nothing else: the accumulator is
+// scratch, the sends ride the parity sets (see the dxSent field).
 func (c *Comm) AllReduce(mine []byte, op func(a, b []byte) []byte) ([]byte, error) {
+	c.enter()
 	defer c.next()
 	p, ok := sbt.Parent(c.n, c.Rank(), 0)
 	c.kids = sbt.AppendChildren(c.kids[:0], c.n, c.Rank(), 0)
@@ -907,30 +1036,35 @@ func (c *Comm) allReduce(root, parent cube.NodeID, ok bool, kids []cube.NodeID, 
 	for _, ch := range kids {
 		c.nd.ForwardTo(ch, env)
 	}
+	c.hold(env.Lease)
 	return append([]byte(nil), env.Parts[0].Data...), nil
 }
 
 // Scan returns the inclusive prefix combine(x_0, ..., x_rank) on every
 // rank, by dimension exchange, which prefix order needs. op must be
-// associative (need not be commutative). Like AllReduce, a warm call
-// allocates only the result it returns.
+// associative (need not be commutative), and may not keep b (see
+// Reduce). Like AllReduce, a warm call allocates only the result it
+// returns.
 func (c *Comm) Scan(mine []byte, op func(a, b []byte) []byte) ([]byte, error) {
+	c.enter()
 	defer c.next()
 	set := c.exchangeSet()
 	prefix, total := c.scratch(mine), c.scratch(mine)
 	for d := 0; d < c.n; d++ {
-		other, err := c.exchange(set, d, total)
+		env, err := c.exchange(set, d, total)
 		if err != nil {
 			return nil, err
 		}
 		// op folds into its first argument, which must not be the
 		// neighbor's snapshot: where that comes first, a copy does.
+		other := env.Parts[0].Data
 		if c.Rank()&(1<<uint(d)) != 0 {
 			prefix = op(c.scratch(other), prefix)
 			total = op(c.scratch(other), total)
 		} else {
 			total = op(total, other)
 		}
+		env.Lease.Release()
 	}
 	return append([]byte(nil), prefix...), nil
 }
@@ -955,16 +1089,12 @@ func (c *Comm) exchangeSet() []mpx.Part {
 }
 
 // exchange is dimension-exchange step d: it sends a snapshot of b to the
-// dim-d neighbor in set's part d and returns the neighbor's snapshot,
-// which is read-only.
-func (c *Comm) exchange(set []mpx.Part, d int, b []byte) ([]byte, error) {
+// dim-d neighbor in set's part d and returns the envelope of the
+// neighbor's snapshot, which is read-only.
+func (c *Comm) exchange(set []mpx.Part, d int, b []byte) (mpx.Envelope, error) {
 	set[d] = mpx.Part{Dest: c.Rank(), Data: append(set[d].Data[:0], b...)}
 	c.nd.Send(d, mpx.Message{Tag: c.tagFor(d), Parts: set[d : d+1]})
-	env, err := c.recvTag(c.tagFor(d))
-	if err != nil {
-		return nil, err
-	}
-	return env.Parts[0].Data, nil
+	return c.recvTag(c.tagFor(d))
 }
 
 // scratch copies b into the call's private scratch, a bump region that
@@ -983,15 +1113,19 @@ func (c *Comm) scratch(b []byte) []byte {
 // forwards every other payload down that payload's tree the moment it
 // arrives (subtag r+1 is the tree rooted at rank r).
 //
-// The table returned belongs to the communicator: it is valid until this
-// communicator's next AllGather, which refills it. Its entries are
-// read-only, like Bcast's result: the forwards alias them.
-func (c *Comm) AllGather(mine []byte) ([][]byte, error) {
+// The table returned belongs to the communicator, and like every
+// collective's result it is valid until this communicator's second
+// collective after this one; the second AllGather after it refills it.
+// Its entries are read-only, like Bcast's result: the forwards alias
+// them.
+func (c *Comm) AllGather(mine []byte) (_ [][]byte, err error) {
+	c.enter()
 	defer c.next()
-	a, own := c.allNode()
+	defer c.forfeitOnError(&err)
+	a, own, p := c.allNode()
 	defer clear(a.held)
 	me := c.Rank()
-	out := a.gathered
+	out := a.table(&a.gathered, p)
 	out[me] = mine
 	own = append(own, mpx.Part{Dest: me, Data: mine})
 	for _, ch := range c.route(me).children {
@@ -1010,6 +1144,7 @@ func (c *Comm) AllGather(mine []byte) ([][]byte, error) {
 			return nil, dupErr("allgather", int(r))
 		}
 		a.held[r], out[r] = env.Parts, env.Parts[0].Data
+		c.hold(env.Lease)
 		for _, ch := range c.route(r).children {
 			c.send(ch, int(r)+1, env.Parts)
 		}
@@ -1031,25 +1166,27 @@ func (c *Comm) AllGather(mine []byte) ([][]byte, error) {
 // every other rank's tree; each rank started its tree only after it had
 // finished call k, so every envelope of call k has been consumed. held
 // files each source's arriving parts for the duplicate check (and
-// AllToAll's relaying) and is all nil between calls; gathered and
-// scattered are the tables the collectives return.
+// AllToAll's relaying) and is all nil between calls. gathered and
+// scattered are the tables the collectives return, double-buffered by
+// the same parity so that a table outlives the communicator's next call,
+// and made on first use (table).
 type allNode struct {
 	calls               int
 	own                 [2][]mpx.Part
 	held                [][]mpx.Part
-	gathered, scattered [][]byte
+	gathered, scattered [2][][]byte
 }
 
-// allNode returns the communicator's all-node state and this call's
-// own-tree array, empty, to append the parts to.
-func (c *Comm) allNode() (*allNode, []mpx.Part) {
+// allNode returns the communicator's all-node state, this call's
+// own-tree array, empty, to append the parts to, and the call's parity,
+// which picks its result table.
+func (c *Comm) allNode() (*allNode, []mpx.Part, int) {
 	N := c.Size()
 	a := c.all
 	if a == nil || len(a.held) != N {
 		a = &allNode{
-			own:      [2][]mpx.Part{make([]mpx.Part, 0, N), make([]mpx.Part, 0, N)},
-			held:     make([][]mpx.Part, N),
-			gathered: make([][]byte, N), scattered: make([][]byte, N),
+			own:  [2][]mpx.Part{make([]mpx.Part, 0, N), make([]mpx.Part, 0, N)},
+			held: make([][]mpx.Part, N),
 		}
 		c.all = a
 		// Room for a call's arrivals and the next one's early ones, now
@@ -1058,9 +1195,17 @@ func (c *Comm) allNode() (*allNode, []mpx.Part) {
 		c.mailbox.ready = slices.Grow(c.mailbox.ready, 2*N)
 		c.mu.Unlock()
 	}
-	own := a.own[a.calls&1]
+	p := a.calls & 1
 	a.calls++
-	return a, own
+	return a, a.own[p], p
+}
+
+// table returns ts's result table for parity p, made on first use.
+func (a *allNode) table(ts *[2][][]byte, p int) [][]byte {
+	if ts[p] == nil {
+		ts[p] = make([][]byte, len(a.held))
+	}
+	return ts[p]
 }
 
 // source names the tree an all-node envelope travels: subtag r+1 is the
@@ -1085,23 +1230,27 @@ func dupErr(op string, r int) error {
 // other bundle on arrival; bundles follow Scatter's layout (see
 // rootRoute), so each child's run goes out as a sub-slice.
 //
-// The table returned belongs to the communicator: it is valid until this
-// communicator's next AllToAll, which refills it. Its entries are
-// read-only views of the senders' payloads, as Scatter's result is, but
-// no later call reuses what they point to: AllToAll gives no receive
-// buffer back, so an entry taken out of the table stays valid.
-func (c *Comm) AllToAll(mine [][]byte) ([][]byte, error) {
+// The table returned belongs to the communicator, and like every
+// collective's result it is valid until this communicator's second
+// collective after this one; the second AllToAll after it refills it.
+// Its entries are read-only views of the senders' payloads, as
+// Scatter's result is, and on sockets of the receive buffers they
+// arrived in, given back behind the same fence: copy an entry to keep
+// it longer.
+func (c *Comm) AllToAll(mine [][]byte) (_ [][]byte, err error) {
+	c.enter()
 	defer c.next()
 	if len(mine) != c.Size() {
 		return nil, fmt.Errorf("comm: alltoall needs %d payloads, got %d", c.Size(), len(mine))
 	}
-	a, own := c.allNode()
+	defer c.forfeitOnError(&err)
+	a, own, p := c.allNode()
 	held := a.held
 	defer clear(held)
 	me := c.Rank()
 	rt := c.route(me)
 	held[me] = bundle(own, rt.want, mine)
-	out := a.scattered
+	out := a.table(&a.scattered, p)
 	out[me] = mine[me]
 	c.relay(rt, held[me], int(me)+1)
 	for n := 1; n < c.Size(); n++ {
@@ -1133,5 +1282,6 @@ func (c *Comm) recvBundle(held [][]mpx.Part, out [][]byte) (cube.NodeID, error) 
 		return 0, err
 	}
 	held[r], out[r] = env.Parts, env.Parts[0].Data
+	c.hold(env.Lease)
 	return r, nil
 }

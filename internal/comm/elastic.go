@@ -465,9 +465,12 @@ func (v *ViewComm) result(op string, err error) error {
 
 // Bcast distributes data from the view root to every live rank along
 // the repaired tree; every rank returns the payload (the root passes
-// its own data, other ranks pass nil).
+// its own data, other ranks pass nil). The result is read-only and, as
+// Comm.Bcast's, valid until the session communicator's second
+// collective after this one.
 func (v *ViewComm) Bcast(data []byte) ([]byte, error) {
 	c := v.s.c
+	c.enter()
 	defer c.next()
 	t, err := v.tree("bcast")
 	if err != nil {
@@ -482,6 +485,7 @@ func (v *ViewComm) Bcast(data []byte) ([]byte, error) {
 // (nil at dead ranks), others return nil.
 func (v *ViewComm) Gather(mine []byte) ([][]byte, error) {
 	c := v.s.c
+	c.enter()
 	defer c.next()
 	t, err := v.tree("gather")
 	if err != nil {
@@ -499,6 +503,7 @@ func (v *ViewComm) Gather(mine []byte) ([][]byte, error) {
 // result is fresh, and a warm call allocates nothing else.
 func (v *ViewComm) AllReduce(mine []byte, op func(a, b []byte) []byte) ([]byte, error) {
 	c := v.s.c
+	c.enter()
 	defer c.next()
 	t, err := v.tree("allreduce")
 	if err != nil {

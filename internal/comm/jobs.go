@@ -23,7 +23,10 @@ import (
 // dispatcher feeds with exactly the job's traffic. The communicator is
 // the worker's: kept in JobContext.Kept and reset for each job it runs
 // (see Comm.reset), it is as good as new and valid only until program
-// returns. Unlike RunOn, an erroring job does NOT shut the machine down
+// returns. So are the results of its collectives: when program returns
+// without error, every lease they hold goes back behind the send fence,
+// and an idle worker holds no receive record; an error exit forfeits
+// them. Unlike RunOn, an erroring job does NOT shut the machine down
 // — isolation is the runtime's concern (it aborts the job's local
 // mailboxes), so sibling jobs keep running.
 func jobProgram(program func(c *Comm) error) svc.Program {
@@ -38,7 +41,14 @@ func jobProgram(program func(c *Comm) error) svc.Program {
 		// (DESIGN.md §18), so a job's BcastMSBT always finishes by copying.
 		jc.Attach(c.sink, c.closed)
 		defer c.stop()
-		return program(c)
+		err := program(c)
+		if err != nil {
+			c.forfeit(0, len(c.leases))
+		} else {
+			c.giveBack(len(c.leases))
+		}
+		c.split = 0
+		return err
 	}
 }
 

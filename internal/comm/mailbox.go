@@ -148,17 +148,19 @@ func (m *mailbox) popAny() (mpx.Envelope, bool) {
 	return mpx.Envelope{}, false
 }
 
-// abandon gives tag up: what is queued under it is dropped, and so is
-// every later arrival (see put).
+// abandon gives tag up: what is queued under it is dropped, its leases
+// given back, and so is every later arrival (see put).
 func (m *mailbox) abandon(tag int) {
 	if m.gone == nil {
 		m.gone = make(map[int]bool)
 	}
 	m.gone[tag] = true
 	for {
-		if _, ok := m.pop(tag); !ok {
+		env, ok := m.pop(tag)
+		if !ok {
 			return
 		}
+		env.Lease.Release()
 	}
 }
 
@@ -217,13 +219,26 @@ func (m *mailbox) advance(cur int) {
 }
 
 // reset empties the mailbox for a new stream whose first collective's
-// tag for subtag 0 is cur. The table's and free list's arrays are kept.
+// tag for subtag 0 is cur, giving back the leases of what it drops. The
+// table's and free list's arrays are kept.
 func (m *mailbox) reset(cur int) {
 	for sub, q := range m.table {
-		clear(q) // do not pin the payloads
+		releaseAll(q)
 		m.table[sub] = q[:0]
+	}
+	for _, q := range m.other {
+		releaseAll(q)
 	}
 	m.other, m.gone = nil, nil
 	m.ready, m.readyHead = m.ready[:0], 0
 	m.cur = cur
+}
+
+// releaseAll gives back the leases of dropped envelopes and clears them,
+// so as not to pin their payloads.
+func releaseAll(q []mpx.Envelope) {
+	for _, env := range q {
+		env.Lease.Release()
+	}
+	clear(q)
 }

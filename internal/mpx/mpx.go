@@ -114,7 +114,7 @@ func (l *Lease) Arm() { l.released.Store(false) }
 // call, through this envelope or a copy, does nothing — until the
 // transport reuses the buffer, so a released envelope is dropped, not
 // kept. A nil lease — every in-process delivery, and on sockets a frame
-// read into buffers of its own (small or streamed) — does nothing.
+// streamed into buffers of its own — does nothing.
 func (l *Lease) Release() {
 	if l != nil && l.released.CompareAndSwap(false, true) {
 		l.Owner.Recycle()

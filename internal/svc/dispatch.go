@@ -14,6 +14,9 @@ import (
 // Traffic arriving before the job opens locally (a neighbor started it
 // first) is buffered and flushed on Open; traffic for a job already
 // closed here is dropped as a straggler (e.g. a chaos-duplicated frame).
+// An envelope it drops — a straggler, or one buffered for a key that is
+// closed or aborted before it opened — gives its receive lease back on
+// the spot (mpx.Lease.Release): nothing read it.
 // It meters each job's payload on this node: the bytes of every envelope
 // it files or buffers for the key, which CloseJob returns.
 type Dispatcher struct {
@@ -67,6 +70,7 @@ func (d *Dispatcher) Deliver(env mpx.Envelope) {
 	key := JobKeyOf(env.Tag)
 	switch ks := d.keys[key]; {
 	case ks == tombstone: // straggler of a finished job
+		env.Lease.Release()
 	case ks != nil && ks.put != nil:
 		ks.payload += int64(env.Size()) // before put: the sink may recycle the parts
 		ks.put(env)
@@ -74,7 +78,9 @@ func (d *Dispatcher) Deliver(env mpx.Envelope) {
 		ks = d.state(key)
 		ks.payload += int64(env.Size())
 		ks.pending = append(ks.pending, env)
-	} // else: straggler of an aborted job
+	default: // straggler of an aborted job
+		env.Lease.Release()
+	}
 	d.mu.Unlock()
 }
 
@@ -116,7 +122,7 @@ func (d *Dispatcher) CloseJob(key int) (payload int64) {
 	d.mu.Lock()
 	if ks := d.keys[key]; ks != nil && ks != tombstone {
 		payload = ks.payload
-		clear(ks.pending)
+		drop(ks.pending)
 		*ks = keyState{pending: ks.pending[:0]}
 		d.free = append(d.free, ks)
 	}
@@ -141,8 +147,17 @@ func (d *Dispatcher) Abort(key int) {
 		if ks.put != nil {
 			ks.closed()
 		}
-		clear(ks.pending)
+		drop(ks.pending)
 		ks.pending = ks.pending[:0]
 	}
 	d.mu.Unlock()
+}
+
+// drop gives back the leases of buffered envelopes nobody will read and
+// clears them, so as not to pin their payloads.
+func drop(pending []mpx.Envelope) {
+	for _, env := range pending {
+		env.Lease.Release()
+	}
+	clear(pending)
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/member"
 	"repro/internal/mpx"
 )
 
@@ -492,31 +491,6 @@ func (rt *Runtime) finish(j *job, err error) {
 		rt.jobErr = err
 	}
 	j.h.finish(err, j.payload)
-}
-
-// NoteViewChange reacts to a membership epoch change (internal/member):
-// every job with an execution in flight is aborted with a typed
-// *member.ViewChangedError carrying the new epoch — its blocked
-// collectives unwind instead of waiting on ranks that left the view,
-// and the caller can errors.As the handle's error to retry on the new
-// view. The runtime itself keeps serving: queued jobs still start,
-// new submissions are still accepted, and tenants whose jobs were not
-// in flight never notice. Returns how many jobs were aborted.
-func (rt *Runtime) NoteViewChange(epoch uint64) int {
-	rt.mu.Lock()
-	aborted := 0
-	rt.live(func(j *job) {
-		if j.started == 0 || j.remaining == 0 || j.err != nil {
-			return
-		}
-		j.err = &member.ViewChangedError{Epoch: epoch, Op: fmt.Sprintf("tenant %d job %d", j.tenant, j.id)}
-		for _, ns := range rt.nodes {
-			ns.d.Abort(j.key)
-		}
-		aborted++
-	})
-	rt.mu.Unlock()
-	return aborted
 }
 
 // noteDown runs when the machine shut down under a node's inbox. An

@@ -64,8 +64,9 @@ func (t *TCP) freeRecords() int {
 // a receive record: a batch frame's record goes back on the free list
 // only when every message it carried has been released, a second
 // Release of one message (on a copy of its envelope, too) changes
-// nothing, and the next frame is read into the record given back. A
-// frame below the recycling size holds no lease.
+// nothing, and the next frame is read into the record given back —
+// whatever its size, down to a part with no bytes at all. A streamed
+// frame, whose payloads are buffers of their own, holds no lease.
 func TestReceiveRecordRecyclesAfterEveryRelease(t *testing.T) {
 	testleak.Check(t)
 	tr, peer := rawPeerEndpoint(t)
@@ -82,8 +83,7 @@ func TestReceiveRecordRecyclesAfterEveryRelease(t *testing.T) {
 		}
 		return mpx.Envelope{}
 	}
-	// Two 600-byte messages: each alone is too small to recycle, together
-	// their batch frame is not.
+	// Two 600-byte messages in one batch frame.
 	batch, st := wire.BeginBatch(nil)
 	batch = wire.AppendBatchMsg(batch, msg(1, 600))
 	batch = wire.AppendBatchMsg(batch, msg(2, 600))
@@ -120,11 +120,21 @@ func TestReceiveRecordRecyclesAfterEveryRelease(t *testing.T) {
 	if c.Lease == nil || c.Lease.Owner != rec || !bytes.Equal(c.Parts[0].Data, msg(3, 2000).Parts[0].Data) {
 		t.Fatalf("the next frame was not read into the record given back (lease %p)", c.Lease)
 	}
-	if _, err := peer.Write(wire.AppendFrameV(nil, wire.MaxVersion, msg(4, 100))); err != nil {
+	c.Lease.Release()
+	for _, size := range []int{100, 8, 0} {
+		if _, err := peer.Write(wire.AppendFrameV(nil, wire.MaxVersion, msg(4, size))); err != nil {
+			t.Fatal(err)
+		}
+		small := recv()
+		if small.Lease == nil || small.Lease.Owner != rec || small.Tag != 4 || !bytes.Equal(small.Parts[0].Data, msg(4, size).Parts[0].Data) {
+			t.Fatalf("a %d-byte frame was not read into the record given back (lease %p)", size, small.Lease)
+		}
+		small.Lease.Release()
+	}
+	if _, err := peer.Write(wire.AppendFrameV(nil, wire.MaxVersion, msg(5, 64<<10))); err != nil {
 		t.Fatal(err)
 	}
-	if small := recv(); small.Lease != nil || small.Tag != 4 {
-		t.Fatalf("a %d-byte frame holds lease %p, want none", small.Size(), small.Lease)
+	if streamed := recv(); streamed.Lease != nil || streamed.Tag != 5 {
+		t.Fatalf("a streamed %d-byte frame holds lease %p, want none", streamed.Size(), streamed.Lease)
 	}
-	c.Lease.Release()
 }

@@ -224,10 +224,12 @@ type TCP struct {
 	growAccepts  atomic.Int64 // member mode: grow-attach handshakes accepted from larger-cube joiners
 	attachesRecv atomic.Int64 // member mode: KindAttach announcements received from joiners
 
-	// recvFree is the endpoint's free list of receive records (at most
-	// recvKeep), shared by its read pumps; see recvRecord.
+	// recvFree is the endpoint's free list of receive records, shared by
+	// its read pumps, and recvKept what they hold (at most recvKeep
+	// bytes); see recvRecord.
 	recvMu   sync.Mutex
 	recvFree []*recvRecord
+	recvKept int
 
 	// Data-plane volume counters.
 	bytesSent        atomic.Int64
@@ -1872,9 +1874,10 @@ func (c countReader) Read(p []byte) (int, error) {
 // link it severs only this connection generation and wakes the
 // supervisor.
 //
-// Frames are read into a receive record (recvRecord). One whose parts
-// alias the record's body is delivered under the record's leases; every
-// other frame leaves the record with the pump for the next read. A pump
+// Frames are read into a receive record (recvRecord). A data or batch
+// frame read whole, whatever its size, is delivered under the record's
+// leases; a streamed frame, a control frame or an ack leaves the record
+// with the pump for the next read. A pump
 // takes a record when a frame starts to arrive and gives it back when
 // its link goes quiet, so an idle link holds none.
 func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
@@ -1895,8 +1898,9 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 		if rec == nil {
 			rec = l.t.takeRecord()
 		}
-		// The record's part tables: a frame decoded into tables of its own
-		// hands those out with it, and the record keeps these.
+		// The record's part tables: a streamed frame is decoded into a
+		// table of its own and hands that out with it; the record keeps
+		// these.
 		parts, msgs := rec.fr.Msg.Parts, rec.fr.Msgs
 		body, inBody, err := r.ReadInto(&rec.fr, rec.body)
 		rec.body = body
@@ -2020,30 +2024,35 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 }
 
 // recvRecord is what the read pump decodes a frame into, kept for reuse:
-// the body buffer, which the parts of a frame read whole alias, the
-// decoded Frame, whose part tables the delivered messages alias too, and
-// a lease per message (mpx.Lease). live counts the messages not yet
-// released; the last Release puts the record back on its endpoint's free
-// list (Recycle). A record that is not released — a collective other
-// than Scatter keeps its envelopes, or a delivery is dropped — is left to
-// the garbage collector, like any buffer before records existed.
+// the body buffer, which the parts of every data or batch frame read
+// whole alias, the decoded Frame, whose part tables the delivered
+// messages alias too, and a lease per message (mpx.Lease). live counts
+// the messages not yet released; the last Release puts the record back
+// on its endpoint's free list (Recycle). Every collective releases what
+// it receives (DESIGN.md §18, "Who owns the result"), and so do the
+// sites that drop an envelope nobody read; a message that is never
+// released — a raw Node.Recv consumer's, or one its communicator
+// forfeits — leaves its record to the garbage collector.
 type recvRecord struct {
 	t      *TCP
 	body   []byte
 	fr     wire.Frame
 	live   atomic.Int32
 	leases []mpx.Lease
+	kept   int // bytes, while on the free list
 }
 
-// recvKeep bounds an endpoint's free list of receive records, and
-// recvKeepBytes what one record may hold and still be kept: a record
-// over it (a body that large, or the part tables of a great many parts)
-// is left to the garbage collector. Together they bound what the list
-// keeps alive at 8 × 64 KiB per endpoint. On the spine's scatter row a
-// rank receives one bundle per call and Scatter gives the last one back
-// at its next call, so each endpoint circulates two or three records.
+// recvKeep bounds what an endpoint's free list of receive records keeps
+// alive, in bytes, and recvKeepBytes what one record may hold and still
+// be kept: a record over it (a body that large, or the part tables of a
+// great many parts) is left to the garbage collector, and so is one
+// that the list has no room for. A rank holds the records of its last
+// two collectives' results and forwards (two calls, by call parity) and
+// gives back the rest as soon as it has read them. An all-node
+// collective delivers N−1 messages a call, so its ranks circulate 2N
+// records or more: the bound is on their bytes, not their number.
 const (
-	recvKeep      = 8
+	recvKeep      = 512 << 10
 	recvKeepBytes = 64 << 10
 )
 
@@ -2058,6 +2067,7 @@ func (t *TCP) takeRecord() *recvRecord {
 	rec := t.recvFree[n-1]
 	t.recvFree[n-1] = nil
 	t.recvFree = t.recvFree[:n-1]
+	t.recvKept -= rec.kept
 	return rec
 }
 
@@ -2086,12 +2096,14 @@ func (rec *recvRecord) Recycle() {
 // putRecord puts a record back on the free list, if it is small enough
 // to keep and the list has room.
 func (t *TCP) putRecord(rec *recvRecord) {
-	if rec.bytes() > recvKeepBytes {
+	rec.kept = rec.bytes()
+	if rec.kept > recvKeepBytes {
 		return
 	}
 	t.recvMu.Lock()
-	if len(t.recvFree) < recvKeep {
+	if t.recvKept+rec.kept <= recvKeep {
 		t.recvFree = append(t.recvFree, rec)
+		t.recvKept += rec.kept
 	}
 	t.recvMu.Unlock()
 }

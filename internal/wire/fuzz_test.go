@@ -463,14 +463,18 @@ func FuzzStreamDecodeMatchesDecodeAny(f *testing.F) {
 
 // FuzzRecycledDecodeMatchesDecodeAny holds ReadInto, the read pump's
 // decode into a recycled body and Frame, to DecodeAny on arbitrary
-// bytes. One body buffer and one Frame serve every input, as a receive
-// record serves frame after frame, and between decodes every byte of the
-// body's capacity is painted 0xA5 and every part and message slot within
-// the Frame's capacity is filled with junk: a decode that reads a byte
-// this frame did not bring, or leaves a slot of an earlier frame in
-// view, disagrees with DecodeAny. Every data and batch frame is read into
-// the body (the recycling threshold is lowered to nothing), and each
-// part it decodes must alias the body. Run with `go test -fuzz
+// bytes, frame after frame. One body buffer and one Frame serve every
+// frame of every input, as a receive record serves frame after frame,
+// and before each decode every byte of the body's capacity is painted
+// 0xA5 and every part and message slot within the Frame's capacity is
+// filled with junk: a decode that reads a byte this frame did not bring,
+// or leaves a slot of an earlier frame in view, disagrees with
+// DecodeAny. Every data and batch frame, whatever its size, is read into
+// the body (nothing is streamed here), and each part it decodes must
+// alias the body. The seeds include the small frames the collectives
+// send most — an empty-bodied part (Barrier's), an 8-byte one
+// (AllReduce's), a batch of such — and a small frame decoded right after
+// a large one grew the body. Run with `go test -fuzz
 // FuzzRecycledDecodeMatchesDecodeAny ./internal/wire`.
 func FuzzRecycledDecodeMatchesDecodeAny(f *testing.F) {
 	batch, st := BeginBatch(nil)
@@ -493,6 +497,21 @@ func FuzzRecycledDecodeMatchesDecodeAny(f *testing.F) {
 	f.Add(AppendAck(nil, 5))
 	f.Add(AppendMemberFrame(nil, KindView, []byte{1, 2, 3}))
 	f.Add(AppendBye(nil))
+
+	barrier := mpx.Message{Tag: 0x10001, Parts: []mpx.Part{{Dest: 0, Data: []byte{}}}}
+	word := mpx.Message{Tag: 0x20001, Parts: []mpx.Part{{Dest: 0, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}}}
+	job := mpx.Message{Tag: 0x30000, Parts: []mpx.Part{{Dest: 3, Data: bytes.Repeat([]byte{0x3C}, 161)}}}
+	large := mpx.Message{Tag: 9, Parts: []mpx.Part{{Dest: 1, Data: bytes.Repeat([]byte{0x77}, 8<<10)}}}
+	f.Add(appendFrame(nil, barrier))
+	f.Add(appendFrame(nil, word))
+	small, st := BeginBatch(nil)
+	for _, msg := range []mpx.Message{barrier, word, job, word, barrier} {
+		small = AppendBatchMsg(small, msg)
+	}
+	small = SealBatch(small, st)
+	f.Add(small)
+	f.Add(append(appendFrame(nil, large), appendFrame(nil, word)...))
+	f.Add(append(append(appendFrame(nil, large), small...), appendFrame(nil, barrier)...))
 
 	var body []byte
 	var fr Frame
@@ -520,47 +539,60 @@ func FuzzRecycledDecodeMatchesDecodeAny(f *testing.F) {
 		fr.Kind, fr.Seq, fr.BodyCRC, fr.Msg.Tag, fr.Body = 0xA5, 0xA5A5, 0xA5A5, -0x5A5A, stale
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		paint()
-		r := NewReader(bytes.NewReader(data))
-		r.bodyMin = 0
-		want, _, werr := DecodeAny(data)
-		var inBody bool
-		var gerr error
-		body, inBody, gerr = r.ReadInto(&fr, body)
-		switch {
-		case werr == nil:
-			if gerr != nil {
-				t.Fatalf("ReadInto fails with %v on a frame DecodeAny accepts", gerr)
-			}
-			if fr.Kind != want.Kind || fr.Seq != want.Seq || !msgEqual(fr.Msg, want.Msg) ||
-				!msgsEqual(fr.Msgs, want.Msgs) || !bytes.Equal(fr.Body, want.Body) {
-				t.Fatalf("frames differ:\nReadInto  %+v\nDecodeAny %+v", fr, want)
-			}
-			data := fr.Kind == KindData || fr.Kind == KindSeqData || fr.Kind == KindBatch
-			if inBody != data {
-				t.Fatalf("kind %d: inBody %v", fr.Kind, inBody)
-			}
-			// Every part aliases the body: repaint it and look.
-			for i := range body[:cap(body)] {
-				body[:cap(body)][i] = 0x5A
-			}
-			for _, m := range append([]mpx.Message{fr.Msg}, fr.Msgs...) {
-				for _, p := range m.Parts {
-					if len(p.Data) > 0 && !bytes.Equal(p.Data, bytes.Repeat([]byte{0x5A}, len(p.Data))) {
-						t.Fatalf("a part of tag %d does not alias the body", m.Tag)
+		src := bytes.NewReader(data)
+		r := NewReader(src)
+		r.streamMin = maxBody + 1
+		for at := 0; at < len(data); {
+			rest := data[at:]
+			paint()
+			want, n, werr := DecodeAny(rest)
+			var inBody bool
+			var gerr error
+			body, inBody, gerr = r.ReadInto(&fr, body)
+			consumed := len(rest) - src.Len()
+			switch {
+			case werr == nil:
+				if gerr != nil {
+					t.Fatalf("at %d: ReadInto fails with %v on a frame DecodeAny accepts", at, gerr)
+				}
+				if fr.Kind != want.Kind || fr.Seq != want.Seq || !msgEqual(fr.Msg, want.Msg) ||
+					!msgsEqual(fr.Msgs, want.Msgs) || !bytes.Equal(fr.Body, want.Body) {
+					t.Fatalf("at %d: frames differ:\nReadInto  %+v\nDecodeAny %+v", at, fr, want)
+				}
+				data := fr.Kind == KindData || fr.Kind == KindSeqData || fr.Kind == KindBatch
+				if inBody != data {
+					t.Fatalf("at %d: kind %d: inBody %v", at, fr.Kind, inBody)
+				}
+				// Every part aliases the body: repaint it and look.
+				for i := range body[:cap(body)] {
+					body[:cap(body)][i] = 0x5A
+				}
+				for _, m := range append([]mpx.Message{fr.Msg}, fr.Msgs...) {
+					for _, p := range m.Parts {
+						if len(p.Data) > 0 && !bytes.Equal(p.Data, bytes.Repeat([]byte{0x5A}, len(p.Data))) {
+							t.Fatalf("at %d: a part of tag %d does not alias the body", at, m.Tag)
+						}
+					}
+				}
+			case errors.Is(werr, errTruncated):
+				if gerr != io.EOF && gerr != io.ErrUnexpectedEOF && !errors.Is(gerr, errCorrupt) {
+					t.Fatalf("at %d: DecodeAny says truncated, ReadInto says %v", at, gerr)
+				}
+				return
+			default:
+				for _, class := range []error{ErrChecksum, errCorrupt, errVersion, ErrBye} {
+					if errors.Is(werr, class) != errors.Is(gerr, class) {
+						t.Fatalf("at %d: DecodeAny says %v, ReadInto says %v", at, werr, gerr)
 					}
 				}
 			}
-		case errors.Is(werr, errTruncated):
-			if gerr != io.EOF && gerr != io.ErrUnexpectedEOF && !errors.Is(gerr, errCorrupt) {
-				t.Fatalf("DecodeAny says truncated, ReadInto says %v", gerr)
+			if n == 0 || errors.Is(werr, ErrBye) {
+				return // terminal for the stream
 			}
-		default:
-			for _, class := range []error{ErrChecksum, errCorrupt, errVersion, ErrBye} {
-				if errors.Is(werr, class) != errors.Is(gerr, class) {
-					t.Fatalf("DecodeAny says %v, ReadInto says %v", werr, gerr)
-				}
+			if consumed != n {
+				t.Fatalf("at %d: ReadInto consumed %d bytes, DecodeAny %d (%v / %v)", at, consumed, n, gerr, werr)
 			}
+			at += n
 		}
 	})
 }

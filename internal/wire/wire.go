@@ -815,11 +815,7 @@ type Reader struct {
 	// streamMin is the average part size from which a data frame is
 	// streamed (streamPartMin; the differential fuzz lowers it).
 	streamMin int
-	// bodyMin is the body length from which ReadInto reads a frame into
-	// the caller's body buffer (recycleBodyMin; the recycled-decode fuzz
-	// lowers it).
-	bodyMin int
-	head    []byte // header bytes of a streamed body awaiting the CRC fold
+	head      []byte // header bytes of a streamed body awaiting the CRC fold
 }
 
 // Landing is a posted receive. Before the reader takes one part's n
@@ -841,18 +837,11 @@ type Landing func(seq uint64, tag, nparts, offset, n int) []byte
 // stays one allocation and one read.
 const streamPartMin = 16 << 10
 
-// recycleBodyMin is the body length from which ReadInto reads a whole
-// frame into the caller's recycled body buffer. A smaller frame is read
-// into a buffer of its own, as ReadAny reads it: a recycled buffer that
-// small saves less than the receive record that keeps it costs, and a
-// frame nobody gives back would take a large recycled buffer with it.
-const recycleBodyMin = 1 << 10
-
 // NewReader returns a frame reader over r. Wrap r in a bufio.Reader if
 // it issues unbuffered syscalls.
 func NewReader(r io.Reader) *Reader {
 	br, _ := r.(io.ByteReader)
-	return &Reader{r: r, br: br, streamMin: streamPartMin, bodyMin: recycleBodyMin}
+	return &Reader{r: r, br: br, streamMin: streamPartMin}
 }
 
 // Land installs the posted-receive hook ReadAny and ReadInto consult for
@@ -870,12 +859,13 @@ func (r *Reader) ReadAny() (Frame, error) {
 	return fr, err
 }
 
-// ReadInto is ReadAny for a caller that recycles what it reads. A data
-// or batch frame of recycleBodyMin body bytes or more that is read whole
-// lands in body, grown when it is too small, and its parts alias it in
-// place; inBody reports that. fr's Parts and Msgs keep their capacity,
-// and a recycled batch element keeps its Parts backing. Any other frame
-// is decoded as ReadAny decodes it, into buffers and part tables of its
+// ReadInto is ReadAny for a caller that recycles what it reads. Every
+// data or batch frame that is read whole, whatever its size, lands in
+// body, grown when it is too small, and its parts alias it in place;
+// inBody reports that. fr's Parts and Msgs keep their capacity, and a
+// recycled batch element keeps its Parts backing. The other frames —
+// streamed data frames, membership control frames and acks — hold
+// nothing of body: a streamed frame's payloads and part table are its
 // own. The returned buffer is the one to pass next time, whatever the
 // error. A frame in body is valid until body or fr is passed again.
 func (r *Reader) ReadInto(fr *Frame, body []byte) (_ []byte, inBody bool, err error) {
@@ -964,19 +954,13 @@ func (r *Reader) readFrame(fr *Frame, arena, body []byte) ([]byte, bool, error) 
 			}
 			lead = len(r.head)
 		}
-		if inBody = int(blen) >= r.bodyMin && !memberKind(kind); inBody {
-			if cap(body) < need {
-				// With room to spare: a recycled body meets frames a few
-				// bytes apart, as tags lengthen with the sequence number.
-				body = make([]byte, need, need+need/8)
-			}
-			raw = body[:need]
-		} else {
-			// A buffer and part tables of the frame's own, handed out with
-			// it: the frame body is moved exactly once (socket to buffer).
-			fr.Msg.Parts, fr.Msgs = nil, nil
-			raw = make([]byte, need)
+		inBody = !memberKind(kind)
+		if cap(body) < need {
+			// With room to spare: a recycled body meets frames a few bytes
+			// apart, as tags lengthen with the sequence number.
+			body = make([]byte, need, need+need/8)
 		}
+		raw = body[:need]
 		copy(raw, r.head[:lead])
 	}
 	if _, err := io.ReadFull(r.r, raw[lead:]); err != nil {
