@@ -54,24 +54,6 @@ func rotR(x uint64, n int) uint64 {
 	return (x >> 1) | (low << uint(n-1))
 }
 
-// RotRK returns R^k(x), the right rotation of the n-bit word x by k steps.
-// k may exceed n; it is reduced modulo n. Negative k rotates left.
-func RotRK(x uint64, n, k int) uint64 {
-	if n <= 0 {
-		return x
-	}
-	k %= n
-	if k < 0 {
-		k += n
-	}
-	if k == 0 {
-		return x
-	}
-	m := Mask(n)
-	x &= m
-	return ((x >> uint(k)) | (x << uint(n-k))) & m
-}
-
 // Period returns P_x, the least j >= 1 such that R^j(x) == x for the n-bit
 // word x. The period always divides n. Example: Period(0b011011, 6) == 3.
 func Period(x uint64, n int) int {
@@ -125,20 +107,4 @@ func GrayRank(g uint64) uint64 {
 		i ^= g
 	}
 	return i
-}
-
-// Binomial returns C(n, k), the binomial coefficient, with C(n, k) == 0 for
-// k < 0 or k > n. Safe for the n <= 64 range used by cube dimensions.
-func Binomial(n, k int) uint64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	var c uint64 = 1
-	for i := 0; i < k; i++ {
-		c = c * uint64(n-i) / uint64(i+1)
-	}
-	return c
 }

@@ -69,14 +69,14 @@ func TestRotR(t *testing.T) {
 	if got := rotR(0b011011, 6); got != 0b101101 {
 		t.Errorf("rotR(011011) = %06b", got)
 	}
-	if got := RotRK(0b011011, 6, 3); got != 0b011011 {
-		t.Errorf("RotRK 3 of period-3 word = %06b", got)
+	if got := rotRK(0b011011, 6, 3); got != 0b011011 {
+		t.Errorf("R^3 of period-3 word = %06b", got)
 	}
-	if got := RotRK(0b0001, 4, -1); got != 0b0010 {
-		t.Errorf("RotRK(-1) = %04b", got)
+	if got := rotRK(0b0001, 4, -1); got != 0b0010 {
+		t.Errorf("rotRK(-1) = %04b", got)
 	}
-	if got := RotRK(0b1000, 4, 3); got != 0b0001 {
-		t.Errorf("RotRK(3) = %04b", got)
+	if got := rotRK(0b1000, 4, 3); got != 0b0001 {
+		t.Errorf("rotRK(3) = %04b", got)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestRotationInverse(t *testing.T) {
 		n := int(nRaw%64) + 1
 		k := int(kRaw) % n
 		x &= Mask(n)
-		return RotRK(RotRK(x, n, k), n, n-k) == x
+		return rotRK(rotRK(x, n, k), n, n-k) == x
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -164,10 +164,10 @@ func TestBaseIsArgminRotation(t *testing.T) {
 		n := int(nRaw%16) + 1
 		x &= Mask(n)
 		b := Base(x, n)
-		min := RotRK(x, n, b)
+		min := rotRK(x, n, b)
 		// Minimality and first-ness.
 		for j := 0; j < n; j++ {
-			r := RotRK(x, n, j)
+			r := rotRK(x, n, j)
 			if r < min {
 				return false
 			}
@@ -185,10 +185,10 @@ func TestBaseIsArgminRotation(t *testing.T) {
 // baseSet returns the paper's J_x = {j : R^j(x) is the minimal rotation
 // of x}, in increasing order.
 func baseSet(x uint64, n int) []int {
-	min := RotRK(x, n, Base(x, n))
+	min := rotRK(x, n, Base(x, n))
 	var out []int
 	for j := 0; j < n; j++ {
-		if RotRK(x, n, j) == min {
+		if rotRK(x, n, j) == min {
 			out = append(out, j)
 		}
 	}
@@ -202,7 +202,7 @@ func TestRotationSetAndBaseSet(t *testing.T) {
 	}
 	want := map[uint64]bool{0b001001: true, 0b100100: true, 0b010010: true}
 	for j := 0; j < 3; j++ {
-		if v := RotRK(0b001001, 6, j); !want[v] {
+		if v := rotRK(0b001001, 6, j); !want[v] {
 			t.Errorf("unexpected rotation %06b", v)
 		}
 	}
@@ -234,7 +234,7 @@ func TestNecklaceCount(t *testing.T) {
 	for n := 1; n < len(want); n++ {
 		seen := map[uint64]bool{}
 		for x := uint64(0); x < 1<<uint(n); x++ {
-			seen[RotRK(x, n, Base(x, n))] = true
+			seen[rotRK(x, n, Base(x, n))] = true
 		}
 		if len(seen) != want[n] {
 			t.Errorf("n=%d: %d canonical forms, want %d necklaces", n, len(seen), want[n])
@@ -270,23 +270,35 @@ func TestGrayRankInverse(t *testing.T) {
 }
 
 func TestBinomial(t *testing.T) {
-	if Binomial(0, 0) != 1 {
+	if binomial(0, 0) != 1 {
 		t.Error("C(0,0)")
 	}
-	if Binomial(5, -1) != 0 || Binomial(5, 6) != 0 {
+	if binomial(5, -1) != 0 || binomial(5, 6) != 0 {
 		t.Error("out of range")
 	}
-	if Binomial(10, 3) != 120 {
-		t.Errorf("C(10,3) = %d", Binomial(10, 3))
+	if binomial(10, 3) != 120 {
+		t.Errorf("C(10,3) = %d", binomial(10, 3))
 	}
-	if Binomial(20, 10) != 184756 {
-		t.Errorf("C(20,10) = %d", Binomial(20, 10))
+	if binomial(20, 10) != 184756 {
+		t.Errorf("C(20,10) = %d", binomial(20, 10))
 	}
 	// Pascal identity.
 	for n := 1; n <= 30; n++ {
 		for k := 1; k < n; k++ {
-			if Binomial(n, k) != Binomial(n-1, k-1)+Binomial(n-1, k) {
+			if binomial(n, k) != binomial(n-1, k-1)+binomial(n-1, k) {
 				t.Fatalf("Pascal fails at (%d,%d)", n, k)
+			}
+		}
+	}
+	// Row k of the census: C(n,k) n-bit words have k ones.
+	for n := 0; n <= 12; n++ {
+		count := make([]uint64, n+1)
+		for x := uint64(0); x < 1<<uint(n); x++ {
+			count[OnesCount(x)]++
+		}
+		for k, c := range count {
+			if c != binomial(n, k) {
+				t.Fatalf("n=%d: %d words with %d ones, C(n,k) = %d", n, c, k, binomial(n, k))
 			}
 		}
 	}
@@ -294,7 +306,7 @@ func TestBinomial(t *testing.T) {
 	for n := 0; n <= 20; n++ {
 		var sum uint64
 		for k := 0; k <= n; k++ {
-			sum += Binomial(n, k)
+			sum += binomial(n, k)
 		}
 		if sum != 1<<uint(n) {
 			t.Fatalf("row sum n=%d: %d", n, sum)
@@ -308,8 +320,36 @@ func TestRotationPreservesOnes(t *testing.T) {
 		n := 1 + rng.Intn(32)
 		x := rng.Uint64() & Mask(n)
 		k := rng.Intn(3*n) - n
-		if OnesCount(RotRK(x, n, k)) != OnesCount(x) {
+		if OnesCount(rotRK(x, n, k)) != OnesCount(x) {
 			t.Fatalf("rotation changed popcount: x=%b n=%d k=%d", x, n, k)
 		}
 	}
+}
+
+// rotRK is R^k(x), k right rotations of the n-bit word x; k is reduced
+// modulo n and a negative k rotates left.
+func rotRK(x uint64, n, k int) uint64 {
+	k %= n
+	if k < 0 {
+		k += n
+	}
+	for ; k > 0; k-- {
+		x = rotR(x, n)
+	}
+	return x
+}
+
+// binomial returns C(n, k), with C(n, k) == 0 for k < 0 or k > n.
+func binomial(n, k int) uint64 {
+	if k < 0 || k > n {
+		return 0
+	}
+	if k > n-k {
+		k = n - k
+	}
+	var c uint64 = 1
+	for i := 0; i < k; i++ {
+		c = c * uint64(n-i) / uint64(i+1)
+	}
+	return c
 }

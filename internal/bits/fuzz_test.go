@@ -13,23 +13,23 @@ func FuzzRotations(f *testing.F) {
 		n := int(nRaw%64) + 1
 		k := int(kRaw) % n
 		x := xRaw & Mask(n)
-		if got := RotRK(RotRK(x, n, k), n, n-k); got != x {
+		if got := rotRK(rotRK(x, n, k), n, n-k); got != x {
 			t.Fatalf("rotation inverse broken: x=%b n=%d k=%d", x, n, k)
 		}
-		if OnesCount(RotRK(x, n, k)) != OnesCount(x) {
+		if OnesCount(rotRK(x, n, k)) != OnesCount(x) {
 			t.Fatalf("rotation changed popcount: x=%b n=%d k=%d", x, n, k)
 		}
 		p := Period(x, n)
 		if p < 1 || n%p != 0 {
 			t.Fatalf("period %d does not divide n=%d for x=%b", p, n, x)
 		}
-		if RotRK(x, n, p) != x {
+		if rotRK(x, n, p) != x {
 			t.Fatalf("R^P(x) != x: x=%b n=%d P=%d", x, n, p)
 		}
 		b := Base(x, n)
-		min := RotRK(x, n, b)
+		min := rotRK(x, n, b)
 		for j := 0; j < n; j++ {
-			r := RotRK(x, n, j)
+			r := rotRK(x, n, j)
 			if r < min || (r == min && j < b) {
 				t.Fatalf("base not minimal-first: x=%b n=%d base=%d j=%d", x, n, b, j)
 			}

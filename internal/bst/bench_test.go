@@ -34,15 +34,3 @@ func BenchmarkParent(b *testing.B) {
 	}
 	_ = sink
 }
-
-// BenchmarkChildren measures the child-set computation (the inner loop of
-// every scatter relay).
-func BenchmarkChildren(b *testing.B) {
-	const n = 12
-	mask := cube.NodeID(1<<n - 1)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += len(Children(n, cube.NodeID(i)&mask, 0))
-	}
-	_ = sink
-}

@@ -33,35 +33,6 @@ func Parent(n int, i, s cube.NodeID) (cube.NodeID, bool) {
 	return i ^ cube.NodeID(1)<<uint(k), true
 }
 
-// Children returns the children of node i in the BST rooted at s.
-//
-// At the source they are all n neighbors (neighbor s XOR 2^j roots subtree
-// j, since base(2^j) == j). Elsewhere they are the nodes q_m = i XOR 2^m
-// for m in M_MSBT(c, j) whose base is preserved: base(q_m XOR s) == j.
-//
-// The base filter is what prunes the MSBT into a tree: without it, the
-// union of candidate edges would be the full j-th ERSBT.
-func Children(n int, i, s cube.NodeID) []cube.NodeID {
-	c := uint64(i ^ s)
-	if c == 0 {
-		out := make([]cube.NodeID, n)
-		for j := 0; j < n; j++ {
-			out[j] = i ^ cube.NodeID(1)<<uint(j)
-		}
-		return out
-	}
-	j := bits.Base(c, n)
-	k := msbt.K(n, j, i, s)
-	var out []cube.NodeID
-	for m := (k + 1) % n; m != j; m = (m + 1) % n {
-		q := i ^ cube.NodeID(1)<<uint(m)
-		if bits.Base(uint64(q^s), n) == j {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 // New materializes the BST of the n-cube rooted at s as a validated
 // spanning tree.
 func New(n int, s cube.NodeID) (*tree.Tree, error) {

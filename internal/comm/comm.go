@@ -198,9 +198,6 @@ func (c *Comm) Rank() cube.NodeID { return c.nd.ID }
 // all.
 func (c *Comm) Profile() (mpx.LinkProfile, bool) { return c.nd.Profile() }
 
-// Dim returns the cube dimension.
-func (c *Comm) Dim() int { return c.n }
-
 // Size returns the number of nodes.
 func (c *Comm) Size() int { return 1 << uint(c.n) }
 
@@ -601,21 +598,28 @@ func (c *Comm) Bcast(root cube.NodeID, data []byte) ([]byte, error) {
 }
 
 // bcastDown is the way down a tree rooted at root (Bcast, ViewComm.Bcast):
-// off the root data arrives on subtag 0, and every rank sends it on to
-// its kids.
+// the root sends its kids one part, made once, on subtag 0, and every
+// other rank forwards the envelope it received to its kids as it
+// arrived, which no receiver writes to.
 func (c *Comm) bcastDown(root cube.NodeID, kids []cube.NodeID, data []byte) ([]byte, error) {
-	if c.Rank() != root {
-		env, err := c.recvTag(c.tagFor(0))
-		if err != nil {
-			return nil, err
+	if c.Rank() == root {
+		if len(kids) > 0 {
+			parts := []mpx.Part{{Dest: root, Data: data}}
+			for _, ch := range kids {
+				c.send(ch, 0, parts)
+			}
 		}
-		data = env.Parts[0].Data
-		c.hold(env.Lease)
+		return data, nil
+	}
+	env, err := c.recvTag(c.tagFor(0))
+	if err != nil {
+		return nil, err
 	}
 	for _, ch := range kids {
-		c.send(ch, 0, []mpx.Part{{Dest: root, Data: data}})
+		c.nd.ForwardTo(ch, env)
 	}
-	return data, nil
+	c.hold(env.Lease)
+	return env.Parts[0].Data, nil
 }
 
 // BcastMSBT distributes data from root down the n edge-disjoint ERSBTs
@@ -909,17 +913,20 @@ func (c *Comm) Gather(root cube.NodeID, mine []byte) ([][]byte, error) {
 	c.enter()
 	defer c.next()
 	p, ok := bst.Parent(c.n, c.Rank(), root)
-	return c.gatherUp(p, ok, len(bst.Children(c.n, c.Rank(), root)), mine)
+	rt := c.route(root)
+	return c.gatherUp(p, ok, len(rt.children), len(rt.want), mine)
 }
 
 // gatherUp is the way up a tree (Gather, ViewComm.Gather): the kids'
 // parts come up on subtag 0 and go on to parent (ok false at the root,
-// which files them by rank) with this rank's own. A relay's forward
-// aliases what it received, which it holds; the root copies what came
-// in receive records out of them and gives them back at once.
-func (c *Comm) gatherUp(parent cube.NodeID, ok bool, kids int, mine []byte) (_ [][]byte, err error) {
+// which files them by rank) with this rank's own, in one table made for
+// at most size parts. A relay's forward aliases what it received, which
+// it holds; the root copies what came in receive records out of them and
+// gives them back at once.
+func (c *Comm) gatherUp(parent cube.NodeID, ok bool, kids, size int, mine []byte) (_ [][]byte, err error) {
 	defer c.forfeitOnError(&err)
-	parts := []mpx.Part{{Dest: c.Rank(), Data: mine}}
+	parts := make([]mpx.Part, 1, size)
+	parts[0] = mpx.Part{Dest: c.Rank(), Data: mine}
 	for range kids {
 		env, err := c.recvTag(c.tagFor(0))
 		if err != nil {

@@ -349,8 +349,8 @@ func TestScatterValidatesPayloadCount(t *testing.T) {
 func TestRankSizeDim(t *testing.T) {
 	eachTransport(t, func(t *testing.T, run func(int, func(*Comm) error) error) {
 		err := run(3, func(c *Comm) error {
-			if c.Dim() != 3 || c.Size() != 8 {
-				return fmt.Errorf("dim %d size %d", c.Dim(), c.Size())
+			if c.n != 3 || c.Size() != 8 {
+				return fmt.Errorf("dim %d size %d", c.n, c.Size())
 			}
 			if int(c.Rank()) >= c.Size() {
 				return fmt.Errorf("rank %d out of range", c.Rank())

@@ -6,7 +6,7 @@
 // the view changes under a pinned collective — a crash detected, a
 // drain announced, a joiner admitted — the collective either completes
 // on the old view or fails with a *member.ViewChangedError carrying the
-// new epoch, and RetryOnViewChange re-pins and reruns it.
+// new epoch, and the caller re-pins and reruns it.
 //
 // Tag discipline: a pinned view is a job. A Session feeds its node's
 // inbox to an svc.Dispatcher with one key per epoch (see elasticBase).
@@ -18,7 +18,6 @@
 package comm
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -219,9 +218,6 @@ func (e *Elastic) onView(v member.View) {
 // Addr returns the endpoint's listen address (for peers' Connect/Join).
 func (e *Elastic) Addr() string { return e.tr.Addr() }
 
-// Rank returns the hosted rank.
-func (e *Elastic) Rank() cube.NodeID { return e.self }
-
 // Manager exposes the membership manager (views, epochs, waits).
 func (e *Elastic) Manager() *member.Manager { return e.mgr }
 
@@ -309,16 +305,6 @@ type Session struct {
 	open uint64 // the open key's epoch (0: none); written under e.mu
 }
 
-// Rank returns the hosted rank.
-func (s *Session) Rank() cube.NodeID { return s.e.self }
-
-// Epoch returns the manager's current epoch (advances under the caller
-// at any time; pin a view to hold one still).
-func (s *Session) Epoch() uint64 { return s.e.mgr.Epoch() }
-
-// Manager exposes the membership manager.
-func (s *Session) Manager() *member.Manager { return s.e.mgr }
-
 // Pin snapshots the current membership view into a ViewComm. On an
 // epoch change since the last pin, the view's key becomes the open key
 // (see enter): the collective sequence restarts at zero. Re-pinning the
@@ -377,33 +363,6 @@ func (s *Session) enter(epoch uint64) {
 	s.d.Open(elasticKey(epoch), s.c.sink, s.c.closed)
 }
 
-// RetryOnViewChange runs fn against a freshly pinned view, re-pinning
-// and rerunning whenever fn fails with a *member.ViewChangedError —
-// the membership changed under it. fn must be restartable: a retried
-// attempt reruns from the top on the new view, and peers that completed
-// the previous attempt on the old view will see the rerun too (root
-// payloads should carry enough identity for receivers to deduplicate).
-// attempts <= 0 retries without bound; otherwise the last view-change
-// error is returned once attempts are exhausted. Any other error — and
-// a Pin failure, such as this rank no longer being in the view — is
-// returned immediately.
-func (s *Session) RetryOnViewChange(attempts int, fn func(vc *ViewComm) error) error {
-	var last error
-	for i := 0; attempts <= 0 || i < attempts; i++ {
-		vc, err := s.Pin()
-		if err != nil {
-			return err
-		}
-		err = fn(vc)
-		var vce *member.ViewChangedError
-		if !errors.As(err, &vce) {
-			return err
-		}
-		last = err
-	}
-	return last
-}
-
 // ViewComm is a communicator pinned to one membership epoch: its
 // collectives run over the repaired spanning tree of the view's live
 // ranks, rooted at the lowest live rank. A view change in flight aborts
@@ -420,9 +379,6 @@ type ViewComm struct {
 	epoch uint64
 	root  cube.NodeID
 }
-
-// Epoch returns the pinned epoch.
-func (v *ViewComm) Epoch() uint64 { return v.epoch }
 
 // View returns the pinned view snapshot.
 func (v *ViewComm) View() member.View { return v.view }
@@ -492,31 +448,6 @@ func (v *ViewComm) Gather(mine []byte) ([][]byte, error) {
 		return nil, err
 	}
 	p, ok := t.Parent(c.Rank())
-	out, err := c.gatherUp(p, ok, len(t.Children(c.Rank())), mine)
+	out, err := c.gatherUp(p, ok, len(t.Children(c.Rank())), t.Size(), mine)
 	return out, v.result("gather", err)
-}
-
-// AllReduce folds every live rank's contribution with op and returns
-// the result on every live rank: Comm.AllReduce's reduction up the tree
-// and broadcast back down, over the repaired tree of the view's live
-// ranks from the view root. op must be associative and commutative. The
-// result is fresh, and a warm call allocates nothing else.
-func (v *ViewComm) AllReduce(mine []byte, op func(a, b []byte) []byte) ([]byte, error) {
-	c := v.s.c
-	c.enter()
-	defer c.next()
-	t, err := v.tree("allreduce")
-	if err != nil {
-		return nil, err
-	}
-	p, ok := t.Parent(c.Rank())
-	out, err := c.allReduce(v.root, p, ok, t.Children(c.Rank()), mine, op)
-	return out, v.result("allreduce", err)
-}
-
-// Barrier blocks until every live rank of the pinned view has entered
-// it (an AllReduce of empty payloads).
-func (v *ViewComm) Barrier() error {
-	_, err := v.AllReduce(nil, func(a, _ []byte) []byte { return a })
-	return err
 }

@@ -67,7 +67,7 @@ func elasticMesh(t *testing.T, dim int) ([]*Elastic, []string) {
 
 // TestElasticStableView: on a full, unchanging view the ViewComm
 // collectives behave like the plain ones — broadcast reaches everyone,
-// gather assembles every rank's payload at the root, allreduce agrees.
+// gather assembles every rank's payload at the root.
 func TestElasticStableView(t *testing.T) {
 	const dim = 2
 	eps, _ := elasticMesh(t, dim)
@@ -104,16 +104,7 @@ func TestElasticStableView(t *testing.T) {
 						}
 					}
 				}
-				acc, err := vc.AllReduce([]byte{1}, func(a, b []byte) []byte {
-					return []byte{a[0] + b[0]}
-				})
-				if err != nil {
-					return err
-				}
-				if int(acc[0]) != vc.Size() {
-					return fmt.Errorf("rank %d: allreduce %d, want %d", vc.Rank(), acc[0], vc.Size())
-				}
-				return vc.Barrier()
+				return nil
 			})
 		}(e)
 	}
@@ -197,8 +188,9 @@ func drillFollower(s *Session, st *drillStats) error {
 
 // drillRoot drives rounds: broadcast the signed payload, gather every
 // live rank's echo, verify byte-exact delivery. A view change mid-round
-// retries the same round on the new view. It stops once stopNow reports
-// true AND two further rounds completed on the then-current view.
+// (a *member.ViewChangedError) retries the same round on a newly pinned
+// view. It stops once stopNow reports true AND two further rounds
+// completed on the then-current view.
 func drillRoot(s *Session, st *drillStats, stopNow func() bool) error {
 	graceLeft := -1
 	for round := 0; ; round++ {
@@ -207,7 +199,7 @@ func drillRoot(s *Session, st *drillStats, stopNow func() bool) error {
 		}
 		stop := graceLeft == 0
 		payload := drillPayload(round, stop)
-		err := s.RetryOnViewChange(0, func(vc *ViewComm) error {
+		err := retryOnViewChange(s, func(vc *ViewComm) error {
 			if _, err := vc.Bcast(payload); err != nil {
 				return err
 			}
@@ -284,7 +276,7 @@ func TestElasticChurn(t *testing.T) {
 	// and keep completing rounds on the 3-member view.
 	e0 := eps[0].Manager().Epoch()
 	eps[3].Crash()
-	if !eps[0].Manager().WaitEpochAbove(e0, 20*time.Second) {
+	if !epochAbove(eps[0].Manager(), e0, 20*time.Second) {
 		t.Fatal("crash never detected")
 	}
 	pre := st.completed.Load()
@@ -304,7 +296,7 @@ func TestElasticChurn(t *testing.T) {
 	// Phase 4: rank 2 drains gracefully (Drained, not Dead).
 	e2 := eps[0].Manager().Epoch()
 	go eps[2].Drain(200 * time.Millisecond)
-	if !eps[0].Manager().WaitEpochAbove(e2, 20*time.Second) {
+	if !epochAbove(eps[0].Manager(), e2, 20*time.Second) {
 		t.Fatal("drain never observed")
 	}
 	pre = st.completed.Load()
@@ -387,7 +379,7 @@ func TestElasticGrow(t *testing.T) {
 	for _, e := range eps {
 		for e.dimNow() < dim+1 {
 			if time.Now().After(deadline) {
-				t.Fatalf("rank %d never re-dimensioned (dim %d)", e.Rank(), e.dimNow())
+				t.Fatalf("rank %d never re-dimensioned (dim %d)", e.self, e.dimNow())
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -422,8 +414,8 @@ func TestElasticGrow(t *testing.T) {
 	}
 	var grown, accepted int64
 	for _, e := range eps {
-		grown += e.tr.GrowEvents()
-		accepted += e.tr.GrowAccepts()
+		grown += e.tr.Stats().GrowEvents
+		accepted += e.tr.Stats().GrowAccepts
 	}
 	if grown != int64(len(eps)) {
 		t.Fatalf("survivors recorded %d grow events, want %d (one each)", grown, len(eps))
@@ -481,13 +473,54 @@ func runLocal(t *testing.T, eps []*Elastic, program func(s *Session) error) {
 	}
 }
 
-// pinBarrier pins the current view and runs a barrier on it.
+// retryOnViewChange pins a view and runs fn on it until fn returns
+// anything but a *member.ViewChangedError.
+func retryOnViewChange(s *Session, fn func(vc *ViewComm) error) error {
+	for {
+		vc, err := s.Pin()
+		if err != nil {
+			return err
+		}
+		err = fn(vc)
+		var vce *member.ViewChangedError
+		if !errors.As(err, &vce) {
+			return err
+		}
+	}
+}
+
+// pinBarrier pins the current view and runs a barrier on it: a gather
+// to the view root and a broadcast back down.
 func pinBarrier(s *Session) (*ViewComm, error) {
 	vc, err := s.Pin()
 	if err != nil {
 		return nil, err
 	}
-	return vc, vc.Barrier()
+	_, err = sumOnView(vc, 0)
+	return vc, err
+}
+
+// sumOnView adds every live rank's b on the view root and broadcasts
+// the sum back down.
+func sumOnView(vc *ViewComm, b byte) (byte, error) {
+	got, err := vc.Gather([]byte{b})
+	if err != nil {
+		return 0, err
+	}
+	var sum []byte
+	if vc.Rank() == vc.Root() {
+		sum = []byte{0}
+		for _, g := range got {
+			if len(g) == 1 {
+				sum[0] += g[0]
+			}
+		}
+	}
+	sum, err = vc.Bcast(sum)
+	if err != nil {
+		return 0, err
+	}
+	return sum[0], nil
 }
 
 var errRank3Gone = errors.New("rank 3 gone")
@@ -496,7 +529,8 @@ var errRank3Gone = errors.New("rank 3 gone")
 // lose. On each survivor, onView reads the open epoch and then parks
 // (viewHook) until the rank has pinned the new view; only then does it
 // act. The notice names a key that Pin has already closed, so each
-// survivor must then run 50 collectives on the new view with no error.
+// survivor must then run 50 sums (a gather and a broadcast each) on the
+// new view with no error.
 func TestElasticLateViewNotice(t *testing.T) {
 	const dim, survivors, rounds = 2, 3, 50
 	eps := localElastics(dim)
@@ -515,10 +549,10 @@ func TestElasticLateViewNotice(t *testing.T) {
 		eps[r].mu.Unlock()
 	}
 	runLocal(t, eps, func(s *Session) error {
-		if _, err := pinBarrier(s); err != nil || s.Rank() == 3 {
+		if _, err := pinBarrier(s); err != nil || s.e.self == 3 {
 			return err
 		}
-		r := s.Rank()
+		r := s.e.self
 		noticed := make(chan struct{})
 		go func() {
 			s.e.mgr.OnPeerDown(r, 3, errRank3Gone)
@@ -535,16 +569,16 @@ func TestElasticLateViewNotice(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if vc.Epoch() == e0 {
+		if vc.epoch == e0 {
 			return fmt.Errorf("rank %d: pinned epoch %d again after the view change", r, e0)
 		}
 		for i := range rounds {
-			got, err := vc.AllReduce([]byte{1}, func(a, b []byte) []byte { return []byte{a[0] + b[0]} })
+			got, err := sumOnView(vc, 1)
 			if err != nil {
-				return fmt.Errorf("rank %d: collective %d on epoch %d: %w", r, i, vc.Epoch(), err)
+				return fmt.Errorf("rank %d: collective %d on epoch %d: %w", r, i, vc.epoch, err)
 			}
-			if got[0] != survivors {
-				return fmt.Errorf("rank %d: collective %d summed %d, want %d", r, i, got[0], survivors)
+			if got != survivors {
+				return fmt.Errorf("rank %d: collective %d summed %d, want %d", r, i, got, survivors)
 			}
 		}
 		return nil
@@ -563,22 +597,22 @@ func TestElasticClosedKeyDropsStragglers(t *testing.T) {
 		if _, err := pinBarrier(s); err != nil {
 			return err
 		}
-		switch s.Rank() {
+		switch s.e.self {
 		case 0:
 			s.e.mgr.OnPeerDown(0, 3, errRank3Gone)
 			vc, err := s.Pin()
 			if err != nil {
 				return err
 			}
-			pinned <- vc.Epoch()
-			fence := elasticBase(vc.Epoch()) | svc.StreamTag(0, 1)
+			pinned <- vc.epoch
+			fence := elasticBase(vc.epoch) | svc.StreamTag(0, 1)
 			if _, err := s.c.recvTag(fence); err != nil {
 				return err
 			}
 			s.c.mu.Lock()
 			defer s.c.mu.Unlock()
 			if s.c.mailbox.has(stale) || len(s.c.mailbox.other) > 0 {
-				return fmt.Errorf("a straggler of epoch %d reached epoch %d's communicator", e0, vc.Epoch())
+				return fmt.Errorf("a straggler of epoch %d reached epoch %d's communicator", e0, vc.epoch)
 			}
 		case 1:
 			ep := <-pinned
@@ -599,7 +633,7 @@ func TestElasticEarlyArrivalDelivered(t *testing.T) {
 		if _, err := pinBarrier(s); err != nil {
 			return err
 		}
-		switch s.Rank() {
+		switch s.e.self {
 		case 0:
 			ep := <-sent
 			s.e.mgr.OnPeerDown(0, 3, errRank3Gone)
@@ -607,8 +641,8 @@ func TestElasticEarlyArrivalDelivered(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if vc.Epoch() != ep {
-				return fmt.Errorf("rank 0 pinned epoch %d, rank 1 sent under %d", vc.Epoch(), ep)
+			if vc.epoch != ep {
+				return fmt.Errorf("rank 0 pinned epoch %d, rank 1 sent under %d", vc.epoch, ep)
 			}
 			env, ok, err := s.c.recvTagWait(elasticBase(ep)|svc.StreamTag(0, 1), 5*time.Second)
 			if err != nil || !ok || string(env.Parts[0].Data) != "early" {
@@ -670,10 +704,21 @@ func TestElasticCloseWaitsForDrainAnnouncement(t *testing.T) {
 	e0 := eps[0].mgr.Epoch()
 	eps[1].Drain(0)
 	<-closed
-	if !eps[0].mgr.WaitEpochAbove(e0, 5*time.Second) {
+	if !epochAbove(eps[0].mgr, e0, 5*time.Second) {
 		t.Fatal("rank 0 never saw the drain of rank 1")
 	}
 	if v := eps[0].mgr.View(); v.Stat[1] != member.Drained {
 		t.Fatalf("rank 0's view %s, want rank 1 drained", v)
 	}
+}
+
+// epochAbove polls m until its epoch exceeds e or d elapses, reporting
+// whether it did.
+func epochAbove(m *member.Manager, e uint64, d time.Duration) bool {
+	for end := time.Now().Add(d); m.Epoch() <= e; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			return false
+		}
+	}
+	return true
 }

@@ -34,6 +34,12 @@ import (
 // a call), a record made now and then when a pump reads ahead of its
 // rank, and in a -race build the encode blocks the race detector keeps
 // out of the links' pools.
+//
+// The in-process count has a ceiling of its own per collective, half an
+// allocation above what a call is measured to make on 16 ranks. Bcast
+// makes the root's one part, relays forwarding what they received, and
+// Gather one part table per rank, sized from the tree, plus the root's
+// result table; AllReduce's 16 are its results, the callers' to keep.
 func TestSocketCollectivesAllocBudget(t *testing.T) {
 	testleak.Check(t)
 	const d, N, size, warm, rounds = 4, 1 << 4, 1 << 10, 300, 300
@@ -62,20 +68,24 @@ func TestSocketCollectivesAllocBudget(t *testing.T) {
 		slack = 8
 	}
 	for _, tc := range []struct {
-		name string
-		call func(c *Comm) error
+		name    string
+		ceiling float64 // in process, per 16-rank call
+		call    func(c *Comm) error
 	}{
-		{"Barrier", (*Comm).Barrier},
-		{"AllReduce", func(c *Comm) error { _, err := c.AllReduce(word, sum); return err }},
-		{"Bcast", func(c *Comm) error { _, err := c.Bcast(0, root(c, payloads[0])); return err }},
-		{"BcastMSBT", func(c *Comm) error { _, err := c.BcastMSBT(0, root(c, payloads[0])); return err }},
-		{"Scatter", func(c *Comm) error { _, err := c.Scatter(0, payloads); return err }},
-		{"Gather", func(c *Comm) error { _, err := c.Gather(0, payloads[c.Rank()]); return err }},
-		{"AllGather", func(c *Comm) error { _, err := c.AllGather(payloads[c.Rank()]); return err }},
-		{"AllToAll", func(c *Comm) error { _, err := c.AllToAll(pairs[c.Rank()]); return err }},
+		{"Barrier", 0.5, (*Comm).Barrier},
+		{"AllReduce", 16.5, func(c *Comm) error { _, err := c.AllReduce(word, sum); return err }},
+		{"Bcast", 1.5, func(c *Comm) error { _, err := c.Bcast(0, root(c, payloads[0])); return err }},
+		{"BcastMSBT", 19.5, func(c *Comm) error { _, err := c.BcastMSBT(0, root(c, payloads[0])); return err }},
+		{"Scatter", 1.5, func(c *Comm) error { _, err := c.Scatter(0, payloads); return err }},
+		{"Gather", 17.5, func(c *Comm) error { _, err := c.Gather(0, payloads[c.Rank()]); return err }},
+		{"AllGather", 0.5, func(c *Comm) error { _, err := c.AllGather(payloads[c.Rank()]); return err }},
+		{"AllToAll", 0.5, func(c *Comm) error { _, err := c.AllToAll(pairs[c.Rank()]); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inproc := pacedMallocs(t, Run, d, warm, rounds, tc.call)
+			if inproc > tc.ceiling {
+				t.Fatalf("%s makes %.2f allocations per %d-rank call in process, ceiling %.1f", tc.name, inproc, N, tc.ceiling)
+			}
 			sockets := pacedMallocs(t, func(n int, program func(*Comm) error) error {
 				return RunTCPWith(n, TCPRunOptions{}, program)
 			}, d, warm, rounds, tc.call)

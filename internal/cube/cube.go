@@ -58,15 +58,6 @@ func (c *Cube) Neighbor(id NodeID, j int) NodeID {
 	return id ^ NodeID(1)<<uint(j)
 }
 
-// Neighbors returns all n neighbors of id, indexed by port.
-func (c *Cube) Neighbors(id NodeID) []NodeID {
-	out := make([]NodeID, c.n)
-	for j := 0; j < c.n; j++ {
-		out[j] = id ^ NodeID(1)<<uint(j)
-	}
-	return out
-}
-
 // Port returns the port of node a that leads to node b, or -1 if a and b
 // are not adjacent. The port index equals the index of the single
 // differing bit.
@@ -85,18 +76,6 @@ func (c *Cube) Distance(a, b NodeID) int { return bits.Hamming(uint64(a), uint64
 // Adjacent reports whether a and b are connected by a link.
 func (c *Cube) Adjacent(a, b NodeID) bool { return c.Distance(a, b) == 1 }
 
-// Diameter returns the cube diameter, n.
-func (c *Cube) Diameter() int { return c.n }
-
-// NodesAtDistance returns C(n, d): the number of nodes at Hamming distance
-// d from any fixed node.
-func (c *Cube) NodesAtDistance(d int) uint64 { return bits.Binomial(c.n, d) }
-
-// RelativeAddress returns i XOR s, the address of node i relative to a
-// spanning structure rooted (sourced) at node s. Translation by XOR is how
-// every tree in the paper is moved to an arbitrary source.
-func (c *Cube) RelativeAddress(i, s NodeID) NodeID { return i ^ s }
-
 // ShortestPath returns a shortest path from a to b as a node sequence
 // beginning with a and ending with b, correcting differing bits from the
 // lowest to the highest ("e-cube" / dimension-ordered routing).
@@ -114,82 +93,11 @@ func (c *Cube) ShortestPath(a, b NodeID) []NodeID {
 	return path
 }
 
-// DisjointPaths returns n paths from a to b that are pairwise node-disjoint
-// except at the endpoints (Saad & Schultz). Path j first corrects bit
-// positions starting from bit j cyclically. When bit j of a^b is set the
-// path has length Hamming(a,b); otherwise it detours through dimension j
-// first and last, for length Hamming(a,b)+2.
-func (c *Cube) DisjointPaths(a, b NodeID) [][]NodeID {
-	if a == b {
-		return nil
-	}
-	d := a ^ b
-	paths := make([][]NodeID, 0, c.n)
-	for j := 0; j < c.n; j++ {
-		var path []NodeID
-		cur := a
-		path = append(path, cur)
-		detour := d&(1<<uint(j)) == 0
-		if detour {
-			// Leave through dimension j even though it does not need
-			// correcting; re-correct it at the end.
-			cur ^= 1 << uint(j)
-			path = append(path, cur)
-		}
-		// Correct needed bits in cyclic order starting at j.
-		for t := 0; t < c.n; t++ {
-			m := (j + t) % c.n
-			if d&(1<<uint(m)) != 0 {
-				cur ^= 1 << uint(m)
-				path = append(path, cur)
-			}
-		}
-		if detour {
-			cur ^= 1 << uint(j)
-			path = append(path, cur)
-		}
-		paths = append(paths, path)
-	}
-	return paths
-}
-
-// SubcubeNodes returns the addresses of the subcube obtained by fixing the
-// bits selected by fixedMask to the corresponding bits of fixedValue and
-// letting the remaining bits range freely. The result is in increasing
-// order of the free bits' value.
-func (c *Cube) SubcubeNodes(fixedMask, fixedValue NodeID) []NodeID {
-	freeBits := make([]int, 0, c.n)
-	for j := 0; j < c.n; j++ {
-		if fixedMask&(1<<uint(j)) == 0 {
-			freeBits = append(freeBits, j)
-		}
-	}
-	k := len(freeBits)
-	out := make([]NodeID, 0, 1<<uint(k))
-	base := fixedValue & fixedMask
-	for v := 0; v < 1<<uint(k); v++ {
-		id := base
-		for t, j := range freeBits {
-			if v&(1<<uint(t)) != 0 {
-				id |= 1 << uint(j)
-			}
-		}
-		out = append(out, id)
-	}
-	return out
-}
-
 // Edge is a directed edge of the cube graph: communication from From to To
 // across one link. From and To must be adjacent.
 type Edge struct {
 	From, To NodeID
 }
-
-// Port returns the port index the edge traverses (the differing bit).
-func (e Edge) Port() int { return bits.LowestOne(uint64(e.From ^ e.To)) }
-
-// Reverse returns the oppositely-directed edge.
-func (e Edge) Reverse() Edge { return Edge{From: e.To, To: e.From} }
 
 func (e Edge) String() string { return fmt.Sprintf("%d->%d", e.From, e.To) }
 

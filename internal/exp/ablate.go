@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/bst"
@@ -28,11 +27,6 @@ type AblationResult struct {
 
 // Gain returns Alternative / Paper: how much worse the alternative is.
 func (a AblationResult) Gain() float64 { return a.Alternative / a.Paper }
-
-func (a AblationResult) String() string {
-	return fmt.Sprintf("%-34s paper=%-10.2f alt=%-10.2f gain=%.2fx (%s)",
-		a.Name, a.Paper, a.Alternative, a.Gain(), a.Unit)
-}
 
 // AblateMSBTLabels compares the paper's f-labelled MSBT schedule against a
 // naive schedule that streams the n trees with tree-major priorities

@@ -78,7 +78,4 @@ func TestAblateBalance(t *testing.T) {
 			t.Errorf("n=%d: balance gain %.2f, want ~%.1f", n, r.Gain(), want)
 		}
 	}
-	if AblateBalance(6).String() == "" {
-		t.Error("empty string")
-	}
 }

@@ -112,9 +112,6 @@ func NewPlan(n int) *Plan {
 	}
 }
 
-// Dim returns the cube dimension the plan describes.
-func (p *Plan) Dim() int { return p.dim }
-
 // KillNode marks a node failed.
 func (p *Plan) KillNode(id cube.NodeID) *Plan {
 	p.deadNode[id] = true
@@ -125,12 +122,6 @@ func (p *Plan) KillNode(id cube.NodeID) *Plan {
 func (p *Plan) KillLink(a, b cube.NodeID) *Plan {
 	p.deadLink[cube.Edge{From: a, To: b}] = true
 	p.deadLink[cube.Edge{From: b, To: a}] = true
-	return p
-}
-
-// KillDirectedLink severs only the a->b direction.
-func (p *Plan) KillDirectedLink(a, b cube.NodeID) *Plan {
-	p.deadLink[cube.Edge{From: a, To: b}] = true
 	return p
 }
 
@@ -437,19 +428,6 @@ func (l Liveness) LiveCount() int {
 	return total
 }
 
-// Equal reports whether two masks agree.
-func (l Liveness) Equal(other Liveness) bool {
-	if l.n != other.n {
-		return false
-	}
-	for w := range l.bits {
-		if l.bits[w] != other.bits[w] {
-			return false
-		}
-	}
-	return true
-}
-
 // Bytes serializes the mask (little-endian words) for heartbeat payloads.
 func (l Liveness) Bytes() []byte {
 	out := make([]byte, 8*len(l.bits))
@@ -475,9 +453,4 @@ func LivenessFromBytes(n int, data []byte) (Liveness, error) {
 		l.bits[w] = v
 	}
 	return l, nil
-}
-
-func (l Liveness) String() string {
-	dead := (1 << uint(l.n)) - l.LiveCount()
-	return fmt.Sprintf("fault.Liveness{n=%d live=%d dead=%d}", l.n, l.LiveCount(), dead)
 }

@@ -36,9 +36,6 @@ func NewReactive(n int, base func(root cube.NodeID) ParentFunc) *Reactive {
 	return &Reactive{n: n, base: base}
 }
 
-// Dim returns the cube dimension the Reactive repairs trees for.
-func (r *Reactive) Dim() int { return r.n }
-
 // Rebind installs the liveness of a new membership epoch and invalidates
 // every memoized tree. Rebinding to an older epoch than the current one
 // is ignored — view floods can deliver epochs out of order, and trees

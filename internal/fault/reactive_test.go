@@ -35,7 +35,7 @@ func TestReactiveDerivesAndMemoizes(t *testing.T) {
 		t.Fatalf("tree size %d, want %d", t1.Size(), (1<<n)-1)
 	}
 	// Every live node hangs off a live parent over a real cube edge.
-	for _, id := range t1.Nodes() {
+	for _, id := range t1.order {
 		if p, ok := t1.Parent(id); ok {
 			if !live.Alive(p) {
 				t.Fatalf("node %d grafted to dead parent %d", id, p)
@@ -137,7 +137,7 @@ func TestReactiveMSBTBase(t *testing.T) {
 	if tr.Size() != (1<<n)-2 {
 		t.Fatalf("tree size %d, want %d", tr.Size(), (1<<n)-2)
 	}
-	for _, id := range tr.Nodes() {
+	for _, id := range tr.order {
 		if p, ok := tr.Parent(id); ok {
 			if x := uint(id ^ p); x&(x-1) != 0 || !live.Alive(p) {
 				t.Fatalf("bad repaired edge %d-%d", id, p)

@@ -152,9 +152,6 @@ func (t *Tree) Parent(id cube.NodeID) (cube.NodeID, bool) {
 // Children returns the tree children of id (nil for non-members/leaves).
 func (t *Tree) Children(id cube.NodeID) []cube.NodeID { return t.children[id] }
 
-// Nodes returns the members in top-down (BFS) order, root first.
-func (t *Tree) Nodes() []cube.NodeID { return t.order }
-
 // Size returns the number of member nodes.
 func (t *Tree) Size() int { return len(t.order) }
 
@@ -166,11 +163,4 @@ func (t *Tree) Subtree(v cube.NodeID) []cube.NodeID {
 		out = append(out, t.Subtree(ch)...)
 	}
 	return out
-}
-
-// Tree materializes the regrafted structure as a validated tree.Tree over
-// its member subset, ready for the schedule generators in internal/sched.
-func (t *Tree) Tree() (*tree.Tree, error) {
-	c := cube.New(t.Dim)
-	return tree.FromParentFuncSubset(c, t.Root, t.Parent, t.order)
 }

@@ -48,7 +48,7 @@ func checkTree(t *testing.T, ft *Tree, n int, root cube.NodeID, live Liveness, l
 			t.Fatalf("reachable node %d missing from tree", id)
 		}
 	}
-	for _, id := range ft.Nodes() {
+	for _, id := range ft.order {
 		if id == root {
 			continue
 		}
@@ -77,14 +77,6 @@ func checkTree(t *testing.T, ft *Tree, n int, root cube.NodeID, live Liveness, l
 				t.Fatalf("cycle on walk from %d", id)
 			}
 		}
-	}
-	// Validated materialization must agree.
-	tt, err := ft.Tree()
-	if err != nil {
-		t.Fatalf("materialize: %v", err)
-	}
-	if tt.Size() != ft.Size() {
-		t.Fatalf("materialized size %d != %d", tt.Size(), ft.Size())
 	}
 }
 

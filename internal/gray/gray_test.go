@@ -59,7 +59,7 @@ func TestTreeIsPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tr.Spanning() {
+		if tr.Size() != tr.Cube().Nodes() {
 			t.Fatalf("n=%d: not spanning", n)
 		}
 		N := 1 << uint(n)

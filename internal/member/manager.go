@@ -69,9 +69,6 @@ func New(cfg Config) *Manager {
 	return m
 }
 
-// Self returns this node's rank.
-func (m *Manager) Self() cube.NodeID { return m.cfg.Self }
-
 // View returns a copy of the current view.
 func (m *Manager) View() View {
 	m.mu.Lock()
@@ -282,27 +279,6 @@ func (m *Manager) Drain() {
 	// Flood the updated view too: KindDrain handles the common case, the
 	// view flood covers peers whose drain frame was lost.
 	m.publish(v)
-}
-
-// WaitEpochAbove blocks until the epoch exceeds e or the timeout
-// elapses, reporting whether it did.
-func (m *Manager) WaitEpochAbove(e uint64, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	})
-	defer timer.Stop()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.view.Epoch() <= e {
-		if time.Now().After(deadline) {
-			return false
-		}
-		m.cond.Wait()
-	}
-	return true
 }
 
 // WaitAlive blocks until this rank is Alive in the view — a joiner's

@@ -110,28 +110,6 @@ func (v View) Live() fault.Liveness {
 	return l
 }
 
-// Members returns the live ranks in ascending order.
-func (v View) Members() []cube.NodeID {
-	var m []cube.NodeID
-	for i := range v.Stat {
-		if v.Stat[i] == Alive {
-			m = append(m, cube.NodeID(i))
-		}
-	}
-	return m
-}
-
-// LiveCount returns the number of live ranks.
-func (v View) LiveCount() int {
-	n := 0
-	for i := range v.Stat {
-		if v.Stat[i] == Alive {
-			n++
-		}
-	}
-	return n
-}
-
 // LowestLive returns the lowest live rank — the deterministic root
 // choice every member derives independently from an agreed view.
 func (v View) LowestLive() (cube.NodeID, bool) {
@@ -149,19 +127,6 @@ func (v View) Clone() View {
 	copy(c.Ver, v.Ver)
 	copy(c.Stat, v.Stat)
 	return c
-}
-
-// Equal reports structural equality.
-func (v View) Equal(o View) bool {
-	if v.Dim != o.Dim {
-		return false
-	}
-	for i := range v.Ver {
-		if v.Ver[i] != o.Ver[i] || v.Stat[i] != o.Stat[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Grow extends the view by one dimension in place: the new upper-half

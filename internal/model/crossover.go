@@ -49,9 +49,3 @@ func HPSBTCrossoverM(n int, tau, tc float64) float64 {
 	}
 	return hi
 }
-
-// hpBeatsTCBT reports whether the HP broadcast beats the one-port TCBT
-// broadcast at optimal packet sizes (full duplex).
-func hpBeatsTCBT(p Params) bool {
-	return BroadcastTmin(HP, OneSendAndRecv, p) < BroadcastTmin(TCBT, OneSendAndRecv, p)
-}

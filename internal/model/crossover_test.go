@@ -67,3 +67,9 @@ func TestCrossoverAgreesWithSimulatedShape(t *testing.T) {
 		t.Errorf("at crossover M=%.0f: HP %.1f vs SBT %.1f (rel %.3f)", m, hp, sbt, rel)
 	}
 }
+
+// hpBeatsTCBT reports whether the HP broadcast beats the one-port TCBT
+// broadcast at optimal packet sizes (full duplex).
+func hpBeatsTCBT(p Params) bool {
+	return BroadcastTmin(HP, OneSendAndRecv, p) < BroadcastTmin(TCBT, OneSendAndRecv, p)
+}

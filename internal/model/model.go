@@ -462,10 +462,3 @@ func binom(n, k int) float64 {
 	}
 	return out
 }
-
-// speedupMSBToverSBT returns the predicted broadcast speedup of MSBT over
-// SBT for the given parameters and port model — the quantity Figure 7
-// plots (measured ~ log N on the iPSC).
-func speedupMSBToverSBT(pm PortModel, p Params) float64 {
-	return BroadcastTime(SBT, pm, p) / BroadcastTime(MSBT, pm, p)
-}

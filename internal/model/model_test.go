@@ -274,3 +274,10 @@ func TestStringers(t *testing.T) {
 		t.Error("unknown enums must still print")
 	}
 }
+
+// speedupMSBToverSBT returns the predicted broadcast speedup of MSBT over
+// SBT for the given parameters and port model — the quantity Figure 7
+// plots (measured ~ log N on the iPSC).
+func speedupMSBToverSBT(pm PortModel, p Params) float64 {
+	return BroadcastTime(SBT, pm, p) / BroadcastTime(MSBT, pm, p)
+}

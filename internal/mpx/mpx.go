@@ -433,9 +433,6 @@ type Node struct {
 	m  *Machine
 }
 
-// Dim returns the cube dimension.
-func (nd *Node) Dim() int { return nd.m.c.Dim() }
-
 // PeerError reports the first connection-level failure on one of this
 // node's links (nil on in-process transports). Collectives consult it to
 // tell a crashed neighbor from a slow one.
@@ -465,26 +462,6 @@ func (nd *Node) sent(err error) {
 			panic(abortErr{})
 		}
 		panic(transportAbort{err})
-	}
-}
-
-// Fanout transmits one message through each of the given ports, reusing
-// the same encoded message for every copy: all receivers share the Parts
-// slice and payload arrays. Receivers of a fanned-out message must treat
-// the envelope as read-only.
-func (nd *Node) Fanout(ports []int, msg Message) {
-	for _, p := range ports {
-		nd.Send(p, msg)
-	}
-}
-
-// FanoutTo is Fanout addressed by neighbor id instead of port — the
-// natural form for tree collectives fanning one message out to a child
-// list. The same sharing contract applies: receivers must treat the
-// envelope as read-only and must not recycle its Parts.
-func (nd *Node) FanoutTo(tos []cube.NodeID, msg Message) {
-	for _, to := range tos {
-		nd.SendTo(to, msg)
 	}
 }
 

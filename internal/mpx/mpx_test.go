@@ -125,8 +125,8 @@ func TestAllNodesRun(t *testing.T) {
 	var count int64
 	err := m.Run(func(nd *Node) error {
 		atomic.AddInt64(&count, 1)
-		if nd.Dim() != 6 {
-			t.Errorf("Dim() = %d", nd.Dim())
+		if nd.m.c.Dim() != 6 {
+			t.Errorf("Dim() = %d", nd.m.c.Dim())
 		}
 		return nil
 	})

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bits"
 	"repro/internal/cube"
 	"repro/internal/tree"
 )
@@ -34,7 +33,7 @@ func TestERSBTsSpanAndValidate(t *testing.T) {
 				t.Fatalf("want %d trees", n)
 			}
 			for j, tr := range trees {
-				if !tr.Spanning() {
+				if tr.Size() != tr.Cube().Nodes() {
 					t.Fatalf("n=%d s=%d tree %d not spanning", n, s, j)
 				}
 				if tr.Root() != s {
@@ -248,17 +247,21 @@ func TestRotationStructure(t *testing.T) {
 	// Tree j with source 0 is tree 0 with all addresses rotated left by j:
 	// parent_j(i) == RotL^j(parent_0(RotR^j(i))).
 	const n = 6
+	rotR := func(x cube.NodeID, k int) cube.NodeID { // R^k on n bits
+		k %= n
+		return (x>>k | x<<(n-k)) & (1<<n - 1)
+	}
 	for j := 0; j < n; j++ {
 		for i := 1; i < 1<<n; i++ {
 			id := cube.NodeID(i)
-			rot := cube.NodeID(bits.RotRK(uint64(id), n, j))
+			rot := rotR(id, j)
 			p0, ok0 := Parent(n, 0, rot, 0)
 			pj, okj := Parent(n, j, id, 0)
 			if ok0 != okj {
 				t.Fatalf("ok mismatch i=%d j=%d", i, j)
 			}
 			if ok0 {
-				want := cube.NodeID(bits.RotRK(uint64(p0), n, n-j))
+				want := rotR(p0, n-j)
 				if pj != want {
 					t.Fatalf("rotation structure broken: i=%06b j=%d got %06b want %06b", i, j, pj, want)
 				}

@@ -16,7 +16,7 @@ func TestSpanningAllSources(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d s=%d: %v", n, s, err)
 			}
-			if !tr.Spanning() {
+			if tr.Size() != tr.Cube().Nodes() {
 				t.Fatalf("n=%d s=%d: not spanning", n, s)
 			}
 			if tr.Height() != n {
@@ -92,14 +92,19 @@ func TestAppendChildrenZeroAllocs(t *testing.T) {
 }
 
 func TestBinomialLevelCounts(t *testing.T) {
-	// Level i of an n-level binomial tree has C(n, i) nodes.
+	// Level i of an n-level binomial tree has C(n, i) nodes: the n-bit
+	// addresses with i ones.
 	for n := 1; n <= 9; n++ {
 		tr, err := New(n, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := make([]int, n+1)
+		for x := uint64(0); x < 1<<n; x++ {
+			want[bits.OnesCount(x)]++
+		}
 		for i, c := range tr.LevelCounts() {
-			if uint64(c) != bits.Binomial(n, i) {
+			if c != want[i] {
 				t.Errorf("n=%d level %d: %d nodes, want C(%d,%d)", n, i, c, n, i)
 			}
 		}

@@ -57,15 +57,18 @@ func TestTopologiesMaterialize(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d %v: %v", n, a, err)
 			}
-			if !tr.Spanning() || tr.Root() != s {
+			if tr.Size() != 1<<uint(n) || tr.Root() != s {
 				t.Fatalf("n=%d %v: not a spanning tree rooted at %d", n, a, s)
 			}
+			if _, ok := parent(s); ok {
+				t.Fatalf("n=%d %v: the local function gives the root %d a parent", n, a, s)
+			}
 			for i := cube.NodeID(0); i < cube.NodeID(1)<<uint(n); i++ {
-				gp, gok := tr.Parent(i)
-				wp, wok := parent(i)
-				if gp != wp || gok != wok {
-					t.Fatalf("n=%d %v: parent of %d is (%d,%v), the local function says (%d,%v)",
-						n, a, i, gp, gok, wp, wok)
+				for _, ch := range tr.Children(i) {
+					if wp, wok := parent(ch); wp != i || !wok {
+						t.Fatalf("n=%d %v: parent of %d is %d, the local function says (%d,%v)",
+							n, a, ch, i, wp, wok)
+					}
 				}
 			}
 		}

@@ -34,14 +34,12 @@ package sched
 // relabeling, so the plan is computed once per dimension and cached
 // process-wide.
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 	"sync"
 
 	"repro/internal/bst"
 	"repro/internal/cube"
-	"repro/internal/sim"
 )
 
 // MultiEdge is one canonical-tree edge with its assigned slot. Source
@@ -151,137 +149,4 @@ func buildMultiSourcePlan(n int) *MultiPlan {
 	}
 	p.Edges = sorted
 	return p
-}
-
-// Verify checks the structural conflict-freedom invariants: at most one
-// canonical edge per dimension per slot (the exact condition for all N
-// translated sources to run link-disjoint), every edge strictly after
-// its parent, and slot-major order.
-func (p *MultiPlan) Verify() error {
-	if want := (1 << uint(p.Dim)) - 1; len(p.Edges) != want {
-		return fmt.Errorf("sched: plan for dim %d has %d edges, want %d", p.Dim, len(p.Edges), want)
-	}
-	seen := make(map[int64]int, len(p.Edges))
-	prev := int32(0)
-	for i, e := range p.Edges {
-		if e.Slot < prev {
-			return fmt.Errorf("sched: edge %d out of slot order (%d after %d)", i, e.Slot, prev)
-		}
-		prev = e.Slot
-		d := bits.TrailingZeros(uint(e.From ^ e.To))
-		key := int64(e.Slot)<<8 | int64(d)
-		if j, dup := seen[key]; dup {
-			return fmt.Errorf("sched: edges %d and %d both flip dim %d in slot %d (sources %d apart collide)",
-				j, i, d, e.Slot, p.Edges[j].From^e.From)
-		}
-		seen[key] = i
-		if e.Parent < 0 {
-			if e.From != 0 {
-				return fmt.Errorf("sched: edge %d from %d has no parent dependency", i, e.From)
-			}
-			continue
-		}
-		pe := p.Edges[e.Parent]
-		if pe.To != e.From {
-			return fmt.Errorf("sched: edge %d parent delivers %d, not %d", i, pe.To, e.From)
-		}
-		if pe.Slot >= e.Slot {
-			return fmt.Errorf("sched: edge %d in slot %d not after its parent's slot %d", i, e.Slot, pe.Slot)
-		}
-	}
-	return nil
-}
-
-// LowerBound is the conflict-free step-count floor: no schedule can
-// beat the tree height (store-and-forward) or the heaviest dimension's
-// edge count (each slot fits one edge per dimension).
-func (p *MultiPlan) LowerBound() int {
-	perDim := make([]int, p.Dim)
-	height := int32(0)
-	depth := make([]int32, 1<<uint(p.Dim))
-	for _, e := range p.Edges {
-		perDim[bits.TrailingZeros(uint(e.From^e.To))]++
-		depth[e.To] = depth[e.From] + 1
-		if depth[e.To] > height {
-			height = depth[e.To]
-		}
-	}
-	lb := int(height)
-	for _, c := range perDim {
-		if c > lb {
-			lb = c
-		}
-	}
-	return lb
-}
-
-// expand emits the full N-source transmission set for the simulator:
-// every source s runs the plan's edges XOR-relabeled by s, with prio
-// taken per edge (the scheduled slot, or the tree level for the naive
-// free-for-all baseline) and the store-and-forward dependency pointing
-// at the same source's parent edge.
-func (p *MultiPlan) expand(elems func(e MultiEdge) float64, prio func(e MultiEdge) int64) []sim.Xmit {
-	N := 1 << uint(p.Dim)
-	E := len(p.Edges)
-	xs := make([]sim.Xmit, 0, N*E)
-	arena := newDepsArena(N * E)
-	for s := 0; s < N; s++ {
-		base := s * E
-		for _, e := range p.Edges {
-			var deps []int
-			if e.Parent >= 0 {
-				deps = arena.put1(base + int(e.Parent))
-			}
-			xs = append(xs, sim.Xmit{
-				From: e.From ^ cube.NodeID(s), To: e.To ^ cube.NodeID(s),
-				Elems: elems(e), Prio: prio(e), Deps: deps,
-			})
-		}
-	}
-	return xs
-}
-
-func slotPrio(e MultiEdge) int64 { return int64(e.Slot) }
-
-// BroadcastXmits is the scheduled N-source all-gather (every source
-// broadcasts `elems` down its translated tree) as a simulator schedule:
-// priorities are the conflict-free slots. Under unit transfer cost
-// (Tau=1, Tc=0) every transmission starts exactly at its slot — the sim
-// replay in the tests asserts this, which is the per-link busy model's
-// formulation of "no step puts two transfers on one directed link".
-func (p *MultiPlan) BroadcastXmits(elems float64) []sim.Xmit {
-	return p.expand(func(MultiEdge) float64 { return elems }, slotPrio)
-}
-
-// PersonalizedXmits is the scheduled N-source all-to-all: each edge
-// carries the personalized bundles for its subtree, m elements per
-// destination.
-func (p *MultiPlan) PersonalizedXmits(m float64) []sim.Xmit {
-	return p.expand(func(e MultiEdge) float64 { return m * float64(e.Sub) }, slotPrio)
-}
-
-// NaiveBroadcastXmits and NaivePersonalizedXmits are the unscheduled
-// baselines: same trees, same dependencies, but priorities follow tree
-// level (send as soon as data arrives), so the N sources' same-dimension
-// edges pile onto the same links and the greedy executor must serialize
-// them — the contention the plan removes.
-func (p *MultiPlan) NaiveBroadcastXmits(elems float64) []sim.Xmit {
-	lv := p.levels()
-	return p.expand(func(MultiEdge) float64 { return elems },
-		func(e MultiEdge) int64 { return int64(lv[e.To]) })
-}
-
-func (p *MultiPlan) NaivePersonalizedXmits(m float64) []sim.Xmit {
-	lv := p.levels()
-	return p.expand(func(e MultiEdge) float64 { return m * float64(e.Sub) },
-		func(e MultiEdge) int64 { return int64(lv[e.To]) })
-}
-
-// levels returns each canonical node's tree depth (root = 0).
-func (p *MultiPlan) levels() []int32 {
-	lv := make([]int32, 1<<uint(p.Dim))
-	for _, e := range p.Edges {
-		lv[e.To] = lv[e.From] + 1
-	}
-	return lv
 }

@@ -377,67 +377,3 @@ func groupDests(dests []cube.NodeID, m, b float64) [][]cube.NodeID {
 	}
 	return out
 }
-
-// gatherTree builds the reverse of scatterTree: every node owns M elements
-// destined for the root; data flows up the tree, merged per packet
-// capacity. It is the paper's "collection of data to a single node"
-// (reduction without combining).
-func gatherTree(t *tree.Tree, m, b float64) ([]sim.Xmit, error) {
-	if m <= 0 || b <= 0 {
-		return nil, fmt.Errorf("sched: nonpositive M or B")
-	}
-	// Post-order: children's uploads complete before the parent uploads
-	// their data onward. upIdx[v] = indices of transmissions arriving at v
-	// from its subtree.
-	count := 0
-	for _, v := range t.ReversedBreadthFirst() {
-		if v != t.Root() {
-			total := m * float64(t.SubtreeSize(v))
-			count += int((total + b - 1) / b)
-		}
-	}
-	xs := make([]sim.Xmit, 0, count)
-	upIdx := make([][]int, t.Cube().Nodes())
-	prio := int64(0)
-	post := t.ReversedBreadthFirst() // deepest first: children before parents
-	for _, v := range post {
-		if v == t.Root() {
-			continue
-		}
-		p, _ := t.Parent(v)
-		total := m * float64(t.SubtreeSize(v))
-		deps := upIdx[v]
-		for total > 0 {
-			e := total
-			if e > b {
-				e = b
-			}
-			xs = append(xs, sim.Xmit{From: v, To: p, Elems: e, Prio: prio, Deps: deps})
-			upIdx[p] = append(upIdx[p], len(xs)-1)
-			prio++
-			total -= e
-		}
-	}
-	return xs, nil
-}
-
-// reduceTree builds a reduction (reverse broadcast): each node sends one
-// B-element partial result to its parent after receiving all children's
-// partials — the reverse operation of §1 (inner products, parallel
-// prefix). `elems` is the size of a partial result (it does not grow
-// upward: partials combine).
-func reduceTree(t *tree.Tree, elems float64) []sim.Xmit {
-	xs := make([]sim.Xmit, 0, t.Size()-1)
-	upIdx := make([][]int, t.Cube().Nodes())
-	prio := int64(0)
-	for _, v := range t.ReversedBreadthFirst() {
-		if v == t.Root() {
-			continue
-		}
-		p, _ := t.Parent(v)
-		xs = append(xs, sim.Xmit{From: v, To: p, Elems: elems, Prio: prio, Deps: upIdx[v]})
-		prio++
-		upIdx[p] = append(upIdx[p], len(xs)-1)
-	}
-	return xs
-}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -427,5 +428,100 @@ func tcbtTree(t *testing.T, n int) *tree.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e.MustTree()
+	tr, err := e.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// gatherTree and reduceTree are the reverse collectives of §1 as
+// simulator schedules; no experiment runs them, so they live with the
+// tests that check them against the scatter and broadcast they mirror.
+
+// gatherTree builds the reverse of scatterTree: every node owns M elements
+// destined for the root; data flows up the tree, merged per packet
+// capacity. It is the paper's "collection of data to a single node"
+// (reduction without combining).
+func gatherTree(t *tree.Tree, m, b float64) ([]sim.Xmit, error) {
+	if m <= 0 || b <= 0 {
+		return nil, fmt.Errorf("sched: nonpositive M or B")
+	}
+	// Post-order: children's uploads complete before the parent uploads
+	// their data onward. upIdx[v] = indices of transmissions arriving at v
+	// from its subtree.
+	post, parent := upward(t) // deepest first: children before parents
+	count := 0
+	for _, v := range post {
+		if v != t.Root() {
+			total := m * float64(t.SubtreeSize(v))
+			count += int((total + b - 1) / b)
+		}
+	}
+	xs := make([]sim.Xmit, 0, count)
+	upIdx := make([][]int, t.Cube().Nodes())
+	prio := int64(0)
+	for _, v := range post {
+		if v == t.Root() {
+			continue
+		}
+		p := parent[v]
+		total := m * float64(t.SubtreeSize(v))
+		deps := upIdx[v]
+		for total > 0 {
+			e := total
+			if e > b {
+				e = b
+			}
+			xs = append(xs, sim.Xmit{From: v, To: p, Elems: e, Prio: prio, Deps: deps})
+			upIdx[p] = append(upIdx[p], len(xs)-1)
+			prio++
+			total -= e
+		}
+	}
+	return xs, nil
+}
+
+// reduceTree builds a reduction (reverse broadcast): each node sends one
+// B-element partial result to its parent after receiving all children's
+// partials — the reverse operation of §1 (inner products, parallel
+// prefix). `elems` is the size of a partial result (it does not grow
+// upward: partials combine).
+func reduceTree(t *tree.Tree, elems float64) []sim.Xmit {
+	xs := make([]sim.Xmit, 0, t.Size()-1)
+	post, parent := upward(t)
+	upIdx := make([][]int, t.Cube().Nodes())
+	prio := int64(0)
+	for _, v := range post {
+		if v == t.Root() {
+			continue
+		}
+		p := parent[v]
+		xs = append(xs, sim.Xmit{From: v, To: p, Elems: elems, Prio: prio, Deps: upIdx[v]})
+		prio++
+		upIdx[p] = append(upIdx[p], len(xs)-1)
+	}
+	return xs
+}
+
+// upward returns t's members deepest level first, root last (the
+// reversed breadth-first order of paper §5.2), and each member's parent.
+func upward(t *tree.Tree) (order, parent []cube.NodeID) {
+	bfs := t.BreadthFirst()
+	parent = make([]cube.NodeID, t.Cube().Nodes())
+	for _, v := range bfs {
+		for _, ch := range t.Children(v) {
+			parent[ch] = v
+		}
+	}
+	order = make([]cube.NodeID, 0, len(bfs))
+	for end := len(bfs); end > 0; {
+		start := end - 1
+		for start > 0 && t.Level(bfs[start-1]) == t.Level(bfs[end-1]) {
+			start--
+		}
+		order = append(order, bfs[start:end]...)
+		end = start
+	}
+	return order, parent
 }

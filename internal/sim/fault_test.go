@@ -27,8 +27,8 @@ func TestDeadLinkLosesTransmission(t *testing.T) {
 	if !math.IsNaN(res.Finish[0]) {
 		t.Errorf("lost transmission has finish time %v", res.Finish[0])
 	}
-	if res.Delivered != 1 || res.DeliveredFraction() != 0.5 {
-		t.Errorf("Delivered = %d (%.2f), want 1 (0.50)", res.Delivered, res.DeliveredFraction())
+	if res.Delivered != 1 {
+		t.Errorf("Delivered = %d, want 1 of 2", res.Delivered)
 	}
 	if want := 1 + 4*0.1; res.Makespan != want {
 		t.Errorf("Makespan = %v, want %v (the surviving transmission only)", res.Makespan, want)
@@ -75,7 +75,7 @@ func TestNilAndEmptyPlansMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if faulty.Delivered != 2 || faulty.DeliveredFraction() != 1 {
+	if faulty.Delivered != 2 {
 		t.Errorf("empty plan lost transmissions: %+v", faulty)
 	}
 	if plain.Delivered != 2 {

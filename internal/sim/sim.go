@@ -101,15 +101,6 @@ type Result struct {
 	Delivered int
 }
 
-// DeliveredFraction is the fraction of transmissions that completed — 1
-// on a fault-free run, lower when a fault plan severed some.
-func (r *Result) DeliveredFraction() float64 {
-	if len(r.Finish) == 0 {
-		return 1
-	}
-	return float64(r.Delivered) / float64(len(r.Finish))
-}
-
 // MaxLinkBusy returns the busiest link's total busy time and the edge.
 func (r *Result) MaxLinkBusy() (cube.Edge, float64) {
 	var best cube.Edge

@@ -7,10 +7,10 @@ import (
 )
 
 // Mailbox is an unbounded envelope queue turning a job's attached
-// stream into a blocking receive, for job programs that read raw
-// envelopes: jc.Attach(mb.Put, mb.Close), then mb.Recv. Put never
-// blocks, so a slow job cannot hold up the delivering goroutine or the
-// other jobs sharing the node's inbox.
+// stream into a blocking receive. Put never blocks, so a slow reader
+// cannot hold up the delivering goroutine or the other jobs sharing the
+// node's inbox. bench/'s svc.mailbox_ns probe times it; svc's tests read
+// a job's raw envelopes through one, closed by the job's closed callback.
 type Mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -25,8 +25,8 @@ func NewMailbox() *Mailbox {
 	return mb
 }
 
-// Put appends env. Envelopes arriving after Close are dropped — they
-// are stragglers of a job that already finished or aborted here.
+// Put appends env. Envelopes arriving once it is closed are dropped:
+// they are stragglers of a job that already finished or aborted here.
 func (mb *Mailbox) Put(env mpx.Envelope) {
 	mb.mu.Lock()
 	if !mb.closed {
@@ -52,14 +52,4 @@ func (mb *Mailbox) Recv() (mpx.Envelope, bool) {
 		}
 		mb.cond.Wait()
 	}
-}
-
-// Close ends the stream: queued envelopes remain receivable, further
-// Puts are dropped, and Recv returns ok == false once drained.
-// Idempotent.
-func (mb *Mailbox) Close() {
-	mb.mu.Lock()
-	mb.closed = true
-	mb.cond.Broadcast()
-	mb.mu.Unlock()
 }

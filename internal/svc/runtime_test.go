@@ -25,6 +25,15 @@ func recvOne(jc *JobContext) (mpx.Envelope, bool) {
 	return mb.Recv()
 }
 
+// Close ends a mailbox's stream: queued envelopes remain receivable,
+// further Puts are dropped, and Recv returns ok == false once drained.
+func (mb *Mailbox) Close() {
+	mb.mu.Lock()
+	mb.closed = true
+	mb.cond.Broadcast()
+	mb.mu.Unlock()
+}
+
 func TestMailbox(t *testing.T) {
 	mb := NewMailbox()
 	mb.Put(mpx.Envelope{Message: mpx.Message{Tag: 1}})

@@ -93,15 +93,6 @@ func (e *Embedding) Tree() (*tree.Tree, error) {
 	})
 }
 
-// MustTree is Tree, panicking on error.
-func (e *Embedding) MustTree() *tree.Tree {
-	t, err := e.Tree()
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // build constructs a TCBT over the given dimension set with the root edge
 // along rootDim, the R1-C1 edge along c1Dim, and the R2-C2 edge along
 // c2Dim. R1 is placed at node 0. Node addresses use the global bit

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cube"
+	"repro/internal/tree"
 )
 
 func mustNew(t *testing.T, n int, s cube.NodeID) *Embedding {
@@ -14,6 +15,15 @@ func mustNew(t *testing.T, n int, s cube.NodeID) *Embedding {
 		t.Fatal(err)
 	}
 	return e
+}
+
+func mustTree(t *testing.T, e *Embedding) *tree.Tree {
+	t.Helper()
+	tr, err := e.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func TestSpanningAllDims(t *testing.T) {
@@ -26,7 +36,7 @@ func TestSpanningAllDims(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !tr.Spanning() {
+		if tr.Size() != tr.Cube().Nodes() {
 			t.Fatalf("n=%d: not spanning", n)
 		}
 		if tr.Root() != e.R1 {
@@ -40,7 +50,7 @@ func TestShape(t *testing.T) {
 	// C2; C1 and C2 root complete binary trees of 2^(n-1)-1 nodes each.
 	for n := 2; n <= 10; n++ {
 		e := mustNew(t, n, 0)
-		tr := e.MustTree()
+		tr := mustTree(t, e)
 		if !tr.Cube().Adjacent(e.R1, e.R2) {
 			t.Fatalf("n=%d: roots not adjacent", n)
 		}
@@ -87,7 +97,7 @@ func TestHeight(t *testing.T) {
 	// Height from R1: the deepest leaf is in C2's CBT at depth
 	// 2 (R1->R2->C2) + (n-2) = n.
 	for n := 2; n <= 10; n++ {
-		tr := mustNew(t, n, 0).MustTree()
+		tr := mustTree(t, mustNew(t, n, 0))
 		if tr.Height() != n {
 			t.Errorf("n=%d: height %d", n, tr.Height())
 		}
@@ -104,8 +114,8 @@ func TestArbitrarySource(t *testing.T) {
 			if e.R1 != s {
 				t.Fatalf("n=%d: R1 = %d, want %d", n, e.R1, s)
 			}
-			tr := e.MustTree()
-			if !tr.Spanning() || tr.Root() != s {
+			tr := mustTree(t, e)
+			if tr.Size() != tr.Cube().Nodes() || tr.Root() != s {
 				t.Fatalf("n=%d s=%d: bad tree", n, s)
 			}
 		}
@@ -114,7 +124,7 @@ func TestArbitrarySource(t *testing.T) {
 
 func TestDimension1(t *testing.T) {
 	e := mustNew(t, 1, 1)
-	tr := e.MustTree()
+	tr := mustTree(t, e)
 	if tr.Size() != 2 || tr.Height() != 1 {
 		t.Errorf("n=1 tree wrong: size %d height %d", tr.Size(), tr.Height())
 	}

@@ -53,7 +53,6 @@ type Chaos struct {
 	stopOnce sync.Once
 	done     chan struct{}
 	events   atomic.Int64
-	severed  atomic.Int64
 }
 
 // StartChaos launches a chaos agent against this transport's remote
@@ -90,13 +89,6 @@ func (c *Chaos) Stop() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.done
 }
-
-// Events reports how many faults the agent injected.
-func (c *Chaos) Events() int64 { return c.events.Load() }
-
-// Severed reports how many live sockets the agent actually closed
-// (kills, plus each closure within a flap).
-func (c *Chaos) Severed() int64 { return c.severed.Load() }
 
 func (c *Chaos) run(opts ChaosOptions, links []*link) {
 	defer close(c.done)
@@ -181,7 +173,6 @@ func (c *Chaos) sever(l *link) bool {
 		return false
 	}
 	conn.Close()
-	c.severed.Add(1)
 	l.t.severed.Add(1)
 	return true
 }

@@ -146,7 +146,8 @@ func TestLandingDeliverOnceOnResilientLink(t *testing.T) {
 	awaitNack := func(watermark uint64) {
 		t.Helper()
 		for {
-			fr, err := from.ReadAny()
+			var fr wire.Frame
+			err := from.ReadAnyInto(&fr)
 			if err != nil {
 				t.Fatalf("waiting for NACK %d: %v", watermark, err)
 			}

@@ -31,22 +31,6 @@ type MemberHooks struct {
 // memberMode reports whether the transport runs an elastic mesh.
 func (t *TCP) memberMode() bool { return t.opt.Member != nil }
 
-// MemberDrops reports how many sends were silently dropped because the
-// destination link was absent, failed or retired (member mode only).
-func (t *TCP) MemberDrops() int64 { return t.memberDrops.Load() }
-
-// GrowEvents reports how many times this endpoint widened its mesh
-// dimension online (member mode only).
-func (t *TCP) GrowEvents() int64 { return t.growEvents.Load() }
-
-// GrowAccepts reports how many grow-attach handshakes — hellos from a
-// larger cube — this endpoint accepted (member mode only).
-func (t *TCP) GrowAccepts() int64 { return t.growAccepts.Load() }
-
-// AttachesReceived reports how many KindAttach announcements arrived
-// from joiners (member mode only).
-func (t *TCP) AttachesReceived() int64 { return t.attachesRecv.Load() }
-
 // dispatchControl hands a membership frame to the OnControl hook.
 func (t *TCP) dispatchControl(from cube.NodeID, kind byte, body []byte) {
 	if t.opt.Member != nil && t.opt.Member.OnControl != nil {

@@ -115,7 +115,7 @@ func TestMemberCrashKeepsMeshAlive(t *testing.T) {
 	ranks[3].tr.Abort()
 
 	for r := 0; r < 3; r++ {
-		if !ranks[r].mgr.WaitEpochAbove(e0, 15*time.Second) {
+		if !epochAbove(ranks[r].mgr, e0, 15*time.Second) {
 			t.Fatalf("rank %d never learned of the crash", r)
 		}
 		if v := ranks[r].mgr.View(); v.Alive(3) || v.Stat[3] != member.Dead {
@@ -133,7 +133,7 @@ func TestMemberCrashKeepsMeshAlive(t *testing.T) {
 	if err := ping(ranks[1], 3, 8); err != nil {
 		t.Fatalf("send to dead rank should drop silently, got %v", err)
 	}
-	if ranks[1].tr.MemberDrops() == 0 {
+	if ranks[1].tr.memberDrops.Load() == 0 {
 		t.Fatal("silent drop not counted")
 	}
 }
@@ -151,7 +151,7 @@ func TestMemberDrainRetiresLink(t *testing.T) {
 	ranks[2].tr.Close() // clean close: BYE announces the departure
 
 	for _, r := range []int{0, 1, 3} {
-		if !ranks[r].mgr.WaitEpochAbove(e0, 15*time.Second) {
+		if !epochAbove(ranks[r].mgr, e0, 15*time.Second) {
 			t.Fatalf("rank %d never saw the drain", r)
 		}
 		if v := ranks[r].mgr.View(); v.Stat[2] != member.Drained {
@@ -166,7 +166,7 @@ func TestMemberDrainRetiresLink(t *testing.T) {
 		if err := ping(ranks[0], 2, 9); err != nil {
 			t.Fatalf("send to drained rank: %v", err)
 		}
-		if ranks[0].tr.MemberDrops() > 0 || !time.Now().Before(deadline) {
+		if ranks[0].tr.memberDrops.Load() > 0 || !time.Now().Before(deadline) {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -201,7 +201,7 @@ func TestMemberJoinFillsHole(t *testing.T) {
 
 	ranks[3].tr.Abort()
 	for r := 0; r < 3; r++ {
-		if !ranks[r].mgr.WaitEpochAbove(e0, 15*time.Second) {
+		if !epochAbove(ranks[r].mgr, e0, 15*time.Second) {
 			t.Fatalf("rank %d never learned of the crash", r)
 		}
 	}
@@ -219,7 +219,7 @@ func TestMemberJoinFillsHole(t *testing.T) {
 		t.Fatal("joiner never admitted")
 	}
 	for r := 0; r < 3; r++ {
-		if !ranks[r].mgr.WaitEpochAbove(deadEpoch, 15*time.Second) {
+		if !epochAbove(ranks[r].mgr, deadEpoch, 15*time.Second) {
 			t.Fatalf("rank %d never saw the join", r)
 		}
 		if v := ranks[r].mgr.View(); !v.Alive(3) {
@@ -265,11 +265,11 @@ func asPeerError(err error, target **mpx.PeerError) bool {
 func TestMemberControlToUnattachedRankDrops(t *testing.T) {
 	testleak.Check(t)
 	ranks, _ := memberMesh(t, 1)
-	before := ranks[0].tr.MemberDrops()
+	before := ranks[0].tr.memberDrops.Load()
 	if err := ranks[0].tr.SendControl(0, 5, wire.KindView, nil); err != nil {
 		t.Fatalf("SendControl to out-of-cube rank: %v", err)
 	}
-	if ranks[0].tr.MemberDrops() != before+1 {
+	if ranks[0].tr.memberDrops.Load() != before+1 {
 		t.Fatal("out-of-cube control drop not counted")
 	}
 	e := &member.ViewChangedError{Epoch: 3, Op: "bcast"}
@@ -322,12 +322,12 @@ func TestMemberGrowAttach(t *testing.T) {
 	for _, r := range ranks {
 		waitGrown(t, r, dim+1)
 	}
-	if ranks[0].tr.GrowAccepts() == 0 {
+	if ranks[0].tr.growAccepts.Load() == 0 {
 		t.Fatal("accepting survivor counted no grow-attach")
 	}
 	var grew int64
 	for _, r := range ranks {
-		grew += r.tr.GrowEvents()
+		grew += r.tr.growEvents.Load()
 	}
 	if grew != int64(len(ranks)) {
 		t.Fatalf("got %d grow events across %d survivors, want one each", grew, len(ranks))
@@ -335,7 +335,7 @@ func TestMemberGrowAttach(t *testing.T) {
 
 	// Every survivor admits rank 4 into a dim+1 view.
 	for i, r := range ranks {
-		if !r.mgr.WaitEpochAbove(e0, 15*time.Second) {
+		if !epochAbove(r.mgr, e0, 15*time.Second) {
 			t.Fatalf("rank %d never saw the growth", i)
 		}
 		deadline := time.Now().Add(15 * time.Second)
@@ -363,11 +363,11 @@ func TestMemberGrowAttach(t *testing.T) {
 
 	// Rank 5 is inside the grown cube but never attached: sends toward
 	// it drop silently and are counted.
-	before := joiner.tr.MemberDrops()
+	before := joiner.tr.memberDrops.Load()
 	if err := ping(joiner, (1<<dim)|1, 33); err != nil {
 		t.Fatalf("send to unattached rank should drop silently, got %v", err)
 	}
-	if joiner.tr.MemberDrops() != before+1 {
+	if joiner.tr.memberDrops.Load() != before+1 {
 		t.Fatal("drop toward unattached rank not counted")
 	}
 }
@@ -384,7 +384,7 @@ func TestMemberHostileGrowIsBounded(t *testing.T) {
 	victim := ranks[0].tr
 
 	for _, dim := range []int{30, 20} {
-		before := victim.MemberDrops()
+		before := victim.memberDrops.Load()
 		conn, err := dialAddr(victim.Addr(), 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -393,17 +393,17 @@ func TestMemberHostileGrowIsBounded(t *testing.T) {
 		if err := refused(conn); err != nil {
 			t.Fatalf("hello from a %d-cube: %v", dim, err)
 		}
-		if got := victim.MemberDrops(); got != before+1 {
+		if got := victim.memberDrops.Load(); got != before+1 {
 			t.Fatalf("hello from a %d-cube: member_drops %d -> %d, want one counted refusal", dim, before, got)
 		}
 	}
 
 	// The same dimension in a growth frame, on the link from rank 1.
-	before := victim.MemberDrops()
+	before := victim.memberDrops.Load()
 	if err := ranks[1].tr.linkAt(0).writeControl(wire.KindGrow, wire.EncodeGrow(30)); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); victim.MemberDrops() == before; {
+	for deadline := time.Now().Add(10 * time.Second); victim.memberDrops.Load() == before; {
 		if !time.Now().Before(deadline) {
 			t.Fatal("KindGrow(30) was never counted as dropped")
 		}
@@ -411,8 +411,8 @@ func TestMemberHostileGrowIsBounded(t *testing.T) {
 	}
 
 	for i, r := range ranks {
-		if d := r.tr.Cube().Dim(); d != 1 || r.tr.GrowEvents() != 0 {
-			t.Fatalf("rank %d: dimension %d after %d grow events, want the founding 1-cube untouched", i, d, r.tr.GrowEvents())
+		if d := r.tr.Cube().Dim(); d != 1 || r.tr.growEvents.Load() != 0 {
+			t.Fatalf("rank %d: dimension %d after %d grow events, want the founding 1-cube untouched", i, d, r.tr.growEvents.Load())
 		}
 	}
 	if err := ping(ranks[0], 1, 41); err != nil {
@@ -423,4 +423,15 @@ func TestMemberHostileGrowIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectPing(t, ranks[0], 42)
+}
+
+// epochAbove polls m until its epoch exceeds e or d elapses, reporting
+// whether it did.
+func epochAbove(m *member.Manager, e uint64, d time.Duration) bool {
+	for end := time.Now().Add(d); m.Epoch() <= e; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			return false
+		}
+	}
+	return true
 }

@@ -411,9 +411,10 @@ func TestOrderlyCloseLingersUntilAcked(t *testing.T) {
 	conn := accept() // the supervisor's redial
 	defer conn.Close()
 	from := wire.NewReader(conn)
-	fr, err := from.ReadAny()
+	var fr wire.Frame
+	err = from.ReadAnyInto(&fr)
 	for err == nil && fr.Kind != wire.KindSeqData {
-		fr, err = from.ReadAny()
+		err = from.ReadAnyInto(&fr)
 	}
 	if err != nil || fr.Seq != 1 || fr.Msg.Tag != last.Tag {
 		t.Fatalf("after the redial: frame %+v, err %v; want the last frame replayed as sequence 1", fr, err)
@@ -425,7 +426,7 @@ func TestOrderlyCloseLingersUntilAcked(t *testing.T) {
 	}
 	conn.Write(wire.AppendAck(nil, 1))
 	for err == nil {
-		_, err = from.ReadAny()
+		err = from.ReadAnyInto(&fr)
 	}
 	if !errors.Is(err, wire.ErrBye) {
 		t.Fatalf("after the acknowledgement: %v, want BYE", err)
@@ -479,7 +480,7 @@ func TestOtherVersionHelloRefused(t *testing.T) {
 	if n := trs[0].Stats().Reconnects; n != 0 {
 		t.Fatalf("%d connections installed from refused hellos", n)
 	}
-	if err := runAll(trs, neighborExchange); err != nil {
+	if err := runAll(trs, neighborExchange(2)); err != nil {
 		t.Fatal(err)
 	}
 }

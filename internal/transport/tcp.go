@@ -483,9 +483,6 @@ func (t *TCP) Attach(id cube.NodeID, c mpx.Consumer) { t.inbox.Attach(c) }
 // Done is closed when the transport shuts down.
 func (t *TCP) Done() <-chan struct{} { return t.down }
 
-// CRCDropped reports how many received frames the checksum rejected.
-func (t *TCP) CRCDropped() int64 { return t.crcDropped.Load() }
-
 // Stats reports the transport's health counters (implements
 // mpx.statsReporter).
 func (t *TCP) Stats() mpx.TransportStats {

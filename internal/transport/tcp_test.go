@@ -60,30 +60,31 @@ func runAll(trs []*TCP, program func(nd *mpx.Node) error) error {
 	return <-errs
 }
 
-// neighborExchange is the canonical transport exerciser: every node
-// sends a distinct payload to each neighbor, then receives dim messages
-// and verifies sender, arrival port and bytes.
-func neighborExchange(nd *mpx.Node) error {
-	dim := nd.Dim()
-	for d := 0; d < dim; d++ {
-		nd.Send(d, mpx.Message{Tag: int(nd.ID), Parts: []mpx.Part{
-			{Dest: nd.ID ^ cube.NodeID(1<<uint(d)), Data: payload(nd.ID, nd.ID^cube.NodeID(1<<uint(d)))},
-		}})
+// neighborExchange is the canonical transport exerciser on a dim-cube:
+// every node sends a distinct payload to each neighbor, then receives
+// dim messages and verifies sender, arrival port and bytes.
+func neighborExchange(dim int) func(nd *mpx.Node) error {
+	return func(nd *mpx.Node) error {
+		for d := 0; d < dim; d++ {
+			nd.Send(d, mpx.Message{Tag: int(nd.ID), Parts: []mpx.Part{
+				{Dest: nd.ID ^ cube.NodeID(1<<uint(d)), Data: payload(nd.ID, nd.ID^cube.NodeID(1<<uint(d)))},
+			}})
+		}
+		for i := 0; i < dim; i++ {
+			env, ok := nd.RecvTimeout(10 * time.Second)
+			if !ok {
+				return fmt.Errorf("timed out after %d of %d messages", i, dim)
+			}
+			want := nd.ID ^ cube.NodeID(1<<uint(env.Port))
+			if env.From != want {
+				return fmt.Errorf("port %d delivered From=%d, want %d", env.Port, env.From, want)
+			}
+			if got, want := string(env.Parts[0].Data), string(payload(env.From, nd.ID)); got != want {
+				return fmt.Errorf("payload %q, want %q", got, want)
+			}
+		}
+		return nil
 	}
-	for i := 0; i < dim; i++ {
-		env, ok := nd.RecvTimeout(10 * time.Second)
-		if !ok {
-			return fmt.Errorf("timed out after %d of %d messages", i, dim)
-		}
-		want := nd.ID ^ cube.NodeID(1<<uint(env.Port))
-		if env.From != want {
-			return fmt.Errorf("port %d delivered From=%d, want %d", env.Port, env.From, want)
-		}
-		if got, want := string(env.Parts[0].Data), string(payload(env.From, nd.ID)); got != want {
-			return fmt.Errorf("payload %q, want %q", got, want)
-		}
-	}
-	return nil
 }
 
 // TestTCPOneProcessPerNode runs a 3-cube as eight endpoints, one node
@@ -91,7 +92,7 @@ func neighborExchange(nd *mpx.Node) error {
 func TestTCPOneProcessPerNode(t *testing.T) {
 	testleak.Check(t)
 	trs := loopback(t, 3, nil)
-	if err := runAll(trs, neighborExchange); err != nil {
+	if err := runAll(trs, neighborExchange(3)); err != nil {
 		t.Fatal(err)
 	}
 	for id, tr := range trs {
@@ -206,7 +207,7 @@ func TestTCPFaultCorruptExercisesChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := trs[1].CRCDropped(); got != 1 {
+	if got := trs[1].crcDropped.Load(); got != 1 {
 		t.Fatalf("receiver dropped %d frames by checksum, want 1", got)
 	}
 }
@@ -340,7 +341,7 @@ func TestInProcNoGoroutineLeak(t *testing.T) {
 	testleak.Check(t)
 	tr := mpx.NewChanTransport(4, 8, nil)
 	m := mpx.NewWithTransport(tr, nil)
-	if err := m.Run(neighborExchange); err != nil {
+	if err := m.Run(neighborExchange(4)); err != nil {
 		t.Fatal(err)
 	}
 	m.Shutdown()
@@ -352,7 +353,7 @@ func TestInProcNoGoroutineLeak(t *testing.T) {
 func TestTCPNoGoroutineLeak(t *testing.T) {
 	testleak.Check(t)
 	trs := loopback(t, 2, nil)
-	if err := runAll(trs, neighborExchange); err != nil {
+	if err := runAll(trs, neighborExchange(2)); err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range trs {
@@ -442,7 +443,7 @@ func TestHandshakeRefusesRankNotHosted(t *testing.T) {
 			if trs[1].linkAt(0) != l || !same || trs[1].Stats().Reconnects != 0 {
 				t.Fatal("the refused resume hello replaced or reinstalled the link")
 			}
-			if err := runAll(trs, neighborExchange); err != nil {
+			if err := runAll(trs, neighborExchange(1)); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -15,7 +15,7 @@ func TestUDSOneProcessPerNode(t *testing.T) {
 	if !strings.HasPrefix(trs[0].Addr(), "unix:") {
 		t.Fatalf("Addr() = %q, want unix: scheme", trs[0].Addr())
 	}
-	if err := runAll(trs, neighborExchange); err != nil {
+	if err := runAll(trs, neighborExchange(3)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -25,7 +25,7 @@ func TestUDSResilient(t *testing.T) {
 		o.Network = "unix"
 		o.Resilience = ResilienceOptions{Enabled: true}
 	})
-	if err := runAll(trs, neighborExchange); err != nil {
+	if err := runAll(trs, neighborExchange(2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -38,7 +38,7 @@ func TestUDSMixedFamilies(t *testing.T) {
 			o.Network = "unix"
 		}
 	})
-	if err := runAll(trs, neighborExchange); err != nil {
+	if err := runAll(trs, neighborExchange(2)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -25,16 +25,20 @@ func TestSubtreeNodesIsSelfThenChildrenRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tc, err := e.Tree()
+			if err != nil {
+				t.Fatal(err)
+			}
 			families := map[string]*tree.Tree{
 				"sbt":  sbt.Cached(n, r),
 				"bst":  bst.Cached(n, r),
-				"tcbt": e.MustTree(),
+				"tcbt": tc,
 			}
 			for j, tr := range msbt.CachedTrees(n, r) {
 				families[fmt.Sprintf("ersbt%d", j)] = tr
 			}
 			for name, tr := range families {
-				for _, v := range tr.PreOrder() {
+				for _, v := range tr.SubtreeNodes(tr.Root()) {
 					want := []cube.NodeID{v}
 					for _, ch := range tr.Children(v) {
 						want = append(want, tr.SubtreeNodes(ch)...)

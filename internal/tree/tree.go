@@ -32,7 +32,7 @@ const NoParent = -1
 // Tree is a rooted spanning tree (or subtree) of a cube, stored as a
 // parent array plus flat derived structures: a CSR-style children buffer,
 // the preorder sequence with per-node positions and subtree sizes, and
-// both breadth-first orders.
+// the breadth-first order.
 type Tree struct {
 	c      *cube.Cube
 	root   cube.NodeID
@@ -49,7 +49,6 @@ type Tree struct {
 	subSize []int32       // subtree size of i (including i); 0 for non-members
 
 	bfs []cube.NodeID // members level by level, within a level by parent order
-	rbf []cube.NodeID // deepest level first (paper §5.2 reversed breadth-first)
 
 	height int
 	size   int
@@ -232,25 +231,12 @@ func (t *Tree) buildDerived(members []cube.NodeID) {
 		})
 	}
 
-	// Breadth-first and reversed breadth-first orders.
+	// Breadth-first order.
 	t.bfs = make([]cube.NodeID, 0, t.size)
 	t.bfs = append(t.bfs, t.root)
 	for k := 0; k < len(t.bfs); k++ {
 		v := t.bfs[k]
 		t.bfs = append(t.bfs, t.childBuf[t.childOff[v]:t.childOff[v+1]]...)
-	}
-	t.rbf = make([]cube.NodeID, 0, t.size)
-	levelStart := make([]int, 0, t.height+2)
-	cur := int32(-1)
-	for k, v := range t.bfs {
-		if t.level[v] != cur {
-			levelStart = append(levelStart, k)
-			cur = t.level[v]
-		}
-	}
-	levelStart = append(levelStart, len(t.bfs))
-	for l := len(levelStart) - 2; l >= 0; l-- {
-		t.rbf = append(t.rbf, t.bfs[levelStart[l]:levelStart[l+1]]...)
 	}
 }
 
@@ -297,7 +283,6 @@ func translate(t *Tree, by cube.NodeID) *Tree {
 		subSize: make([]int32, n),
 
 		bfs: make([]cube.NodeID, len(t.bfs)),
-		rbf: make([]cube.NodeID, len(t.rbf)),
 
 		height: t.height,
 		size:   t.size,
@@ -341,9 +326,6 @@ func translate(t *Tree, by cube.NodeID) *Tree {
 	for k, v := range t.bfs {
 		out.bfs[k] = v ^ by
 	}
-	for k, v := range t.rbf {
-		out.rbf[k] = v ^ by
-	}
 	// preIdx positions are structural and already copied above, but the
 	// translated pre sequence defines them; keep them consistent for
 	// non-members too (-1 copied verbatim).
@@ -358,21 +340,6 @@ func (t *Tree) Root() cube.NodeID { return t.root }
 
 // Size returns the number of member nodes, including the root.
 func (t *Tree) Size() int { return t.size }
-
-// Spanning reports whether the tree covers every node of the cube.
-func (t *Tree) Spanning() bool { return t.size == t.c.Nodes() }
-
-// Member reports whether node i belongs to this tree.
-func (t *Tree) Member(i cube.NodeID) bool { return t.member[i] }
-
-// Parent returns the parent of i, with ok == false for the root (and for
-// non-members).
-func (t *Tree) Parent(i cube.NodeID) (cube.NodeID, bool) {
-	if !t.member[i] || i == t.root {
-		return 0, false
-	}
-	return cube.NodeID(t.parent[i]), true
-}
 
 // Children returns the children of i in increasing port order. The returned
 // slice is shared; callers must not modify it.
@@ -497,36 +464,10 @@ func (t *Tree) Edges() []cube.Edge {
 	return out
 }
 
-// PathToRoot returns the node sequence from i up to the root, inclusive.
-func (t *Tree) PathToRoot(i cube.NodeID) []cube.NodeID {
-	if !t.member[i] {
-		return nil
-	}
-	var out []cube.NodeID
-	for {
-		out = append(out, i)
-		p, ok := t.Parent(i)
-		if !ok {
-			return out
-		}
-		i = p
-	}
-}
-
-// PreOrder returns all members in depth-first preorder (children visited in
-// port order). The returned slice is shared; callers must not modify it.
-func (t *Tree) PreOrder() []cube.NodeID { return t.pre }
-
 // BreadthFirst returns all members level by level, within a level in the
 // order their parents appear. The returned slice is shared; callers must
 // not modify it.
 func (t *Tree) BreadthFirst() []cube.NodeID { return t.bfs }
-
-// ReversedBreadthFirst returns members in a breadth-first traversal starting
-// from the last level (the "reversed breadth-first" transmission order of
-// paper §5.2): deepest level first, root last. The returned slice is
-// shared; callers must not modify it.
-func (t *Tree) ReversedBreadthFirst() []cube.NodeID { return t.rbf }
 
 // VerifyChildrenFunc checks that a children function is consistent with
 // this tree's parent structure: children(i) must equal the stored child

@@ -31,9 +31,6 @@ func buildSBT(t *testing.T, n int) *Tree {
 
 func TestBasicStructure(t *testing.T) {
 	tr := buildSBT(t, 4)
-	if !tr.Spanning() {
-		t.Error("not spanning")
-	}
 	if tr.Size() != 16 {
 		t.Errorf("size %d", tr.Size())
 	}
@@ -46,7 +43,7 @@ func TestBasicStructure(t *testing.T) {
 	// Binomial tree: level i has C(n, i) nodes.
 	lc := tr.LevelCounts()
 	for i, c := range lc {
-		if uint64(c) != bits.Binomial(4, i) {
+		if c != choose(4, i) {
 			t.Errorf("level %d count %d, want C(4,%d)", i, c, i)
 		}
 	}
@@ -77,12 +74,12 @@ func TestParentChildrenConsistency(t *testing.T) {
 	for i := 0; i < tr.Cube().Nodes(); i++ {
 		id := cube.NodeID(i)
 		for _, ch := range tr.Children(id) {
-			p, ok := tr.Parent(ch)
+			p, ok := parentOf(tr, ch)
 			if !ok || p != id {
 				t.Fatalf("child %d of %d has parent %d ok=%v", ch, id, p, ok)
 			}
 		}
-		if p, ok := tr.Parent(id); ok {
+		if p, ok := parentOf(tr, id); ok {
 			found := false
 			for _, ch := range tr.Children(p) {
 				if ch == id {
@@ -94,7 +91,7 @@ func TestParentChildrenConsistency(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := tr.Parent(tr.Root()); ok {
+	if _, ok := parentOf(tr, tr.Root()); ok {
 		t.Error("root must have no parent")
 	}
 }
@@ -128,7 +125,7 @@ func TestTraversals(t *testing.T) {
 	tr := buildSBT(t, 4)
 	n := tr.Size()
 	for name, order := range map[string][]cube.NodeID{
-		"pre": tr.PreOrder(), "bfs": tr.BreadthFirst(), "rbfs": tr.ReversedBreadthFirst(),
+		"pre": tr.pre, "bfs": tr.BreadthFirst(),
 	} {
 		if len(order) != n {
 			t.Fatalf("%s: length %d", name, len(order))
@@ -148,18 +145,13 @@ func TestTraversals(t *testing.T) {
 			t.Fatal("bfs not level-monotone")
 		}
 	}
-	// Reversed BFS starts at the deepest level and ends at the root.
-	rb := tr.ReversedBreadthFirst()
-	if tr.Level(rb[0]) != tr.Height() || rb[len(rb)-1] != tr.Root() {
-		t.Fatal("reversed bfs order wrong")
-	}
 	// Preorder: every node appears after its parent.
 	pos := map[cube.NodeID]int{}
-	for i, v := range tr.PreOrder() {
+	for i, v := range tr.pre {
 		pos[v] = i
 	}
 	for i := 1; i < n; i++ {
-		p, _ := tr.Parent(cube.NodeID(i))
+		p, _ := parentOf(tr, cube.NodeID(i))
 		if pos[cube.NodeID(i)] < pos[p] {
 			t.Fatalf("preorder: %d before its parent", i)
 		}
@@ -170,7 +162,7 @@ func TestPathToRoot(t *testing.T) {
 	tr := buildSBT(t, 5)
 	for i := 0; i < 32; i++ {
 		id := cube.NodeID(i)
-		p := tr.PathToRoot(id)
+		p := pathToRoot(tr, id)
 		if p[0] != id || p[len(p)-1] != tr.Root() {
 			t.Fatalf("path endpoints wrong for %d: %v", id, p)
 		}
@@ -192,7 +184,7 @@ func TestEdges(t *testing.T) {
 		t.Fatalf("edge count %d", len(edges))
 	}
 	for _, e := range edges {
-		if p, _ := tr.Parent(e.To); p != e.From {
+		if p, _ := parentOf(tr, e.To); p != e.From {
 			t.Fatalf("edge %v not parent->child", e)
 		}
 	}
@@ -276,13 +268,13 @@ func TestSubsetTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Spanning() {
+	if tr.Size() == tr.Cube().Nodes() {
 		t.Error("subset tree must not be spanning")
 	}
 	if tr.Size() != 4 || tr.Height() != 3 {
 		t.Errorf("size %d height %d", tr.Size(), tr.Height())
 	}
-	if tr.Member(2) {
+	if tr.member[2] {
 		t.Error("2 is not a member")
 	}
 	if tr.SubtreeSize(2) != 0 || tr.Level(2) != -1 {
@@ -307,7 +299,7 @@ func TestNodesAtDistanceInSubtree(t *testing.T) {
 	tr := buildSBT(t, 5)
 	// At the root, phi(root, j) = C(5, j).
 	for j := 0; j <= 5; j++ {
-		if got := tr.NodesAtDistanceInSubtree(tr.Root(), j); uint64(got) != bits.Binomial(5, j) {
+		if got := tr.NodesAtDistanceInSubtree(tr.Root(), j); got != choose(5, j) {
 			t.Errorf("phi(root,%d) = %d", j, got)
 		}
 	}
@@ -356,4 +348,33 @@ func TestMaxFanout(t *testing.T) {
 	if perLevel[1] != 4 {
 		t.Errorf("level-1 max fanout %d", perLevel[1])
 	}
+}
+
+// choose is C(n, k), counted as the n-bit words with k ones.
+func choose(n, k int) int {
+	c := 0
+	for x := uint64(0); x < 1<<n; x++ {
+		if bits.OnesCount(x) == k {
+			c++
+		}
+	}
+	return c
+}
+
+// parentOf reads i's parent off the tree's parent array, with ok ==
+// false for the root and for non-members.
+func parentOf(t *Tree, i cube.NodeID) (cube.NodeID, bool) {
+	if t.parent[i] == NoParent {
+		return 0, false
+	}
+	return cube.NodeID(t.parent[i]), true
+}
+
+// pathToRoot returns the node sequence from i up to the root, inclusive.
+func pathToRoot(t *Tree, i cube.NodeID) []cube.NodeID {
+	out := []cube.NodeID{i}
+	for p, ok := parentOf(t, i); ok; p, ok = parentOf(t, p) {
+		out = append(out, p)
+	}
+	return out
 }

@@ -70,7 +70,7 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Fatalf("msg %d mismatch:\n got %#v\nwant %#v", i, fr.Msgs[i], msgs[i])
 		}
 	}
-	sf, err := NewReader(bytes.NewReader(frame[len("prefix"):])).ReadAny()
+	sf, err := readAny(NewReader(bytes.NewReader(frame[len("prefix"):])))
 	if err != nil || len(sf.Msgs) != len(msgs) {
 		t.Fatalf("streaming batch decode: %v (%d msgs)", err, len(sf.Msgs))
 	}

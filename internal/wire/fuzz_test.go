@@ -147,12 +147,12 @@ func checkDecodeAny(t *testing.T, data []byte) {
 	if !same(fr2) {
 		t.Fatalf("round-trip instability:\nfirst  %#v\nsecond %#v", fr, fr2)
 	}
-	sf, serr := NewReader(bytes.NewReader(data)).ReadAny()
+	sf, serr := readAny(NewReader(bytes.NewReader(data)))
 	if serr != nil {
-		t.Fatalf("ReadAny rejects a frame DecodeAny accepted: %v", serr)
+		t.Fatalf("readAny rejects a frame DecodeAny accepted: %v", serr)
 	}
 	if !same(sf) {
-		t.Fatal("ReadAny and DecodeAny disagree")
+		t.Fatal("readAny and DecodeAny disagree")
 	}
 	// The reusable decoders must agree with the fresh ones.
 	var into Frame
@@ -210,7 +210,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		if fr.Kind != KindBatch || !msgsEqual(fr.Msgs, msgs) {
 			t.Fatalf("batch round trip mismatch: %d msgs in, %d out", len(msgs), len(fr.Msgs))
 		}
-		sf, err := NewReader(bytes.NewReader(frame)).ReadAny()
+		sf, err := readAny(NewReader(bytes.NewReader(frame)))
 		if err != nil || !msgsEqual(sf.Msgs, msgs) {
 			t.Fatalf("streaming batch decode disagrees: %v", err)
 		}
@@ -412,7 +412,7 @@ func FuzzStreamDecodeMatchesDecodeAny(f *testing.F) {
 				}
 			}
 			want, n, werr := DecodeAny(rest)
-			got, gerr := r.ReadAny()
+			got, gerr := readAny(r)
 			consumed := len(rest) - src.Len()
 			switch {
 			case werr == nil:

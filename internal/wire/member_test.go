@@ -27,12 +27,12 @@ func TestMemberFrameRoundTrip(t *testing.T) {
 			}
 
 			rd := NewReader(bufio.NewReader(bytes.NewReader(buf)))
-			got, err := rd.ReadAny()
+			got, err := readAny(rd)
 			if err != nil {
-				t.Fatalf("ReadAny kind %d: %v", kind, err)
+				t.Fatalf("readAny kind %d: %v", kind, err)
 			}
 			if got.Kind != kind || !bytes.Equal(got.Body, body) {
-				t.Fatalf("ReadAny: got kind=%d body=%q, want kind=%d body=%q", got.Kind, got.Body, kind, body)
+				t.Fatalf("readAny: got kind=%d body=%q, want kind=%d body=%q", got.Kind, got.Body, kind, body)
 			}
 		}
 	}
@@ -74,9 +74,9 @@ func TestGrowFrameRoundTrip(t *testing.T) {
 			t.Fatalf("DecodeAny: got kind=%d body=%q", fr.Kind, fr.Body)
 		}
 		rd := NewReader(bufio.NewReader(bytes.NewReader(buf)))
-		got, err := rd.ReadAny()
+		got, err := readAny(rd)
 		if err != nil || got.Kind != tc.kind || !bytes.Equal(got.Body, tc.body) {
-			t.Fatalf("ReadAny kind %d: %v", tc.kind, err)
+			t.Fatalf("readAny kind %d: %v", tc.kind, err)
 		}
 	}
 	if d, err := DecodeGrow(growBody); err != nil || d != 4 {
@@ -110,7 +110,7 @@ func TestMemberFrameInMixedStream(t *testing.T) {
 	rd := NewReader(bufio.NewReader(bytes.NewReader(stream)))
 	wantKinds := []byte{KindJoin, KindData, KindView, KindSeqData, KindDrain}
 	for i, want := range wantKinds {
-		fr, err := rd.ReadAny()
+		fr, err := readAny(rd)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}

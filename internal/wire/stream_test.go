@@ -50,7 +50,7 @@ func TestStreamedFrameLandsInPlace(t *testing.T) {
 				calls = append(calls, landCall{seq, tag, nparts, offset, n})
 				return dst[offset : offset+n]
 			})
-			fr, err := r.ReadAny()
+			fr, err := readAny(r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestStreamedFrameDeclined(t *testing.T) {
 		if land != nil {
 			r.Land(land)
 		}
-		fr, err := r.ReadAny()
+		fr, err := readAny(r)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -120,7 +120,7 @@ func TestSmallPartsStayWholeBody(t *testing.T) {
 			t.Error("landing asked about a frame of small parts")
 			return nil
 		})
-		fr, err := r.ReadAny()
+		fr, err := readAny(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestSmallPartsStayWholeBody(t *testing.T) {
 		// Warm reader: the body and the part slice, nothing per part.
 		allocs := testing.AllocsPerRun(20, func() {
 			src.Reset(frame)
-			if _, err := r.ReadAny(); err != nil {
+			if _, err := readAny(r); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -153,8 +153,8 @@ func TestStreamedErrorOrder(t *testing.T) {
 
 	readBoth := func(stream []byte) (error, error) {
 		r := NewReader(bytes.NewReader(stream))
-		_, err1 := r.ReadAny()
-		fr, err2 := r.ReadAny()
+		_, err1 := readAny(r)
+		fr, err2 := readAny(r)
 		if err2 == nil && fr.Msg.Tag != 10 {
 			t.Fatalf("second frame decoded as tag %d: the stream lost alignment", fr.Msg.Tag)
 		}
@@ -209,16 +209,16 @@ func TestReaderWithoutByteReader(t *testing.T) {
 	stream = appendFrame(stream, big)
 	stream = AppendSeqFrame(stream, 129, small)
 	r := NewReader(struct{ io.Reader }{bytes.NewReader(stream)})
-	if fr, err := r.ReadAny(); err != nil || fr.Kind != KindAck || fr.Seq != 300 {
+	if fr, err := readAny(r); err != nil || fr.Kind != KindAck || fr.Seq != 300 {
 		t.Fatalf("ack: %+v, %v", fr, err)
 	}
-	if fr, err := r.ReadAny(); err != nil || !msgEqual(fr.Msg, big) {
+	if fr, err := readAny(r); err != nil || !msgEqual(fr.Msg, big) {
 		t.Fatalf("streamed frame: %v", err)
 	}
-	if fr, err := r.ReadAny(); err != nil || fr.Seq != 129 || !msgEqual(fr.Msg, small) {
+	if fr, err := readAny(r); err != nil || fr.Seq != 129 || !msgEqual(fr.Msg, small) {
 		t.Fatalf("small frame: %v", err)
 	}
-	if _, err := r.ReadAny(); err != io.EOF {
+	if _, err := readAny(r); err != io.EOF {
 		t.Fatalf("end of stream: %v, want io.EOF", err)
 	}
 }
@@ -246,7 +246,7 @@ func TestVecPassThroughBitIdentical(t *testing.T) {
 				msg.Parts = append(msg.Parts, mpx.Part{Dest: 3, Offset: i << 20, Data: bigPart(20<<10+i, i), Sum: sum})
 			}
 			frame := appendFrame(nil, msg)
-			fr, err := NewReader(bytes.NewReader(frame)).ReadAny()
+			fr, err := readAny(NewReader(bytes.NewReader(frame)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +260,7 @@ func TestVecPassThroughBitIdentical(t *testing.T) {
 				t.Fatalf("%d parts, sum %#x: re-encoding without it differs from the frame read", nparts, sum)
 			}
 
-			seq, err := NewReader(bytes.NewReader(AppendSeqFrame(nil, 7, msg))).ReadAny()
+			seq, err := readAny(NewReader(bytes.NewReader(AppendSeqFrame(nil, 7, msg))))
 			if err != nil || seq.Kind != KindSeqData || seq.BodyCRC != 0 {
 				t.Fatalf("sequenced decode: kind %d, recorded checksum %#x, %v", seq.Kind, seq.BodyCRC, err)
 			}
@@ -277,7 +277,7 @@ func TestVecPassThroughBitIdentical(t *testing.T) {
 	batch = SealBatch(AppendBatchMsg(batch, small), at)
 	r := NewReader(bytes.NewReader(append(appendFrame(nil, small), batch...)))
 	for _, kind := range []byte{KindData, KindBatch} {
-		if fr, err := r.ReadAny(); err != nil || fr.Kind != kind || fr.BodyCRC != 0 {
+		if fr, err := readAny(r); err != nil || fr.Kind != kind || fr.BodyCRC != 0 {
 			t.Fatalf("whole-body decode of kind %d: kind %d, recorded checksum %#x, %v", kind, fr.Kind, fr.BodyCRC, err)
 		}
 	}
@@ -290,7 +290,7 @@ func TestVecPassThroughBitIdentical(t *testing.T) {
 	body := append([]byte{canon[b] | 0x80, 0}, canon[b+1:len(canon)-4]...)
 	odd := binary.AppendUvarint([]byte{MaxVersion, KindData}, uint64(len(body)))
 	odd = binary.LittleEndian.AppendUint32(append(odd, body...), checksum(body))
-	fr, err := NewReader(bytes.NewReader(odd)).ReadAny()
+	fr, err := readAny(NewReader(bytes.NewReader(odd)))
 	if err != nil || !msgEqual(fr.Msg, msg) {
 		t.Fatalf("overlong tag varint: %v", err)
 	}
@@ -308,7 +308,7 @@ func TestVecPassThroughBitIdentical(t *testing.T) {
 	body[2+4] |= 0x10 // bit 32 of the dest, which follows the tag and the count
 	wide := binary.AppendUvarint([]byte{MaxVersion, KindData}, uint64(len(body)))
 	wide = binary.LittleEndian.AppendUint32(append(wide, body...), checksum(body))
-	fr, err = NewReader(bytes.NewReader(wide)).ReadAny()
+	fr, err = readAny(NewReader(bytes.NewReader(wide)))
 	if err != nil || !msgEqual(fr.Msg, msg) {
 		t.Fatalf("33-bit dest: %v, dest %d", err, fr.Msg.Parts[0].Dest)
 	}

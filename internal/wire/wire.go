@@ -792,14 +792,13 @@ func readUvarint(b []byte) (uint64, int, bool) {
 	return v, n, true
 }
 
-// Reader decodes frames from a byte stream. ReadAny hands ownership of
-// decoded payloads to the caller; ReadInto decodes into a body buffer and
-// a Frame the caller recycles; ReadAnyInto copies payloads into an arena
-// of the reader's own, so a warm loop allocates nothing.
+// Reader decodes frames from a byte stream. ReadInto decodes into a body
+// buffer and a Frame the caller recycles; ReadAnyInto copies payloads
+// into an arena of the reader's own, so a warm loop allocates nothing.
 //
 // A frame takes one of two decode paths, chosen from its own header. A
-// single-message data frame whose parts are large on average (ReadAny and
-// ReadInto only) is streamed: its part headers are parsed off the stream
+// single-message data frame whose parts are large on average (ReadInto
+// only) is streamed: its part headers are parsed off the stream
 // and each payload is read from the source straight into its final place
 // — the slice the Landing function names, or a buffer of the part's own
 // — with the CRC folded over the bytes as they pass. Every other frame is
@@ -844,22 +843,14 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: r, br: br, streamMin: streamPartMin}
 }
 
-// Land installs the posted-receive hook ReadAny and ReadInto consult for
-// streamed frames. Call it before the first read.
+// Land installs the posted-receive hook ReadInto consults for streamed
+// frames. Call it before the first read.
 func (r *Reader) Land(land Landing) { r.land = land }
 
-// ReadAny reads the next frame of any kind. It returns ErrBye on an
-// orderly shutdown frame and ErrChecksum for a damaged-but-framed body
-// (the stream stays aligned; the caller may keep reading — the returned
-// Frame still carries the kind). Any other error is terminal for the
-// stream. The returned frame owns freshly allocated payloads.
-func (r *Reader) ReadAny() (Frame, error) {
-	var fr Frame
-	_, _, err := r.ReadInto(&fr, nil)
-	return fr, err
-}
-
-// ReadInto is ReadAny for a caller that recycles what it reads. Every
+// ReadInto reads the next frame of any kind into fr. It returns ErrBye
+// on an orderly shutdown frame and ErrChecksum for a damaged-but-framed
+// body (the stream stays aligned; the caller may keep reading — fr still
+// carries the kind). Any other error is terminal for the stream. Every
 // data or batch frame that is read whole, whatever its size, lands in
 // body, grown when it is too small, and its parts alias it in place;
 // inBody reports that. fr's Parts and Msgs keep their capacity, and a
@@ -872,7 +863,7 @@ func (r *Reader) ReadInto(fr *Frame, body []byte) (_ []byte, inBody bool, err er
 	return r.readFrame(fr, nil, body)
 }
 
-// ReadAnyInto is ReadAny with full reuse: fr's part/message slices and
+// ReadAnyInto is ReadInto with full reuse: fr's part/message slices and
 // the reader's internal payload arena are recycled, so a caller looping
 // over a warm stream decodes without allocating. The decoded frame —
 // including every payload slice — is valid only until the next

@@ -126,7 +126,7 @@ func TestCoalescedStream(t *testing.T) {
 	// Streaming decoding.
 	r := NewReader(bytes.NewReader(buf))
 	for i, want := range msgs {
-		got, err := r.ReadAny()
+		got, err := readAny(r)
 		if err != nil {
 			t.Fatalf("stream frame %d: %v", i, err)
 		}
@@ -134,10 +134,10 @@ func TestCoalescedStream(t *testing.T) {
 			t.Fatalf("stream frame %d mismatch", i)
 		}
 	}
-	if _, err := r.ReadAny(); !errors.Is(err, ErrBye) {
+	if _, err := readAny(r); !errors.Is(err, ErrBye) {
 		t.Fatalf("stream tail: %v, want ErrBye", err)
 	}
-	if _, err := r.ReadAny(); err != io.EOF {
+	if _, err := readAny(r); err != io.EOF {
 		t.Fatalf("after BYE: %v, want EOF", err)
 	}
 }
@@ -182,7 +182,7 @@ func TestTruncationDetected(t *testing.T) {
 			t.Fatalf("truncation to %d bytes decoded successfully", cut)
 		}
 		r := NewReader(bytes.NewReader(frame[:cut]))
-		if _, err := r.ReadAny(); err == nil {
+		if _, err := readAny(r); err == nil {
 			t.Fatalf("stream truncation to %d bytes decoded successfully", cut)
 		}
 	}
@@ -223,7 +223,7 @@ func TestVersionMismatch(t *testing.T) {
 			if _, n, err := DecodeAny(bad); !errors.Is(err, errVersion) || n != 0 {
 				t.Fatalf("%s frame stamped %d: DecodeAny n=%d err=%v, want errVersion", name, ver, n, err)
 			}
-			if _, err := NewReader(bytes.NewReader(bad)).ReadAny(); !errors.Is(err, errVersion) {
+			if _, err := readAny(NewReader(bytes.NewReader(bad))); !errors.Is(err, errVersion) {
 				t.Fatalf("%s frame stamped %d: ReadAny err=%v, want errVersion", name, ver, err)
 			}
 			var fr Frame
@@ -264,7 +264,7 @@ func TestSeqFrameRoundTrip(t *testing.T) {
 			if fr.Kind != KindSeqData || fr.Seq != seq || !msgEqual(fr.Msg, msg) {
 				t.Fatalf("seq %d msg %d: got kind=%d seq=%d", seq, i, fr.Kind, fr.Seq)
 			}
-			sf, err := NewReader(bytes.NewReader(frame)).ReadAny()
+			sf, err := readAny(NewReader(bytes.NewReader(frame)))
 			if err != nil {
 				t.Fatalf("seq %d msg %d: stream decode: %v", seq, i, err)
 			}
@@ -295,7 +295,7 @@ func TestAckNackRoundTrip(t *testing.T) {
 			if n != len(frame) || fr.Kind != tc.kind || fr.Seq != v {
 				t.Fatalf("%s %d: consumed %d/%d, kind=%d seq=%d", tc.name, v, n, len(frame), fr.Kind, fr.Seq)
 			}
-			sf, err := NewReader(bytes.NewReader(frame)).ReadAny()
+			sf, err := readAny(NewReader(bytes.NewReader(frame)))
 			if err != nil || sf.Kind != tc.kind || sf.Seq != v {
 				t.Fatalf("%s %d: stream got kind=%d seq=%d err=%v", tc.name, v, sf.Kind, sf.Seq, err)
 			}
@@ -341,7 +341,7 @@ func TestMixedStreamDecodesInOrder(t *testing.T) {
 
 	r := NewReader(bytes.NewReader(buf))
 	for i, w := range want {
-		fr, err := r.ReadAny()
+		fr, err := readAny(r)
 		if err != nil {
 			t.Fatalf("stream frame %d: %v", i, err)
 		}
@@ -349,7 +349,7 @@ func TestMixedStreamDecodesInOrder(t *testing.T) {
 			t.Fatalf("stream frame %d mismatch", i)
 		}
 	}
-	if _, err := r.ReadAny(); !errors.Is(err, ErrBye) {
+	if _, err := readAny(r); !errors.Is(err, ErrBye) {
 		t.Fatalf("stream tail: %v, want ErrBye", err)
 	}
 }
@@ -421,7 +421,14 @@ func TestHugeLengthRejected(t *testing.T) {
 		t.Fatalf("got %v, want errCorrupt", err)
 	}
 	r := NewReader(bytes.NewReader(buf))
-	if _, err := r.ReadAny(); !errors.Is(err, errCorrupt) {
+	if _, err := readAny(r); !errors.Is(err, errCorrupt) {
 		t.Fatalf("stream: got %v, want errCorrupt", err)
 	}
+}
+
+// readAny reads the next frame into payloads of its own.
+func readAny(r *Reader) (Frame, error) {
+	var fr Frame
+	_, _, err := r.ReadInto(&fr, nil)
+	return fr, err
 }
