@@ -32,7 +32,10 @@ package sched
 // and the greedy packing lands within a few slots of it (asserted in
 // the tests). Every source uses the SAME table with its own XOR
 // relabeling, so the plan is computed once per dimension and cached
-// process-wide.
+// process-wide. No collective walks the table: comm's all-node
+// collectives route their bundles through per-root trees of their own.
+// The benchmark's sched.plan_* probe builds it, and the tests check and
+// simulate it.
 import (
 	"math/bits"
 	"sort"
@@ -53,9 +56,7 @@ type MultiEdge struct {
 	Slot int32
 	// Child is the index of To within the canonical tree's port-ordered
 	// Children(From). Ports are XOR-invariant under translation, so the
-	// same index addresses the translated child list of every source —
-	// and with it that child's run of the source's all-to-all bundle
-	// (comm.rootRoute), with no per-rank tables.
+	// same index addresses the translated child list of every source.
 	Child int32
 	// Sub is the canonical subtree size under To (translation-
 	// invariant): the number of destinations a personalized bundle on
@@ -71,7 +72,7 @@ type MultiEdge struct {
 type MultiPlan struct {
 	Dim   int
 	Steps int         // number of slots; max Slot + 1
-	Edges []MultiEdge // slot-major (comm walks this order directly)
+	Edges []MultiEdge // slot-major
 }
 
 var multiPlans sync.Map // dim -> *MultiPlan
@@ -125,9 +126,9 @@ func buildMultiSourcePlan(n int) *MultiPlan {
 		}
 	}
 	p.Steps = int(maxSlot) + 1
-	// Reorder slot-major so comm can walk Edges directly as its send
-	// program; the BFS emission order is the stable tiebreak within a
-	// slot. Parent indices are remapped through the permutation.
+	// Reorder slot-major, so that Edges reads as a send program, slot by
+	// slot; the BFS emission order is the stable tiebreak within a slot.
+	// Parent indices are remapped through the permutation.
 	perm := make([]int32, len(p.Edges))
 	for i := range perm {
 		perm[i] = int32(i)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -100,7 +101,8 @@ type ResilienceOptions struct {
 
 // replayWindow bounds a resilient link's replay ring, in frames. A sender
 // whose window is full blocks until ACKs drain it (backpressure through
-// an outage).
+// an outage). In bytes the ring holds at most replayWindow+1 encode
+// blocks and the frames too large for one (DESIGN.md §10).
 const replayWindow = 1024
 
 func (r *ResilienceOptions) normalize() {
@@ -240,27 +242,22 @@ type TCP struct {
 	acksBatched      atomic.Int64
 }
 
-// seqFrame is one encoded frame parked in a link's replay ring until the
-// peer acknowledges it. The stored bytes are always the clean encoding —
-// fault-injected damage applies only to the first transmission, so a
-// retransmission heals the corruption (this is what makes CRC drops
-// recoverable instead of silent).
-type seqFrame struct {
-	seq   uint64
-	frame []byte
-	// corrupt damages the first transmission of this frame on the wire
-	// (fault injection); dup writes the first transmission twice.
-	corrupt, dup bool
-}
-
 // relState is the per-link sequence/ACK/replay state, guarded by link.mu.
 type relState struct {
 	// Send side: sendSeq is the last sequence assigned (first frame is
-	// 1); ring holds frames > acked, oldest first; nextFlush is the first
-	// sequence the next flush writes; maxSent is the highest sequence
-	// ever written (frames <= maxSent written again are retransmits).
+	// 1) and acked the peer's cumulative acknowledgement; maxSent is the
+	// highest sequence handed to a write, and nextFlush the first the next
+	// write sends — at most maxSent after a NACK or a resume rewound it,
+	// and those frames are retransmits.
+	//
+	// ring is the replay ring: ring[i] is the clean encoding of frame
+	// acked+1+i, so it holds every frame the peer has not acknowledged.
+	// The frames live where the link encoded them: in its pooled blocks —
+	// blks keeps each retired one until the peer acknowledges the last
+	// frame in it — or, too large for a block, in a segment of their own.
 	sendSeq, acked, nextFlush, maxSent uint64
-	ring                               []seqFrame
+	ring                               [][]byte
+	blks                               []heldBlock
 
 	// Receive side: recvSeq is the highest sequence delivered in order;
 	// nackedAt remembers the recvSeq at which the last NACK was issued so
@@ -289,7 +286,16 @@ type relState struct {
 	space *sync.Cond
 }
 
-// link is one neighbor connection of the hosted rank.
+// heldBlock is a retired encode block a resilient link keeps for replay:
+// last is the last sequence encoded into it.
+type heldBlock struct {
+	b    *[]byte
+	last uint64
+}
+
+// link is one neighbor connection of the hosted rank. Both link modes
+// queue and write through one path; a resilient link also sequences
+// each frame and keeps what it wrote in its replay ring (relState).
 type link struct {
 	t          *TCP
 	self, peer cube.NodeID
@@ -323,10 +329,11 @@ type link struct {
 	// supervisor escalation and a racing join replacement.
 	downFired atomic.Bool
 
-	// Plain-link output queue (guarded by mu): outSegs is the wire-order
-	// list of byte segments awaiting the next vectored write; outBlks are
-	// the filled encode blocks backing earlier segments (recycled to
-	// blockPool once their flush completes). cur is the open block —
+	// Output queue (guarded by mu): outSegs is the wire-order list of
+	// byte segments awaiting the next vectored write; outBlks are encode
+	// blocks to recycle to blockPool once that write completes — on a
+	// plain link the filled blocks backing earlier segments, on a
+	// resilient one the blocks its peer acknowledged. cur is the open block —
 	// cur[spanFrom:] is its not-yet-queued tail, closed into outSegs at
 	// flush or roll time. batchAt is the offset of an open batch frame
 	// in cur (-1 when none), batchLen its message count, and queued the
@@ -908,6 +915,7 @@ func (t *TCP) newLink(self, peer cube.NodeID, port int, conn net.Conn, dialer bo
 		conn: conn, gen: 1, dialer: dialer, addr: addr,
 		kick:    make(chan struct{}, 1),
 		pumped:  make(chan struct{}),
+		cur:     getBlock(),
 		batchAt: -1,
 	}
 	if t.resilient() {
@@ -918,8 +926,6 @@ func (t *TCP) newLink(self, peer cube.NodeID, port int, conn net.Conn, dialer bo
 		l.ctrl = make([]byte, 0, 32)
 		l.ackTimer = time.AfterFunc(time.Hour, l.ackTimerFire)
 		l.ackTimer.Stop()
-	} else {
-		l.cur = getBlock()
 	}
 	return l
 }
@@ -1085,16 +1091,26 @@ func (l *link) install(conn net.Conn, peerRecv uint64) {
 }
 
 // trimRingLocked drops ring frames acknowledged up to and including
-// upTo. Caller holds l.mu.
+// upTo, and hands the blocks that held only such frames to the flusher,
+// waking it: it recycles them once no write in flight can still be
+// reading them. Caller holds l.mu.
 func (l *link) trimRingLocked(upTo uint64) {
 	r := l.r
-	i := 0
-	for i < len(r.ring) && r.ring[i].seq <= upTo {
-		r.ring[i].frame = nil
-		i++
-	}
-	r.ring = r.ring[i:]
+	upTo = min(upTo, r.sendSeq)
+	n := copy(r.ring, r.ring[upTo-r.acked:])
+	clear(r.ring[n:])
+	r.ring = r.ring[:n]
 	r.acked = upTo
+	k := 0
+	for ; k < len(r.blks) && r.blks[k].last <= upTo; k++ {
+		l.outBlks = append(l.outBlks, r.blks[k].b)
+	}
+	if k > 0 {
+		l.kickFlusher()
+	}
+	n = copy(r.blks, r.blks[k:])
+	clear(r.blks[n:])
+	r.blks = r.blks[:n]
 }
 
 // Send delivers msg from the hosted rank through the given port: an
@@ -1113,8 +1129,9 @@ func (t *TCP) Forward(from cube.NodeID, port int, env mpx.Envelope) error {
 
 // Settle is the send-completion fence (mpx.settler): it writes out what
 // every plain link of the hosted rank id has queued by reference and
-// reports whether all of it reached the sockets. Resilient links copied
-// each frame into their replay ring when it was sent and need nothing.
+// reports whether all of it reached the sockets. Resilient links queue
+// nothing by reference — every frame they send is a copy their replay
+// ring keeps — and need nothing.
 // A port without a link (never connected, or a member mesh's hole) and
 // a failed link, which never drains its queue, are both false.
 func (t *TCP) Settle(id cube.NodeID) bool {
@@ -1243,48 +1260,69 @@ func (l *link) ensureLocked(n int) {
 	}
 	l.sealBatchLocked()
 	l.closeSpanLocked()
-	l.outBlks = append(l.outBlks, l.cur)
+	if r := l.r; r != nil {
+		// Its frames stay in the replay ring until acknowledged.
+		r.blks = append(r.blks, heldBlock{l.cur, r.sendSeq})
+	} else {
+		l.outBlks = append(l.outBlks, l.cur)
+	}
 	l.cur = getBlock()
 	l.spanFrom = 0
 }
 
 // send queues msg on the link's write queue and wakes (or becomes) the
 // flusher; an oversized queue flushes synchronously for backpressure.
+// A resilient link whose replay ring is full blocks the sender until
+// ACK progress, escalation or shutdown — backpressure that holds through
+// a connection outage.
 //
 // Three encode paths, picked per message:
-//   - a part >= zcThreshold: vectored — headers into the block, payload
-//     bytes queued by reference (no copy; the payload must stay
-//     unmodified until flushed, which the collectives guarantee: they
-//     never mutate a buffer they handed to Send);
-//   - small parts only, but more of them than a block holds: one
-//     contiguous frame in a segment of its own;
+//   - a part >= zcThreshold on a plain link: vectored — headers into the
+//     block, payload bytes queued by reference (no copy; the payload must
+//     stay unmodified until flushed, which the collectives guarantee:
+//     they never mutate a buffer they handed to Send);
+//   - a whole frame of its own (queueFrameLocked): every message on a
+//     resilient link, whose frames each carry a sequence number and are
+//     replayed from copies; on a plain link a message with small parts
+//     only but more of them than a block holds, or one whose fault
+//     outcome damages the wire image (corrupt, duplicate), so that the
+//     corruption flips a real encoded byte;
 //   - everything else: appended to an open batch frame in the block (one
 //     header + one CRC per batch).
-//
-// Fault outcomes that damage the wire image (corrupt, duplicate) always
-// use the contiguous path so the corruption flips a real encoded byte.
 //
 // bodyCRC is the checksum already verified over msg when a relay
 // forwards it verbatim (zero otherwise); only the vectored path, where
 // the payload is worth not summing twice, looks at it.
 func (l *link) send(msg mpx.Message, bodyCRC uint32, out fault.Outcome) error {
-	if l.r != nil {
-		return l.sendResilient(msg, out)
-	}
 	l.mu.Lock()
+	r := l.r
+	for r != nil && len(r.ring) >= replayWindow && l.err == nil && !l.retired && !l.t.isDown() {
+		r.space.Wait()
+	}
+	if l.retired {
+		// The peer drained: drop silently, like sends to an absent member.
+		l.mu.Unlock()
+		l.t.memberDrops.Add(1)
+		return nil
+	}
 	if l.err != nil {
 		err := l.err
 		l.mu.Unlock()
 		return err
 	}
+	if l.t.isDown() {
+		l.mu.Unlock()
+		return mpx.ErrDown
+	}
 	// bulk means the message carries at least one part worth an iovec
 	// entry of its own. A bundle of many SMALL parts (a scatter subtree)
 	// is not bulk no matter its total: copying it contiguously beats
 	// paying per-part iovec overhead in the kernel.
-	bulk := maxPartLen(msg) >= zcThreshold
+	bulk := r == nil && maxPartLen(msg) >= zcThreshold
 	switch {
-	case out.Corrupt || out.Duplicate:
-		l.queueFaultyLocked(msg, out)
+	case r != nil || out.Corrupt || out.Duplicate ||
+		!bulk && wire.BatchMsgSize(msg)+wire.BatchOverhead+6 > blockSize:
+		l.queueFrameLocked(msg, out)
 	case bulk:
 		l.sealBatchLocked()
 		over := wire.VecOverhead(wire.MaxVersion, msg)
@@ -1293,17 +1331,6 @@ func (l *link) send(msg mpx.Message, bodyCRC uint32, out fault.Outcome) error {
 		*l.cur, l.outSegs = wire.AppendFrameVecCRC(*l.cur, l.outSegs, wire.MaxVersion, msg, bodyCRC)
 		l.spanFrom = len(*l.cur)
 		l.queued += over + msg.Size()
-		l.qframes++
-		l.t.framesSent.Add(1)
-	case wire.BatchMsgSize(msg)+wire.BatchOverhead+6 > blockSize:
-		// Small parts but a block-exceeding total: encode contiguously
-		// into a dedicated owned segment (the copy is the point — one
-		// iovec entry instead of hundreds).
-		l.sealBatchLocked()
-		l.closeSpanLocked()
-		buf := wire.AppendFrameV(make([]byte, 0, wire.BatchMsgSize(msg)+6), wire.MaxVersion, msg)
-		l.outSegs = append(l.outSegs, buf)
-		l.queued += len(buf)
 		l.qframes++
 		l.t.framesSent.Add(1)
 	default:
@@ -1337,88 +1364,78 @@ func (l *link) send(msg mpx.Message, bodyCRC uint32, out fault.Outcome) error {
 	return nil
 }
 
-// queueFaultyLocked encodes a contiguous frame for a corrupt and/or
-// duplicated transmission. Frames that cannot fit a block get a
-// dedicated owned segment (no pooling — the fault path is cold).
-func (l *link) queueFaultyLocked(msg mpx.Message, out fault.Outcome) {
-	need := wire.BatchMsgSize(msg) + 6
-	copies := 1
-	if out.Duplicate {
+// seqSlack bounds what a sequence number adds to a frame: its varint,
+// and one more byte of the length varint.
+const seqSlack = binary.MaxVarintLen64 + 1
+
+// queueFrameLocked encodes msg as a whole frame — a sequenced one on a
+// resilient link — into the open block, or into a segment of its own
+// when it cannot fit one. A corrupt outcome damages the first
+// transmission; a duplicate one writes it twice. A resilient link
+// encodes a second copy whenever a fault applies and keeps that clean
+// copy for replay, so a retransmission heals the corruption (this is
+// what makes CRC drops recoverable instead of silent); with corrupt
+// alone the clean copy stays off the wire until a NACK asks for it.
+// Caller holds l.mu.
+func (l *link) queueFrameLocked(msg mpx.Message, out fault.Outcome) {
+	r := l.r
+	need, copies := wire.BatchMsgSize(msg)+6, 1
+	if r != nil {
+		need += seqSlack
+	}
+	if out.Duplicate || out.Corrupt && r != nil {
 		copies = 2
 	}
+	l.sealBatchLocked()
+	owned := copies*need+4 > blockSize
+	var b []byte
+	if owned {
+		l.closeSpanLocked()
+		b = make([]byte, 0, copies*need)
+	} else {
+		l.ensureLocked(copies * need)
+		b = *l.cur
+	}
+	start, last := len(b), len(b)
 	for i := 0; i < copies; i++ {
-		var frame []byte
-		if need+4 > blockSize {
-			l.sealBatchLocked()
-			l.closeSpanLocked()
-			frame = wire.AppendFrameV(make([]byte, 0, need), wire.MaxVersion, msg)
-			l.outSegs = append(l.outSegs, frame)
+		last = len(b)
+		if r != nil {
+			b = wire.AppendSeqFrame(b, r.sendSeq+1, msg)
 		} else {
-			l.ensureLocked(need)
-			l.sealBatchLocked()
-			start := len(*l.cur)
-			*l.cur = wire.AppendFrameV(*l.cur, wire.MaxVersion, msg)
-			frame = (*l.cur)[start:]
+			b = wire.AppendFrameV(b, wire.MaxVersion, msg)
 		}
 		if i == 0 && out.Corrupt {
 			// Damage the frame on the wire: flip one body byte after the CRC
 			// was computed. The receiver's checksum rejects the frame — the
 			// real detection path, not a simulated one.
-			if b := wire.BodyStart(frame); b >= 0 && b < len(frame)-4 {
-				frame[b] ^= 0xFF
+			if at := wire.BodyStart(b[last:]); at >= 0 && last+at < len(b)-4 {
+				b[last+at] ^= 0xFF
 			}
 		}
-		l.queued += len(frame)
-		l.qframes++
-		l.t.framesSent.Add(1)
 	}
-}
-
-// sendResilient assigns the next sequence number, encodes the frame and
-// parks it in the replay ring until acknowledged. A full ring blocks the
-// sender until ACK progress, escalation or shutdown — backpressure that
-// holds through a connection outage.
-func (l *link) sendResilient(msg mpx.Message, out fault.Outcome) error {
-	l.mu.Lock()
-	r := l.r
-	for l.err == nil && !l.retired && !l.t.isDown() && len(r.ring) >= replayWindow {
-		r.space.Wait()
+	onWire, frames := len(b), copies
+	if r != nil && out.Corrupt && !out.Duplicate {
+		onWire, frames = last, 1
 	}
-	if l.retired {
-		// The peer drained: drop silently, like sends to an absent member.
-		l.mu.Unlock()
-		l.t.memberDrops.Add(1)
-		return nil
+	if owned {
+		l.outSegs = append(l.outSegs, b[start:onWire])
+	} else {
+		*l.cur = b
+		if onWire < len(b) {
+			l.outSegs = append(l.outSegs, b[l.spanFrom:onWire:onWire])
+			l.spanFrom = len(b)
+		}
 	}
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
+	l.queued += onWire - start
+	l.qframes += frames
+	l.t.framesSent.Add(int64(frames))
+	if r != nil {
+		r.sendSeq++
+		r.ring = append(r.ring, b[last:len(b):len(b)])
+		if n := int64(len(r.ring)); n > l.t.replayHW.Load() {
+			l.t.noteReplayDepth(n)
+		}
 	}
-	if l.t.isDown() {
-		l.mu.Unlock()
-		return mpx.ErrDown
-	}
-	r.sendSeq++
-	sf := seqFrame{
-		seq:     r.sendSeq,
-		frame:   wire.AppendSeqFrame(nil, r.sendSeq, msg),
-		corrupt: out.Corrupt,
-		dup:     out.Duplicate,
-	}
-	r.ring = append(r.ring, sf)
-	l.t.framesSent.Add(1)
-	if n := int64(len(r.ring)); n > l.t.replayHW.Load() {
-		l.t.noteReplayDepth(n)
-	}
-	l.mu.Unlock()
-	if l.wmu.TryLock() {
-		// Writer idle: flush inline instead of paying a wakeup hop.
-		l.flushResilientWLocked()
-		return nil
-	}
-	l.kickFlusher()
-	return nil
 }
 
 // noteReplayDepth raises the replay high-water mark to n if higher.
@@ -1441,188 +1458,126 @@ func (l *link) kickFlusher() {
 // flush writes the queued segments. Senders keep queueing while a
 // previous batch is on the wire — that window is the write coalescing.
 func (l *link) flush() error {
-	if l.r != nil {
-		l.flushResilient()
-		return nil
-	}
 	l.wmu.Lock()
 	return l.flushWLocked()
 }
 
-// flushWLocked drains the plain-link queue in one vectored write
-// (writev): header blocks and referenced payloads go to the kernel as
-// an iovec list, never coalesced into a second buffer. Takes wmu held,
-// releases it. Retired blocks return to the pool only here — after the
-// write that consumed their segments has finished.
+// flushWLocked is flush with wmu already held; it releases wmu. A write
+// error fails a plain link. On a resilient one it severs only the
+// connection, handing it to the supervisor: what the write carried stays
+// in the replay ring and is replayed after the resume.
 func (l *link) flushWLocked() error {
 	defer l.wmu.Unlock()
+	gen, err := l.writeWLocked()
+	switch {
+	case err == nil:
+		return nil
+	case l.r != nil:
+		l.disconnect(gen, err)
+		return nil
+	default:
+		return l.fail(err)
+	}
+}
+
+// writeWLocked drains the queue in one vectored write (writev): header
+// blocks and referenced payloads go to the kernel as an iovec list,
+// never coalesced into a second buffer. On a resilient link the
+// piggybacked ACK/NACK and the frames a NACK or a resume rewound to go
+// first (resendLocked). Blocks return to the pool only here — after the
+// write that could still be reading them has finished. Caller holds wmu.
+// It returns the connection generation written to and the write's
+// error, or the link's sticky failure; a resilient link between
+// connections writes nothing.
+func (l *link) writeWLocked() (gen int, err error) {
 	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
+	if l.err != nil || l.r != nil && !l.r.connected {
+		err = l.err
 		l.mu.Unlock()
-		return err
+		return 0, err
 	}
 	l.sealBatchLocked()
 	l.closeSpanLocked()
-	l.fsegs, l.outSegs = l.outSegs, l.fsegs[:0]
+	segs := l.fsegs[:0]
+	if l.r != nil {
+		segs = l.resendLocked(segs)
+	}
+	segs = append(segs, l.outSegs...)
+	clear(l.outSegs)
+	l.outSegs = l.outSegs[:0]
 	l.fblks, l.outBlks = l.outBlks, l.fblks[:0]
 	l.queued = 0
 	frames := l.qframes
 	l.qframes = 0
-	conn := l.conn
+	conn, gen := l.conn, l.gen
 	l.mu.Unlock()
-	if len(l.fsegs) == 0 {
-		return nil
+	if len(segs) > 0 {
+		if delay := l.chaosDelay.Load(); delay > 0 {
+			time.Sleep(time.Duration(delay))
+		}
+		total := 0
+		for _, s := range segs {
+			total += len(s)
+		}
+		l.wbufs = segs
+		start := time.Now()
+		_, err = l.wbufs.WriteTo(conn)
+		dt := time.Since(start)
+		if err == nil {
+			l.est.Observe(frames, total, dt)
+			l.t.bytesSent.Add(int64(total))
+		}
 	}
-	if delay := l.chaosDelay.Load(); delay > 0 {
-		time.Sleep(time.Duration(delay))
-	}
-	total := 0
-	for _, s := range l.fsegs {
-		total += len(s)
-	}
-	l.wbufs = l.fsegs
-	start := time.Now()
-	_, err := l.wbufs.WriteTo(conn)
-	dt := time.Since(start)
 	// WriteTo consumed wbufs (it advances the slice in place), so release
 	// the payload references through our own header and recycle the
 	// blocks this write retired.
-	for i := range l.fsegs {
-		l.fsegs[i] = nil
-	}
-	l.fsegs = l.fsegs[:0]
+	clear(segs)
+	l.fsegs = segs[:0]
 	for _, b := range l.fblks {
 		blockPool.Put(b)
 	}
 	l.fblks = l.fblks[:0]
-	if err != nil {
-		return l.fail(err)
-	}
-	l.est.Observe(frames, total, dt)
-	l.t.bytesSent.Add(int64(total))
-	return nil
+	return gen, err
 }
 
-// flushResilient writes every unflushed ring frame plus any pending
-// ACK/NACK to the current connection. Write errors sever the connection
-// (handing it to the supervisor) instead of failing the link; the
-// unflushed frames stay in the ring and are replayed after resume.
-func (l *link) flushResilient() {
-	l.wmu.Lock()
-	l.flushResilientWLocked()
-}
-
-// flushResilientWLocked does the work of flushResilient with wmu
-// already held; it releases wmu. The write is vectored: segments
-// reference the ring's owned frame encodings directly (no coalescing
-// copy — the ring never mutates a frame after creation, and trimming
-// only drops references, so the segments stay valid outside the lock).
-// ACK batching happens here: a pending ACK always piggybacks, and any
-// outgoing data drains the delayed-ACK window opportunistically.
-func (l *link) flushResilientWLocked() {
-	defer l.wmu.Unlock()
-	l.mu.Lock()
+// resendLocked opens a resilient link's write: a pending NACK, and an
+// ACK when one is due or data goes out while frames wait for one (the
+// delayed-ACK window drains early); then the frames a NACK or a resume
+// rewound to, from the replay ring. The frames queued since the last
+// write follow them, so both cursors move past those. Caller holds l.mu.
+func (l *link) resendLocked(segs [][]byte) [][]byte {
 	r := l.r
-	if l.err != nil || !r.connected || l.conn == nil {
-		l.mu.Unlock()
-		return
-	}
-	segs := l.fsegs[:0]
-	retrans, acks, nacks, batched := 0, 0, 0, 0
-	for i := range r.ring {
-		sf := &r.ring[i]
-		if sf.seq < r.nextFlush {
-			continue
-		}
-		first := sf.seq > r.maxSent
-		if !first {
-			retrans++
-		}
-		if first && sf.corrupt {
-			// Damage only this transmission — an owned copy, so the ring
-			// keeps the clean encoding and the NACK-triggered retransmit
-			// heals the frame. Cold path: fault injection only.
-			bad := append([]byte(nil), sf.frame...)
-			if b := wire.BodyStart(bad); b >= 0 && b < len(bad)-4 {
-				bad[b] ^= 0xFF
-			}
-			segs = append(segs, bad)
-		} else {
-			segs = append(segs, sf.frame)
-		}
-		if first && sf.dup {
-			segs = append(segs, sf.frame)
-		}
-	}
-	if r.sendSeq > r.maxSent {
-		r.maxSent = r.sendSeq
-	}
-	r.nextFlush = r.sendSeq + 1
+	replay := r.nextFlush <= r.maxSent
 	// Control frames ride in the fixed-capacity ctrl scratch; appends
-	// stay within its capacity, so earlier segments cannot dangle.
+	// stay within its capacity, so the segment cannot dangle.
 	ctrl := l.ctrl[:0]
 	if r.needNack {
-		at := len(ctrl)
 		ctrl = wire.AppendNack(ctrl, r.recvSeq)
-		segs = append(segs, ctrl[at:len(ctrl):len(ctrl)])
 		r.needNack = false
-		nacks++
+		l.t.nacksSent.Add(1)
+		l.qframes++
 	}
-	if r.needAck || (len(segs) > 0 && r.unacked > 0) {
-		at := len(ctrl)
+	if r.needAck || r.unacked > 0 && (replay || len(l.outSegs) > 0) {
 		ctrl = wire.AppendAck(ctrl, r.recvSeq)
-		segs = append(segs, ctrl[at:len(ctrl):len(ctrl)])
 		r.needAck = false
-		acks++
+		l.t.acksSent.Add(1)
+		l.qframes++
 		if r.unacked > 1 {
-			batched = r.unacked - 1
+			l.t.acksBatched.Add(int64(r.unacked - 1))
 		}
 		r.unacked = 0
 	}
-	conn, gen := l.conn, l.gen
-	l.mu.Unlock()
-	l.fsegs = segs
-	if retrans > 0 {
-		l.t.retransmits.Add(int64(retrans))
+	if len(ctrl) > 0 {
+		segs = append(segs, ctrl)
 	}
-	if acks > 0 {
-		l.t.acksSent.Add(int64(acks))
+	if replay {
+		frames := r.ring[r.nextFlush-r.acked-1 : r.maxSent-r.acked]
+		segs = append(segs, frames...)
+		l.qframes += len(frames)
+		l.t.retransmits.Add(int64(len(frames)))
 	}
-	if nacks > 0 {
-		l.t.nacksSent.Add(int64(nacks))
-	}
-	if batched > 0 {
-		l.t.acksBatched.Add(int64(batched))
-	}
-	if len(segs) == 0 {
-		return
-	}
-	if delay := l.chaosDelay.Load(); delay > 0 {
-		time.Sleep(time.Duration(delay))
-	}
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	// Each resilient segment is one complete frame (ring data frames and
-	// control appends alike), so len(segs) is the frame count the cost
-	// estimator wants.
-	frames := len(segs)
-	l.wbufs = segs
-	start := time.Now()
-	_, err := l.wbufs.WriteTo(conn)
-	dt := time.Since(start)
-	for i := range l.fsegs {
-		l.fsegs[i] = nil
-	}
-	l.fsegs = l.fsegs[:0]
-	if err != nil {
-		l.disconnect(gen, err)
-		return
-	}
-	l.est.Observe(frames, total, dt)
-	l.t.bytesSent.Add(int64(total))
+	r.maxSent, r.nextFlush = r.sendSeq, r.sendSeq+1
+	return segs
 }
 
 // fail records the first escalated failure on this link (sticky) as a
@@ -1912,7 +1867,6 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 			l.t.crcDropped.Add(1)
 			if l.r != nil {
 				l.noteGap()
-				continue
 			}
 			continue
 		case errors.Is(err, wire.ErrBye):
@@ -2348,7 +2302,8 @@ func (l *link) awaitAcked(deadline time.Time) {
 }
 
 // shutdown flushes what it can, announces BYE (unless the transport is
-// closing dirty) and closes the connection.
+// closing dirty) and closes the connection. A failed link, or a
+// resilient one between connections, writes nothing.
 func (l *link) shutdown(dirty bool) {
 	l.mu.Lock()
 	conn := l.conn
@@ -2367,34 +2322,17 @@ func (l *link) shutdown(dirty bool) {
 	// flusher stuck on a stalled peer) to return so wmu frees up.
 	conn.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
 	l.wmu.Lock()
-	l.mu.Lock()
-	var segs [][]byte
-	broken := l.err != nil
-	if l.r != nil {
-		for i := range l.r.ring {
-			if sf := &l.r.ring[i]; sf.seq >= l.r.nextFlush {
-				segs = append(segs, sf.frame)
-			}
-		}
-		if l.r.needAck || l.r.unacked > 0 {
-			l.ctrl = wire.AppendAck(l.ctrl[:0], l.r.recvSeq)
-			segs = append(segs, l.ctrl)
-		}
-		segs = append(segs, wire.AppendBye(nil))
-		broken = broken || !l.r.connected
-	} else {
+	if !dirty {
+		l.mu.Lock()
 		l.sealBatchLocked()
 		l.ensureLocked(2)
 		*l.cur = wire.AppendBye(*l.cur)
-		l.closeSpanLocked()
-		segs = l.outSegs
+		l.mu.Unlock()
+		l.writeWLocked() // best effort; the conn is closing anyway
 	}
+	l.mu.Lock()
 	conn = l.conn
 	l.mu.Unlock()
-	if !broken && !dirty {
-		l.wbufs = segs
-		l.wbufs.WriteTo(conn) // best effort; the conn is closing anyway
-	}
 	conn.Close()
 	l.wmu.Unlock()
 }

@@ -306,7 +306,7 @@ func TestAckNackRoundTrip(t *testing.T) {
 // TestMixedStreamDecodesInOrder interleaves every frame kind the
 // resilient link writes — sequenced data, cumulative acks, retransmit
 // requests, a plain frame and the closing BYE — in one coalesced
-// buffer, as flushResilient produces them.
+// buffer, as a link's flusher writes them.
 func TestMixedStreamDecodesInOrder(t *testing.T) {
 	msgs := sampleMessages()
 	var buf []byte
