@@ -35,9 +35,9 @@ import (
 // in-process count is measured here the same way, paced by the same
 // test-local barrier (lockstep) and not by the collectives' own frames.
 // The slack covers the root's copy of what Gather receives (one buffer
-// a call), a record made now and then when a pump reads ahead of its
-// rank, and in a -race build the encode blocks the race detector keeps
-// out of the links' pools.
+// a call) and a record made now and then when a pump reads ahead of its
+// rank. The wider slack of a -race build is more than it needs: the
+// links' free lists lose nothing to the race detector.
 //
 // The in-process count has a ceiling of its own per collective, half an
 // allocation above what a call is measured to make on 16 ranks. Bcast

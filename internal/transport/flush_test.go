@@ -68,10 +68,11 @@ func drainedEndpoint(t *testing.T, res ResilienceOptions) *TCP {
 
 // TestFlushZeroAllocs: once warm, a send and its flush hand a 64 B
 // message to the kernel without allocating, on either link mode — a
-// plain link's batch frame, a resilient link's sequenced frame kept in
-// the replay ring until the peer's ACK recycles its block, and an ACK of
-// its own. The writev list is the link's, not a local that escapes
-// through net.Buffers.WriteTo.
+// plain link's batch frame, in a block taken from the free list at the
+// send and given back after the write, and a resilient link's sequenced
+// frame kept in the replay ring until the peer's ACK recycles its block,
+// and an ACK of its own. The writev list is the link's, not a local that
+// escapes through net.Buffers.WriteTo.
 func TestFlushZeroAllocs(t *testing.T) {
 	testleak.Check(t)
 	for _, tc := range []struct {

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -136,5 +138,48 @@ func TestReceiveRecordRecyclesAfterEveryRelease(t *testing.T) {
 	}
 	if streamed := recv(); streamed.Lease != nil || streamed.Tag != 5 {
 		t.Fatalf("a streamed %d-byte frame holds lease %p, want none", streamed.Size(), streamed.Lease)
+	}
+}
+
+// TestPumpIdleWakeZeroAllocs: a read pump that goes idle after every
+// frame — its read buffer back on the free list, waiting on the poller —
+// and wakes for the next one allocates nothing once warm: the buffer
+// and the receive record come back from their free lists.
+func TestPumpIdleWakeZeroAllocs(t *testing.T) {
+	testleak.Check(t)
+	held := func() int { out, _ := readBufs.counts(); return out }
+	base := held()
+	tr, peer := rawPeerEndpoint(t)
+	frame := wire.AppendFrameV(nil, wire.MaxVersion, mpx.Message{Tag: 1, Parts: []mpx.Part{{Dest: 0, Data: make([]byte, 64)}}})
+	var err error
+	wake := func() {
+		if err != nil {
+			return
+		}
+		if _, e := peer.Write(frame); e != nil {
+			err = e
+			return
+		}
+		select {
+		case env := <-tr.Inbox(0):
+			env.Lease.Release()
+		case <-tr.Done():
+			err = mpx.ErrDown
+			return
+		}
+		// Wait for the pump to give its buffer back.
+		for deadline := time.Now().Add(5 * time.Second); held() > base; {
+			if time.Now().After(deadline) {
+				err = errors.New("the pump kept its read buffer")
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 100; i++ {
+		wake()
+	}
+	if a := testing.AllocsPerRun(1000, wake); a != 0 || err != nil {
+		t.Fatalf("a pump that idles and wakes allocates %.2f times per frame (err %v)", a, err)
 	}
 }

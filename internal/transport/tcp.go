@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,11 +31,18 @@ const coalesceLimit = 256 << 10
 // Close attempts on every link.
 const closeFlushTimeout = 2 * time.Second
 
-// blockSize is the capacity of the pooled encode blocks holding frame
-// headers, batched small messages and contiguous fault-path frames.
-// Blocks are fixed capacity — queued write segments alias them, so a
-// growth reallocation would orphan the segments.
+// blockSize is the capacity of the encode blocks holding frame headers,
+// batched small messages and contiguous fault-path frames. Blocks are
+// fixed capacity — queued write segments alias them, so a growth
+// reallocation would orphan the segments. A link takes a block at the
+// first byte it queues and gives it back once the block's bytes are
+// written (a plain link) or acknowledged (a resilient one), so an idle
+// link holds none.
 const blockSize = 32 << 10
+
+// readBufSize is the capacity of a read pump's buffer, held only while
+// bytes are arriving on its connection (pumpReader).
+const readBufSize = 16 << 10
 
 // zcThreshold is the payload size at and above which a plain-link send
 // skips the copy into the encode block and queues the payload by
@@ -57,17 +63,57 @@ const (
 	ackDelay = time.Millisecond
 )
 
-// blockPool recycles encode blocks across links and flushes. Stored as
-// *[]byte so Put does not allocate a box per cycle.
-var blockPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, blockSize)
-	return &b
-}}
+// freeList recycles equal-sized buffers across the links and read pumps
+// of every endpoint in the process: a LIFO stack of at most freeKeep
+// buffers behind a mutex. Unlike a sync.Pool it is never emptied by a
+// garbage collection or (in a -race build) by the race detector, so a
+// link that takes and gives back a block at every flush allocates
+// nothing once warm.
+type freeList struct {
+	mu   sync.Mutex
+	size int
+	free []*[]byte
+	out  int // taken and not given back
+}
 
-func getBlock() *[]byte {
-	b := blockPool.Get().(*[]byte)
-	*b = (*b)[:0]
+// freeKeep bounds each free list, in buffers. A one-to-all collective on
+// 64 ranks in one process keeps up to 63 links and pumps busy at once,
+// and resilient links hold their blocks until ACKed, well into the next
+// call: with a bound of 64, a 64-rank resilient scatter remade about two
+// blocks a call.
+const freeKeep = 128
+
+var (
+	blocks   = freeList{size: blockSize}
+	readBufs = freeList{size: readBufSize}
+)
+
+// get pops a buffer of length 0, or makes one.
+func (f *freeList) get() *[]byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.out++
+	n := len(f.free)
+	if n == 0 {
+		b := make([]byte, 0, f.size)
+		return &b
+	}
+	b := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
 	return b
+}
+
+// put gives a buffer back; past freeKeep it is left to the garbage
+// collector.
+func (f *freeList) put(b *[]byte) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.out--
+	if len(f.free) < freeKeep {
+		*b = (*b)[:0]
+		f.free = append(f.free, b)
+	}
 }
 
 // ResilienceOptions configures self-healing links. With Enabled false
@@ -102,7 +148,8 @@ type ResilienceOptions struct {
 // replayWindow bounds a resilient link's replay ring, in frames. A sender
 // whose window is full blocks until ACKs drain it (backpressure through
 // an outage). In bytes the ring holds at most replayWindow+1 encode
-// blocks and the frames too large for one (DESIGN.md §10).
+// blocks — the +1 being the open block, which an empty ring gives back —
+// and the frames too large for one (DESIGN.md §10).
 const replayWindow = 1024
 
 func (r *ResilienceOptions) normalize() {
@@ -252,7 +299,7 @@ type relState struct {
 	//
 	// ring is the replay ring: ring[i] is the clean encoding of frame
 	// acked+1+i, so it holds every frame the peer has not acknowledged.
-	// The frames live where the link encoded them: in its pooled blocks —
+	// The frames live where the link encoded them: in its encode blocks —
 	// blks keeps each retired one until the peer acknowledges the last
 	// frame in it — or, too large for a block, in a segment of their own.
 	sendSeq, acked, nextFlush, maxSent uint64
@@ -331,16 +378,18 @@ type link struct {
 
 	// Output queue (guarded by mu): outSegs is the wire-order list of
 	// byte segments awaiting the next vectored write; outBlks are encode
-	// blocks to recycle to blockPool once that write completes — on a
-	// plain link the filled blocks backing earlier segments, on a
-	// resilient one the blocks its peer acknowledged. cur is the open block —
-	// cur[spanFrom:] is its not-yet-queued tail, closed into outSegs at
-	// flush or roll time. batchAt is the offset of an open batch frame
-	// in cur (-1 when none), batchLen its message count, and queued the
-	// byte total across the queue (backpressure). Large payloads are
-	// queued by reference — zero copy — between header spans that alias
-	// cur; cur never reallocates (capacity is checked before every
-	// append), so those aliases stay valid.
+	// blocks to give back to the free list once that write completes —
+	// on a plain link the blocks backing the segments it writes, on a
+	// resilient one the blocks its peer acknowledged. cur is the open
+	// block, nil until the link queues a byte: a plain link gives it back
+	// at every write, a resilient one when the peer has acknowledged every
+	// frame in its replay ring. cur[spanFrom:] is its not-yet-queued tail,
+	// closed into outSegs at flush or roll time. batchAt is the offset of
+	// an open batch frame in cur (-1 when none) and queued the byte total
+	// across the queue (backpressure). Large payloads are queued by
+	// reference — zero copy — between header spans that alias cur; cur
+	// never reallocates (capacity is checked before every append), so
+	// those aliases stay valid.
 	outSegs  [][]byte
 	outBlks  []*[]byte
 	cur      *[]byte
@@ -915,7 +964,6 @@ func (t *TCP) newLink(self, peer cube.NodeID, port int, conn net.Conn, dialer bo
 		conn: conn, gen: 1, dialer: dialer, addr: addr,
 		kick:    make(chan struct{}, 1),
 		pumped:  make(chan struct{}),
-		cur:     getBlock(),
 		batchAt: -1,
 	}
 	if t.resilient() {
@@ -1093,7 +1141,8 @@ func (l *link) install(conn net.Conn, peerRecv uint64) {
 // trimRingLocked drops ring frames acknowledged up to and including
 // upTo, and hands the blocks that held only such frames to the flusher,
 // waking it: it recycles them once no write in flight can still be
-// reading them. Caller holds l.mu.
+// reading them. An empty ring hands over the open block too: every frame
+// in it was written and acknowledged. Caller holds l.mu.
 func (l *link) trimRingLocked(upTo uint64) {
 	r := l.r
 	upTo = min(upTo, r.sendSeq)
@@ -1105,12 +1154,16 @@ func (l *link) trimRingLocked(upTo uint64) {
 	for ; k < len(r.blks) && r.blks[k].last <= upTo; k++ {
 		l.outBlks = append(l.outBlks, r.blks[k].b)
 	}
-	if k > 0 {
-		l.kickFlusher()
-	}
 	n = copy(r.blks, r.blks[k:])
 	clear(r.blks[n:])
 	r.blks = r.blks[:n]
+	if len(r.ring) == 0 && l.cur != nil {
+		l.retireCurLocked()
+		k++ // one more block handed over
+	}
+	if k > 0 {
+		l.kickFlusher()
+	}
 }
 
 // Send delivers msg from the hosted rank through the given port: an
@@ -1227,9 +1280,12 @@ func maxPartLen(msg mpx.Message) int {
 	return n
 }
 
-// closeSpanLocked moves the open tail of the current block onto the
-// segment queue. Caller holds l.mu.
+// closeSpanLocked moves the open tail of the current block, if any, onto
+// the segment queue. Caller holds l.mu.
 func (l *link) closeSpanLocked() {
+	if l.cur == nil {
+		return
+	}
 	b := *l.cur
 	if len(b) > l.spanFrom {
 		l.outSegs = append(l.outSegs, b[l.spanFrom:len(b):len(b)])
@@ -1249,25 +1305,36 @@ func (l *link) sealBatchLocked() {
 	l.queued += 4
 }
 
-// ensureLocked guarantees the current block has n+4 bytes of spare
+// ensureLocked guarantees an open block with n+4 bytes of spare
 // capacity (the +4 keeps the seal of an open batch from ever growing
 // the block — queued segments alias it, so growth would orphan them),
-// rolling to a fresh pooled block when it does not. Caller holds l.mu;
-// n+4 must not exceed blockSize.
+// taking one from the free list when the link has none and rolling to a
+// fresh one when the open block is too full. Caller holds l.mu; n+4
+// must not exceed blockSize.
 func (l *link) ensureLocked(n int) {
-	if cap(*l.cur)-len(*l.cur) >= n+4 {
-		return
+	if l.cur != nil {
+		if cap(*l.cur)-len(*l.cur) >= n+4 {
+			return
+		}
+		l.sealBatchLocked()
+		l.closeSpanLocked()
+		if r := l.r; r != nil {
+			// Its frames stay in the replay ring until acknowledged.
+			r.blks = append(r.blks, heldBlock{l.cur, r.sendSeq})
+		} else {
+			l.outBlks = append(l.outBlks, l.cur)
+		}
 	}
-	l.sealBatchLocked()
-	l.closeSpanLocked()
-	if r := l.r; r != nil {
-		// Its frames stay in the replay ring until acknowledged.
-		r.blks = append(r.blks, heldBlock{l.cur, r.sendSeq})
-	} else {
-		l.outBlks = append(l.outBlks, l.cur)
-	}
-	l.cur = getBlock()
+	l.cur = blocks.get()
 	l.spanFrom = 0
+}
+
+// retireCurLocked hands the open block, whose bytes are all queued, to
+// the flusher, which gives it back after its next write. Caller holds
+// l.mu.
+func (l *link) retireCurLocked() {
+	l.outBlks = append(l.outBlks, l.cur)
+	l.cur, l.spanFrom = nil, 0
 }
 
 // send queues msg on the link's write queue and wakes (or becomes) the
@@ -1484,8 +1551,10 @@ func (l *link) flushWLocked() error {
 // blocks and referenced payloads go to the kernel as an iovec list,
 // never coalesced into a second buffer. On a resilient link the
 // piggybacked ACK/NACK and the frames a NACK or a resume rewound to go
-// first (resendLocked). Blocks return to the pool only here — after the
-// write that could still be reading them has finished. Caller holds wmu.
+// first (resendLocked). A plain link's open block is written out whole,
+// so it goes back with the rest. Blocks return to the free list only
+// here — after the write that could still be reading them has
+// finished. Caller holds wmu.
 // It returns the connection generation written to and the write's
 // error, or the link's sticky failure; a resilient link between
 // connections writes nothing.
@@ -1501,6 +1570,8 @@ func (l *link) writeWLocked() (gen int, err error) {
 	segs := l.fsegs[:0]
 	if l.r != nil {
 		segs = l.resendLocked(segs)
+	} else if l.cur != nil {
+		l.retireCurLocked()
 	}
 	segs = append(segs, l.outSegs...)
 	clear(l.outSegs)
@@ -1534,7 +1605,7 @@ func (l *link) writeWLocked() (gen int, err error) {
 	clear(segs)
 	l.fsegs = segs[:0]
 	for _, b := range l.fblks {
-		blockPool.Put(b)
+		blocks.put(b)
 	}
 	l.fblks = l.fblks[:0]
 	return gen, err
@@ -1802,18 +1873,141 @@ func (l *link) resumeHandshake(conn net.Conn, deadline time.Time) (uint64, error
 	return echo.RecvSeq, nil
 }
 
-// countReader counts raw bytes flowing off a connection (below the
-// bufio layer, so read-ahead counts when it happens, which is what
-// "wire bytes received" means).
-type countReader struct {
-	r io.Reader
-	n *atomic.Int64
+// pumpReader is a read pump's buffered reader over its connection
+// (what wire.Reader wants: io.Reader, io.ByteReader), counting the raw
+// bytes it takes off the connection into n when it takes them, which is
+// what "wire bytes received" means. It holds its buffer only while bytes
+// are arriving: at a frame boundary with nothing buffered, wait gives
+// the buffer back if the connection has nothing more to read, and
+// blocks until it does.
+// A read of at least a buffer's worth into an empty buffer goes straight
+// to the destination, as bufio's does. A connection that is not a
+// syscall.Conn keeps its buffer for its life.
+type pumpReader struct {
+	conn net.Conn
+	raw  syscall.RawConn
+	n    *atomic.Int64
+	buf  *[]byte // (*buf)[r:w] is unread; nil while idle
+	r, w int
+	err  error // the failed read's, reported once the buffer drains
+	fill func(fd uintptr) bool
 }
 
-func (c countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
-	return n, err
+func newPumpReader(conn net.Conn, n *atomic.Int64) *pumpReader {
+	p := &pumpReader{conn: conn, n: n}
+	if sc, ok := conn.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			p.raw = raw
+			// Bound once: a method value made per wait would allocate.
+			p.fill = p.readFD
+		}
+	}
+	return p
+}
+
+// Buffered is the number of bytes read off the connection and not yet
+// consumed.
+func (p *pumpReader) Buffered() int { return p.w - p.r }
+
+func (p *pumpReader) Read(b []byte) (int, error) {
+	if p.r == p.w {
+		if p.err != nil {
+			return 0, p.err
+		}
+		if len(b) >= readBufSize {
+			n, err := p.conn.Read(b)
+			p.n.Add(int64(n))
+			return n, err
+		}
+		p.readConn()
+		if p.r == p.w {
+			return 0, p.err
+		}
+	}
+	n := copy(b, (*p.buf)[p.r:p.w])
+	p.r += n
+	return n, nil
+}
+
+func (p *pumpReader) ReadByte() (byte, error) {
+	for p.r == p.w {
+		if p.err != nil {
+			return 0, p.err
+		}
+		p.readConn()
+	}
+	c := (*p.buf)[p.r]
+	p.r++
+	return c, nil
+}
+
+// readConn refills the drained buffer with one blocking read, taking a
+// buffer if the reader holds none.
+func (p *pumpReader) readConn() {
+	if p.buf == nil {
+		p.take()
+	}
+	n, err := p.conn.Read(*p.buf)
+	p.n.Add(int64(n))
+	p.r, p.w, p.err = 0, n, err
+}
+
+// wait blocks until the connection has bytes or fails, with nothing
+// buffered. The wait is the poller's: readFD runs first and at each
+// readiness, and makes the one read net.Conn.Read would have made.
+func (p *pumpReader) wait() {
+	if p.raw == nil {
+		p.readConn()
+		return
+	}
+	if err := p.raw.Read(p.fill); err != nil {
+		p.err = err
+	}
+}
+
+// readFD is wait's callback. It must always try the read: the poller is
+// edge-triggered, so returning false without draining the readiness it
+// was woken for would wait forever. A read that would block gives the
+// buffer back before the poller waits, and the next readiness takes one
+// again; bytes already waiting are read into the buffer the reader
+// holds, with no trip to the free list.
+func (p *pumpReader) readFD(fd uintptr) bool {
+	if p.buf == nil {
+		p.take()
+	}
+	for {
+		n, err := syscall.Read(int(fd), *p.buf)
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err == syscall.EAGAIN:
+			p.release()
+			return false
+		case err != nil:
+			p.err = os.NewSyscallError("read", err)
+			n = 0
+		case n == 0:
+			p.err = io.EOF
+		}
+		p.n.Add(int64(n))
+		p.r, p.w = 0, n
+		return true
+	}
+}
+
+// take gives the reader a buffer, at full length.
+func (p *pumpReader) take() {
+	p.buf = readBufs.get()
+	*p.buf = (*p.buf)[:readBufSize]
+}
+
+// release gives the buffer back, if the reader holds one; nothing may
+// be buffered.
+func (p *pumpReader) release() {
+	if p.buf != nil {
+		readBufs.put(p.buf)
+		p.buf = nil
+	}
 }
 
 // readPump decodes inbound frames into the hosted rank's inbox. A
@@ -1831,21 +2025,24 @@ func (c countReader) Read(p []byte) (int, error) {
 // leases; a streamed frame, a control frame or an ack leaves the record
 // with the pump for the next read. A pump
 // takes a record when a frame starts to arrive and gives it back when
-// its link goes quiet, so an idle link holds none.
+// its link goes quiet, so an idle link holds none; its read buffer goes
+// back at the same point and comes back with the next bytes
+// (pumpReader).
 func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 	defer l.t.wg.Done()
 	defer close(pumped)
-	br := bufio.NewReaderSize(countReader{conn, &l.t.bytesRecv}, 16<<10)
-	r := wire.NewReader(br)
+	pr := newPumpReader(conn, &l.t.bytesRecv)
+	defer pr.release()
+	r := wire.NewReader(pr)
 	r.Land(l.land)
 	var rec *recvRecord
 	for {
-		if br.Buffered() == 0 {
+		if pr.Buffered() == 0 {
 			if rec != nil {
 				l.t.putRecord(rec)
 				rec = nil
 			}
-			br.Peek(1) // a failure is the read's to report
+			pr.wait() // a failure is the read's to report
 		}
 		if rec == nil {
 			rec = l.t.takeRecord()
@@ -2301,6 +2498,10 @@ func (l *link) awaitAcked(deadline time.Time) {
 	l.mu.Unlock()
 }
 
+// byeFrame is the shutdown announcement every link writes from: writes
+// only read it.
+var byeFrame = wire.AppendBye(nil)
+
 // shutdown flushes what it can, announces BYE (unless the transport is
 // closing dirty) and closes the connection. A failed link, or a
 // resilient one between connections, writes nothing.
@@ -2323,10 +2524,12 @@ func (l *link) shutdown(dirty bool) {
 	conn.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
 	l.wmu.Lock()
 	if !dirty {
+		// The BYE rides in a segment of its own, so an idle link takes no
+		// block to say goodbye.
 		l.mu.Lock()
 		l.sealBatchLocked()
-		l.ensureLocked(2)
-		*l.cur = wire.AppendBye(*l.cur)
+		l.closeSpanLocked()
+		l.outSegs = append(l.outSegs, byeFrame)
 		l.mu.Unlock()
 		l.writeWLocked() // best effort; the conn is closing anyway
 	}
