@@ -38,8 +38,8 @@
 // handshake (launch and its drills deploy on one host, where the
 // TCP/IP stack buys nothing) and TCP with an explicit -peers list that
 // may span hosts. With -resilient the links self-heal: a lost connection is redialed with
-// jittered exponential backoff and the sequenced frames the peer
-// missed are retransmitted from a replay ring, so collectives survive
+// jittered exponential backoff and the frames the peer missed are
+// retransmitted from a replay ring, so collectives survive
 // socket kills invisibly; -v prints the per-node link-health counters
 // (reconnects, retransmits, CRC drops, ...) after the run.
 //

@@ -144,9 +144,9 @@ func cmdServe(args []string) error {
 	}
 	if *verbose {
 		if st, ok := machine.Stats(); ok {
-			line := fmt.Sprintf("STATS %d: reconnects=%d retransmits=%d crc_dropped=%d acks=%d acks_batched=%d nacks=%d dups_dropped=%d severed=%d replay_hw=%d bytes_sent=%d bytes_recv=%d frames_sent=%d frames_recv=%d payload_delivered=%d member_drops=%d grow_events=%d grow_accepts=%d attaches_recv=%d",
+			line := fmt.Sprintf("STATS %d: reconnects=%d retransmits=%d crc_dropped=%d acks=%d acks_batched=%d severed=%d replay_hw=%d bytes_sent=%d bytes_recv=%d frames_sent=%d frames_recv=%d payload_delivered=%d member_drops=%d grow_events=%d grow_accepts=%d attaches_recv=%d",
 				*id, st.Reconnects, st.Retransmits, st.CRCDropped, st.AcksSent, st.AcksBatched,
-				st.NacksSent, st.DupsDropped, st.SeveredLinks, st.ReplayHighWater,
+				st.SeveredLinks, st.ReplayHighWater,
 				st.BytesSent, st.BytesReceived, st.FramesSent, st.FramesReceived, st.PayloadDelivered,
 				st.MemberDrops, st.GrowEvents, st.GrowAccepts, st.AttachesReceived)
 			// per_job: the payload each job delivered to this node, from

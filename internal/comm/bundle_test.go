@@ -297,20 +297,13 @@ func TestScatterSocketAllocBudget(t *testing.T) {
 		}
 		return step.wait(c)
 	})
-	budget := 1.1
-	if raceBuild {
-		// Wider than needed: the links' free lists lose nothing to the
-		// race detector either (about 1.0 per call measured).
-		budget = 2
-	}
-	if got > budget {
+	// The same budget holds under -race: the links' free lists lose
+	// nothing to the race detector (1.00–1.01 per call over ten runs).
+	if budget := 1.1; got > budget {
 		t.Fatalf("Scatter makes %.2f allocations per %d-rank socket call, budget %.1f (the root's bundle and slack)", got, N, budget)
 	}
 	t.Logf("%.2f allocations per %d-rank socket call", got, N)
 }
-
-// raceBuild is set in a -race build (race_on_test.go).
-var raceBuild bool
 
 // lockstep is a cyclic barrier for the n ranks of one process that sends
 // nothing: wait parks until all n have arrived; abort releases them all

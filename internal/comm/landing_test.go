@@ -205,22 +205,20 @@ func TestBcastMSBTEarlyArrival(t *testing.T) {
 
 // TestBcastMSBTLandsUnderCorruptAndDuplicate runs large broadcasts over
 // resilient links, one of which damages a chunk's first transmission
-// while the others send every frame twice. The retransmit re-lands and
-// the duplicates are discarded without touching anyone's memory. A
-// result belongs to the caller until the communicator's next BcastMSBT:
-// each rank scribbles over its first result, lets a barrier push every
-// duplicate of the first broadcast through, and finds the scribble
-// intact. The calls after that land in the same buffer while the
-// duplicates of the barrier and of the broadcast before them are still
-// arriving, and every result is byte-exact.
+// while the others are told to send every frame twice, which a resilient
+// link writes once. The damaged chunk severs its link, and the resume's
+// retransmit re-lands it. A result belongs to the caller until the
+// communicator's next BcastMSBT: each rank scribbles over its first
+// result, lets a barrier push every frame of the first broadcast
+// through, and finds the scribble intact. The calls after that land in
+// the same buffer, and every result is byte-exact.
 func TestBcastMSBTLandsUnderCorruptAndDuplicate(t *testing.T) {
 	testleak.Check(t)
 	const n, size = 2, 1 << 19
 	plan := fault.NewPlan(n).AddRule(fault.Rule{Link: cube.Edge{From: 0, To: 1}, Kind: fault.Corrupt, Nth: 1})
 	for from := cube.NodeID(0); from < 1<<n; from++ {
 		for d := 0; d < n; d++ {
-			// (Not on the damaging link: there the intact second copy would
-			// stand in for the retransmit.)
+			// (Not on the damaging link: its one fault is the corruption.)
 			if e := (cube.Edge{From: from, To: from ^ 1<<uint(d)}); e != (cube.Edge{From: 0, To: 1}) {
 				plan.AddRule(fault.Rule{Link: e, Kind: fault.Duplicate, Nth: fault.EveryMessage})
 			}
@@ -258,8 +256,8 @@ func TestBcastMSBTLandsUnderCorruptAndDuplicate(t *testing.T) {
 				got[i] = 0xEE
 			}
 		}
-		// Links deliver in order: past the barrier, every duplicate of the
-		// first broadcast has been read and thrown away.
+		// Links deliver in order: past the barrier, every frame of the
+		// first broadcast has been read.
 		if err := c.Barrier(); err != nil {
 			return err
 		}
@@ -279,9 +277,6 @@ func TestBcastMSBTLandsUnderCorruptAndDuplicate(t *testing.T) {
 	})
 	if stats.CRCDropped < 1 || stats.Retransmits < 1 {
 		t.Errorf("CRCDropped %d, Retransmits %d: the damaged chunk was never dropped and resent", stats.CRCDropped, stats.Retransmits)
-	}
-	if stats.DupsDropped < 1 {
-		t.Errorf("DupsDropped %d: no duplicate frame reached a receiver", stats.DupsDropped)
 	}
 }
 

@@ -29,7 +29,9 @@ type Kind int
 const (
 	// Drop loses the message silently.
 	Drop Kind = iota
-	// Duplicate delivers the message twice.
+	// Duplicate delivers the message twice. A resilient socket link
+	// (internal/transport) writes it once: it counts frames by their
+	// place in the stream, so a second copy would be a second delivery.
 	Duplicate
 	// Corrupt flips payload bytes in flight (checksums still match the
 	// original payload, so receivers can detect the damage).

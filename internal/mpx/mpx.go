@@ -174,21 +174,19 @@ type firstPeerErrorer interface {
 }
 
 // TransportStats aggregates a transport's health counters: what the
-// resilience layer absorbed (CRC drops, retransmits, reconnects,
-// deduplicated replays) and how deep its replay buffering had to go.
+// resilience layer absorbed (CRC drops, retransmits, reconnects) and how
+// deep its replay buffering had to go.
 // Counters a backend does not implement stay zero.
 type TransportStats struct {
 	// CRCDropped counts received frames rejected by the checksum.
 	CRCDropped int64
-	// Retransmits counts sequenced frames written to a link more than once.
+	// Retransmits counts frames written to a resilient link more than
+	// once.
 	Retransmits int64
 	// Reconnects counts successful link re-establishments.
 	Reconnects int64
-	// AcksSent and NacksSent count acknowledgement control frames.
-	AcksSent, NacksSent int64
-	// DupsDropped counts received sequenced frames discarded as
-	// duplicates by the receiver-side sequence filter.
-	DupsDropped int64
+	// AcksSent counts acknowledgement control frames.
+	AcksSent int64
 	// SeveredLinks counts links administratively severed (in-process
 	// fault injection / chaos).
 	SeveredLinks int64
@@ -229,8 +227,6 @@ func (s *TransportStats) Add(o TransportStats) {
 	s.Retransmits += o.Retransmits
 	s.Reconnects += o.Reconnects
 	s.AcksSent += o.AcksSent
-	s.NacksSent += o.NacksSent
-	s.DupsDropped += o.DupsDropped
 	s.SeveredLinks += o.SeveredLinks
 	if o.ReplayHighWater > s.ReplayHighWater {
 		s.ReplayHighWater = o.ReplayHighWater

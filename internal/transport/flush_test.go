@@ -15,8 +15,8 @@ import (
 
 // drainedEndpoint hosts node 0 of a 1-cube whose node 1 is a bare
 // socket: it answers the handshake, then decodes whatever arrives into
-// one reused frame and acknowledges each sequenced frame, so a resilient
-// link's replay ring drains and the only allocations left in the
+// one reused frame and acknowledges each data or batch frame by its
+// place in the stream, so a resilient link's replay ring drains and the only allocations left in the
 // process are the endpoint's own.
 func drainedEndpoint(t *testing.T, res ResilienceOptions) *TCP {
 	t.Helper()
@@ -40,12 +40,14 @@ func drainedEndpoint(t *testing.T, res ResilienceOptions) *TCP {
 		r := wire.NewReader(bufio.NewReader(conn))
 		var fr wire.Frame
 		ack := make([]byte, 0, 16)
+		var n uint64
 		for {
 			if err := r.ReadAnyInto(&fr); err != nil {
 				return
 			}
-			if fr.Kind == wire.KindSeqData {
-				if _, err := conn.Write(wire.AppendAck(ack[:0], fr.Seq)); err != nil {
+			if res.Enabled && (fr.Kind == wire.KindData || fr.Kind == wire.KindBatch) {
+				n++
+				if _, err := conn.Write(wire.AppendAck(ack[:0], n)); err != nil {
 					return
 				}
 			}
@@ -69,7 +71,7 @@ func drainedEndpoint(t *testing.T, res ResilienceOptions) *TCP {
 // TestFlushZeroAllocs: once warm, a send and its flush hand a 64 B
 // message to the kernel without allocating, on either link mode — a
 // plain link's batch frame, in a block taken from the free list at the
-// send and given back after the write, and a resilient link's sequenced
+// send and given back after the write, and a resilient link's batch
 // frame kept in the replay ring until the peer's ACK recycles its block,
 // and an ACK of its own. The writev list is the link's, not a local that
 // escapes through net.Buffers.WriteTo.

@@ -108,11 +108,11 @@ func TestLandingOnPlainAndStripedLinks(t *testing.T) {
 }
 
 // TestLandingDeliverOnceOnResilientLink scripts the peer of a resilient
-// link frame by frame. The pump asks where a part belongs only for the
-// frame it will deliver next: a frame that fails its checksum lands,
-// is dropped and NACKed, and its retransmit lands in the same place; a
-// replay of a delivered sequence number and a frame behind a gap are
-// read into scratch and never reach the consumer's memory.
+// link frame by frame. A frame that fails its checksum lands, and the
+// endpoint severs the connection; the count its resume reports asks for
+// the frame again, and the replay lands in the same place. Once the
+// frame is delivered, the next resume reports it received, so nothing
+// writes the consumer's memory again.
 func TestLandingDeliverOnceOnResilientLink(t *testing.T) {
 	testleak.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -129,87 +129,71 @@ func TestLandingDeliverOnceOnResilientLink(t *testing.T) {
 	tr.Attach(0, k.consumer())
 	connected := make(chan error, 1)
 	go func() { connected <- tr.Connect([]string{tr.Addr(), ln.Addr().String()}) }()
-	conn, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
+	// accept takes the endpoint's next dial — it is node 0, the dialer —
+	// checks the receive count its hello reports and echoes the peer's.
+	accept := func(want uint64) net.Conn {
+		t.Helper()
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(20 * time.Second))
+		h, err := wire.ReadHello(conn)
+		if err != nil || !h.Resilient || h.RecvSeq != want {
+			t.Fatalf("hello %+v, %v: want a resilient one reporting %d frames received", h, err, want)
+		}
+		conn.Write(wire.AppendHello(nil, wire.Hello{Dim: 1, From: 1, To: 0, Resilient: true}))
+		return conn
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(20 * time.Second))
-	if _, err := wire.ReadHello(conn); err != nil {
-		t.Fatal(err)
-	}
-	conn.Write(wire.AppendHello(nil, wire.Hello{Dim: 1, From: 1, To: 0, Resilient: true}))
+	conn := accept(0)
 	if err := <-connected; err != nil {
 		t.Fatal(err)
 	}
-	from := wire.NewReader(conn)
-	awaitNack := func(watermark uint64) {
-		t.Helper()
-		for {
-			var fr wire.Frame
-			err := from.ReadAnyInto(&fr)
-			if err != nil {
-				t.Fatalf("waiting for NACK %d: %v", watermark, err)
-			}
-			if fr.Kind == wire.KindNack && fr.Seq == watermark {
-				return
-			}
-		}
-	}
-	seqFrame := func(seq uint64, msg mpx.Message) []byte {
-		return wire.AppendSeqFrame(nil, seq, msg)
-	}
-	fence := func(seq uint64, tag int) {
-		t.Helper()
-		conn.Write(seqFrame(seq, mpx.Message{Tag: tag, Parts: []mpx.Part{{Dest: 0, Data: []byte("fence")}}}))
-		if env := k.next(t); env.Tag != tag {
-			t.Fatalf("delivered tag %d, want the fence %d", env.Tag, tag)
-		}
-	}
 
-	// Sequence 1, one payload byte damaged in flight: it lands, fails its
-	// checksum and is NACKed; the clean retransmit lands in the same place.
+	// Frame 1, one payload byte damaged in flight: it lands, fails its
+	// checksum, and the endpoint severs the link and resumes with nothing
+	// received; the replay lands in the same place.
 	first := bigMessage(7, 100, 64<<10)
-	clean := seqFrame(1, first)
+	clean := wire.AppendFrameV(nil, wire.MaxVersion, first)
 	bad := append([]byte(nil), clean...)
 	bad[wire.BodyStart(bad)+1000] ^= 0xFF
 	conn.Write(bad)
-	awaitNack(0)
+	conn = accept(0)
 	if st := tr.Stats(); k.asks.Load() != 1 || st.CRCDropped != 1 {
 		t.Fatalf("%d asks and %d checksum drops after the damaged frame, want 1 and 1", k.asks.Load(), st.CRCDropped)
 	}
 	conn.Write(clean)
 	k.landed(t, k.next(t), first)
 	if k.asks.Load() != 2 {
-		t.Fatalf("%d asks after the retransmit, want 2", k.asks.Load())
+		t.Fatalf("%d asks after the replay, want 2", k.asks.Load())
 	}
 
-	// The consumer has its message and reuses the memory. A replay of
-	// sequence 1 must not write there again.
+	// The consumer has its message and reuses the memory. The link drops
+	// again; the resume reports frame 1 received, so the peer goes on with
+	// frame 2 and nothing lands in the zone.
 	for i := range k.zone {
 		k.zone[i] = 0xEE
 	}
-	conn.Write(clean)
-	fence(2, 8)
+	conn.Close()
+	conn = accept(1)
+	conn.Write(wire.AppendFrameV(nil, wire.MaxVersion, mpx.Message{Tag: 8, Parts: []mpx.Part{{Dest: 0, Data: []byte("fence")}}}))
+	if env := k.next(t); env.Tag != 8 {
+		t.Fatalf("delivered tag %d, want the fence 8", env.Tag)
+	}
 	for i, b := range k.zone {
 		if b != 0xEE {
-			t.Fatalf("byte %d of the landing zone was written by a replayed frame", i)
+			t.Fatalf("byte %d of the landing zone was written after its message was delivered", i)
 		}
 	}
-	if st := tr.Stats(); k.asks.Load() != 2 || st.DupsDropped != 1 {
-		t.Fatalf("%d asks and %d duplicates dropped after the replay, want 2 and 1", k.asks.Load(), st.DupsDropped)
+	if st := tr.Stats(); k.asks.Load() != 2 || st.Reconnects != 2 {
+		t.Fatalf("%d asks and %d reconnects, want 2 and 2", k.asks.Load(), st.Reconnects)
 	}
-
-	// Sequence 4 ahead of 3: discarded unasked, then delivered in turn.
-	fourth := bigMessage(9, 0, 32<<10)
-	conn.Write(seqFrame(4, fourth))
-	awaitNack(2)
-	fence(3, 10)
-	if k.asks.Load() != 2 {
-		t.Fatalf("%d asks after a frame behind a gap, want 2", k.asks.Load())
+	select {
+	case env := <-k.envs:
+		t.Fatalf("a second delivery, tag %d", env.Tag)
+	default:
 	}
-	conn.Write(seqFrame(4, fourth))
-	k.landed(t, k.next(t), fourth)
 }
 
 // TestSettleFenceHoldsUntilWritten: a large part is queued on a plain

@@ -106,7 +106,8 @@ func TestResilientReconnectReplaysInOrder(t *testing.T) {
 
 // TestResilientCorruptRecoveredByRetransmit is the inverse of the plain
 // transport's corruption test: with resilience on, a CRC-rejected frame
-// must be NACKed and retransmitted, so the receiver gets BOTH messages.
+// severs the connection, and the resume retransmits it, so the receiver
+// gets BOTH messages, in order.
 func TestResilientCorruptRecoveredByRetransmit(t *testing.T) {
 	testleak.Check(t)
 	plan := fault.NewPlan(1).AddRule(fault.Rule{
@@ -136,16 +137,17 @@ func TestResilientCorruptRecoveredByRetransmit(t *testing.T) {
 	if got := trs[1].Stats().CRCDropped; got != 1 {
 		t.Fatalf("receiver dropped %d frames by checksum, want 1", got)
 	}
-	if got := trs[1].Stats().NacksSent; got == 0 {
-		t.Fatal("receiver sent no NACK for the CRC-dropped frame")
+	if got := trs[1].Stats().Reconnects; got == 0 {
+		t.Fatal("receiver did not resume the link it severed on the CRC drop")
 	}
 	if got := trs[0].Stats().Retransmits; got == 0 {
 		t.Fatal("sender recorded no retransmits")
 	}
 }
 
-// TestResilientDuplicateDeduped injects wire-level duplicates: the
-// receiver's sequence filter must deliver each message exactly once.
+// TestResilientDuplicateDeduped injects wire-level duplicates: a
+// resilient link writes each frame once, so the receiver delivers each
+// message exactly once.
 func TestResilientDuplicateDeduped(t *testing.T) {
 	testleak.Check(t)
 	plan := fault.NewPlan(1).AddRule(fault.Rule{
@@ -177,9 +179,138 @@ func TestResilientDuplicateDeduped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := trs[1].Stats().DupsDropped; got != msgs {
-		t.Fatalf("receiver deduplicated %d frames, want %d", got, msgs)
+}
+
+// TestResilientBurstBatchedAndSeveredMidway: a burst of small messages
+// on a resilient link goes out in batch frames, far fewer than the
+// messages, and arrives exactly once, in order, though the connection
+// is severed between its halves — after the first half was written,
+// before the second was.
+func TestResilientBurstBatchedAndSeveredMidway(t *testing.T) {
+	testleak.Check(t)
+	const msgs = 1000
+	trs := loopback(t, 1, func(o *TCPOptions) { o.Resilience = fastResilience() })
+	l := trs[0].linkAt(0)
+	err := runAll(trs, func(nd *mpx.Node) error {
+		if nd.ID == 0 {
+			// The writer is held while each half is queued, so the half
+			// coalesces into batch frames as it would behind a busy write.
+			half := func(from int) {
+				l.wmu.Lock()
+				for i := from; i < from+msgs/2; i++ {
+					nd.Send(0, mpx.Message{Tag: i, Parts: []mpx.Part{{Dest: 1, Data: payload(cube.NodeID(i), 1)}}})
+				}
+				l.flushWLocked()
+			}
+			half(0)
+			if !sever(trs[0], 0) {
+				return errors.New("the link was not connected after the first half")
+			}
+			half(msgs / 2)
+			return nil
+		}
+		for i := 0; i < msgs; i++ {
+			env, ok := nd.RecvTimeout(20 * time.Second)
+			if !ok {
+				return fmt.Errorf("timed out after %d of %d messages", i, msgs)
+			}
+			if env.Tag != i || string(env.Parts[0].Data) != string(payload(cube.NodeID(i), 1)) {
+				return fmt.Errorf("message %d arrived as tag %d (lost, duplicated, reordered or damaged)", i, env.Tag)
+			}
+		}
+		if _, spurious := nd.RecvTimeout(200 * time.Millisecond); spurious {
+			return errors.New("a replayed frame was delivered twice")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if st := trs[0].Stats(); st.FramesSent >= msgs/4 || st.Reconnects == 0 {
+		t.Fatalf("%d messages went out in %d frames over %d reconnects; want batches, fewer than %d frames, and a resume",
+			msgs, st.FramesSent, st.Reconnects, msgs/4)
+	}
+}
+
+// TestResumeCountReadAfterOldPumpStops: a resume handshake reads the
+// receive count it echoes only once the old connection's read pump has
+// stopped. A bare dialer writes a burst of frames on one connection and
+// at once resumes on a new one, replaying from the count the endpoint
+// echoes. Read while the old pump still drained the burst, the count
+// would miss frames that pump then delivered, and the replay would
+// deliver them again.
+func TestResumeCountReadAfterOldPumpStops(t *testing.T) {
+	testleak.Check(t)
+	const rounds, burst = 200, 8
+	tr, err := NewTCP(TCPOptions{Dim: 1, Locals: []cube.NodeID{1}, HandshakeTimeout: 5 * time.Second, Resilience: fastResilience()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tags := make(chan int, 2*rounds*burst)
+	tr.Attach(1, mpx.Consumer{Sink: func(env mpx.Envelope) { tags <- env.Tag }, Closed: func() {}})
+	// dial connects as node 0 — the dialing side of the link — and
+	// returns the connection and the receive count the endpoint echoes.
+	dial := func() (net.Conn, uint64) {
+		t.Helper()
+		conn, err := dialAddr(tr.Addr(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		conn.Write(wire.AppendHello(nil, wire.Hello{Dim: 1, From: 0, To: 1, Resilient: true}))
+		echo, err := wire.ReadHello(conn)
+		if err != nil {
+			t.Fatalf("handshake: %v", err)
+		}
+		return conn, echo.RecvSeq
+	}
+	connected := make(chan error, 1)
+	go func() { connected <- tr.Connect([]string{"", tr.Addr()}) }()
+	conn, _ := dial()
+	if err := <-connected; err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte // frames[i] carries tag i+1
+	next := 1           // the tag the endpoint must deliver next
+	for round := 0; round < rounds; round++ {
+		var out []byte
+		for i := 0; i < burst; i++ {
+			msg := mpx.Message{Tag: len(frames) + 1, Parts: []mpx.Part{{Dest: 1, Data: []byte("burst")}}}
+			frames = append(frames, wire.AppendFrameV(nil, wire.MaxVersion, msg))
+			out = append(out, frames[len(frames)-1]...)
+		}
+		conn.Write(out)
+		old := conn
+		var recv uint64
+		conn, recv = dial()
+		old.Close()
+		if recv > uint64(len(frames)) {
+			t.Fatalf("round %d: the endpoint reports %d frames received of %d sent", round, recv, len(frames))
+		}
+		var replay []byte
+		for _, f := range frames[recv:] {
+			replay = append(replay, f...)
+		}
+		conn.Write(replay)
+		for next <= len(frames) {
+			select {
+			case tag := <-tags:
+				if tag != next {
+					t.Fatalf("round %d: delivered tag %d, want %d (the resume count was read before the old pump stopped?)", round, tag, next)
+				}
+				next++
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: tag %d never delivered", round, next)
+			}
+		}
+	}
+	select {
+	case tag := <-tags:
+		t.Fatalf("tag %d delivered after all %d frames", tag, len(frames))
+	case <-time.After(100 * time.Millisecond):
+	}
+	conn.Close()
 }
 
 // fakeResilientPeer plays node `from` against a transport hosting node
@@ -413,11 +544,11 @@ func TestOrderlyCloseLingersUntilAcked(t *testing.T) {
 	from := wire.NewReader(conn)
 	var fr wire.Frame
 	err = from.ReadAnyInto(&fr)
-	for err == nil && fr.Kind != wire.KindSeqData {
+	for err == nil && fr.Kind != wire.KindData && fr.Kind != wire.KindBatch {
 		err = from.ReadAnyInto(&fr)
 	}
-	if err != nil || fr.Seq != 1 || fr.Msg.Tag != last.Tag {
-		t.Fatalf("after the redial: frame %+v, err %v; want the last frame replayed as sequence 1", fr, err)
+	if err != nil || fr.Kind != wire.KindBatch || len(fr.Msgs) != 1 || fr.Msgs[0].Tag != last.Tag {
+		t.Fatalf("after the redial: frame %+v, err %v; want the last message replayed as the link's first frame", fr, err)
 	}
 	select {
 	case <-closed:
@@ -458,13 +589,13 @@ func refused(conn net.Conn) error {
 
 // TestOtherVersionHelloRefused: the listener of a serving mesh refuses a
 // hello of either form stamped with any version byte but the one in use
-// — the retired 1, 2, 3 and a future 5 — by closing that connection
+// — the retired 1, 2, 3, 4 and a future 6 — by closing that connection
 // without an echo, and goes on serving its links.
 func TestOtherVersionHelloRefused(t *testing.T) {
 	testleak.Check(t)
 	trs := loopback(t, 2, func(o *TCPOptions) { o.Resilience = fastResilience() })
 	for _, resilient := range []bool{false, true} {
-		for _, ver := range []byte{1, 2, 3, wire.MaxVersion + 1} {
+		for _, ver := range []byte{1, 2, 3, 4, wire.MaxVersion + 1} {
 			conn, err := dialAddr(trs[0].Addr(), 5*time.Second)
 			if err != nil {
 				t.Fatal(err)

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -121,16 +120,19 @@ func (f *freeList) put(b *[]byte) {
 // records a sticky *mpx.PeerError and the transport shuts down — the
 // original PR 3 behavior, with zero overhead on the send path.
 //
-// With Enabled true every frame crossing a socket carries a per-link
-// sequence number and is kept in a bounded replay ring until the peer's
-// cumulative ACK covers it. A connection error then severs only the
+// With Enabled true a link sends the same data and batch frames as a
+// plain one, and both ends number them 1, 2, 3… by their place in the
+// stream; the numbers never go on the wire. The sender keeps each frame
+// in a bounded replay ring until the peer's cumulative ACK covers it. A
+// connection error — or a frame that fails its checksum, which the
+// receiver answers by closing the connection — then severs only the
 // socket: a supervisor redials (smaller node ID) or awaits the peer's
 // redial (larger node ID) with exponential backoff + jitter, resumes
-// via a handshake carrying each side's last received sequence number,
-// and replays the unacked tail. Only when the reconnect budget is
-// exhausted does the link escalate to the sticky PeerError.
+// via a handshake carrying how many frames each side has received, and
+// replays the unacked tail. Only when the reconnect budget is exhausted
+// does the link escalate to the sticky PeerError.
 type ResilienceOptions struct {
-	// Enabled turns the sequence/ACK/replay layer and link supervision on.
+	// Enabled turns the ACK/replay layer and link supervision on.
 	Enabled bool
 	// MaxAttempts bounds redials per outage (dialing side). 0 means 8.
 	MaxAttempts int
@@ -264,8 +266,6 @@ type TCP struct {
 	retransmits  atomic.Int64
 	reconnects   atomic.Int64
 	acksSent     atomic.Int64
-	nacksSent    atomic.Int64
-	dupsDropped  atomic.Int64
 	severed      atomic.Int64
 	replayHW     atomic.Int64
 	memberDrops  atomic.Int64 // member mode: sends dropped for absent/failed/retired links
@@ -289,34 +289,35 @@ type TCP struct {
 	acksBatched      atomic.Int64
 }
 
-// relState is the per-link sequence/ACK/replay state, guarded by link.mu.
+// relState is the per-link ACK/replay state, guarded by link.mu. A
+// frame's sequence number is its place in the link's stream of data and
+// batch frames, counted from 1 by both ends; it is never on the wire.
 type relState struct {
-	// Send side: sendSeq is the last sequence assigned (first frame is
-	// 1) and acked the peer's cumulative acknowledgement; maxSent is the
-	// highest sequence handed to a write, and nextFlush the first the next
-	// write sends — at most maxSent after a NACK or a resume rewound it,
-	// and those frames are retransmits.
+	// Send side: sendSeq is the last sequence assigned — a whole frame
+	// takes one when it is queued, a batch when it opens — and acked the
+	// peer's cumulative acknowledgement; maxSent is the highest sequence
+	// handed to a write, and nextFlush the first the next write sends — at
+	// most maxSent after a resume rewound it, and those frames are
+	// retransmits.
 	//
 	// ring is the replay ring: ring[i] is the clean encoding of frame
-	// acked+1+i, so it holds every frame the peer has not acknowledged.
-	// The frames live where the link encoded them: in its encode blocks —
-	// blks keeps each retired one until the peer acknowledges the last
-	// frame in it — or, too large for a block, in a segment of their own.
+	// acked+1+i, so it holds every sealed frame the peer has not
+	// acknowledged; an open batch joins it when sealed. The frames live
+	// where the link encoded them: in its encode blocks — blks keeps each
+	// retired one until the peer acknowledges the last frame in it — or,
+	// too large for a block, in a segment of their own.
 	sendSeq, acked, nextFlush, maxSent uint64
 	ring                               [][]byte
 	blks                               []heldBlock
 
-	// Receive side: recvSeq is the highest sequence delivered in order;
-	// nackedAt remembers the recvSeq at which the last NACK was issued so
-	// one gap triggers one retransmit request, not one per arriving
-	// out-of-order frame.
-	recvSeq  uint64
-	nackedAt uint64 // init ^0: "no NACK issued yet"
+	// Receive side: recvSeq counts the data and batch frames received
+	// whole.
+	recvSeq uint64
 
-	// needAck/needNack make the next flush piggyback control frames.
-	needAck, needNack bool
+	// needAck makes the next flush piggyback an ACK.
+	needAck bool
 
-	// unacked counts in-order frames admitted since the last ACK went
+	// unacked counts the frames admitted since the last ACK went
 	// out; the delayed-ACK window (ackEvery / ackDelay) drains it.
 	// ackArmed is true while the delayed-ACK timer is pending.
 	unacked  int
@@ -341,8 +342,8 @@ type heldBlock struct {
 }
 
 // link is one neighbor connection of the hosted rank. Both link modes
-// queue and write through one path; a resilient link also sequences
-// each frame and keeps what it wrote in its replay ring (relState).
+// queue and write the same frames through one path; a resilient link
+// also keeps what it wrote in its replay ring (relState).
 type link struct {
 	t          *TCP
 	self, peer cube.NodeID
@@ -375,6 +376,12 @@ type link struct {
 	// downFired dedupes the member-mode OnPeerDown report across the
 	// supervisor escalation and a racing join replacement.
 	downFired atomic.Bool
+
+	// resume serializes the accepting side's resume handshakes, each of
+	// which stops the current connection, reads the receive count and
+	// installs its own: two interleaved would echo a count the other's
+	// pump then moves.
+	resume sync.Mutex
 
 	// Output queue (guarded by mu): outSegs is the wire-order list of
 	// byte segments awaiting the next vectored write; outBlks are encode
@@ -422,7 +429,7 @@ type link struct {
 	fsegs [][]byte    // flusher-side segment list, reused under wmu
 	wbufs net.Buffers // what a write hands the kernel, reused under wmu: a local escapes
 	fblks []*[]byte   // blocks retired by the in-flight flush
-	ctrl  []byte      // fixed-capacity scratch for piggybacked ACK/NACK frames
+	ctrl  []byte      // fixed-capacity scratch for a piggybacked ACK frame
 }
 
 // NewTCP binds the transport's listener; Connect must be called before
@@ -547,8 +554,6 @@ func (t *TCP) Stats() mpx.TransportStats {
 		Retransmits:      t.retransmits.Load(),
 		Reconnects:       t.reconnects.Load(),
 		AcksSent:         t.acksSent.Load(),
-		NacksSent:        t.nacksSent.Load(),
-		DupsDropped:      t.dupsDropped.Load(),
 		SeveredLinks:     t.severed.Load(),
 		ReplayHighWater:  t.replayHW.Load(),
 		BytesSent:        t.bytesSent.Load(),
@@ -967,7 +972,7 @@ func (t *TCP) newLink(self, peer cube.NodeID, port int, conn net.Conn, dialer bo
 		batchAt: -1,
 	}
 	if t.resilient() {
-		l.r = &relState{nextFlush: 1, nackedAt: ^uint64(0), connected: true}
+		l.r = &relState{nextFlush: 1, connected: true}
 		l.r.space = sync.NewCond(&l.mu)
 		l.lost = make(chan struct{}, 1)
 		l.replaced = make(chan struct{}, 1)
@@ -1071,13 +1076,15 @@ func (t *TCP) handleResume(conn net.Conn) error {
 	if l == nil || l.r == nil {
 		return fmt.Errorf("transport: resume for unknown link %d<->%d", hs.To, hs.From)
 	}
+	l.resume.Lock()
+	defer l.resume.Unlock()
 	l.mu.Lock()
-	recv := l.r.recvSeq
 	failed := l.err != nil
 	l.mu.Unlock()
 	if failed {
 		return fmt.Errorf("transport: resume for escalated link %d<->%d", hs.To, hs.From)
 	}
+	recv := l.quiesce()
 	// The echo carries the current dimension: a lagging dialer grows on
 	// seeing a larger one.
 	echo := wire.Hello{Dim: t.dim(), From: hs.To, To: hs.From, Resilient: true, RecvSeq: recv}
@@ -1089,20 +1096,30 @@ func (t *TCP) handleResume(conn net.Conn) error {
 	return nil
 }
 
+// quiesce closes the link's connection, so in-flight writes abort, and
+// waits for its read pump to exit; it returns the receive count, which
+// stands still from then until install starts the next pump. A resume
+// handshake sends that count, and the peer replays from the frame after
+// it: read while a pump still drained the old connection's buffered
+// frames, it would fall behind what was delivered, and the replay would
+// deliver those frames twice.
+func (l *link) quiesce() uint64 {
+	l.mu.Lock()
+	conn, pumped := l.conn, l.pumped
+	l.mu.Unlock()
+	conn.Close()
+	<-pumped
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.r.recvSeq
+}
+
 // install replaces the link's connection after a resume handshake that
-// told us the peer received everything up to peerRecv. The old
-// connection (if any) is closed first so in-flight writes abort and its
-// read pump exits; then, under both locks, the generation advances, the
-// replay cursor rewinds to peerRecv+1 and a fresh read pump starts.
+// told us the peer received everything up to peerRecv; the old one was
+// stopped by quiesce. Under both locks the generation advances and the
+// replay cursor rewinds to peerRecv+1; then a fresh read pump starts.
 func (l *link) install(conn net.Conn, peerRecv uint64) {
 	tuneConn(conn)
-	l.mu.Lock()
-	old, oldPump := l.conn, l.pumped
-	l.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	<-oldPump
 	pumped := make(chan struct{})
 	l.wmu.Lock()
 	l.mu.Lock()
@@ -1141,11 +1158,12 @@ func (l *link) install(conn net.Conn, peerRecv uint64) {
 // trimRingLocked drops ring frames acknowledged up to and including
 // upTo, and hands the blocks that held only such frames to the flusher,
 // waking it: it recycles them once no write in flight can still be
-// reading them. An empty ring hands over the open block too: every frame
-// in it was written and acknowledged. Caller holds l.mu.
+// reading them. With every frame acknowledged — an open batch is not —
+// the open block goes too: all of it was written and acknowledged.
+// Caller holds l.mu.
 func (l *link) trimRingLocked(upTo uint64) {
 	r := l.r
-	upTo = min(upTo, r.sendSeq)
+	upTo = min(upTo, r.acked+uint64(len(r.ring)))
 	n := copy(r.ring, r.ring[upTo-r.acked:])
 	clear(r.ring[n:])
 	r.ring = r.ring[:n]
@@ -1157,7 +1175,7 @@ func (l *link) trimRingLocked(upTo uint64) {
 	n = copy(r.blks, r.blks[k:])
 	clear(r.blks[n:])
 	r.blks = r.blks[:n]
-	if len(r.ring) == 0 && l.cur != nil {
+	if r.acked == r.sendSeq && l.cur != nil {
 		l.retireCurLocked()
 		k++ // one more block handed over
 	}
@@ -1193,11 +1211,28 @@ func (t *TCP) Settle(id cube.NodeID) bool {
 	}
 	for port := t.dim() - 1; port >= 0; port-- {
 		l := t.linkAt(port)
-		if l == nil || l.r == nil && l.flush() != nil {
+		if l == nil || l.r == nil && !l.settle() {
 			return false
 		}
 	}
 	return true
+}
+
+// settle is Settle for one plain link. A link with nothing queued and
+// no write in flight has nothing to write and is only checked for a
+// failure; the others are flushed, after the write in flight, if any.
+func (l *link) settle() bool {
+	if !l.wmu.TryLock() {
+		return l.flush() == nil
+	}
+	l.mu.Lock()
+	idle, err := l.queued == 0, l.err
+	l.mu.Unlock()
+	if !idle {
+		return l.flushWLocked() == nil
+	}
+	l.wmu.Unlock()
+	return err == nil
 }
 
 // send is Send with bodyCRC, the verified checksum of a message
@@ -1294,15 +1329,30 @@ func (l *link) closeSpanLocked() {
 }
 
 // sealBatchLocked closes an open batch frame: patches its length field
-// and appends the CRC trailer (4 bytes the block always reserves).
-// Caller holds l.mu.
+// and appends the CRC trailer (4 bytes the block always reserves). On a
+// resilient link the sealed frame joins the replay ring. Caller holds
+// l.mu.
 func (l *link) sealBatchLocked() {
 	if l.batchAt < 0 {
 		return
 	}
-	*l.cur = wire.SealBatch(*l.cur, l.batchAt)
+	b := wire.SealBatch(*l.cur, l.batchAt)
+	*l.cur = b
+	if l.r != nil {
+		l.keepLocked(b[l.batchAt:len(b):len(b)])
+	}
 	l.batchAt = -1
 	l.queued += 4
+}
+
+// keepLocked appends the clean encoding of the link's next unkept frame
+// to its replay ring. Caller holds l.mu.
+func (l *link) keepLocked(frame []byte) {
+	r := l.r
+	r.ring = append(r.ring, frame)
+	if n := int64(len(r.ring)); n > l.t.replayHW.Load() {
+		l.t.noteReplayDepth(n)
+	}
 }
 
 // ensureLocked guarantees an open block with n+4 bytes of spare
@@ -1348,14 +1398,19 @@ func (l *link) retireCurLocked() {
 //     block, payload bytes queued by reference (no copy; the payload must
 //     stay unmodified until flushed, which the collectives guarantee:
 //     they never mutate a buffer they handed to Send);
-//   - a whole frame of its own (queueFrameLocked): every message on a
-//     resilient link, whose frames each carry a sequence number and are
-//     replayed from copies; on a plain link a message with small parts
-//     only but more of them than a block holds, or one whose fault
-//     outcome damages the wire image (corrupt, duplicate), so that the
-//     corruption flips a real encoded byte;
+//   - a whole frame of its own (queueFrameLocked): a message with a part
+//     >= zcThreshold on a resilient link, whose replay ring keeps a copy
+//     of every frame; a message with small parts only but more of them
+//     than a block holds; or one whose fault outcome damages the wire
+//     image (corrupt, duplicate), so that the corruption flips a real
+//     encoded byte;
 //   - everything else: appended to an open batch frame in the block (one
 //     header + one CRC per batch).
+//
+// A resilient link writes an injected duplicate once: its receiver
+// counts frames rather than reading numbers off them, so a second copy
+// would be a second delivery — and the TCP stream under the link never
+// duplicates.
 //
 // bodyCRC is the checksum already verified over msg when a relay
 // forwards it verbatim (zero otherwise); only the vectored path, where
@@ -1363,6 +1418,9 @@ func (l *link) retireCurLocked() {
 func (l *link) send(msg mpx.Message, bodyCRC uint32, out fault.Outcome) error {
 	l.mu.Lock()
 	r := l.r
+	if r != nil {
+		out.Duplicate = false
+	}
 	for r != nil && len(r.ring) >= replayWindow && l.err == nil && !l.retired && !l.t.isDown() {
 		r.space.Wait()
 	}
@@ -1381,14 +1439,16 @@ func (l *link) send(msg mpx.Message, bodyCRC uint32, out fault.Outcome) error {
 		l.mu.Unlock()
 		return mpx.ErrDown
 	}
-	// bulk means the message carries at least one part worth an iovec
-	// entry of its own. A bundle of many SMALL parts (a scatter subtree)
-	// is not bulk no matter its total: copying it contiguously beats
-	// paying per-part iovec overhead in the kernel.
-	bulk := r == nil && maxPartLen(msg) >= zcThreshold
+	// large means the message carries at least one part worth an iovec
+	// entry of its own, and bulk that a plain link queues it so. A bundle
+	// of many SMALL parts (a scatter subtree) is not large no matter its
+	// total: copying it contiguously beats paying per-part iovec overhead
+	// in the kernel.
+	large := maxPartLen(msg) >= zcThreshold
+	bulk := large && r == nil
 	switch {
-	case r != nil || out.Corrupt || out.Duplicate ||
-		!bulk && wire.BatchMsgSize(msg)+wire.BatchOverhead+6 > blockSize:
+	case out.Corrupt || out.Duplicate || large && r != nil ||
+		!large && wire.BatchMsgSize(msg)+wire.BatchOverhead+6 > blockSize:
 		l.queueFrameLocked(msg, out)
 	case bulk:
 		l.sealBatchLocked()
@@ -1408,6 +1468,9 @@ func (l *link) send(msg mpx.Message, bodyCRC uint32, out fault.Outcome) error {
 			l.queued += wire.BatchOverhead - 4 // CRC counted at seal
 			l.qframes++
 			l.t.framesSent.Add(1)
+			if r != nil {
+				r.sendSeq++
+			}
 		}
 		*l.cur = wire.AppendBatchMsg(*l.cur, msg)
 		l.queued += need
@@ -1431,25 +1494,17 @@ func (l *link) send(msg mpx.Message, bodyCRC uint32, out fault.Outcome) error {
 	return nil
 }
 
-// seqSlack bounds what a sequence number adds to a frame: its varint,
-// and one more byte of the length varint.
-const seqSlack = binary.MaxVarintLen64 + 1
-
-// queueFrameLocked encodes msg as a whole frame — a sequenced one on a
-// resilient link — into the open block, or into a segment of its own
-// when it cannot fit one. A corrupt outcome damages the first
-// transmission; a duplicate one writes it twice. A resilient link
-// encodes a second copy whenever a fault applies and keeps that clean
-// copy for replay, so a retransmission heals the corruption (this is
-// what makes CRC drops recoverable instead of silent); with corrupt
-// alone the clean copy stays off the wire until a NACK asks for it.
-// Caller holds l.mu.
+// queueFrameLocked encodes msg as a whole data frame into the open
+// block, or into a segment of its own when it cannot fit one. A corrupt
+// outcome damages the first transmission; a duplicate one writes it
+// twice. A corrupt outcome on a resilient link encodes a second, clean
+// copy that stays off the wire and is what the replay ring keeps: the
+// receiver's checksum failure severs the connection, and the resume
+// replays the clean copy (this is what makes CRC drops recoverable
+// instead of silent). Caller holds l.mu.
 func (l *link) queueFrameLocked(msg mpx.Message, out fault.Outcome) {
 	r := l.r
 	need, copies := wire.BatchMsgSize(msg)+6, 1
-	if r != nil {
-		need += seqSlack
-	}
 	if out.Duplicate || out.Corrupt && r != nil {
 		copies = 2
 	}
@@ -1466,11 +1521,7 @@ func (l *link) queueFrameLocked(msg mpx.Message, out fault.Outcome) {
 	start, last := len(b), len(b)
 	for i := 0; i < copies; i++ {
 		last = len(b)
-		if r != nil {
-			b = wire.AppendSeqFrame(b, r.sendSeq+1, msg)
-		} else {
-			b = wire.AppendFrameV(b, wire.MaxVersion, msg)
-		}
+		b = wire.AppendFrameV(b, wire.MaxVersion, msg)
 		if i == 0 && out.Corrupt {
 			// Damage the frame on the wire: flip one body byte after the CRC
 			// was computed. The receiver's checksum rejects the frame — the
@@ -1481,7 +1532,7 @@ func (l *link) queueFrameLocked(msg mpx.Message, out fault.Outcome) {
 		}
 	}
 	onWire, frames := len(b), copies
-	if r != nil && out.Corrupt && !out.Duplicate {
+	if r != nil && out.Corrupt {
 		onWire, frames = last, 1
 	}
 	if owned {
@@ -1498,10 +1549,7 @@ func (l *link) queueFrameLocked(msg mpx.Message, out fault.Outcome) {
 	l.t.framesSent.Add(int64(frames))
 	if r != nil {
 		r.sendSeq++
-		r.ring = append(r.ring, b[last:len(b):len(b)])
-		if n := int64(len(r.ring)); n > l.t.replayHW.Load() {
-			l.t.noteReplayDepth(n)
-		}
+		l.keepLocked(b[last:len(b):len(b)])
 	}
 }
 
@@ -1550,8 +1598,8 @@ func (l *link) flushWLocked() error {
 // writeWLocked drains the queue in one vectored write (writev): header
 // blocks and referenced payloads go to the kernel as an iovec list,
 // never coalesced into a second buffer. On a resilient link the
-// piggybacked ACK/NACK and the frames a NACK or a resume rewound to go
-// first (resendLocked). A plain link's open block is written out whole,
+// piggybacked ACK and the frames a resume rewound to go first
+// (resendLocked). A plain link's open block is written out whole,
 // so it goes back with the rest. Blocks return to the free list only
 // here — after the write that could still be reading them has
 // finished. Caller holds wmu.
@@ -1611,23 +1659,17 @@ func (l *link) writeWLocked() (gen int, err error) {
 	return gen, err
 }
 
-// resendLocked opens a resilient link's write: a pending NACK, and an
-// ACK when one is due or data goes out while frames wait for one (the
-// delayed-ACK window drains early); then the frames a NACK or a resume
-// rewound to, from the replay ring. The frames queued since the last
-// write follow them, so both cursors move past those. Caller holds l.mu.
+// resendLocked opens a resilient link's write: an ACK when one is due
+// or data goes out while frames wait for one (the delayed-ACK window
+// drains early); then the frames a resume rewound to, from the replay
+// ring. The frames queued since the last write follow them, so both
+// cursors move past those. Caller holds l.mu.
 func (l *link) resendLocked(segs [][]byte) [][]byte {
 	r := l.r
 	replay := r.nextFlush <= r.maxSent
-	// Control frames ride in the fixed-capacity ctrl scratch; appends
-	// stay within its capacity, so the segment cannot dangle.
+	// The ACK rides in the fixed-capacity ctrl scratch; appends stay
+	// within its capacity, so the segment cannot dangle.
 	ctrl := l.ctrl[:0]
-	if r.needNack {
-		ctrl = wire.AppendNack(ctrl, r.recvSeq)
-		r.needNack = false
-		l.t.nacksSent.Add(1)
-		l.qframes++
-	}
 	if r.needAck || r.unacked > 0 && (replay || len(l.outSegs) > 0) {
 		ctrl = wire.AppendAck(ctrl, r.recvSeq)
 		r.needAck = false
@@ -1842,14 +1884,12 @@ func (l *link) outageCause(dialErr error) error {
 	return cause
 }
 
-// resumeHandshake runs the dialing side of a resume: send our receive
-// watermark, read the peer's. Returns the peer's RecvSeq (our replay
-// point).
+// resumeHandshake runs the dialing side of a resume: stop the old
+// connection (quiesce), send our receive count, read the peer's.
+// Returns the peer's RecvSeq (our replay point).
 func (l *link) resumeHandshake(conn net.Conn, deadline time.Time) (uint64, error) {
 	conn.SetDeadline(deadline)
-	l.mu.Lock()
-	recv := l.r.recvSeq
-	l.mu.Unlock()
+	recv := l.quiesce()
 	hello := wire.Hello{Dim: l.t.dim(), From: l.self, To: l.peer, Resilient: true, RecvSeq: recv}
 	if _, err := conn.Write(wire.AppendHello(nil, hello)); err != nil {
 		return 0, fmt.Errorf("resume handshake write: %w", err)
@@ -2011,10 +2051,12 @@ func (p *pumpReader) release() {
 }
 
 // readPump decodes inbound frames into the hosted rank's inbox. A
-// checksum-rejected frame is counted and dropped (the stream stays
-// aligned); on a resilient link it additionally requests a retransmit
-// (NACK). A BYE frame ends the pump quietly — the peer shut down in
-// good order. Any other stream failure is a lost connection: on a plain
+// checksum-rejected frame is counted; a plain link drops it (the stream
+// stays aligned), a resilient one closes the connection and severs it,
+// so that the resume replays from the frame this end lacks. On a
+// resilient link every data or batch frame read whole advances the
+// receive count (admit). A BYE frame ends the pump quietly — the peer
+// shut down in good order. Any other stream failure is a lost connection: on a plain
 // link it is recorded as a PeerError and the whole transport shuts down
 // so the hosted rank aborts instead of waiting forever; on a resilient
 // link it severs only this connection generation and wakes the
@@ -2062,10 +2104,15 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 			l.t.framesRecv.Add(1)
 		case errors.Is(err, wire.ErrChecksum):
 			l.t.crcDropped.Add(1)
-			if l.r != nil {
-				l.noteGap()
+			if l.r == nil {
+				continue
 			}
-			continue
+			// The frames that follow would take the lost frame's place in
+			// the count: the connection goes, and the resume replays from
+			// the lost frame.
+			conn.Close()
+			l.disconnect(gen, err)
+			return
 		case errors.Is(err, wire.ErrBye):
 			l.peerBye()
 			return
@@ -2086,26 +2133,14 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 			}
 			return
 		}
+		if l.r != nil && (fr.Kind == wire.KindData || fr.Kind == wire.KindBatch) {
+			l.admit()
+		}
 		var msg mpx.Message
 		switch fr.Kind {
 		case wire.KindData:
-			if l.r != nil {
-				// A plain data frame on a resilient link is a protocol
-				// violation a reconnect cannot heal.
-				l.fail(errors.New("plain data frame on a resilient link"))
-				l.t.Close()
-				return
-			}
 			msg = fr.Msg
 		case wire.KindBatch:
-			if l.r != nil {
-				// The resilient protocol sequences individual frames; a
-				// batch cannot carry a sequence number, so its presence is
-				// the same unhealable violation as a plain data frame.
-				l.fail(errors.New("batch frame on a resilient link"))
-				l.t.Close()
-				return
-			}
 			var leases []mpx.Lease
 			if inBody && len(fr.Msgs) > 0 {
 				leases, rec = rec.lease(len(fr.Msgs)), nil
@@ -2120,26 +2155,15 @@ func (l *link) readPump(conn net.Conn, gen int, pumped chan<- struct{}) {
 				}
 			}
 			continue
-		case wire.KindSeqData:
-			if l.r == nil {
-				l.fail(errors.New("sequenced frame on a plain link"))
-				l.t.Close()
-				return
-			}
-			if !l.admitSeq(fr.Seq) {
-				continue
-			}
-			msg = fr.Msg
 		case wire.KindAck:
-			l.onAck(fr.Seq)
-			continue
-		case wire.KindNack:
-			l.onNack(fr.Seq)
+			if l.r != nil {
+				l.onAck(fr.Seq)
+			}
 			continue
 		case wire.KindJoin, wire.KindDrain, wire.KindView:
 			// Membership control frames ride outside the replay protocol:
-			// the view flood is idempotent and loss-tolerant, so they need
-			// no sequencing. Ignored outside member mode.
+			// the view flood is idempotent and loss-tolerant, so they are
+			// neither counted nor kept. Ignored outside member mode.
 			l.t.dispatchControl(l.peer, fr.Kind, fr.Body)
 			continue
 		case wire.KindGrow:
@@ -2267,22 +2291,13 @@ func (rec *recvRecord) bytes() int {
 }
 
 // land is the read pump's posted-receive hook (wire.Landing): it asks
-// the hosted rank's consumer where a part about to be read belongs, and
-// only for a frame the pump will deliver. On a resilient link that is
-// the next in-order sequence number and nothing else — a duplicate or a
-// frame behind a gap is read into scratch and discarded as before — so
-// that a landing slice is written by the one delivery it was handed out
-// for, and by that frame's retransmit after a checksum drop. Plain
-// links deliver every frame they accept.
-func (l *link) land(seq uint64, tag, nparts, offset, n int) []byte {
-	if l.r != nil {
-		l.mu.Lock()
-		next := l.r.recvSeq + 1
-		l.mu.Unlock()
-		if seq != next {
-			return nil
-		}
-	}
+// the hosted rank's consumer where a part about to be read belongs.
+// Every frame a pump reads whole is delivered once, so a landing slice
+// is written by the one delivery it was handed out for — and, on a
+// resilient link, by that frame's replay after a checksum failure or a
+// lost connection cut it short, which the next connection's pump reads
+// only once this one has exited (quiesce).
+func (l *link) land(tag, nparts, offset, n int) []byte {
 	return l.t.inbox.Land(l.peer, tag, nparts, offset, n)
 }
 
@@ -2300,36 +2315,14 @@ func (l *link) deliver(msg mpx.Message, bodyCRC uint32, lease *mpx.Lease) bool {
 	return true
 }
 
-// admitSeq decides whether a sequenced frame is the next in-order
-// delivery. Duplicates (replays the peer had to resend) are dropped but
-// re-acknowledged immediately — the peer is clearly missing our ACK; a
-// gap (a frame lost to corruption) requests one retransmit per stalled
-// position. In-order frames do NOT kick an ACK of their own: the
-// delayed-ACK window acknowledges them in bulk (ackEvery frames or
-// ackDelay, whichever first), and outgoing data drains the window
-// early by piggybacking a cumulative ACK.
-func (l *link) admitSeq(seq uint64) bool {
+// admit counts one data or batch frame received whole on a resilient
+// link. It kicks no ACK of its own: the delayed-ACK window acknowledges
+// frames in bulk (ackEvery frames or ackDelay, whichever first), and
+// outgoing data drains the window early by piggybacking a cumulative
+// ACK.
+func (l *link) admit() {
 	l.mu.Lock()
 	r := l.r
-	switch {
-	case seq <= r.recvSeq:
-		r.needAck = true
-		l.mu.Unlock()
-		l.t.dupsDropped.Add(1)
-		l.kickFlusher()
-		return false
-	case seq != r.recvSeq+1:
-		doNack := r.nackedAt != r.recvSeq
-		if doNack {
-			r.needNack = true
-			r.nackedAt = r.recvSeq
-		}
-		l.mu.Unlock()
-		if doNack {
-			l.kickFlusher()
-		}
-		return false
-	}
 	r.recvSeq++
 	r.unacked++
 	force := r.unacked >= ackEvery
@@ -2346,22 +2339,6 @@ func (l *link) admitSeq(seq uint64) bool {
 	} else if arm {
 		l.ackTimer.Reset(ackDelay)
 	}
-	return true
-}
-
-// noteGap requests a retransmit after a CRC-rejected frame (its
-// sequence number is unreadable, so the request names our watermark).
-func (l *link) noteGap() {
-	l.mu.Lock()
-	doNack := l.r.nackedAt != l.r.recvSeq
-	if doNack {
-		l.r.needNack = true
-		l.r.nackedAt = l.r.recvSeq
-	}
-	l.mu.Unlock()
-	if doNack {
-		l.kickFlusher()
-	}
 }
 
 // onAck advances the cumulative acknowledgement: acknowledged frames
@@ -2377,21 +2354,6 @@ func (l *link) onAck(cum uint64) {
 		r.space.Broadcast()
 	}
 	l.mu.Unlock()
-}
-
-// onNack rewinds the flush cursor so the next flush retransmits
-// everything after the peer's watermark.
-func (l *link) onNack(from uint64) {
-	l.mu.Lock()
-	r := l.r
-	if from < r.acked {
-		from = r.acked
-	}
-	if r.nextFlush > from+1 {
-		r.nextFlush = from + 1
-	}
-	l.mu.Unlock()
-	l.kickFlusher()
 }
 
 // PeerError reports the first connection-level failure recorded on one
@@ -2481,9 +2443,9 @@ func (t *TCP) closingDirty() bool {
 	return t.dirty.Load() || (!t.memberMode() && t.FirstPeerError() != nil)
 }
 
-// awaitAcked waits until the peer has acknowledged every frame in the
-// replay ring, or there is no point: the link failed, the peer said
-// BYE, or deadline passed.
+// awaitAcked waits until the peer has acknowledged every frame the link
+// numbered, an open batch included, or there is no point: the link
+// failed, the peer said BYE, or deadline passed.
 func (l *link) awaitAcked(deadline time.Time) {
 	wake := time.AfterFunc(time.Until(deadline), func() {
 		l.mu.Lock()
@@ -2492,7 +2454,7 @@ func (l *link) awaitAcked(deadline time.Time) {
 	})
 	defer wake.Stop()
 	l.mu.Lock()
-	for len(l.r.ring) > 0 && l.err == nil && !l.bye && time.Now().Before(deadline) {
+	for l.r.acked < l.r.sendSeq && l.err == nil && !l.bye && time.Now().Before(deadline) {
 		l.r.space.Wait()
 	}
 	l.mu.Unlock()

@@ -16,5 +16,6 @@
 // transport drops, duplicates or corrupts individual crossings.
 // Over TCP a corrupt outcome flips a byte of the encoded frame on the
 // wire, so the receiver's CRC check — the real one, not a simulation —
-// detects and discards the damage.
+// detects the damage: a plain link discards the frame, a resilient one
+// severs the connection and replays from it.
 package transport

@@ -104,7 +104,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 // Reader with the reusable Frame, as the TCP read pump runs warm.
 func BenchmarkReadAnyInto(b *testing.B) {
 	b.ReportAllocs()
-	frame := AppendSeqFrame(nil, 1, benchMsg())
+	frame := appendFrame(nil, benchMsg())
 	b.SetBytes(int64(len(frame)))
 	rd := bytes.NewReader(frame)
 	r := NewReader(rd)
@@ -157,7 +157,6 @@ func TestEncodeDecodeZeroAllocsWarm(t *testing.T) {
 
 	for _, frame := range [][]byte{
 		appendFrame(nil, msg),
-		AppendSeqFrame(nil, 9, msg),
 		batch,
 	} {
 		var fr Frame

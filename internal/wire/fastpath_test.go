@@ -22,7 +22,6 @@ func TestChecksumIsCRC32C(t *testing.T) {
 	batch = SealBatch(AppendBatchMsg(batch, msg), st)
 	for name, frame := range map[string][]byte{
 		"data":   appendFrame(nil, msg),
-		"seq":    AppendSeqFrame(nil, 42, msg),
 		"member": AppendMemberFrame(nil, KindView, bytes.Repeat([]byte{3}, 40)),
 	} {
 		_, k := binary.Uvarint(frame[2:]) // the body length
@@ -160,7 +159,6 @@ func TestDecodeAnyIntoReuse(t *testing.T) {
 	frames := [][]byte{}
 	for _, msg := range sampleMessages() {
 		frames = append(frames, appendFrame(nil, msg))
-		frames = append(frames, AppendSeqFrame(nil, 99, msg))
 	}
 	b, st := BeginBatch(nil)
 	for _, m := range sampleMessages() {
@@ -176,8 +174,8 @@ func TestDecodeAnyIntoReuse(t *testing.T) {
 				t.Fatalf("round %d frame %d: %v", round, i, err)
 			}
 			switch fr.Kind {
-			case KindData, KindSeqData:
-				if !msgEqual(fr.Msg, msgs[i/2]) {
+			case KindData:
+				if !msgEqual(fr.Msg, msgs[i]) {
 					t.Fatalf("round %d frame %d: payload mismatch", round, i)
 				}
 				if len(fr.Msgs) != 0 {
@@ -204,7 +202,7 @@ func TestReadAnyIntoStream(t *testing.T) {
 	msgs := sampleMessages()
 	stream = appendFrame(stream, msgs[2])
 	stream = appendFrame(stream, msgs[3])
-	stream = AppendSeqFrame(stream, 5, msgs[4])
+	stream = appendFrame(stream, msgs[4])
 	b, st := BeginBatch(stream)
 	b = AppendBatchMsg(b, msgs[1])
 	b = AppendBatchMsg(b, msgs[2])
@@ -217,7 +215,7 @@ func TestReadAnyIntoStream(t *testing.T) {
 	expect := []struct {
 		kind byte
 		seq  uint64
-	}{{KindData, 0}, {KindData, 0}, {KindSeqData, 5}, {KindBatch, 0}, {KindAck, 17}}
+	}{{KindData, 0}, {KindData, 0}, {KindData, 0}, {KindBatch, 0}, {KindAck, 17}}
 	for i, e := range expect {
 		if err := r.ReadAnyInto(&fr); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
@@ -231,13 +229,12 @@ func TestReadAnyIntoStream(t *testing.T) {
 	}
 }
 
-// TestBodyStart: corruption injection must find the body of a plain and
-// of a sequenced data frame, and of nothing else.
+// TestBodyStart: corruption injection must find the body of a data
+// frame, and of nothing else.
 func TestBodyStart(t *testing.T) {
 	msg := mpx.Message{Tag: 9, Parts: []mpx.Part{{Dest: cube.NodeID(3), Data: []byte("payload")}}}
 	for name, frame := range map[string][]byte{
 		"data": appendFrame(nil, msg),
-		"seq":  AppendSeqFrame(nil, 300, msg),
 	} {
 		at := BodyStart(frame)
 		if at <= 0 || at >= len(frame) {

@@ -13,9 +13,10 @@ import (
 
 // FuzzDecodeFrame throws arbitrary bytes at the decoder, starting from
 // plain data frames and their mutants; FuzzDecodeAny starts from the
-// sequenced, batch and control kinds. Both check checkDecodeAny. Run
-// with `go test -fuzz FuzzDecodeFrame ./internal/wire` to explore beyond
-// the seed corpus.
+// batch and control kinds and from the retired ones (version 4's
+// sequenced data and NACK frames), which must decode as malformed. Both
+// check checkDecodeAny. Run with `go test -fuzz FuzzDecodeFrame
+// ./internal/wire` to explore beyond the seed corpus.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed corpus: every sample message's valid encoding, a BYE frame,
 	// and targeted mutants (truncation, flipped body, flipped length,
@@ -35,9 +36,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{MaxVersion + 1, KindData, 3, 1, 2, 3, 0, 0, 0, 0})
 	f.Add([]byte{MaxVersion, KindData, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Add([]byte{})
-	f.Add(AppendSeqFrame(nil, 12345, sampleMessages()[3]))
+	f.Add(retiredSeqFrame(12345, sampleMessages()[3]))
 	f.Add(AppendAck(nil, 1<<40))
-	f.Add(AppendNack(nil, 7))
+	f.Add(retiredNack(7))
 	f.Add(AppendHello(nil, Hello{Dim: 10, From: 3, To: 515, Resilient: true, RecvSeq: 99}))
 	f.Fuzz(checkDecodeAny)
 }
@@ -55,9 +56,9 @@ func FuzzDecodeAny(f *testing.F) {
 	for i, msg := range sampleMessages() {
 		f.Add(appendFrame(nil, msg))
 		f.Add(AppendFrameV(nil, 1, msg))
-		seq := AppendSeqFrame(nil, uint64(i)*1000+1, msg)
+		seq := retiredSeqFrame(uint64(i)*1000+1, msg)
 		f.Add(seq)
-		f.Add(restamp(AppendSeqFrame(nil, uint64(i)*999+7, msg), 2))
+		f.Add(restamp(retiredSeqFrame(uint64(i)*999+7, msg), 4))
 		f.Add(seq[:len(seq)/2])
 		mut := append([]byte(nil), seq...)
 		mut[len(mut)/2] ^= 0x10
@@ -77,7 +78,7 @@ func FuzzDecodeAny(f *testing.F) {
 	f.Add(restamp(batch, 1))
 	f.Add(AppendAck(nil, 0))
 	f.Add(AppendAck(nil, 1<<63))
-	f.Add(AppendNack(nil, 3))
+	f.Add(retiredNack(3))
 	f.Add([]byte{MaxVersion, KindAck, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(AppendBye(nil))
 	// Membership and growth control seeds: each kind, truncated bodies,
@@ -93,8 +94,8 @@ func FuzzDecodeAny(f *testing.F) {
 	f.Add(attach)
 	f.Add(attach[:len(attach)/2])
 	f.Add(restamp(AppendMemberFrame(nil, KindGrow, EncodeGrow(3)), 3))
-	f.Add([]byte{MaxVersion, KindSeqData, 2, 0x80})
-	f.Add([]byte{MaxVersion + 1, KindSeqData, 2, 0x80})
+	f.Add([]byte{MaxVersion, 2, 2, 0x80})
+	f.Add([]byte{MaxVersion + 1, 2, 2, 0x80})
 	f.Fuzz(checkDecodeAny)
 }
 
@@ -119,8 +120,6 @@ func checkDecodeAny(t *testing.T, data []byte) {
 	switch fr.Kind {
 	case KindData:
 		re = appendFrame(nil, fr.Msg)
-	case KindSeqData:
-		re = AppendSeqFrame(nil, fr.Seq, fr.Msg)
 	case KindBatch:
 		var st int
 		re, st = BeginBatch(nil)
@@ -130,8 +129,6 @@ func checkDecodeAny(t *testing.T, data []byte) {
 		re = SealBatch(re, st)
 	case KindAck:
 		re = AppendAck(nil, fr.Seq)
-	case KindNack:
-		re = AppendNack(nil, fr.Seq)
 	case KindJoin, KindDrain, KindView, KindGrow, KindAttach:
 		re = AppendMemberFrame(nil, fr.Kind, fr.Body)
 	default:
@@ -367,7 +364,7 @@ func FuzzStreamDecodeMatchesDecodeAny(f *testing.F) {
 	for _, msg := range append(sampleMessages(), large, manifest) {
 		for _, frame := range [][]byte{
 			appendFrame(nil, msg),
-			AppendSeqFrame(nil, 41, msg),
+			retiredSeqFrame(41, msg),
 			AppendFrameV(nil, 3, msg), // a retired version: both must refuse it
 		} {
 			f.Add(frame)
@@ -381,7 +378,7 @@ func FuzzStreamDecodeMatchesDecodeAny(f *testing.F) {
 			}
 		}
 	}
-	f.Add(append(appendFrame(nil, large), AppendSeqFrame(nil, 42, manifest)...))
+	f.Add(append(appendFrame(nil, large), retiredSeqFrame(42, manifest)...))
 	f.Add(append(AppendAck(nil, 9), AppendBye(nil)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -389,7 +386,7 @@ func FuzzStreamDecodeMatchesDecodeAny(f *testing.F) {
 		r := NewReader(src)
 		asked := 0
 		scratch := make([]byte, len(data))
-		r.Land(func(_ uint64, _, _, _, n int) []byte {
+		r.Land(func(_, _, _, n int) []byte {
 			asked++
 			switch {
 			case n > len(scratch) || asked%3 == 2:
@@ -481,7 +478,7 @@ func FuzzRecycledDecodeMatchesDecodeAny(f *testing.F) {
 	for _, msg := range sampleMessages() {
 		batch = AppendBatchMsg(batch, msg)
 		f.Add(appendFrame(nil, msg))
-		f.Add(AppendSeqFrame(nil, 99, msg))
+		f.Add(retiredSeqFrame(99, msg))
 	}
 	batch = SealBatch(batch, st)
 	f.Add(batch)
@@ -559,7 +556,7 @@ func FuzzRecycledDecodeMatchesDecodeAny(f *testing.F) {
 					!msgsEqual(fr.Msgs, want.Msgs) || !bytes.Equal(fr.Body, want.Body) {
 					t.Fatalf("at %d: frames differ:\nReadInto  %+v\nDecodeAny %+v", at, fr, want)
 				}
-				data := fr.Kind == KindData || fr.Kind == KindSeqData || fr.Kind == KindBatch
+				data := fr.Kind == KindData || fr.Kind == KindBatch
 				if inBody != data {
 					t.Fatalf("at %d: kind %d: inBody %v", at, fr.Kind, inBody)
 				}

@@ -104,11 +104,12 @@ func TestMemberFrameInMixedStream(t *testing.T) {
 	stream = AppendMemberFrame(stream, KindJoin, []byte("j"))
 	stream = appendFrame(stream, msg)
 	stream = AppendMemberFrame(stream, KindView, []byte("v1"))
-	stream = AppendSeqFrame(stream, 9, msg)
+	batch, st := BeginBatch(stream)
+	stream = SealBatch(AppendBatchMsg(batch, msg), st)
 	stream = AppendMemberFrame(stream, KindDrain, nil)
 
 	rd := NewReader(bufio.NewReader(bytes.NewReader(stream)))
-	wantKinds := []byte{KindJoin, KindData, KindView, KindSeqData, KindDrain}
+	wantKinds := []byte{KindJoin, KindData, KindView, KindBatch, KindDrain}
 	for i, want := range wantKinds {
 		fr, err := readAny(rd)
 		if err != nil {
@@ -117,7 +118,12 @@ func TestMemberFrameInMixedStream(t *testing.T) {
 		if fr.Kind != want {
 			t.Fatalf("frame %d: kind %d, want %d", i, fr.Kind, want)
 		}
-		if want == KindData || want == KindSeqData {
+		if want == KindBatch {
+			if len(fr.Msgs) != 1 || !msgEqual(fr.Msgs[0], msg) {
+				t.Fatalf("frame %d: batch mismatch: got %#v want one %#v", i, fr.Msgs, msg)
+			}
+		}
+		if want == KindData {
 			if !msgEqual(fr.Msg, msg) {
 				t.Fatalf("frame %d: message mismatch: got %#v want %#v", i, fr.Msg, msg)
 			}

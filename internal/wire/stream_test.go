@@ -21,7 +21,6 @@ func bigPart(n, salt int) []byte {
 
 // landCall is one recorded Landing question.
 type landCall struct {
-	seq                    uint64
 	tag, nparts, offset, n int
 }
 
@@ -36,30 +35,27 @@ func TestStreamedFrameLandsInPlace(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		frame []byte
-		kind  byte
-		seq   uint64
 	}{
-		{"plain", appendFrame(nil, msg), KindData, 0},
-		{"seq", AppendSeqFrame(nil, 1<<33, msg), KindSeqData, 1 << 33},
+		{"plain", appendFrame(nil, msg)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dst := make([]byte, 2<<20)
 			var calls []landCall
 			r := NewReader(bytes.NewReader(tc.frame))
-			r.Land(func(seq uint64, tag, nparts, offset, n int) []byte {
-				calls = append(calls, landCall{seq, tag, nparts, offset, n})
+			r.Land(func(tag, nparts, offset, n int) []byte {
+				calls = append(calls, landCall{tag, nparts, offset, n})
 				return dst[offset : offset+n]
 			})
 			fr, err := readAny(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fr.Kind != tc.kind || fr.Seq != tc.seq || !msgEqual(fr.Msg, msg) {
-				t.Fatalf("decoded kind %d seq %d, message equal %v", fr.Kind, fr.Seq, msgEqual(fr.Msg, msg))
+			if fr.Kind != KindData || !msgEqual(fr.Msg, msg) {
+				t.Fatalf("decoded kind %d, message equal %v", fr.Kind, msgEqual(fr.Msg, msg))
 			}
 			want := []landCall{
-				{tc.seq, 77, 2, 4096, 40 << 10},
-				{tc.seq, 77, 2, 1 << 20, 33 << 10},
+				{77, 2, 4096, 40 << 10},
+				{77, 2, 1 << 20, 33 << 10},
 			}
 			if len(calls) != 2 || calls[0] != want[0] || calls[1] != want[1] {
 				t.Fatalf("landing asked %+v, want %+v", calls, want)
@@ -85,8 +81,8 @@ func TestStreamedFrameDeclined(t *testing.T) {
 	short := make([]byte, 100)
 	for name, land := range map[string]Landing{
 		"none":  nil,
-		"nil":   func(uint64, int, int, int, int) []byte { return nil },
-		"short": func(uint64, int, int, int, int) []byte { return short },
+		"nil":   func(int, int, int, int) []byte { return nil },
+		"short": func(int, int, int, int) []byte { return short },
 	} {
 		r := NewReader(bytes.NewReader(frame))
 		if land != nil {
@@ -113,10 +109,10 @@ func TestSmallPartsStayWholeBody(t *testing.T) {
 	for d := 0; d < 32; d++ {
 		msg.Parts = append(msg.Parts, mpx.Part{Dest: 0, Offset: d, Data: bigPart(1<<10, d)})
 	}
-	for _, frame := range [][]byte{appendFrame(nil, msg), AppendSeqFrame(nil, 5, msg)} {
+	for _, frame := range [][]byte{appendFrame(nil, msg)} {
 		src := bytes.NewReader(frame)
 		r := NewReader(src)
-		r.Land(func(uint64, int, int, int, int) []byte {
+		r.Land(func(int, int, int, int) []byte {
 			t.Error("landing asked about a frame of small parts")
 			return nil
 		})
@@ -207,7 +203,7 @@ func TestReaderWithoutByteReader(t *testing.T) {
 	small := mpx.Message{Tag: 4, Parts: []mpx.Part{{Dest: 1, Data: []byte("small")}}}
 	stream := AppendAck(nil, 300)
 	stream = appendFrame(stream, big)
-	stream = AppendSeqFrame(stream, 129, small)
+	stream = appendFrame(stream, small)
 	r := NewReader(struct{ io.Reader }{bytes.NewReader(stream)})
 	if fr, err := readAny(r); err != nil || fr.Kind != KindAck || fr.Seq != 300 {
 		t.Fatalf("ack: %+v, %v", fr, err)
@@ -215,7 +211,7 @@ func TestReaderWithoutByteReader(t *testing.T) {
 	if fr, err := readAny(r); err != nil || !msgEqual(fr.Msg, big) {
 		t.Fatalf("streamed frame: %v", err)
 	}
-	if fr, err := readAny(r); err != nil || fr.Seq != 129 || !msgEqual(fr.Msg, small) {
+	if fr, err := readAny(r); err != nil || fr.Kind != KindData || !msgEqual(fr.Msg, small) {
 		t.Fatalf("small frame: %v", err)
 	}
 	if _, err := readAny(r); err != io.EOF {
@@ -235,8 +231,7 @@ func vecBytes(msg mpx.Message, bodyCRC uint32) []byte {
 // on the frame, handed back to the vectored encoder, yields the very
 // bytes that were read — which are the bytes the encoder produces when
 // it sums the payload itself. Every other decode leaves no checksum: a
-// whole-body frame, a batch, a sequenced frame (whose body starts with
-// the sequence number) and the reusing reader.
+// whole-body frame, a batch and the reusing reader.
 func TestVecPassThroughBitIdentical(t *testing.T) {
 	for _, nparts := range []int{1, 2, 4} {
 		for _, sum := range []uint32{0, 0xDEADBEEF} {
@@ -260,10 +255,6 @@ func TestVecPassThroughBitIdentical(t *testing.T) {
 				t.Fatalf("%d parts, sum %#x: re-encoding without it differs from the frame read", nparts, sum)
 			}
 
-			seq, err := readAny(NewReader(bytes.NewReader(AppendSeqFrame(nil, 7, msg))))
-			if err != nil || seq.Kind != KindSeqData || seq.BodyCRC != 0 {
-				t.Fatalf("sequenced decode: kind %d, recorded checksum %#x, %v", seq.Kind, seq.BodyCRC, err)
-			}
 			var into Frame
 			into.BodyCRC = 1 // what a reused frame might hold
 			if err := NewReader(bytes.NewReader(frame)).ReadAnyInto(&into); err != nil || into.BodyCRC != 0 {

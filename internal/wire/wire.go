@@ -26,10 +26,11 @@
 // The kind byte separates data frames from the BYE control frame a
 // transport sends before closing a link gracefully, so the peer can
 // tell an orderly shutdown from a crashed process. The CRC trailer
-// covers the body: a frame damaged in flight is detected and dropped by
-// the receiver without desynchronizing the stream (the length prefix
-// still frames it), which is exactly the path fault-injected corruption
-// exercises in the TCP transport.
+// covers the body: a frame damaged in flight is detected without
+// desynchronizing the stream (the length prefix still frames it). The
+// TCP transport's plain links drop such a frame and read on; its
+// resilient links sever the connection and replay from the frame the
+// receiver lacks.
 //
 // The codec never panics on hostile input: truncated, oversized and
 // bit-flipped frames all return errors (fuzzed in fuzz_test.go).
@@ -48,29 +49,22 @@ import (
 
 // MaxVersion is the wire protocol version: the one byte every encoder
 // stamps and every decoder accepts.
-const MaxVersion = 4
+const MaxVersion = 5
 
-// Frame kinds.
+// Frame kinds. Kinds 2 and 4 were version 4's sequenced data and NACK
+// frames: retired, they decode as malformed.
 const (
 	// KindData frames carry one encoded mpx.Message.
 	KindData = 0
 	// kindBye announces an orderly link shutdown: no more frames will
 	// follow, and the coming EOF is not a peer failure.
 	kindBye = 1
-	// KindSeqData is a KindData frame whose CRC-protected body is
-	// prefixed with a per-link sequence number — the unit of the
-	// resilient transport's at-least-once replay protocol. A reconnecting
-	// endpoint replays unacknowledged sequenced frames; the receiver
-	// deduplicates by sequence.
-	KindSeqData = 2
-	// KindAck carries a cumulative acknowledgement: every sequenced frame
-	// with sequence <= Seq arrived in order. Control frame, no CRC (a
-	// damaged ack is at worst a late ack).
+	// KindAck carries a resilient link's cumulative acknowledgement: the
+	// first Seq data and batch frames of the link arrived whole. A frame's
+	// sequence number is its place in the stream, counted by both ends,
+	// and never on the wire. Control frame, no CRC (a damaged ack is at
+	// worst a late ack).
 	KindAck = 3
-	// KindNack asks the peer to retransmit every sequenced frame with
-	// sequence > Seq — sent when a CRC-rejected or out-of-order frame
-	// opens a gap in the sequence stream.
-	KindNack = 4
 	// KindBatch packs several messages under one header and one CRC-32C
 	// trailer. Unlike the varint-framed kinds its body length is a
 	// fixed-width 4-byte little-endian field, so a builder can seal an
@@ -203,34 +197,12 @@ func AppendFrameV(dst []byte, ver byte, msg mpx.Message) []byte {
 	return binary.LittleEndian.AppendUint32(dst, checksum(dst[start:]))
 }
 
-// AppendSeqFrame appends one sequenced data frame: a KindSeqData frame
-// whose body is the sequence number followed by the encoded message,
-// all covered by the CRC trailer. Sequence numbers start at 1 and
-// increase by one per frame on a link; 0 means "nothing sent yet" in
-// handshakes and cumulative acks.
-func AppendSeqFrame(dst []byte, seq uint64, msg mpx.Message) []byte {
-	body := uvarintLen(seq) + bodyLen(msg)
-	dst = append(dst, MaxVersion, KindSeqData)
-	dst = binary.AppendUvarint(dst, uint64(body))
-	start := len(dst)
-	dst = binary.AppendUvarint(dst, seq)
-	dst = appendBody(dst, msg)
-	return binary.LittleEndian.AppendUint32(dst, checksum(dst[start:]))
-}
-
-// AppendAck appends a cumulative-acknowledgement control frame: every
-// sequenced frame with sequence <= cum has been received in order.
+// AppendAck appends a cumulative-acknowledgement control frame: the
+// first cum data and batch frames of the link have been received.
 // Control frames carry no CRC (a damaged ack is at worst a late ack).
 func AppendAck(dst []byte, cum uint64) []byte {
 	dst = append(dst, MaxVersion, KindAck)
 	return binary.AppendUvarint(dst, cum)
-}
-
-// AppendNack appends a retransmission request: resend every sequenced
-// frame with sequence > from.
-func AppendNack(dst []byte, from uint64) []byte {
-	dst = append(dst, MaxVersion, KindNack)
-	return binary.AppendUvarint(dst, from)
 }
 
 // AppendBye appends the orderly-shutdown control frame to dst.
@@ -352,13 +324,12 @@ func AppendFrameVecCRC(blk []byte, segs [][]byte, ver byte, msg mpx.Message, bod
 }
 
 // BodyStart returns the offset of the first body byte of the data frame
-// (plain or sequenced) at the start of buf, or -1 if
-// buf does not begin with a well-formed data-frame header. Transports
-// use it to flip body bytes when injecting in-flight corruption: damage
-// past this offset is caught by the CRC without desynchronizing the
-// stream.
+// at the start of buf, or -1 if buf does not begin with a well-formed
+// data-frame header. Transports use it to flip body bytes when injecting
+// in-flight corruption: damage past this offset is caught by the CRC
+// without desynchronizing the stream.
 func BodyStart(buf []byte) int {
-	if len(buf) < 2 || buf[0] != MaxVersion || (buf[1] != KindData && buf[1] != KindSeqData) {
+	if len(buf) < 2 || buf[0] != MaxVersion || buf[1] != KindData {
 		return -1
 	}
 	n, k := binary.Uvarint(buf[2:])
@@ -368,10 +339,9 @@ func BodyStart(buf []byte) int {
 	return 2 + k
 }
 
-// Frame is one decoded frame of any kind. Seq carries the sequence
-// number of a KindSeqData frame, the cumulative acknowledgement of a
-// KindAck frame, or the replay-from watermark of a KindNack frame; Msg
-// is set for the single-message data kinds, Msgs for KindBatch.
+// Frame is one decoded frame of any kind. Seq carries the cumulative
+// acknowledgement of a KindAck frame; Msg is set for KindData, Msgs for
+// KindBatch.
 type Frame struct {
 	Kind byte
 	// BodyCRC is the checksum the Reader verified over the body of a
@@ -500,14 +470,14 @@ func decodeAnyInto(fr *Frame, arena []byte, buf []byte) ([]byte, int, error) {
 	switch kind {
 	case kindBye:
 		return arena, 2, ErrBye
-	case KindAck, KindNack:
+	case KindAck:
 		v, k := binary.Uvarint(buf[2:])
 		if k <= 0 {
 			return arena, 0, fmt.Errorf("%w: bad ack sequence", errCorrupt)
 		}
 		fr.Seq = v
 		return arena, 2 + k, nil
-	case KindData, KindSeqData, KindJoin, KindDrain, KindView, KindGrow, KindAttach:
+	case KindData, KindJoin, KindDrain, KindView, KindGrow, KindAttach:
 	case KindBatch:
 		if len(buf) < 6 {
 			return arena, 0, errTruncated
@@ -548,14 +518,6 @@ func decodeAnyInto(fr *Frame, arena []byte, buf []byte) ([]byte, int, error) {
 	if memberKind(kind) {
 		fr.Body = append([]byte(nil), body...)
 		return arena, total, nil
-	}
-	if kind == KindSeqData {
-		seq, n, ok := readUvarint(body)
-		if !ok {
-			return arena, total, fmt.Errorf("%w: bad frame sequence", errCorrupt)
-		}
-		fr.Seq = seq
-		body = body[n:]
 	}
 	arena, err := decodeBodyInto(&fr.Msg, arena, body)
 	return arena, total, err
@@ -819,15 +781,14 @@ type Reader struct {
 
 // Landing is a posted receive. Before the reader takes one part's n
 // payload bytes of a streamed data frame off the source it asks where
-// they belong: seq is the frame's sequence number (0 on a plain data
-// frame), tag its message tag, nparts its part count and offset the
-// part's Offset. An answer of length n receives the bytes in place; any
+// they belong: tag is the frame's message tag, nparts its part count and
+// offset the part's Offset. An answer of length n receives the bytes in place; any
 // other answer (nil: "nowhere in particular") gets the part a fresh
 // buffer. The bytes are written BEFORE the frame's checksum is known: a
 // frame that then fails it is reported as ErrChecksum and never
 // decoded, so an answer must be safe to overwrite until the message it
 // belongs to has actually been delivered.
-type Landing func(seq uint64, tag, nparts, offset, n int) []byte
+type Landing func(tag, nparts, offset, n int) []byte
 
 // streamPartMin is the average part size (body length over part count)
 // from which a data frame is streamed rather than read whole. Below it
@@ -898,14 +859,14 @@ func (r *Reader) readFrame(fr *Frame, arena, body []byte) ([]byte, bool, error) 
 	switch kind {
 	case kindBye:
 		return body, false, ErrBye
-	case KindAck, KindNack:
+	case KindAck:
 		v, err := r.readUvarint()
 		if err != nil {
 			return body, false, fmt.Errorf("%w: bad ack sequence", errCorrupt)
 		}
 		fr.Seq = v
 		return body, false, nil
-	case KindData, KindSeqData, KindJoin, KindDrain, KindView, KindGrow, KindAttach:
+	case KindData, KindJoin, KindDrain, KindView, KindGrow, KindAttach:
 		v, err := r.readUvarint()
 		if err != nil {
 			return body, false, fmt.Errorf("%w: bad body length", errCorrupt)
@@ -932,15 +893,14 @@ func (r *Reader) readFrame(fr *Frame, arena, body []byte) ([]byte, bool, error) 
 		}
 		raw = r.buf[:need]
 	} else {
-		if (kind == KindData || kind == KindSeqData) && int(blen) >= r.streamMin {
+		if kind == KindData && int(blen) >= r.streamMin {
 			// Large enough to have large parts: the part count, a few bytes
 			// in, decides. What that look consumed is the body's prefix.
-			seq, tag, nparts, ok, err := r.readLead(kind, int(blen))
+			tag, nparts, ok, err := r.readLead(int(blen))
 			if err != nil {
 				return body, false, err
 			}
 			if ok && nparts > 0 && blen/nparts >= uint64(r.streamMin) {
-				fr.Seq = seq
 				return body, false, r.readStreamed(fr, tag, int(nparts), int(blen)-len(r.head))
 			}
 			lead = len(r.head)
@@ -972,15 +932,7 @@ func (r *Reader) readFrame(fr *Frame, arena, body []byte) ([]byte, bool, error) 
 		} else {
 			err = decodeBatchAlias(fr, data)
 		}
-	case KindSeqData:
-		seq, n, ok := readUvarint(data)
-		if !ok {
-			return body, false, fmt.Errorf("%w: bad frame sequence", errCorrupt)
-		}
-		fr.Seq = seq
-		data = data[n:]
-		fallthrough
-	default: // KindData (and the SeqData fallthrough)
+	default: // KindData
 		if reuse {
 			arena, err = decodeBodyInto(&fr.Msg, arena[:0], data)
 		} else {
@@ -993,20 +945,14 @@ func (r *Reader) readFrame(fr *Frame, arena, body []byte) ([]byte, bool, error) 
 	return body, inBody && err == nil, err
 }
 
-// readLead consumes the leading fields of a data frame's body — the
-// sequence number of a KindSeqData frame, the tag and the part count —
-// into r.head. ok is false when one of them is malformed or the body
-// (blen bytes) ends first; what was consumed is in r.head either way,
-// and the whole-body path reports such a frame exactly as it always
-// has.
-func (r *Reader) readLead(kind byte, blen int) (seq, tag, nparts uint64, ok bool, err error) {
+// readLead consumes the leading fields of a data frame's body — the tag
+// and the part count — into r.head. ok is false when one of them is
+// malformed or the body (blen bytes) ends first; what was consumed is in
+// r.head either way, and the whole-body path reports such a frame
+// exactly as it always has.
+func (r *Reader) readLead(blen int) (tag, nparts uint64, ok bool, err error) {
 	r.head = r.head[:0]
 	left := blen
-	if kind == KindSeqData {
-		if seq, ok, err = r.streamUvarint(&left); !ok {
-			return
-		}
-	}
 	if tag, ok, err = r.streamUvarint(&left); !ok {
 		return
 	}
@@ -1026,7 +972,7 @@ func (r *Reader) readLead(kind byte, blen int) (seq, tag, nparts uint64, ok bool
 // parsing it, stays aligned on the trailer, and calls the frame
 // malformed only when the trailer agrees with the bytes that arrived.
 //
-// A well-formed KindData frame leaves its verified checksum on the frame
+// A well-formed frame leaves its verified checksum on the frame
 // (Frame.BodyCRC) when the body was the canonical encoding of the
 // message — every field kept whole and every varint minimal, the body
 // being no longer than bodyLen says — so that re-encoding the message
@@ -1062,7 +1008,7 @@ func (r *Reader) readStreamed(fr *Frame, tag uint64, nparts, left int) error {
 	if malformed != "" {
 		return fmt.Errorf("%w: %s", errCorrupt, malformed)
 	}
-	if fr.Kind == KindData && !lossy && bodyLen(fr.Msg) == blen {
+	if !lossy && bodyLen(fr.Msg) == blen {
 		fr.BodyCRC = crc
 	}
 	return nil
@@ -1094,7 +1040,7 @@ func (r *Reader) streamParts(fr *Frame, nparts int, left *int, crc *uint32) (los
 		if n := int(hdr[2]); n > 0 {
 			var dst []byte
 			if r.land != nil {
-				dst = r.land(fr.Seq, fr.Msg.Tag, nparts, p.Offset, n)
+				dst = r.land(fr.Msg.Tag, nparts, p.Offset, n)
 			}
 			if len(dst) != n {
 				dst = make([]byte, n)
@@ -1186,10 +1132,10 @@ func (r *Reader) streamUvarint(left *int) (v uint64, ok bool, err error) {
 // Dim mismatches and any version byte but MaxVersion kill the
 // connection before a frame flows. It has two forms, told apart by
 // their magic: the plain HCUB form and the resilient HCRX form, which
-// additionally carries RecvSeq — the highest contiguous sequence number
-// the sender has already received on this link — so a resuming peer
-// knows exactly which unacknowledged frames to replay. A fresh
-// resilient link carries RecvSeq 0.
+// additionally carries RecvSeq — how many data and batch frames the
+// sender has received whole on this link — so a resuming peer knows
+// exactly which unacknowledged frames to replay. A fresh resilient link
+// carries RecvSeq 0.
 type Hello struct {
 	Dim       int
 	From, To  cube.NodeID

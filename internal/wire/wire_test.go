@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -189,7 +190,7 @@ func TestTruncationDetected(t *testing.T) {
 }
 
 // TestVersionMismatch: there is one version byte. Every frame kind and
-// both hello forms stamped 1, 2, 3 (the retired versions) or 5 are
+// both hello forms stamped 1, 2, 3, 4 (the retired versions) or 6 are
 // rejected with errVersion by the slice decoder, the stream reader and
 // ReadHello, before anything else about them is looked at.
 func TestVersionMismatch(t *testing.T) {
@@ -198,10 +199,8 @@ func TestVersionMismatch(t *testing.T) {
 	batch = SealBatch(AppendBatchMsg(batch, msg), st)
 	frames := map[string][]byte{
 		"data":   appendFrame(nil, msg),
-		"seq":    AppendSeqFrame(nil, 7, msg),
 		"batch":  batch,
 		"ack":    AppendAck(nil, 5),
-		"nack":   AppendNack(nil, 2),
 		"bye":    AppendBye(nil),
 		"join":   AppendMemberFrame(nil, KindJoin, []byte("j")),
 		"drain":  AppendMemberFrame(nil, KindDrain, nil),
@@ -213,7 +212,7 @@ func TestVersionMismatch(t *testing.T) {
 		"HCUB": AppendHello(nil, Hello{Dim: 3, From: 1, To: 5}),
 		"HCRX": AppendHello(nil, Hello{Dim: 3, From: 1, To: 5, Resilient: true, RecvSeq: 9}),
 	}
-	for _, ver := range []byte{1, 2, 3, MaxVersion + 1} {
+	for _, ver := range []byte{1, 2, 3, 4, MaxVersion + 1} {
 		for name, frame := range frames {
 			if frame[0] != MaxVersion {
 				t.Fatalf("%s frame is stamped %d, want %d", name, frame[0], MaxVersion)
@@ -245,82 +244,74 @@ func TestVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestSeqFrameRoundTrip covers the sequenced data frame across the
-// sequence-number range the replay protocol uses (1 upward; 0 is the
-// "nothing sent" handshake watermark, still encodable) through both the
-// slice decoder and the streaming reader.
-func TestSeqFrameRoundTrip(t *testing.T) {
-	seqs := []uint64{0, 1, 2, 127, 128, 1 << 20, 1<<64 - 1}
-	for _, seq := range seqs {
-		for i, msg := range sampleMessages() {
-			frame := AppendSeqFrame(nil, seq, msg)
-			fr, n, err := DecodeAny(frame)
-			if err != nil {
-				t.Fatalf("seq %d msg %d: decode: %v", seq, i, err)
-			}
-			if n != len(frame) {
-				t.Fatalf("seq %d msg %d: consumed %d of %d bytes", seq, i, n, len(frame))
-			}
-			if fr.Kind != KindSeqData || fr.Seq != seq || !msgEqual(fr.Msg, msg) {
-				t.Fatalf("seq %d msg %d: got kind=%d seq=%d", seq, i, fr.Kind, fr.Seq)
-			}
-			sf, err := readAny(NewReader(bytes.NewReader(frame)))
-			if err != nil {
-				t.Fatalf("seq %d msg %d: stream decode: %v", seq, i, err)
-			}
-			if sf.Kind != KindSeqData || sf.Seq != seq || !msgEqual(sf.Msg, msg) {
-				t.Fatalf("seq %d msg %d: stream mismatch", seq, i)
-			}
-		}
-	}
+// retiredSeqFrame is the sequenced data frame (kind 2) that version 4
+// sent on resilient links — a sequence number leading the CRC-covered
+// body of a data frame — stamped with today's version byte, so that its
+// kind is what the decoders must turn it away for.
+func retiredSeqFrame(seq uint64, msg mpx.Message) []byte {
+	body := appendBody(binary.AppendUvarint(nil, seq), msg)
+	frame := binary.AppendUvarint([]byte{MaxVersion, 2}, uint64(len(body)))
+	frame = append(frame, body...)
+	return binary.LittleEndian.AppendUint32(frame, checksum(body))
 }
 
-// TestAckNackRoundTrip covers the two unchecksummed control frames.
+// retiredNack is version 4's retransmission request (kind 4), stamped
+// with today's version byte.
+func retiredNack(from uint64) []byte {
+	return binary.AppendUvarint([]byte{MaxVersion, 4}, from)
+}
+
+// TestAckNackRoundTrip covers the unchecksummed ACK control frame, and
+// the NACK kind a frame's place in the stream retired: every decoder
+// calls it malformed, consuming nothing.
 func TestAckNackRoundTrip(t *testing.T) {
-	cases := []struct {
-		name   string
-		encode func([]byte, uint64) []byte
-		kind   byte
-	}{
-		{"ack", AppendAck, KindAck},
-		{"nack", AppendNack, KindNack},
+	for _, v := range []uint64{0, 1, 300, 1 << 33, 1<<64 - 1} {
+		frame := AppendAck(nil, v)
+		fr, n, err := DecodeAny(frame)
+		if err != nil {
+			t.Fatalf("ack %d: %v", v, err)
+		}
+		if n != len(frame) || fr.Kind != KindAck || fr.Seq != v {
+			t.Fatalf("ack %d: consumed %d/%d, kind=%d seq=%d", v, n, len(frame), fr.Kind, fr.Seq)
+		}
+		sf, err := readAny(NewReader(bytes.NewReader(frame)))
+		if err != nil || sf.Kind != KindAck || sf.Seq != v {
+			t.Fatalf("ack %d: stream got kind=%d seq=%d err=%v", v, sf.Kind, sf.Seq, err)
+		}
 	}
-	for _, tc := range cases {
-		for _, v := range []uint64{0, 1, 300, 1 << 33, 1<<64 - 1} {
-			frame := tc.encode(nil, v)
-			fr, n, err := DecodeAny(frame)
-			if err != nil {
-				t.Fatalf("%s %d: %v", tc.name, v, err)
-			}
-			if n != len(frame) || fr.Kind != tc.kind || fr.Seq != v {
-				t.Fatalf("%s %d: consumed %d/%d, kind=%d seq=%d", tc.name, v, n, len(frame), fr.Kind, fr.Seq)
-			}
-			sf, err := readAny(NewReader(bytes.NewReader(frame)))
-			if err != nil || sf.Kind != tc.kind || sf.Seq != v {
-				t.Fatalf("%s %d: stream got kind=%d seq=%d err=%v", tc.name, v, sf.Kind, sf.Seq, err)
-			}
+	for name, frame := range map[string][]byte{
+		"nack": retiredNack(7),
+		"seq":  retiredSeqFrame(7, sampleMessages()[3]),
+	} {
+		if _, n, err := DecodeAny(frame); !errors.Is(err, errCorrupt) || n != 0 {
+			t.Fatalf("retired %s frame: DecodeAny n=%d err=%v, want errCorrupt", name, n, err)
+		}
+		if _, err := readAny(NewReader(bytes.NewReader(frame))); !errors.Is(err, errCorrupt) {
+			t.Fatalf("retired %s frame: ReadInto err=%v, want errCorrupt", name, err)
+		}
+		var fr Frame
+		if err := NewReader(bytes.NewReader(frame)).ReadAnyInto(&fr); !errors.Is(err, errCorrupt) {
+			t.Fatalf("retired %s frame: ReadAnyInto err=%v, want errCorrupt", name, err)
 		}
 	}
 }
 
-// TestMixedStreamDecodesInOrder interleaves every frame kind the
-// resilient link writes — sequenced data, cumulative acks, retransmit
-// requests, a plain frame and the closing BYE — in one coalesced
-// buffer, as a link's flusher writes them.
+// TestMixedStreamDecodesInOrder interleaves every frame kind a link
+// writes — data frames, a batch, a cumulative ack and the closing BYE —
+// in one coalesced buffer, as a link's flusher writes them.
 func TestMixedStreamDecodesInOrder(t *testing.T) {
 	msgs := sampleMessages()
 	var buf []byte
-	buf = AppendSeqFrame(buf, 1, msgs[2])
-	buf = AppendNack(buf, 0)
-	buf = AppendSeqFrame(buf, 2, msgs[3])
+	buf = appendFrame(buf, msgs[2])
+	batch, st := BeginBatch(buf)
+	buf = SealBatch(AppendBatchMsg(AppendBatchMsg(batch, msgs[3]), msgs[4]), st)
 	buf = AppendAck(buf, 17)
 	buf = appendFrame(buf, msgs[1])
 	buf = AppendBye(buf)
 
 	want := []Frame{
-		{Kind: KindSeqData, Seq: 1, Msg: msgs[2]},
-		{Kind: KindNack, Seq: 0},
-		{Kind: KindSeqData, Seq: 2, Msg: msgs[3]},
+		{Kind: KindData, Msg: msgs[2]},
+		{Kind: KindBatch, Msgs: []mpx.Message{msgs[3], msgs[4]}},
 		{Kind: KindAck, Seq: 17},
 		{Kind: KindData, Msg: msgs[1]},
 	}
@@ -330,7 +321,7 @@ func TestMixedStreamDecodesInOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if fr.Kind != w.Kind || fr.Seq != w.Seq || !msgEqual(fr.Msg, w.Msg) {
+		if fr.Kind != w.Kind || fr.Seq != w.Seq || !msgEqual(fr.Msg, w.Msg) || !msgsEqual(fr.Msgs, w.Msgs) {
 			t.Fatalf("frame %d: got kind=%d seq=%d, want kind=%d seq=%d", i, fr.Kind, fr.Seq, w.Kind, w.Seq)
 		}
 		rest = rest[n:]
@@ -345,34 +336,12 @@ func TestMixedStreamDecodesInOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream frame %d: %v", i, err)
 		}
-		if fr.Kind != w.Kind || fr.Seq != w.Seq || !msgEqual(fr.Msg, w.Msg) {
+		if fr.Kind != w.Kind || fr.Seq != w.Seq || !msgEqual(fr.Msg, w.Msg) || !msgsEqual(fr.Msgs, w.Msgs) {
 			t.Fatalf("stream frame %d mismatch", i)
 		}
 	}
 	if _, err := readAny(r); !errors.Is(err, ErrBye) {
 		t.Fatalf("stream tail: %v, want ErrBye", err)
-	}
-}
-
-// TestSeqFrameBitFlipDetected proves the CRC covers the sequence number
-// as well as the message: any body flip is an ErrChecksum that consumes
-// the whole frame, keeping the stream decodable.
-func TestSeqFrameBitFlipDetected(t *testing.T) {
-	frame := AppendSeqFrame(nil, 513, sampleMessages()[3])
-	body := BodyStart(frame)
-	if body < 0 {
-		t.Fatal("BodyStart failed on a valid sequenced frame")
-	}
-	for i := body; i < len(frame)-4; i++ {
-		mut := append([]byte(nil), frame...)
-		mut[i] ^= 0x40
-		_, n, err := DecodeAny(mut)
-		if !errors.Is(err, ErrChecksum) {
-			t.Fatalf("flip at %d: err=%v, want ErrChecksum", i, err)
-		}
-		if n != len(frame) {
-			t.Fatalf("flip at %d consumed %d, want %d", i, n, len(frame))
-		}
 	}
 }
 
